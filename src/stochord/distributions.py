@@ -9,6 +9,7 @@ exact.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -123,18 +124,6 @@ class TruncatedPMF:
     @property
     def support(self) -> np.ndarray:
         return self.offset + np.arange(self.probs.size)
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.probs) + self.tail_bound * self.support[-1])
-
-    def survival(self, t: float) -> float:
-        """P(X >= t) from truncated mass; the omitted tail adds at most
-        ``tail_bound``."""
-        k = math.ceil(t - self.offset - 1e-12)
-        k = max(k, 0)
-        if k >= self.probs.size:
-            return 0.0
-        return float(self.probs[k:].sum())
 
 
 @dataclass(frozen=True)
@@ -314,6 +303,24 @@ def deconvolve(
 # Shape mixtures
 
 
+def _mix_over_latent(latent: TruncatedPMF, stride: int, conditional) -> TruncatedPMF:
+    """Mixture over the latent shape draw of the lattice PMFs that
+    ``conditional(shape)`` returns as ``(probs, tail)``.  A draw of
+    ``latent.offset + h`` shifts its conditional PMF by ``stride * h``: 1 for
+    one shifted variable of that shape, 2 for a pair of them."""
+    tail = latent.tail_bound
+    parts = []
+    for h, w in enumerate(latent.probs):
+        if w > 0:
+            probs, t = conditional(latent.offset + h)
+            parts.append((stride * h, w, probs))
+            tail += w * t
+    out = np.zeros(max(start + probs.size for start, _, probs in parts))
+    for start, w, probs in parts:
+        out[start : start + probs.size] += w * probs
+    return TruncatedPMF(stride * latent.offset, out, tail)
+
+
 def shape_mixture_pmf(
     latent: TruncatedPMF, p: float, tail_cap: float = DEFAULT_TAIL_CAP
 ) -> TruncatedPMF:
@@ -323,22 +330,7 @@ def shape_mixture_pmf(
         raise ValueError(f"success probability must be in (0,1), got {p}")
     if latent.offset <= 0:
         raise ValueError("latent offsets must define positive shapes")
-    parts = []
-    tail = latent.tail_bound
-    max_len = 0
-    for h, w in enumerate(latent.probs):
-        if w <= 0:
-            parts.append(None)
-            continue
-        probs, t = _nb_probs(latent.offset + h, p, tail_cap)
-        parts.append(probs)
-        tail += w * t
-        max_len = max(max_len, h + probs.size)
-    out = np.zeros(max_len)
-    for h, probs in enumerate(parts):
-        if probs is not None:
-            out[h : h + probs.size] += latent.probs[h] * probs
-    return TruncatedPMF(latent.offset, out, tail)
+    return _mix_over_latent(latent, 1, lambda shape: _nb_probs(shape, p, tail_cap))
 
 
 def _coupled_pair_latent(
@@ -346,33 +338,22 @@ def _coupled_pair_latent(
 ) -> TruncatedPMF:
     """Mixture of pairwise convolutions of shifted negative binomials with
     success probabilities ``s_hi`` and ``s_lo``, both conditioned on the same
-    latent shape draw (shape alpha, success p; p = 1 degenerates)."""
+    latent shape draw (shape alpha, success p; p = 1 degenerates).  A success
+    probability of 1 makes its variable a point mass at the shape."""
     for s in (s_hi, s_lo):
-        if not 0 < s < 1:
-            raise ValueError("success probabilities must be in (0,1)")
+        if not 0 < s <= 1:
+            raise ValueError("success probabilities must be in (0,1]")
     if p == 1.0:
         latent = point_mass(alpha)
     else:
         latent = shifted_nb_pmf(NegBinParams(alpha, p), tail_cap)
-    tail = latent.tail_bound
-    max_len = 0
-    parts = []
-    for h, w in enumerate(latent.probs):
-        if w <= 0:
-            parts.append(None)
-            continue
-        shape = latent.offset + h
+
+    def pair(shape):
         hi, t_hi = _nb_probs(shape, s_hi, tail_cap)
         lo, t_lo = _nb_probs(shape, s_lo, tail_cap)
-        cond = np.convolve(hi, lo)
-        parts.append(cond)
-        tail += w * (t_hi + t_lo)
-        max_len = max(max_len, 2 * h + cond.size)
-    out = np.zeros(max_len)
-    for h, cond in enumerate(parts):
-        if cond is not None:
-            out[2 * h : 2 * h + cond.size] += latent.probs[h] * cond
-    return TruncatedPMF(2 * latent.offset, out, tail)
+        return np.convolve(hi, lo), t_hi + t_lo
+
+    return _mix_over_latent(latent, 2, pair)
 
 
 def coupled_pair_mixture_pmf(
@@ -384,6 +365,9 @@ def coupled_pair_mixture_pmf(
 ) -> TruncatedPMF:
     """Sum of two conditionally independent shifted negative binomials with
     success probabilities ``c0 +/- lam1`` sharing one latent shape draw."""
+    for s in (c0 + lam1, c0 - lam1):
+        if not 0 < s < 1:
+            raise ValueError("success probabilities must be in (0,1)")
     return _coupled_pair_latent(alpha, p, c0 + lam1, c0 - lam1, tail_cap)
 
 
@@ -396,16 +380,17 @@ def coupled_gamma_pair_cdf(
     tail_cap: float = DEFAULT_TAIL_CAP,
 ) -> CdfGrid:
     """CDF of a sum of two gammas with rates ``c0 +/- lam1`` whose shapes
-    share one latent shifted negative binomial draw (shape alpha, success p)."""
-    beta = 2.0 * (c0 + lam1)
+    share one latent shifted negative binomial draw (shape alpha, success p).
+    The common rate is the larger rate, whose gamma then needs no mixing."""
+    if not c0 > abs(lam1):
+        raise ValueError("rates c0 +/- lam1 must be positive")
+    beta = c0 + abs(lam1)
     latent = _coupled_pair_latent(
         alpha, p, (c0 + lam1) / beta, (c0 - lam1) / beta, tail_cap
     )
     grid = np.asarray(grid, dtype=float)
-    shapes = latent.offset + np.arange(latent.probs.size)
-    values = latent.probs @ special.gammainc(shapes[:, None], beta * grid[None, :])
-    errors = np.full_like(grid, latent.tail_bound + 1e-13)
-    return CdfGrid(grid, np.clip(values, 0.0, 1.0), errors)
+    values, rounding = _gamma_mixture_cdf(latent, beta, grid)
+    return CdfGrid(grid, np.clip(values, 0.0, 1.0), latent.tail_bound + rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +408,102 @@ def reg_lower_incomplete_gamma(a, x):
     return special.gammainc(a, x)
 
 
+# Rounding allowance, in units of eps, for each elementary function in the
+# mixture kernel (log, gammaln, exp, and the x^a e^-x / Gamma(a+1) prefactor
+# inside gammainc): each is taken to be within this many ulps of its exact
+# value, relative to the magnitudes that enter its log-space argument.
+_ULPS = 4.0
+
+
+def _gamma_mixture_cdf(
+    latent: TruncatedPMF, beta: float, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_h w_h P(a_0 + h, beta t)`` over the latent shape lattice, and a
+    per-point bound on its rounding error.
+
+    The shape recurrence ``P(a, x) = P(a + 1, x) + d(a, x)`` with
+    ``d(a, x) = x^a e^-x / Gamma(a + 1)``, run downward from the top shape
+    ``a_T``, turns the mixture into
+
+        W P(a_T, x) + sum_{j < T} C_j d(a_j, x),
+
+    with ``C_j`` the latent weight of the shapes up to ``a_j`` and ``W`` the
+    whole weight.  So ``gammainc`` runs once per point, at the top shape, and
+    every other term is positive: nothing cancels.  Each ``C_j d(a_j, x)`` is
+    ``exp(L_j)`` with ``L_j = a_j log x - x - gammaln(a_j + 1) + log C_j``.
+
+    The rounding bound takes the weights as given and adds, in units of eps:
+    ``_ULPS`` times the magnitudes ``|a_j log x| + x + |gammaln| + |log C_j|``
+    of each ``L_j`` (an absolute error of ``L_j`` is a relative error of
+    ``exp(L_j)``), times that term; the same for ``P(a_T, x)`` through its
+    prefactor, plus ``_ULPS`` absolute where ``gammainc`` forms P as 1 - Q;
+    ``T + 2`` relative roundings of ``C_j`` and ``W`` from the running sum
+    and as many from summing the terms, one for ``exp`` and one for the last
+    addition.
+    """
+    shapes = latent.offset + np.arange(latent.probs.size)
+    cum = np.cumsum(latent.probs)
+    top = shapes[-1]
+    values = np.zeros_like(grid)
+    rounding = np.zeros_like(grid)
+    pos = np.flatnonzero(grid > 0)  # P(a, 0) = 0 exactly
+    x = beta * grid[pos]
+    if x.size == 0:
+        return values, rounding
+    log_x = np.log(x)
+    p_top = special.gammainc(top, x)
+    m_top = top * np.abs(log_x) + x + abs(special.gammaln(top + 1.0))
+    # per point: sum_j E_j, sum_j a_j E_j and sum_j (|log C_j| + |gammaln|) E_j
+    sums = np.zeros((3, x.size))
+    # rows with C_j = 0 contribute nothing; chunk over j to bound memory
+    first = int(np.searchsorted(cum, 0.0, side="right"))
+    chunk = max(1, int(4e6 // x.size))
+    for lo in range(first, shapes.size - 1, chunk):
+        hi = min(lo + chunk, shapes.size - 1)
+        a = shapes[lo:hi]
+        log_c = np.log(cum[lo:hi])
+        log_g = special.gammaln(a + 1.0)
+        terms = np.outer(a, log_x)
+        terms += (log_c - log_g)[:, None]
+        terms -= x
+        np.exp(terms, out=terms)
+        sums += np.stack([np.ones_like(a), a, np.abs(log_c) + np.abs(log_g)]) @ terms
+    total, total_a, total_mags = sums
+    whole = cum[-1]
+    values[pos] = whole * p_top + total
+    steps = shapes.size + 1  # roundings in a running sum over the lattice
+    rounding[pos] = _EPS * (
+        whole * (_ULPS * (1.0 + m_top * p_top) + steps * p_top)
+        + _ULPS * (np.abs(log_x) * total_a + x * total + total_mags)
+        + (2.0 * steps + 1.0) * total
+        + values[pos]
+    )
+    return values, rounding
+
+
 def gamma_latent(
     s: ConvolutionSpec,
     tail_cap: float = DEFAULT_TAIL_CAP,
     common_beta: float | None = None,
 ) -> tuple[TruncatedPMF, float]:
     """Latent shape distribution representing the gamma convolution as a
-    mixture of single gammas with common rate."""
+    mixture of single gammas with common rate ``beta``.
+
+    By default ``beta`` is the largest rate (Moschopoulos 1985), which keeps
+    the latent lattice shortest: each component of that rate adds its shape
+    to the offset as a point mass, and the others mix shifted negative
+    binomials with success probability ``rate / beta``.
+    """
     if s.family != "gamma":
         raise ValueError("gamma_latent requires a gamma spec")
-    beta = 2.0 * max(s.scales) if common_beta is None else float(common_beta)
-    if beta <= max(s.scales):
-        raise ValueError("common rate must exceed every component rate")
-    nspec = ConvolutionSpec(
-        "negbin", s.shapes, tuple(b / beta for b in s.scales)
-    )
-    return nb_convolution(nspec, tail_cap, shifted=True), beta
+    beta = max(s.scales) if common_beta is None else float(common_beta)
+    if not max(s.scales) <= beta < math.inf:
+        raise ValueError("common rate must be finite and at least every component rate")
+    pieces = [
+        point_mass(a) if b == beta else shifted_nb_pmf(NegBinParams(a, b / beta), tail_cap)
+        for a, b in zip(s.shapes, s.scales)
+    ]
+    return functools.reduce(convolve, pieces), beta
 
 
 def gamma_convolution_cdf(
@@ -447,18 +512,12 @@ def gamma_convolution_cdf(
     tail_cap: float = DEFAULT_TAIL_CAP,
     common_beta: float | None = None,
 ) -> CdfGrid:
+    """CDF on ``grid`` of the gamma convolution, with per-point error bounds:
+    the latent tail mass plus the kernel's rounding bound."""
     latent, beta = gamma_latent(s, tail_cap, common_beta)
     grid = np.asarray(grid, dtype=float)
-    shapes = latent.offset + np.arange(latent.probs.size)
-    # CDF(t) = sum_h w_h P(shape_h, beta t); chunk over h to bound memory.
-    values = np.zeros_like(grid)
-    chunk = max(1, int(4e6 // max(grid.size, 1)))
-    for lo in range(0, shapes.size, chunk):
-        hi = min(lo + chunk, shapes.size)
-        block = special.gammainc(shapes[lo:hi, None], beta * grid[None, :])
-        values += latent.probs[lo:hi] @ block
-    errors = np.full_like(grid, latent.tail_bound + 1e-13)
-    return CdfGrid(grid, np.clip(values, 0.0, 1.0), errors)
+    values, rounding = _gamma_mixture_cdf(latent, beta, grid)
+    return CdfGrid(grid, np.clip(values, 0.0, 1.0), latent.tail_bound + rounding)
 
 
 def default_gamma_grid(specs, m: int = 256) -> np.ndarray:
@@ -563,12 +622,3 @@ def export_curve_csv(path, points, values, errors) -> None:
         fh.write("k_or_t,value,error_bound\n")
         for t, v, e in zip(points, values, errors):
             fh.write(f"{t:.17g},{v:.17g},{e:.17g}\n")
-
-
-def export_pmf_csv(path, pmf: TruncatedPMF) -> None:
-    errors = np.full(pmf.probs.size, pmf.tail_bound)
-    export_curve_csv(path, pmf.support, pmf.probs, errors)
-
-
-def export_cdf_csv(path, grid: CdfGrid) -> None:
-    export_curve_csv(path, grid.points, grid.values, grid.errors)

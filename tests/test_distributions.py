@@ -10,6 +10,7 @@ from stochord.distributions import (
     ConvolutionSpec,
     NegBinParams,
     TruncatedPMF,
+    _gamma_mixture_cdf,
     convolve,
     coupled_gamma_pair_cdf,
     coupled_pair_mixture_pmf,
@@ -18,6 +19,7 @@ from stochord.distributions import (
     empirical_cdf,
     export_curve_csv,
     gamma_convolution_cdf,
+    gamma_latent,
     lr_monotone_check,
     mc_sampler,
     nb_convolution,
@@ -30,6 +32,7 @@ from stochord.distributions import (
     spec,
     survival_dominance_check,
 )
+from stochord.harness import Scenario, ScenarioName, generate_instance
 from stochord.verdicts import Status
 
 probs_st = st.floats(0.15, 0.9)
@@ -232,6 +235,77 @@ class TestGammaCdf:
         grid = default_gamma_grid([g])
         mean = 2.0 / 1.0 + 1.0 / 2.0
         assert np.min(np.abs(grid - mean)) < 1e-9
+
+
+def _mp_mixture_cdf(latent, beta, t, mp):
+    """``sum_h w_h P(a_0 + h, beta t)`` at the caller's mpmath precision:
+    mpmath's P at the lowest shape, then upward by
+    ``P(a + 1, x) = P(a, x) - x^a e^-x / Gamma(a + 1)``; at 40 digits the
+    absolute error stays below 1e-36 over a few thousand shapes."""
+    x = mp.mpf(float(beta)) * mp.mpf(float(t))
+    if x == 0:
+        return mp.mpf(0)
+    a = mp.mpf(float(latent.offset))
+    p = mp.gammainc(a, 0, x, regularized=True)
+    d = mp.exp(a * mp.log(x) - x - mp.loggamma(a + 1))
+    total = mp.mpf(0)
+    for w in latent.probs:
+        total += mp.mpf(float(w)) * p
+        p -= d
+        a += 1
+        d *= x / a
+    return total
+
+
+class TestGammaMixtureKernel:
+    GAMMA_CELLS = (
+        ScenarioName.ST_GENERAL,
+        ScenarioName.AI_TAIL,
+        ScenarioName.COUPLED_GAMMA_PAIR,
+    )
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_mpmath_within_bound(self, n):
+        mp = pytest.importorskip("mpmath")
+        for name in self.GAMMA_CELLS:
+            for s in generate_instance(Scenario(name, "gamma", n, 0)):
+                grid = default_gamma_grid([s], 256)
+                # t = 0, near 0, the bulk, the last grid point and far past it
+                pts = np.unique(np.r_[0.0, 1e-12, 1e-6, grid[::32], grid[-1], 3 * grid[-1]])
+                latent, beta = gamma_latent(s)
+                values, rounding = _gamma_mixture_cdf(latent, beta, pts)
+                out = gamma_convolution_cdf(s, pts)
+                assert np.array_equal(out.errors, latent.tail_bound + rounding)
+                assert np.all(rounding < 1e-11)
+                with mp.workdps(40):
+                    for t, v, bound in zip(pts, values, rounding):
+                        ref = _mp_mixture_cdf(latent, beta, t, mp)
+                        assert abs(float(mp.mpf(float(v)) - ref)) <= bound, (name, n, t)
+        assert values[0] == 0.0 and rounding[0] == 0.0
+
+    def test_components_tied_at_max_rate_are_point_masses(self):
+        s = spec("gamma", (1.1, 0.6, 0.8), (1.5, 1.5, 0.7))
+        latent, beta = gamma_latent(s)
+        assert beta == 1.5
+        assert latent.offset == pytest.approx(2.5)
+        assert latent.probs.size < gamma_latent(s, common_beta=3.0)[0].probs.size
+        grid = default_gamma_grid([s], 64)
+        tied = gamma_convolution_cdf(s, grid)
+        wide = gamma_convolution_cdf(s, grid, common_beta=3.0)
+        assert np.all(np.abs(tied.values - wide.values) <= tied.errors + wide.errors)
+
+    def test_common_beta_at_least_max_rate(self):
+        s = spec("gamma", (0.9, 1.4), (2.0, 0.5))
+        latent, beta = gamma_latent(s, common_beta=2.0)
+        assert beta == 2.0 and latent.offset == pytest.approx(2.3)
+        grid = np.array([0.5, 2.0, 8.0])
+        default = gamma_convolution_cdf(s, grid)
+        explicit = gamma_convolution_cdf(s, grid, common_beta=2.0)
+        assert np.array_equal(default.values, explicit.values)
+        with pytest.raises(ValueError):
+            gamma_latent(s, common_beta=1.999)
+        with pytest.raises(ValueError):
+            gamma_convolution_cdf(s, grid, common_beta=1.0)
 
 
 class TestOrderOracles:
