@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from stochord.arrangement import check_pair_equal_a
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
     ConvolutionSpec,
@@ -30,11 +31,11 @@ from stochord.distributions import (
     spec,
 )
 from stochord.harness import (
-    Scenario,
+    MATRIX,
     ScenarioName,
     _param_pairs,
     explore_counterexamples,
-    generate_instance,
+    run_scenario,
     verify_theorem_instance,
     write_reports,
 )
@@ -116,9 +117,10 @@ def _cmd_check_order(args) -> int:
     q1, q2 = _param_pairs(s1, s2, args.order)
     mode = RcMode(args.mode)
     if args.verify_witness:
-        chain = chain_from_json(open(args.verify_witness).read())
-        from stochord.arrangement import check_pair_equal_a
-
+        try:
+            chain = chain_from_json(json.dumps(_load_json(args.verify_witness)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed witness chain {args.verify_witness}: {exc}") from exc
         ok = (
             verify_rc_chain(chain)
             and check_pair_equal_a(chain.pairs[0], q1)
@@ -160,6 +162,18 @@ def _cmd_verify(args) -> int:
     return max(order[report.param_status], order[report.numeric_status])
 
 
+def _coupled_pair(args, family: str):
+    """Latent success probability and direct spec of a coupled-pair identity.
+
+    The latent success probability is valid only when the mixture side
+    carries the smaller rate spread."""
+    c0, l_big, l_small = args.c0, args.lam1, args.lam2
+    if not 0 < l_small < l_big < c0:
+        raise InputError("need 0 < lam2 < lam1 < c0")
+    p = (c0**2 - l_big**2) / (c0**2 - l_small**2)
+    return p, spec(family, (args.alpha, args.alpha), (c0 + l_big, c0 - l_big))
+
+
 def _identity_residual(args, cap: float) -> float:
     """L-infinity residual of the requested mixture identity at truncation."""
     if args.prop == "nb-mixture":
@@ -168,18 +182,9 @@ def _identity_residual(args, cap: float) -> float:
         rhs = shifted_nb_pmf(NegBinParams(args.alpha, args.p1 * args.p2), cap)
         return _pmf_residual(lhs, rhs)
     if args.prop == "nb-pair":
-        # the latent success probability is valid only when the mixture side
-        # carries the smaller rate spread
-        c0, l_big, l_small = args.c0, args.lam1, args.lam2
-        if not 0 < l_small < l_big < c0:
-            raise InputError("need 0 < lam2 < lam1 < c0")
-        p = (c0**2 - l_big**2) / (c0**2 - l_small**2)
-        lhs = coupled_pair_mixture_pmf(args.alpha, c0, l_small, p, cap)
-        rhs = nb_convolution(
-            spec("negbin", (args.alpha, args.alpha), (c0 + l_big, c0 - l_big)),
-            cap,
-            shifted=True,
-        )
+        p, direct = _coupled_pair(args, "negbin")
+        lhs = coupled_pair_mixture_pmf(args.alpha, args.c0, args.lam2, p, cap)
+        rhs = nb_convolution(direct, cap, shifted=True)
         return _pmf_residual(lhs, rhs)
     if args.prop == "gamma-single":
         beta_small = args.beta
@@ -192,13 +197,9 @@ def _identity_residual(args, cap: float) -> float:
         direct = reg_lower_incomplete_gamma(args.alpha, beta_small * grid)
         return float(np.max(np.abs(mix.values - direct)))
     if args.prop == "gamma-pair":
-        c0, l_big, l_small = args.c0, args.lam1, args.lam2
-        if not 0 < l_small < l_big < c0:
-            raise InputError("need 0 < lam2 < lam1 < c0")
-        p = (c0**2 - l_big**2) / (c0**2 - l_small**2)
-        g = spec("gamma", (args.alpha, args.alpha), (c0 + l_big, c0 - l_big))
+        p, g = _coupled_pair(args, "gamma")
         grid = default_gamma_grid([g], args.grid_size)
-        lhs = coupled_gamma_pair_cdf(args.alpha, c0, l_small, p, grid, cap)
+        lhs = coupled_gamma_pair_cdf(args.alpha, args.c0, args.lam2, p, grid, cap)
         rhs = gamma_convolution_cdf(g, grid, cap)
         return float(np.max(np.abs(lhs.values - rhs.values)))
     raise InputError(f"unknown identity {args.prop!r}")
@@ -238,36 +239,37 @@ def _parse_seed_range(text: str) -> range:
 
 
 def _cmd_harness(args) -> int:
-    try:
-        name = ScenarioName(args.scenario)
-    except ValueError:
+    names = [s.value for s in ScenarioName]
+    if args.scenario is not None and args.scenario not in names:
         raise InputError(
-            f"unknown scenario {args.scenario!r}; choose from "
-            + ", ".join(s.value for s in ScenarioName)
+            f"unknown scenario {args.scenario!r}; choose from " + ", ".join(names)
         )
     seeds = _parse_seed_range(args.seeds)
     cap = _tail_cap(args)
-    reports = []
-    for seed in seeds:
-        s1, s2 = generate_instance(Scenario(name, args.family, args.n, seed))
-        reports.append(
-            verify_theorem_instance(
-                s1,
-                s2,
-                args.order,
-                scenario=name.value,
-                seed=seed,
-                tail_cap=cap,
-                tol=args.tol,
-            )
+    given = {k: getattr(args, k) for k in ("family", "n", "order")}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    rows = dict.fromkeys(
+        row._replace(**overrides)
+        for row in MATRIX
+        if args.scenario in (None, row.name.value)
+    )
+    disagreements = 0
+    for name, family, n, order in rows:
+        reports = run_scenario(name, family, n, seeds, order, tail_cap=cap, tol=args.tol)
+        for r in reports:
+            print(r.to_json_line())
+        if args.output:
+            write_reports(args.output, reports)
+        agreed = sum(r.agreed for r in reports)
+        unknown = sum("unknown" in (r.param_status, r.numeric_status) for r in reports)
+        print(
+            f"{name.value} {family} n={n} order={order}: "
+            f"agreed {agreed}/{len(reports)}, unknown {unknown}",
+            file=sys.stderr,
         )
-    for r in reports:
-        print(r.to_json_line())
-    if args.output:
-        write_reports(args.output, reports)
-    mismatches = [r for r in reports if not r.agreed]
-    if mismatches:
-        print(f"{len(mismatches)} report(s) flag parameter/numeric disagreement", file=sys.stderr)
+        disagreements += len(reports) - agreed
+    if disagreements:
+        print(f"{disagreements} report(s) flag parameter/numeric disagreement", file=sys.stderr)
         return 1
     return 0
 
@@ -356,12 +358,15 @@ def _build_parser() -> _Parser:
     common(idn)
     idn.set_defaults(func=_cmd_identity)
 
-    ha = sub.add_parser("harness", help="run a generated-scenario batch")
-    ha.add_argument("--scenario", required=True)
+    ha = sub.add_parser(
+        "harness",
+        help="run the scenario matrix; a given flag replaces that field of every row",
+    )
+    ha.add_argument("--scenario", help="run only this scenario's rows")
     ha.add_argument("--seeds", default="0..9", help="inclusive range A..B")
-    ha.add_argument("--family", choices=("negbin", "gamma"), default="negbin")
-    ha.add_argument("--n", type=int, default=3)
-    ha.add_argument("--order", choices=("conv", "st"), default="conv")
+    ha.add_argument("--family", choices=("negbin", "gamma"))
+    ha.add_argument("--n", type=int)
+    ha.add_argument("--order", choices=("conv", "st"))
     ha.add_argument("--output", metavar="REPORT_JSONL")
     common(ha)
     ha.set_defaults(func=_cmd_harness)
@@ -390,10 +395,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EX_USAGE
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (InputError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except (RuntimeError, FloatingPointError, OverflowError) as exc:

@@ -10,23 +10,21 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from stochord.arrangement import PairClass, check_arrangement_leq, pair
+from stochord.arrangement import check_arrangement_leq, pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
     ConvolutionSpec,
     NegBinParams,
-    coupled_gamma_pair_cdf,
     deconvolve,
     default_gamma_grid,
     gamma_convolution_cdf,
     nb_convolution,
-    nb_pmf,
     shape_mixture_pmf,
     shifted_nb_pmf,
     spec,
@@ -62,6 +60,34 @@ class ScenarioName(Enum):
 
 
 _NAME_INDEX = {name: i for i, name in enumerate(ScenarioName)}
+
+
+class MatrixRow(NamedTuple):
+    name: ScenarioName
+    family: str
+    n: int
+    order: str
+
+
+# Each scenario family with the order its hypothesis implies: the default
+# batch of ``stochord harness``.
+MATRIX = (
+    MatrixRow(ScenarioName.RAISE_ALPHA, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.LOWER_BETA, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.MAJORIZE_BETA, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.DIFF_ALPHA_MAJORIZE_BETA, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.MAJORIZE_ALPHA, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.CONV_AI, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.RC_GENERAL, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.GAMMA_CONV, "gamma", 3, "conv"),
+    MatrixRow(ScenarioName.OPPOSITE_ORDERED_WEAK, "negbin", 3, "conv"),
+    MatrixRow(ScenarioName.LOG_MAJORIZE_BETA_ST, "negbin", 3, "st"),
+    MatrixRow(ScenarioName.ST_GENERAL, "negbin", 3, "st"),
+    MatrixRow(ScenarioName.ST_GENERAL, "gamma", 3, "st"),
+    MatrixRow(ScenarioName.AI_TAIL, "gamma", 3, "st"),
+    MatrixRow(ScenarioName.COUPLED_GAMMA_PAIR, "gamma", 2, "st"),
+    MatrixRow(ScenarioName.MIXTURE_LEMMA_ST, "negbin", 1, "st"),
+)
 
 # Desk-scale parameter box: keeps truncation lattices small and the
 # deconvolution leading coefficient well away from underflow.

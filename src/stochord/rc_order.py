@@ -29,6 +29,7 @@ from stochord.majorization import (
     Vector,
     check_majorization,
     component_tolerance,
+    is_sorted,
     sort_components,
     t_transform_chain,
 )
@@ -177,7 +178,7 @@ def is_opposite_ordered(p: PairClass) -> bool:
     """True iff ``p`` equals, up to common permutation, a representative with
     x increasing and y decreasing."""
     tol = component_tolerance(p.x, p.y)
-    return _is_dec(_opposite_y(p), tol)
+    return is_sorted(_opposite_y(p), "dec", tol)
 
 
 def _opposite_y(p: PairClass) -> Vector:
@@ -185,10 +186,6 @@ def _opposite_y(p: PairClass) -> Vector:
     sort pairs by (x asc, y desc)."""
     order = sorted(range(p.n), key=lambda i: (p.x[i], -p.y[i]))
     return tuple(p.y[i] for i in order)
-
-
-def _sorted_rep(p: PairClass) -> PairClass:
-    return canonical_form(p)
 
 
 def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
@@ -207,14 +204,14 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
 
     x2s = sort_components(p2.x, "inc")
     y2s = _opposite_y(p2)
-    if not _is_dec(y2s, tol):
+    if not is_sorted(y2s, "dec", tol):
         raise ChainConstructionError("target pair is not opposite ordered")
 
     ok, viol = check_necessary(p1, p2, mode)
     if not ok:
         raise ChainConstructionError(f"necessary condition failed: {viol}")
 
-    rep1 = _sorted_rep(p1)
+    rep1 = canonical_form(p1)
     x1, y1 = rep1.x, rep1.y
     n = p1.n
 
@@ -276,10 +273,6 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
         push(ElementaryMove(MoveKind.LOWER_Y), PairClass(x2s, y2s))
 
     return RcChain(tuple(pairs), tuple(moves), mode)
-
-
-def _is_dec(v: Vector, tol: float) -> bool:
-    return all(b <= a + tol for a, b in zip(v, v[1:]))
 
 
 def _raise_to_majorized(x: Vector, y: Vector) -> Vector:
@@ -385,13 +378,13 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
                     new[i], new[j] = ci, cj
                     yield _apply(p, vec, new), ElementaryMove(kind, i, j)
     if mode is RcMode.WEAK:
-        raised = _componentwise_raise(p.x, target.x, tol)
+        raised = _componentwise_move(p.x, target.x, 1, tol)
         if raised is not None:
             yield _apply(p, "x", list(raised)), ElementaryMove(MoveKind.RAISE_X)
-        aligned = _aligned_raise(p, target, tol)
+        aligned = _aligned_move(p, target, "x", tol)
         if aligned is not None:
             yield _apply(p, "x", list(aligned)), ElementaryMove(MoveKind.RAISE_X)
-        lowered_aligned = _aligned_lower(p, target, tol)
+        lowered_aligned = _aligned_move(p, target, "y", tol)
         if lowered_aligned is not None:
             yield _apply(p, "y", list(lowered_aligned)), ElementaryMove(MoveKind.LOWER_Y)
         dx = sum(target.x) - sum(p.x)
@@ -407,7 +400,7 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
                 new[idx] = u[rank]
             if all(a <= b + tol for a, b in zip(p.x, new)):
                 yield _apply(p, "x", new), ElementaryMove(MoveKind.RAISE_X)
-        lowered = _componentwise_lower(p.y, target.y, tol)
+        lowered = _componentwise_move(p.y, target.y, -1, tol)
         if lowered is not None:
             yield _apply(p, "y", list(lowered)), ElementaryMove(MoveKind.LOWER_Y)
 
@@ -418,82 +411,44 @@ def _apply(p: PairClass, vec: str, new: list[float]) -> PairClass:
     return PairClass(p.x, tuple(new))
 
 
-def _aligned_raise(p: PairClass, target: PairClass, tol: float) -> Optional[Vector]:
-    """Raise x onto the target's x through the pairing with equal y values.
+def _aligned_move(p: PairClass, target: PairClass, vec: str, tol: float) -> Optional[Vector]:
+    """Raise x (``vec = "x"``) or lower y (``vec = "y"``) onto the target's
+    through the pairing with equal values of the other vector.
 
-    Matches positions by sorting both pairs by (y, x); within each block of
-    equal y values this pairs x components ascending, the assignment most
-    likely to keep the raise componentwise.
+    Matches positions by sorting both pairs by (other, moved); within each
+    block of equal other values this pairs moved components ascending, the
+    assignment most likely to keep the move componentwise.
     """
-    if not _multisets_match(p.y, target.y, tol):
+    other = "y" if vec == "x" else "x"
+    po, to = getattr(p, other), getattr(target, other)
+    pv, tv = getattr(p, vec), getattr(target, vec)
+    if not _multisets_match(po, to, tol):
         return None
-    n = p.n
-    order_p = sorted(range(n), key=lambda k: (p.y[k], p.x[k]))
-    order_t = sorted(range(n), key=lambda k: (target.y[k], target.x[k]))
-    new = list(p.x)
-    changed = False
-    for ip, it in zip(order_p, order_t):
-        if abs(p.y[ip] - target.y[it]) > tol:
-            return None
-        tx = target.x[it]
-        if tx < p.x[ip] - tol:
-            return None
-        if tx > p.x[ip] + tol:
-            changed = True
-        new[ip] = tx
-    return tuple(new) if changed else None
-
-
-def _aligned_lower(p: PairClass, target: PairClass, tol: float) -> Optional[Vector]:
-    """Lower y onto the target's y through the pairing with equal x values."""
-    if not _multisets_match(p.x, target.x, tol):
+    order_p = sorted(range(p.n), key=lambda k: (po[k], pv[k]))
+    order_t = sorted(range(p.n), key=lambda k: (to[k], tv[k]))
+    if any(abs(po[ip] - to[it]) > tol for ip, it in zip(order_p, order_t)):
         return None
-    n = p.n
-    order_p = sorted(range(n), key=lambda k: (p.x[k], p.y[k]))
-    order_t = sorted(range(n), key=lambda k: (target.x[k], target.y[k]))
-    new = list(p.y)
+    sign = 1 if vec == "x" else -1
+    return _move_onto(pv, zip(order_p, (tv[it] for it in order_t)), sign, tol)
+
+
+def _componentwise_move(v: Vector, target: Vector, sign: int, tol: float) -> Optional[Vector]:
+    """Match sorted orders; if the target multiset sits componentwise above
+    (``sign = 1``) or below (``sign = -1``) ``v`` under that matching, return
+    the rearranged raised or lowered vector."""
+    order = sorted(range(len(v)), key=lambda k: v[k])
+    return _move_onto(v, zip(order, sort_components(target, "inc")), sign, tol)
+
+
+def _move_onto(v: Vector, matches, sign: int, tol: float) -> Optional[Vector]:
+    """Set ``v[idx] = t`` for each matched ``(idx, t)``; None unless no
+    component moves against ``sign`` and at least one moves with it."""
+    out = list(v)
     changed = False
-    for ip, it in zip(order_p, order_t):
-        if abs(p.x[ip] - target.x[it]) > tol:
+    for idx, t in matches:
+        if sign * t < sign * v[idx] - tol:
             return None
-        ty = target.y[it]
-        if ty > p.y[ip] + tol:
-            return None
-        if ty < p.y[ip] - tol:
-            changed = True
-        new[ip] = ty
-    return tuple(new) if changed else None
-
-
-def _componentwise_raise(x: Vector, target_x: Vector, tol: float) -> Optional[Vector]:
-    """Match sorted orders; if the target multiset sits componentwise above the
-    current x under that matching, return the rearranged raised vector."""
-    order = sorted(range(len(x)), key=lambda k: x[k])
-    tsorted = sort_components(target_x, "inc")
-    out = list(x)
-    changed = False
-    for rank, idx in enumerate(order):
-        t = tsorted[rank]
-        if t < x[idx] - tol:
-            return None
-        if t > x[idx] + tol:
-            changed = True
-        out[idx] = t
-    return tuple(out) if changed else None
-
-
-def _componentwise_lower(y: Vector, target_y: Vector, tol: float) -> Optional[Vector]:
-    """Match sorted orders; if the target multiset sits componentwise below the
-    current y under that matching, return the rearranged lowered vector."""
-    order = sorted(range(len(y)), key=lambda k: y[k])
-    tsorted = sort_components(target_y, "inc")
-    out = list(y)
-    changed = False
-    for rank, idx in enumerate(order):
-        t = tsorted[rank]
-        if t > y[idx] + tol:
-            return None
-        if t < y[idx] - tol:
+        if sign * t > sign * v[idx] + tol:
             changed = True
         out[idx] = t
     return tuple(out) if changed else None

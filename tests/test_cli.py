@@ -3,6 +3,7 @@ import json
 import pytest
 
 from stochord.cli import EX_DATAERR, EX_USAGE, main
+from stochord.harness import MATRIX
 
 WORKED_PAIR = {
     "config1": {"family": "gamma", "shapes": [0.4, 0.6, 0.5], "scales": [2, 3, 4]},
@@ -98,6 +99,30 @@ class TestHarnessCommand:
             == EX_DATAERR
         )
 
+    def test_whole_matrix_by_default(self, capsys):
+        assert main(["harness", "--seeds", "0..0"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == len(MATRIX)
+        assert [json.loads(line)["scenario"] for line in lines] == [
+            row.name.value for row in MATRIX
+        ]
+        assert captured.err.count("agreed 1/1, unknown 0") == len(MATRIX)
+
+    def test_scenario_takes_its_matrix_order(self, capsys):
+        argv = ["harness", "--scenario", "LogMajorizeBetaSt", "--seeds", "0..0"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["order"] == "st"
+        assert out["param_status"] == "holds" and out["numeric_status"] == "holds"
+
+    def test_family_flag_merges_duplicate_rows(self, capsys):
+        argv = ["harness", "--scenario", "StGeneral", "--family", "gamma", "--seeds", "0..0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0])["spec1"]["family"] == "gamma"
+
     def test_st_scenario(self, capsys):
         argv = [
             "harness",
@@ -170,6 +195,17 @@ class TestErrorHandling:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["check-order", str(path)]) == EX_DATAERR
+
+    def test_missing_witness_file(self, pair_file):
+        argv = ["check-order", pair_file, "--verify-witness", "/nonexistent/w.json"]
+        assert main(argv) == EX_DATAERR
+
+    def test_malformed_witness_chain(self, pair_file, tmp_path):
+        witness = tmp_path / "w.json"
+        for text in ("{not json", '{"mode": "weak"}', '{"mode": "weak", "chain": [1]}'):
+            witness.write_text(text)
+            argv = ["check-order", pair_file, "--verify-witness", str(witness)]
+            assert main(argv) == EX_DATAERR, text
 
     def test_usage_error(self):
         assert main(["bogus-command"]) == EX_USAGE

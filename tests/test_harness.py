@@ -5,6 +5,7 @@ import pytest
 
 from stochord.distributions import default_gamma_grid, gamma_convolution_cdf, spec
 from stochord.harness import (
+    MATRIX,
     Report,
     Scenario,
     ScenarioName,
@@ -24,28 +25,13 @@ from stochord.harness import (
 from stochord.rc_order import MoveKind, RcMode, verify_rc_chain
 from stochord.verdicts import Status
 
-ALL_GENERATED = [
-    (ScenarioName.RAISE_ALPHA, "negbin", 3, "conv"),
-    (ScenarioName.LOWER_BETA, "negbin", 3, "conv"),
-    (ScenarioName.MAJORIZE_BETA, "negbin", 3, "conv"),
-    (ScenarioName.DIFF_ALPHA_MAJORIZE_BETA, "negbin", 3, "conv"),
-    (ScenarioName.MAJORIZE_ALPHA, "negbin", 3, "conv"),
-    (ScenarioName.CONV_AI, "negbin", 3, "conv"),
-    (ScenarioName.RC_GENERAL, "negbin", 3, "conv"),
-    (ScenarioName.GAMMA_CONV, "gamma", 3, "conv"),
-    (ScenarioName.OPPOSITE_ORDERED_WEAK, "negbin", 3, "conv"),
-    (ScenarioName.LOG_MAJORIZE_BETA_ST, "negbin", 3, "st"),
-    (ScenarioName.ST_GENERAL, "negbin", 3, "st"),
-    (ScenarioName.ST_GENERAL, "gamma", 3, "st"),
-    (ScenarioName.AI_TAIL, "gamma", 3, "st"),
-    (ScenarioName.COUPLED_GAMMA_PAIR, "gamma", 2, "st"),
-    (ScenarioName.MIXTURE_LEMMA_ST, "negbin", 1, "st"),
-]
-
 
 class TestGenerateInstance:
+    def test_matrix_covers_every_scenario(self):
+        assert {row.name for row in MATRIX} == set(ScenarioName)
+
     def test_deterministic_in_seed(self):
-        for name, fam, n, _ in ALL_GENERATED:
+        for name, fam, n, _ in MATRIX:
             s = Scenario(name, fam, n, 11)
             assert generate_instance(s) == generate_instance(s)
 
@@ -141,7 +127,7 @@ class TestVerifyTheoremInstance:
         assert v.detail["sufficient_only"] is True
 
     def test_scenario_batches_agree(self):
-        for name, fam, n, order in ALL_GENERATED:
+        for name, fam, n, order in MATRIX:
             reports = run_scenario(name, fam, n, range(3), order)
             for r in reports:
                 assert r.param_status == "holds", (name, r.seed)
