@@ -138,12 +138,16 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     steps: list[tuple[int, int, float]] = []
     n = len(x)
     for _ in range(n):
-        # First surplus donates to the last deficit; both exist while the
-        # vectors differ, and each transfer pins at least one coordinate.
-        i = next((m for m in range(n) if current[m] > y[m] + tol), None)
-        if i is None:
+        # The first surplus donates to the end of the first deficit run after
+        # it (Marshall, Olkin & Arnold, Lemma 2.B.1): every partial sum stays
+        # at least the target's and both neighbours stay ordered, so each
+        # vector is sorted and majorized by y; each transfer pins a coordinate.
+        i = next((m for m in range(n) if current[m] > y[m] + tol), n)
+        j = next((m for m in range(i + 1, n) if current[m] < y[m] - tol), n)
+        if j == n:
             break
-        j = max(m for m in range(n) if current[m] < y[m] - tol)
+        while j + 1 < n and current[j + 1] < y[j + 1] - tol:
+            j += 1
         eps = min(current[i] - y[i], y[j] - current[j])
         current[i] -= eps
         current[j] += eps

@@ -135,6 +135,14 @@ class TestVerifyTheoremInstance:
                 assert r.agreed
 
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matrix_holds_at_every_size(self, n):
+        for name, fam, _, order in MATRIX:
+            for r in run_scenario(name, fam, n, range(2), order):
+                assert r.param_status == "holds", (name, fam, n, r.seed)
+                assert r.numeric_status == "holds", (name, fam, n, r.seed)
+
+
 class TestReports:
     def test_json_line_schema(self):
         s = spec("negbin", (1.0,), (0.5,))

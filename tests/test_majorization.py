@@ -119,6 +119,13 @@ class TestTTransformChain:
         chain = t_transform_chain((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 4.0))
         assert len(chain.steps) <= 3
 
+    def test_first_surplus_feeds_its_nearest_deficit_run(self):
+        # pairing the first surplus with the last deficit gave the steps
+        # (0, 3, 1) and (2, 1, 1), the second one running backwards
+        chain = t_transform_chain((1.0, 1.0, 4.0, 4.0), (0.0, 2.0, 3.0, 5.0))
+        assert chain.steps == ((0, 1, 1.0), (2, 3, 1.0))
+        assert chain.vectors == ((1.0, 1.0, 4.0, 4.0), (0.0, 2.0, 4.0, 4.0), (0.0, 2.0, 3.0, 5.0))
+
     def test_rejects_unsorted_input(self):
         with pytest.raises(ValueError):
             t_transform_chain((3.0, 2.0, 1.0), (0.0, 2.0, 4.0))
@@ -150,6 +157,30 @@ class TestTTransformChain:
             assert verify_t_step(u, v)
             assert is_sorted(v, "inc")
             assert check_majorization(u, v, FULL)[0]
+
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_step_stays_below_the_target(self, data):
+        # integer Robin Hood transfers toward equality reach every integer
+        # vector majorized by the target
+        y = sorted(data.draw(st.lists(st.integers(0, 8), min_size=2, max_size=6)))
+        x = list(y)
+        n = len(x)
+        for _ in range(data.draw(st.integers(0, 2 * n))):
+            i, j = data.draw(st.permutations(range(n)))[:2]
+            lo, hi = sorted((i, j), key=lambda k: x[k])
+            eps = data.draw(st.integers(0, (x[hi] - x[lo]) // 2))
+            x[lo] += eps
+            x[hi] -= eps
+        x = tuple(float(c) for c in sorted(x))
+        target = tuple(float(c) for c in y)
+        chain = t_transform_chain(x, target)
+        assert len(chain.steps) < n
+        for u, v in zip(chain.vectors, chain.vectors[1:]):
+            assert verify_t_step(u, v)
+            assert is_sorted(v, "inc")
+            assert check_majorization(v, target, FULL)[0]
 
 
 class TestTolerance:
