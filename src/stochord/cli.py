@@ -262,8 +262,10 @@ def _cmd_harness(args) -> int:
             write_reports(args.output, reports)
         agreed = sum(r.agreed for r in reports)
         unknown = sum("unknown" in (r.param_status, r.numeric_status) for r in reports)
+        # MixtureLemmaSt and CoupledGammaPair build one size whatever n asks
+        size = len(reports[0].spec1.shapes) if reports else n
         print(
-            f"{name.value} {family} n={n} order={order}: "
+            f"{name.value} {family} n={size} order={order}: "
             f"agreed {agreed}/{len(reports)}, unknown {unknown}",
             file=sys.stderr,
         )

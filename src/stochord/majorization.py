@@ -6,6 +6,7 @@ user-scale parameters compare stably without accumulating sums.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +36,7 @@ class TChain:
 
 
 def component_tolerance(*vectors: Vector) -> float:
-    scale = max((abs(c) for v in vectors for c in v), default=0.0)
+    scale = max(map(abs, itertools.chain(*vectors)), default=0.0)
     return BASE_TOL * max(1.0, scale)
 
 
@@ -68,6 +69,12 @@ def _require_same_length(x: Vector, y: Vector) -> None:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
+def sort_for_check(y: Vector, mode: MajorizationMode) -> Vector:
+    """``y``'s components in the order a check in ``mode`` reads them: the
+    largest first, or the smallest first for ABOVE."""
+    return sort_components(y, "inc" if mode is MajorizationMode.ABOVE else "dec")
+
+
 def check_majorization(
     x: Vector, y: Vector, mode: MajorizationMode
 ) -> tuple[bool, int | None]:
@@ -77,11 +84,19 @@ def check_majorization(
     is the first violated prefix length (1-based); ``k = 0`` flags a total-sum
     mismatch in FULL mode.
     """
-    _require_same_length(x, y)
-    tol = component_tolerance(x, y) * len(x)
+    return check_majorized_by(x, sort_for_check(y, mode), mode)
+
+
+def check_majorized_by(
+    x: Vector, ys: Vector, mode: MajorizationMode
+) -> tuple[bool, int | None]:
+    """:func:`check_majorization` with ``ys = sort_for_check(y, mode)``, for a
+    caller that checks many ``x`` against one ``y`` and sorts it once."""
+    _require_same_length(x, ys)
+    tol = component_tolerance(x, ys) * len(x)
 
     if mode in (MajorizationMode.BELOW, MajorizationMode.FULL):
-        xs, ys = sort_components(x, "dec"), sort_components(y, "dec")
+        xs = sort_components(x, "dec")
         cx = cy = 0.0
         for k, (a, b) in enumerate(zip(xs, ys), start=1):
             cx += a
@@ -92,7 +107,7 @@ def check_majorization(
             return False, 0
         return True, None
 
-    xs, ys = sort_components(x, "inc"), sort_components(y, "inc")
+    xs = sort_components(x, "inc")
     cx = cy = 0.0
     for k, (a, b) in enumerate(zip(xs, ys), start=1):
         cx += a

@@ -15,7 +15,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from stochord.arrangement import (
     PairClass,
@@ -28,9 +28,11 @@ from stochord.majorization import (
     MajorizationMode,
     Vector,
     check_majorization,
+    check_majorized_by,
     component_tolerance,
     is_sorted,
     sort_components,
+    sort_for_check,
     t_transform_chain,
 )
 from stochord.verdicts import OrderVerdict, Status
@@ -101,9 +103,11 @@ def _equal_off(a: Vector, b: Vector, i: int, j: int, tol: float) -> bool:
     return all(abs(u - v) <= tol for k, (u, v) in enumerate(zip(a, b)) if k not in (i, j))
 
 
-def _reverse_pair_ok(b: PairClass, i: int, j: int, tol: float) -> bool:
-    # Evaluated on the target pair, as the generating relation is stated.
-    return (b.y[j] - b.y[i]) * (b.x[j] - b.x[i]) <= tol
+def _reverse_pair_ok(dx: float, dy: float, tol: float) -> bool:
+    """The coupling condition on the target pair's coordinate differences
+    ``dx = x[j] - x[i]`` and ``dy = y[j] - y[i]``, as the generating relation
+    is stated."""
+    return dy * dx <= tol
 
 
 def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) -> bool:
@@ -119,7 +123,7 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
         return _vec_equal(a.x, b.x, tol) and all(u >= v - tol for u, v in zip(a.y, b.y))
 
     i, j = m.i, m.j
-    if j >= a.n or not _reverse_pair_ok(b, i, j, tol):
+    if j >= a.n or not _reverse_pair_ok(b.x[j] - b.x[i], b.y[j] - b.y[i], tol):
         return False
     if m.kind in (MoveKind.MAJORIZE_X, MoveKind.WEAK_MAJORIZE_X):
         if not (_vec_equal(a.y, b.y, tol) and _equal_off(a.x, b.x, i, j, tol)):
@@ -153,22 +157,55 @@ def verify_rc_chain(chain: RcChain) -> bool:
     )
 
 
+def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
+    if mode is RcMode.STRICT:
+        return MajorizationMode.FULL, MajorizationMode.FULL
+    return MajorizationMode.BELOW, MajorizationMode.ABOVE
+
+
+class _Target(NamedTuple):
+    """A search's target pair with its target-only work done once: its
+    components sorted increasing for :func:`_distance`, and sorted for the
+    checks of :func:`check_necessary`."""
+
+    pair: PairClass
+    xs: Vector
+    ys: Vector
+    x_bound: Vector
+    y_bound: Vector
+
+
+def _target(p2: PairClass, mode: RcMode) -> _Target:
+    x_mode, y_mode = _necessary_modes(mode)
+    return _Target(
+        p2,
+        sort_components(p2.x, "inc"),
+        sort_components(p2.y, "inc"),
+        sort_for_check(p2.x, x_mode),
+        sort_for_check(p2.y, y_mode),
+    )
+
+
 def check_necessary(
-    p1: PairClass, p2: PairClass, mode: RcMode
+    p1: PairClass, p2: PairClass | _Target, mode: RcMode
 ) -> tuple[bool, Optional[dict]]:
     """Necessary conditions: the order implies (weak) majorization coordinatewise.
 
     Strict mode requires x1 and y1 majorized by x2 and y2; weak mode requires
-    weak majorization from below on x and from above on y.
+    weak majorization from below on x and from above on y.  The search passes
+    its target prepared for ``mode``.
     """
+    x_mode, y_mode = _necessary_modes(mode)
+    if isinstance(p2, _Target):
+        p2, x_bound, y_bound = p2.pair, p2.x_bound, p2.y_bound
+    else:
+        x_bound, y_bound = sort_for_check(p2.x, x_mode), sort_for_check(p2.y, y_mode)
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    x_mode = MajorizationMode.FULL if mode is RcMode.STRICT else MajorizationMode.BELOW
-    y_mode = MajorizationMode.FULL if mode is RcMode.STRICT else MajorizationMode.ABOVE
-    ok, k = check_majorization(p1.x, p2.x, x_mode)
+    ok, k = check_majorized_by(p1.x, x_bound, x_mode)
     if not ok:
         return False, {"vector": "x", "prefix": k, "mode": x_mode.value}
-    ok, k = check_majorization(p1.y, p2.y, y_mode)
+    ok, k = check_majorized_by(p1.y, y_bound, y_mode)
     if not ok:
         return False, {"vector": "y", "prefix": k, "mode": y_mode.value}
     return True, None
@@ -342,38 +379,45 @@ def _round_key(p: PairClass) -> tuple:
     return tuple(round(v, 9) for v in c.x + c.y)
 
 
-def _distance(p: PairClass, target: PairClass) -> float:
-    dx = sum(
-        abs(u - v)
-        for u, v in zip(sort_components(p.x, "inc"), sort_components(target.x, "inc"))
-    )
-    dy = sum(
-        abs(u - v)
-        for u, v in zip(sort_components(p.y, "inc"), sort_components(target.y, "inc"))
-    )
+def _distance(p: PairClass, target: _Target) -> float:
+    dx = sum(abs(u - v) for u, v in zip(sort_components(p.x, "inc"), target.xs))
+    dy = sum(abs(u - v) for u, v in zip(sort_components(p.y, "inc"), target.ys))
     return dx + dy
 
 
 def _successors(p: PairClass, target: PairClass, mode: RcMode):
+    """Candidate moves from ``p`` toward ``target``, for :func:`verify_rc_move`
+    to accept or reject.  A coupled candidate whose own pair fails the
+    reverse-pair condition is not yielded: that check would reject it, with
+    the same product and tolerance as computed here."""
     n = p.n
     tol = component_tolerance(p.x, p.y, target.x, target.y)
+    # a swap permutes p's components, so its check has p's tolerance
+    swap_tol = component_tolerance(p.x, p.y)
     for i in range(n):
         for j in range(i + 1, n):
-            # swaps (majorization between permuted coordinate pairs)
-            for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
-                src = getattr(p, vec)
-                if abs(src[i] - src[j]) <= tol:
-                    continue
-                new = list(src)
-                new[i], new[j] = new[j], new[i]
-                yield _apply(p, vec, new), ElementaryMove(kind, i, j)
-            # sum-preserving transfers aligned with target component values
-            for kind, vec, goal in (
-                (MoveKind.MAJORIZE_X, "x", target.x),
-                (MoveKind.MAJORIZE_Y, "y", target.y),
+            dx, dy = p.x[j] - p.x[i], p.y[j] - p.y[i]
+            # swaps (majorization between permuted coordinate pairs); swapping
+            # either vector negates the product of the differences
+            if _reverse_pair_ok(-dx, dy, swap_tol):
+                for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
+                    src = getattr(p, vec)
+                    if abs(src[i] - src[j]) <= tol:
+                        continue
+                    new = list(src)
+                    new[i], new[j] = new[j], new[i]
+                    yield _apply(p, vec, new), ElementaryMove(kind, i, j)
+            # sum-preserving transfers aligned with target component values;
+            # the product takes the other vector's difference unchanged
+            for kind, vec, goal, other in (
+                (MoveKind.MAJORIZE_X, "x", target.x, dy),
+                (MoveKind.MAJORIZE_Y, "y", target.y, dx),
             ):
                 src = getattr(p, vec)
                 for ci, cj in _two_coord_targets(src[i], src[j], goal, tol):
+                    move_tol = component_tolerance(p.x, p.y, (ci, cj))
+                    if not _reverse_pair_ok(cj - ci, other, move_tol):
+                        continue
                     new = list(src)
                     new[i], new[j] = ci, cj
                     yield _apply(p, vec, new), ElementaryMove(kind, i, j)
@@ -500,9 +544,10 @@ def decide_wrc(
 
 def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVerdict:
     start = canonical_form(p1)
+    target = _target(p2, mode)
     seen = {_round_key(start)}
     counter = 0
-    heap = [(_distance(start, p2), 0, start, [start], [])]
+    heap = [(_distance(start, target), 0, start, [start], [])]
     expanded = 0
     while heap:
         _, _, cur, pairs, moves = heapq.heappop(heap)
@@ -515,7 +560,7 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
             key = _round_key(nxt)
             if key in seen:
                 continue
-            ok, _ = check_necessary(nxt, p2, mode)
+            ok, _ = check_necessary(nxt, target, mode)
             if not ok:
                 continue
             seen.add(key)
@@ -526,7 +571,7 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
                     return OrderVerdict(Status.HOLDS, witness=chain)
             counter += 1
             heapq.heappush(
-                heap, (_distance(nxt, p2), counter, nxt, npairs, nmoves)
+                heap, (_distance(nxt, target), counter, nxt, npairs, nmoves)
             )
     return OrderVerdict(Status.UNKNOWN, detail={"reason": "search budget exhausted"})
 

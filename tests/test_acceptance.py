@@ -5,7 +5,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from stochord.arrangement import check_arrangement_leq, pair
 from stochord.distributions import (
@@ -29,7 +28,6 @@ from stochord.harness import (
     Scenario,
     ScenarioName,
     generate_instance,
-    mixture_st_instance,
     numeric_conv_check,
     numeric_st_check,
     worked_example_chain,

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochord.arrangement import (
-    PairClass,
     SwapMove,
     canonical_form,
     check_arrangement_leq,

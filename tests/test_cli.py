@@ -123,6 +123,17 @@ class TestHarnessCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["spec1"]["family"] == "gamma"
 
+    @pytest.mark.parametrize(
+        "scenario, family, size",
+        [("MixtureLemmaSt", "negbin", 1), ("CoupledGammaPair", "gamma", 2)],
+    )
+    def test_row_line_gives_the_size_built(self, capsys, scenario, family, size):
+        argv = ["harness", "--scenario", scenario, "--n", "6", "--seeds", "0..0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["spec1"]["shapes"]) == size
+        assert f"{scenario} {family} n={size} order=st: agreed 1/1" in captured.err
+
     def test_st_scenario(self, capsys):
         argv = [
             "harness",

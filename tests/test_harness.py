@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from stochord.distributions import default_gamma_grid, gamma_convolution_cdf, spec
+from stochord.distributions import spec
 from stochord.harness import (
     MATRIX,
-    Report,
     Scenario,
     ScenarioName,
     check_ai_tail,
@@ -22,7 +21,7 @@ from stochord.harness import (
     worked_example_specs,
     write_reports,
 )
-from stochord.rc_order import MoveKind, RcMode, verify_rc_chain
+from stochord.rc_order import RcMode, verify_rc_chain
 from stochord.verdicts import Status
 
 

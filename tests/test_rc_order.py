@@ -1,11 +1,13 @@
+import hashlib
 import itertools
-import math
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochord import rc_order
 from stochord.arrangement import check_arrangement_leq, check_pair_equal_a, pair
-from stochord.majorization import sort_components
+from stochord.majorization import component_tolerance, sort_components
 from stochord.rc_order import (
     ChainConstructionError,
     ElementaryMove,
@@ -144,6 +146,96 @@ class TestDecideWrc:
         p2 = pair((0.9, 1.9, 4.2), (1.0, 1.0, 1.0))
         v = decide_wrc(p1, p2, WEAK, budget=1)
         assert v.status in (Status.UNKNOWN, Status.HOLDS)
+
+    def test_search_route_witness_is_pinned(self, monkeypatch):
+        """A chain found by the best-first search, byte for byte: a change to
+        the search's candidates, their order or its distance shows here."""
+        searched = []
+        real_search = rc_order._search
+
+        def search(*args):
+            searched.append(args)
+            return real_search(*args)
+
+        monkeypatch.setattr(rc_order, "_search", search)
+        p1 = pair((1.0, 1.0, 1.0), (3.0, 3.0, 3.0))
+        p2 = pair((3.5, 0.5, 2.0), (4.0, 1.0, 2.0))  # unsorted on purpose
+        v = decide_wrc(p1, p2, WEAK)
+        assert searched and v.status is Status.HOLDS
+        text = chain_to_json(v.witness)
+        steps = [
+            (r["move"] and (r["move"]["kind"], r["move"]["i"], r["move"]["j"]),
+             tuple(r["pair"]["x"]), tuple(r["pair"]["y"]))
+            for r in json.loads(text)["chain"]
+        ]
+        assert steps == [
+            (None, (1.0, 1.0, 1.0), (3.0, 3.0, 3.0)),
+            (("majorize_y", 0, 1), (1.0, 1.0, 1.0), (2.0, 4.0, 3.0)),
+            (("majorize_x", 0, 1), (1.5, 0.5, 1.0), (2.0, 4.0, 3.0)),
+            (("majorize_x", 0, 2), (2.0, 0.5, 0.5), (2.0, 4.0, 3.0)),
+            (("majorize_y", 1, 2), (2.0, 0.5, 0.5), (2.0, 1.0, 6.0)),
+            (("lower_y", None, None), (2.0, 0.5, 0.5), (2.0, 1.0, 4.0)),
+            (("raise_x", None, None), (2.0, 0.5, 3.5), (2.0, 1.0, 4.0)),
+        ]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "be22157ecde30735567c2eed04411cbea7200fccde9f108814701b2df307bfc5"
+        )
+
+
+def _unpruned_coupled(p, target):
+    """Every swap and aligned transfer the search considers from ``p``, legal
+    or not, in the search's order (the reference for ``_successors``)."""
+    tol = component_tolerance(p.x, p.y, target.x, target.y)
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
+                src = list(getattr(p, vec))
+                if abs(src[i] - src[j]) > tol:
+                    src[i], src[j] = src[j], src[i]
+                    yield rc_order._apply(p, vec, src), ElementaryMove(kind, i, j)
+            for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
+                src = getattr(p, vec)
+                for ci, cj in rc_order._two_coord_targets(
+                    src[i], src[j], getattr(target, vec), tol
+                ):
+                    new = list(src)
+                    new[i], new[j] = ci, cj
+                    yield rc_order._apply(p, vec, new), ElementaryMove(kind, i, j)
+
+
+# small integers make ties and zero products; floats make generic positions
+_component = st.one_of(st.integers(0, 4).map(float), st.floats(0.1, 5.0))
+
+
+class TestSuccessors:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pruning_keeps_every_legal_candidate_in_order(self, data):
+        n = data.draw(st.integers(2, 6))
+        mode = data.draw(st.sampled_from((STRICT, WEAK)))
+        vec = st.tuples(*[_component] * n)
+        p = pair(data.draw(vec), data.draw(vec))
+        target = pair(data.draw(vec), data.draw(vec))
+
+        def legal(cands):
+            return [(b, m) for b, m in cands if verify_rc_move(p, b, m, mode)]
+
+        got = list(rc_order._successors(p, target, mode))
+        coupled = [c for c in got if c[1].i is not None]
+        weak = [c for c in got if c[1].i is None]
+        assert legal(got) == legal(_unpruned_coupled(p, target)) + legal(weak)
+        assert set(coupled) <= set(_unpruned_coupled(p, target))
+
+    def test_transfer_tolerance_covers_the_new_components(self):
+        # the product 13 * 4e-13 lies above the tolerance of p's components
+        # (2e-12) and of p's and the target's (5e-12), within that of p's
+        # plus the transfer's (8e-12): only the latter keeps this move
+        p = pair((1.0, 2.0), (1.0, 1.0 + 4e-13))
+        target = pair((-5.0, 3.0), (1.0, 1.0))
+        nxt = pair((-5.0, 8.0), p.y)
+        move = ElementaryMove(MoveKind.MAJORIZE_X, 0, 1)
+        assert verify_rc_move(p, nxt, move, STRICT)
+        assert (nxt, move) in list(rc_order._successors(p, target, STRICT))
 
 
 class TestOppositeOrderedConstruction:
