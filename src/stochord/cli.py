@@ -2,8 +2,9 @@
 and identity residual computations, emit JSON-lines reports and CSV curves.
 
 Exit codes mirror the three-valued verdicts: 0 Holds, 1 Refuted, 2 Unknown.
-64 flags a usage error, 65 a malformed input file, 70 an internal numeric
-failure.
+64 flags a usage error, 65 invalid input (a malformed file or an argument
+out of range), 70 an internal failure: every argument is validated before any
+computation, so whatever fails after that is the program's fault.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from stochord.distributions import (
 )
 from stochord.harness import (
     MATRIX,
+    Scenario,
     ScenarioName,
     _param_pairs,
     explore_counterexamples,
@@ -74,6 +76,27 @@ def _tail_cap(args) -> float:
     if not 0 < cap < 1:
         raise InputError(f"tail cap must be in (0,1), got {cap}")
     return cap
+
+
+def _tol(args) -> float:
+    if not 0 <= args.tol < np.inf:
+        raise InputError(f"--tol must be nonnegative and finite, got {args.tol}")
+    return args.tol
+
+
+def _check_positive(flag: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise InputError(f"{flag} must be positive and finite, got {value}")
+
+
+def _check_probability(flag: str, value: float) -> None:
+    if not 0 < value < 1:
+        raise InputError(f"{flag} must be in (0,1), got {value}")
+
+
+def _check_grid_size(args) -> None:
+    if args.grid_size < 1:
+        raise InputError(f"--grid-size must be at least 1, got {args.grid_size}")
 
 
 def _load_json(path):
@@ -148,7 +171,7 @@ def _cmd_verify(args) -> int:
         s2,
         args.order,
         tail_cap=_tail_cap(args),
-        tol=args.tol,
+        tol=_tol(args),
         budget=args.budget,
         emit_witness=bool(args.emit_witness),
     )
@@ -162,14 +185,29 @@ def _cmd_verify(args) -> int:
     return max(order[report.param_status], order[report.numeric_status])
 
 
-def _coupled_pair(args, family: str):
-    """Latent success probability and direct spec of a coupled-pair identity.
+def _check_identity_args(args) -> None:
+    """Reject the arguments the requested identity reads when out of range."""
+    _check_positive("--alpha", args.alpha)
+    if args.prop == "nb-mixture":
+        _check_probability("--p1", args.p1)
+        _check_probability("--p2", args.p2)
+    elif args.prop == "gamma-single":
+        _check_positive("--beta", args.beta)
+        if args.common_beta is not None and not args.beta < args.common_beta < np.inf:
+            raise InputError("--common-beta must be finite and exceed --beta")
+    else:
+        # a coupled pair: the latent success probability is valid only when
+        # the mixture side carries the smaller rate spread
+        _check_positive("--c0", args.c0)
+        if not 0 < args.lam2 < args.lam1 < args.c0:
+            raise InputError("need 0 < lam2 < lam1 < c0")
+    if args.prop.startswith("gamma"):
+        _check_grid_size(args)
 
-    The latent success probability is valid only when the mixture side
-    carries the smaller rate spread."""
+
+def _coupled_pair(args, family: str):
+    """Latent success probability and direct spec of a coupled-pair identity."""
     c0, l_big, l_small = args.c0, args.lam1, args.lam2
-    if not 0 < l_small < l_big < c0:
-        raise InputError("need 0 < lam2 < lam1 < c0")
     p = (c0**2 - l_big**2) / (c0**2 - l_small**2)
     return p, spec(family, (args.alpha, args.alpha), (c0 + l_big, c0 - l_big))
 
@@ -188,9 +226,7 @@ def _identity_residual(args, cap: float) -> float:
         return _pmf_residual(lhs, rhs)
     if args.prop == "gamma-single":
         beta_small = args.beta
-        beta_big = args.common_beta if args.common_beta else 2.0 * beta_small
-        if beta_big <= beta_small:
-            raise InputError("--common-beta must exceed --beta")
+        beta_big = args.common_beta if args.common_beta is not None else 2.0 * beta_small
         g = spec("gamma", (args.alpha,), (beta_small,))
         grid = default_gamma_grid([g], args.grid_size)
         mix = gamma_convolution_cdf(g, grid, cap, common_beta=beta_big)
@@ -202,12 +238,12 @@ def _identity_residual(args, cap: float) -> float:
         lhs = coupled_gamma_pair_cdf(args.alpha, args.c0, args.lam2, p, grid, cap)
         rhs = gamma_convolution_cdf(g, grid, cap)
         return float(np.max(np.abs(lhs.values - rhs.values)))
-    raise InputError(f"unknown identity {args.prop!r}")
+    raise ValueError(f"unknown identity {args.prop!r}")
 
 
 def _pmf_residual(a, b) -> float:
     if abs(a.offset - b.offset) > 1e-9:
-        raise InputError("identity operands ended up on different lattices")
+        raise RuntimeError("identity operands ended up on different lattices")
     n = max(a.probs.size, b.probs.size)
     pa = np.zeros(n)
     pb = np.zeros(n)
@@ -217,7 +253,8 @@ def _pmf_residual(a, b) -> float:
 
 
 def _cmd_identity(args) -> int:
-    cap = _tail_cap(args)
+    cap, tol = _tail_cap(args), _tol(args)
+    _check_identity_args(args)
     residual = _identity_residual(args, cap)
     print(
         json.dumps(
@@ -225,17 +262,18 @@ def _cmd_identity(args) -> int:
             sort_keys=True,
         )
     )
-    return 0 if residual <= args.tol else 1
+    return 0 if residual <= tol else 1
 
 
 def _parse_seed_range(text: str) -> range:
     try:
-        if ".." in text:
-            a, b = text.split("..", 1)
-            return range(int(a), int(b) + 1)
-        return range(int(text), int(text) + 1)
+        a, sep, b = text.partition("..")
+        seeds = range(int(a), int(b if sep else a) + 1)
     except ValueError as exc:
         raise InputError(f"bad seed range {text!r}: expected A..B") from exc
+    if not 0 <= seeds.start < seeds.stop:
+        raise InputError(f"seed range {text!r} must be nonempty and nonnegative")
+    return seeds
 
 
 def _cmd_harness(args) -> int:
@@ -245,7 +283,7 @@ def _cmd_harness(args) -> int:
             f"unknown scenario {args.scenario!r}; choose from " + ", ".join(names)
         )
     seeds = _parse_seed_range(args.seeds)
-    cap = _tail_cap(args)
+    cap, tol = _tail_cap(args), _tol(args)
     given = {k: getattr(args, k) for k in ("family", "n", "order")}
     overrides = {k: v for k, v in given.items() if v is not None}
     rows = dict.fromkeys(
@@ -253,9 +291,16 @@ def _cmd_harness(args) -> int:
         for row in MATRIX
         if args.scenario in (None, row.name.value)
     )
+    # a size a row's generator cannot build is the caller's error, found
+    # before any row runs
+    for name, family, n, _ in rows:
+        try:
+            Scenario(name, family, n, seeds.start)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     disagreements = 0
     for name, family, n, order in rows:
-        reports = run_scenario(name, family, n, seeds, order, tail_cap=cap, tol=args.tol)
+        reports = run_scenario(name, family, n, seeds, order, tail_cap=cap, tol=tol)
         for r in reports:
             print(r.to_json_line())
         if args.output:
@@ -277,6 +322,8 @@ def _cmd_harness(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
     found = explore_counterexamples(args.budget, args.seed)
     for c in found:
         print(json.dumps(c, sort_keys=True))
@@ -295,6 +342,7 @@ def _cmd_export_survival(args) -> int:
     data = _load_json(args.spec_file)
     s = _load_spec(data, args.spec_file)
     cap = _tail_cap(args)
+    _check_grid_size(args)
     if s.family == "negbin":
         pmf = nb_convolution(s, cap)
         suffix = np.concatenate([np.cumsum(pmf.probs[::-1])[::-1], [0.0]])
@@ -397,11 +445,11 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EX_USAGE
     try:
         return args.func(args)
-    except (InputError, KeyError, TypeError, ValueError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except (RuntimeError, FloatingPointError, OverflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # after validation, any failure is the program's
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 
 

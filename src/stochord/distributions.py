@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -231,9 +231,59 @@ def pgf_eval(params: NegBinParams, t: float) -> float:
 
 @dataclass(frozen=True)
 class Deconvolution:
+    """Coefficients ``z`` with ``f2 = f1 * z`` on ``offset + {0, 1, ...}``.
+
+    ``error_bounds`` is computed on first access from the solve's partial
+    sums: most verdicts never read it."""
+
     offset: float
     coeffs: np.ndarray
-    error_bounds: np.ndarray
+    _f1: TruncatedPMF = field(repr=False, compare=False)
+    _f2_probs: np.ndarray = field(repr=False, compare=False)
+    _partial: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def error_bounds(self) -> np.ndarray:
+        """Per-coefficient bound on the distance of ``coeffs`` from the exact
+        solve: its rounding, the truncated tail of ``f1`` times the largest
+        coefficient so far, and the bounds of earlier coefficients carried
+        through the recurrence, all divided by ``f0``."""
+        a, z, s = self._f1.probs, self.coeffs, self._partial
+        n, f0 = z.size, float(a[0])
+        terms = np.minimum(np.arange(n), a.size - 1) + 2
+        rounding = _EPS * (np.abs(self._f2_probs) + np.abs(s) + np.abs(z) * f0) * terms
+        zmax = np.fmax.accumulate(np.abs(z))  # running max, skipping NaN
+        base = rounding + self._f1.tail_bound * zmax
+        a1 = a[1:]
+        err = np.zeros(n)  # reversed, as ``_solve`` stores ``z``
+        for k in range(n):
+            top = min(k, a1.size)
+            e_prop = a1[:top].dot(err[n - k : n - k + top])
+            # cap the bound once it is vacuous for probabilities; this also
+            # stops the geometric 1/f0 amplification from overflowing
+            err[n - 1 - k] = min(float(base[k] + e_prop) / f0, 1e30)
+        return err[::-1].copy()
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward substitution for ``b = a * z``: ``z`` and the partial sums
+    ``s_k = sum_{i>=1} a_i z_{k-i}``.  ``z`` is filled back to front, so the
+    earlier coefficients each step reads form a forward slice."""
+    n, f0, a1 = b.size, float(a[0]), a[1:]
+    m = a1.size
+    zr = np.zeros(n)
+    s = [0.0] * n
+    rhs = b.tolist()
+    zr[n - 1] = rhs[0] / f0
+    # step k reads all k earlier coefficients up to k = m, then the last m
+    for k in range(1, min(n, m + 1)):
+        s[k] = sk = float(a1[:k].dot(zr[n - k :]))
+        zr[n - 1 - k] = (rhs[k] - sk) / f0
+    dot = a1.dot
+    for k in range(m + 1, n):
+        s[k] = sk = float(dot(zr[n - k : n - k + m]))
+        zr[n - 1 - k] = (rhs[k] - sk) / f0
+    return zr[::-1].copy(), np.array(s)
 
 
 def deconvolve(
@@ -249,33 +299,20 @@ def deconvolve(
         raise ValueError("deconvolution requires f1.probs[0] > 0")
     if f2.offset < f1.offset - 1e-9:
         raise ValueError("deconvolution requires f2.offset >= f1.offset")
-    n = f2.probs.size
-    a = f1.probs
-    f0 = float(a[0])
-    z = np.zeros(n)
-    err = np.zeros(n)
-    zmax = 0.0
-    for k in range(n):
-        top = min(k, a.size - 1)
-        if top >= 1:
-            s = float(np.dot(a[1 : top + 1], z[k - top : k][::-1]))
-            e_prop = float(np.dot(a[1 : top + 1], err[k - top : k][::-1]))
-        else:
-            s = 0.0
-            e_prop = 0.0
-        z[k] = (f2.probs[k] - s) / f0
-        zmax = max(zmax, abs(z[k]))
-        rounding = _EPS * (abs(f2.probs[k]) + abs(s) + abs(z[k]) * f0) * (top + 2)
-        # cap the bound once it is vacuous for probabilities; this also stops
-        # the geometric 1/f0 amplification from overflowing
-        err[k] = min(float(rounding + f1.tail_bound * zmax + e_prop) / f0, 1e30)
-    result = Deconvolution(f2.offset - f1.offset, z, err)
+    z, s = _solve(f1.probs, f2.probs)
+    result = Deconvolution(f2.offset - f1.offset, z, f1, f2.probs, s)
 
     neg = z < -tol
     if not neg.any():
         total = float(z.sum())
         tails = f1.tail_bound + f2.tail_bound
-        if 1.0 - tails - tol - float(err.sum()) <= total <= 1.0 + tol + float(err.sum()):
+        lo, hi = 1.0 - tails - tol, 1.0 + tol
+        if not lo <= total <= hi:
+            # widening [lo, hi] by the nonnegative error sum cannot shrink it,
+            # so the bound is needed only when the sum falls outside
+            slack = float(result.error_bounds.sum())
+            lo, hi = lo - slack, hi + slack
+        if lo <= total <= hi:
             return result, OrderVerdict(
                 Status.HOLDS,
                 witness=result,
@@ -285,6 +322,7 @@ def deconvolve(
             Status.UNKNOWN,
             detail={"reason": "coefficient sum outside certified range", "sum": total},
         )
+    err = result.error_bounds
     strong = z < -np.maximum(tol, err)
     worst = int(np.argmin(z + np.maximum(tol, err)))
     record = {

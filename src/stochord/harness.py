@@ -96,6 +96,18 @@ PROB_LO, PROB_HI = 0.25, 0.9
 RATE_LO, RATE_HI = 0.5, 4.0
 
 
+# Generators that accept n = 1 (the last two build a fixed size whatever n
+# asks); every other one moves or swaps two components and needs n >= 2.
+_ANY_SIZE = frozenset(
+    {
+        ScenarioName.RAISE_ALPHA,
+        ScenarioName.LOWER_BETA,
+        ScenarioName.COUPLED_GAMMA_PAIR,
+        ScenarioName.MIXTURE_LEMMA_ST,
+    }
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: ScenarioName
@@ -106,8 +118,9 @@ class Scenario:
     def __post_init__(self):
         if self.family not in ("negbin", "gamma"):
             raise ValueError(f"unknown family {self.family!r}")
-        if not 1 <= self.n <= 6:
-            raise ValueError("n must be in 1..6")
+        lo = 1 if self.name in _ANY_SIZE else 2
+        if not lo <= self.n <= 6:
+            raise ValueError(f"{self.name.value} needs n in {lo}..6, got {self.n}")
 
 
 def _rng(s: Scenario) -> np.random.Generator:
@@ -144,8 +157,6 @@ def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
         return spec(fam, a, s1), spec(fam, a, s2)
 
     if name is ScenarioName.MAJORIZE_BETA:
-        if n < 2:
-            raise ValueError("MajorizeBeta needs n >= 2")
         alpha = float(rng.uniform(SHAPE_LO, SHAPE_HI))
         c0 = float(rng.uniform(0.45, 0.6))
         lam2 = float(rng.uniform(0.02, 0.15))
@@ -156,8 +167,6 @@ def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
         return spec(fam, [alpha] * n, s1), spec(fam, [alpha] * n, s2)
 
     if name is ScenarioName.DIFF_ALPHA_MAJORIZE_BETA:
-        if n < 2:
-            raise ValueError("DiffAlphaMajorizeBeta needs n >= 2")
         a1 = float(rng.uniform(SHAPE_LO, 1.2))
         a2 = a1 + float(rng.uniform(0.0, 1.0))
         c0 = float(rng.uniform(0.45, 0.6))
@@ -171,8 +180,6 @@ def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
         return spec(fam, shapes, s1), spec(fam, shapes, s2)
 
     if name is ScenarioName.MAJORIZE_ALPHA:
-        if n < 2:
-            raise ValueError("MajorizeAlpha needs n >= 2")
         ac = float(rng.uniform(0.8, 1.8))
         e2 = float(rng.uniform(0.05, 0.5))
         e1 = float(rng.uniform(0.0, e2))
@@ -186,8 +193,6 @@ def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
         return spec(fam, shapes1, scales), spec(fam, shapes2, scales)
 
     if name is ScenarioName.CONV_AI:
-        if n < 2:
-            raise ValueError("ConvAI needs n >= 2")
         shapes = np.sort(_shapes(rng, n))
         shapes += np.arange(n) * 1e-3  # break ties so the swap is strict
         sc = _scales(rng, n, fam)
@@ -214,8 +219,6 @@ def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
         return _opposite_weak_instance(rng, fam, n, log_scale=False)
 
     if name is ScenarioName.LOG_MAJORIZE_BETA_ST:
-        if n < 2:
-            raise ValueError("LogMajorizeBetaSt needs n >= 2")
         alpha = float(rng.uniform(SHAPE_LO, SHAPE_HI))
         p21 = float(rng.uniform(0.3, 0.9))
         p22 = float(rng.uniform(0.3, 0.9))
@@ -232,8 +235,6 @@ def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
         return _opposite_weak_instance(rng, fam, n, log_scale=True)
 
     if name is ScenarioName.AI_TAIL:
-        if n < 2:
-            raise ValueError("AITail needs n >= 2")
         shapes = np.sort(_shapes(rng, n)) + np.arange(n) * 1e-3
         lam = np.sort(rng.uniform(0.3, 2.0, size=n))[::-1].copy()
         lam += np.arange(n)[::-1] * 1e-3  # strictly decreasing: opposite ordered

@@ -363,8 +363,9 @@ def _swap_chain_from_arrangement(
 
 
 def _two_coord_targets(a: float, b: float, goal_values: Vector, tol: float):
-    """Candidate spreads of (a, b) preserving the sum, aligned so that one
-    coordinate lands on a goal component value."""
+    """Candidate values of (a, b) preserving the sum, aligned so that one
+    coordinate lands on a goal component value, in both orientations; some
+    pull the pair together (see :func:`_contracts`)."""
     out = []
     s = a + b
     for g in set(goal_values):
@@ -372,6 +373,15 @@ def _two_coord_targets(a: float, b: float, goal_values: Vector, tol: float):
             if abs(cand[0] - a) > tol or abs(cand[1] - b) > tol:
                 out.append(cand)
     return out
+
+
+def _contracts(a: float, b: float, ci: float, cj: float) -> bool:
+    """True when ``(ci, cj)`` fails the first prefix comparison that
+    ``check_majorization((a, b), (ci, cj), FULL)`` makes, with its tolerance:
+    its larger component lies more than that below the larger of ``(a, b)``,
+    so the transfer pulls the two coordinates together and no majorization
+    move can make it."""
+    return max(a, b) > max(ci, cj) + component_tolerance((a, b), (ci, cj)) * 2
 
 
 def _round_key(p: PairClass) -> tuple:
@@ -388,8 +398,9 @@ def _distance(p: PairClass, target: _Target) -> float:
 def _successors(p: PairClass, target: PairClass, mode: RcMode):
     """Candidate moves from ``p`` toward ``target``, for :func:`verify_rc_move`
     to accept or reject.  A coupled candidate whose own pair fails the
-    reverse-pair condition is not yielded: that check would reject it, with
-    the same product and tolerance as computed here."""
+    reverse-pair condition, or a transfer that contracts its two coordinates,
+    is not yielded: that check would reject it, with the same comparison and
+    tolerance as computed here."""
     n = p.n
     tol = component_tolerance(p.x, p.y, target.x, target.y)
     # a swap permutes p's components, so its check has p's tolerance
@@ -415,6 +426,8 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
             ):
                 src = getattr(p, vec)
                 for ci, cj in _two_coord_targets(src[i], src[j], goal, tol):
+                    if _contracts(src[i], src[j], ci, cj):
+                        continue
                     move_tol = component_tolerance(p.x, p.y, (ci, cj))
                     if not _reverse_pair_ok(cj - ci, other, move_tol):
                         continue

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from stochord.cli import EX_DATAERR, EX_USAGE, main
+from stochord import cli
+from stochord.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from stochord.harness import MATRIX
 
 WORKED_PAIR = {
@@ -217,6 +218,43 @@ class TestErrorHandling:
             witness.write_text(text)
             argv = ["check-order", pair_file, "--verify-witness", str(witness)]
             assert main(argv) == EX_DATAERR, text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identity", "--prop", "nb-mixture", "--alpha", "0"],
+            ["identity", "--prop", "nb-mixture", "--alpha", "inf"],
+            ["identity", "--prop", "nb-mixture", "--p1", "1"],
+            ["identity", "--prop", "nb-mixture", "--p2", "nan"],
+            ["identity", "--prop", "nb-mixture", "--tol", "-1"],
+            ["identity", "--prop", "gamma-single", "--beta", "0"],
+            ["identity", "--prop", "gamma-single", "--common-beta", "1.0"],
+            ["identity", "--prop", "gamma-single", "--grid-size", "-5"],
+            ["identity", "--prop", "nb-pair", "--c0", "inf"],
+            ["identity", "--prop", "gamma-pair", "--lam2", "0"],
+            ["harness", "--n", "0"],
+            ["harness", "--n", "7"],
+            ["harness", "--n", "1"],  # MajorizeBeta moves two components
+            ["harness", "--seeds", "3..1"],
+            ["harness", "--seeds=-2..1"],
+            ["harness", "--seeds", "1.."],
+            ["harness", "--scenario", "Bogus"],
+        ],
+    )
+    def test_invalid_argument_is_input_error(self, argv, capsys):
+        assert main(argv) == EX_DATAERR
+        assert capsys.readouterr().out == ""  # rejected before any computation
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError, TypeError, RuntimeError])
+    def test_engine_fault_is_internal_error(self, exc, monkeypatch, capsys):
+        def fault(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, "run_scenario", fault)
+        assert main(["harness", "--seeds", "0..0", "--scenario", "RaiseAlpha"]) == EX_SOFTWARE
+        monkeypatch.setattr(cli, "shape_mixture_pmf", fault)
+        assert main(["identity", "--prop", "nb-mixture"]) == EX_SOFTWARE
+        assert "internal error" in capsys.readouterr().err
 
     def test_usage_error(self):
         assert main(["bogus-command"]) == EX_USAGE

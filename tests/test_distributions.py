@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochord import harness
 from stochord.distributions import (
+    _EPS,
     CdfGrid,
     ConvolutionSpec,
     NegBinParams,
@@ -33,7 +35,7 @@ from stochord.distributions import (
     survival_dominance_check,
 )
 from stochord.harness import Scenario, ScenarioName, generate_instance
-from stochord.verdicts import Status
+from stochord.verdicts import OrderVerdict, Status
 
 probs_st = st.floats(0.15, 0.9)
 shapes_st = st.floats(0.2, 3.0)
@@ -136,7 +138,136 @@ class TestConvolution:
         assert out.probs.sum() + out.tail_bound == pytest.approx(1.0, abs=1e-9)
 
 
+def _reference_deconvolve(f2, f1, tol=1e-9):
+    """Reference for ``deconvolve``: ``z`` and its error bound in one loop,
+    each dot product over a reversed view.  Returns ``((z, err), verdict)``."""
+    n = f2.probs.size
+    a = f1.probs
+    f0 = float(a[0])
+    z = np.zeros(n)
+    err = np.zeros(n)
+    zmax = 0.0
+    for k in range(n):
+        top = min(k, a.size - 1)
+        if top >= 1:
+            s = float(np.dot(a[1 : top + 1], z[k - top : k][::-1]))
+            e_prop = float(np.dot(a[1 : top + 1], err[k - top : k][::-1]))
+        else:
+            s = 0.0
+            e_prop = 0.0
+        z[k] = (f2.probs[k] - s) / f0
+        zmax = max(zmax, abs(z[k]))
+        rounding = _EPS * (abs(f2.probs[k]) + abs(s) + abs(z[k]) * f0) * (top + 2)
+        err[k] = min(float(rounding + f1.tail_bound * zmax + e_prop) / f0, 1e30)
+    result = (z, err)
+    if not (z < -tol).any():
+        total = float(z.sum())
+        tails = f1.tail_bound + f2.tail_bound
+        if 1.0 - tails - tol - float(err.sum()) <= total <= 1.0 + tol + float(err.sum()):
+            detail = {"min_coeff": float(z.min()), "sum": total}
+            return result, OrderVerdict(Status.HOLDS, witness=result, detail=detail)
+        detail = {"reason": "coefficient sum outside certified range", "sum": total}
+        return result, OrderVerdict(Status.UNKNOWN, detail=detail)
+    strong = z < -np.maximum(tol, err)
+    worst = int(np.argmin(z + np.maximum(tol, err)))
+    record = {"index": worst, "coeff": float(z[worst]), "error_bound": float(err[worst])}
+    if strong.any():
+        return result, OrderVerdict(Status.REFUTED, violation=record)
+    detail = {"reason": "negativity within error bounds", **record}
+    return result, OrderVerdict(Status.UNKNOWN, detail=detail)
+
+
+def _same_as_reference(f2, f1, tol=1e-9):
+    result, verdict = deconvolve(f2, f1, tol)
+    (z, err), ref = _reference_deconvolve(f2, f1, tol)
+    assert np.array_equal(result.coeffs, z)
+    assert np.array_equal(result.error_bounds, err)
+    assert verdict.status is ref.status
+    assert verdict.detail == ref.detail and verdict.violation == ref.violation
+    return result, verdict
+
+
 class TestDeconvolve:
+    def test_bitwise_equal_to_one_pass_solve(self):
+        rng = np.random.default_rng(20261018)
+        statuses, capped, f0_min = set(), 0, 1.0
+        for n in range(1, 7):
+            for case in range(10):
+                a1 = rng.uniform(0.3, 2.5, n)
+                p1 = rng.uniform(0.05, 0.9, n)
+                p1[0] = 0.05 if case % 3 == 0 else p1[0]
+                if rng.random() < 0.5:  # raised shapes: the order holds
+                    a2, p2 = a1 + rng.uniform(0.0, 1.0, n), p1
+                else:
+                    a2, p2 = rng.uniform(0.3, 2.5, n), rng.uniform(0.05, 0.9, n)
+                f1 = nb_convolution(spec("negbin", a1, p1))
+                f2 = nb_convolution(spec("negbin", a2, p2))
+                for num, den in ((f2, f1), (f1, f2)):
+                    result, verdict = _same_as_reference(num, den)
+                    statuses.add(verdict.status)
+                    capped += bool(result.error_bounds.max() == 1e30)
+                    f0_min = min(f0_min, den.probs[0])
+        assert statuses == set(Status) and capped and f0_min <= 1e-6
+
+    def test_pinned_gamma_reduction_matches_one_pass_solve(self, monkeypatch):
+        # f0 = 4.5e-8 and a bound capped at 1e30; the smallest coefficient,
+        # -9.66e-10, lies within tol, so a less accurate solve turns it unknown
+        s1, s2 = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", 6, 9000096))
+        calls = []
+
+        def record(solve):
+            def wrapped(f2, f1, tol=1e-9):
+                out = solve(f2, f1, tol)
+                calls.append(out[0])
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(harness, "deconvolve", record(deconvolve))
+        verdict = harness.numeric_conv_check(s1, s2)
+        monkeypatch.setattr(harness, "deconvolve", record(_reference_deconvolve))
+        ref = harness.numeric_conv_check(s1, s2)
+        (result, (z, err)) = calls
+        assert np.array_equal(result.coeffs, z)
+        assert np.array_equal(result.error_bounds, err) and err.max() == 1e30
+        assert verdict.status is ref.status is Status.HOLDS
+        assert verdict.detail == ref.detail and verdict.violation == ref.violation
+        assert verdict.detail["min_coeff"] == pytest.approx(-9.66e-10, rel=1e-3)
+
+    def test_bound_computed_only_when_read(self):
+        f1 = nb_pmf(NegBinParams(1.2, 0.45))
+        f2 = convolve(f1, nb_pmf(NegBinParams(0.8, 0.45)))
+        result, verdict = deconvolve(f2, f1)
+        assert verdict.status is Status.HOLDS
+        assert "error_bounds" not in vars(result)
+        (_, err), _ = _reference_deconvolve(f2, f1)
+        assert np.array_equal(result.error_bounds, err)
+
+    def test_refuted_reads_bound(self):
+        small = nb_pmf(NegBinParams(1.0, 0.7), 1e-13)
+        large = nb_pmf(NegBinParams(1.0, 0.4), 1e-13)
+        _, verdict = _same_as_reference(small, large)
+        assert verdict.status is Status.REFUTED
+        assert verdict.violation["error_bound"] > 0
+
+    def test_sum_outside_certified_range_reads_bound(self):
+        # a point-mass divisor returns f2 itself, whose mass exceeds 1 by far
+        # more than the rounding bound
+        f1 = point_mass()
+        f2 = TruncatedPMF(0.0, np.array([0.5, 0.5 + 5e-10]), 0.0)
+        _, verdict = _same_as_reference(f2, f1, tol=0.0)
+        assert verdict.status is Status.UNKNOWN
+        assert verdict.detail["reason"] == "coefficient sum outside certified range"
+
+    def test_sum_within_widened_range_holds(self):
+        # dividing by 0.999 puts the sum 1.001e-3 above 1; f1's tail 1e-3
+        # times the largest coefficient, summed, widens the range past it
+        f1 = TruncatedPMF(0.0, np.array([0.999]), 1e-3)
+        f2 = TruncatedPMF(0.0, np.array([0.5, 0.5]), 0.0)
+        _, verdict = _same_as_reference(f2, f1, tol=0.0)
+        assert verdict.status is Status.HOLDS
+        assert verdict.detail["sum"] > 1.001
+
     def test_recovers_known_factor(self):
         p = 0.45
         f1 = nb_pmf(NegBinParams(1.2, p), 1e-13)
