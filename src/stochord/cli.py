@@ -4,7 +4,8 @@ and identity residual computations, emit JSON-lines reports and CSV curves.
 Exit codes mirror the three-valued verdicts: 0 Holds, 1 Refuted, 2 Unknown.
 64 flags a usage error, 65 invalid input (a malformed file or an argument
 out of range), 70 an internal failure: every argument is validated before any
-computation, so whatever fails after that is the program's fault.
+computation, so whatever fails after that is the program's fault, except a
+failure to write a caller's output path, which exits 73.
 """
 from __future__ import annotations
 
@@ -53,6 +54,11 @@ from stochord.verdicts import Status
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
+
+# Range of the rates and spreads the identities accept: every square, sum and
+# ratio of two of them stays a normal float.
+SCALE_LO, SCALE_HI = 1e-100, 1e100
 
 _STATUS_EXIT = {Status.HOLDS: 0, Status.REFUTED: 1, Status.UNKNOWN: 2}
 
@@ -66,6 +72,23 @@ class _Parser(argparse.ArgumentParser):
 
 class InputError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """A caller's output path cannot be written."""
+
+
+def _write_output(path, write, *args) -> None:
+    """``write(path, *args)``, reporting an OSError as the path's fault."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path, text: str, mode: str = "w") -> None:
+    with open(path, mode) as fh:
+        fh.write(text)
 
 
 def _tail_cap(args) -> float:
@@ -87,6 +110,11 @@ def _tol(args) -> float:
 def _check_positive(flag: str, value: float) -> None:
     if not 0 < value < np.inf:
         raise InputError(f"{flag} must be positive and finite, got {value}")
+
+
+def _check_scale(flag: str, value: float) -> None:
+    if not SCALE_LO <= value <= SCALE_HI:
+        raise InputError(f"{flag} must be in [{SCALE_LO:g}, {SCALE_HI:g}], got {value}")
 
 
 def _check_probability(flag: str, value: float) -> None:
@@ -159,8 +187,7 @@ def _cmd_check_order(args) -> int:
         line["violation"] = verdict.violation
     print(json.dumps(line, sort_keys=True))
     if args.emit_witness and verdict.holds:
-        with open(args.emit_witness, "w") as fh:
-            fh.write(chain_to_json(verdict.witness))
+        _write_output(args.emit_witness, _write_text, chain_to_json(verdict.witness))
     return _STATUS_EXIT[verdict.status]
 
 
@@ -177,10 +204,9 @@ def _cmd_verify(args) -> int:
     )
     print(report.to_json_line())
     if args.emit_witness and report.witness_json:
-        with open(args.emit_witness, "w") as fh:
-            fh.write(report.witness_json)
+        _write_output(args.emit_witness, _write_text, report.witness_json)
     if args.output:
-        write_reports(args.output, [report])
+        _write_output(args.output, write_reports, [report])
     order = {"holds": 0, "refuted": 1, "unknown": 2}
     return max(order[report.param_status], order[report.numeric_status])
 
@@ -192,15 +218,20 @@ def _check_identity_args(args) -> None:
         _check_probability("--p1", args.p1)
         _check_probability("--p2", args.p2)
     elif args.prop == "gamma-single":
-        _check_positive("--beta", args.beta)
-        if args.common_beta is not None and not args.beta < args.common_beta < np.inf:
-            raise InputError("--common-beta must be finite and exceed --beta")
+        _check_scale("--beta", args.beta)
+        if args.common_beta is not None:
+            _check_scale("--common-beta", args.common_beta)
+            if not args.beta < args.common_beta:
+                raise InputError("--common-beta must exceed --beta")
     else:
         # a coupled pair: the latent success probability is valid only when
         # the mixture side carries the smaller rate spread
-        _check_positive("--c0", args.c0)
-        if not 0 < args.lam2 < args.lam1 < args.c0:
-            raise InputError("need 0 < lam2 < lam1 < c0")
+        for flag in ("--c0", "--lam1", "--lam2"):
+            _check_scale(flag, getattr(args, flag[2:]))
+        if not args.lam2 < args.lam1 < args.c0:
+            raise InputError("need lam2 < lam1 < c0")
+        if args.prop == "nb-pair" and not args.c0 + args.lam1 < 1:
+            raise InputError("nb-pair success probabilities c0 +/- lam1 need c0 + lam1 < 1")
     if args.prop.startswith("gamma"):
         _check_grid_size(args)
 
@@ -304,7 +335,7 @@ def _cmd_harness(args) -> int:
         for r in reports:
             print(r.to_json_line())
         if args.output:
-            write_reports(args.output, reports)
+            _write_output(args.output, write_reports, reports)
         agreed = sum(r.agreed for r in reports)
         unknown = sum("unknown" in (r.param_status, r.numeric_status) for r in reports)
         # MixtureLemmaSt and CoupledGammaPair build one size whatever n asks
@@ -328,9 +359,8 @@ def _cmd_explore(args) -> int:
     for c in found:
         print(json.dumps(c, sort_keys=True))
     if args.output:
-        with open(args.output, "a") as fh:
-            for c in found:
-                fh.write(json.dumps(c, sort_keys=True) + "\n")
+        lines = "".join(json.dumps(c, sort_keys=True) + "\n" for c in found)
+        _write_output(args.output, _write_text, lines, "a")
     if not found:
         print(
             json.dumps({"v": 1, "result": "inconclusive", "budget": args.budget}),
@@ -355,7 +385,7 @@ def _cmd_export_survival(args) -> int:
         points = g.points
         values = 1.0 - g.values
         errors = g.errors
-    export_curve_csv(args.output, points, values, errors)
+    _write_output(args.output, export_curve_csv, points, values, errors)
     print(f"wrote {points.size} survival points to {args.output}")
     return 0
 
@@ -399,11 +429,22 @@ def _build_parser() -> _Parser:
     idn.add_argument("--alpha", type=float, default=1.0)
     idn.add_argument("--p1", type=float, default=0.5)
     idn.add_argument("--p2", type=float, default=0.4)
-    idn.add_argument("--c0", type=float, default=0.5)
-    idn.add_argument("--lam1", type=float, default=0.3)
-    idn.add_argument("--lam2", type=float, default=0.1)
-    idn.add_argument("--beta", type=float, default=1.5)
-    idn.add_argument("--common-beta", type=float, default=None, dest="common_beta")
+    in_range = f"in [{SCALE_LO:g}, {SCALE_HI:g}]"
+    idn.add_argument("--c0", type=float, default=0.5, help=f"coupled-pair centre, {in_range}")
+    idn.add_argument(
+        "--lam1", type=float, default=0.3, help=f"direct spread, {in_range}, below --c0"
+    )
+    idn.add_argument(
+        "--lam2", type=float, default=0.1, help=f"mixture spread, {in_range}, below --lam1"
+    )
+    idn.add_argument("--beta", type=float, default=1.5, help=f"gamma rate, {in_range}")
+    idn.add_argument(
+        "--common-beta",
+        type=float,
+        default=None,
+        dest="common_beta",
+        help=f"common mixing rate above --beta, {in_range}",
+    )
     idn.add_argument("--grid-size", type=int, default=64)
     common(idn)
     idn.set_defaults(func=_cmd_identity)
@@ -448,6 +489,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
     except Exception as exc:  # after validation, any failure is the program's
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE

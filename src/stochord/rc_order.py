@@ -25,6 +25,7 @@ from stochord.arrangement import (
     _multisets_match,
 )
 from stochord.majorization import (
+    BASE_TOL,
     MajorizationMode,
     Vector,
     check_majorization,
@@ -58,6 +59,8 @@ _COUPLED = {
     MoveKind.WEAK_MAJORIZE_X,
     MoveKind.WEAK_MAJORIZE_Y,
 }
+# the moves that change x; every other move changes y only
+_MOVES_X = {MoveKind.MAJORIZE_X, MoveKind.WEAK_MAJORIZE_X, MoveKind.RAISE_X}
 _WEAK_ONLY = {
     MoveKind.WEAK_MAJORIZE_X,
     MoveKind.WEAK_MAJORIZE_Y,
@@ -165,47 +168,46 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 
 class _Target(NamedTuple):
     """A search's target pair with its target-only work done once: its
-    components sorted increasing for :func:`_distance`, and sorted for the
-    checks of :func:`check_necessary`."""
+    components sorted increasing for :func:`_distance`, sorted for the
+    necessary check on a moved vector, and its canonical form's components
+    with their tolerance for the goal test of :func:`_is_goal`."""
 
-    pair: PairClass
     xs: Vector
     ys: Vector
     x_bound: Vector
     y_bound: Vector
+    goal: Vector
+    goal_tol: float
 
 
 def _target(p2: PairClass, mode: RcMode) -> _Target:
     x_mode, y_mode = _necessary_modes(mode)
+    c2 = canonical_form(p2)
     return _Target(
-        p2,
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),
         sort_for_check(p2.x, x_mode),
         sort_for_check(p2.y, y_mode),
+        c2.x + c2.y,
+        component_tolerance(p2.x, p2.y),
     )
 
 
 def check_necessary(
-    p1: PairClass, p2: PairClass | _Target, mode: RcMode
+    p1: PairClass, p2: PairClass, mode: RcMode
 ) -> tuple[bool, Optional[dict]]:
     """Necessary conditions: the order implies (weak) majorization coordinatewise.
 
     Strict mode requires x1 and y1 majorized by x2 and y2; weak mode requires
-    weak majorization from below on x and from above on y.  The search passes
-    its target prepared for ``mode``.
+    weak majorization from below on x and from above on y.
     """
-    x_mode, y_mode = _necessary_modes(mode)
-    if isinstance(p2, _Target):
-        p2, x_bound, y_bound = p2.pair, p2.x_bound, p2.y_bound
-    else:
-        x_bound, y_bound = sort_for_check(p2.x, x_mode), sort_for_check(p2.y, y_mode)
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    ok, k = check_majorized_by(p1.x, x_bound, x_mode)
+    x_mode, y_mode = _necessary_modes(mode)
+    ok, k = check_majorized_by(p1.x, sort_for_check(p2.x, x_mode), x_mode)
     if not ok:
         return False, {"vector": "x", "prefix": k, "mode": x_mode.value}
-    ok, k = check_majorized_by(p1.y, y_bound, y_mode)
+    ok, k = check_majorized_by(p1.y, sort_for_check(p2.y, y_mode), y_mode)
     if not ok:
         return False, {"vector": "y", "prefix": k, "mode": y_mode.value}
     return True, None
@@ -384,9 +386,18 @@ def _contracts(a: float, b: float, ci: float, cj: float) -> bool:
     return max(a, b) > max(ci, cj) + component_tolerance((a, b), (ci, cj)) * 2
 
 
-def _round_key(p: PairClass) -> tuple:
-    c = canonical_form(p)
-    return tuple(round(v, 9) for v in c.x + c.y)
+def _round_key(flat: Vector) -> tuple:
+    """Dedupe key of a pair from its canonical form's ``x + y``."""
+    return tuple(round(v, 9) for v in flat)
+
+
+def _is_goal(flat: Vector, target: _Target) -> bool:
+    """:func:`check_pair_equal_a` against the target, from a candidate's
+    canonical ``x + y``.  Its tolerance scales by the largest component of
+    both pairs; rounding is monotone, so the larger of the two pairs' own
+    tolerances is that same value."""
+    tol = max(component_tolerance(flat), target.goal_tol)
+    return all(abs(a - b) <= tol for a, b in zip(flat, target.goal))
 
 
 def _distance(p: PairClass, target: _Target) -> float:
@@ -403,8 +414,9 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
     tolerance as computed here."""
     n = p.n
     tol = component_tolerance(p.x, p.y, target.x, target.y)
+    p_scale = max(map(abs, p.x + p.y))
     # a swap permutes p's components, so its check has p's tolerance
-    swap_tol = component_tolerance(p.x, p.y)
+    swap_tol = BASE_TOL * max(1.0, p_scale)
     for i in range(n):
         for j in range(i + 1, n):
             dx, dy = p.x[j] - p.x[i], p.y[j] - p.y[i]
@@ -428,7 +440,7 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
                 for ci, cj in _two_coord_targets(src[i], src[j], goal, tol):
                     if _contracts(src[i], src[j], ci, cj):
                         continue
-                    move_tol = component_tolerance(p.x, p.y, (ci, cj))
+                    move_tol = BASE_TOL * max(1.0, p_scale, abs(ci), abs(cj))
                     if not _reverse_pair_ok(cj - ci, other, move_tol):
                         continue
                     new = list(src)
@@ -526,16 +538,21 @@ def decide_wrc(
     criterion, the arrangement-only route, then a bounded best-first search
     over discretized elementary moves.  A Holds verdict always carries a chain
     accepted by :func:`verify_rc_chain`; the order has no known complete
-    decision procedure, so exhausted budgets yield Unknown.
+    decision procedure, so exhausted budgets yield Unknown.  ``detail["route"]``
+    names the step that decided (``necessary``, ``equal``, ``opposite``,
+    ``arrangement`` or ``search``); the search adds the nodes it ``expanded``
+    and its ``budget``.
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
     ok, viol = check_necessary(p1, p2, mode)
     if not ok:
-        return OrderVerdict(Status.REFUTED, violation=viol)
+        return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})
     if check_pair_equal_a(p1, p2):
         return OrderVerdict(
-            Status.HOLDS, witness=RcChain((canonical_form(p1),), (), mode)
+            Status.HOLDS,
+            witness=RcChain((canonical_form(p1),), (), mode),
+            detail={"route": "equal"},
         )
 
     if is_opposite_ordered(p2):
@@ -544,49 +561,68 @@ def decide_wrc(
         except ChainConstructionError:
             chain = None
         if chain is not None and verify_rc_chain(chain):
-            return OrderVerdict(Status.HOLDS, witness=chain)
+            return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
 
     tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
     if _multisets_match(p1.x, p2.x, tol) and _multisets_match(p1.y, p2.y, tol):
         chain = _swap_chain_from_arrangement(p1, p2, mode, budget)
         if chain is not None and verify_rc_chain(chain):
-            return OrderVerdict(Status.HOLDS, witness=chain)
+            return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "arrangement"})
 
     return _search(p1, p2, mode, budget)
 
 
 def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVerdict:
+    """Best-first search from ``p1``, which has passed :func:`check_necessary`.
+
+    Each candidate's canonical form is computed once, for its key and for the
+    goal test.  The filters run cheapest first, and each one only skips the
+    candidate: ``seen``; the necessary check on the vector the move changed,
+    the other being its parent's, which already passed; and
+    :func:`verify_rc_move`, so every pair that enters the tree is checked.
+    """
     start = canonical_form(p1)
     target = _target(p2, mode)
-    seen = {_round_key(start)}
+    x_mode, y_mode = _necessary_modes(mode)
+    seen = {_round_key(start.x + start.y)}
     counter = 0
     heap = [(_distance(start, target), 0, start, [start], [])]
     expanded = 0
-    while heap:
+    while heap and expanded < budget:
         _, _, cur, pairs, moves = heapq.heappop(heap)
         expanded += 1
-        if expanded > budget:
-            break
         for nxt, move in _successors(cur, p2, mode):
-            if not verify_rc_move(cur, nxt, move, mode):
-                continue
-            key = _round_key(nxt)
+            canon = canonical_form(nxt)
+            flat = canon.x + canon.y
+            key = _round_key(flat)
             if key in seen:
                 continue
-            ok, _ = check_necessary(nxt, target, mode)
-            if not ok:
+            if move.kind in _MOVES_X:
+                ok, _ = check_majorized_by(nxt.x, target.x_bound, x_mode)
+            else:
+                ok, _ = check_majorized_by(nxt.y, target.y_bound, y_mode)
+            if not ok or not verify_rc_move(cur, nxt, move, mode):
                 continue
             seen.add(key)
             npairs, nmoves = pairs + [nxt], moves + [move]
-            if check_pair_equal_a(nxt, p2):
+            if _is_goal(flat, target):
                 chain = RcChain(tuple(npairs), tuple(nmoves), mode)
                 if verify_rc_chain(chain):
-                    return OrderVerdict(Status.HOLDS, witness=chain)
+                    return OrderVerdict(
+                        Status.HOLDS, witness=chain, detail=_search_detail(expanded, budget)
+                    )
             counter += 1
             heapq.heappush(
                 heap, (_distance(nxt, target), counter, nxt, npairs, nmoves)
             )
-    return OrderVerdict(Status.UNKNOWN, detail={"reason": "search budget exhausted"})
+    detail = _search_detail(expanded, budget)
+    # the discretized moves reach no chain either way, so both are unknown
+    detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
+    return OrderVerdict(Status.UNKNOWN, detail=detail)
+
+
+def _search_detail(expanded: int, budget: int) -> dict:
+    return {"route": "search", "expanded": expanded, "budget": budget}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from stochord import cli
-from stochord.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
+from stochord.cli import EX_CANTCREAT, EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from stochord.harness import MATRIX
 
 WORKED_PAIR = {
@@ -232,6 +232,14 @@ class TestErrorHandling:
             ["identity", "--prop", "gamma-single", "--grid-size", "-5"],
             ["identity", "--prop", "nb-pair", "--c0", "inf"],
             ["identity", "--prop", "gamma-pair", "--lam2", "0"],
+            ["identity", "--prop", "gamma-single", "--beta", "1e-300"],
+            ["identity", "--prop", "gamma-single", "--beta", "1e300"],
+            ["identity", "--prop", "gamma-single", "--common-beta", "1e300"],
+            ["identity", "--prop", "nb-pair", "--c0", "1e300", "--lam1", "1e299",
+             "--lam2", "1e298"],
+            ["identity", "--prop", "nb-pair", "--c0", "0.8"],  # c0 + lam1 > 1
+            ["identity", "--prop", "gamma-pair", "--c0", "1e-300", "--lam1", "1e-301",
+             "--lam2", "1e-302"],
             ["harness", "--n", "0"],
             ["harness", "--n", "7"],
             ["harness", "--n", "1"],  # MajorizeBeta moves two components
@@ -244,6 +252,27 @@ class TestErrorHandling:
     def test_invalid_argument_is_input_error(self, argv, capsys):
         assert main(argv) == EX_DATAERR
         assert capsys.readouterr().out == ""  # rejected before any computation
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export-survival", "{spec}", "--output", "{out}"],
+            ["verify", "{pair}", "--order", "conv", "--output", "{out}"],
+            ["verify", "{pair}", "--order", "conv", "--emit-witness", "{out}"],
+            ["check-order", "{pair}", "--emit-witness", "{out}"],
+            ["harness", "--scenario", "RaiseAlpha", "--seeds", "0..0", "--output", "{out}"],
+            ["explore", "--budget", "1", "--output", "{out}"],
+        ],
+        ids=["export-survival", "verify", "verify-witness", "check-order", "harness", "explore"],
+    )
+    def test_unwritable_output_path(self, argv, pair_file, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(WORKED_PAIR["config1"]))
+        out = tmp_path / "missing" / "out"
+        argv = [a.format(spec=spec, pair=pair_file, out=out) for a in argv]
+        assert main(argv) == EX_CANTCREAT
+        err = capsys.readouterr().err
+        assert err == f"output error: cannot write {out}: No such file or directory\n"
 
     @pytest.mark.parametrize("exc", [ValueError, KeyError, TypeError, RuntimeError])
     def test_engine_fault_is_internal_error(self, exc, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import json
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochord import rc_order
-from stochord.arrangement import check_arrangement_leq, check_pair_equal_a, pair
+from stochord.arrangement import canonical_form, check_arrangement_leq, check_pair_equal_a, pair
+from stochord.harness import MATRIX, Scenario, _param_pairs, generate_instance
 from stochord.majorization import component_tolerance, sort_components
 from stochord.rc_order import (
     ChainConstructionError,
@@ -147,6 +149,32 @@ class TestDecideWrc:
         v = decide_wrc(p1, p2, WEAK, budget=1)
         assert v.status in (Status.UNKNOWN, Status.HOLDS)
 
+    @pytest.mark.parametrize(
+        "p1, p2, mode, budget, status, detail",
+        [
+            (((0.0, 4.0), (3.0, 3.0)), ((1.0, 3.0), (3.0, 3.0)), STRICT, 4000,
+             Status.REFUTED, {"route": "necessary"}),
+            (((1.0, 2.0), (3.0, 4.0)), ((2.0, 1.0), (4.0, 3.0)), STRICT, 4000,
+             Status.HOLDS, {"route": "equal"}),
+            (((1.0, 2.0), (0.9, 0.8)), ((1.5, 2.5), (0.7, 0.6)), WEAK, 4000,
+             Status.HOLDS, {"route": "opposite"}),
+            (((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)), ((1.0, 2.0, 3.0), (20.0, 10.0, 30.0)),
+             STRICT, 4000, Status.HOLDS, {"route": "arrangement"}),
+            (((1.0, 1.0, 1.0), (3.0, 3.0, 3.0)), ((3.5, 0.5, 2.0), (4.0, 1.0, 2.0)), WEAK,
+             4000, Status.HOLDS, {"route": "search", "expanded": 147, "budget": 4000}),
+            (((1.0, 1.0, 1.0), (3.0, 3.0, 3.0)), ((3.5, 0.5, 2.0), (4.0, 1.0, 2.0)), WEAK,
+             100, Status.UNKNOWN, {"route": "search", "expanded": 100, "budget": 100,
+                                   "reason": "search budget exhausted"}),
+            (((1.0, 2.0, 3.0), (20.0, 30.0, 10.0)), ((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)),
+             STRICT, 4000, Status.UNKNOWN, {"route": "search", "expanded": 2, "budget": 4000,
+                                            "reason": "search space exhausted"}),
+        ],
+        ids=["necessary", "equal", "opposite", "arrangement", "search", "budget", "space"],
+    )
+    def test_detail_names_the_route(self, p1, p2, mode, budget, status, detail):
+        v = decide_wrc(pair(*p1), pair(*p2), mode, budget)
+        assert v.status is status and v.detail == detail
+
     def test_search_route_witness_is_pinned(self, monkeypatch):
         """A chain found by the best-first search, byte for byte: a change to
         the search's candidates, their order or its distance shows here."""
@@ -180,6 +208,71 @@ class TestDecideWrc:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "be22157ecde30735567c2eed04411cbea7200fccde9f108814701b2df307bfc5"
         )
+
+
+def _reference_search(p1, p2, mode, budget):
+    """The search loop with every check on every candidate, in the plain
+    order: verify_rc_move, the dedupe key, check_necessary on both vectors and
+    check_pair_equal_a.  ``rc_order._search`` skips the work that a cheaper
+    filter makes moot and must match this bit for bit."""
+
+    def round_key(p):
+        c = canonical_form(p)
+        return tuple(round(v, 9) for v in c.x + c.y)
+
+    start = canonical_form(p1)
+    target = rc_order._target(p2, mode)
+    seen = {round_key(start)}
+    counter = 0
+    heap = [(rc_order._distance(start, target), 0, start, [start], [])]
+    expanded = 0
+    while heap:
+        _, _, cur, pairs, moves = heapq.heappop(heap)
+        expanded += 1
+        if expanded > budget:
+            break
+        for nxt, move in rc_order._successors(cur, p2, mode):
+            if not verify_rc_move(cur, nxt, move, mode):
+                continue
+            key = round_key(nxt)
+            if key in seen:
+                continue
+            ok, _ = check_necessary(nxt, p2, mode)
+            if not ok:
+                continue
+            seen.add(key)
+            npairs, nmoves = pairs + [nxt], moves + [move]
+            if check_pair_equal_a(nxt, p2):
+                chain = RcChain(tuple(npairs), tuple(nmoves), mode)
+                if verify_rc_chain(chain):
+                    return Status.HOLDS, chain
+            counter += 1
+            heapq.heappush(
+                heap, (rc_order._distance(nxt, target), counter, nxt, npairs, nmoves)
+            )
+    return Status.UNKNOWN, None
+
+
+class TestSearch:
+    def test_matches_the_reference_bit_for_bit(self):
+        """Every matrix parameter pair at n = 2..6, seeds 0..2, both
+        directions, whenever the pair passes the necessary conditions the
+        search assumes; budget 200 lets the reversed ConvAI/AITail pairs run
+        out of it quickly."""
+        searched = {Status.HOLDS: 0, Status.UNKNOWN: 0}
+        for row, n, seed in itertools.product(MATRIX, range(2, 7), range(3)):
+            s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+            q1, q2 = _param_pairs(s1, s2, row.order)
+            for a, b in ((q1, q2), (q2, q1)):
+                if not check_necessary(a, b, WEAK)[0]:
+                    continue
+                status, chain = _reference_search(a, b, WEAK, 200)
+                v = rc_order._search(a, b, WEAK, 200)
+                assert v.status is status, (row, n, seed)
+                if chain is not None:
+                    assert chain_to_json(v.witness) == chain_to_json(chain), (row, n, seed)
+                searched[status] += 1
+        assert searched[Status.HOLDS] and searched[Status.UNKNOWN]
 
 
 def _unpruned_coupled(p, target):
