@@ -10,6 +10,7 @@ failure to write a caller's output path, which exits 73.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,6 +20,7 @@ import numpy as np
 from stochord.arrangement import check_pair_equal_a
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
+    MAX_LATTICE,
     ConvolutionSpec,
     NegBinParams,
     coupled_gamma_pair_cdf,
@@ -27,6 +29,7 @@ from stochord.distributions import (
     export_curve_csv,
     gamma_convolution_cdf,
     nb_convolution,
+    nb_lattice_points,
     reg_lower_incomplete_gamma,
     shape_mixture_pmf,
     shifted_nb_pmf,
@@ -59,6 +62,12 @@ EX_CANTCREAT = 73
 # Range of the rates and spreads the identities accept: every square, sum and
 # ratio of two of them stays a normal float.
 SCALE_LO, SCALE_HI = 1e-100, 1e100
+# Lattice limits of an identity: each negative binomial lattice it builds
+# within half of MAX_LATTICE points, so that any two still convolve, and the
+# conditional lattices of a mixture, all held at once, within 25 times
+# MAX_LATTICE together (400 MB).
+LATTICE_POINTS = MAX_LATTICE // 2
+MIXTURE_POINTS = 25 * MAX_LATTICE
 
 _STATUS_EXIT = {Status.HOLDS: 0, Status.REFUTED: 1, Status.UNKNOWN: 2}
 
@@ -236,6 +245,50 @@ def _check_identity_args(args) -> None:
         _check_grid_size(args)
 
 
+def _check_lattice_demand(args, cap: float) -> None:
+    """Reject an identity whose lattices could pass the lattice limits, by
+    ``nb_lattice_points`` before any lattice is built.  The bound grows with
+    the shape, so a mixture's conditional lattices are bounded at its largest
+    latent shape."""
+
+    def points(alpha, p):
+        n = nb_lattice_points(alpha, p, cap)
+        if n > LATTICE_POINTS:
+            raise InputError(
+                f"{args.prop} needs a negative binomial lattice (shape {alpha:g}, "
+                f"success {p:g}) beyond {LATTICE_POINTS} points or the float range"
+            )
+        return n
+
+    def mixture(alpha, p, successes):
+        n = points(alpha, p)
+        total = n * sum(points(alpha + n, s) for s in successes)
+        if total > MIXTURE_POINTS:
+            raise InputError(
+                f"{args.prop} mixes up to {total:.3g} conditional lattice points, "
+                f"beyond {MIXTURE_POINTS}"
+            )
+
+    alpha = args.alpha
+    if args.prop == "nb-mixture":
+        mixture(alpha, args.p1, [args.p2])
+        points(alpha, args.p1 * args.p2)
+    elif args.prop == "gamma-single":
+        beta_big = args.common_beta if args.common_beta is not None else 2.0 * args.beta
+        points(alpha, args.beta / beta_big)
+    else:
+        p, direct = _coupled_pair(args, "negbin" if args.prop == "nb-pair" else "gamma")
+        c0, lam = args.c0, args.lam2
+        if args.prop == "nb-pair":
+            mixture(alpha, p, [c0 + lam, c0 - lam])
+            for s in direct.scales:
+                points(alpha, s)
+        else:
+            beta = c0 + lam  # the common rate of coupled_gamma_pair_cdf
+            mixture(alpha, p, [(c0 + lam) / beta, (c0 - lam) / beta])
+            points(alpha, min(direct.scales) / max(direct.scales))
+
+
 def _coupled_pair(args, family: str):
     """Latent success probability and direct spec of a coupled-pair identity."""
     c0, l_big, l_small = args.c0, args.lam1, args.lam2
@@ -286,6 +339,7 @@ def _pmf_residual(a, b) -> float:
 def _cmd_identity(args) -> int:
     cap, tol = _tail_cap(args), _tol(args)
     _check_identity_args(args)
+    _check_lattice_demand(args, cap)
     residual = _identity_residual(args, cap)
     print(
         json.dumps(
@@ -394,7 +448,11 @@ def _cmd_export_survival(args) -> int:
 # Argument grammar
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument grammar, built once per process: parsing keeps no state
+    in the parser, and streams, terminal width and handlers are looked up when
+    used."""
     p = _Parser(prog="stochord", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -420,7 +478,18 @@ def _build_parser() -> _Parser:
     common(ve)
     ve.set_defaults(func=_cmd_verify)
 
-    idn = sub.add_parser("identity", help="mixture identity residuals")
+    idn = sub.add_parser(
+        "identity",
+        help="mixture identity residuals",
+        description=(
+            "Residual of a mixture identity at truncation.  Inputs whose lattices "
+            f"could pass the lattice limits exit {EX_DATAERR} before any is built: "
+            f"each negative binomial lattice within {LATTICE_POINTS} points, by a "
+            "bound from its mean and decay rate, with its first term p**alpha a "
+            "normal float, and the conditional lattices of a mixture within "
+            f"{MIXTURE_POINTS} points together."
+        ),
+    )
     idn.add_argument(
         "--prop",
         choices=("nb-mixture", "nb-pair", "gamma-single", "gamma-pair"),

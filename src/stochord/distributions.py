@@ -104,7 +104,9 @@ def spec(family: str, shapes, scales) -> ConvolutionSpec:
 
 @dataclass(frozen=True)
 class TruncatedPMF:
-    """Lattice distribution on ``offset + {0..K}`` with certified tail bound."""
+    """Lattice distribution on ``offset + {0..K}`` with certified tail bound:
+    ``tail_bound`` is at least the mass beyond ``K``, so the listed mass is at
+    most 1 and the two together at least 1 (each up to 1e-9 of rounding)."""
 
     offset: float
     probs: np.ndarray
@@ -117,9 +119,12 @@ class TruncatedPMF:
             raise ValueError("probs must be a non-empty 1-d array")
         if np.any(probs < 0):
             raise ValueError("probs must be nonnegative")
-        total = probs.sum() + self.tail_bound
-        if not (1 - 1e-9 <= total <= 1 + 1e-9):
-            raise ValueError(f"mass plus tail must be ~1, got {total}")
+        mass = float(probs.sum())
+        if not mass <= 1 + 1e-9:
+            raise ValueError(f"mass must be at most 1, got {mass}")
+        total = mass + self.tail_bound
+        if not total >= 1 - 1e-9:
+            raise ValueError(f"mass plus tail bound must be at least 1, got {total}")
 
     @property
     def support(self) -> np.ndarray:
@@ -151,36 +156,121 @@ class CdfGrid:
 # Negative binomial PMFs
 
 
-def _nb_probs(alpha: float, p: float, tail_cap: float) -> tuple[np.ndarray, float]:
-    """PMF values by the stable ratio recurrence, truncated where a geometric
-    bound certifies the remaining mass below ``tail_cap``."""
+# Lattice sizes up to this many points keep their index arrays (about 130
+# kilobytes in all); larger ones are rare and build theirs per pass.
+_CACHED_INDEX = 4096
+
+
+def _lattice_index(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``k`` for ``k = -1..size``, the ratio denominators ``1, 1, 2, .., size``
+    (the first one unused) and ``m + 1`` for ``m = 0..size``."""
+    idx = np.arange(-1.0, size + 2)
+    den = idx[1:-1].copy()
+    den[0] = 1.0
+    for a in (idx, den):
+        a.flags.writeable = False
+    return idx[:-1], den, idx[2:]
+
+
+_cached_lattice_index = functools.cache(_lattice_index)
+
+
+def _nb_rows(shapes, p: float, tail_cap: float) -> list[tuple[np.ndarray, float]]:
+    """PMF values of the negative binomials of each shape in ``shapes`` at
+    success probability ``p``, by the stable ratio recurrence, each truncated
+    where a geometric bound certifies its remaining mass below ``tail_cap``.
+    Returns ``(probs, bound)`` per shape.
+
+    All rows share one lattice size, doubled until every row has a cut; a
+    row's prefix does not depend on the size, so neither does its cut.  A
+    block of rows holds at most ``MAX_LATTICE // 2`` floats per array, less
+    than one lattice of the largest size."""
     q = 1.0 - p
+    shapes = [float(a) for a in shapes]
+    out = [None] * len(shapes)
+    todo = list(range(len(shapes)))  # rows without a cut, and their shapes
     size = 128
-    while True:
-        k = np.arange(size, dtype=float)
-        probs = np.empty(size + 1)
-        probs[0] = p ** alpha
-        np.multiply.accumulate(q * (k + alpha) / (k + 1.0), out=k)
-        probs[1:] = probs[0] * k
-        m = np.arange(size + 1, dtype=float)
-        r = q * np.maximum(1.0, (m + alpha) / (m + 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(r < 1.0, probs * r / (1.0 - r), np.inf)
-        ok = np.flatnonzero(bound <= tail_cap)
-        if ok.size:
-            cut = int(ok[0])
-            return probs[: cut + 1].copy(), float(bound[cut])
+    while todo:
+        index = _cached_lattice_index if size <= _CACHED_INDEX else _lattice_index
+        k, den, m1 = index(size)
+        rows = max(1, MAX_LATTICE // 2 // (size + 1))
+        missing = []
+        for lo in range(0, len(todo), rows):
+            alpha = shapes[lo : lo + rows]
+            if len(alpha) == 1:
+                # numpy broadcasts a scalar faster than a column, and most
+                # callers ask for one row
+                a, head = alpha[0], p ** alpha[0]
+            else:
+                a = np.array(alpha)[:, None]
+                # scalar powers: numpy's array power can differ in the last bit
+                head = np.array([[p**s] for s in alpha])
+            x = k + a
+            # column j >= 1 holds the ratio q (j - 1 + alpha) / j; column 0
+            # is 1, so the running product is the PMF over its first term
+            probs = q * x[..., :-1]
+            probs /= den
+            probs[..., 0] = 1.0
+            np.multiply.accumulate(probs, axis=-1, out=probs)
+            probs *= head
+            # r bounds the ratio past m: q max(1, (m + alpha) / (m + 1))
+            r = x[..., 1:] / m1
+            np.maximum(r, 1.0, out=r)
+            r *= q
+            gap = 1.0 - r
+            bound = np.divide(probs * r, gap, out=np.full_like(r, np.inf), where=gap > 0.0)
+            probs, bound = probs.reshape(-1, size + 1), bound.reshape(-1, size + 1)
+            ok = bound <= tail_cap
+            for j, cut in enumerate(ok.argmax(axis=1).tolist(), lo):
+                if ok[j - lo, cut]:
+                    out[todo[j]] = probs[j - lo, : cut + 1].copy(), float(bound[j - lo, cut])
+                else:
+                    missing.append(j)
+        todo = [todo[j] for j in missing]
+        shapes = [shapes[j] for j in missing]
         size *= 2
-        if size > MAX_LATTICE:
-            raise RuntimeError(
-                f"lattice size limit exceeded for alpha={alpha}, p={p}"
-            )
+        if todo and size > MAX_LATTICE:
+            raise RuntimeError(f"lattice size limit exceeded for alpha={shapes[0]}, p={p}")
+    return out
+
+
+# -ln of the smallest normal float.  A lattice whose first term p**alpha stays
+# above it keeps every running product of the recurrence, at most
+# 1 / p**alpha, finite.
+_LOG_TINY = -math.log(np.finfo(float).tiny)
+# Chernoff parameters for ``nb_lattice_points``: values near 0 suit a lattice
+# whose length is its geometric tail, values near 1 one whose length is its
+# mean.
+_THETA = np.concatenate([2.0 ** -np.arange(1, 7), 1.0 - 2.0 ** -np.arange(2, 11)])
+_NEG_LOG_THETA = -np.log(_THETA)
+
+
+def nb_lattice_points(alpha: float, p: float, tail_cap: float) -> float:
+    """Upper bound on the number of points ``nb_pmf`` keeps for shape
+    ``alpha`` and success probability ``p``; ``inf`` where the first term
+    ``p**alpha`` is not a normal float, so the recurrence cannot run.
+
+    Past ``m0 = 2 q (alpha - 1) / p`` the ratio bound ``r`` is at most
+    ``1 - p/2``, so the lattice is cut by the first such ``m`` whose mass is at
+    most ``p * tail_cap / 4`` (half the cap left for rounding).  For any
+    ``theta`` in (0, 1), ``P(X = m) <= P(X >= m) <= theta**-alpha s**-m`` with
+    ``s = (1 - p theta) / q`` (Markov's inequality on ``s**X``), which bounds
+    that ``m``; the least bound over ``_THETA`` is taken."""
+    if p == 1.0:
+        return 1.0
+    if alpha * -math.log(p) > _LOG_TINY:
+        return math.inf
+    rate = np.log1p(-p * _THETA) - math.log1p(-p)  # log s
+    need = alpha * _NEG_LOG_THETA + math.log(4.0 / (p * tail_cap))
+    m = np.divide(need, rate, out=np.full_like(rate, np.inf), where=rate > 0.0)
+    m0 = 2.0 * (1.0 - p) * max(alpha - 1.0, 0.0) / p
+    return max(m0, float(m.min())) + 2.0
 
 
 def nb_pmf(params: NegBinParams, tail_cap: float = DEFAULT_TAIL_CAP) -> TruncatedPMF:
     if not 0 < tail_cap < 1:
         raise ValueError(f"tail_cap must be in (0,1), got {tail_cap}")
-    probs, tail = _nb_probs(params.alpha, params.p, tail_cap)
+    ((probs, tail),) = _nb_rows((params.alpha,), params.p, tail_cap)
     return TruncatedPMF(0.0, probs, tail)
 
 
@@ -341,21 +431,20 @@ def deconvolve(
 # Shape mixtures
 
 
-def _mix_over_latent(latent: TruncatedPMF, stride: int, conditional) -> TruncatedPMF:
+def _mix_over_latent(latent: TruncatedPMF, stride: int, conditionals) -> TruncatedPMF:
     """Mixture over the latent shape draw of the lattice PMFs that
-    ``conditional(shape)`` returns as ``(probs, tail)``.  A draw of
-    ``latent.offset + h`` shifts its conditional PMF by ``stride * h``: 1 for
-    one shifted variable of that shape, 2 for a pair of them."""
+    ``conditionals(shapes)`` returns as ``(probs, tail)``, one per shape, for
+    the shapes of positive latent weight.  A draw of ``latent.offset + h``
+    shifts its conditional PMF by ``stride * h``: 1 for one shifted variable
+    of that shape, 2 for a pair of them."""
+    atoms = np.flatnonzero(latent.probs > 0).tolist()
+    parts = conditionals([latent.offset + h for h in atoms])
     tail = latent.tail_bound
-    parts = []
-    for h, w in enumerate(latent.probs):
-        if w > 0:
-            probs, t = conditional(latent.offset + h)
-            parts.append((stride * h, w, probs))
-            tail += w * t
-    out = np.zeros(max(start + probs.size for start, _, probs in parts))
-    for start, w, probs in parts:
-        out[start : start + probs.size] += w * probs
+    out = np.zeros(max(stride * h + probs.size for h, (probs, _) in zip(atoms, parts)))
+    for h, (probs, t) in zip(atoms, parts):
+        w = latent.probs[h]
+        out[stride * h : stride * h + probs.size] += w * probs
+        tail += w * t
     return TruncatedPMF(stride * latent.offset, out, tail)
 
 
@@ -368,7 +457,7 @@ def shape_mixture_pmf(
         raise ValueError(f"success probability must be in (0,1), got {p}")
     if latent.offset <= 0:
         raise ValueError("latent offsets must define positive shapes")
-    return _mix_over_latent(latent, 1, lambda shape: _nb_probs(shape, p, tail_cap))
+    return _mix_over_latent(latent, 1, lambda shapes: _nb_rows(shapes, p, tail_cap))
 
 
 def _coupled_pair_latent(
@@ -386,12 +475,15 @@ def _coupled_pair_latent(
     else:
         latent = shifted_nb_pmf(NegBinParams(alpha, p), tail_cap)
 
-    def pair(shape):
-        hi, t_hi = _nb_probs(shape, s_hi, tail_cap)
-        lo, t_lo = _nb_probs(shape, s_lo, tail_cap)
-        return np.convolve(hi, lo), t_hi + t_lo
+    def pairs(shapes):
+        return [
+            (np.convolve(hi, lo), t_hi + t_lo)
+            for (hi, t_hi), (lo, t_lo) in zip(
+                _nb_rows(shapes, s_hi, tail_cap), _nb_rows(shapes, s_lo, tail_cap)
+            )
+        ]
 
-    return _mix_over_latent(latent, 2, pair)
+    return _mix_over_latent(latent, 2, pairs)
 
 
 def coupled_pair_mixture_pmf(

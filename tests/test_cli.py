@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from stochord import cli
@@ -74,6 +75,43 @@ class TestIdentity:
     @pytest.mark.parametrize("prop", ["nb-pair", "gamma-single", "gamma-pair"])
     def test_other_identities_pass(self, prop):
         assert main(["identity", "--prop", prop]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--prop", "nb-pair", "--c0", "1e-90", "--lam1", "1e-91", "--lam2", "1e-92"],
+            ["--prop", "nb-mixture", "--p1", "1e-300"],
+            ["--prop", "gamma-single", "--beta", "1", "--common-beta", "1e6"],
+            ["--prop", "nb-mixture", "--alpha", "1e7"],  # p**alpha underflows
+            ["--prop", "nb-mixture", "--alpha", "1", "--p1", "0.01", "--p2", "0.01"],
+            ["--prop", "gamma-pair", "--c0", "0.5", "--lam1", "0.49999", "--lam2", "0.1"],
+        ],
+    )
+    def test_lattice_limit_is_input_error(self, argv, capsys):
+        assert main(["identity", *argv]) == EX_DATAERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_parameter_box_within_lattice_limits(self):
+        # the box the identities are stated in, as the benchmark draws it
+        rng = np.random.default_rng(7)
+        parser = cli._build_parser()
+        for i in range(2000):
+            prop = ("nb-mixture", "nb-pair", "gamma-single", "gamma-pair")[i % 4]
+            argv = ["identity", "--prop", prop, "--alpha", repr(rng.uniform(0.3, 2.5))]
+            if prop == "nb-mixture":
+                argv += ["--p1", repr(rng.uniform(0.3, 0.9)), "--p2", repr(rng.uniform(0.3, 0.9))]
+            elif prop == "gamma-single":
+                argv += ["--beta", repr(rng.uniform(0.5, 4.0))]
+            else:
+                c0 = rng.uniform(0.45, 0.6)
+                lam1 = rng.uniform(0.1, 0.4) * c0
+                lam2 = rng.uniform(0.1, 0.9) * lam1
+                argv += ["--c0", repr(c0), "--lam1", repr(lam1), "--lam2", repr(lam2)]
+            args = parser.parse_args(argv)
+            cli._check_identity_args(args)
+            cli._check_lattice_demand(args, 1e-12)
 
     def test_invalid_spread_ordering(self):
         assert (
@@ -159,6 +197,17 @@ class TestExplore:
 
 
 class TestExportSurvival:
+    def test_tail_cap_above_check_tolerance(self, tmp_path, capsys):
+        # the geometric tail bound may exceed the missing mass by up to the cap
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"family": "negbin", "shapes": [0.203125], "scales": [0.8195833027922088]})
+        )
+        out = tmp_path / "curve.csv"
+        argv = ["export-survival", str(spec), "--output", str(out), "--tail-cap", "1e-8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"wrote 9 survival points to {out}\n"
+
     def test_negbin_curve(self, tmp_path):
         specf = tmp_path / "spec.json"
         specf.write_text(
@@ -288,6 +337,22 @@ class TestErrorHandling:
     def test_usage_error(self):
         assert main(["bogus-command"]) == EX_USAGE
         assert main(["verify"]) == EX_USAGE  # missing required --order and file
+
+    def test_parser_reused_across_calls(self, capsys):
+        # one parser per process: no call's arguments or errors reach the next
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["identity", "--prop", "bogus"]) == EX_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["identity", "--prop", "nb-mixture"]) == 0
+        assert json.loads(capsys.readouterr().out)["prop"] == "nb-mixture"
+        assert main(["identity", "--help"]) == 0
+        assert "--common-beta" in capsys.readouterr().out
+        parser = cli._build_parser()
+        first = parser.parse_args(["identity", "--prop", "gamma-single", "--common-beta", "3"])
+        second = parser.parse_args(["identity", "--prop", "gamma-single"])
+        assert first.common_beta == 3.0 and second.common_beta is None
+        assert main(["identity", "--prop", "gamma-single", "--common-beta", "1.0"]) == EX_DATAERR
+        assert main(["identity", "--prop", "gamma-single"]) == 0
 
     def test_tail_cap_env_override(self, tmp_path, monkeypatch, capsys):
         s = {"family": "negbin", "shapes": [1.0], "scales": [0.5]}

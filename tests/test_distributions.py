@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
-from stochord import harness
+from stochord import distributions, harness
 from stochord.distributions import (
     _EPS,
+    MAX_LATTICE,
     CdfGrid,
     ConvolutionSpec,
     NegBinParams,
@@ -25,6 +27,7 @@ from stochord.distributions import (
     lr_monotone_check,
     mc_sampler,
     nb_convolution,
+    nb_lattice_points,
     nb_pmf,
     pgf_eval,
     point_mass,
@@ -82,9 +85,40 @@ class TestNegBinPmf:
     @given(shapes_st, probs_st, st.sampled_from([1e-8, 1e-10, 1e-12]))
     @settings(max_examples=60, deadline=None)
     def test_mass_plus_tail_is_one(self, alpha, p, cap):
+        # the tail bound promises at least the missing mass, at most the cap
         pmf = nb_pmf(NegBinParams(alpha, p), cap)
+        mass = pmf.probs.sum()
         assert pmf.tail_bound <= cap
-        assert pmf.probs.sum() + pmf.tail_bound == pytest.approx(1.0, abs=1e-9)
+        assert mass <= 1 + 1e-9
+        assert mass + pmf.tail_bound >= 1 - 1e-9
+
+    @given(shapes_st, probs_st, st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_bound_covers_true_tail(self, alpha, p, cap):
+        pmf = nb_pmf(NegBinParams(alpha, p), cap)
+        true_tail = stats.nbinom.sf(pmf.probs.size - 1, alpha, p)
+        # relative slack for the rounding of the recurrence and of scipy's
+        # betainc: the bound is exact for the geometric case alpha = 1
+        assert true_tail <= pmf.tail_bound * (1 + 1e-9)
+
+    def test_tail_cap_above_check_tolerance(self):
+        # mass plus bound exceeds 1 + 1e-9 here: the bound is only an upper
+        # bound on the missing mass
+        pmf = nb_convolution(spec("negbin", [0.203125], [0.8195833027922088]), 1e-8)
+        assert pmf.probs.sum() + pmf.tail_bound > 1 + 1e-9
+        assert pmf.tail_bound <= 1e-8
+
+    def test_lattice_points_bound_the_kept_lattice(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            alpha = float(np.exp(rng.uniform(np.log(0.05), np.log(2000))))
+            p = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.999999))))
+            cap = float(10 ** rng.uniform(-14, -6))
+            bound = nb_lattice_points(alpha, p, cap)
+            if bound <= 50_000:
+                assert nb_pmf(NegBinParams(alpha, p), cap).probs.size <= bound
+        assert nb_lattice_points(1e7, 0.5, 1e-12) == math.inf  # p**alpha underflows
+        assert nb_lattice_points(3.0, 1.0, 1e-12) == 1.0
 
     def test_shifted_variant_only_moves_offset(self):
         base = nb_pmf(NegBinParams(1.7, 0.6))
@@ -298,6 +332,125 @@ class TestDeconvolve:
         f2 = shifted_nb_pmf(NegBinParams(1.0, 0.5))
         with pytest.raises(ValueError):
             deconvolve(f2, f1)
+
+
+def _reference_nb_probs(alpha, p, tail_cap):
+    """Reference for the negative binomial kernel: one shape at a time."""
+    q = 1.0 - p
+    size = 128
+    while True:
+        k = np.arange(size, dtype=float)
+        probs = np.empty(size + 1)
+        probs[0] = p**alpha
+        np.multiply.accumulate(q * (k + alpha) / (k + 1.0), out=k)
+        probs[1:] = probs[0] * k
+        m = np.arange(size + 1, dtype=float)
+        r = q * np.maximum(1.0, (m + alpha) / (m + 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(r < 1.0, probs * r / (1.0 - r), np.inf)
+        ok = np.flatnonzero(bound <= tail_cap)
+        if ok.size:
+            cut = int(ok[0])
+            return probs[: cut + 1].copy(), float(bound[cut])
+        size *= 2
+
+
+def _reference_mix(latent, stride, conditional):
+    """Reference for the shape mixtures: one conditional PMF per latent atom."""
+    tail = latent.tail_bound
+    parts = []
+    for h, w in enumerate(latent.probs):
+        if w > 0:
+            probs, t = conditional(latent.offset + h)
+            parts.append((stride * h, w, probs))
+            tail += w * t
+    out = np.zeros(max(start + probs.size for start, _, probs in parts))
+    for start, w, probs in parts:
+        out[start : start + probs.size] += w * probs
+    return TruncatedPMF(stride * latent.offset, out, tail)
+
+
+def _reference_pair(alpha, p, s_hi, s_lo, cap):
+    latent = point_mass(alpha) if p == 1.0 else shifted_nb_pmf(NegBinParams(alpha, p), cap)
+
+    def pair(shape):
+        hi, t_hi = _reference_nb_probs(shape, s_hi, cap)
+        lo, t_lo = _reference_nb_probs(shape, s_lo, cap)
+        return np.convolve(hi, lo), t_hi + t_lo
+
+    return _reference_mix(latent, 2, pair)
+
+
+def _mixture_cases():
+    """Parameters ``(alpha, p1, p2, c0, lam1, lam2, cap)`` from the box the
+    identities are stated in, then edge cases: success near 1, large shapes,
+    a one-atom latent and a point-mass latent (``lam1 == lam2``)."""
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        alpha = float(rng.uniform(0.3, 2.5))
+        p1, p2 = (float(v) for v in rng.uniform(0.3, 0.9, size=2))
+        c0 = float(rng.uniform(0.45, 0.6))
+        lam1 = float(rng.uniform(0.1, 0.4)) * c0
+        lam2 = float(rng.uniform(0.1, 0.9)) * lam1
+        yield alpha, p1, p2, c0, lam1, lam2, 1e-12
+    yield 1.3, 0.999999, 0.9999, 0.5, 0.3, 0.1, 1e-12  # success near 1
+    yield 0.7, 0.4, 0.999999999, 0.5, 0.49, 0.01, 1e-10
+    yield 180.0, 0.8, 0.6, 0.5, 0.2, 0.1, 1e-12  # large shape
+    yield 2.0, 1 - 1e-15, 0.5, 0.5, 0.2, 0.1, 1e-8  # one-atom latent
+    yield 1.1, 0.6, 0.3, 0.55, 0.2, 0.2, 1e-12  # point-mass latent
+
+
+def _assert_same_pmf(got, ref):
+    assert got.offset == ref.offset
+    assert np.array_equal(got.probs, ref.probs)
+    assert got.tail_bound == ref.tail_bound
+
+
+class TestBatchedKernelMatchesPerAtomLoop:
+    @pytest.mark.parametrize("chunked", [False, True], ids=["one-block", "chunked"])
+    def test_mixtures_bitwise(self, chunked, monkeypatch):
+        cases = list(_mixture_cases())
+        if chunked:
+            # blocks of three rows at the first size; the box cases' lattices
+            # still fit the patched size limit
+            monkeypatch.setattr(distributions, "MAX_LATTICE", 1000)
+            cases = cases[:40]
+        for alpha, p1, p2, c0, lam1, lam2, cap in cases:
+            latent = shifted_nb_pmf(NegBinParams(alpha, p1), cap)
+            _assert_same_pmf(
+                shape_mixture_pmf(latent, p2, cap),
+                _reference_mix(latent, 1, lambda a: _reference_nb_probs(a, p2, cap)),
+            )
+            p = (c0**2 - lam1**2) / (c0**2 - lam2**2)
+            _assert_same_pmf(
+                coupled_pair_mixture_pmf(alpha, c0, lam2, p, cap),
+                _reference_pair(alpha, p, c0 + lam2, c0 - lam2, cap),
+            )
+            beta = c0 + lam2
+            ref = _reference_pair(alpha, p, 1.0, (c0 - lam2) / beta, cap)
+            grid = np.linspace(1e-9, 30.0, 32)
+            got = coupled_gamma_pair_cdf(alpha, c0, lam2, p, grid, cap)
+            values, rounding = _gamma_mixture_cdf(ref, beta, grid)
+            assert np.array_equal(got.values, np.clip(values, 0.0, 1.0))
+            assert np.array_equal(got.errors, ref.tail_bound + rounding)
+
+    @given(shapes_st, st.floats(0.01, 0.999999), st.sampled_from([1e-8, 1e-12, 1e-14]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_bitwise(self, alpha, p, cap):
+        probs, bound = _reference_nb_probs(alpha, p, cap)
+        pmf = nb_pmf(NegBinParams(alpha, p), cap)
+        assert np.array_equal(pmf.probs, probs) and pmf.tail_bound == bound
+
+    @pytest.mark.parametrize("max_lattice", [MAX_LATTICE, 1000])
+    def test_rows_do_not_depend_on_their_neighbours(self, max_lattice, monkeypatch):
+        # at 1000, blocks of three rows at the first size and of one row
+        # after the first doubling
+        monkeypatch.setattr(distributions, "MAX_LATTICE", max_lattice)
+        shapes = [0.4, 7.5, 120.0, 1.0, 33.3, 2.2, 0.9, 60.0]
+        rows = distributions._nb_rows(shapes, 0.35, 1e-12)
+        for a, (probs, bound) in zip(shapes, rows):
+            ref_probs, ref_bound = _reference_nb_probs(a, 0.35, 1e-12)
+            assert np.array_equal(probs, ref_probs) and bound == ref_bound
 
 
 class TestMixtures:
@@ -533,5 +686,8 @@ class TestSerializationAndExport:
     def test_truncated_pmf_validation(self):
         with pytest.raises(ValueError):
             TruncatedPMF(0.0, np.array([0.5, 0.1]), 0.0)  # mass far from 1
+        with pytest.raises(ValueError):
+            TruncatedPMF(0.0, np.array([0.7, 0.4]), 0.0)  # mass above 1
+        TruncatedPMF(0.0, np.array([0.7, 0.3]), 1e-6)  # the bound may exceed the tail
         with pytest.raises(ValueError):
             TruncatedPMF(0.0, np.array([1.0, -0.1]), 0.1)
