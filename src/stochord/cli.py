@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
+from scipy import special
 
 from stochord.arrangement import check_pair_equal_a
 from stochord.distributions import (
@@ -30,7 +30,6 @@ from stochord.distributions import (
     gamma_convolution_cdf,
     nb_convolution,
     nb_lattice_points,
-    reg_lower_incomplete_gamma,
     shape_mixture_pmf,
     shifted_nb_pmf,
     spec,
@@ -46,6 +45,7 @@ from stochord.harness import (
     write_reports,
 )
 from stochord.rc_order import (
+    DEFAULT_SEARCH_BUDGET,
     RcMode,
     chain_from_json,
     chain_to_json,
@@ -101,19 +101,21 @@ def _write_text(path, text: str, mode: str = "w") -> None:
 
 
 def _tail_cap(args) -> float:
-    if args.tail_cap is not None:
-        cap = args.tail_cap
-    else:
-        cap = float(os.environ.get("STOCHORD_TAIL_CAP", DEFAULT_TAIL_CAP))
-    if not 0 < cap < 1:
-        raise InputError(f"tail cap must be in (0,1), got {cap}")
-    return cap
+    if not 0 < args.tail_cap < 1:
+        raise InputError(f"tail cap must be in (0,1), got {args.tail_cap}")
+    return args.tail_cap
 
 
 def _tol(args) -> float:
     if not 0 <= args.tol < np.inf:
         raise InputError(f"--tol must be nonnegative and finite, got {args.tol}")
     return args.tol
+
+
+def _budget(args) -> int:
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
+    return args.budget
 
 
 def _check_positive(flag: str, value: float) -> None:
@@ -164,15 +166,12 @@ def _load_pair(path) -> tuple[ConvolutionSpec, ConvolutionSpec]:
     return s1, s2
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_check_order(args) -> int:
+    budget = _budget(args)
     s1, s2 = _load_pair(args.pair_file)
     q1, q2 = _param_pairs(s1, s2, args.order)
     mode = RcMode(args.mode)
@@ -188,7 +187,7 @@ def _cmd_check_order(args) -> int:
         )
         print(f"witness {'accepted' if ok else 'rejected'} ({len(chain.moves)} moves)")
         return 0 if ok else 1
-    verdict = decide_wrc(q1, q2, mode, args.budget)
+    verdict = decide_wrc(q1, q2, mode, budget)
     line = {"v": 1, "order": args.order, "mode": mode.value, "status": verdict.status.value}
     if verdict.holds:
         line["moves"] = len(verdict.witness.moves)
@@ -208,7 +207,7 @@ def _cmd_verify(args) -> int:
         args.order,
         tail_cap=_tail_cap(args),
         tol=_tol(args),
-        budget=args.budget,
+        budget=_budget(args),
         emit_witness=bool(args.emit_witness),
     )
     print(report.to_json_line())
@@ -216,113 +215,113 @@ def _cmd_verify(args) -> int:
         _write_output(args.emit_witness, _write_text, report.witness_json)
     if args.output:
         _write_output(args.output, write_reports, [report])
-    order = {"holds": 0, "refuted": 1, "unknown": 2}
-    return max(order[report.param_status], order[report.numeric_status])
+    statuses = (report.param_status, report.numeric_status)
+    return max(_STATUS_EXIT[Status(s)] for s in statuses)
 
 
-def _check_identity_args(args) -> None:
-    """Reject the arguments the requested identity reads when out of range."""
-    _check_positive("--alpha", args.alpha)
-    if args.prop == "nb-mixture":
-        _check_probability("--p1", args.p1)
-        _check_probability("--p2", args.p2)
-    elif args.prop == "gamma-single":
-        _check_scale("--beta", args.beta)
-        if args.common_beta is not None:
-            _check_scale("--common-beta", args.common_beta)
-            if not args.beta < args.common_beta:
-                raise InputError("--common-beta must exceed --beta")
-    else:
-        # a coupled pair: the latent success probability is valid only when
-        # the mixture side carries the smaller rate spread
-        for flag in ("--c0", "--lam1", "--lam2"):
-            _check_scale(flag, getattr(args, flag[2:]))
-        if not args.lam2 < args.lam1 < args.c0:
-            raise InputError("need lam2 < lam1 < c0")
-        if args.prop == "nb-pair" and not args.c0 + args.lam1 < 1:
-            raise InputError("nb-pair success probabilities c0 +/- lam1 need c0 + lam1 < 1")
-    if args.prop.startswith("gamma"):
-        _check_grid_size(args)
+def _nb_points(args, cap: float, alpha: float, p: float) -> float:
+    """``nb_lattice_points`` of one negative binomial lattice of the identity,
+    rejected past ``LATTICE_POINTS`` before any lattice is built."""
+    n = nb_lattice_points(alpha, p, cap)
+    if n > LATTICE_POINTS:
+        raise InputError(
+            f"{args.prop} needs a negative binomial lattice (shape {alpha:g}, "
+            f"success {p:g}) beyond {LATTICE_POINTS} points or the float range"
+        )
+    return n
 
 
-def _check_lattice_demand(args, cap: float) -> None:
-    """Reject an identity whose lattices could pass the lattice limits, by
-    ``nb_lattice_points`` before any lattice is built.  The bound grows with
-    the shape, so a mixture's conditional lattices are bounded at its largest
-    latent shape."""
-
-    def points(alpha, p):
-        n = nb_lattice_points(alpha, p, cap)
-        if n > LATTICE_POINTS:
-            raise InputError(
-                f"{args.prop} needs a negative binomial lattice (shape {alpha:g}, "
-                f"success {p:g}) beyond {LATTICE_POINTS} points or the float range"
-            )
-        return n
-
-    def mixture(alpha, p, successes):
-        n = points(alpha, p)
-        total = n * sum(points(alpha + n, s) for s in successes)
-        if total > MIXTURE_POINTS:
-            raise InputError(
-                f"{args.prop} mixes up to {total:.3g} conditional lattice points, "
-                f"beyond {MIXTURE_POINTS}"
-            )
-
-    alpha = args.alpha
-    if args.prop == "nb-mixture":
-        mixture(alpha, args.p1, [args.p2])
-        points(alpha, args.p1 * args.p2)
-    elif args.prop == "gamma-single":
-        beta_big = args.common_beta if args.common_beta is not None else 2.0 * args.beta
-        points(alpha, args.beta / beta_big)
-    else:
-        p, direct = _coupled_pair(args, "negbin" if args.prop == "nb-pair" else "gamma")
-        c0, lam = args.c0, args.lam2
-        if args.prop == "nb-pair":
-            mixture(alpha, p, [c0 + lam, c0 - lam])
-            for s in direct.scales:
-                points(alpha, s)
-        else:
-            beta = c0 + lam  # the common rate of coupled_gamma_pair_cdf
-            mixture(alpha, p, [(c0 + lam) / beta, (c0 - lam) / beta])
-            points(alpha, min(direct.scales) / max(direct.scales))
+def _mixture_points(args, cap: float, alpha: float, p: float, successes) -> None:
+    """Reject a mixture over a latent (shape ``alpha``, success ``p``) whose
+    conditional lattices could pass ``MIXTURE_POINTS`` together.  The bound
+    grows with the shape, so they are bounded at the largest latent shape."""
+    n = _nb_points(args, cap, alpha, p)
+    total = n * sum(_nb_points(args, cap, alpha + n, s) for s in successes)
+    if total > MIXTURE_POINTS:
+        raise InputError(
+            f"{args.prop} mixes up to {total:.3g} conditional lattice points, "
+            f"beyond {MIXTURE_POINTS}"
+        )
 
 
-def _coupled_pair(args, family: str):
-    """Latent success probability and direct spec of a coupled-pair identity."""
+def _check_coupled_pair(args) -> float:
+    """Check a coupled pair's centre and spreads, and return its latent
+    success probability: valid only when the mixture side carries the smaller
+    rate spread."""
+    for flag in ("--c0", "--lam1", "--lam2"):
+        _check_scale(flag, getattr(args, flag[2:]))
+    if not args.lam2 < args.lam1 < args.c0:
+        raise InputError("need lam2 < lam1 < c0")
     c0, l_big, l_small = args.c0, args.lam1, args.lam2
-    p = (c0**2 - l_big**2) / (c0**2 - l_small**2)
-    return p, spec(family, (args.alpha, args.alpha), (c0 + l_big, c0 - l_big))
+    return (c0**2 - l_big**2) / (c0**2 - l_small**2)
 
 
-def _identity_residual(args, cap: float) -> float:
-    """L-infinity residual of the requested mixture identity at truncation."""
-    if args.prop == "nb-mixture":
-        latent = shifted_nb_pmf(NegBinParams(args.alpha, args.p1), cap)
-        lhs = shape_mixture_pmf(latent, args.p2, cap)
-        rhs = shifted_nb_pmf(NegBinParams(args.alpha, args.p1 * args.p2), cap)
-        return _pmf_residual(lhs, rhs)
-    if args.prop == "nb-pair":
-        p, direct = _coupled_pair(args, "negbin")
-        lhs = coupled_pair_mixture_pmf(args.alpha, args.c0, args.lam2, p, cap)
-        rhs = nb_convolution(direct, cap, shifted=True)
-        return _pmf_residual(lhs, rhs)
-    if args.prop == "gamma-single":
-        beta_small = args.beta
-        beta_big = args.common_beta if args.common_beta is not None else 2.0 * beta_small
-        g = spec("gamma", (args.alpha,), (beta_small,))
-        grid = default_gamma_grid([g], args.grid_size)
-        mix = gamma_convolution_cdf(g, grid, cap, common_beta=beta_big)
-        direct = reg_lower_incomplete_gamma(args.alpha, beta_small * grid)
-        return float(np.max(np.abs(mix.values - direct)))
-    if args.prop == "gamma-pair":
-        p, g = _coupled_pair(args, "gamma")
-        grid = default_gamma_grid([g], args.grid_size)
-        lhs = coupled_gamma_pair_cdf(args.alpha, args.c0, args.lam2, p, grid, cap)
-        rhs = gamma_convolution_cdf(g, grid, cap)
-        return float(np.max(np.abs(lhs.values - rhs.values)))
-    raise ValueError(f"unknown identity {args.prop!r}")
+# Each identity checks the arguments it reads, then bounds its lattices, then
+# returns the L-infinity residual of its two sides at truncation.
+
+
+def _nb_mixture(args, cap: float) -> float:
+    _check_probability("--p1", args.p1)
+    _check_probability("--p2", args.p2)
+    _mixture_points(args, cap, args.alpha, args.p1, [args.p2])
+    _nb_points(args, cap, args.alpha, args.p1 * args.p2)
+    latent = shifted_nb_pmf(NegBinParams(args.alpha, args.p1), cap)
+    lhs = shape_mixture_pmf(latent, args.p2, cap)
+    rhs = shifted_nb_pmf(NegBinParams(args.alpha, args.p1 * args.p2), cap)
+    return _pmf_residual(lhs, rhs)
+
+
+def _nb_pair(args, cap: float) -> float:
+    p = _check_coupled_pair(args)
+    c0, lam1, lam2 = args.c0, args.lam1, args.lam2
+    if not c0 + lam1 < 1:
+        raise InputError("nb-pair success probabilities c0 +/- lam1 need c0 + lam1 < 1")
+    direct = spec("negbin", (args.alpha, args.alpha), (c0 + lam1, c0 - lam1))
+    _mixture_points(args, cap, args.alpha, p, [c0 + lam2, c0 - lam2])
+    for s in direct.scales:
+        _nb_points(args, cap, args.alpha, s)
+    lhs = coupled_pair_mixture_pmf(args.alpha, c0, lam2, p, cap)
+    rhs = nb_convolution(direct, cap, shifted=True)
+    return _pmf_residual(lhs, rhs)
+
+
+def _gamma_single(args, cap: float) -> float:
+    _check_scale("--beta", args.beta)
+    beta_big = 2.0 * args.beta
+    if args.common_beta is not None:
+        _check_scale("--common-beta", args.common_beta)
+        if not args.beta < args.common_beta:
+            raise InputError("--common-beta must exceed --beta")
+        beta_big = args.common_beta
+    _check_grid_size(args)
+    _nb_points(args, cap, args.alpha, args.beta / beta_big)
+    g = spec("gamma", (args.alpha,), (args.beta,))
+    grid = default_gamma_grid([g], args.grid_size)
+    mix = gamma_convolution_cdf(g, grid, cap, common_beta=beta_big)
+    direct = special.gammainc(args.alpha, args.beta * grid)
+    return float(np.max(np.abs(mix.values - direct)))
+
+
+def _gamma_pair(args, cap: float) -> float:
+    p = _check_coupled_pair(args)
+    _check_grid_size(args)
+    c0, lam1, lam2 = args.c0, args.lam1, args.lam2
+    direct = spec("gamma", (args.alpha, args.alpha), (c0 + lam1, c0 - lam1))
+    beta = c0 + lam2  # the common rate of coupled_gamma_pair_cdf
+    _mixture_points(args, cap, args.alpha, p, [(c0 + lam2) / beta, (c0 - lam2) / beta])
+    _nb_points(args, cap, args.alpha, min(direct.scales) / max(direct.scales))
+    grid = default_gamma_grid([direct], args.grid_size)
+    lhs = coupled_gamma_pair_cdf(args.alpha, c0, lam2, p, grid, cap)
+    rhs = gamma_convolution_cdf(direct, grid, cap)
+    return float(np.max(np.abs(lhs.values - rhs.values)))
+
+
+_IDENTITIES = {
+    "nb-mixture": _nb_mixture,
+    "nb-pair": _nb_pair,
+    "gamma-single": _gamma_single,
+    "gamma-pair": _gamma_pair,
+}
 
 
 def _pmf_residual(a, b) -> float:
@@ -338,9 +337,8 @@ def _pmf_residual(a, b) -> float:
 
 def _cmd_identity(args) -> int:
     cap, tol = _tail_cap(args), _tol(args)
-    _check_identity_args(args)
-    _check_lattice_demand(args, cap)
-    residual = _identity_residual(args, cap)
+    _check_positive("--alpha", args.alpha)
+    residual = _IDENTITIES[args.prop](args, cap)
     print(
         json.dumps(
             {"v": 1, "prop": args.prop, "residual": residual, "tail_cap": cap},
@@ -407,9 +405,10 @@ def _cmd_harness(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    if args.budget < 1:
-        raise InputError(f"--budget must be at least 1, got {args.budget}")
-    found = explore_counterexamples(args.budget, args.seed)
+    budget = _budget(args)
+    if args.seed < 0:
+        raise InputError(f"--seed must be nonnegative, got {args.seed}")
+    found = explore_counterexamples(budget, args.seed)
     for c in found:
         print(json.dumps(c, sort_keys=True))
     if args.output:
@@ -429,9 +428,8 @@ def _cmd_export_survival(args) -> int:
     _check_grid_size(args)
     if s.family == "negbin":
         pmf = nb_convolution(s, cap)
-        suffix = np.concatenate([np.cumsum(pmf.probs[::-1])[::-1], [0.0]])
         points = pmf.support
-        values = suffix[: pmf.probs.size]
+        values = pmf.survival[:-1]
         errors = np.full(points.size, pmf.tail_bound)
     else:
         grid = default_gamma_grid([s], args.grid_size)
@@ -457,14 +455,14 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tail-cap", type=float, default=None, dest="tail_cap")
+        sp.add_argument("--tail-cap", type=float, default=DEFAULT_TAIL_CAP)
         sp.add_argument("--tol", type=float, default=1e-9)
 
     co = sub.add_parser("check-order", help="decide the parameter-level order")
     co.add_argument("pair_file")
     co.add_argument("--order", choices=("conv", "st"), default="conv")
     co.add_argument("--mode", choices=("strict", "weak"), default="weak")
-    co.add_argument("--budget", type=int, default=4000)
+    co.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     co.add_argument("--emit-witness", metavar="PATH")
     co.add_argument("--verify-witness", metavar="PATH")
     co.set_defaults(func=_cmd_check_order)
@@ -472,7 +470,7 @@ def _build_parser() -> _Parser:
     ve = sub.add_parser("verify", help="parameter order plus numeric certificate")
     ve.add_argument("pair_file")
     ve.add_argument("--order", choices=("conv", "st"), required=True)
-    ve.add_argument("--budget", type=int, default=4000)
+    ve.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     ve.add_argument("--emit-witness", metavar="PATH")
     ve.add_argument("--output", metavar="REPORT_JSONL")
     common(ve)
@@ -490,11 +488,7 @@ def _build_parser() -> _Parser:
             f"{MIXTURE_POINTS} points together."
         ),
     )
-    idn.add_argument(
-        "--prop",
-        choices=("nb-mixture", "nb-pair", "gamma-single", "gamma-pair"),
-        required=True,
-    )
+    idn.add_argument("--prop", choices=tuple(_IDENTITIES), required=True)
     idn.add_argument("--alpha", type=float, default=1.0)
     idn.add_argument("--p1", type=float, default=0.5)
     idn.add_argument("--p2", type=float, default=0.4)
@@ -541,7 +535,7 @@ def _build_parser() -> _Parser:
     es.add_argument("spec_file")
     es.add_argument("--output", required=True)
     es.add_argument("--grid-size", type=int, default=256)
-    es.add_argument("--tail-cap", type=float, default=None, dest="tail_cap")
+    es.add_argument("--tail-cap", type=float, default=DEFAULT_TAIL_CAP)
     es.set_defaults(func=_cmd_export_survival)
 
     return p

@@ -42,18 +42,6 @@ class NegBinParams:
 
 
 @dataclass(frozen=True)
-class GammaParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"shape must be positive, got {self.alpha}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"rate must be positive, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class ConvolutionSpec:
     """Independent sum of ``n`` gamma or negative binomial components.
 
@@ -75,7 +63,10 @@ class ConvolutionSpec:
                 NegBinParams(a, p)
         else:
             for a, b in zip(self.shapes, self.scales):
-                GammaParams(a, b)
+                if not (a > 0 and math.isfinite(a)):
+                    raise ValueError(f"shape must be positive, got {a}")
+                if not (b > 0 and math.isfinite(b)):
+                    raise ValueError(f"rate must be positive, got {b}")
 
     @property
     def n(self) -> int:
@@ -129,6 +120,12 @@ class TruncatedPMF:
     @property
     def support(self) -> np.ndarray:
         return self.offset + np.arange(self.probs.size)
+
+    @property
+    def survival(self) -> np.ndarray:
+        """Listed mass at or above ``offset + k`` for ``k = 0..K+1``: the
+        suffix sums of ``probs``, then 0."""
+        return np.concatenate([np.cumsum(self.probs[::-1])[::-1], [0.0]])
 
 
 @dataclass(frozen=True)
@@ -308,13 +305,6 @@ def nb_convolution(
     return out
 
 
-def pgf_eval(params: NegBinParams, t: float) -> float:
-    """Probability generating function of the shifted variable."""
-    if not 0 < t < 1.0 / params.q:
-        raise ValueError(f"t={t} outside (0, {1.0 / params.q})")
-    return (params.p / (1.0 / t - params.q)) ** params.alpha
-
-
 # ---------------------------------------------------------------------------
 # Deconvolution (convolution-order oracle)
 
@@ -413,14 +403,17 @@ def deconvolve(
             detail={"reason": "coefficient sum outside certified range", "sum": total},
         )
     err = result.error_bounds
-    strong = z < -np.maximum(tol, err)
-    worst = int(np.argmin(z + np.maximum(tol, err)))
+    slack = np.maximum(tol, err)
+    refuted = bool(np.any(z < -slack))
+    # a refutation names the coefficient furthest below its slack; an unknown,
+    # whose negative coefficients are all within their slack, the most negative
+    worst = int(np.argmin(z + slack if refuted else z))
     record = {
         "index": worst,
         "coeff": float(z[worst]),
         "error_bound": float(err[worst]),
     }
-    if strong.any():
+    if refuted:
         return result, OrderVerdict(Status.REFUTED, violation=record)
     return result, OrderVerdict(
         Status.UNKNOWN, detail={"reason": "negativity within error bounds", **record}
@@ -525,17 +518,6 @@ def coupled_gamma_pair_cdf(
 
 # ---------------------------------------------------------------------------
 # Gamma convolutions via the latent-shape mixture
-
-
-def reg_lower_incomplete_gamma(a, x):
-    """Regularized lower incomplete gamma function P(a, x)."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(a <= 0):
-        raise ValueError("shape argument must be positive")
-    if np.any(x < 0):
-        raise ValueError("point argument must be nonnegative")
-    return special.gammainc(a, x)
 
 
 # Rounding allowance, in units of eps, for each elementary function in the
@@ -674,10 +656,9 @@ def survival_dominance_check(d1, d2, tol: float = 1e-9) -> OrderVerdict:
         points = np.unique(np.concatenate([d1.support, d2.support]))
 
         def survivals(d: TruncatedPMF) -> np.ndarray:
-            suffix = np.concatenate([np.cumsum(d.probs[::-1])[::-1], [0.0]])
             idx = np.ceil(points - d.offset - 1e-12).astype(int)
             idx = np.clip(idx, 0, d.probs.size)
-            return suffix[idx]
+            return d.survival[idx]
 
         s1, s2 = survivals(d1), survivals(d2)
         err = d1.tail_bound + d2.tail_bound
@@ -704,23 +685,6 @@ def survival_dominance_check(d1, d2, tol: float = 1e-9) -> OrderVerdict:
     return OrderVerdict(
         Status.UNKNOWN, detail={"reason": "violations within error bounds", **record}
     )
-
-
-def lr_monotone_check(d1: TruncatedPMF, d2: TruncatedPMF, rel_tol: float = 1e-9) -> bool:
-    """True iff the mass ratio d2/d1 is nondecreasing on the shared lattice."""
-    if abs(d1.offset - d2.offset) > 1e-12:
-        raise ValueError("lr comparison requires a shared lattice")
-    n = min(d1.probs.size, d2.probs.size)
-    floor = max(d1.probs.max(), d2.probs.max()) * 1e-13
-    ratio = None
-    for k in range(n):
-        if d1.probs[k] <= floor or d2.probs[k] <= floor:
-            continue
-        r = d2.probs[k] / d1.probs[k]
-        if ratio is not None and r < ratio * (1.0 - rel_tol) - 1e-15:
-            return False
-        ratio = r
-    return True
 
 
 def mc_sampler(s: ConvolutionSpec, n: int, seed: int) -> np.ndarray:

@@ -16,21 +16,19 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from stochord.arrangement import check_arrangement_leq, pair
+from stochord.arrangement import pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
     ConvolutionSpec,
-    NegBinParams,
     deconvolve,
     default_gamma_grid,
     gamma_convolution_cdf,
     nb_convolution,
-    shape_mixture_pmf,
-    shifted_nb_pmf,
     spec,
     survival_dominance_check,
 )
 from stochord.rc_order import (
+    DEFAULT_SEARCH_BUDGET,
     ElementaryMove,
     MoveKind,
     RcChain,
@@ -472,7 +470,7 @@ def verify_theorem_instance(
     seed: Optional[int] = None,
     tail_cap: float = DEFAULT_TAIL_CAP,
     tol: float = 1e-9,
-    budget: int = 4000,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     emit_witness: bool = False,
 ) -> Report:
     if order not in ("conv", "st"):
@@ -516,25 +514,6 @@ def _jsonable(obj):
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return str(obj)
-
-
-def check_ai_tail(
-    shapes1, lambdas1, c: float, shapes2, lambdas2, tol: float = 1e-9
-) -> bool:
-    """Certify that the tail beyond ``c`` of a weighted standard-gamma sum
-    respects the arrangement order of (shapes, weights)."""
-    if c <= 0 or any(l <= 0 for l in lambdas1) or any(l <= 0 for l in lambdas2):
-        raise ValueError("threshold and weights must be positive")
-    leq = check_arrangement_leq(pair(shapes1, lambdas1), pair(shapes2, lambdas2))
-    if not leq.holds:
-        raise ValueError("pairs are not arrangement ordered")
-    grid = np.array([c])
-    tails = []
-    for shapes, lambdas in ((shapes1, lambdas1), (shapes2, lambdas2)):
-        s = spec("gamma", shapes, tuple(1.0 / l for l in lambdas))
-        g = gamma_convolution_cdf(s, grid)
-        tails.append(1.0 - float(g.values[0]))
-    return tails[0] <= tails[1] + tol + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -605,25 +584,3 @@ def reverify_candidate(candidate: dict) -> bool:
     if not log_order.holds or not verify_rc_chain(log_order.witness):
         return False
     return numeric_conv_check(s1, s2).refuted
-
-
-# Mixture-monotonicity scenario helper (latent comparison lifted through the
-# monotone-likelihood-ratio family in the shape parameter).
-def mixture_st_instance(
-    rng_or_seed, tail_cap: float = DEFAULT_TAIL_CAP
-) -> tuple[OrderVerdict, dict]:
-    rng = (
-        rng_or_seed
-        if isinstance(rng_or_seed, np.random.Generator)
-        else np.random.default_rng(rng_or_seed)
-    )
-    alpha = float(rng.uniform(0.3, 2.0))
-    p_mix = float(rng.uniform(0.3, 0.9))
-    p2 = float(rng.uniform(0.3, 0.8))
-    p1 = p2 + float(rng.uniform(0.02, 0.95 - p2 - 0.02))
-    lat1 = shifted_nb_pmf(NegBinParams(alpha, p1), tail_cap)
-    lat2 = shifted_nb_pmf(NegBinParams(alpha, p2), tail_cap)
-    y1 = shape_mixture_pmf(lat1, p_mix, tail_cap)
-    y2 = shape_mixture_pmf(lat2, p_mix, tail_cap)
-    verdict = survival_dominance_check(y1, y2)
-    return verdict, {"alpha": alpha, "p_mix": p_mix, "p_latents": [p1, p2]}

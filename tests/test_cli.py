@@ -93,10 +93,9 @@ class TestIdentity:
         assert out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
 
-    def test_parameter_box_within_lattice_limits(self):
+    def test_parameter_box_within_lattice_limits(self, capsys):
         # the box the identities are stated in, as the benchmark draws it
         rng = np.random.default_rng(7)
-        parser = cli._build_parser()
         for i in range(2000):
             prop = ("nb-mixture", "nb-pair", "gamma-single", "gamma-pair")[i % 4]
             argv = ["identity", "--prop", prop, "--alpha", repr(rng.uniform(0.3, 2.5))]
@@ -109,9 +108,8 @@ class TestIdentity:
                 lam1 = rng.uniform(0.1, 0.4) * c0
                 lam2 = rng.uniform(0.1, 0.9) * lam1
                 argv += ["--c0", repr(c0), "--lam1", repr(lam1), "--lam2", repr(lam2)]
-            args = parser.parse_args(argv)
-            cli._check_identity_args(args)
-            cli._check_lattice_demand(args, 1e-12)
+            assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
 
     def test_invalid_spread_ordering(self):
         assert (
@@ -289,6 +287,8 @@ class TestErrorHandling:
             ["identity", "--prop", "nb-pair", "--c0", "0.8"],  # c0 + lam1 > 1
             ["identity", "--prop", "gamma-pair", "--c0", "1e-300", "--lam1", "1e-301",
              "--lam2", "1e-302"],
+            ["identity", "--prop", "nb-mixture", "--tail-cap", "2"],
+            ["harness", "--tail-cap", "0"],
             ["harness", "--n", "0"],
             ["harness", "--n", "7"],
             ["harness", "--n", "1"],  # MajorizeBeta moves two components
@@ -301,6 +301,22 @@ class TestErrorHandling:
     def test_invalid_argument_is_input_error(self, argv, capsys):
         assert main(argv) == EX_DATAERR
         assert capsys.readouterr().out == ""  # rejected before any computation
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-order", "{pair}", "--budget", "0"],
+            ["verify", "{pair}", "--order", "conv", "--budget", "-3"],
+            ["explore", "--budget", "0"],
+            ["explore", "--budget", "1", "--seed", "-1"],
+        ],
+        ids=["check-order-budget", "verify-budget", "explore-budget", "explore-seed"],
+    )
+    def test_budget_and_seed_are_input_errors(self, argv, pair_file, capsys):
+        argv = [a.format(pair=pair_file) for a in argv]
+        assert main(argv) == EX_DATAERR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: --")
 
     @pytest.mark.parametrize(
         "argv",
@@ -354,15 +370,13 @@ class TestErrorHandling:
         assert main(["identity", "--prop", "gamma-single", "--common-beta", "1.0"]) == EX_DATAERR
         assert main(["identity", "--prop", "gamma-single"]) == 0
 
-    def test_tail_cap_env_override(self, tmp_path, monkeypatch, capsys):
+    def test_tail_cap_env_ignored(self, tmp_path, monkeypatch, capsys):
+        # only --tail-cap sets the cap
         s = {"family": "negbin", "shapes": [1.0], "scales": [0.5]}
         path = tmp_path / "eq.json"
         path.write_text(json.dumps({"config1": s, "config2": s}))
-        monkeypatch.setenv("STOCHORD_TAIL_CAP", "1e-8")
-        assert main(["verify", str(path), "--order", "conv"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["tolerances"]["tail_cap"] == 1e-8
-
-    def test_invalid_tail_cap_rejected(self, pair_file, monkeypatch):
-        monkeypatch.setenv("STOCHORD_TAIL_CAP", "2.0")
-        assert main(["verify", pair_file, "--order", "conv"]) == EX_DATAERR
+        for value in ("1e-8", "abc"):
+            monkeypatch.setenv("STOCHORD_TAIL_CAP", value)
+            assert main(["verify", str(path), "--order", "conv"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["tolerances"]["tail_cap"] == 1e-12

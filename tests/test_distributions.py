@@ -24,14 +24,11 @@ from stochord.distributions import (
     export_curve_csv,
     gamma_convolution_cdf,
     gamma_latent,
-    lr_monotone_check,
     mc_sampler,
     nb_convolution,
     nb_lattice_points,
     nb_pmf,
-    pgf_eval,
     point_mass,
-    reg_lower_incomplete_gamma,
     shape_mixture_pmf,
     shifted_nb_pmf,
     spec,
@@ -135,14 +132,16 @@ class TestNegBinPmf:
             nb_pmf(NegBinParams(1.0, 0.5), tail_cap=0.0)
 
     def test_pgf_matches_series(self):
-        params = NegBinParams(0.8, 0.4)
-        assert pgf_eval(params, 0.5) == pytest.approx(0.3670671877495541, rel=1e-14)
-        pmf = shifted_nb_pmf(params, 1e-14)
-        t = 0.7
-        series = t**params.alpha * float(
-            np.dot(pmf.probs, t ** np.arange(pmf.probs.size))
-        )
-        assert pgf_eval(params, t) == pytest.approx(series, abs=1e-12)
+        alpha, p = 0.8, 0.4
+
+        def pgf(t):  # closed form for the shifted variable
+            return (p / (1.0 / t - (1.0 - p))) ** alpha
+
+        assert pgf(0.5) == pytest.approx(0.3670671877495541, rel=1e-14)
+        pmf = shifted_nb_pmf(NegBinParams(alpha, p), 1e-14)
+        for t in (0.5, 0.7):
+            series = t**alpha * float(np.dot(pmf.probs, t ** np.arange(pmf.probs.size)))
+            assert series == pytest.approx(pgf(t), abs=1e-12)
 
 
 class TestConvolution:
@@ -203,10 +202,12 @@ def _reference_deconvolve(f2, f1, tol=1e-9):
         detail = {"reason": "coefficient sum outside certified range", "sum": total}
         return result, OrderVerdict(Status.UNKNOWN, detail=detail)
     strong = z < -np.maximum(tol, err)
-    worst = int(np.argmin(z + np.maximum(tol, err)))
-    record = {"index": worst, "coeff": float(z[worst]), "error_bound": float(err[worst])}
     if strong.any():
+        worst = int(np.argmin(z + np.maximum(tol, err)))
+        record = {"index": worst, "coeff": float(z[worst]), "error_bound": float(err[worst])}
         return result, OrderVerdict(Status.REFUTED, violation=record)
+    worst = int(np.argmin(z))  # every negative coefficient is within its bound
+    record = {"index": worst, "coeff": float(z[worst]), "error_bound": float(err[worst])}
     detail = {"reason": "negativity within error bounds", **record}
     return result, OrderVerdict(Status.UNKNOWN, detail=detail)
 
@@ -326,6 +327,18 @@ class TestDeconvolve:
         _, verdict = deconvolve(small, large)
         assert verdict.status is Status.REFUTED
         assert verdict.violation["coeff"] < 0
+
+    def test_unknown_names_the_most_negative_coefficient(self):
+        # RaiseAlpha seed 0 at tail cap 1e-6: no coefficient is below its
+        # error bound, and the record names the most negative one
+        s1, s2 = generate_instance(Scenario(ScenarioName.RAISE_ALPHA, "negbin", 3, 0))
+        f1, f2 = nb_convolution(s1, 1e-6), nb_convolution(s2, 1e-6)
+        result, verdict = deconvolve(f2, f1, 1e-9)
+        assert verdict.status is Status.UNKNOWN
+        record = verdict.detail
+        assert record["index"] == int(np.argmin(result.coeffs))
+        assert record["coeff"] < -1e-9
+        assert record["coeff"] + record["error_bound"] >= 0
 
     def test_offset_ordering_enforced(self):
         f1 = shifted_nb_pmf(NegBinParams(2.0, 0.5))
@@ -499,11 +512,11 @@ class TestGammaCdf:
         assert out.values[0] == pytest.approx(0.8562221524570095, abs=1e-10)
 
     def test_incomplete_gamma_reference(self):
-        assert reg_lower_incomplete_gamma(2.4, 0.5 * 3.0) == pytest.approx(
-            0.32590948513369244, rel=1e-13
-        )
-        with pytest.raises(ValueError):
-            reg_lower_incomplete_gamma(-1.0, 1.0)
+        # P(2.4, 1.5): the CDF at 0.5 of one gamma of shape 2.4 and rate 3
+        out = gamma_convolution_cdf(spec("gamma", (2.4,), (3.0,)), np.array([0.5]))
+        assert out.values[0] == pytest.approx(0.32590948513369244, rel=1e-13)
+        with pytest.raises(ValueError, match="shape must be positive"):
+            spec("gamma", (-1.0,), (3.0,))
 
     def test_coupled_gamma_pair_matches_plain_pair(self):
         alpha, c0, l_small, l_big = 0.8, 0.5, 0.1, 0.3
@@ -620,12 +633,6 @@ class TestOrderOracles:
         with pytest.raises(ValueError):
             survival_dominance_check(a, b)
 
-    def test_lr_monotone_on_success_shift(self):
-        d1 = nb_pmf(NegBinParams(1.5, 0.6), 1e-10)
-        d2 = nb_pmf(NegBinParams(1.5, 0.4), 1e-10)
-        assert lr_monotone_check(d1, d2)
-        assert not lr_monotone_check(d2, d1)
-
 
 class TestMonteCarlo:
     def test_sampler_reproducible(self):
@@ -671,6 +678,12 @@ class TestSerializationAndExport:
             spec("gamma", (1.0, 2.0), (1.0,))
         with pytest.raises(ValueError):
             spec("poisson", (1.0,), (1.0,))
+        for shapes, scales, message in (
+            ((0.0,), (1.0,), "shape must be positive, got 0.0"),
+            ((1.0,), (-2.0,), "rate must be positive, got -2.0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                spec("gamma", shapes, scales)
 
     def test_csv_round_trips_17_digits(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -3,15 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from stochord.distributions import spec
+from stochord.distributions import (
+    NegBinParams,
+    shape_mixture_pmf,
+    shifted_nb_pmf,
+    spec,
+    survival_dominance_check,
+)
 from stochord.harness import (
     MATRIX,
     Scenario,
     ScenarioName,
-    check_ai_tail,
     explore_counterexamples,
     generate_instance,
-    mixture_st_instance,
     numeric_conv_check,
     numeric_st_check,
     reverify_candidate,
@@ -171,39 +175,46 @@ class TestReports:
 
 
 class TestAiTail:
+    """Arrangement-ordered gammas with scales ``1/lambda`` are ordered in the
+    usual stochastic order, as the AITail matrix row checks them."""
+
+    @staticmethod
+    def _st(shapes, lam1, lam2):
+        s1 = spec("gamma", shapes, tuple(1.0 / l for l in lam1))
+        s2 = spec("gamma", shapes, tuple(1.0 / l for l in lam2))
+        return numeric_st_check(s1, s2).status
+
     def test_equal_constant_weights_tie(self):
-        shapes = (1.0, 2.0)
-        lam = (1.0, 1.0)
-        assert check_ai_tail(shapes, lam, 2.5, shapes, lam)
+        assert self._st((1.0, 2.0), (1.0, 1.0), (1.0, 1.0)) is Status.HOLDS
 
     def test_swap_instance_positive_margin(self):
         shapes = (1.0, 2.0)
-        lam_similar = (0.5, 1.5)
-        lam_opposite = (1.5, 0.5)
-        c = sum(a * l for a, l in zip(shapes, lam_similar))
-        assert check_ai_tail(shapes, lam_opposite, c, shapes, lam_similar)
+        assert self._st(shapes, (1.5, 0.5), (0.5, 1.5)) is Status.HOLDS
+        assert self._st(shapes, (0.5, 1.5), (1.5, 0.5)) is Status.REFUTED
 
     def test_two_transposition_chain_monotone(self):
         shapes = (1.0, 2.0, 3.0)
         bottom = (3.0, 2.0, 1.0)
         mid = (2.0, 3.0, 1.0)
         top = (1.0, 2.0, 3.0)
-        for c in (2.0, 5.0, 9.0):
-            assert check_ai_tail(shapes, bottom, c, shapes, mid)
-            assert check_ai_tail(shapes, mid, c, shapes, top)
-
-    def test_unordered_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            check_ai_tail((1.0, 2.0), (0.5, 1.5), 1.0, (1.0, 2.0), (1.5, 0.5))
-        with pytest.raises(ValueError):
-            check_ai_tail((1.0,), (1.0,), -1.0, (1.0,), (1.0,))
+        assert self._st(shapes, bottom, mid) is Status.HOLDS
+        assert self._st(shapes, mid, top) is Status.HOLDS
 
 
 class TestMixtureLemma:
     def test_ordered_latents_give_ordered_mixtures(self):
+        # shape mixtures over stochastically ordered latent shapes are ordered
         for seed in range(5):
-            verdict, meta = mixture_st_instance(seed)
-            assert verdict.status is Status.HOLDS, meta
+            rng = np.random.default_rng(seed)
+            alpha = float(rng.uniform(0.3, 2.0))
+            p_mix = float(rng.uniform(0.3, 0.9))
+            p2 = float(rng.uniform(0.3, 0.8))
+            p1 = p2 + float(rng.uniform(0.02, 0.95 - p2 - 0.02))
+            y1, y2 = (
+                shape_mixture_pmf(shifted_nb_pmf(NegBinParams(alpha, p)), p_mix)
+                for p in (p1, p2)
+            )
+            assert survival_dominance_check(y1, y2).status is Status.HOLDS, seed
 
 
 class TestExplorer:
