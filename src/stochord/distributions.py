@@ -22,7 +22,16 @@ from stochord.verdicts import OrderVerdict, Status
 
 DEFAULT_TAIL_CAP = 1e-12
 MAX_LATTICE = 2_000_000
+# The conditional lattices of a mixture are held all at once: the rows of one
+# ``_nb_rows`` call keep at most this many points together (400 MB).
+MIXTURE_POINTS = 25 * MAX_LATTICE
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+class LatticeLimitError(Exception):
+    """An input asks for a lattice past the limits that ``_nb_rows`` and
+    ``convolve`` enforce: the input is at fault, not the program."""
 
 
 @dataclass(frozen=True)
@@ -181,12 +190,18 @@ def _nb_rows(shapes, p: float, tail_cap: float) -> list[tuple[np.ndarray, float]
     All rows share one lattice size, doubled until every row has a cut; a
     row's prefix does not depend on the size, so neither does its cut.  A
     block of rows holds at most ``MAX_LATTICE // 2`` floats per array, less
-    than one lattice of the largest size."""
+    than one lattice of the largest size.
+
+    Raises ``LatticeLimitError`` when a first term ``p**alpha`` is below the
+    normal floats (the running products, up to its inverse, would overflow),
+    a row has no cut at the largest size within ``MAX_LATTICE``, or the rows
+    keep more than ``MIXTURE_POINTS`` points together."""
     q = 1.0 - p
     shapes = [float(a) for a in shapes]
     out = [None] * len(shapes)
     todo = list(range(len(shapes)))  # rows without a cut, and their shapes
     size = 128
+    kept = 0
     while todo:
         index = _cached_lattice_index if size <= _CACHED_INDEX else _lattice_index
         k, den, m1 = index(size)
@@ -194,14 +209,19 @@ def _nb_rows(shapes, p: float, tail_cap: float) -> list[tuple[np.ndarray, float]
         missing = []
         for lo in range(0, len(todo), rows):
             alpha = shapes[lo : lo + rows]
+            # scalar powers: numpy's array power can differ in the last bit
+            heads = [p**s for s in alpha]
+            if min(heads) < _TINY:
+                raise LatticeLimitError(
+                    f"a negative binomial lattice (shape {max(alpha):g}, success {p:g}) "
+                    "starts below the normal floats"
+                )
             if len(alpha) == 1:
                 # numpy broadcasts a scalar faster than a column, and most
                 # callers ask for one row
-                a, head = alpha[0], p ** alpha[0]
+                a, head = alpha[0], heads[0]
             else:
-                a = np.array(alpha)[:, None]
-                # scalar powers: numpy's array power can differ in the last bit
-                head = np.array([[p**s] for s in alpha])
+                a, head = np.array(alpha)[:, None], np.array(heads)[:, None]
             x = k + a
             # column j >= 1 holds the ratio q (j - 1 + alpha) / j; column 0
             # is 1, so the running product is the PMF over its first term
@@ -221,47 +241,23 @@ def _nb_rows(shapes, p: float, tail_cap: float) -> list[tuple[np.ndarray, float]
             for j, cut in enumerate(ok.argmax(axis=1).tolist(), lo):
                 if ok[j - lo, cut]:
                     out[todo[j]] = probs[j - lo, : cut + 1].copy(), float(bound[j - lo, cut])
+                    kept += cut + 1
                 else:
                     missing.append(j)
+            if kept > MIXTURE_POINTS:
+                raise LatticeLimitError(
+                    f"negative binomial lattices at success {p:g} keep over "
+                    f"{MIXTURE_POINTS} points together"
+                )
         todo = [todo[j] for j in missing]
         shapes = [shapes[j] for j in missing]
         size *= 2
         if todo and size > MAX_LATTICE:
-            raise RuntimeError(f"lattice size limit exceeded for alpha={shapes[0]}, p={p}")
+            raise LatticeLimitError(
+                f"a negative binomial lattice (shape {shapes[0]:g}, success {p:g}) "
+                f"needs over {size // 2 + 1} points"
+            )
     return out
-
-
-# -ln of the smallest normal float.  A lattice whose first term p**alpha stays
-# above it keeps every running product of the recurrence, at most
-# 1 / p**alpha, finite.
-_LOG_TINY = -math.log(np.finfo(float).tiny)
-# Chernoff parameters for ``nb_lattice_points``: values near 0 suit a lattice
-# whose length is its geometric tail, values near 1 one whose length is its
-# mean.
-_THETA = np.concatenate([2.0 ** -np.arange(1, 7), 1.0 - 2.0 ** -np.arange(2, 11)])
-_NEG_LOG_THETA = -np.log(_THETA)
-
-
-def nb_lattice_points(alpha: float, p: float, tail_cap: float) -> float:
-    """Upper bound on the number of points ``nb_pmf`` keeps for shape
-    ``alpha`` and success probability ``p``; ``inf`` where the first term
-    ``p**alpha`` is not a normal float, so the recurrence cannot run.
-
-    Past ``m0 = 2 q (alpha - 1) / p`` the ratio bound ``r`` is at most
-    ``1 - p/2``, so the lattice is cut by the first such ``m`` whose mass is at
-    most ``p * tail_cap / 4`` (half the cap left for rounding).  For any
-    ``theta`` in (0, 1), ``P(X = m) <= P(X >= m) <= theta**-alpha s**-m`` with
-    ``s = (1 - p theta) / q`` (Markov's inequality on ``s**X``), which bounds
-    that ``m``; the least bound over ``_THETA`` is taken."""
-    if p == 1.0:
-        return 1.0
-    if alpha * -math.log(p) > _LOG_TINY:
-        return math.inf
-    rate = np.log1p(-p * _THETA) - math.log1p(-p)  # log s
-    need = alpha * _NEG_LOG_THETA + math.log(4.0 / (p * tail_cap))
-    m = np.divide(need, rate, out=np.full_like(rate, np.inf), where=rate > 0.0)
-    m0 = 2.0 * (1.0 - p) * max(alpha - 1.0, 0.0) / p
-    return max(m0, float(m.min())) + 2.0
 
 
 def nb_pmf(params: NegBinParams, tail_cap: float = DEFAULT_TAIL_CAP) -> TruncatedPMF:
@@ -286,9 +282,9 @@ def point_mass(offset: float = 0.0) -> TruncatedPMF:
 def convolve(a: TruncatedPMF, b: TruncatedPMF) -> TruncatedPMF:
     out_len = a.probs.size + b.probs.size - 1
     if out_len > MAX_LATTICE:
-        raise RuntimeError(f"convolution lattice too large: {out_len}")
+        raise LatticeLimitError(f"convolution lattice of {out_len} points passes {MAX_LATTICE}")
+    # a direct convolution of nonnegative arrays sums nonnegative products
     probs = np.convolve(a.probs, b.probs)
-    probs[probs < 0] = 0.0  # guard against tiny negative round-off
     return TruncatedPMF(a.offset + b.offset, probs, a.tail_bound + b.tail_bound)
 
 
@@ -640,10 +636,9 @@ def default_gamma_grid(specs, m: int = 256) -> np.ndarray:
         var = sum(a / b**2 for a, b in zip(s.shapes, s.scales))
         means.append(mean)
         uppers.append(mean + 12.0 * math.sqrt(var) + 1.0)
-    pts = np.unique(
+    return np.unique(
         np.concatenate([np.linspace(1e-9, max(uppers), m), np.asarray(means)])
     )
-    return np.sort(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ class Report:
 
     @property
     def agreed(self) -> bool:
-        return not (self.param_status == "holds" and self.numeric_status != "holds")
+        return not (self.param_status == "holds" and self.numeric_status == "refuted")
 
     def to_json_line(self) -> str:
         payload = {

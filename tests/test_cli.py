@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,12 @@ WORKED_PAIR = {
     "config1": {"family": "gamma", "shapes": [0.4, 0.6, 0.5], "scales": [2, 3, 4]},
     "config2": {"family": "gamma", "shapes": [0.7, 0.3, 0.5], "scales": [1, 3, 5]},
 }
+
+# Specs past the lattice limits: a success probability of 1e-6 (the gamma
+# latent's rate ratio) needs about 2.8e7 lattice points; 0.3**5e5 underflows.
+OVERSIZE_GAMMA = {"family": "gamma", "shapes": [1, 2], "scales": [1e-6, 1]}
+OVERSIZE_NEGBIN = {"family": "negbin", "shapes": [1], "scales": [1e-6]}
+UNDERFLOWING_NEGBIN = {"family": "negbin", "shapes": [5e5], "scales": [0.3]}
 
 
 @pytest.fixture
@@ -93,6 +100,22 @@ class TestIdentity:
         assert out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--prop", "nb-pair", "--alpha", "0.13689265003635168", "--c0",
+             "0.04813398035609379", "--lam1", "0.04590031125597965", "--lam2",
+             "0.028199174312118748"],
+            ["--prop", "nb-mixture", "--alpha", "2.2502314733270827", "--p1",
+             "6.040193154738163e-05", "--p2", "0.999987434786683"],
+        ],
+        ids=["nb-pair", "nb-mixture"],
+    )
+    def test_lattices_within_the_limits_are_built(self, argv, capsys):
+        # near the lattice limits and within them
+        assert main(["identity", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] <= 1e-9
+
     def test_parameter_box_within_lattice_limits(self, capsys):
         # the box the identities are stated in, as the benchmark draws it
         rng = np.random.default_rng(7)
@@ -145,6 +168,14 @@ class TestHarnessCommand:
             row.name.value for row in MATRIX
         ]
         assert captured.err.count("agreed 1/1, unknown 0") == len(MATRIX)
+
+    def test_numeric_unknown_is_not_a_disagreement(self, capsys):
+        argv = ["harness", "--scenario", "RaiseAlpha", "--seeds", "0..4", "--tail-cap", "1e-6"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        statuses = {json.loads(line)["numeric_status"] for line in captured.out.splitlines()}
+        assert statuses == {"unknown"}
+        assert captured.err == "RaiseAlpha negbin n=3 order=conv: agreed 5/5, unknown 5\n"
 
     def test_scenario_takes_its_matrix_order(self, capsys):
         argv = ["harness", "--scenario", "LogMajorizeBetaSt", "--seeds", "0..0"]
@@ -301,6 +332,30 @@ class TestErrorHandling:
     def test_invalid_argument_is_input_error(self, argv, capsys):
         assert main(argv) == EX_DATAERR
         assert capsys.readouterr().out == ""  # rejected before any computation
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            (["verify", "--order", "st"], OVERSIZE_GAMMA),
+            (["verify", "--order", "conv"], UNDERFLOWING_NEGBIN),
+            (["export-survival", "--output", "{out}"], OVERSIZE_NEGBIN),
+            (["export-survival", "--output", "{out}"], UNDERFLOWING_NEGBIN),
+        ],
+        ids=["verify-size", "verify-underflow", "export-size", "export-underflow"],
+    )
+    def test_lattice_limit_on_any_subcommand(self, command, spec, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        path = tmp_path / "input.json"
+        data = {"config1": spec, "config2": spec} if command[0] == "verify" else spec
+        path.write_text(json.dumps(data))
+        argv = [command[0], str(path), *(a.format(out=out) for a in command[1:])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EX_DATAERR
+        assert caught == [] and not out.exists()
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("input error: ") and stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

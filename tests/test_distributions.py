@@ -12,6 +12,7 @@ from stochord.distributions import (
     MAX_LATTICE,
     CdfGrid,
     ConvolutionSpec,
+    LatticeLimitError,
     NegBinParams,
     TruncatedPMF,
     _gamma_mixture_cdf,
@@ -26,7 +27,6 @@ from stochord.distributions import (
     gamma_latent,
     mc_sampler,
     nb_convolution,
-    nb_lattice_points,
     nb_pmf,
     point_mass,
     shape_mixture_pmf,
@@ -105,17 +105,37 @@ class TestNegBinPmf:
         assert pmf.probs.sum() + pmf.tail_bound > 1 + 1e-9
         assert pmf.tail_bound <= 1e-8
 
-    def test_lattice_points_bound_the_kept_lattice(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            alpha = float(np.exp(rng.uniform(np.log(0.05), np.log(2000))))
-            p = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.999999))))
-            cap = float(10 ** rng.uniform(-14, -6))
-            bound = nb_lattice_points(alpha, p, cap)
-            if bound <= 50_000:
-                assert nb_pmf(NegBinParams(alpha, p), cap).probs.size <= bound
-        assert nb_lattice_points(1e7, 0.5, 1e-12) == math.inf  # p**alpha underflows
-        assert nb_lattice_points(3.0, 1.0, 1e-12) == 1.0
+    def test_head_below_normal_floats_is_a_lattice_limit(self):
+        # 0.3**5e5 underflows to 0, 0.5**1023 is subnormal, 0.5**1022 the
+        # smallest normal float
+        for shapes, p in [([5e5], 0.3), ([1.0, 1023.0], 0.5), ([1023.0], 0.5)]:
+            with pytest.raises(LatticeLimitError, match="normal floats"):
+                distributions._nb_rows(shapes, p, 1e-12)
+        ((probs, _),) = distributions._nb_rows([1022.0], 0.5, 1e-12)
+        assert probs[0] == 0.5**1022 and np.all(np.isfinite(probs))
+
+    def test_size_past_max_lattice_is_a_lattice_limit(self):
+        with pytest.raises(LatticeLimitError, match="needs over 1048577 points"):
+            distributions._nb_rows([0.5, 1.0], 1e-6, 1e-12)
+
+    def test_kept_points_past_mixture_points_is_a_lattice_limit(self, monkeypatch):
+        # blocks of three rows at the first size and of one row after it;
+        # each row keeps about 255 points, within the size limit, but 200
+        # rows together pass the kept-points limit
+        monkeypatch.setattr(distributions, "MAX_LATTICE", 1000)
+        monkeypatch.setattr(distributions, "MIXTURE_POINTS", 25 * 1000)
+        shapes = [50.0 + h for h in range(5)]
+        rows = distributions._nb_rows(shapes * 4, 0.35, 1e-12)
+        assert sum(probs.size for probs, _ in rows) < 25 * 1000 / 4
+        with pytest.raises(LatticeLimitError, match="keep over 25000 points"):
+            distributions._nb_rows(shapes * 40, 0.35, 1e-12)
+
+    def test_convolution_past_max_lattice_is_a_lattice_limit(self, monkeypatch):
+        monkeypatch.setattr(distributions, "MAX_LATTICE", 1000)
+        a = TruncatedPMF(0.0, np.full(600, 1 / 600), 0.0)
+        assert convolve(a, point_mass()).probs.size == 600
+        with pytest.raises(LatticeLimitError, match="1199 points passes 1000"):
+            convolve(a, a)
 
     def test_shifted_variant_only_moves_offset(self):
         base = nb_pmf(NegBinParams(1.7, 0.6))
