@@ -221,8 +221,7 @@ def _check_coupled_pair(args) -> float:
         _check_scale(flag, getattr(args, flag[2:]))
     if not args.lam2 < args.lam1 < args.c0:
         raise InputError("need lam2 < lam1 < c0")
-    c0, l_big, l_small = args.c0, args.lam1, args.lam2
-    return (c0**2 - l_big**2) / (c0**2 - l_small**2)
+    return (args.c0**2 - args.lam1**2) / (args.c0**2 - args.lam2**2)
 
 
 # Each identity checks the arguments it reads, then returns the L-infinity
@@ -299,12 +298,8 @@ def _cmd_identity(args) -> int:
     cap, tol = _tail_cap(args), _tol(args)
     _check_positive("--alpha", args.alpha)
     residual = _IDENTITIES[args.prop](args, cap)
-    print(
-        json.dumps(
-            {"v": 1, "prop": args.prop, "residual": residual, "tail_cap": cap},
-            sort_keys=True,
-        )
-    )
+    line = {"v": 1, "prop": args.prop, "residual": residual, "tail_cap": cap}
+    print(json.dumps(line, sort_keys=True))
     return 0 if residual <= tol else 1
 
 
@@ -376,9 +371,7 @@ def _cmd_explore(args) -> int:
         lines = "".join(json.dumps(c, sort_keys=True) + "\n" for c in found)
         _write_output(args.output, _write_text, lines, "a")
     if not found:
-        print(
-            json.dumps({"v": 1, "result": "inconclusive", "budget": args.budget}),
-        )
+        print(json.dumps({"v": 1, "result": "inconclusive", "budget": budget}))
     return 0
 
 

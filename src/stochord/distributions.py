@@ -22,8 +22,8 @@ from stochord.verdicts import OrderVerdict, Status
 
 DEFAULT_TAIL_CAP = 1e-12
 MAX_LATTICE = 2_000_000
-# The conditional lattices of a mixture are held all at once: the rows of one
-# ``_nb_rows`` call keep at most this many points together (400 MB).
+# A mixture's conditional lattices, and a coupled pair's convolutions of them,
+# are held at once: together they keep at most this many points (400 MB).
 MIXTURE_POINTS = 25 * MAX_LATTICE
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -181,7 +181,9 @@ def _lattice_index(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _cached_lattice_index = functools.cache(_lattice_index)
 
 
-def _nb_rows(shapes, p: float, tail_cap: float) -> list[tuple[np.ndarray, float]]:
+def _nb_rows(
+    shapes, p: float, tail_cap: float, held: int = 0
+) -> list[tuple[np.ndarray, float]]:
     """PMF values of the negative binomials of each shape in ``shapes`` at
     success probability ``p``, by the stable ratio recurrence, each truncated
     where a geometric bound certifies its remaining mass below ``tail_cap``.
@@ -195,13 +197,13 @@ def _nb_rows(shapes, p: float, tail_cap: float) -> list[tuple[np.ndarray, float]
     Raises ``LatticeLimitError`` when a first term ``p**alpha`` is below the
     normal floats (the running products, up to its inverse, would overflow),
     a row has no cut at the largest size within ``MAX_LATTICE``, or the rows
-    keep more than ``MIXTURE_POINTS`` points together."""
+    and the ``held`` points the caller holds pass ``MIXTURE_POINTS`` together."""
     q = 1.0 - p
     shapes = [float(a) for a in shapes]
     out = [None] * len(shapes)
     todo = list(range(len(shapes)))  # rows without a cut, and their shapes
     size = 128
-    kept = 0
+    kept = held
     while todo:
         index = _cached_lattice_index if size <= _CACHED_INDEX else _lattice_index
         k, den, m1 = index(size)
@@ -279,10 +281,14 @@ def point_mass(offset: float = 0.0) -> TruncatedPMF:
     return TruncatedPMF(offset, np.array([1.0]), 0.0)
 
 
+def _check_convolution(a: np.ndarray, b: np.ndarray) -> None:
+    size = a.size + b.size - 1
+    if size > MAX_LATTICE:
+        raise LatticeLimitError(f"convolution lattice of {size} points passes {MAX_LATTICE}")
+
+
 def convolve(a: TruncatedPMF, b: TruncatedPMF) -> TruncatedPMF:
-    out_len = a.probs.size + b.probs.size - 1
-    if out_len > MAX_LATTICE:
-        raise LatticeLimitError(f"convolution lattice of {out_len} points passes {MAX_LATTICE}")
+    _check_convolution(a.probs, b.probs)
     # a direct convolution of nonnegative arrays sums nonnegative products
     probs = np.convolve(a.probs, b.probs)
     return TruncatedPMF(a.offset + b.offset, probs, a.tail_bound + b.tail_bound)
@@ -465,12 +471,14 @@ def _coupled_pair_latent(
         latent = shifted_nb_pmf(NegBinParams(alpha, p), tail_cap)
 
     def pairs(shapes):
-        return [
-            (np.convolve(hi, lo), t_hi + t_lo)
-            for (hi, t_hi), (lo, t_lo) in zip(
-                _nb_rows(shapes, s_hi, tail_cap), _nb_rows(shapes, s_lo, tail_cap)
-            )
-        ]
+        # the rows' convolutions take about as many points again, so half of
+        # MIXTURE_POINTS is held for them; the longer s_lo rows go first
+        lo_rows = _nb_rows(shapes, s_lo, tail_cap, MIXTURE_POINTS // 2)
+        held = MIXTURE_POINTS // 2 + sum(lo.size for lo, _ in lo_rows)
+        rows = list(zip(_nb_rows(shapes, s_hi, tail_cap, held), lo_rows))
+        for (hi, _), (lo, _) in rows:  # every size before any convolution
+            _check_convolution(hi, lo)
+        return [(np.convolve(hi, lo), t_hi + t_lo) for (hi, t_hi), (lo, t_lo) in rows]
 
     return _mix_over_latent(latent, 2, pairs)
 

@@ -92,6 +92,11 @@ class TestIdentity:
             ["--prop", "nb-mixture", "--alpha", "1e7"],  # p**alpha underflows
             ["--prop", "nb-mixture", "--alpha", "1", "--p1", "0.01", "--p2", "0.01"],
             ["--prop", "gamma-pair", "--c0", "0.5", "--lam1", "0.49999", "--lam2", "0.1"],
+            # 53 latent atoms whose rows at c0 - lam2 alone pass half of
+            # MIXTURE_POINTS, before any 1e6-point rows are convolved
+            ["--prop", "nb-pair", "--alpha", "4.004816636105557", "--c0",
+             "0.00012376989810438933", "--lam1", "8.807328518038702e-05", "--lam2",
+             "1.607184890682623e-06"],
         ],
     )
     def test_lattice_limit_is_input_error(self, argv, capsys):

@@ -137,6 +137,40 @@ class TestNegBinPmf:
         with pytest.raises(LatticeLimitError, match="1199 points passes 1000"):
             convolve(a, a)
 
+    def test_coupled_pair_rows_share_half_of_mixture_points(self, monkeypatch):
+        # the 124 latent shapes keep 12,361 points at success 0.65 and 8,729
+        # at 0.75: each within the limit alone, past half of it together
+        monkeypatch.setattr(distributions, "MIXTURE_POINTS", 25 * 1000)
+        latent = shifted_nb_pmf(NegBinParams(1.0, 0.2), 1e-12)
+        for s in (0.65, 0.75):
+            shape_mixture_pmf(latent, s, 1e-12)
+        with pytest.raises(LatticeLimitError, match="0.75 keep over 25000 points"):
+            coupled_pair_mixture_pmf(1.0, 0.7, 0.05, 0.2, 1e-12)
+
+    def test_coupled_pair_checks_every_convolution_before_any(self, monkeypatch):
+        # latent shapes 1..5: the pair at shape 1 convolves to 1077 points,
+        # the one at shape 2 to 1212
+        monkeypatch.setattr(distributions, "MAX_LATTICE", 1100)
+        calls = []
+        monkeypatch.setattr(np, "convolve", lambda *a: calls.append(a))
+        with pytest.raises(LatticeLimitError, match="1212 points passes 1100"):
+            coupled_pair_mixture_pmf(1.0, 0.05, 0.001, 0.999, 1e-12)
+        assert calls == []
+
+    def test_coupled_pair_builds_the_smaller_success_first(self, monkeypatch):
+        # 0.01**2000 underflows; the rows at 0.99 are never asked for
+        successes = []
+        nb_rows = distributions._nb_rows
+
+        def spy(shapes, p, *args):
+            successes.append(p)
+            return nb_rows(shapes, p, *args)
+
+        monkeypatch.setattr(distributions, "_nb_rows", spy)
+        with pytest.raises(LatticeLimitError, match="normal floats"):
+            coupled_pair_mixture_pmf(2000.0, 0.5, 0.49, 1.0, 1e-12)
+        assert successes == [0.5 - 0.49]
+
     def test_shifted_variant_only_moves_offset(self):
         base = nb_pmf(NegBinParams(1.7, 0.6))
         shifted = shifted_nb_pmf(NegBinParams(1.7, 0.6))
