@@ -4,9 +4,11 @@ and identity residual computations, emit JSON-lines reports and CSV curves.
 Exit codes mirror the three-valued verdicts: 0 Holds, 1 Refuted, 2 Unknown.
 64 flags a usage error, 65 invalid input (a malformed file, an argument out
 of range, or a distribution past the lattice limits), 70 an internal failure:
-every argument is validated before any computation, so whatever fails after
-that is the program's fault, except a lattice limit, which exits 65, and a
-failure to write a caller's output path, which exits 73.
+the range of every numeric flag is checked in one pass after parsing, before
+any subcommand runs, and the subcommand checks its files and how its
+arguments compare before any computation, so whatever fails after that is
+the program's fault, except a lattice limit, which exits 65, and a failure to
+write a caller's output path, which exits 73.
 """
 from __future__ import annotations
 
@@ -94,42 +96,34 @@ def _write_text(path, text: str, mode: str = "w") -> None:
         fh.write(text)
 
 
-def _tail_cap(args) -> float:
-    if not 0 < args.tail_cap < 1:
-        raise InputError(f"tail cap must be in (0,1), got {args.tail_cap}")
-    return args.tail_cap
+# The range of every numeric flag, by argparse dest: a test and the words that
+# name the range.  ``main`` checks the flags a subcommand has and the caller
+# set, in one pass before the subcommand runs.
+_PROBABILITY = (lambda v: 0 < v < 1, "in (0,1)")
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+_SCALE = (lambda v: SCALE_LO <= v <= SCALE_HI, f"in [{SCALE_LO:g}, {SCALE_HI:g}]")
+_RANGES = {
+    "tail_cap": _PROBABILITY,
+    "tol": (lambda v: 0 <= v < np.inf, "nonnegative and finite"),
+    "budget": _AT_LEAST_ONE,
+    "grid_size": _AT_LEAST_ONE,
+    "seed": (lambda v: v >= 0, "nonnegative"),
+    "alpha": (lambda v: 0 < v < np.inf, "positive and finite"),
+    "p1": _PROBABILITY,
+    "p2": _PROBABILITY,
+    "c0": _SCALE,
+    "lam1": _SCALE,
+    "lam2": _SCALE,
+    "beta": _SCALE,
+    "common_beta": _SCALE,
+}
 
 
-def _tol(args) -> float:
-    if not 0 <= args.tol < np.inf:
-        raise InputError(f"--tol must be nonnegative and finite, got {args.tol}")
-    return args.tol
-
-
-def _budget(args) -> int:
-    if args.budget < 1:
-        raise InputError(f"--budget must be at least 1, got {args.budget}")
-    return args.budget
-
-
-def _check_positive(flag: str, value: float) -> None:
-    if not 0 < value < np.inf:
-        raise InputError(f"{flag} must be positive and finite, got {value}")
-
-
-def _check_scale(flag: str, value: float) -> None:
-    if not SCALE_LO <= value <= SCALE_HI:
-        raise InputError(f"{flag} must be in [{SCALE_LO:g}, {SCALE_HI:g}], got {value}")
-
-
-def _check_probability(flag: str, value: float) -> None:
-    if not 0 < value < 1:
-        raise InputError(f"{flag} must be in (0,1), got {value}")
-
-
-def _check_grid_size(args) -> None:
-    if args.grid_size < 1:
-        raise InputError(f"--grid-size must be at least 1, got {args.grid_size}")
+def _check_ranges(args) -> None:
+    for dest, (ok, words) in _RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise InputError(f"--{dest.replace('_', '-')} must be {words}, got {value}")
 
 
 def _load_json(path):
@@ -144,7 +138,7 @@ def _load_json(path):
 
 def _load_spec(data, label) -> ConvolutionSpec:
     try:
-        return ConvolutionSpec.from_json(json.dumps(data))
+        return ConvolutionSpec.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed spec {label}: {exc}") from exc
 
@@ -165,7 +159,6 @@ def _load_pair(path) -> tuple[ConvolutionSpec, ConvolutionSpec]:
 
 
 def _cmd_check_order(args) -> int:
-    budget = _budget(args)
     s1, s2 = _load_pair(args.pair_file)
     q1, q2 = _param_pairs(s1, s2, args.order)
     mode = RcMode(args.mode)
@@ -181,7 +174,7 @@ def _cmd_check_order(args) -> int:
         )
         print(f"witness {'accepted' if ok else 'rejected'} ({len(chain.moves)} moves)")
         return 0 if ok else 1
-    verdict = decide_wrc(q1, q2, mode, budget)
+    verdict = decide_wrc(q1, q2, mode, args.budget)
     line = {"v": 1, "order": args.order, "mode": mode.value, "status": verdict.status.value}
     if verdict.holds:
         line["moves"] = len(verdict.witness.moves)
@@ -199,9 +192,9 @@ def _cmd_verify(args) -> int:
         s1,
         s2,
         args.order,
-        tail_cap=_tail_cap(args),
-        tol=_tol(args),
-        budget=_budget(args),
+        tail_cap=args.tail_cap,
+        tol=args.tol,
+        budget=args.budget,
         emit_witness=bool(args.emit_witness),
     )
     print(report.to_json_line())
@@ -214,32 +207,29 @@ def _cmd_verify(args) -> int:
 
 
 def _check_coupled_pair(args) -> float:
-    """Check a coupled pair's centre and spreads, and return its latent
-    success probability: valid only when the mixture side carries the smaller
-    rate spread."""
-    for flag in ("--c0", "--lam1", "--lam2"):
-        _check_scale(flag, getattr(args, flag[2:]))
+    """Check the order of a coupled pair's spreads and centre, and return its
+    latent success probability: valid only when the mixture side carries the
+    smaller rate spread."""
     if not args.lam2 < args.lam1 < args.c0:
         raise InputError("need lam2 < lam1 < c0")
     return (args.c0**2 - args.lam1**2) / (args.c0**2 - args.lam2**2)
 
 
-# Each identity checks the arguments it reads, then returns the L-infinity
-# residual of its two sides at truncation.
+# Each identity checks how the arguments it reads compare, then returns the
+# L-infinity residual of its two sides at truncation.
 
 
-def _nb_mixture(args, cap: float) -> float:
-    _check_probability("--p1", args.p1)
-    _check_probability("--p2", args.p2)
+def _nb_mixture(args) -> float:
+    cap = args.tail_cap
     latent = shifted_nb_pmf(NegBinParams(args.alpha, args.p1), cap)
     lhs = shape_mixture_pmf(latent, args.p2, cap)
     rhs = shifted_nb_pmf(NegBinParams(args.alpha, args.p1 * args.p2), cap)
     return _pmf_residual(lhs, rhs)
 
 
-def _nb_pair(args, cap: float) -> float:
+def _nb_pair(args) -> float:
     p = _check_coupled_pair(args)
-    c0, lam1, lam2 = args.c0, args.lam1, args.lam2
+    c0, lam1, lam2, cap = args.c0, args.lam1, args.lam2, args.tail_cap
     if not c0 + lam1 < 1:
         raise InputError("nb-pair success probabilities c0 +/- lam1 need c0 + lam1 < 1")
     direct = spec("negbin", (args.alpha, args.alpha), (c0 + lam1, c0 - lam1))
@@ -248,26 +238,22 @@ def _nb_pair(args, cap: float) -> float:
     return _pmf_residual(lhs, rhs)
 
 
-def _gamma_single(args, cap: float) -> float:
-    _check_scale("--beta", args.beta)
+def _gamma_single(args) -> float:
     beta_big = 2.0 * args.beta
     if args.common_beta is not None:
-        _check_scale("--common-beta", args.common_beta)
         if not args.beta < args.common_beta:
             raise InputError("--common-beta must exceed --beta")
         beta_big = args.common_beta
-    _check_grid_size(args)
     g = spec("gamma", (args.alpha,), (args.beta,))
     grid = default_gamma_grid([g], args.grid_size)
-    mix = gamma_convolution_cdf(g, grid, cap, common_beta=beta_big)
+    mix = gamma_convolution_cdf(g, grid, args.tail_cap, common_beta=beta_big)
     direct = special.gammainc(args.alpha, args.beta * grid)
     return float(np.max(np.abs(mix.values - direct)))
 
 
-def _gamma_pair(args, cap: float) -> float:
+def _gamma_pair(args) -> float:
     p = _check_coupled_pair(args)
-    _check_grid_size(args)
-    c0, lam1, lam2 = args.c0, args.lam1, args.lam2
+    c0, lam1, lam2, cap = args.c0, args.lam1, args.lam2, args.tail_cap
     direct = spec("gamma", (args.alpha, args.alpha), (c0 + lam1, c0 - lam1))
     grid = default_gamma_grid([direct], args.grid_size)
     lhs = coupled_gamma_pair_cdf(args.alpha, c0, lam2, p, grid, cap)
@@ -295,12 +281,10 @@ def _pmf_residual(a, b) -> float:
 
 
 def _cmd_identity(args) -> int:
-    cap, tol = _tail_cap(args), _tol(args)
-    _check_positive("--alpha", args.alpha)
-    residual = _IDENTITIES[args.prop](args, cap)
-    line = {"v": 1, "prop": args.prop, "residual": residual, "tail_cap": cap}
+    residual = _IDENTITIES[args.prop](args)
+    line = {"v": 1, "prop": args.prop, "residual": residual, "tail_cap": args.tail_cap}
     print(json.dumps(line, sort_keys=True))
-    return 0 if residual <= tol else 1
+    return 0 if residual <= args.tol else 1
 
 
 def _parse_seed_range(text: str) -> range:
@@ -321,7 +305,6 @@ def _cmd_harness(args) -> int:
             f"unknown scenario {args.scenario!r}; choose from " + ", ".join(names)
         )
     seeds = _parse_seed_range(args.seeds)
-    cap, tol = _tail_cap(args), _tol(args)
     given = {k: getattr(args, k) for k in ("family", "n", "order")}
     overrides = {k: v for k, v in given.items() if v is not None}
     rows = dict.fromkeys(
@@ -338,7 +321,9 @@ def _cmd_harness(args) -> int:
             raise InputError(str(exc)) from exc
     disagreements = unknowns = 0
     for name, family, n, order in rows:
-        reports = run_scenario(name, family, n, seeds, order, tail_cap=cap, tol=tol)
+        reports = run_scenario(
+            name, family, n, seeds, order, tail_cap=args.tail_cap, tol=args.tol
+        )
         for r in reports:
             print(r.to_json_line())
         if args.output:
@@ -361,33 +346,28 @@ def _cmd_harness(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    budget = _budget(args)
-    if args.seed < 0:
-        raise InputError(f"--seed must be nonnegative, got {args.seed}")
-    found = explore_counterexamples(budget, args.seed)
+    found = explore_counterexamples(args.budget, args.seed)
     for c in found:
         print(json.dumps(c, sort_keys=True))
     if args.output:
         lines = "".join(json.dumps(c, sort_keys=True) + "\n" for c in found)
         _write_output(args.output, _write_text, lines, "a")
     if not found:
-        print(json.dumps({"v": 1, "result": "inconclusive", "budget": budget}))
+        print(json.dumps({"v": 1, "result": "inconclusive", "budget": args.budget}))
     return 0
 
 
 def _cmd_export_survival(args) -> int:
     data = _load_json(args.spec_file)
     s = _load_spec(data, args.spec_file)
-    cap = _tail_cap(args)
-    _check_grid_size(args)
     if s.family == "negbin":
-        pmf = nb_convolution(s, cap)
+        pmf = nb_convolution(s, args.tail_cap)
         points = pmf.support
         values = pmf.survival[:-1]
         errors = np.full(points.size, pmf.tail_bound)
     else:
         grid = default_gamma_grid([s], args.grid_size)
-        g = gamma_convolution_cdf(s, grid, cap)
+        g = gamma_convolution_cdf(s, grid, args.tail_cap)
         points = g.points
         values = 1.0 - g.values
         errors = g.errors
@@ -436,8 +416,9 @@ def _build_parser() -> _Parser:
         description=(
             "Residual of a mixture identity at truncation.  An input whose "
             "negative binomial lattices pass the lattice limits (their size, "
-            "a first term below the normal floats, or the points a mixture holds "
-            f"at once) exits {EX_DATAERR}, as on every subcommand."
+            "a first term below the normal floats, the points a mixture holds "
+            "at once, or the multiply-adds of their convolutions) exits "
+            f"{EX_DATAERR}, as on every subcommand."
         ),
     )
     idn.add_argument("--prop", choices=tuple(_IDENTITIES), required=True)
@@ -500,6 +481,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EX_USAGE
     try:
+        _check_ranges(args)
         return args.func(args)
     except (InputError, LatticeLimitError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

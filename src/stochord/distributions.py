@@ -10,7 +10,6 @@ exact.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,13 +24,17 @@ MAX_LATTICE = 2_000_000
 # A mixture's conditional lattices, and a coupled pair's convolutions of them,
 # are held at once: together they keep at most this many points (400 MB).
 MIXTURE_POINTS = 25 * MAX_LATTICE
+# A direct convolution or deconvolution, or a coupled pair's convolutions
+# together, run at most this many multiply-adds (about 4 s of np.convolve).
+MAX_WORK = 10**10
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
 class LatticeLimitError(Exception):
-    """An input asks for a lattice past the limits that ``_nb_rows`` and
-    ``convolve`` enforce: the input is at fault, not the program."""
+    """An input asks for a lattice, or lattice work, past the limits that
+    ``_nb_rows``, ``convolve`` and ``deconvolve`` enforce: the input is at
+    fault, not the program."""
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,11 @@ class ConvolutionSpec:
     def total_shape(self) -> float:
         return float(sum(self.shapes))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family, "shapes": list(self.shapes), "scales": list(self.scales)}
-        )
+    def to_dict(self) -> dict:
+        return {"family": self.family, "shapes": list(self.shapes), "scales": list(self.scales)}
 
     @staticmethod
-    def from_json(text: str) -> "ConvolutionSpec":
-        data = json.loads(text)
+    def from_dict(data) -> "ConvolutionSpec":
         return ConvolutionSpec(
             data["family"], as_vector(data["shapes"]), as_vector(data["scales"])
         )
@@ -281,14 +281,25 @@ def point_mass(offset: float = 0.0) -> TruncatedPMF:
     return TruncatedPMF(offset, np.array([1.0]), 0.0)
 
 
-def _check_convolution(a: np.ndarray, b: np.ndarray) -> None:
-    size = a.size + b.size - 1
-    if size > MAX_LATTICE:
-        raise LatticeLimitError(f"convolution lattice of {size} points passes {MAX_LATTICE}")
+def _check_work(work: int, what: str) -> None:
+    if work > MAX_WORK:
+        raise LatticeLimitError(f"{what} takes {work:.3g} multiply-adds, past {MAX_WORK:.0e}")
+
+
+def _check_convolutions(pairs) -> None:
+    """Reject the direct convolutions of the array pairs, before any runs,
+    when one passes ``MAX_LATTICE`` points or all pass ``MAX_WORK``."""
+    work = 0
+    for a, b in pairs:
+        size = a.size + b.size - 1
+        if size > MAX_LATTICE:
+            raise LatticeLimitError(f"convolution lattice of {size} points passes {MAX_LATTICE}")
+        work += a.size * b.size
+    _check_work(work, "convolution")
 
 
 def convolve(a: TruncatedPMF, b: TruncatedPMF) -> TruncatedPMF:
-    _check_convolution(a.probs, b.probs)
+    _check_convolutions([(a.probs, b.probs)])
     # a direct convolution of nonnegative arrays sums nonnegative products
     probs = np.convolve(a.probs, b.probs)
     return TruncatedPMF(a.offset + b.offset, probs, a.tail_bound + b.tail_bound)
@@ -381,6 +392,7 @@ def deconvolve(
         raise ValueError("deconvolution requires f1.probs[0] > 0")
     if f2.offset < f1.offset - 1e-9:
         raise ValueError("deconvolution requires f2.offset >= f1.offset")
+    _check_work(f2.probs.size * (f1.probs.size - 1), "deconvolution")
     z, s = _solve(f1.probs, f2.probs)
     result = Deconvolution(f2.offset - f1.offset, z, f1, f2.probs, s)
 
@@ -476,8 +488,7 @@ def _coupled_pair_latent(
         lo_rows = _nb_rows(shapes, s_lo, tail_cap, MIXTURE_POINTS // 2)
         held = MIXTURE_POINTS // 2 + sum(lo.size for lo, _ in lo_rows)
         rows = list(zip(_nb_rows(shapes, s_hi, tail_cap, held), lo_rows))
-        for (hi, _), (lo, _) in rows:  # every size before any convolution
-            _check_convolution(hi, lo)
+        _check_convolutions((hi, lo) for (hi, _), (lo, _) in rows)
         return [(np.convolve(hi, lo), t_hi + t_lo) for (hi, t_hi), (lo, t_lo) in rows]
 
     return _mix_over_latent(latent, 2, pairs)

@@ -385,8 +385,8 @@ class Report:
             "scenario": self.scenario,
             "seed": self.seed,
             "order": self.order,
-            "spec1": json.loads(self.spec1.to_json()),
-            "spec2": json.loads(self.spec2.to_json()),
+            "spec1": self.spec1.to_dict(),
+            "spec2": self.spec2.to_dict(),
             "param_status": self.param_status,
             "param_moves": self.param_moves,
             "param_violation": self.param_violation,
@@ -447,7 +447,6 @@ def numeric_st_check(
     s2: ConvolutionSpec,
     tail_cap: float = DEFAULT_TAIL_CAP,
     tol: float = 1e-9,
-    grid_size: int = 256,
 ) -> OrderVerdict:
     """Usual-stochastic-order certificate via survival dominance."""
     if s1.family != s2.family:
@@ -456,7 +455,7 @@ def numeric_st_check(
         return survival_dominance_check(
             nb_convolution(s1, tail_cap), nb_convolution(s2, tail_cap), tol
         )
-    grid = default_gamma_grid([s1, s2], grid_size)
+    grid = default_gamma_grid([s1, s2])
     g1 = gamma_convolution_cdf(s1, grid, tail_cap)
     g2 = gamma_convolution_cdf(s2, grid, tail_cap)
     return survival_dominance_check(g1, g2, tol)
@@ -497,23 +496,11 @@ def verify_theorem_instance(
         param_moves=len(param.witness.moves) if param.holds else None,
         param_violation=param.violation,
         numeric_status=numeric.status.value,
-        numeric_detail=_jsonable(numeric.violation or numeric.detail),
+        numeric_detail=numeric.violation or numeric.detail,
         tolerances={"tail_cap": tail_cap, "tol": tol},
         runtime_s=runtime,
         witness_json=chain_to_json(param.witness) if emit_witness and param.holds else None,
     )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +554,9 @@ def explore_counterexamples(budget: int, seed: int) -> list[dict]:
         if verdict.refuted:
             found.append(
                 {
-                    "spec1": json.loads(s1.to_json()),
-                    "spec2": json.loads(s2.to_json()),
-                    "violation": _jsonable(verdict.violation),
+                    "spec1": s1.to_dict(),
+                    "spec2": s2.to_dict(),
+                    "violation": verdict.violation,
                     "label": "evidence",
                 }
             )
@@ -577,8 +564,8 @@ def explore_counterexamples(budget: int, seed: int) -> list[dict]:
 
 
 def reverify_candidate(candidate: dict) -> bool:
-    s1 = ConvolutionSpec.from_json(json.dumps(candidate["spec1"]))
-    s2 = ConvolutionSpec.from_json(json.dumps(candidate["spec2"]))
+    s1 = ConvolutionSpec.from_dict(candidate["spec1"])
+    s2 = ConvolutionSpec.from_dict(candidate["spec2"])
     q1, q2 = _param_pairs(s1, s2, "st")
     log_order = decide_wrc(q1, q2, RcMode.WEAK, 500)
     if not log_order.holds or not verify_rc_chain(log_order.witness):

@@ -97,6 +97,10 @@ class TestIdentity:
             ["--prop", "nb-pair", "--alpha", "4.004816636105557", "--c0",
              "0.00012376989810438933", "--lam1", "8.807328518038702e-05", "--lam2",
              "1.607184890682623e-06"],
+            # every lattice within the limits, but the pairs' convolutions
+            # take 1.2e12 multiply-adds together
+            ["--prop", "nb-pair", "--alpha", "1", "--c0", "6e-5", "--lam1", "1e-6",
+             "--lam2", "5e-7"],
         ],
     )
     def test_lattice_limit_is_input_error(self, argv, capsys):
@@ -332,11 +336,24 @@ class TestErrorHandling:
             ["harness", "--seeds=-2..1"],
             ["harness", "--seeds", "1.."],
             ["harness", "--scenario", "Bogus"],
+            # a flag the subcommand does not read is still checked
+            ["identity", "--prop", "gamma-single", "--p1", "5"],
+            ["verify", "{bad}", "--order", "conv", "--tail-cap", "2"],
         ],
     )
-    def test_invalid_argument_is_input_error(self, argv, capsys):
-        assert main(argv) == EX_DATAERR
-        assert capsys.readouterr().out == ""  # rejected before any computation
+    def test_invalid_argument_is_input_error(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main([a.format(bad=bad) for a in argv]) == EX_DATAERR
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected before any computation
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_range_is_checked_before_any_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["verify", str(bad), "--order", "conv", "--tail-cap", "2"]) == EX_DATAERR
+        assert capsys.readouterr().err == "input error: --tail-cap must be in (0,1), got 2.0\n"
 
     @pytest.mark.parametrize(
         "command, spec",
@@ -413,6 +430,8 @@ class TestErrorHandling:
     def test_usage_error(self):
         assert main(["bogus-command"]) == EX_USAGE
         assert main(["verify"]) == EX_USAGE  # missing required --order and file
+        # a value that does not parse is a usage error, not a range error
+        assert main(["identity", "--prop", "nb-mixture", "--tol", "abc"]) == EX_USAGE
 
     def test_parser_reused_across_calls(self, capsys):
         # one parser per process: no call's arguments or errors reach the next

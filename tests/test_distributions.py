@@ -157,6 +157,25 @@ class TestNegBinPmf:
             coupled_pair_mixture_pmf(1.0, 0.05, 0.001, 0.999, 1e-12)
         assert calls == []
 
+    def test_work_past_max_work_is_a_lattice_limit(self, monkeypatch):
+        monkeypatch.setattr(distributions, "MAX_WORK", 1_000_000)
+        a = TruncatedPMF(0.0, np.full(1000, 1 / 1000), 0.0)
+        b = TruncatedPMF(0.0, np.full(1100, 1 / 1100), 0.0)
+        assert convolve(a, a).probs.size == 1999  # 1e6 multiply-adds: at the bound
+        assert deconvolve(a, a)[1].holds
+        calls = []
+        monkeypatch.setattr(np, "convolve", lambda *args: calls.append(args))
+        monkeypatch.setattr(distributions, "_solve", lambda *args: calls.append(args))
+        with pytest.raises(LatticeLimitError, match=r"convolution takes 1.1e\+06"):
+            convolve(a, b)
+        with pytest.raises(LatticeLimitError, match=r"deconvolution takes 1.21e\+06"):
+            deconvolve(b, b)
+        # each of the pair's five convolutions takes at most 583,440
+        # multiply-adds, the five 2,193,306 together
+        with pytest.raises(LatticeLimitError, match=r"convolution takes 2.19e\+06"):
+            coupled_pair_mixture_pmf(1.0, 0.05, 0.001, 0.999, 1e-12)
+        assert calls == []
+
     def test_coupled_pair_builds_the_smaller_success_first(self, monkeypatch):
         # 0.01**2000 underflows; the rows at 0.99 are never asked for
         successes = []
@@ -720,10 +739,9 @@ class TestMonteCarlo:
 class TestSerializationAndExport:
     def test_spec_json_round_trip(self):
         s = spec("negbin", (1.5, 0.8), (0.5, 0.6))
-        back = ConvolutionSpec.from_json(s.to_json())
-        assert back == s
-        data = json.loads(s.to_json())
+        data = json.loads(json.dumps(s.to_dict()))
         assert set(data) == {"family", "shapes", "scales"}
+        assert ConvolutionSpec.from_dict(data) == s
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
