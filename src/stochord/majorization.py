@@ -10,6 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 Vector = tuple[float, ...]
 
@@ -69,10 +70,24 @@ def _require_same_length(x: Vector, y: Vector) -> None:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
-def sort_for_check(y: Vector, mode: MajorizationMode) -> Vector:
-    """``y``'s components in the order a check in ``mode`` reads them: the
-    largest first, or the smallest first for ABOVE."""
-    return sort_components(y, "inc" if mode is MajorizationMode.ABOVE else "dec")
+class MajorizationBound(NamedTuple):
+    """The majorizing vector of a check in ``mode``, prepared once for a
+    caller that checks many vectors against it: the prefix sums of its
+    components in the order the check reads them (the largest first, or the
+    smallest first for ABOVE) and its largest magnitude."""
+
+    mode: MajorizationMode
+    sums: tuple[float, ...]
+    scale: float
+
+
+def majorization_bound(y: Vector, mode: MajorizationMode) -> MajorizationBound:
+    return MajorizationBound(mode, *_prefix_sums(y, mode))
+
+
+def _prefix_sums(y: Vector, mode: MajorizationMode) -> tuple[tuple[float, ...], float]:
+    sums = tuple(itertools.accumulate(sorted(y, reverse=mode is not MajorizationMode.ABOVE)))
+    return sums, max(max(y), -min(y)) if y else 0.0
 
 
 def check_majorization(
@@ -84,36 +99,37 @@ def check_majorization(
     is the first violated prefix length (1-based); ``k = 0`` flags a total-sum
     mismatch in FULL mode.
     """
-    return check_majorized_by(x, sort_for_check(y, mode), mode)
+    return _check(x, mode, *_prefix_sums(y, mode))
 
 
-def check_majorized_by(
-    x: Vector, ys: Vector, mode: MajorizationMode
+def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int | None]:
+    """:func:`check_majorization` against a prepared ``y``."""
+    return _check(x, *bound)
+
+
+def _check(
+    x: Vector, mode: MajorizationMode, sums: tuple[float, ...], scale: float
 ) -> tuple[bool, int | None]:
-    """:func:`check_majorization` with ``ys = sort_for_check(y, mode)``, for a
-    caller that checks many ``x`` against one ``y`` and sorts it once."""
-    _require_same_length(x, ys)
-    tol = component_tolerance(x, ys) * len(x)
-
-    if mode in (MajorizationMode.BELOW, MajorizationMode.FULL):
-        xs = sort_components(x, "dec")
-        cx = cy = 0.0
-        for k, (a, b) in enumerate(zip(xs, ys), start=1):
-            cx += a
-            cy += b
-            if cx > cy + tol:
+    """Compare the prefix sums of ``x`` with ``y``'s, ``sums``, within
+    ``BASE_TOL`` times the largest magnitude in ``x`` and ``y`` (at least 1)
+    times the length."""
+    _require_same_length(x, sums)
+    if x:
+        scale = max(max(x), -min(x), scale)
+    tol = BASE_TOL * max(1.0, scale) * len(x)
+    if mode is MajorizationMode.ABOVE:
+        for k, (cx, cy) in enumerate(zip(itertools.accumulate(sorted(x)), sums), start=1):
+            if cx < cy - tol:
                 return False, k
-        if mode is MajorizationMode.FULL and abs(cx - cy) > tol:
-            return False, 0
         return True, None
-
-    xs = sort_components(x, "inc")
     cx = cy = 0.0
-    for k, (a, b) in enumerate(zip(xs, ys), start=1):
-        cx += a
-        cy += b
-        if cx < cy - tol:
+    for k, (cx, cy) in enumerate(
+        zip(itertools.accumulate(sorted(x, reverse=True)), sums), start=1
+    ):
+        if cx > cy + tol:
             return False, k
+    if mode is MajorizationMode.FULL and abs(cx - cy) > tol:
+        return False, 0
     return True, None
 
 

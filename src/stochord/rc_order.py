@@ -12,6 +12,7 @@ to the queried pairs up to common permutation.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -26,14 +27,15 @@ from stochord.arrangement import (
 )
 from stochord.majorization import (
     BASE_TOL,
+    MajorizationBound,
     MajorizationMode,
     Vector,
     check_majorization,
     check_majorized_by,
     component_tolerance,
     is_sorted,
+    majorization_bound,
     sort_components,
-    sort_for_check,
     t_transform_chain,
 )
 from stochord.verdicts import OrderVerdict, Status
@@ -53,20 +55,22 @@ class MoveKind(Enum):
     LOWER_Y = "lower_y"
 
 
-_COUPLED = {
+# Tuples, not sets: membership in a tuple tests identity first, where a set
+# calls Enum's Python-level __hash__, and the search tests it per candidate.
+_COUPLED = (
     MoveKind.MAJORIZE_X,
     MoveKind.MAJORIZE_Y,
     MoveKind.WEAK_MAJORIZE_X,
     MoveKind.WEAK_MAJORIZE_Y,
-}
+)
 # the moves that change x; every other move changes y only
-_MOVES_X = {MoveKind.MAJORIZE_X, MoveKind.WEAK_MAJORIZE_X, MoveKind.RAISE_X}
-_WEAK_ONLY = {
+_MOVES_X = (MoveKind.MAJORIZE_X, MoveKind.WEAK_MAJORIZE_X, MoveKind.RAISE_X)
+_WEAK_ONLY = (
     MoveKind.WEAK_MAJORIZE_X,
     MoveKind.WEAK_MAJORIZE_Y,
     MoveKind.RAISE_X,
     MoveKind.LOWER_Y,
-}
+)
 
 
 @dataclass(frozen=True)
@@ -98,14 +102,6 @@ class ChainConstructionError(ValueError):
         self.condition = condition
 
 
-def _vec_equal(a: Vector, b: Vector, tol: float) -> bool:
-    return len(a) == len(b) and all(abs(u - v) <= tol for u, v in zip(a, b))
-
-
-def _equal_off(a: Vector, b: Vector, i: int, j: int, tol: float) -> bool:
-    return all(abs(u - v) <= tol for k, (u, v) in enumerate(zip(a, b)) if k not in (i, j))
-
-
 def _reverse_pair_ok(dx: float, dy: float, tol: float) -> bool:
     """The coupling condition on the target pair's coordinate differences
     ``dx = x[j] - x[i]`` and ``dy = y[j] - y[i]``, as the generating relation
@@ -114,41 +110,51 @@ def _reverse_pair_ok(dx: float, dy: float, tol: float) -> bool:
 
 
 def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) -> bool:
-    if a.n != b.n:
+    n = a.n
+    if b.n != n:
         return False
-    if mode is RcMode.STRICT and m.kind in _WEAK_ONLY:
+    kind = m.kind
+    if mode is RcMode.STRICT and kind in _WEAK_ONLY:
         return False
-    tol = component_tolerance(a.x, a.y, b.x, b.y)
+    if not n:  # empty pairs: the componentwise moves hold, coupled ones have no room
+        return kind in (MoveKind.RAISE_X, MoveKind.LOWER_Y)
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    # component_tolerance(ax, ay, bx, by), the one tolerance of every check
+    # below but the last: a vector's largest magnitude is the larger of its
+    # maximum and its negated minimum
+    tol = BASE_TOL * max(
+        1.0, max(ax), -min(ax), max(ay), -min(ay), max(bx), -min(bx), max(by), -min(by)
+    )
 
-    if m.kind is MoveKind.RAISE_X:
-        return _vec_equal(a.y, b.y, tol) and all(u <= v + tol for u, v in zip(a.x, b.x))
-    if m.kind is MoveKind.LOWER_Y:
-        return _vec_equal(a.x, b.x, tol) and all(u >= v - tol for u, v in zip(a.y, b.y))
+    if kind is MoveKind.RAISE_X:
+        return all(abs(ay[k] - by[k]) <= tol and ax[k] <= bx[k] + tol for k in range(n))
+    if kind is MoveKind.LOWER_Y:
+        return all(abs(ax[k] - bx[k]) <= tol and ay[k] >= by[k] - tol for k in range(n))
 
     i, j = m.i, m.j
-    if j >= a.n or not _reverse_pair_ok(b.x[j] - b.x[i], b.y[j] - b.y[i], tol):
+    if j >= n or not _reverse_pair_ok(bx[j] - bx[i], by[j] - by[i], tol):
         return False
-    if m.kind in (MoveKind.MAJORIZE_X, MoveKind.WEAK_MAJORIZE_X):
-        if not (_vec_equal(a.y, b.y, tol) and _equal_off(a.x, b.x, i, j, tol)):
-            return False
-        want = (
-            MajorizationMode.FULL
-            if m.kind is MoveKind.MAJORIZE_X
-            else MajorizationMode.BELOW
-        )
-        ok, _ = check_majorization((a.x[i], a.x[j]), (b.x[i], b.x[j]), want)
-        return ok
-    if m.kind in (MoveKind.MAJORIZE_Y, MoveKind.WEAK_MAJORIZE_Y):
-        if not (_vec_equal(a.x, b.x, tol) and _equal_off(a.y, b.y, i, j, tol)):
-            return False
-        want = (
-            MajorizationMode.FULL
-            if m.kind is MoveKind.MAJORIZE_Y
-            else MajorizationMode.ABOVE
-        )
-        ok, _ = check_majorization((a.y[i], a.y[j]), (b.y[i], b.y[j]), want)
-        return ok
-    return False
+    if kind in _MOVES_X:
+        moved_a, moved_b, fixed_a, fixed_b = ax, bx, ay, by
+    else:
+        moved_a, moved_b, fixed_a, fixed_b = ay, by, ax, bx
+    # the other vector stays put, and so does every coordinate but i and j
+    if not all(
+        abs(fixed_a[k] - fixed_b[k]) <= tol
+        and (k == i or k == j or abs(moved_a[k] - moved_b[k]) <= tol)
+        for k in range(n)
+    ):
+        return False
+    # check_majorization((u, v), (s, t), mode) written out for two coordinates,
+    # with its tolerance: the four values' largest magnitude, times 2
+    u, v, s, t = moved_a[i], moved_a[j], moved_b[i], moved_b[j]
+    pair_tol = BASE_TOL * max(1.0, abs(u), abs(v), abs(s), abs(t)) * 2
+    if kind is MoveKind.WEAK_MAJORIZE_Y:  # ABOVE: the smaller component first
+        return not (min(u, v) < min(s, t) - pair_tol or u + v < s + t - pair_tol)
+    if max(u, v) > max(s, t) + pair_tol or u + v > s + t + pair_tol:
+        return False
+    # BELOW for a weak x move; FULL also compares the totals
+    return kind is MoveKind.WEAK_MAJORIZE_X or not abs(u + v - (s + t)) > pair_tol
 
 
 def verify_rc_chain(chain: RcChain) -> bool:
@@ -168,14 +174,14 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 
 class _Target(NamedTuple):
     """A search's target pair with its target-only work done once: its
-    components sorted increasing for :func:`_distance`, sorted for the
-    necessary check on a moved vector, and its canonical form's components
-    with their tolerance for the goal test of :func:`_is_goal`."""
+    components sorted increasing for :func:`_gap`, its vectors as the bounds
+    of the necessary check on a moved vector, and its canonical form's
+    components with their tolerance for the goal test of :func:`_is_goal`."""
 
     xs: Vector
     ys: Vector
-    x_bound: Vector
-    y_bound: Vector
+    x_bound: MajorizationBound
+    y_bound: MajorizationBound
     goal: Vector
     goal_tol: float
 
@@ -186,8 +192,8 @@ def _target(p2: PairClass, mode: RcMode) -> _Target:
     return _Target(
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),
-        sort_for_check(p2.x, x_mode),
-        sort_for_check(p2.y, y_mode),
+        majorization_bound(p2.x, x_mode),
+        majorization_bound(p2.y, y_mode),
         c2.x + c2.y,
         component_tolerance(p2.x, p2.y),
     )
@@ -204,10 +210,10 @@ def check_necessary(
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
     x_mode, y_mode = _necessary_modes(mode)
-    ok, k = check_majorized_by(p1.x, sort_for_check(p2.x, x_mode), x_mode)
+    ok, k = check_majorization(p1.x, p2.x, x_mode)
     if not ok:
         return False, {"vector": "x", "prefix": k, "mode": x_mode.value}
-    ok, k = check_majorized_by(p1.y, sort_for_check(p2.y, y_mode), y_mode)
+    ok, k = check_majorization(p1.y, p2.y, y_mode)
     if not ok:
         return False, {"vector": "y", "prefix": k, "mode": y_mode.value}
     return True, None
@@ -367,7 +373,7 @@ def _swap_chain_from_arrangement(
 def _two_coord_targets(a: float, b: float, goal_values: Vector, tol: float):
     """Candidate values of (a, b) preserving the sum, aligned so that one
     coordinate lands on a goal component value, in both orientations; some
-    pull the pair together (see :func:`_contracts`)."""
+    pull the pair together, which :func:`_successors` skips."""
     out = []
     s = a + b
     for g in set(goal_values):
@@ -377,18 +383,9 @@ def _two_coord_targets(a: float, b: float, goal_values: Vector, tol: float):
     return out
 
 
-def _contracts(a: float, b: float, ci: float, cj: float) -> bool:
-    """True when ``(ci, cj)`` fails the first prefix comparison that
-    ``check_majorization((a, b), (ci, cj), FULL)`` makes, with its tolerance:
-    its larger component lies more than that below the larger of ``(a, b)``,
-    so the transfer pulls the two coordinates together and no majorization
-    move can make it."""
-    return max(a, b) > max(ci, cj) + component_tolerance((a, b), (ci, cj)) * 2
-
-
 def _round_key(flat: Vector) -> tuple:
     """Dedupe key of a pair from its canonical form's ``x + y``."""
-    return tuple(round(v, 9) for v in flat)
+    return tuple(map(round, flat, itertools.repeat(9)))
 
 
 def _is_goal(flat: Vector, target: _Target) -> bool:
@@ -396,14 +393,14 @@ def _is_goal(flat: Vector, target: _Target) -> bool:
     canonical ``x + y``.  Its tolerance scales by the largest component of
     both pairs; rounding is monotone, so the larger of the two pairs' own
     tolerances is that same value."""
-    tol = max(component_tolerance(flat), target.goal_tol)
+    tol = max(BASE_TOL * max(1.0, max(flat), -min(flat)), target.goal_tol)
     return all(abs(a - b) <= tol for a, b in zip(flat, target.goal))
 
 
-def _distance(p: PairClass, target: _Target) -> float:
-    dx = sum(abs(u - v) for u, v in zip(sort_components(p.x, "inc"), target.xs))
-    dy = sum(abs(u - v) for u, v in zip(sort_components(p.y, "inc"), target.ys))
-    return dx + dy
+def _gap(v: Vector, target: Vector) -> float:
+    """One vector's half of the search distance: the L1 distance between
+    ``v`` and the target's vector, both sorted increasing."""
+    return sum(abs(u - t) for u, t in zip(v, target))
 
 
 def _successors(p: PairClass, target: PairClass, mode: RcMode):
@@ -413,18 +410,22 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
     is not yielded: that check would reject it, with the same comparison and
     tolerance as computed here."""
     n = p.n
-    tol = component_tolerance(p.x, p.y, target.x, target.y)
-    p_scale = max(map(abs, p.x + p.y))
+    px, py = p.x, p.y
+    # every tolerance is BASE_TOL times the largest magnitude involved, or 1
+    p_scale = max(1.0, max(map(abs, px + py)))
+    tol = BASE_TOL * max(p_scale, max(map(abs, target.x + target.y)))
     # a swap permutes p's components, so its check has p's tolerance
-    swap_tol = BASE_TOL * max(1.0, p_scale)
+    swap_tol = BASE_TOL * p_scale
     for i in range(n):
         for j in range(i + 1, n):
-            dx, dy = p.x[j] - p.x[i], p.y[j] - p.y[i]
+            dx, dy = px[j] - px[i], py[j] - py[i]
             # swaps (majorization between permuted coordinate pairs); swapping
             # either vector negates the product of the differences
             if _reverse_pair_ok(-dx, dy, swap_tol):
-                for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
-                    src = getattr(p, vec)
+                for kind, vec, src in (
+                    (MoveKind.MAJORIZE_X, "x", px),
+                    (MoveKind.MAJORIZE_Y, "y", py),
+                ):
                     if abs(src[i] - src[j]) <= tol:
                         continue
                     new = list(src)
@@ -432,16 +433,20 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
                     yield _apply(p, vec, new), ElementaryMove(kind, i, j)
             # sum-preserving transfers aligned with target component values;
             # the product takes the other vector's difference unchanged
-            for kind, vec, goal, other in (
-                (MoveKind.MAJORIZE_X, "x", target.x, dy),
-                (MoveKind.MAJORIZE_Y, "y", target.y, dx),
+            for kind, vec, src, goal, other in (
+                (MoveKind.MAJORIZE_X, "x", px, target.x, dy),
+                (MoveKind.MAJORIZE_Y, "y", py, target.y, dx),
             ):
-                src = getattr(p, vec)
-                for ci, cj in _two_coord_targets(src[i], src[j], goal, tol):
-                    if _contracts(src[i], src[j], ci, cj):
+                a, b = src[i], src[j]
+                top, ab_scale = max(a, b), max(1.0, abs(a), abs(b))
+                for ci, cj in _two_coord_targets(a, b, goal, tol):
+                    c_scale = max(abs(ci), abs(cj))
+                    # a transfer that pulls a and b together fails the first
+                    # prefix comparison of check_majorization((a, b), (ci, cj),
+                    # FULL), with its tolerance: no majorization move makes it
+                    if top > max(ci, cj) + BASE_TOL * max(ab_scale, c_scale) * 2:
                         continue
-                    move_tol = BASE_TOL * max(1.0, p_scale, abs(ci), abs(cj))
-                    if not _reverse_pair_ok(cj - ci, other, move_tol):
+                    if not _reverse_pair_ok(cj - ci, other, BASE_TOL * max(p_scale, c_scale)):
                         continue
                     new = list(src)
                     new[i], new[j] = ci, cj
@@ -575,33 +580,39 @@ def decide_wrc(
 def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVerdict:
     """Best-first search from ``p1``, which has passed :func:`check_necessary`.
 
-    Each candidate's canonical form is computed once, for its key and for the
-    goal test.  The filters run cheapest first, and each one only skips the
-    candidate: ``seen``; the necessary check on the vector the move changed,
-    the other being its parent's, which already passed; and
-    :func:`verify_rc_move`, so every pair that enters the tree is checked.
+    The filters only skip a candidate, so they run cheapest first: the
+    necessary check on the vector the move changed, the other being its
+    parent's, which already passed; ``seen``, on the key of its canonical
+    form; and :func:`verify_rc_move`, so every pair that enters the tree is
+    checked.  The canonical form also serves the goal test.  A node carries
+    the two halves of its distance, and a child recomputes only the half of
+    the vector its move changed.  An expansion's children are pushed after
+    it, in order, unless one of them was the goal: nothing is popped in
+    between, so the heap is the same as if each were pushed at once.
     """
     start = canonical_form(p1)
     target = _target(p2, mode)
-    x_mode, y_mode = _necessary_modes(mode)
     seen = {_round_key(start.x + start.y)}
-    counter = 0
-    heap = [(_distance(start, target), 0, start, [start], [])]
-    expanded = 0
+    # a canonical form's x is sorted increasing
+    gx, gy = _gap(start.x, target.xs), _gap(sorted(start.y), target.ys)
+    heap = [(gx + gy, 0, start, gx, gy, [start], [])]
+    counter = expanded = 0
     while heap and expanded < budget:
-        _, _, cur, pairs, moves = heapq.heappop(heap)
+        _, _, cur, gx, gy, pairs, moves = heapq.heappop(heap)
         expanded += 1
+        children = []
         for nxt, move in _successors(cur, p2, mode):
-            canon = canonical_form(nxt)
-            flat = canon.x + canon.y
-            key = _round_key(flat)
-            if key in seen:
-                continue
-            if move.kind in _MOVES_X:
-                ok, _ = check_majorized_by(nxt.x, target.x_bound, x_mode)
+            moves_x = move.kind in _MOVES_X
+            if moves_x:
+                ok, _ = check_majorized_by(nxt.x, target.x_bound)
             else:
-                ok, _ = check_majorized_by(nxt.y, target.y_bound, y_mode)
-            if not ok or not verify_rc_move(cur, nxt, move, mode):
+                ok, _ = check_majorized_by(nxt.y, target.y_bound)
+            if not ok:
+                continue
+            xs, ys = zip(*sorted(zip(nxt.x, nxt.y)))
+            flat = xs + ys
+            key = _round_key(flat)
+            if key in seen or not verify_rc_move(cur, nxt, move, mode):
                 continue
             seen.add(key)
             npairs, nmoves = pairs + [nxt], moves + [move]
@@ -611,10 +622,14 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
                     return OrderVerdict(
                         Status.HOLDS, witness=chain, detail=_search_detail(expanded, budget)
                     )
+            children.append((nxt, xs if moves_x else None, npairs, nmoves))
+        for nxt, xs, npairs, nmoves in children:
+            if xs is not None:
+                cx, cy = _gap(xs, target.xs), gy
+            else:
+                cx, cy = gx, _gap(sorted(nxt.y), target.ys)
             counter += 1
-            heapq.heappush(
-                heap, (_distance(nxt, target), counter, nxt, npairs, nmoves)
-            )
+            heapq.heappush(heap, (cx + cy, counter, nxt, cx, cy, npairs, nmoves))
     detail = _search_detail(expanded, budget)
     # the discretized moves reach no chain either way, so both are unknown
     detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
