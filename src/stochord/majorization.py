@@ -82,12 +82,10 @@ class MajorizationBound(NamedTuple):
 
 
 def majorization_bound(y: Vector, mode: MajorizationMode) -> MajorizationBound:
-    return MajorizationBound(mode, *_prefix_sums(y, mode))
-
-
-def _prefix_sums(y: Vector, mode: MajorizationMode) -> tuple[tuple[float, ...], float]:
-    sums = tuple(itertools.accumulate(sorted(y, reverse=mode is not MajorizationMode.ABOVE)))
-    return sums, max(max(y), -min(y)) if y else 0.0
+    ys = sorted(y, reverse=mode is not MajorizationMode.ABOVE)
+    # sorted, so the largest magnitude sits at one end
+    scale = max(abs(ys[0]), abs(ys[-1])) if ys else 0.0
+    return MajorizationBound(mode, tuple(itertools.accumulate(ys)), scale)
 
 
 def check_majorization(
@@ -97,38 +95,29 @@ def check_majorization(
 
     Returns ``(True, None)`` on success, otherwise ``(False, k)`` where ``k``
     is the first violated prefix length (1-based); ``k = 0`` flags a total-sum
-    mismatch in FULL mode.
+    mismatch in FULL mode.  Sums are compared within ``BASE_TOL`` times the
+    largest magnitude in ``x`` and ``y`` (at least 1) times the length.
     """
-    return _check(x, mode, *_prefix_sums(y, mode))
+    return check_majorized_by(x, majorization_bound(y, mode))
 
 
 def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int | None]:
     """:func:`check_majorization` against a prepared ``y``."""
-    return _check(x, *bound)
-
-
-def _check(
-    x: Vector, mode: MajorizationMode, sums: tuple[float, ...], scale: float
-) -> tuple[bool, int | None]:
-    """Compare the prefix sums of ``x`` with ``y``'s, ``sums``, within
-    ``BASE_TOL`` times the largest magnitude in ``x`` and ``y`` (at least 1)
-    times the length."""
-    _require_same_length(x, sums)
-    if x:
-        scale = max(max(x), -min(x), scale)
+    _require_same_length(x, bound.sums)
+    scale = max(max(x), -min(x), bound.scale) if x else bound.scale
     tol = BASE_TOL * max(1.0, scale) * len(x)
-    if mode is MajorizationMode.ABOVE:
-        for k, (cx, cy) in enumerate(zip(itertools.accumulate(sorted(x)), sums), start=1):
+    if bound.mode is MajorizationMode.ABOVE:
+        for k, (cx, cy) in enumerate(zip(itertools.accumulate(sorted(x)), bound.sums), start=1):
             if cx < cy - tol:
                 return False, k
         return True, None
     cx = cy = 0.0
     for k, (cx, cy) in enumerate(
-        zip(itertools.accumulate(sorted(x, reverse=True)), sums), start=1
+        zip(itertools.accumulate(sorted(x, reverse=True)), bound.sums), start=1
     ):
         if cx > cy + tol:
             return False, k
-    if mode is MajorizationMode.FULL and abs(cx - cy) > tol:
+    if bound.mode is MajorizationMode.FULL and abs(cx - cy) > tol:
         return False, 0
     return True, None
 

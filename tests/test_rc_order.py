@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from stochord import rc_order
 from stochord.arrangement import check_arrangement_leq, check_pair_equal_a, pair
 from stochord.harness import MATRIX, Scenario, _param_pairs, generate_instance
-from stochord.majorization import component_tolerance, sort_components
+from stochord.majorization import (
+    MajorizationMode,
+    check_majorization,
+    component_tolerance,
+    sort_components,
+)
 from stochord.rc_order import (
     ChainConstructionError,
     ElementaryMove,
@@ -114,6 +119,31 @@ class TestVerifyRcMove:
         other = WEAK if mode is STRICT else STRICT
         a, b = (pair(*v) for v in build(inside))
         assert verify_rc_move(a, b, m, other) is (kind not in rc_order._WEAK_ONLY)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_coupled_move_is_the_majorization_of_its_two_coordinates(self, data):
+        """With the other vector constant, a coupled move at n = 2 holds
+        exactly when check_majorization does, tolerance edges included."""
+        scale = data.draw(st.sampled_from((1.0, 1e-3, 1e4)))
+        s, t = (data.draw(st.floats(-3.0, 3.0)) * scale for _ in range(2))
+        # (s, t) itself, swapped or averaged, each coordinate nudged
+        u, v = data.draw(st.sampled_from(((s, t), (t, s), (0.5 * (s + t),) * 2)))
+        nudge = st.sampled_from((0.0, 1e-13, -1e-13, 2e-12, -2e-12, 1e-9))
+        u, v = u + data.draw(nudge) * scale, v + data.draw(nudge) * scale
+        same = (1.0, 1.0)
+        for kind, mode in (
+            (MoveKind.MAJORIZE_X, MajorizationMode.FULL),
+            (MoveKind.WEAK_MAJORIZE_X, MajorizationMode.BELOW),
+            (MoveKind.MAJORIZE_Y, MajorizationMode.FULL),
+            (MoveKind.WEAK_MAJORIZE_Y, MajorizationMode.ABOVE),
+        ):
+            if kind in rc_order._MOVES_X:
+                a, b = pair((u, v), same), pair((s, t), same)
+            else:
+                a, b = pair(same, (u, v)), pair(same, (s, t))
+            want, _ = check_majorization((u, v), (s, t), mode)
+            assert verify_rc_move(a, b, ElementaryMove(kind, 0, 1), WEAK) is want, kind
 
     def test_coupled_move_requires_positions(self):
         with pytest.raises(ValueError):
