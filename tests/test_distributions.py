@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 
@@ -9,6 +11,7 @@ from scipy import stats
 from stochord import distributions, harness
 from stochord.distributions import (
     _EPS,
+    DEFAULT_TAIL_CAP,
     MAX_LATTICE,
     CdfGrid,
     ConvolutionSpec,
@@ -34,7 +37,7 @@ from stochord.distributions import (
     spec,
     survival_dominance_check,
 )
-from stochord.harness import Scenario, ScenarioName, generate_instance
+from stochord.harness import MATRIX, Scenario, ScenarioName, generate_instance
 from stochord.verdicts import OrderVerdict, Status
 
 probs_st = st.floats(0.15, 0.9)
@@ -420,53 +423,6 @@ class TestDeconvolve:
             deconvolve(f2, f1)
 
 
-def _reference_nb_probs(alpha, p, tail_cap):
-    """Reference for the negative binomial kernel: one shape at a time."""
-    q = 1.0 - p
-    size = 128
-    while True:
-        k = np.arange(size, dtype=float)
-        probs = np.empty(size + 1)
-        probs[0] = p**alpha
-        np.multiply.accumulate(q * (k + alpha) / (k + 1.0), out=k)
-        probs[1:] = probs[0] * k
-        m = np.arange(size + 1, dtype=float)
-        r = q * np.maximum(1.0, (m + alpha) / (m + 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(r < 1.0, probs * r / (1.0 - r), np.inf)
-        ok = np.flatnonzero(bound <= tail_cap)
-        if ok.size:
-            cut = int(ok[0])
-            return probs[: cut + 1].copy(), float(bound[cut])
-        size *= 2
-
-
-def _reference_mix(latent, stride, conditional):
-    """Reference for the shape mixtures: one conditional PMF per latent atom."""
-    tail = latent.tail_bound
-    parts = []
-    for h, w in enumerate(latent.probs):
-        if w > 0:
-            probs, t = conditional(latent.offset + h)
-            parts.append((stride * h, w, probs))
-            tail += w * t
-    out = np.zeros(max(start + probs.size for start, _, probs in parts))
-    for start, w, probs in parts:
-        out[start : start + probs.size] += w * probs
-    return TruncatedPMF(stride * latent.offset, out, tail)
-
-
-def _reference_pair(alpha, p, s_hi, s_lo, cap):
-    latent = point_mass(alpha) if p == 1.0 else shifted_nb_pmf(NegBinParams(alpha, p), cap)
-
-    def pair(shape):
-        hi, t_hi = _reference_nb_probs(shape, s_hi, cap)
-        lo, t_lo = _reference_nb_probs(shape, s_lo, cap)
-        return np.convolve(hi, lo), t_hi + t_lo
-
-    return _reference_mix(latent, 2, pair)
-
-
 def _mixture_cases():
     """Parameters ``(alpha, p1, p2, c0, lam1, lam2, cap)`` from the box the
     identities are stated in, then edge cases: success near 1, large shapes,
@@ -486,10 +442,58 @@ def _mixture_cases():
     yield 1.1, 0.6, 0.3, 0.55, 0.2, 0.2, 1e-12  # point-mass latent
 
 
-def _assert_same_pmf(got, ref):
-    assert got.offset == ref.offset
-    assert np.array_equal(got.probs, ref.probs)
-    assert got.tail_bound == ref.tail_bound
+def _feed(h, *laws):
+    """Feed lattice PMFs, CDF grids and floats into ``h`` byte for byte."""
+    for law in laws:
+        if isinstance(law, TruncatedPMF):
+            h.update(np.array([law.offset, law.tail_bound]).tobytes())
+            h.update(law.probs.tobytes())
+        elif isinstance(law, CdfGrid):
+            for a in (law.points, law.values, law.errors):
+                h.update(a.tobytes())
+        else:
+            h.update(np.float64(law).tobytes())
+
+
+def _mixture_digest(cases) -> str:
+    h = hashlib.sha256()
+    grid = np.linspace(1e-9, 30.0, 32)
+    for alpha, p1, p2, c0, lam1, lam2, cap in cases:
+        latent = shifted_nb_pmf(NegBinParams(alpha, p1), cap)
+        p = (c0**2 - lam1**2) / (c0**2 - lam2**2)
+        _feed(
+            h,
+            shape_mixture_pmf(latent, p2, cap),
+            coupled_pair_mixture_pmf(alpha, c0, lam2, p, cap),
+            coupled_gamma_pair_cdf(alpha, c0, lam2, p, grid, cap),
+        )
+    return h.hexdigest()
+
+
+def _one_row_cases():
+    """``(shape, success, tail cap)`` over the box of ``test_one_row_bitwise``
+    and its corners."""
+    rng = np.random.default_rng(20261018)
+    caps = (1e-8, 1e-12, 1e-14)
+    for i in range(150):
+        yield float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.01, 0.999999)), caps[i % 3]
+    for alpha in (0.2, 3.0):
+        for p in (0.01, 0.999999):
+            for cap in caps:
+                yield alpha, p, cap
+
+
+# sha256 of the kernel outputs, computed when each was still checked against
+# a plain per-atom loop (one shape per recurrence, one mixture term per atom):
+# the mixtures of ``_mixture_cases`` (the first 40 when chunked), one-row
+# lattices over ``_one_row_cases``, and the rows of ``ROW_SHAPES`` at 0.35
+MIXTURE_DIGESTS = {
+    "one-block": "c1f6d4aa1e79511fc86257899ad6e14163fad23277b60f4e965dd697b2aefcf8",
+    "chunked": "e160fe66af18184815e0fe56144fdd160cb1e137fad01762819c7e88ea5b821d",
+}
+ONE_ROW_DIGEST = "5571a1a6cbabe887c1a8584d8c51d7f59575354095fa38b2987a04f610f24e60"
+ROW_SHAPES = [0.4, 7.5, 120.0, 1.0, 33.3, 2.2, 0.9, 60.0]
+ROWS_DIGEST = "4478183495280520942fc7feac82dcd0e27d1b95570488260f2a15fa7a51f022"
 
 
 class TestBatchedKernelMatchesPerAtomLoop:
@@ -501,42 +505,94 @@ class TestBatchedKernelMatchesPerAtomLoop:
             # still fit the patched size limit
             monkeypatch.setattr(distributions, "MAX_LATTICE", 1000)
             cases = cases[:40]
-        for alpha, p1, p2, c0, lam1, lam2, cap in cases:
-            latent = shifted_nb_pmf(NegBinParams(alpha, p1), cap)
-            _assert_same_pmf(
-                shape_mixture_pmf(latent, p2, cap),
-                _reference_mix(latent, 1, lambda a: _reference_nb_probs(a, p2, cap)),
-            )
-            p = (c0**2 - lam1**2) / (c0**2 - lam2**2)
-            _assert_same_pmf(
-                coupled_pair_mixture_pmf(alpha, c0, lam2, p, cap),
-                _reference_pair(alpha, p, c0 + lam2, c0 - lam2, cap),
-            )
-            beta = c0 + lam2
-            ref = _reference_pair(alpha, p, 1.0, (c0 - lam2) / beta, cap)
-            grid = np.linspace(1e-9, 30.0, 32)
-            got = coupled_gamma_pair_cdf(alpha, c0, lam2, p, grid, cap)
-            values, rounding = _gamma_mixture_cdf(ref, beta, grid)
-            assert np.array_equal(got.values, np.clip(values, 0.0, 1.0))
-            assert np.array_equal(got.errors, ref.tail_bound + rounding)
+        assert _mixture_digest(cases) == MIXTURE_DIGESTS["chunked" if chunked else "one-block"]
 
-    @given(shapes_st, st.floats(0.01, 0.999999), st.sampled_from([1e-8, 1e-12, 1e-14]))
-    @settings(max_examples=60, deadline=None)
-    def test_one_row_bitwise(self, alpha, p, cap):
-        probs, bound = _reference_nb_probs(alpha, p, cap)
-        pmf = nb_pmf(NegBinParams(alpha, p), cap)
-        assert np.array_equal(pmf.probs, probs) and pmf.tail_bound == bound
+    def test_one_row_bitwise(self):
+        h = hashlib.sha256()
+        for alpha, p, cap in _one_row_cases():
+            _feed(h, nb_pmf(NegBinParams(alpha, p), cap))
+        assert h.hexdigest() == ONE_ROW_DIGEST
 
     @pytest.mark.parametrize("max_lattice", [MAX_LATTICE, 1000])
     def test_rows_do_not_depend_on_their_neighbours(self, max_lattice, monkeypatch):
         # at 1000, blocks of three rows at the first size and of one row
         # after the first doubling
         monkeypatch.setattr(distributions, "MAX_LATTICE", max_lattice)
-        shapes = [0.4, 7.5, 120.0, 1.0, 33.3, 2.2, 0.9, 60.0]
-        rows = distributions._nb_rows(shapes, 0.35, 1e-12)
-        for a, (probs, bound) in zip(shapes, rows):
-            ref_probs, ref_bound = _reference_nb_probs(a, 0.35, 1e-12)
-            assert np.array_equal(probs, ref_probs) and bound == ref_bound
+        rows = distributions._nb_rows(ROW_SHAPES, 0.35, 1e-12)
+        h = hashlib.sha256()
+        for a, (probs, bound) in zip(ROW_SHAPES, rows):
+            ((one, one_bound),) = distributions._nb_rows([a], 0.35, 1e-12)
+            assert np.array_equal(probs, one) and bound == one_bound
+            h.update(probs.tobytes() + np.float64(bound).tobytes())
+        assert h.hexdigest() == ROWS_DIGEST
+
+
+def _random_specs():
+    """Random specs with a tail cap each: negbin specs, and gamma specs whose
+    largest rate some components share (point masses in the latent), every
+    fourth with a common rate above the largest."""
+    rng = np.random.default_rng(20261018)
+    for i in range(180):
+        n = int(rng.integers(1, 7))
+        shapes = rng.uniform(0.2, 3.0, n)
+        cap = (1e-12, 1e-8, 1e-5)[i % 3]
+        if i % 2 == 0:
+            yield spec("negbin", shapes, rng.uniform(0.05, 0.95, n)), cap, None
+        else:
+            rates = rng.uniform(0.3, 4.0, n)
+            rates[rng.random(n) < 0.4] = rates.max()
+            beta = 1.25 * rates.max() if i % 4 == 1 else None
+            yield spec("gamma", shapes, rates), cap, beta
+
+
+def _kernel_outputs(s, grid, cap=DEFAULT_TAIL_CAP, beta=None):
+    if s.family == "negbin":
+        return nb_convolution(s, cap), nb_convolution(s, cap, shifted=True)
+    latent, common = gamma_latent(s, cap, beta)
+    return latent, common, gamma_convolution_cdf(s, grid, cap, beta)
+
+
+# sha256 of the kernel outputs on both specs of every scenario-matrix
+# instance at n = 2..6, seeds 0..2, per row: negbin lattices unshifted and
+# shifted; gamma latents, their common rate and the CDF on the pair's grid
+MATRIX_KERNEL_DIGESTS = {
+    ("RaiseAlpha", "negbin"): "692a36cc57b3b2fe3251bbfd5fd4b950cac0ffd814fd7cf365f47e1802385a55",
+    ("LowerBeta", "negbin"): "85f5a7d942773c92b1126b0b4e1906161c4452b47a87367d883a9bb9ca0cccf4",
+    ("MajorizeBeta", "negbin"): "f132646aa535d75291891527c24a83ae430e43e475ac6cf45b74e586852486fe",
+    ("DiffAlphaMajorizeBeta", "negbin"): "726a25431376d6d70b8259413f7d625018c0f14981ef471937eb130a202c8a05",
+    ("MajorizeAlpha", "negbin"): "26c6652bd3b9f2a71900965168f3d343f3a341544219c7b7e1520e1dfe46bbde",
+    ("ConvAI", "negbin"): "f4a08d45c18ad15c4239143e8a8d3e4776014b8ab99b59504e85af244e222391",
+    ("RcGeneral", "negbin"): "9ac9aedc1131272f9d4d27c7e12a5a309b4f02b1d323f5fd028cf8f3611d9415",
+    ("GammaConv", "gamma"): "a292cdef37ed9f26d557a30f9b594af740c97d0fbca6ecb5e85459ab9caa877b",
+    ("OppositeOrderedWeak", "negbin"): "acb6fcf0aaaca9229cae1ecb875bb867d4aa96c84a1efecd666794539cd41103",
+    ("LogMajorizeBetaSt", "negbin"): "ce2a8fb80d8e9236b35bbe21135b7238bbb396b4bdd88b57a54a508dbb742ebe",
+    ("StGeneral", "negbin"): "1822f212d972b08c42513f7f01276f62aa6dc90802bc67bf2d129cdc9dc7d1d9",
+    ("StGeneral", "gamma"): "3117551c256a195ac580665ab404122e54c6abca159c4d04b0a72fedb4a0e600",
+    ("AITail", "gamma"): "ab3f4f42d011604386845f99776ca09c537ec4e97cca1e4960f6658c5f51542f",
+    ("CoupledGammaPair", "gamma"): "384331c037dfdf04b4df67933491a8b2aa3932ff6e859aa1482ac1aa954ae017",
+    ("MixtureLemmaSt", "negbin"): "5bda3e3434a646da1818daa7ba449dda109b610158f35cd768c761da704f5a2f",
+}
+# the same outputs over ``_random_specs``, gamma CDFs on a 64-point grid
+RANDOM_KERNEL_DIGEST = "ab835988293f18ceee0b71da35a2bea4a2856458504baf02924ae068aea34e81"
+
+
+class TestPinnedKernelOutputs:
+    def test_matrix_rows(self):
+        digests = {}
+        for row in MATRIX:
+            h = hashlib.sha256()
+            for n, seed in itertools.product(range(2, 7), range(3)):
+                s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+                grid = default_gamma_grid([s1, s2])
+                _feed(h, *_kernel_outputs(s1, grid), *_kernel_outputs(s2, grid))
+            digests[row.name.value, row.family] = h.hexdigest()
+        assert digests == MATRIX_KERNEL_DIGESTS
+
+    def test_random_specs_at_three_tail_caps(self):
+        h = hashlib.sha256()
+        for s, cap, beta in _random_specs():
+            _feed(h, *_kernel_outputs(s, default_gamma_grid([s], 64), cap, beta))
+        assert h.hexdigest() == RANDOM_KERNEL_DIGEST
 
 
 class TestMixtures:

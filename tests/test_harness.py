@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -144,6 +146,47 @@ class TestVerifyTheoremInstance:
             for r in run_scenario(name, fam, n, range(2), order):
                 assert r.param_status == "holds", (name, fam, n, r.seed)
                 assert r.numeric_status == "holds", (name, fam, n, r.seed)
+
+
+# sha256 per scenario-matrix row of the row's numeric check, status and
+# record, on both directions of every instance at n = 2..6, seeds 0..2
+CHECK_DIGESTS = {
+    ("RaiseAlpha", "negbin"): "0219a568e2f08dee2a70166a15fd910a597ec907b56d407731a9e1eb3d47ae74",
+    ("LowerBeta", "negbin"): "71c3e11370aca6f5054fd566737b531839744bc2d8ca4a29cb150da077c10d8f",
+    ("MajorizeBeta", "negbin"): "8680ef03c401d27cbabcf9f304753c6d7effb5aba006b68e75ac627647a9d900",
+    ("DiffAlphaMajorizeBeta", "negbin"): "4f65eb5679ead4b7d9c3f9b661a9a4f966fd0725c22276862c2631a530c6a9dc",
+    ("MajorizeAlpha", "negbin"): "3c19f0084ae55650afba318297fedefe6d033f9df37e9216a84c5a1b439a2fa6",
+    ("ConvAI", "negbin"): "e2618c1735c0e9a51a48f80e5425d54084f53d5e697086ebc8cb2debd112bdf8",
+    ("RcGeneral", "negbin"): "8027cfbaa76b7dc44fc06df9b9dc62d81aa3236ff16d7ceb9976442de55d263b",
+    ("GammaConv", "gamma"): "c8de30a5b027f2a087a9878519d30c6b2655555eb85b0cc1ac44202dc42667db",
+    ("OppositeOrderedWeak", "negbin"): "0c9c2e39fc1289163bf33312f092288f3e29eb6cddfa678b2eaa21e3a3e6d934",
+    ("LogMajorizeBetaSt", "negbin"): "a4907714f2663b8215f1cf0fccda871dc3c4197adcdb6c659b035b5c907c4b85",
+    ("StGeneral", "negbin"): "1fc573365dcf2fee12184ca37625ab078bbd7c376b7721cbad11347311296ad1",
+    ("StGeneral", "gamma"): "aab33de033e24c14ad1d5b84a54c96b11862dcd10ae6f1aea305c1e496323198",
+    ("AITail", "gamma"): "d46e8781260a79f4fda86d280d9ea959927106c7754820ff249630090aa206e0",
+    ("CoupledGammaPair", "gamma"): "3eabeffe6fd588db515bbc800eda97e068c2871858f814e082b23d8eaffa37fd",
+    ("MixtureLemmaSt", "negbin"): "5c2f941464aa9e669b31301a8a4aa7f51383f2f9abc171dccd97f97044c81fe2",
+}
+
+
+def _check_digests(rows=MATRIX) -> dict:
+    digests = {}
+    for row in rows:
+        check = numeric_conv_check if row.order == "conv" else numeric_st_check
+        h = hashlib.sha256()
+        for n, seed in itertools.product(range(2, 7), range(3)):
+            s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+            for a, b in ((s1, s2), (s2, s1)):
+                v = check(a, b)
+                h.update(v.status.value.encode())
+                h.update(json.dumps(v.violation or v.detail, sort_keys=True).encode())
+        digests[row.name.value, row.family] = h.hexdigest()
+    return digests
+
+
+class TestNumericChecks:
+    def test_details_match_pinned_digests(self):
+        assert _check_digests() == CHECK_DIGESTS
 
 
 class TestReports:
