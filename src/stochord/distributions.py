@@ -66,6 +66,10 @@ class ConvolutionSpec:
     scales: Vector
 
     def __post_init__(self):
+        # tuples of floats, so a spec built from lists or arrays hashes and
+        # equals the same spec built by ``spec``
+        object.__setattr__(self, "shapes", tuple(float(a) for a in self.shapes))
+        object.__setattr__(self, "scales", tuple(float(b) for b in self.scales))
         if self.family not in ("negbin", "gamma"):
             raise ValueError(f"family must be 'negbin' or 'gamma', got {self.family!r}")
         if len(self.shapes) != len(self.scales):
@@ -182,26 +186,30 @@ _cached_lattice_index = functools.cache(_lattice_index)
 
 
 def _nb_rows(
-    shapes, p: float, tail_cap: float, held: int = 0
+    shapes, p, tail_cap: float, held: int = 0
 ) -> list[tuple[np.ndarray, float]]:
     """PMF values of the negative binomials of each shape in ``shapes`` at
-    success probability ``p``, by the stable ratio recurrence, each truncated
-    where a geometric bound certifies its remaining mass below ``tail_cap``.
-    Returns ``(probs, bound)`` per shape.
+    success probability ``p``, or at its own entry of ``p`` when ``p`` is a
+    sequence, by the stable ratio recurrence, each truncated where a
+    geometric bound certifies its remaining mass below ``tail_cap``.  Returns
+    ``(probs, bound)`` per shape.
 
     All rows share one lattice size, doubled until every row has a cut; a
     row's prefix does not depend on the size, so neither does its cut.  A
     block of rows holds at most ``MAX_LATTICE // 2`` floats per array, less
-    than one lattice of the largest size.
+    than one lattice of the largest size; its shapes and success
+    probabilities are columns, so a row does not depend on its neighbours.
 
     Raises ``LatticeLimitError`` when a first term ``p**alpha`` is below the
     normal floats (the running products, up to its inverse, would overflow),
     a row has no cut at the largest size within ``MAX_LATTICE``, or the rows
     and the ``held`` points the caller holds pass ``MIXTURE_POINTS`` together."""
-    q = 1.0 - p
+    if not 0 < tail_cap < 1:
+        raise ValueError(f"tail_cap must be in (0,1), got {tail_cap}")
     shapes = [float(a) for a in shapes]
+    ps = [p] * len(shapes) if np.isscalar(p) else list(p)
     out = [None] * len(shapes)
-    todo = list(range(len(shapes)))  # rows without a cut, and their shapes
+    todo = list(range(len(shapes)))  # rows without a cut, their shapes and successes
     size = 128
     kept = held
     while todo:
@@ -210,20 +218,23 @@ def _nb_rows(
         rows = max(1, MAX_LATTICE // 2 // (size + 1))
         missing = []
         for lo in range(0, len(todo), rows):
-            alpha = shapes[lo : lo + rows]
+            alpha, succ = shapes[lo : lo + rows], ps[lo : lo + rows]
             # scalar powers: numpy's array power can differ in the last bit
-            heads = [p**s for s in alpha]
-            if min(heads) < _TINY:
+            heads = [b**a for a, b in zip(alpha, succ)]
+            low = min(heads)
+            if low < _TINY:
+                j = heads.index(low)
                 raise LatticeLimitError(
-                    f"a negative binomial lattice (shape {max(alpha):g}, success {p:g}) "
+                    f"a negative binomial lattice (shape {alpha[j]:g}, success {succ[j]:g}) "
                     "starts below the normal floats"
                 )
             if len(alpha) == 1:
                 # numpy broadcasts a scalar faster than a column, and most
                 # callers ask for one row
-                a, head = alpha[0], heads[0]
+                a, head, q = alpha[0], heads[0], 1.0 - succ[0]
             else:
                 a, head = np.array(alpha)[:, None], np.array(heads)[:, None]
+                q = 1.0 - np.array(succ)[:, None]
             x = k + a
             # column j >= 1 holds the ratio q (j - 1 + alpha) / j; column 0
             # is 1, so the running product is the PMF over its first term
@@ -241,30 +252,29 @@ def _nb_rows(
             probs, bound = probs.reshape(-1, size + 1), bound.reshape(-1, size + 1)
             ok = bound <= tail_cap
             for j, cut in enumerate(ok.argmax(axis=1).tolist(), lo):
-                if ok[j - lo, cut]:
-                    out[todo[j]] = probs[j - lo, : cut + 1].copy(), float(bound[j - lo, cut])
-                    kept += cut + 1
-                else:
+                if not ok[j - lo, cut]:
                     missing.append(j)
-            if kept > MIXTURE_POINTS:
-                raise LatticeLimitError(
-                    f"negative binomial lattices at success {p:g} keep over "
-                    f"{MIXTURE_POINTS} points together"
-                )
+                    continue
+                out[todo[j]] = probs[j - lo, : cut + 1].copy(), float(bound[j - lo, cut])
+                kept += cut + 1
+                if kept > MIXTURE_POINTS:
+                    raise LatticeLimitError(
+                        f"negative binomial lattices through the one at success {ps[j]:g} "
+                        f"keep over {MIXTURE_POINTS} points together"
+                    )
         todo = [todo[j] for j in missing]
         shapes = [shapes[j] for j in missing]
+        ps = [ps[j] for j in missing]
         size *= 2
         if todo and size > MAX_LATTICE:
             raise LatticeLimitError(
-                f"a negative binomial lattice (shape {shapes[0]:g}, success {p:g}) "
+                f"a negative binomial lattice (shape {shapes[0]:g}, success {ps[0]:g}) "
                 f"needs over {size // 2 + 1} points"
             )
     return out
 
 
 def nb_pmf(params: NegBinParams, tail_cap: float = DEFAULT_TAIL_CAP) -> TruncatedPMF:
-    if not 0 < tail_cap < 1:
-        raise ValueError(f"tail_cap must be in (0,1), got {tail_cap}")
     ((probs, tail),) = _nb_rows((params.alpha,), params.p, tail_cap)
     return TruncatedPMF(0.0, probs, tail)
 
@@ -298,11 +308,21 @@ def _check_convolutions(pairs) -> None:
     _check_work(work, "convolution")
 
 
+def _convolve_rows(pieces) -> TruncatedPMF:
+    """Convolution of the lattice rows ``(offset, probs, tail)``, folded left
+    to right, with no PMF built in between."""
+    (offset, probs, tail), *rest = pieces
+    for o, b, t in rest:
+        _check_convolutions([(probs, b)])
+        # a direct convolution of nonnegative arrays sums nonnegative products
+        probs = np.convolve(probs, b)
+        offset += o
+        tail += t
+    return TruncatedPMF(offset, probs, tail)
+
+
 def convolve(a: TruncatedPMF, b: TruncatedPMF) -> TruncatedPMF:
-    _check_convolutions([(a.probs, b.probs)])
-    # a direct convolution of nonnegative arrays sums nonnegative products
-    probs = np.convolve(a.probs, b.probs)
-    return TruncatedPMF(a.offset + b.offset, probs, a.tail_bound + b.tail_bound)
+    return _convolve_rows([(a.offset, a.probs, a.tail_bound), (b.offset, b.probs, b.tail_bound)])
 
 
 def nb_convolution(
@@ -310,12 +330,9 @@ def nb_convolution(
 ) -> TruncatedPMF:
     if s.family != "negbin":
         raise ValueError("nb_convolution requires a negbin spec")
-    make = shifted_nb_pmf if shifted else nb_pmf
-    out = None
-    for a, p in zip(s.shapes, s.scales):
-        piece = make(NegBinParams(a, p), tail_cap)
-        out = piece if out is None else convolve(out, piece)
-    return out
+    rows = _nb_rows(s.shapes, s.scales, tail_cap)
+    offsets = s.shapes if shifted else (0.0,) * s.n
+    return _convolve_rows([(o, probs, t) for o, (probs, t) in zip(offsets, rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +643,17 @@ def gamma_latent(
     beta = max(s.scales) if common_beta is None else float(common_beta)
     if not max(s.scales) <= beta < math.inf:
         raise ValueError("common rate must be finite and at least every component rate")
+    mixed = [(a, b / beta) for a, b in zip(s.shapes, s.scales) if b != beta]
+    for _, p in mixed:
+        if not 0 < p < 1:
+            raise ValueError(f"success probability must be in (0,1), got {p}")
+    rows = iter(_nb_rows([a for a, _ in mixed], [p for _, p in mixed], tail_cap))
+    # the point masses keep their places in the order of the convolutions
     pieces = [
-        point_mass(a) if b == beta else shifted_nb_pmf(NegBinParams(a, b / beta), tail_cap)
+        (a, np.ones(1), 0.0) if b == beta else (a, *next(rows))
         for a, b in zip(s.shapes, s.scales)
     ]
-    return functools.reduce(convolve, pieces), beta
+    return _convolve_rows(pieces), beta
 
 
 def gamma_convolution_cdf(

@@ -7,6 +7,7 @@ convolution specs provably satisfying the scenario hypothesis (asserted via
 the order engine before use)."""
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -406,6 +407,23 @@ def _param_pairs(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str):
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _law(s: ConvolutionSpec, tail_cap: float, grid: Optional[bytes] = None):
+    """The lattice PMF of a negbin spec, or the CDF of a gamma spec on the
+    grid whose float64 bytes are ``grid``: the last four the numeric checks
+    built, so a pair checked in both directions builds each law once.  Their
+    arrays are read-only, since every caller of an equal key shares them."""
+    if grid is None:
+        law = nb_convolution(s, tail_cap)
+        arrays = (law.probs,)
+    else:
+        law = gamma_convolution_cdf(s, np.frombuffer(grid), tail_cap)
+        arrays = (law.points, law.values, law.errors)
+    for a in arrays:
+        a.flags.writeable = False
+    return law
+
+
 def numeric_conv_check(
     s1: ConvolutionSpec,
     s2: ConvolutionSpec,
@@ -422,8 +440,7 @@ def numeric_conv_check(
     if s1.family != s2.family:
         raise ValueError("family mismatch")
     if s1.family == "negbin":
-        f1 = nb_convolution(s1, tail_cap)
-        f2 = nb_convolution(s2, tail_cap)
+        f1, f2 = _law(s1, tail_cap), _law(s2, tail_cap)
         _, verdict = deconvolve(f2, f1, tol)
         return verdict
     beta = 2.0 * max(max(s1.scales), max(s2.scales))
@@ -452,13 +469,10 @@ def numeric_st_check(
     if s1.family != s2.family:
         raise ValueError("family mismatch")
     if s1.family == "negbin":
-        return survival_dominance_check(
-            nb_convolution(s1, tail_cap), nb_convolution(s2, tail_cap), tol
-        )
-    grid = default_gamma_grid([s1, s2])
-    g1 = gamma_convolution_cdf(s1, grid, tail_cap)
-    g2 = gamma_convolution_cdf(s2, grid, tail_cap)
-    return survival_dominance_check(g1, g2, tol)
+        return survival_dominance_check(_law(s1, tail_cap), _law(s2, tail_cap), tol)
+    # the grid is the same array for (s1, s2) and (s2, s1): np.unique sorts
+    grid = default_gamma_grid([s1, s2]).tobytes()
+    return survival_dominance_check(_law(s1, tail_cap, grid), _law(s2, tail_cap, grid), tol)
 
 
 def verify_theorem_instance(

@@ -494,6 +494,10 @@ MIXTURE_DIGESTS = {
 ONE_ROW_DIGEST = "5571a1a6cbabe887c1a8584d8c51d7f59575354095fa38b2987a04f610f24e60"
 ROW_SHAPES = [0.4, 7.5, 120.0, 1.0, 33.3, 2.2, 0.9, 60.0]
 ROWS_DIGEST = "4478183495280520942fc7feac82dcd0e27d1b95570488260f2a15fa7a51f022"
+# one success probability per row of ``ROW_SHAPES``, and the digest of the
+# one-row lattices at those successes, pinned before rows could mix them
+ROW_SUCCESSES = [0.35, 0.6, 0.5, 0.15, 0.35, 0.9, 0.25, 0.8]
+MIXED_ROWS_DIGEST = "6eb58645a781b7b2b2d3d89f131c2d88ec914c0ecfabce01bfb849c875f05f0c"
 
 
 class TestBatchedKernelMatchesPerAtomLoop:
@@ -518,13 +522,27 @@ class TestBatchedKernelMatchesPerAtomLoop:
         # at 1000, blocks of three rows at the first size and of one row
         # after the first doubling
         monkeypatch.setattr(distributions, "MAX_LATTICE", max_lattice)
-        rows = distributions._nb_rows(ROW_SHAPES, 0.35, 1e-12)
-        h = hashlib.sha256()
-        for a, (probs, bound) in zip(ROW_SHAPES, rows):
-            ((one, one_bound),) = distributions._nb_rows([a], 0.35, 1e-12)
-            assert np.array_equal(probs, one) and bound == one_bound
-            h.update(probs.tobytes() + np.float64(bound).tobytes())
-        assert h.hexdigest() == ROWS_DIGEST
+        for p, digest in ((0.35, ROWS_DIGEST), (ROW_SUCCESSES, MIXED_ROWS_DIGEST)):
+            rows = distributions._nb_rows(ROW_SHAPES, p, 1e-12)
+            successes = [p] * len(ROW_SHAPES) if p == 0.35 else p
+            h = hashlib.sha256()
+            for a, b, (probs, bound) in zip(ROW_SHAPES, successes, rows):
+                ((one, one_bound),) = distributions._nb_rows([a], b, 1e-12)
+                assert np.array_equal(probs, one) and bound == one_bound
+                h.update(probs.tobytes() + np.float64(bound).tobytes())
+            assert h.hexdigest() == digest
+
+    def test_lattice_limits_name_the_row_at_fault(self, monkeypatch):
+        # rows of mixed success probabilities: each error names the row that
+        # starts too low, has no cut, or passes the kept-points limit
+        with pytest.raises(LatticeLimitError, match=r"shape 1023, success 0.5\)"):
+            distributions._nb_rows([2000.0, 1023.0], [0.9999, 0.5], 1e-12)
+        with pytest.raises(LatticeLimitError, match=r"shape 1, success 1e-06\) needs over"):
+            distributions._nb_rows([0.5, 1.0], [0.5, 1e-6], 1e-12)
+        # 12 points at success 0.9, 124 at 0.2 and 2,750 at 0.01
+        monkeypatch.setattr(distributions, "MIXTURE_POINTS", 100)
+        with pytest.raises(LatticeLimitError, match="success 0.2 keep over 100 points"):
+            distributions._nb_rows([1.0, 1.0, 1.0], [0.9, 0.2, 0.01], 1e-12)
 
 
 def _random_specs():
@@ -798,6 +816,12 @@ class TestSerializationAndExport:
         data = json.loads(json.dumps(s.to_dict()))
         assert set(data) == {"family", "shapes", "scales"}
         assert ConvolutionSpec.from_dict(data) == s
+
+    def test_spec_from_lists_hashes_and_equals_spec(self):
+        built = ConvolutionSpec("negbin", [1.0, 2.0], np.array([0.5, 0.6]))
+        assert built == spec("negbin", [1.0, 2.0], [0.5, 0.6])
+        assert hash(built) == hash(spec("negbin", (1, 2), (0.5, 0.6)))
+        assert built.shapes == (1.0, 2.0) and type(built.scales[0]) is float
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

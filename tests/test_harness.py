@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from stochord import harness
 from stochord.distributions import (
+    DEFAULT_TAIL_CAP,
     NegBinParams,
+    default_gamma_grid,
     shape_mixture_pmf,
     shifted_nb_pmf,
     spec,
@@ -187,6 +190,58 @@ def _check_digests(rows=MATRIX) -> dict:
 class TestNumericChecks:
     def test_details_match_pinned_digests(self):
         assert _check_digests() == CHECK_DIGESTS
+
+    def test_details_match_with_the_memo_cleared_before_every_law(self, monkeypatch):
+        law = harness._law
+
+        def cleared(*key):
+            law.cache_clear()
+            return law(*key)
+
+        monkeypatch.setattr(harness, "_law", cleared)
+        assert _check_digests() == CHECK_DIGESTS
+
+    @pytest.mark.parametrize("family", ["negbin", "gamma"])
+    def test_reversed_st_check_builds_no_law(self, family, monkeypatch):
+        built = []
+
+        def spy(build):
+            def counted(s, *args):
+                built.append(s)
+                return build(s, *args)
+
+            return counted
+
+        for name in ("nb_convolution", "gamma_convolution_cdf"):
+            monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+        s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, family, 4, 5))
+        harness._law.cache_clear()
+        assert numeric_st_check(s1, s2).holds
+        assert built == [s1, s2]
+        assert numeric_st_check(s2, s1).refuted
+        assert built == [s1, s2]
+        if family == "negbin":  # a conv check of the pair reads the same lattices
+            numeric_conv_check(s1, s2)
+            assert built == [s1, s2]
+
+    def test_memo_holds_four_read_only_laws(self):
+        harness._law.cache_clear()
+        for seed in range(3):
+            pairs = [
+                generate_instance(Scenario(ScenarioName.ST_GENERAL, family, 3, seed))
+                for family in ("negbin", "gamma")
+            ]
+            for s1, s2 in pairs:
+                numeric_st_check(s1, s2)
+        info = harness._law.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (4, 4, 12)
+        (nb1, _), (g1, g2) = pairs
+        lattice = harness._law(nb1, DEFAULT_TAIL_CAP)
+        cdf = harness._law(g1, DEFAULT_TAIL_CAP, default_gamma_grid([g1, g2]).tobytes())
+        assert harness._law.cache_info().hits == 2
+        for array in (lattice.probs, cdf.points, cdf.values, cdf.errors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
 
 class TestReports:
