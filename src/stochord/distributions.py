@@ -74,6 +74,8 @@ class ConvolutionSpec:
             raise ValueError(f"family must be 'negbin' or 'gamma', got {self.family!r}")
         if len(self.shapes) != len(self.scales):
             raise ValueError("shapes and scales must have equal length")
+        if not self.shapes:
+            raise ValueError("a spec needs at least one component")
         if self.family == "negbin":
             for a, p in zip(self.shapes, self.scales):
                 NegBinParams(a, p)

@@ -836,6 +836,8 @@ class TestSerializationAndExport:
         ):
             with pytest.raises(ValueError, match=message):
                 spec("gamma", shapes, scales)
+        with pytest.raises(ValueError, match="at least one component"):
+            ConvolutionSpec("negbin", [], [])
 
     def test_csv_round_trips_17_digits(self, tmp_path):
         path = tmp_path / "curve.csv"
