@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +333,42 @@ class TestSearch:
             digests[row.name.value, row.family] = h.hexdigest()
         assert digests == SEARCH_DIGESTS
         assert searched == {Status.HOLDS: 225, Status.UNKNOWN: 30}
+
+    def test_off_matrix_pairs_match_the_pinned_digest(self):
+        """The search's outputs on random pairs outside the matrix, byte for
+        byte, against a digest pinned before the candidates became tuples."""
+        h = hashlib.sha256()
+        searched = {Status.HOLDS: 0, Status.UNKNOWN: 0}
+        for a, b in _random_pairs(25):
+            if not check_necessary(a, b, WEAK)[0]:
+                continue
+            v = rc_order._search(a, b, WEAK, 200)
+            h.update(v.status.value.encode())
+            h.update(json.dumps(v.detail, sort_keys=True).encode())
+            h.update(b"null" if v.witness is None else chain_to_json(v.witness).encode())
+            searched[v.status] += 1
+        assert h.hexdigest() == OFF_MATRIX_DIGEST
+        assert searched == {Status.HOLDS: 17, Status.UNKNOWN: 14}
+
+
+def _random_pairs(per_n):
+    """Pairs at n = 2..5: a target with x in [0.3, 2.5] and y in [0.3, 3],
+    and a start with x lowered and y raised by up to 0.6 (or moved the other
+    way by up to 0.3) under a common permutation, all to two decimals."""
+    rng = random.Random(20261018)
+    for n in range(2, 6):
+        for _ in range(per_n):
+            x2 = [round(rng.uniform(0.3, 2.5), 2) for _ in range(n)]
+            y2 = [round(rng.uniform(0.3, 3.0), 2) for _ in range(n)]
+            x1 = [max(0.01, round(a - rng.uniform(-0.3, 0.6), 2)) for a in x2]
+            y1 = [round(b + rng.uniform(-0.3, 0.6), 2) for b in y2]
+            perm = rng.sample(range(n), n)
+            yield pair([x1[k] for k in perm], [y1[k] for k in perm]), pair(x2, y2)
+
+
+# sha256 of the search's status, detail and witness JSON at budget 200 over
+# the ``_random_pairs(25)`` that pass the necessary conditions
+OFF_MATRIX_DIGEST = "be198791ceccd7d0719f53c4332fa478fb83e530626377ed4e52f4882b944424"
 
 
 def _unpruned_coupled(p, target):
