@@ -16,6 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from stochord.arrangement import (
@@ -173,11 +174,18 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 
 
 class _Target(NamedTuple):
-    """A search's target pair with its target-only work done once: its
-    components sorted increasing for :func:`_gap`, its vectors as the bounds
-    of the necessary check on a moved vector, and its canonical form's
-    components with their tolerance for the goal test of :func:`_is_goal`."""
+    """A search's target pair with its target-only work done once: the pair
+    itself for the componentwise moves of :func:`_successors`; its distinct
+    component values, in ``set`` iteration order, for the transfers and its
+    largest magnitude (at least 1) for their tolerance; its components sorted
+    increasing for :func:`_gap`; its vectors as the bounds of the necessary
+    check on a moved vector; and its canonical form's components with their
+    tolerance for the goal test of :func:`_is_goal`."""
 
+    pair: PairClass
+    values_x: Vector
+    values_y: Vector
+    scale: float
     xs: Vector
     ys: Vector
     x_bound: MajorizationBound
@@ -190,6 +198,10 @@ def _target(p2: PairClass, mode: RcMode) -> _Target:
     x_mode, y_mode = _necessary_modes(mode)
     c2 = canonical_form(p2)
     return _Target(
+        p2,
+        tuple(set(p2.x)),
+        tuple(set(p2.y)),
+        max(1.0, max(map(abs, p2.x + p2.y))),
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),
         majorization_bound(p2.x, x_mode),
@@ -370,22 +382,29 @@ def _swap_chain_from_arrangement(
     return RcChain(tuple(pairs), tuple(moves), mode)
 
 
-def _two_coord_targets(a: float, b: float, goal_values: Vector, tol: float):
+def _two_coord_targets(a: float, b: float, values: Vector, tol: float):
     """Candidate values of (a, b) preserving the sum, aligned so that one
-    coordinate lands on a goal component value, in both orientations; some
-    pull the pair together, which :func:`_successors` skips."""
+    coordinate lands on one of the distinct goal component ``values``, in
+    both orientations; some pull the pair together, which
+    :func:`_successors` skips."""
     out = []
     s = a + b
-    for g in set(goal_values):
+    for g in values:
         for cand in ((g, s - g), (s - g, g)):
             if abs(cand[0] - a) > tol or abs(cand[1] - b) > tol:
                 out.append(cand)
     return out
 
 
-def _round_key(flat: Vector) -> tuple:
-    """Dedupe key of a pair from its canonical form's ``x + y``."""
-    return tuple(map(round, flat, itertools.repeat(9)))
+class _Rounded(dict):
+    """``round(v, 9)`` of every component value a search has met, the
+    pieces of its dedupe key: a child keeps all but two of its parent's
+    components, so it rounds only its new ones.  The components are finite;
+    ``-0.0`` finds ``0.0``'s entry, and ``seen`` holds the two equal anyway."""
+
+    def __missing__(self, v: float) -> float:
+        r = self[v] = round(v, 9)
+        return r
 
 
 def _is_goal(flat: Vector, target: _Target) -> bool:
@@ -403,17 +422,20 @@ def _gap(v: Vector, target: Vector) -> float:
     return sum(abs(u - t) for u, t in zip(v, target))
 
 
-def _successors(p: PairClass, target: PairClass, mode: RcMode):
-    """Candidate moves from ``p`` toward ``target``, for :func:`verify_rc_move`
-    to accept or reject.  A coupled candidate whose own pair fails the
-    reverse-pair condition, or a transfer that contracts its two coordinates,
-    is not yielded: that check would reject it, with the same comparison and
-    tolerance as computed here."""
+def _successors(p: PairClass, target: _Target, mode: RcMode):
+    """Candidate moves from ``p`` toward the target, for :func:`verify_rc_move`
+    to accept or reject, as plain tuples ``(moves_x, swap, new, kind, i, j)``:
+    ``new`` replaces x if ``moves_x``, else y; ``swap`` marks a permutation
+    of p's vector; ``i`` and ``j`` are None for a componentwise move.  A
+    coupled candidate whose own pair fails the reverse-pair condition, or a
+    transfer that contracts its two coordinates, is not yielded: that check
+    would reject it, with the same comparison and tolerance as computed
+    here."""
     n = p.n
     px, py = p.x, p.y
     # every tolerance is BASE_TOL times the largest magnitude involved, or 1
     p_scale = max(1.0, max(map(abs, px + py)))
-    tol = BASE_TOL * max(p_scale, max(map(abs, target.x + target.y)))
+    tol = BASE_TOL * max(p_scale, target.scale)
     # a swap permutes p's components, so its check has p's tolerance
     swap_tol = BASE_TOL * p_scale
     for i in range(n):
@@ -422,24 +444,24 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
             # swaps (majorization between permuted coordinate pairs); swapping
             # either vector negates the product of the differences
             if _reverse_pair_ok(-dx, dy, swap_tol):
-                for kind, vec, src in (
-                    (MoveKind.MAJORIZE_X, "x", px),
-                    (MoveKind.MAJORIZE_Y, "y", py),
+                for moves_x, kind, src in (
+                    (True, MoveKind.MAJORIZE_X, px),
+                    (False, MoveKind.MAJORIZE_Y, py),
                 ):
                     if abs(src[i] - src[j]) <= tol:
                         continue
                     new = list(src)
                     new[i], new[j] = new[j], new[i]
-                    yield _apply(p, vec, new), ElementaryMove(kind, i, j)
+                    yield moves_x, True, tuple(new), kind, i, j
             # sum-preserving transfers aligned with target component values;
             # the product takes the other vector's difference unchanged
-            for kind, vec, src, goal, other in (
-                (MoveKind.MAJORIZE_X, "x", px, target.x, dy),
-                (MoveKind.MAJORIZE_Y, "y", py, target.y, dx),
+            for moves_x, kind, src, values, other in (
+                (True, MoveKind.MAJORIZE_X, px, target.values_x, dy),
+                (False, MoveKind.MAJORIZE_Y, py, target.values_y, dx),
             ):
                 a, b = src[i], src[j]
                 top, ab_scale = max(a, b), max(1.0, abs(a), abs(b))
-                for ci, cj in _two_coord_targets(a, b, goal, tol):
+                for ci, cj in _two_coord_targets(a, b, values, tol):
                     c_scale = max(abs(ci), abs(cj))
                     # a transfer that pulls a and b together fails the first
                     # prefix comparison of check_majorization((a, b), (ci, cj),
@@ -450,39 +472,32 @@ def _successors(p: PairClass, target: PairClass, mode: RcMode):
                         continue
                     new = list(src)
                     new[i], new[j] = ci, cj
-                    yield _apply(p, vec, new), ElementaryMove(kind, i, j)
+                    yield moves_x, False, tuple(new), kind, i, j
     if mode is RcMode.WEAK:
-        raised = _componentwise_move(p.x, target.x, 1, tol)
+        goal = target.pair
+        raised = _componentwise_move(px, goal.x, 1, tol)
         if raised is not None:
-            yield _apply(p, "x", list(raised)), ElementaryMove(MoveKind.RAISE_X)
-        aligned = _aligned_move(p, target, "x", tol)
+            yield True, False, raised, MoveKind.RAISE_X, None, None
+        aligned = _aligned_move(p, goal, "x", tol)
         if aligned is not None:
-            yield _apply(p, "x", list(aligned)), ElementaryMove(MoveKind.RAISE_X)
-        lowered_aligned = _aligned_move(p, target, "y", tol)
+            yield True, False, aligned, MoveKind.RAISE_X, None, None
+        lowered_aligned = _aligned_move(p, goal, "y", tol)
         if lowered_aligned is not None:
-            yield _apply(p, "y", list(lowered_aligned)), ElementaryMove(MoveKind.LOWER_Y)
-        dx = sum(target.x) - sum(p.x)
+            yield False, False, lowered_aligned, MoveKind.LOWER_Y, None, None
+        dx = sum(goal.x) - sum(px)
         if dx > tol * n:
             # raise toward a vector with the target total that stays majorized
             # by the target's components, distributing ranks back in place
-            order = sorted(range(n), key=lambda k: p.x[k])
-            u = _raise_to_majorized(
-                tuple(p.x[k] for k in order), sort_components(target.x, "inc")
-            )
-            new = list(p.x)
+            order = sorted(range(n), key=lambda k: px[k])
+            u = _raise_to_majorized(tuple(px[k] for k in order), target.xs)
+            new = list(px)
             for rank, idx in enumerate(order):
                 new[idx] = u[rank]
-            if all(a <= b + tol for a, b in zip(p.x, new)):
-                yield _apply(p, "x", new), ElementaryMove(MoveKind.RAISE_X)
-        lowered = _componentwise_move(p.y, target.y, -1, tol)
+            if all(a <= b + tol for a, b in zip(px, new)):
+                yield True, False, tuple(new), MoveKind.RAISE_X, None, None
+        lowered = _componentwise_move(py, goal.y, -1, tol)
         if lowered is not None:
-            yield _apply(p, "y", list(lowered)), ElementaryMove(MoveKind.LOWER_Y)
-
-
-def _apply(p: PairClass, vec: str, new: list[float]) -> PairClass:
-    if vec == "x":
-        return PairClass(tuple(new), p.y)
-    return PairClass(p.x, tuple(new))
+            yield False, False, lowered, MoveKind.LOWER_Y, None, None
 
 
 def _aligned_move(p: PairClass, target: PairClass, vec: str, tol: float) -> Optional[Vector]:
@@ -580,19 +595,24 @@ def decide_wrc(
 def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVerdict:
     """Best-first search from ``p1``, which has passed :func:`check_necessary`.
 
-    The filters only skip a candidate, so they run cheapest first: the
-    necessary check on the vector the move changed, the other being its
-    parent's, which already passed; ``seen``, on the key of its canonical
-    form; and :func:`verify_rc_move`, so every pair that enters the tree is
-    checked.  The canonical form also serves the goal test.  A node carries
-    the two halves of its distance, and a child recomputes only the half of
-    the vector its move changed.  An expansion's children are pushed after
-    it, in order, unless one of them was the goal: nothing is popped in
+    Candidates stay plain tuples until they pass the cheap filters, which
+    only skip a candidate and so run cheapest first: the necessary check on
+    the vector the move changed, the other being its parent's, which already
+    passed (a swap skips it: it permutes a vector that passed, and the check
+    reads only the multiset); ``seen``, on a key of its canonical form
+    rounded through a per-search memo of component values; and, on the pair
+    and move then built, :func:`verify_rc_move`, so every pair that enters
+    the tree is checked.  The target's distinct component values are taken
+    once per search.  The canonical form also serves the goal test.  A node
+    carries the two halves of its distance, and a child recomputes only the
+    half of the vector its move changed.  An expansion's children are pushed
+    after it, in order, unless one of them was the goal: nothing is popped in
     between, so the heap is the same as if each were pushed at once.
     """
     start = canonical_form(p1)
     target = _target(p2, mode)
-    seen = {_round_key(start.x + start.y)}
+    rounded = _Rounded().__getitem__
+    seen = {tuple(map(rounded, start.x + start.y))}
     # a canonical form's x is sorted increasing
     gx, gy = _gap(start.x, target.xs), _gap(sorted(start.y), target.ys)
     heap = [(gx + gy, 0, start, gx, gy, [start], [])]
@@ -601,18 +621,19 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
         _, _, cur, gx, gy, pairs, moves = heapq.heappop(heap)
         expanded += 1
         children = []
-        for nxt, move in _successors(cur, p2, mode):
-            moves_x = move.kind in _MOVES_X
-            if moves_x:
-                ok, _ = check_majorized_by(nxt.x, target.x_bound)
-            else:
-                ok, _ = check_majorized_by(nxt.y, target.y_bound)
-            if not ok:
-                continue
-            xs, ys = zip(*sorted(zip(nxt.x, nxt.y)))
+        for moves_x, swap, new, kind, i, j in _successors(cur, target, mode):
+            if not swap:
+                ok, _ = check_majorized_by(new, target.x_bound if moves_x else target.y_bound)
+                if not ok:
+                    continue
+            x, y = (new, cur.y) if moves_x else (cur.x, new)
+            xs, ys = zip(*sorted(zip(x, y)))
             flat = xs + ys
-            key = _round_key(flat)
-            if key in seen or not verify_rc_move(cur, nxt, move, mode):
+            key = tuple(map(rounded, flat))
+            if key in seen:
+                continue
+            nxt, move = PairClass(x, y), ElementaryMove(kind, i, j)
+            if not verify_rc_move(cur, nxt, move, mode):
                 continue
             seen.add(key)
             npairs, nmoves = pairs + [nxt], moves + [move]
@@ -645,16 +666,42 @@ def _search_detail(expanded: int, budget: int) -> dict:
 
 
 def chain_to_json(chain: RcChain) -> str:
+    """The chain as ``json.dumps(..., indent=2)`` writes it, byte for byte.
+
+    ``indent`` selects the pure-Python encoder, so the numbers of the chain
+    (each record's components, then its move's positions) are encoded by one
+    call of the C encoder instead, and laid out around its strings here.
+    Components are numbers and positions ints or None, as in every chain the
+    program builds."""
+    numbers = []
+    for idx, p in enumerate(chain.pairs):
+        numbers += p.x
+        numbers += p.y
+        if idx:
+            m = chain.moves[idx - 1]
+            numbers += (m.i, m.j)
+    # no number's text holds the separator
+    tokens = iter(json.dumps(numbers)[1:-1].split(", "))
+
+    def array(size: int) -> str:  # a vector, its items at depth 5
+        items = ",\n          ".join(itertools.islice(tokens, size))
+        return f"[\n          {items}\n        ]" if size else "[]"
+
     records = []
     for idx, p in enumerate(chain.pairs):
-        rec = {"pair": {"x": list(p.x), "y": list(p.y)}}
-        if idx > 0:
-            m = chain.moves[idx - 1]
-            rec["move"] = {"kind": m.kind.value, "i": m.i, "j": m.j}
-        else:
-            rec["move"] = None
-        records.append(rec)
-    return json.dumps({"mode": chain.mode.value, "chain": records}, indent=2)
+        x, y = array(len(p.x)), array(len(p.y))
+        move = "null"
+        if idx:
+            kind = encode_basestring_ascii(chain.moves[idx - 1].kind.value)
+            i, j = next(tokens), next(tokens)
+            move = f'{{\n        "kind": {kind},\n        "i": {i},\n        "j": {j}\n      }}'
+        records.append(
+            f'{{\n      "pair": {{\n        "x": {x},\n        "y": {y}\n      }},'
+            f'\n      "move": {move}\n    }}'
+        )
+    body = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    mode = encode_basestring_ascii(chain.mode.value)
+    return f'{{\n  "mode": {mode},\n  "chain": {body}\n}}'
 
 
 def chain_from_json(text: str) -> RcChain:

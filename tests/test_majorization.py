@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from stochord.majorization import (
     MajorizationMode,
     check_majorization,
+    check_majorized_by,
     component_tolerance,
     as_vector,
     is_sorted,
+    majorization_bound,
     sort_components,
     t_transform_chain,
     verify_t_step,
@@ -55,6 +57,27 @@ class TestCheckMajorization:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             check_majorization((1, 2), (1, 2, 3), FULL)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_permuted_vector_gets_the_same_result(self, data):
+        """The check reads only the multiset of the checked vector, its
+        tolerance included: a chain search skips it for a swap of a vector
+        that passed.  The checked vector is often a nudged copy of the bound's,
+        so both results occur, at tolerance edges too."""
+        n = data.draw(st.integers(1, 6))
+        mode = data.draw(st.sampled_from(MajorizationMode))
+        scale = data.draw(st.sampled_from((1.0, 1e-3, 1e4)))
+        comp = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0, 1.0)))
+        y = tuple(data.draw(comp) * scale for _ in range(n))
+        nudge = st.sampled_from((0.0, 0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.5))
+        if data.draw(st.booleans()):
+            x = tuple(c + data.draw(nudge) * scale for c in data.draw(st.permutations(y)))
+        else:
+            x = tuple(data.draw(comp) * scale for _ in range(n))
+        bound = majorization_bound(y, mode)
+        permuted = tuple(data.draw(st.permutations(x)))
+        assert check_majorized_by(permuted, bound) == check_majorized_by(x, bound)
 
     @given(
         st.lists(st.integers(0, 9), min_size=2, max_size=5),

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochord import rc_order
-from stochord.arrangement import check_arrangement_leq, check_pair_equal_a, pair
+from stochord.arrangement import PairClass, check_arrangement_leq, check_pair_equal_a, pair
 from stochord.harness import MATRIX, Scenario, _param_pairs, generate_instance
 from stochord.majorization import (
     MajorizationMode,
@@ -375,21 +376,37 @@ def _unpruned_coupled(p, target):
     """Every swap and aligned transfer the search considers from ``p``, legal
     or not, in the search's order (the reference for ``_successors``)."""
     tol = component_tolerance(p.x, p.y, target.x, target.y)
+
+    def moved(vec, new):
+        return PairClass(tuple(new), p.y) if vec == "x" else PairClass(p.x, tuple(new))
+
     for i in range(p.n):
         for j in range(i + 1, p.n):
             for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
                 src = list(getattr(p, vec))
                 if abs(src[i] - src[j]) > tol:
                     src[i], src[j] = src[j], src[i]
-                    yield rc_order._apply(p, vec, src), ElementaryMove(kind, i, j)
+                    yield moved(vec, src), ElementaryMove(kind, i, j)
             for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
                 src = getattr(p, vec)
                 for ci, cj in rc_order._two_coord_targets(
-                    src[i], src[j], getattr(target, vec), tol
+                    src[i], src[j], tuple(set(getattr(target, vec))), tol
                 ):
                     new = list(src)
                     new[i], new[j] = ci, cj
-                    yield rc_order._apply(p, vec, new), ElementaryMove(kind, i, j)
+                    yield moved(vec, new), ElementaryMove(kind, i, j)
+
+
+def _candidates(p, target, mode):
+    """``_successors`` from ``p`` toward the pair ``target``, each candidate
+    as the pair and the move it proposes; checks what its tuple says of it."""
+    for moves_x, swap, new, kind, i, j in rc_order._successors(
+        p, rc_order._target(target, mode), mode
+    ):
+        assert moves_x is (kind in rc_order._MOVES_X)
+        src = p.x if moves_x else p.y
+        assert not swap or (i is not None and sorted(new) == sorted(src))
+        yield (PairClass(new, p.y) if moves_x else PairClass(p.x, new)), ElementaryMove(kind, i, j)
 
 
 # small integers make ties and zero products; floats make generic positions
@@ -409,7 +426,7 @@ class TestSuccessors:
         def legal(cands):
             return [(b, m) for b, m in cands if verify_rc_move(p, b, m, mode)]
 
-        got = list(rc_order._successors(p, target, mode))
+        got = list(_candidates(p, target, mode))
         coupled = [c for c in got if c[1].i is not None]
         weak = [c for c in got if c[1].i is None]
         assert legal(got) == legal(_unpruned_coupled(p, target)) + legal(weak)
@@ -424,7 +441,7 @@ class TestSuccessors:
         nxt = pair((-5.0, 8.0), p.y)
         move = ElementaryMove(MoveKind.MAJORIZE_X, 0, 1)
         assert verify_rc_move(p, nxt, move, STRICT)
-        assert (nxt, move) in list(rc_order._successors(p, target, STRICT))
+        assert (nxt, move) in list(_candidates(p, target, STRICT))
 
 
 class TestOppositeOrderedConstruction:
@@ -471,6 +488,41 @@ class TestSerialization:
         back = chain_from_json(text)
         assert back == chain
         assert verify_rc_chain(back)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_text_is_the_indented_encoders(self, data):
+        """The witness text equals ``json.dumps(..., indent=2)`` of the chain's
+        records byte for byte, on values no search makes too, and again after
+        ``chain_from_json`` reads it back (ints stay ints)."""
+        number = st.one_of(
+            st.floats(),
+            st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300)),
+            st.integers(-(10**20), 10**20),
+        )
+
+        def vectors(n):
+            return st.lists(number, min_size=n, max_size=n).map(tuple)
+
+        pairs = [
+            PairClass(data.draw(vectors(n)), data.draw(vectors(n)))
+            for n in data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+        ]
+        moves = []
+        for _ in pairs[1:]:
+            kind = data.draw(st.sampled_from(MoveKind))
+            if kind in rc_order._COUPLED:
+                i = data.draw(st.integers(0, 5))
+                moves.append(ElementaryMove(kind, i, data.draw(st.integers(i + 1, 6))))
+            else:
+                moves.append(ElementaryMove(kind))
+        chain = RcChain(tuple(pairs), tuple(moves), data.draw(st.sampled_from(RcMode)))
+        records = [{"pair": {"x": list(p.x), "y": list(p.y)}, "move": None} for p in pairs]
+        for rec, m in zip(records[1:], moves):
+            rec["move"] = {"kind": m.kind.value, "i": m.i, "j": m.j}
+        text = chain_to_json(chain)
+        assert text == json.dumps({"mode": chain.mode.value, "chain": records}, indent=2)
+        assert chain_to_json(chain_from_json(text)) == text
 
     def test_chain_shape_validated(self):
         p = pair((1.0,), (2.0,))
