@@ -57,7 +57,8 @@ class MoveKind(Enum):
 
 
 # Tuples, not sets: membership in a tuple tests identity first, where a set
-# calls Enum's Python-level __hash__, and the search tests it per candidate.
+# calls Enum's Python-level __hash__, and verify_rc_move tests it on every
+# candidate the search admits.
 _COUPLED = (
     MoveKind.MAJORIZE_X,
     MoveKind.MAJORIZE_Y,
@@ -699,9 +700,9 @@ def chain_to_json(chain: RcChain) -> str:
             f'{{\n      "pair": {{\n        "x": {x},\n        "y": {y}\n      }},'
             f'\n      "move": {move}\n    }}'
         )
-    body = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    body = ",\n    ".join(records)  # a chain has at least one pair
     mode = encode_basestring_ascii(chain.mode.value)
-    return f'{{\n  "mode": {mode},\n  "chain": {body}\n}}'
+    return f'{{\n  "mode": {mode},\n  "chain": [\n    {body}\n  ]\n}}'
 
 
 def chain_from_json(text: str) -> RcChain:

@@ -37,7 +37,7 @@ from stochord.distributions import (
     survival_dominance_check,
 )
 from stochord.harness import MATRIX, Scenario, ScenarioName, generate_instance
-from stochord.verdicts import OrderVerdict, Status
+from stochord.verdicts import Status
 
 probs_st = st.floats(0.15, 0.9)
 shapes_st = st.floats(0.2, 3.0)

@@ -64,17 +64,21 @@ class TestCheckMajorization:
         """The check reads only the multiset of the checked vector, its
         tolerance included: a chain search skips it for a swap of a vector
         that passed.  The checked vector is often a nudged copy of the bound's,
-        so both results occur, at tolerance edges too."""
+        so both results occur, at tolerance edges too, and one far component
+        can set the tolerance."""
         n = data.draw(st.integers(1, 6))
         mode = data.draw(st.sampled_from(MajorizationMode))
         scale = data.draw(st.sampled_from((1.0, 1e-3, 1e4)))
         comp = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0, 1.0)))
         y = tuple(data.draw(comp) * scale for _ in range(n))
-        nudge = st.sampled_from((0.0, 0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.5))
+        nudge = st.sampled_from((0.0, 0.0, 1e-13, -1e-13, 2e-12, -2e-12, 1e-9, 0.5))
         if data.draw(st.booleans()):
-            x = tuple(c + data.draw(nudge) * scale for c in data.draw(st.permutations(y)))
+            x = [c + data.draw(nudge) * scale for c in data.draw(st.permutations(y))]
         else:
-            x = tuple(data.draw(comp) * scale for _ in range(n))
+            x = [data.draw(comp) * scale for _ in range(n)]
+        if data.draw(st.booleans()):
+            x[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from((-1e4, 1e4))) * scale
+        x = tuple(x)
         bound = majorization_bound(y, mode)
         permuted = tuple(data.draw(st.permutations(x)))
         assert check_majorized_by(permuted, bound) == check_majorized_by(x, bound)
