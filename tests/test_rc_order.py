@@ -351,6 +351,21 @@ class TestSearch:
         assert h.hexdigest() == OFF_MATRIX_DIGEST
         assert searched == {Status.HOLDS: 17, Status.UNKNOWN: 14}
 
+    def test_one_move_pairs_match_the_pinned_digest(self):
+        """The first goal in yield order, byte for byte: the search's outputs
+        on pairs one move apart, against a digest pinned before the goal got
+        its own pass over an expansion's candidates."""
+        h = hashlib.sha256()
+        expanded = []
+        for a, b, mode in _one_move_pairs(40):
+            v = rc_order._search(a, b, mode, 200)
+            h.update(v.status.value.encode())
+            h.update(json.dumps(v.detail, sort_keys=True).encode())
+            h.update(b"null" if v.witness is None else chain_to_json(v.witness).encode())
+            expanded.append(v.detail["expanded"] if v.holds else None)
+        assert h.hexdigest() == ONE_MOVE_DIGEST
+        assert expanded == [1] * 200
+
 
 def _random_pairs(per_n):
     """Pairs at n = 2..5: a target with x in [0.3, 2.5] and y in [0.3, 3],
@@ -370,6 +385,41 @@ def _random_pairs(per_n):
 # sha256 of the search's status, detail and witness JSON at budget 200 over
 # the ``_random_pairs(25)`` that pass the necessary conditions
 OFF_MATRIX_DIGEST = "be198791ceccd7d0719f53c4332fa478fb83e530626377ed4e52f4882b944424"
+
+
+def _one_move_pairs(per_n):
+    """Pairs at n = 2..6 whose target is one move from the start: a move of
+    ``_successors`` toward a random pair that ``verify_rc_move`` accepts, in
+    a random mode.  Components come from a pool of four integers in 0..4 and
+    two values with two decimals, so ties are common.  Pairs the search never
+    sees (equal up to common permutation, or failing the necessary
+    conditions) are skipped."""
+    rng = random.Random(20261019)
+    for n in range(2, 7):
+        made = 0
+        while made < per_n:
+            pool = [float(rng.randint(0, 4)) for _ in range(4)]
+            pool += [round(rng.uniform(0.1, 4.0), 2) for _ in range(2)]
+
+            def draw():
+                return tuple(rng.choice(pool) for _ in range(n))
+
+            mode = rng.choice((STRICT, WEAK))
+            p, toward = pair(draw(), draw()), pair(draw(), draw())
+            legal = [(b, m) for b, m in _candidates(p, toward, mode) if verify_rc_move(p, b, m, mode)]
+            if not legal:
+                continue
+            b, _ = rng.choice(legal)
+            if check_pair_equal_a(p, b) or not check_necessary(p, b, mode)[0]:
+                continue
+            made += 1
+            yield p, b, mode
+
+
+# sha256 of the search's status, detail and witness JSON at budget 200 over
+# ``_one_move_pairs(40)``: 200 pairs, each a ``holds`` found in the first
+# expansion
+ONE_MOVE_DIGEST = "2da69b85936db7b2fb2c6e196333cc25fd6bd956650abd34efa3eb9cbc992afb"
 
 
 def _unpruned_coupled(p, target):
