@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -176,12 +177,15 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 
 class _Target(NamedTuple):
     """A search's target pair with its target-only work done once: the pair
-    itself for the componentwise moves of :func:`_successors`; its distinct
-    component values, in ``set`` iteration order, for the transfers and its
-    largest magnitude (at least 1) for their tolerance; its components sorted
-    increasing for :func:`_gap`; its vectors as the bounds of the necessary
-    check on a moved vector; and its canonical form's components with their
-    tolerance for the goal test of :func:`_is_goal`."""
+    itself for the componentwise moves of :func:`_componentwise_successors`;
+    its distinct component values, in ``set`` iteration order, for the
+    transfers and its largest magnitude (at least 1) for their tolerance; its
+    components sorted increasing for :func:`_gap` and the goal pass of
+    :func:`_search`, with their exact-rounded sums; its vectors as the bounds
+    of the necessary check on a moved vector; and its canonical form's
+    components with their tolerance for the goal test of :func:`_is_goal`,
+    and twice that tolerance, ``near``, which bounds the goal test's own
+    from above (see :func:`_goal_pass`)."""
 
     pair: PairClass
     values_x: Vector
@@ -189,15 +193,19 @@ class _Target(NamedTuple):
     scale: float
     xs: Vector
     ys: Vector
+    sum_x: float
+    sum_y: float
     x_bound: MajorizationBound
     y_bound: MajorizationBound
     goal: Vector
     goal_tol: float
+    near: float
 
 
 def _target(p2: PairClass, mode: RcMode) -> _Target:
     x_mode, y_mode = _necessary_modes(mode)
     c2 = canonical_form(p2)
+    goal_tol = component_tolerance(p2.x, p2.y)
     return _Target(
         p2,
         tuple(set(p2.x)),
@@ -205,10 +213,13 @@ def _target(p2: PairClass, mode: RcMode) -> _Target:
         max(1.0, max(map(abs, p2.x + p2.y))),
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),
+        math.fsum(p2.x),
+        math.fsum(p2.y),
         majorization_bound(p2.x, x_mode),
         majorization_bound(p2.y, y_mode),
         c2.x + c2.y,
-        component_tolerance(p2.x, p2.y),
+        goal_tol,
+        2 * goal_tol,
     )
 
 
@@ -425,13 +436,23 @@ def _gap(v: Vector, target: Vector) -> float:
 
 def _successors(p: PairClass, target: _Target, mode: RcMode):
     """Candidate moves from ``p`` toward the target, for :func:`verify_rc_move`
-    to accept or reject, as plain tuples ``(moves_x, swap, new, kind, i, j)``:
-    ``new`` replaces x if ``moves_x``, else y; ``swap`` marks a permutation
-    of p's vector; ``i`` and ``j`` are None for a componentwise move.  A
-    coupled candidate whose own pair fails the reverse-pair condition, or a
-    transfer that contracts its two coordinates, is not yielded: that check
-    would reject it, with the same comparison and tolerance as computed
-    here."""
+    to accept or reject, in the order the search meets them: those of
+    :func:`_coupled_successors`, then those of
+    :func:`_componentwise_successors`."""
+    return itertools.chain(
+        _coupled_successors(p, target), _componentwise_successors(p, target, mode)
+    )
+
+
+def _coupled_successors(p: PairClass, target: _Target):
+    """The coupled candidates from ``p``, as plain tuples
+    ``(moves_x, swap, new, kind, i, j)``: ``new`` replaces x if ``moves_x``,
+    else y, at positions ``i < j``; ``swap`` marks a permutation of p's
+    vector, any other candidate a transfer that keeps the sum of p's two
+    components.  A candidate whose own pair fails the reverse-pair condition,
+    or a transfer that contracts its two coordinates, is not yielded:
+    :func:`verify_rc_move` would reject it, with the same comparison and
+    tolerance as computed here."""
     n = p.n
     px, py = p.x, p.y
     # every tolerance is BASE_TOL times the largest magnitude involved, or 1
@@ -474,31 +495,42 @@ def _successors(p: PairClass, target: _Target, mode: RcMode):
                     new = list(src)
                     new[i], new[j] = ci, cj
                     yield moves_x, False, tuple(new), kind, i, j
-    if mode is RcMode.WEAK:
-        goal = target.pair
-        raised = _componentwise_move(px, goal.x, 1, tol)
-        if raised is not None:
-            yield True, False, raised, MoveKind.RAISE_X, None, None
-        aligned = _aligned_move(p, goal, "x", tol)
-        if aligned is not None:
-            yield True, False, aligned, MoveKind.RAISE_X, None, None
-        lowered_aligned = _aligned_move(p, goal, "y", tol)
-        if lowered_aligned is not None:
-            yield False, False, lowered_aligned, MoveKind.LOWER_Y, None, None
-        dx = sum(goal.x) - sum(px)
-        if dx > tol * n:
-            # raise toward a vector with the target total that stays majorized
-            # by the target's components, distributing ranks back in place
-            order = sorted(range(n), key=lambda k: px[k])
-            u = _raise_to_majorized(tuple(px[k] for k in order), target.xs)
-            new = list(px)
-            for rank, idx in enumerate(order):
-                new[idx] = u[rank]
-            if all(a <= b + tol for a, b in zip(px, new)):
-                yield True, False, tuple(new), MoveKind.RAISE_X, None, None
-        lowered = _componentwise_move(py, goal.y, -1, tol)
-        if lowered is not None:
-            yield False, False, lowered, MoveKind.LOWER_Y, None, None
+
+
+def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
+    """The componentwise candidates from ``p`` in weak mode (none in strict
+    mode), as the tuples of :func:`_coupled_successors` with ``swap`` false
+    and ``i`` and ``j`` None: raises of x and lowers of y onto the target's
+    components, and a raise of x to the target's total."""
+    if mode is not RcMode.WEAK:
+        return
+    n = p.n
+    px, py = p.x, p.y
+    tol = BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale)
+    goal = target.pair
+    raised = _componentwise_move(px, goal.x, 1, tol)
+    if raised is not None:
+        yield True, False, raised, MoveKind.RAISE_X, None, None
+    aligned = _aligned_move(p, goal, "x", tol)
+    if aligned is not None:
+        yield True, False, aligned, MoveKind.RAISE_X, None, None
+    lowered_aligned = _aligned_move(p, goal, "y", tol)
+    if lowered_aligned is not None:
+        yield False, False, lowered_aligned, MoveKind.LOWER_Y, None, None
+    dx = sum(goal.x) - sum(px)
+    if dx > tol * n:
+        # raise toward a vector with the target total that stays majorized
+        # by the target's components, distributing ranks back in place
+        order = sorted(range(n), key=lambda k: px[k])
+        u = _raise_to_majorized(tuple(px[k] for k in order), target.xs)
+        new = list(px)
+        for rank, idx in enumerate(order):
+            new[idx] = u[rank]
+        if all(a <= b + tol for a, b in zip(px, new)):
+            yield True, False, tuple(new), MoveKind.RAISE_X, None, None
+    lowered = _componentwise_move(py, goal.y, -1, tol)
+    if lowered is not None:
+        yield False, False, lowered, MoveKind.LOWER_Y, None, None
 
 
 def _aligned_move(p: PairClass, target: PairClass, vec: str, tol: float) -> Optional[Vector]:
@@ -596,18 +628,21 @@ def decide_wrc(
 def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVerdict:
     """Best-first search from ``p1``, which has passed :func:`check_necessary`.
 
-    Candidates stay plain tuples until they pass the cheap filters, which
+    Each expansion makes two passes over the node's candidates.  The goal
+    pass (:func:`_goal_pass`) returns the first candidate in yield order that
+    is the goal and whose chain :func:`verify_rc_chain` accepts.  It runs
+    before the dedupe, so a goal is found even if its key equals that of a
+    node already seen.  The tree pass admits the other candidates.
+    Candidates stay plain tuples until they pass its cheap filters, which
     only skip a candidate and so run cheapest first: the necessary check on
     the vector the move changed, the other being its parent's, which already
     passed (a swap skips it: it permutes a vector that passed, and the check
     reads only the multiset); ``seen``, on a key of its canonical form
     rounded through a per-search memo of component values; and, on the pair
     and move then built, :func:`verify_rc_move`, so every pair that enters
-    the tree is checked.  The target's distinct component values are taken
-    once per search.  The canonical form also serves the goal test.  A node
-    carries the two halves of its distance, and a child recomputes only the
-    half of the vector its move changed.  An expansion's children are pushed
-    after it, in order, unless one of them was the goal: nothing is popped in
+    the tree is checked.  A node carries the two halves of its distance, and
+    a child recomputes only the half of the vector its move changed.  An
+    expansion's children are pushed after it, in order: nothing is popped in
     between, so the heap is the same as if each were pushed at once.
     """
     start = canonical_form(p1)
@@ -621,30 +656,26 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     while heap and expanded < budget:
         _, _, cur, gx, gy, pairs, moves = heapq.heappop(heap)
         expanded += 1
+        chain, candidates = _goal_pass(cur, pairs, moves, target, mode)
+        if chain is not None:
+            detail = _search_detail(expanded, budget)
+            return OrderVerdict(Status.HOLDS, witness=chain, detail=detail)
         children = []
-        for moves_x, swap, new, kind, i, j in _successors(cur, target, mode):
+        for moves_x, swap, new, kind, i, j in candidates:
             if not swap:
                 ok, _ = check_majorized_by(new, target.x_bound if moves_x else target.y_bound)
                 if not ok:
                     continue
             x, y = (new, cur.y) if moves_x else (cur.x, new)
             xs, ys = zip(*sorted(zip(x, y)))
-            flat = xs + ys
-            key = tuple(map(rounded, flat))
+            key = tuple(map(rounded, xs + ys))
             if key in seen:
                 continue
             nxt, move = PairClass(x, y), ElementaryMove(kind, i, j)
             if not verify_rc_move(cur, nxt, move, mode):
                 continue
             seen.add(key)
-            npairs, nmoves = pairs + [nxt], moves + [move]
-            if _is_goal(flat, target):
-                chain = RcChain(tuple(npairs), tuple(nmoves), mode)
-                if verify_rc_chain(chain):
-                    return OrderVerdict(
-                        Status.HOLDS, witness=chain, detail=_search_detail(expanded, budget)
-                    )
-            children.append((nxt, xs if moves_x else None, npairs, nmoves))
+            children.append((nxt, xs if moves_x else None, pairs + [nxt], moves + [move]))
         for nxt, xs, npairs, nmoves in children:
             if xs is not None:
                 cx, cy = _gap(xs, target.xs), gy
@@ -656,6 +687,87 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     # the discretized moves reach no chain either way, so both are unknown
     detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
     return OrderVerdict(Status.UNKNOWN, detail=detail)
+
+
+def _within(v: Vector, target: Vector, tol: float) -> bool:
+    return all(abs(a - b) <= tol for a, b in zip(v, target))
+
+
+def _pairs_near(p: PairClass, target: _Target) -> int:
+    """How many of ``p``'s coordinate pairs lie within ``target.near`` of
+    some pair of the target's."""
+    near, goal = target.near, target.pair
+    return sum(
+        any(abs(u - a) <= near and abs(v - b) <= near for a, b in zip(goal.x, goal.y))
+        for u, v in zip(p.x, p.y)
+    )
+
+
+def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: RcMode):
+    """The chain to the first of ``cur``'s candidates, in yield order, that
+    is the goal and passes :func:`verify_rc_chain` (or None), and the
+    candidates for the tree pass, those this pass listed included.
+
+    A move changes x only or y only, so a child can be the goal only if
+    ``cur``'s other vector already matches the target's.  The goal test
+    compares canonical forms, which hold the coordinate pairs in some order,
+    and sorting is 1-Lipschitz in the sup norm, so a goal's sorted vectors
+    lie within the goal test's tolerance of the target's.  That tolerance is
+    at most ``target.near``: a goal's components lie within it of the
+    target's, so its scale exceeds the target's by a negligible amount.  A
+    coupled move keeps the moved vector's sum (a swap its multiset, a
+    transfer its sum up to the rounding of ``a + b - g``), so it can reach
+    the goal only if that sum lies within ``n`` such tolerances of the
+    target's, with room for the rounding; and it keeps all but two of
+    ``cur``'s coordinate pairs, so only if at least ``n - 2`` of them lie
+    within ``near`` of some pair of the target's.  A candidate past these
+    per-node gates meets a pre-test of the same kind (its moved vector,
+    sorted, against the target's within ``near``), then :func:`_is_goal`,
+    then the necessary check, and :func:`verify_rc_chain`, whose replay runs
+    :func:`verify_rc_move` on the candidate's move.  The gates and the
+    pre-test skip no goal, so the pass returns the first goal in yield
+    order.  It lists the coupled candidates only if a coupled move can reach
+    the goal, and the tree pass reuses the list.
+    """
+    px, py = cur.x, cur.y
+    near = target.near
+    x_open = _within(sorted(py), target.ys, near)  # an x move may reach the goal
+    y_open = _within(sorted(px), target.xs, near)
+    if not (x_open or y_open):
+        return None, _successors(cur, target, mode)
+
+    def first_goal(candidates, x_ok, y_ok):
+        for moves_x, swap, new, kind, i, j in candidates:
+            if not (x_ok if moves_x else y_ok):
+                continue
+            if not _within(sorted(new), target.xs if moves_x else target.ys, near):
+                continue
+            x, y = (new, py) if moves_x else (px, new)
+            xs, ys = zip(*sorted(zip(x, y)))
+            if not _is_goal(xs + ys, target):
+                continue
+            if not swap:
+                ok, _ = check_majorized_by(new, target.x_bound if moves_x else target.y_bound)
+                if not ok:
+                    continue
+            chain = RcChain(
+                (*pairs, PairClass(x, y)), (*moves, ElementaryMove(kind, i, j)), mode
+            )
+            if verify_rc_chain(chain):
+                return chain
+        return None
+
+    sum_tol = cur.n * (near + BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale))
+    coupled_x = x_open and abs(math.fsum(px) - target.sum_x) <= sum_tol
+    coupled_y = y_open and abs(math.fsum(py) - target.sum_y) <= sum_tol
+    coupled = _coupled_successors(cur, target)
+    if (coupled_x or coupled_y) and _pairs_near(cur, target) >= cur.n - 2:
+        coupled = list(coupled)
+        chain = first_goal(coupled, coupled_x, coupled_y)
+        if chain is not None:
+            return chain, ()
+    componentwise = list(_componentwise_successors(cur, target, mode))
+    return first_goal(componentwise, x_open, y_open), itertools.chain(coupled, componentwise)
 
 
 def _search_detail(expanded: int, budget: int) -> dict:

@@ -253,6 +253,25 @@ class TestDecideWrc:
         v = decide_wrc(pair(*p1), pair(*p2), mode, budget)
         assert v.status is status and v.detail == detail
 
+    @pytest.mark.parametrize(
+        "p2, kind",
+        [
+            (((1.0, 2.0 + 1e-10), (3.0, 4.0)), MoveKind.RAISE_X),
+            (((1.0, 2.0), (3.0, 4.0 - 1e-10)), MoveKind.LOWER_Y),
+        ],
+        ids=["raise_x", "lower_y"],
+    )
+    def test_goal_sharing_the_start_key_is_found(self, p2, kind):
+        """A goal whose dedupe key (components rounded to 9 decimals) equals
+        the start's is still a goal: one componentwise move reaches it."""
+        p1, p2 = pair((1.0, 2.0), (3.0, 4.0)), pair(*p2)
+        assert not check_pair_equal_a(p1, p2)
+        v = decide_wrc(p1, p2, WEAK)
+        assert v.status is Status.HOLDS
+        assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
+        assert [m.kind for m in v.witness.moves] == [kind]
+        assert verify_rc_chain(v.witness) and check_pair_equal_a(v.witness.pairs[-1], p2)
+
     def test_search_route_witness_is_pinned(self, monkeypatch):
         """A chain found by the best-first search, byte for byte: a change to
         the search's candidates, their order or its distance shows here."""
@@ -350,6 +369,26 @@ class TestSearch:
             searched[v.status] += 1
         assert h.hexdigest() == OFF_MATRIX_DIGEST
         assert searched == {Status.HOLDS: 17, Status.UNKNOWN: 14}
+
+    def test_goal_is_verified_without_the_candidates_before_it(self, monkeypatch):
+        """Ten of the start's candidates pass the necessary check and the
+        dedupe before the goal in yield order; the goal is the only one
+        ``verify_rc_move`` sees, once, as ``verify_rc_chain`` replays the
+        one-move chain."""
+        calls = []
+        real = rc_order.verify_rc_move
+
+        def spy(a, b, m, mode):
+            calls.append(m)
+            return real(a, b, m, mode)
+
+        monkeypatch.setattr(rc_order, "verify_rc_move", spy)
+        p1 = pair((1.0, 2.0, 3.0, 4.0, 6.0, 5.0), (3.0, 1.0, 4.0, 1.0, 5.0, 9.0))
+        p2 = pair(p1.x, (3.0, 1.0, 4.0, 1.0, 4.0, 10.0))
+        v = rc_order._search(p1, p2, WEAK, 200)
+        move = ElementaryMove(MoveKind.MAJORIZE_Y, 4, 5)
+        assert v.holds and v.detail["expanded"] == 1 and v.witness.moves == (move,)
+        assert calls == [move]
 
     def test_one_move_pairs_match_the_pinned_digest(self):
         """The first goal in yield order, byte for byte: the search's outputs
@@ -481,6 +520,49 @@ class TestSuccessors:
         weak = [c for c in got if c[1].i is None]
         assert legal(got) == legal(_unpruned_coupled(p, target)) + legal(weak)
         assert set(coupled) <= set(_unpruned_coupled(p, target))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_goal_pass_returns_the_first_goal_in_yield_order(self, data):
+        """The goal pass's gates and pre-test skip no goal: its chain ends on
+        the first candidate that ``check_pair_equal_a``, the necessary check
+        and ``verify_rc_move`` accept, scanning every candidate, on targets
+        one move from the node with one component nudged across the goal
+        tolerance's edge."""
+        n = data.draw(st.integers(2, 6))
+        mode = data.draw(st.sampled_from((STRICT, WEAK)))
+        vec = st.tuples(*[_component] * n)
+        p = pair(data.draw(vec), data.draw(vec))
+        legal = [
+            b for b, m in _candidates(p, pair(data.draw(vec), data.draw(vec)), mode)
+            if verify_rc_move(p, b, m, mode)
+        ]
+        if not legal:
+            return
+        b = data.draw(st.sampled_from(legal))
+        # one component moved by up to three times the goal tolerance
+        flat = list(b.x + b.y)
+        k = data.draw(st.integers(0, 2 * n - 1))
+        nudge = data.draw(st.sampled_from((0.0, 5e-13, -5e-13, 9e-13, -1.5e-12, 3e-12)))
+        flat[k] += nudge * max(1.0, *map(abs, flat))
+        target = pair(flat[:n], flat[n:])
+        if not check_necessary(p, target, mode)[0]:
+            return  # the search's precondition, which every node meets
+        t = rc_order._target(target, mode)
+        x_mode, y_mode = rc_order._necessary_modes(mode)
+        want = None
+        for nxt, move in _candidates(p, target, mode):
+            if (
+                check_pair_equal_a(nxt, target)
+                and check_majorization(nxt.x, target.x, x_mode)[0]
+                and check_majorization(nxt.y, target.y, y_mode)[0]
+                and verify_rc_move(p, nxt, move, mode)
+            ):
+                want = (nxt, move)
+                break
+        chain, _ = rc_order._goal_pass(p, [p], [], t, mode)
+        got = chain and (chain.pairs[-1], chain.moves[-1])
+        assert got == want
 
     def test_transfer_tolerance_covers_the_new_components(self):
         # the product 13 * 4e-13 lies above the tolerance of p's components
