@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -5,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stochord import rc_order
 from stochord.arrangement import PairClass, check_arrangement_leq, check_pair_equal_a, pair
@@ -576,6 +577,38 @@ class TestSuccessors:
         assert (nxt, move) in list(_candidates(p, target, STRICT))
 
 
+class TestRaiseToMajorized:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lift_stays_above_x_and_majorized(self, data):
+        """For sorted ``x`` weakly submajorized by ``y``, both with distinct
+        components (quarters, so every sum is exact), the lift is a raise of
+        ``x`` majorized by ``y``."""
+        n = data.draw(st.integers(2, 6))
+        distinct = st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)
+        x, y = sorted(data.draw(distinct)), sorted(data.draw(distinct))
+        # lift y by the least whole step that puts every top-k sum of x within
+        # y's; the binding top-k sum is then often tight
+        top_x = itertools.accumulate(reversed(x))
+        top_y = itertools.accumulate(reversed(y))
+        shift = max(0, *(-((b - a) // k) for k, (a, b) in enumerate(zip(top_x, top_y), 1)))
+        x = tuple(v / 4 for v in x)
+        y = tuple((v + shift) / 4 for v in y)
+        assert check_majorization(x, y, MajorizationMode.BELOW) == (True, None)
+        u = rc_order._raise_to_majorized(x, y)
+        assert all(a >= b for a, b in zip(u, x))
+        assert check_majorization(u, y, MajorizationMode.FULL) == (True, None)
+
+    def test_lift_respects_every_longer_suffix(self):
+        """The top coordinate may rise by 0.3 against y's largest, but the
+        top two sums leave room for only 0.1."""
+        x, y = (0.5, 1.2, 1.2), (0.6, 1.0, 1.5)
+        u = rc_order._raise_to_majorized(x, y)
+        assert u == pytest.approx((0.6, 1.2, 1.3), abs=1e-12)
+        assert all(a >= b for a, b in zip(u, x))
+        assert check_majorization(u, y, MajorizationMode.FULL) == (True, None)
+
+
 class TestOppositeOrderedConstruction:
     def test_is_opposite_ordered(self):
         assert is_opposite_ordered(pair((1, 2, 3), (9, 5, 2)))
@@ -593,8 +626,17 @@ class TestOppositeOrderedConstruction:
             tuple(data.draw(st.floats(0.5, 4.0)) for _ in range(n)), "dec"
         )
         p2 = pair(x2, y2)
-        # build p1 by Robin Hood moves plus slack, guaranteeing the weak order
-        x1 = [sum(x2) / n - data.draw(st.floats(0, 0.2))] * n
+        # x1 weakly submajorized by x2 with distinct components: Robin Hood
+        # moves between pairs of x2's components, then distinct lowerings
+        x1 = list(x2)
+        for _ in range(data.draw(st.integers(0, 3))):
+            ij = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            i, j = sorted(data.draw(ij))
+            lam = data.draw(st.floats(0, 1))
+            x1[i], x1[j] = lam * x1[i] + (1 - lam) * x1[j], (1 - lam) * x1[i] + lam * x1[j]
+        slack = data.draw(st.lists(st.floats(0, 0.2), min_size=n, max_size=n, unique=True))
+        x1 = [a - s for a, s in zip(x1, slack)]
+        assume(len(set(x1)) == n)
         y1 = [max(y2) + data.draw(st.floats(0, 0.3))] * n
         p1 = pair(tuple(x1), tuple(y1))
         ok, _ = check_necessary(p1, p2, WEAK)
@@ -603,6 +645,18 @@ class TestOppositeOrderedConstruction:
         assert verify_rc_chain(chain)
         assert check_pair_equal_a(chain.pairs[0], p1)
         assert check_pair_equal_a(chain.pairs[-1], p2)
+
+    def test_matrix_targets_take_the_opposite_route(self):
+        """Every forward matrix pair whose parameter target is opposite
+        ordered is decided by the construction, not the search."""
+        routes = collections.Counter()
+        for row in MATRIX:
+            for n, seed in itertools.product(range(2, 7), range(3)):
+                s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+                q1, q2 = _param_pairs(s1, s2, row.order)
+                if is_opposite_ordered(q2):
+                    routes[decide_wrc(q1, q2, WEAK).detail["route"]] += 1
+        assert routes == {"opposite": 155}
 
     def test_construction_requires_opposite_ordered_target(self):
         p1 = pair((1.0, 1.0), (4.0, 4.0))
