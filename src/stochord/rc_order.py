@@ -291,8 +291,9 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
         pairs.append(target)
         moves.append(move)
 
-    # Weak mode: lift the x total into place at the top coordinate, and plan a
-    # final componentwise lowering of y from an inflated copy of the target.
+    # Weak mode: raise x onto the target's total with one componentwise move
+    # that keeps it majorized by the target's x, and plan a final
+    # componentwise lowering of y from an inflated copy of the target.
     x_cur = x1
     dx = sum(x2s) - sum(x1)
     if mode is RcMode.WEAK and dx > 0:
@@ -345,20 +346,40 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
 
 
 def _raise_to_majorized(x: Vector, y: Vector) -> Vector:
-    """Componentwise raise of sorted-increasing ``x`` onto a vector with
-    ``y``'s total that stays majorized by ``y``.
+    """Componentwise raise ``u >= x`` of sorted-increasing ``x`` with ``y``'s
+    total and ``u`` majorized by sorted-increasing ``y``; it exists whenever
+    ``x`` is weakly majorized from below by ``y`` (Marshall, Olkin & Arnold,
+    5.A.9).
 
-    Fills top coordinates first, capped so every top-k sum stays within
-    ``y``'s; feasible whenever ``x`` is weakly majorized from below by ``y``.
-    Raising the whole deficit at one coordinate can overshoot majorization,
-    so the increment is spread instead.
+    Fills from the top coordinate down.  Raising ``u[k]`` adds to the sum of
+    every suffix ``u[m:]`` with ``m <= k``, so the raise is capped by the
+    slack ``sum(y[m:]) - sum(u[m:])`` of each of them; the whole vector's
+    slack (``m = 0``) is the deficit still ``remaining``.  In exact
+    arithmetic:
+
+    - every suffix sum stays within ``y``'s: it starts there (weak
+      majorization of sorted vectors compares suffix sums), and no raise
+      exceeds the slack of a suffix it adds to;
+    - the ``k = 0`` step is capped by ``remaining`` alone and spends it, so
+      the totals match;
+    - ``u`` stays sorted.  A raise capped by ``remaining`` or by the slack of
+      a suffix ``u[m:]`` leaves that slack zero, so every later step inside
+      that suffix raises nothing.  Hence if ``u[k]`` rises, the step at
+      ``k + 1`` was capped by the slack of ``u[k + 1:]`` itself, and the
+      caps give ``u[k] <= y[k] <= y[k + 1] <= u[k + 1]`` (the suffix
+      ``u[k + 1:]`` is tight and ``u[k + 2:]`` within ``y[k + 2:]``); if it
+      does not, ``u[k] = x[k] <= x[k + 1] <= u[k + 1]``.
+
+    So the suffix sums are the top-k sums, and ``u`` is majorized by ``y``.
+    The result is sorted once more only against rounding.
     """
     n = len(x)
     u = list(x)
     remaining = sum(y) - sum(x)
     for k in range(n - 1, -1, -1):
-        allowed = sum(y[k:]) - sum(u[k + 1 :]) - x[k]
-        inc = min(remaining, allowed)
+        inc = remaining
+        for m in range(1, k + 1):
+            inc = min(inc, sum(y[m:]) - sum(u[m:]))
         if inc > 0:
             u[k] = x[k] + inc
             remaining -= inc
