@@ -320,10 +320,10 @@ SEARCH_DIGESTS = {
     ("ConvAI", "negbin"): "2e89bda351267c7b7caec612799b95553827f1a9c277eda1f6336e583b0bb9cd",
     ("RcGeneral", "negbin"): "bf1ac35b6c2be25edd8d02be9852d19f7d1d6fec6e3529894e04b1d6a28a8c7d",
     ("GammaConv", "gamma"): "e515c7c4f79092b266310a14266a63e25dd4f0db4765a9f3f65abef49dbbc934",
-    ("OppositeOrderedWeak", "negbin"): "d4def96465776dbb0c5f004e7aa9dc535e7ad8d52f788fa8010b2406e5e65bec",
+    ("OppositeOrderedWeak", "negbin"): "0da7fcfad864eda281ee1978d9a897f44d8f835126a4abc23d793b5779b5fe15",
     ("LogMajorizeBetaSt", "negbin"): "7e40db0020b886105fd1a03acd71a09db5720a1e6bfc458d5cc696ccbe35e8d9",
-    ("StGeneral", "negbin"): "d55e1d82c92b05d1605ebcfc72797d8f8ea43368ca72c09bf6e89ce34ad44fc7",
-    ("StGeneral", "gamma"): "1f9856dc11652ffe8259a536a63e05dd5c45f743b4b84e880dd0c4b6af060898",
+    ("StGeneral", "negbin"): "4eff6ba377fd7d1115ea237f81b910699e54430a80a870c299e77b390a39f022",
+    ("StGeneral", "gamma"): "0c69dba8ceb5fec38552495a1437b646ac8aba7bfb5710c4e3db598e69c5afa4",
     ("AITail", "gamma"): "7c7291f876897defb70180a2ff4aaa7a8d2bd1f0b590bc6ab4081e90282df0f0",
     ("CoupledGammaPair", "gamma"): "b4b3876233a04ee727191ebe9752c9fda5f761dc85c39195d42454c76eeda39e",
     ("MixtureLemmaSt", "negbin"): "09dab0a5773c1ee084f30a515616544ea777fa42781bc8ed771aa8cfcc990402",
@@ -333,9 +333,10 @@ SEARCH_DIGESTS = {
 class TestSearch:
     def test_matches_the_reference_bit_for_bit(self):
         """The search's outputs on the scenario matrix, byte for byte, against
-        digests of the plain loop that ran every check on every candidate;
-        budget 200 lets the reversed ConvAI/AITail pairs run out of it
-        quickly."""
+        digests of the plain loop that ran every check on every candidate
+        (three rows re-pinned when the x lift began to keep majorization,
+        which changed the raise-to-total candidate); budget 200 lets the
+        reversed ConvAI/AITail pairs run out of it quickly."""
         searched = {Status.HOLDS: 0, Status.UNKNOWN: 0}
         digests = {}
         for row in MATRIX:
@@ -357,7 +358,8 @@ class TestSearch:
 
     def test_off_matrix_pairs_match_the_pinned_digest(self):
         """The search's outputs on random pairs outside the matrix, byte for
-        byte, against a digest pinned before the candidates became tuples."""
+        byte, against a digest pinned before the candidates became tuples
+        and re-pinned when the x lift began to keep majorization."""
         h = hashlib.sha256()
         searched = {Status.HOLDS: 0, Status.UNKNOWN: 0}
         for a, b in _random_pairs(25):
@@ -424,7 +426,7 @@ def _random_pairs(per_n):
 
 # sha256 of the search's status, detail and witness JSON at budget 200 over
 # the ``_random_pairs(25)`` that pass the necessary conditions
-OFF_MATRIX_DIGEST = "be198791ceccd7d0719f53c4332fa478fb83e530626377ed4e52f4882b944424"
+OFF_MATRIX_DIGEST = "3828680254b99752970c35c9becb8d0715cb4be055a2b70ae3f5b96104b1d2c4"
 
 
 def _one_move_pairs(per_n):
