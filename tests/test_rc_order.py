@@ -598,6 +598,18 @@ class TestRaiseToMajorized:
         y = tuple((v + shift) / 4 for v in y)
         assert check_majorization(x, y, MajorizationMode.BELOW) == (True, None)
         u = rc_order._raise_to_majorized(x, y)
+        assert list(u) == sorted(u)
+        assert all(a >= b for a, b in zip(u, x))
+        assert check_majorization(u, y, MajorizationMode.FULL) == (True, None)
+
+    def test_lift_is_sorted_despite_rounding(self):
+        """The two coordinates raised to y's tied 0.7s come out of the fill
+        as 0.7000000000000013 then 0.6999999999999995."""
+        x = (0.14232052057355538, 0.2121806336607277, 0.22933846660771118,
+             0.3770499669291817, 0.6363950790956818)
+        y = (0.7, 0.7, 1.1, 2.9, 2.9)
+        u = rc_order._raise_to_majorized(x, y)
+        assert list(u) == sorted(u)
         assert all(a >= b for a, b in zip(u, x))
         assert check_majorization(u, y, MajorizationMode.FULL) == (True, None)
 
