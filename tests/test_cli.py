@@ -51,6 +51,18 @@ class TestCheckOrder:
     def test_strict_mode_selectable(self, pair_file):
         assert main(["check-order", pair_file, "--mode", "strict"]) == 0
 
+    def test_near_tied_rates_hold(self, tmp_path, capsys):
+        """Two rates 5e-12 apart under shapes ten times larger: the
+        construction's transfer chain refuses them, and the search decides."""
+        near_tie = {
+            "config1": {"family": "gamma", "shapes": [10, 10], "scales": [1, 1.000000000005]},
+            "config2": {"family": "gamma", "shapes": [9, 12], "scales": [1.5, 0.4]},
+        }
+        path = tmp_path / "near_tie.json"
+        path.write_text(json.dumps(near_tie))
+        assert main(["check-order", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "holds"
+
 
 class TestVerify:
     def test_equal_specs_exit_zero(self, tmp_path, capsys):

@@ -219,6 +219,21 @@ class TestDecideWrc:
         assert decide_wrc(p1, p2, WEAK).status is Status.HOLDS
         assert decide_wrc(p1, p2, STRICT).status is Status.REFUTED
 
+    def test_near_tied_y_under_larger_x_holds(self):
+        """y's components differ by 5e-12: within the tolerance of all four
+        vectors, so the construction's swap loop leaves them in place, but
+        past that of the two y vectors, so the transfer chain on y refuses
+        them.  The refusal falls through to the search, which decides."""
+        p1 = pair((10.0, 10.0), (1.0, 1.000000000005))
+        p2 = pair((9.0, 12.0), (1.5, 0.4))
+        v = decide_wrc(p1, p2, WEAK)
+        assert v.status is Status.HOLDS
+        assert v.detail == {"route": "search", "expanded": 4, "budget": 4000}
+        assert len(v.witness.moves) == 4
+        assert verify_rc_chain(v.witness)
+        assert check_pair_equal_a(v.witness.pairs[0], p1)
+        assert check_pair_equal_a(v.witness.pairs[-1], p2)
+
     def test_budget_exhaustion_reports_unknown(self):
         # the pair of the "search" route below, which needs 147 nodes
         p1 = pair((1.0, 1.0, 1.0), (3.0, 3.0, 3.0))
@@ -392,6 +407,31 @@ class TestSearch:
         move = ElementaryMove(MoveKind.MAJORIZE_Y, 4, 5)
         assert v.holds and v.detail["expanded"] == 1 and v.witness.moves == (move,)
         assert calls == [move]
+
+    def test_goal_pass_stops_at_the_first_coupled_goal(self, monkeypatch):
+        """The start's x transfer at positions 0 and 1 is the goal, early in
+        the coupled candidates: the goal pass generates those up to it and
+        no more, and the witness is the one pinned when it listed them all."""
+        generated = []
+        real = rc_order._coupled_successors
+
+        def counting(p, target):
+            generated.append([p, target, 0])
+            for candidate in real(p, target):
+                generated[-1][2] += 1
+                yield candidate
+
+        monkeypatch.setattr(rc_order, "_coupled_successors", counting)
+        p1 = pair((1.0, 2.0, 3.0, 4.0), (3.0, 1.0, 2.0, 4.0))
+        p2 = pair((0.5, 2.5, 3.0, 4.0), p1.y)
+        v = decide_wrc(p1, p2, WEAK)
+        assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
+        assert v.witness.moves == (ElementaryMove(MoveKind.MAJORIZE_X, 0, 1),)
+        [(start, target, count)] = generated
+        assert count < len(list(real(start, target)))
+        assert hashlib.sha256(chain_to_json(v.witness).encode()).hexdigest() == (
+            "af763ae6d1719728e87f3fa5edccf2d0d1b3167913fce891902eda36fa06486b"
+        )
 
     def test_one_move_pairs_match_the_pinned_digest(self):
         """The first goal in yield order, byte for byte: the search's outputs
@@ -623,7 +663,73 @@ class TestRaiseToMajorized:
         assert check_majorization(u, y, MajorizationMode.FULL) == (True, None)
 
 
+@st.composite
+def _opposite_instances(draw):
+    """A mode, a start and an opposite-ordered target, each under its own
+    permutation.  Components are halves of small integers, with x scaled by
+    1, 10 or 1e3 against y and every y component nudged by up to 3e-12, so
+    y holds near-ties that the four vectors' tolerance hides and the two y
+    vectors' does not.  The start is drawn at random, or made from the
+    target by averaging pairs of components (then, in weak mode, lowering x
+    and raising y), which the necessary check mostly passes."""
+    n = draw(st.integers(2, 6))
+    mode = draw(st.sampled_from((STRICT, WEAK)))
+    scale = draw(st.sampled_from((1.0, 10.0, 1e3)))
+    half = st.integers(1, 8).map(lambda v: v / 2)
+    nudge = st.sampled_from((0.0, 1e-12, 3e-12, -3e-12))
+
+    def vector(unit):
+        return [draw(half) * unit for _ in range(n)]
+
+    def nudged(y):
+        return [v + draw(nudge) for v in y]
+
+    def permuted(x, y):
+        perm = draw(st.permutations(range(n)))
+        return pair([x[k] for k in perm], [y[k] for k in perm])
+
+    x2, y2 = sorted(vector(scale)), sorted(vector(1.0), reverse=True)
+    if draw(st.booleans()):
+        x1, y1 = vector(scale), vector(1.0)
+    else:
+        x1, y1 = list(x2), list(y2)
+        for vec in draw(st.lists(st.sampled_from((0, 1)), max_size=4)):
+            v = (x1, y1)[vec]
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            lam = draw(st.sampled_from((0.25, 0.5, 0.75)))
+            v[i], v[j] = lam * v[i] + (1 - lam) * v[j], (1 - lam) * v[i] + lam * v[j]
+        if mode is WEAK:
+            x1 = [v - draw(half) * scale / 8 * draw(st.booleans()) for v in x1]
+            y1 = [v + draw(half) / 8 * draw(st.booleans()) for v in y1]
+    return mode, permuted(x1, nudged(y1)), permuted(x2, nudged(y2))
+
+
 class TestOppositeOrderedConstruction:
+    @given(_opposite_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_construction_raises_or_returns_a_verified_chain(self, instance):
+        """The construction's only failure is ``ChainConstructionError``, it
+        fails on every pair that fails the necessary check it assumes, and
+        each chain it returns is legal from the start to the target."""
+        mode, p1, p2 = instance
+        try:
+            chain = construct_chain_opposite(p1, p2, mode)
+        except ChainConstructionError:
+            return
+        assert check_necessary(p1, p2, mode)[0]
+        assert verify_rc_chain(chain)
+        assert check_pair_equal_a(chain.pairs[0], p1)
+        assert check_pair_equal_a(chain.pairs[-1], p2)
+
+    @given(_opposite_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_decision_never_raises(self, instance):
+        mode, p1, p2 = instance
+        v = decide_wrc(p1, p2, mode, budget=20)
+        if v.holds:
+            assert verify_rc_chain(v.witness)
+            assert check_pair_equal_a(v.witness.pairs[-1], p2)
+
     def test_is_opposite_ordered(self):
         assert is_opposite_ordered(pair((1, 2, 3), (9, 5, 2)))
         assert is_opposite_ordered(pair((2, 1, 3), (5, 9, 2)))  # permuted copy
