@@ -261,11 +261,20 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     """Constructive chain for an opposite-ordered target.
 
     Requires ``p2`` equal (up to common permutation) to a representative with
-    x increasing and y decreasing; strict mode requires full majorization on
-    both coordinates, weak mode the weak variants.  The chain raises x /
-    lowers y to equalize totals (weak mode), sorts y decreasing by swaps, then
-    walks transfer chains on y and on x; opposite sortedness keeps every
-    coupled move legal.
+    x increasing and y decreasing.  Assumes ``p1`` passes
+    :func:`check_necessary` against ``p2``, which :func:`decide_wrc` runs one
+    step earlier, and does not run it again: strict mode needs full
+    majorization on both vectors, weak mode the weak variants.  Every pair
+    that fails it still raises :class:`ChainConstructionError`, because the
+    transfer chains' own majorization checks fail on it (a raise of x only
+    grows its top sums, and the inflated y target only its largest
+    component).  The chain raises x / lowers y to equalize totals (weak
+    mode), sorts y decreasing by swaps, then walks transfer chains on y and
+    on x; opposite sortedness keeps every coupled move legal.  In floats a
+    transfer chain may be refused, or the chain may fail
+    :func:`verify_rc_chain` or end off the target, all under rounding; each
+    raises :class:`ChainConstructionError` too, so a returned chain is
+    always a verified witness from ``p1`` to ``p2``.
     """
     if p1.n != p2.n:
         raise ChainConstructionError("length mismatch")
@@ -275,10 +284,6 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     y2s = _opposite_y(p2)
     if not is_sorted(y2s, "dec", tol):
         raise ChainConstructionError("target pair is not opposite ordered")
-
-    ok, viol = check_necessary(p1, p2, mode)
-    if not ok:
-        raise ChainConstructionError(f"necessary condition failed: {viol}")
 
     rep1 = canonical_form(p1)
     x1, y1 = rep1.x, rep1.y
@@ -306,13 +311,6 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
         # so majorization over y1 holds whenever it can
         y_top = (y2s[0] + dy,) + y2s[1:]
 
-    ok, k = check_majorization(x_cur, x2s, MajorizationMode.FULL)
-    if not ok:
-        raise ChainConstructionError(f"x not majorized after lift (prefix {k})")
-    ok, k = check_majorization(y1, y_top, MajorizationMode.FULL)
-    if not ok:
-        raise ChainConstructionError(f"y not majorized after lift (prefix {k})")
-
     # Sort y decreasing with inversion-creating swaps; x increasing makes the
     # reverse-pair product nonpositive at every step.
     y_cur = list(pairs[-1].y)
@@ -325,8 +323,13 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
                 PairClass(x_cur, tuple(y_cur)),
             )
 
-    # Transfer chain on y (run on the reversed, increasing copies).
-    y_chain = t_transform_chain(tuple(reversed(y_cur)), tuple(reversed(y_top)))
+    # Transfer chains on y (run on the reversed, increasing copies) and on x;
+    # their checks are the only majorization checks after the lift.
+    try:
+        y_chain = t_transform_chain(tuple(reversed(y_cur)), tuple(reversed(y_top)))
+        x_chain = t_transform_chain(x_cur, x2s)
+    except (ValueError, RuntimeError) as exc:
+        raise ChainConstructionError(f"transfer chain refused: {exc}") from exc
     for (i, j, _eps), nxt in zip(y_chain.steps, y_chain.vectors[1:]):
         target_y = tuple(reversed(nxt))
         push(
@@ -334,15 +337,19 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
             PairClass(x_cur, target_y),
         )
 
-    # Transfer chain on x against the decreasing y.
-    x_chain = t_transform_chain(x_cur, x2s)
+    # the x moves run against the decreasing y
     for (i, j, _eps), nxt in zip(x_chain.steps, x_chain.vectors[1:]):
         push(ElementaryMove(MoveKind.MAJORIZE_X, i, j), PairClass(nxt, pairs[-1].y))
 
     if mode is RcMode.WEAK and dy > 0:
         push(ElementaryMove(MoveKind.LOWER_Y), PairClass(x2s, y2s))
 
-    return RcChain(tuple(pairs), tuple(moves), mode)
+    chain = RcChain(tuple(pairs), tuple(moves), mode)
+    if not verify_rc_chain(chain):
+        raise ChainConstructionError("chain rejected under rounding")
+    if not check_pair_equal_a(pairs[-1], p2):
+        raise ChainConstructionError("chain ends off the target under rounding")
+    return chain
 
 
 def _raise_to_majorized(x: Vector, y: Vector) -> Vector:
@@ -633,8 +640,8 @@ def decide_wrc(
         try:
             chain = construct_chain_opposite(p1, p2, mode)
         except ChainConstructionError:
-            chain = None
-        if chain is not None and verify_rc_chain(chain):
+            pass  # every refusal falls through to the later routes
+        else:
             return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
 
     tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
@@ -727,7 +734,7 @@ def _pairs_near(p: PairClass, target: _Target) -> int:
 def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: RcMode):
     """The chain to the first of ``cur``'s candidates, in yield order, that
     is the goal and passes :func:`verify_rc_chain` (or None), and the
-    candidates for the tree pass, those this pass listed included.
+    candidates for the tree pass, those this pass generated included.
 
     A move changes x only or y only, so a child can be the goal only if
     ``cur``'s other vector already matches the target's.  The goal test
@@ -747,8 +754,10 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     then the necessary check, and :func:`verify_rc_chain`, whose replay runs
     :func:`verify_rc_move` on the candidate's move.  The gates and the
     pre-test skip no goal, so the pass returns the first goal in yield
-    order.  It lists the coupled candidates only if a coupled move can reach
-    the goal, and the tree pass reuses the list.
+    order.  It generates the coupled candidates only if a coupled move can
+    reach the goal, and then lazily, stopping at the first goal; the tree
+    pass reuses the list of those generated, all of them when no goal is
+    found.  The componentwise candidates are generated the same way.
     """
     px, py = cur.x, cur.y
     near = target.near
@@ -757,8 +766,10 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     if not (x_open or y_open):
         return None, _successors(cur, target, mode)
 
-    def first_goal(candidates, x_ok, y_ok):
-        for moves_x, swap, new, kind, i, j in candidates:
+    def first_goal(candidates, x_ok, y_ok, listed):
+        for candidate in candidates:
+            listed.append(candidate)
+            moves_x, swap, new, kind, i, j = candidate
             if not (x_ok if moves_x else y_ok):
                 continue
             if not _within(sorted(new), target.xs if moves_x else target.ys, near):
@@ -783,12 +794,14 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     coupled_y = y_open and abs(math.fsum(py) - target.sum_y) <= sum_tol
     coupled = _coupled_successors(cur, target)
     if (coupled_x or coupled_y) and _pairs_near(cur, target) >= cur.n - 2:
-        coupled = list(coupled)
-        chain = first_goal(coupled, coupled_x, coupled_y)
+        listed = []
+        chain = first_goal(coupled, coupled_x, coupled_y, listed)
         if chain is not None:
             return chain, ()
-    componentwise = list(_componentwise_successors(cur, target, mode))
-    return first_goal(componentwise, x_open, y_open), itertools.chain(coupled, componentwise)
+        coupled = listed
+    componentwise = []
+    chain = first_goal(_componentwise_successors(cur, target, mode), x_open, y_open, componentwise)
+    return chain, itertools.chain(coupled, componentwise)
 
 
 def _search_detail(expanded: int, budget: int) -> dict:
