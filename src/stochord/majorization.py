@@ -122,22 +122,6 @@ def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int |
     return True, None
 
 
-def verify_t_step(a: Vector, b: Vector) -> bool:
-    """True iff ``b`` arises from ``a`` by one transfer of ``eps >= 0`` from a
-    coordinate ``i`` to a coordinate ``j > i``."""
-    _require_same_length(a, b)
-    tol = component_tolerance(a, b)
-    diffs = [k for k, (u, v) in enumerate(zip(a, b)) if abs(u - v) > tol]
-    if not diffs:
-        return True  # degenerate eps = 0 transfer
-    if len(diffs) != 2:
-        return False
-    i, j = diffs
-    eps_i = a[i] - b[i]
-    eps_j = b[j] - a[j]
-    return eps_i > 0 and abs(eps_i - eps_j) <= tol
-
-
 def t_transform_chain(x: Vector, y: Vector) -> TChain:
     """Constructive chain ``x = phi_1 < ... < phi_k = y`` of at most ``n``
     increasing-sorted vectors, consecutive ones linked by one transfer from a

@@ -38,7 +38,6 @@ from stochord.majorization import (
     check_majorization,
     is_sorted,
     t_transform_chain,
-    verify_t_step,
 )
 from stochord.rc_order import (
     RcMode,
@@ -48,6 +47,7 @@ from stochord.rc_order import (
     verify_rc_chain,
 )
 from stochord.verdicts import Status
+from test_majorization import verify_t_step
 
 
 def _report(criterion: str, passed: bool, detail: str = "") -> None:

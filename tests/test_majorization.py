@@ -13,12 +13,27 @@ from stochord.majorization import (
     majorization_bound,
     sort_components,
     t_transform_chain,
-    verify_t_step,
 )
 
 FULL = MajorizationMode.FULL
 BELOW = MajorizationMode.BELOW
 ABOVE = MajorizationMode.ABOVE
+
+
+def verify_t_step(a, b) -> bool:
+    """Oracle: True iff ``b`` arises from ``a`` by one transfer of
+    ``eps >= 0`` from a coordinate ``i`` to a coordinate ``j > i``."""
+    assert len(a) == len(b)
+    tol = component_tolerance(a, b)
+    diffs = [k for k, (u, v) in enumerate(zip(a, b)) if abs(u - v) > tol]
+    if not diffs:
+        return True  # degenerate eps = 0 transfer
+    if len(diffs) != 2:
+        return False
+    i, j = diffs
+    eps_i = a[i] - b[i]
+    eps_j = b[j] - a[j]
+    return eps_i > 0 and abs(eps_i - eps_j) <= tol
 
 
 class TestCheckMajorization:
