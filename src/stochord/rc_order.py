@@ -347,7 +347,11 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     chain = RcChain(tuple(pairs), tuple(moves), mode)
     if not verify_rc_chain(chain):
         raise ChainConstructionError("chain rejected under rounding")
-    if not check_pair_equal_a(pairs[-1], p2):
+    # a transfer chain snaps its end onto its target, so the chain mostly ends
+    # on (x2s, y2s) exactly, p2's own coordinate pairs; one with no transfer
+    # ends where the lift and the swaps left it
+    end = pairs[-1]
+    if (end.x, end.y) != (x2s, y2s) and not check_pair_equal_a(end, p2):
         raise ChainConstructionError("chain ends off the target under rounding")
     return chain
 
