@@ -18,7 +18,6 @@ import json
 import sys
 
 import numpy as np
-from scipy import special
 
 from stochord.arrangement import check_pair_equal_a
 from stochord.distributions import (
@@ -239,6 +238,8 @@ def _nb_pair(args) -> float:
 
 
 def _gamma_single(args) -> float:
+    from scipy import special  # loaded on first use, as in the gamma kernel
+
     beta_big = 2.0 * args.beta
     if args.common_beta is not None:
         if not args.beta < args.common_beta:

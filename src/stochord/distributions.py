@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from stochord.majorization import Vector, as_vector
 from stochord.verdicts import OrderVerdict, Status
@@ -587,6 +586,8 @@ def _gamma_mixture_cdf(
     and as many from summing the terms, one for ``exp`` and one for the last
     addition.
     """
+    from scipy import special  # scipy loads on the first gamma CDF only
+
     shapes = latent.offset + np.arange(latent.probs.size)
     cum = np.cumsum(latent.probs)
     top = shapes[-1]
@@ -724,26 +725,6 @@ def survival_dominance_check(d1, d2, tol: float = 1e-9) -> OrderVerdict:
     return OrderVerdict(
         Status.UNKNOWN, detail={"reason": "violations within error bounds", **record}
     )
-
-
-def mc_sampler(s: ConvolutionSpec, n: int, seed: int) -> np.ndarray:
-    """Sorted Monte Carlo samples of the convolution; gamma components by
-    shape-scale sampling, negbin components by the gamma-Poisson mixture."""
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    total = np.zeros(n)
-    for a, sc in zip(s.shapes, s.scales):
-        if s.family == "gamma":
-            total += rng.gamma(a, 1.0 / sc, size=n)
-        else:
-            lam = rng.gamma(a, (1.0 - sc) / sc, size=n)
-            total += rng.poisson(lam)
-    return np.sort(total)
-
-
-def empirical_cdf(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.searchsorted(samples, points, side="right") / samples.size
 
 
 # ---------------------------------------------------------------------------

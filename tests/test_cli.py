@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +464,39 @@ class TestErrorHandling:
         assert first.common_beta == 3.0 and second.common_beta is None
         assert main(["identity", "--prop", "gamma-single", "--common-beta", "1.0"]) == EX_DATAERR
         assert main(["identity", "--prop", "gamma-single"]) == 0
+
+    def test_parameter_commands_do_not_load_scipy(self, tmp_path):
+        # a fresh interpreter: scipy loads at the first gamma function, so
+        # commands that evaluate none never import it
+        nb_pair = {
+            "config1": {"family": "negbin", "shapes": [0.5, 1.2, 1.2], "scales": [0.7, 0.6, 0.5]},
+            "config2": {"family": "negbin", "shapes": [0.6, 1.0, 1.5], "scales": [0.8, 0.6, 0.3]},
+        }
+        gamma_path, nb_path = tmp_path / "gamma.json", tmp_path / "nb.json"
+        gamma_path.write_text(json.dumps(WORKED_PAIR))
+        nb_path.write_text(json.dumps(nb_pair))
+        code = f"""
+import contextlib, io, json, sys
+import stochord.harness, stochord.cli
+runs = (
+    ["check-order", {str(gamma_path)!r}],
+    ["verify", {str(gamma_path)!r}, "--order", "conv"],
+    ["verify", {str(nb_path)!r}, "--order", "st"],
+    ["identity", "--prop", "gamma-single"],
+)
+result = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        result.append((stochord.cli.main(argv), "scipy" in sys.modules))
+print(json.dumps(result))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert json.loads(out) == [[0, False], [0, False], [0, False], [0, True]]
 
     def test_tail_cap_env_ignored(self, tmp_path, monkeypatch, capsys):
         # only --tail-cap sets the cap
