@@ -128,6 +128,9 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     lower to a higher coordinate.
 
     Requires ``x`` and ``y`` sorted increasing and ``x`` majorized by ``y``.
+    ``vectors[0]`` is always ``x``; when a step is taken the last vector is
+    ``y`` exactly, and with no step the chain is ``(x,)``, however close to
+    ``y`` within tolerance.
     """
     _require_same_length(x, y)
     tol = component_tolerance(x, y)
@@ -160,6 +163,6 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     residual = max(abs(c - t) for c, t in zip(current, y))
     if residual > tol * len(x):
         raise RuntimeError(f"transfer chain did not converge, residual {residual}")
-    # Snap the endpoint so tolerance slack does not leak into callers.
-    vectors[-1] = y
+    if steps:  # snap the endpoint so tolerance slack does not leak into callers
+        vectors[-1] = y
     return TChain(vectors=tuple(vectors), steps=tuple(steps))

@@ -168,6 +168,20 @@ class TestTTransformChain:
         assert chain.steps == ((0, 1, 1.0), (2, 3, 1.0))
         assert chain.vectors == ((1.0, 1.0, 4.0, 4.0), (0.0, 2.0, 4.0, 4.0), (0.0, 2.0, 3.0, 5.0))
 
+    def test_zero_step_chain_starts_at_x(self):
+        # x and y differ within tolerance: no step, and the one vector is x,
+        # not the target
+        x, y = (0.5, 0.5, 0.500000000003), (0.5, 0.5, 0.500000000001)
+        chain = t_transform_chain(x, y)
+        assert chain.vectors == (x,)
+        assert chain.steps == ()
+
+    def test_a_taken_step_ends_on_y_exactly(self):
+        x, y = (1.0, 2.0, 3.0 + 1e-13), (0.0, 2.0, 4.0)
+        chain = t_transform_chain(x, y)
+        assert chain.vectors[0] == x and chain.vectors[-1] == y
+        assert len(chain.steps) == 1
+
     def test_rejects_unsorted_input(self):
         with pytest.raises(ValueError):
             t_transform_chain((3.0, 2.0, 1.0), (0.0, 2.0, 4.0))
