@@ -30,9 +30,6 @@ from stochord.distributions import (
 )
 from stochord.rc_order import (
     DEFAULT_SEARCH_BUDGET,
-    ElementaryMove,
-    MoveKind,
-    RcChain,
     RcMode,
     chain_to_json,
     decide_wrc,
@@ -331,7 +328,7 @@ def _opposite_weak_instance(rng, fam, n, log_scale):
 
 
 # ---------------------------------------------------------------------------
-# The worked three-step chain and its specs
+# The worked example's specs
 
 
 def worked_example_specs() -> tuple[ConvolutionSpec, ConvolutionSpec]:
@@ -339,21 +336,6 @@ def worked_example_specs() -> tuple[ConvolutionSpec, ConvolutionSpec]:
         spec("gamma", (0.4, 0.6, 0.5), (2.0, 3.0, 4.0)),
         spec("gamma", (0.7, 0.3, 0.5), (1.0, 3.0, 5.0)),
     )
-
-
-def worked_example_chain() -> RcChain:
-    """The published three-move chain through ((0.4,0.6,0.5),(2,2,5)) and
-    ((0.7,0.3,0.5),(2,2,5))."""
-    p0 = pair((0.4, 0.6, 0.5), (2.0, 3.0, 4.0))
-    p1 = pair((0.4, 0.6, 0.5), (2.0, 2.0, 5.0))
-    p2 = pair((0.7, 0.3, 0.5), (2.0, 2.0, 5.0))
-    p3 = pair((0.7, 0.3, 0.5), (1.0, 3.0, 5.0))
-    moves = (
-        ElementaryMove(MoveKind.MAJORIZE_Y, 1, 2),
-        ElementaryMove(MoveKind.MAJORIZE_X, 0, 1),
-        ElementaryMove(MoveKind.MAJORIZE_Y, 0, 1),
-    )
-    return RcChain((p0, p1, p2, p3), moves, RcMode.STRICT)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ from stochord.distributions import (
     coupled_pair_mixture_pmf,
     deconvolve,
     default_gamma_grid,
-    empirical_cdf,
     gamma_convolution_cdf,
-    mc_sampler,
     nb_convolution,
     nb_pmf,
     shape_mixture_pmf,
@@ -30,7 +28,6 @@ from stochord.harness import (
     generate_instance,
     numeric_conv_check,
     numeric_st_check,
-    worked_example_chain,
     worked_example_specs,
 )
 from stochord.majorization import (
@@ -47,6 +44,8 @@ from stochord.rc_order import (
     verify_rc_chain,
 )
 from stochord.verdicts import Status
+from test_distributions import empirical_cdf, mc_sampler
+from test_harness import worked_example_chain
 from test_majorization import verify_t_step
 
 

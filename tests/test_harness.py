@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stochord import harness
+from stochord.arrangement import pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
     NegBinParams,
@@ -26,12 +27,26 @@ from stochord.harness import (
     reverify_candidate,
     run_scenario,
     verify_theorem_instance,
-    worked_example_chain,
     worked_example_specs,
     write_reports,
 )
-from stochord.rc_order import RcMode, verify_rc_chain
+from stochord.rc_order import ElementaryMove, MoveKind, RcChain, RcMode, verify_rc_chain
 from stochord.verdicts import Status
+
+
+def worked_example_chain() -> RcChain:
+    """Oracle: the published three-move chain through ((0.4,0.6,0.5),(2,2,5))
+    and ((0.7,0.3,0.5),(2,2,5))."""
+    p0 = pair((0.4, 0.6, 0.5), (2.0, 3.0, 4.0))
+    p1 = pair((0.4, 0.6, 0.5), (2.0, 2.0, 5.0))
+    p2 = pair((0.7, 0.3, 0.5), (2.0, 2.0, 5.0))
+    p3 = pair((0.7, 0.3, 0.5), (1.0, 3.0, 5.0))
+    moves = (
+        ElementaryMove(MoveKind.MAJORIZE_Y, 1, 2),
+        ElementaryMove(MoveKind.MAJORIZE_X, 0, 1),
+        ElementaryMove(MoveKind.MAJORIZE_Y, 0, 1),
+    )
+    return RcChain((p0, p1, p2, p3), moves, RcMode.STRICT)
 
 
 class TestGenerateInstance:
