@@ -465,6 +465,19 @@ class TestErrorHandling:
         assert main(["identity", "--prop", "gamma-single", "--common-beta", "1.0"]) == EX_DATAERR
         assert main(["identity", "--prop", "gamma-single"]) == 0
 
+    def test_tail_cap_env_ignored(self, tmp_path, monkeypatch, capsys):
+        # only --tail-cap sets the cap
+        s = {"family": "negbin", "shapes": [1.0], "scales": [0.5]}
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps({"config1": s, "config2": s}))
+        for value in ("1e-8", "abc"):
+            monkeypatch.setenv("STOCHORD_TAIL_CAP", value)
+            assert main(["verify", str(path), "--order", "conv"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["tolerances"]["tail_cap"] == 1e-12
+
+
+class TestScipyImport:
     def test_parameter_commands_do_not_load_scipy(self, tmp_path):
         # a fresh interpreter: scipy loads at the first gamma function, so
         # commands that evaluate none never import it
@@ -497,14 +510,3 @@ print(json.dumps(result))
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert json.loads(out) == [[0, False], [0, False], [0, False], [0, True]]
-
-    def test_tail_cap_env_ignored(self, tmp_path, monkeypatch, capsys):
-        # only --tail-cap sets the cap
-        s = {"family": "negbin", "shapes": [1.0], "scales": [0.5]}
-        path = tmp_path / "eq.json"
-        path.write_text(json.dumps({"config1": s, "config2": s}))
-        for value in ("1e-8", "abc"):
-            monkeypatch.setenv("STOCHORD_TAIL_CAP", value)
-            assert main(["verify", str(path), "--order", "conv"]) == 0
-            out = json.loads(capsys.readouterr().out)
-            assert out["tolerances"]["tail_cap"] == 1e-12
