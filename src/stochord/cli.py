@@ -166,8 +166,10 @@ def _cmd_check_order(args) -> int:
             chain = chain_from_json(json.dumps(_load_json(args.verify_witness)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed witness chain {args.verify_witness}: {exc}") from exc
+        # a verified chain's pairs share one length
         ok = (
             verify_rc_chain(chain)
+            and chain.pairs[0].n == q1.n
             and check_pair_equal_a(chain.pairs[0], q1)
             and check_pair_equal_a(chain.pairs[-1], q2)
         )

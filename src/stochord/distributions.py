@@ -168,7 +168,9 @@ class CdfGrid:
 
 
 # Lattice sizes up to this many points keep their index arrays (about 130
-# kilobytes in all); larger ones are rare and build theirs per pass.
+# kilobytes in all); larger ones are rare and build theirs per pass.  Most
+# calls build small lattices, where building the index arrays again would
+# be a visible share of each call.
 _CACHED_INDEX = 4096
 
 
@@ -229,13 +231,8 @@ def _nb_rows(
                     f"a negative binomial lattice (shape {alpha[j]:g}, success {succ[j]:g}) "
                     "starts below the normal floats"
                 )
-            if len(alpha) == 1:
-                # numpy broadcasts a scalar faster than a column, and most
-                # callers ask for one row
-                a, head, q = alpha[0], heads[0], 1.0 - succ[0]
-            else:
-                a, head = np.array(alpha)[:, None], np.array(heads)[:, None]
-                q = 1.0 - np.array(succ)[:, None]
+            a, head = np.array(alpha)[:, None], np.array(heads)[:, None]
+            q = 1.0 - np.array(succ)[:, None]
             x = k + a
             # column j >= 1 holds the ratio q (j - 1 + alpha) / j; column 0
             # is 1, so the running product is the PMF over its first term
@@ -386,7 +383,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = [0.0] * n
     rhs = b.tolist()
     zr[n - 1] = rhs[0] / f0
-    # step k reads all k earlier coefficients up to k = m, then the last m
+    # step k reads all k earlier coefficients up to k = m, then the last m;
+    # two loops, so that the second, which takes most steps, needs no min()
     for k in range(1, min(n, m + 1)):
         s[k] = sk = float(a1[:k].dot(zr[n - k :]))
         zr[n - 1 - k] = (rhs[k] - sk) / f0
@@ -491,10 +489,8 @@ def _coupled_pair_latent(
     """Mixture of pairwise convolutions of shifted negative binomials with
     success probabilities ``s_hi`` and ``s_lo``, both conditioned on the same
     latent shape draw (shape alpha, success p; p = 1 degenerates).  A success
-    probability of 1 makes its variable a point mass at the shape."""
-    for s in (s_hi, s_lo):
-        if not 0 < s <= 1:
-            raise ValueError("success probabilities must be in (0,1]")
+    probability of 1 makes its variable a point mass at the shape.  Its
+    callers check ``s_hi`` and ``s_lo``."""
     if p == 1.0:
         latent = point_mass(alpha)
     else:

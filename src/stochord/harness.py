@@ -558,12 +558,3 @@ def explore_counterexamples(budget: int, seed: int) -> list[dict]:
             )
     return found
 
-
-def reverify_candidate(candidate: dict) -> bool:
-    s1 = ConvolutionSpec.from_dict(candidate["spec1"])
-    s2 = ConvolutionSpec.from_dict(candidate["spec2"])
-    q1, q2 = _param_pairs(s1, s2, "st")
-    log_order = decide_wrc(q1, q2, RcMode.WEAK, 500)
-    if not log_order.holds or not verify_rc_chain(log_order.witness):
-        return False
-    return numeric_conv_check(s1, s2).refuted

@@ -32,6 +32,7 @@ from stochord.majorization import (
     MajorizationBound,
     MajorizationMode,
     Vector,
+    as_vector,
     check_majorization,
     check_majorized_by,
     component_tolerance,
@@ -100,9 +101,7 @@ class RcChain:
 
 
 class ChainConstructionError(ValueError):
-    def __init__(self, condition: str):
-        super().__init__(f"chain precondition violated: {condition}")
-        self.condition = condition
+    """A chain precondition that :func:`construct_chain_opposite` found violated."""
 
 
 def _reverse_pair_ok(dx: float, dy: float, tol: float) -> bool:
@@ -161,8 +160,6 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
 
 
 def verify_rc_chain(chain: RcChain) -> bool:
-    if not chain.pairs:
-        return False
     return all(
         verify_rc_move(chain.pairs[s], chain.pairs[s + 1], chain.moves[s], chain.mode)
         for s in range(len(chain.moves))
@@ -444,7 +441,9 @@ class _Rounded(dict):
     """``round(v, 9)`` of every component value a search has met, the
     pieces of its dedupe key: a child keeps all but two of its parent's
     components, so it rounds only its new ones.  The components are finite;
-    ``-0.0`` finds ``0.0``'s entry, and ``seen`` holds the two equal anyway."""
+    ``-0.0`` finds ``0.0``'s entry, and ``seen`` holds the two equal anyway.
+    An exact key would keep nodes that differ only by the rounding of their
+    moves apart, and the search would expand each of them."""
 
     def __missing__(self, v: float) -> float:
         r = self[v] = round(v, 9)
@@ -673,9 +672,7 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     rounded through a per-search memo of component values; and, on the pair
     and move then built, :func:`verify_rc_move`, so every pair that enters
     the tree is checked.  A node carries the two halves of its distance, and
-    a child recomputes only the half of the vector its move changed.  An
-    expansion's children are pushed after it, in order: nothing is popped in
-    between, so the heap is the same as if each were pushed at once.
+    a child recomputes only the half of the vector its move changed.
     """
     start = canonical_form(p1)
     target = _target(p2, mode)
@@ -692,7 +689,6 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
         if chain is not None:
             detail = _search_detail(expanded, budget)
             return OrderVerdict(Status.HOLDS, witness=chain, detail=detail)
-        children = []
         for moves_x, swap, new, kind, i, j in candidates:
             if not swap:
                 ok, _ = check_majorized_by(new, target.x_bound if moves_x else target.y_bound)
@@ -707,14 +703,12 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
             if not verify_rc_move(cur, nxt, move, mode):
                 continue
             seen.add(key)
-            children.append((nxt, xs if moves_x else None, pairs + [nxt], moves + [move]))
-        for nxt, xs, npairs, nmoves in children:
-            if xs is not None:
+            if moves_x:
                 cx, cy = _gap(xs, target.xs), gy
             else:
-                cx, cy = gx, _gap(sorted(nxt.y), target.ys)
+                cx, cy = gx, _gap(sorted(y), target.ys)
             counter += 1
-            heapq.heappush(heap, (cx + cy, counter, nxt, cx, cy, npairs, nmoves))
+            heapq.heappush(heap, (cx + cy, counter, nxt, cx, cy, pairs + [nxt], moves + [move]))
     detail = _search_detail(expanded, budget)
     # the discretized moves reach no chain either way, so both are unknown
     detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
@@ -727,7 +721,8 @@ def _within(v: Vector, target: Vector, tol: float) -> bool:
 
 def _pairs_near(p: PairClass, target: _Target) -> int:
     """How many of ``p``'s coordinate pairs lie within ``target.near`` of
-    some pair of the target's."""
+    some pair of the target's.  Where the start has the target's multisets,
+    the sum gate opens at every node, and this gate alone closes the pass."""
     near, goal = target.near, target.pair
     return sum(
         any(abs(u - a) <= near and abs(v - b) <= near for a, b in zip(goal.x, goal.y))
@@ -761,7 +756,10 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     order.  It generates the coupled candidates only if a coupled move can
     reach the goal, and then lazily, stopping at the first goal; the tree
     pass reuses the list of those generated, all of them when no goal is
-    found.  The componentwise candidates are generated the same way.
+    found.  The componentwise candidates are generated the same way.  The
+    gates and the laziness are for speed: most goals are componentwise moves
+    met in the first expansion, which the pass then reaches without
+    generating any coupled candidate.
     """
     px, py = cur.x, cur.y
     near = target.near
@@ -819,9 +817,10 @@ def _search_detail(expanded: int, budget: int) -> dict:
 def chain_to_json(chain: RcChain) -> str:
     """The chain as ``json.dumps(..., indent=2)`` writes it, byte for byte.
 
-    ``indent`` selects the pure-Python encoder, so the numbers of the chain
-    (each record's components, then its move's positions) are encoded by one
-    call of the C encoder instead, and laid out around its strings here.
+    ``indent`` selects the pure-Python encoder, several times slower than
+    the C one, so the numbers of the chain (each record's components, then
+    its move's positions) are encoded by one call of the C encoder instead,
+    and laid out around its strings here.
     Components are numbers and positions ints or None, as in every chain the
     program builds."""
     numbers = []
@@ -856,15 +855,18 @@ def chain_to_json(chain: RcChain) -> str:
 
 
 def chain_from_json(text: str) -> RcChain:
+    """The chain :func:`chain_to_json` wrote; a vector :func:`as_vector`
+    refuses, or a position neither an integer nor null, raises ``ValueError``."""
     data = json.loads(text)
     mode = RcMode(data["mode"])
     pairs = []
     moves = []
     for idx, rec in enumerate(data["chain"]):
-        pairs.append(
-            PairClass(tuple(rec["pair"]["x"]), tuple(rec["pair"]["y"]))
-        )
+        pairs.append(PairClass(as_vector(rec["pair"]["x"]), as_vector(rec["pair"]["y"])))
         if idx > 0:
             m = rec["move"]
+            for v in (m["i"], m["j"]):
+                if v is not None and (type(v) is bool or not isinstance(v, int)):
+                    raise ValueError(f"a move position must be an integer or null, got {v!r}")
             moves.append(ElementaryMove(MoveKind(m["kind"]), m["i"], m["j"]))
     return RcChain(tuple(pairs), tuple(moves), mode)

@@ -317,10 +317,35 @@ class TestErrorHandling:
 
     def test_malformed_witness_chain(self, pair_file, tmp_path):
         witness = tmp_path / "w.json"
-        for text in ("{not json", '{"mode": "weak"}', '{"mode": "weak", "chain": [1]}'):
+        argv = ["check-order", pair_file, "--verify-witness", str(witness)]
+        # a well-formed one-move chain, rejected against the pair (exit 1),
+        # with its first pair and the move's first position left open
+        chain = (
+            '{"mode": "weak", "chain": [{"pair": %s, "move": null}, '
+            '{"pair": {"x": [0.6, 0.4, 0.5], "y": [2.0, 3.0, 4.0]}, '
+            '"move": {"kind": "majorize_x", "i": %s, "j": 1}}]}'
+        )
+        first = '{"x": %s, "y": [2.0, 3.0, 4.0]}'
+        witness.write_text(chain % (first % "[0.4, 0.6, 0.5]", "0"))
+        assert main(argv) == 1
+        for text in (
+            "{not json",
+            '{"mode": "weak"}',
+            '{"mode": "weak", "chain": [1]}',
+            chain % (first % '["a", 0.6, 0.5]', "0"),
+            chain % (first % "[null, 0.6, 0.5]", "0"),
+            chain % (first % "[0.4, 0.6, 0.5]", "0.5"),
+            chain % (first % "[NaN, 0.6, 0.5]", "0"),
+            chain % ('{"x": [], "y": []}', "0"),
+        ):
             witness.write_text(text)
-            argv = ["check-order", pair_file, "--verify-witness", str(witness)]
             assert main(argv) == EX_DATAERR, text
+
+    def test_witness_of_another_length_is_rejected(self, pair_file, tmp_path):
+        witness = tmp_path / "w.json"
+        witness.write_text('{"mode": "weak", "chain": [{"pair": {"x": [1.0, 2.0], "y": [3.0, 4.0]}, '
+                           '"move": null}]}')
+        assert main(["check-order", pair_file, "--verify-witness", str(witness)]) == 1
 
     @pytest.mark.parametrize(
         "argv",

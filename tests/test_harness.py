@@ -9,6 +9,7 @@ from stochord import harness
 from stochord.arrangement import pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
+    ConvolutionSpec,
     NegBinParams,
     default_gamma_grid,
     shape_mixture_pmf,
@@ -24,13 +25,19 @@ from stochord.harness import (
     generate_instance,
     numeric_conv_check,
     numeric_st_check,
-    reverify_candidate,
     run_scenario,
     verify_theorem_instance,
     worked_example_specs,
     write_reports,
 )
-from stochord.rc_order import ElementaryMove, MoveKind, RcChain, RcMode, verify_rc_chain
+from stochord.rc_order import (
+    ElementaryMove,
+    MoveKind,
+    RcChain,
+    RcMode,
+    decide_wrc,
+    verify_rc_chain,
+)
 from stochord.verdicts import Status
 
 
@@ -47,6 +54,18 @@ def worked_example_chain() -> RcChain:
         ElementaryMove(MoveKind.MAJORIZE_Y, 0, 1),
     )
     return RcChain((p0, p1, p2, p3), moves, RcMode.STRICT)
+
+
+def reverify_candidate(candidate: dict) -> bool:
+    """Oracle: an explorer candidate read back from its dict still has a
+    verified weak chain on (shapes, log rates) and a refuting reduction."""
+    s1 = ConvolutionSpec.from_dict(candidate["spec1"])
+    s2 = ConvolutionSpec.from_dict(candidate["spec2"])
+    q1, q2 = harness._param_pairs(s1, s2, "st")
+    log_order = decide_wrc(q1, q2, RcMode.WEAK, 500)
+    if not log_order.holds or not verify_rc_chain(log_order.witness):
+        return False
+    return numeric_conv_check(s1, s2).refuted
 
 
 class TestGenerateInstance:

@@ -388,6 +388,31 @@ class TestSearch:
         assert h.hexdigest() == OFF_MATRIX_DIGEST
         assert searched == {Status.HOLDS: 17, Status.UNKNOWN: 14}
 
+    def test_goal_pass_gates_bound_the_goal_tests(self, monkeypatch):
+        """The reversed ConvAI and AITail pairs run the search out of its
+        budget, and their multisets are equal, so the sum gate passes on
+        every node: ``_pairs_near`` alone keeps the goal pass from testing
+        each coupled candidate (27,798 goal tests without it)."""
+        calls = 0
+        real = rc_order._is_goal
+
+        def spy(flat, target):
+            nonlocal calls
+            calls += 1
+            return real(flat, target)
+
+        monkeypatch.setattr(rc_order, "_is_goal", spy)
+        statuses = collections.Counter()
+        for row in MATRIX:
+            if (row.name.value, row.family) not in (("ConvAI", "negbin"), ("AITail", "gamma")):
+                continue
+            for n, seed in itertools.product(range(2, 7), range(3)):
+                s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+                q1, q2 = _param_pairs(s1, s2, row.order)
+                statuses[decide_wrc(q2, q1, WEAK, 200).status] += 1
+        assert statuses == {Status.UNKNOWN: 30}
+        assert calls == 984
+
     def test_goal_is_verified_without_the_candidates_before_it(self, monkeypatch):
         """Ten of the start's candidates pass the necessary check and the
         dedupe before the goal in yield order; the goal is the only one
@@ -799,8 +824,9 @@ class TestSerialization:
     @settings(max_examples=200, deadline=None)
     def test_text_is_the_indented_encoders(self, data):
         """The witness text equals ``json.dumps(..., indent=2)`` of the chain's
-        records byte for byte, on values no search makes too, and again after
-        ``chain_from_json`` reads it back (ints stay ints)."""
+        records byte for byte, on values no search makes too.  Read back by
+        ``chain_from_json``, a chain of nonempty finite vectors gives the text
+        of its components as floats, and any other chain is refused."""
         number = st.one_of(
             st.floats(),
             st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300)),
@@ -828,7 +854,13 @@ class TestSerialization:
             rec["move"] = {"kind": m.kind.value, "i": m.i, "j": m.j}
         text = chain_to_json(chain)
         assert text == json.dumps({"mode": chain.mode.value, "chain": records}, indent=2)
-        assert chain_to_json(chain_from_json(text)) == text
+        if all(p.n and all(map(math.isfinite, p.x + p.y)) for p in pairs):
+            floats = tuple(PairClass(tuple(map(float, p.x)), tuple(map(float, p.y))) for p in pairs)
+            as_floats = RcChain(floats, chain.moves, chain.mode)
+            assert chain_to_json(chain_from_json(text)) == chain_to_json(as_floats)
+        else:
+            with pytest.raises(ValueError):
+                chain_from_json(text)
 
     def test_chain_shape_validated(self):
         p = pair((1.0,), (2.0,))
