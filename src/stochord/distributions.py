@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from stochord.majorization import Vector, as_vector
+from stochord.majorization import Vector, as_vector, json_vector
 from stochord.verdicts import OrderVerdict, Status
 
 DEFAULT_TAIL_CAP = 1e-12
@@ -99,7 +99,7 @@ class ConvolutionSpec:
     @staticmethod
     def from_dict(data) -> "ConvolutionSpec":
         return ConvolutionSpec(
-            data["family"], as_vector(data["shapes"]), as_vector(data["scales"])
+            data["family"], json_vector(data["shapes"]), json_vector(data["scales"])
         )
 
 

@@ -50,6 +50,15 @@ def as_vector(components) -> Vector:
     return v
 
 
+def json_vector(components) -> Vector:
+    """:func:`as_vector` of a vector read from a JSON file, which must be an
+    array of numbers: a string or a boolean in place of a number, or in place
+    of the array, is a malformed file."""
+    if type(components) is not list or any(type(c) not in (int, float) for c in components):
+        raise ValueError(f"vector must be a JSON array of numbers, got {components!r}")
+    return as_vector(components)
+
+
 def sort_components(v: Vector, direction: str = "inc") -> Vector:
     if direction not in ("inc", "dec"):
         raise ValueError(f"direction must be 'inc' or 'dec', got {direction!r}")

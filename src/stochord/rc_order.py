@@ -32,11 +32,10 @@ from stochord.majorization import (
     MajorizationBound,
     MajorizationMode,
     Vector,
-    as_vector,
     check_majorization,
     check_majorized_by,
     component_tolerance,
-    is_sorted,
+    json_vector,
     majorization_bound,
     sort_components,
     t_transform_chain,
@@ -240,47 +239,45 @@ def check_necessary(
     return True, None
 
 
+def _opposite_representative(p: PairClass) -> PairClass:
+    """``p``'s x sorted increasing beside its y sorted decreasing."""
+    return PairClass(sort_components(p.x, "inc"), sort_components(p.y, "dec"))
+
+
 def is_opposite_ordered(p: PairClass) -> bool:
-    """True iff ``p`` equals, up to common permutation, a representative with
-    x increasing and y decreasing."""
-    tol = component_tolerance(p.x, p.y)
-    return is_sorted(_opposite_y(p), "dec", tol)
-
-
-def _opposite_y(p: PairClass) -> Vector:
-    """Best-effort y arrangement decreasing while x is sorted increasing:
-    sort pairs by (x asc, y desc)."""
-    order = sorted(range(p.n), key=lambda i: (p.x[i], -p.y[i]))
-    return tuple(p.y[i] for i in order)
+    """True iff ``p`` equals its exactly sorted representative, x increasing
+    beside y decreasing, within :func:`check_pair_equal_a`'s tolerance."""
+    return check_pair_equal_a(_opposite_representative(p), p)
 
 
 def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
     """Constructive chain for an opposite-ordered target.
 
-    Requires ``p2`` equal (up to common permutation) to a representative with
-    x increasing and y decreasing.  Assumes ``p1`` passes
-    :func:`check_necessary` against ``p2``, which :func:`decide_wrc` runs one
-    step earlier, and does not run it again: strict mode needs full
-    majorization on both vectors, weak mode the weak variants.  Every pair
-    that fails it still raises :class:`ChainConstructionError`, because the
-    transfer chains' own majorization checks fail on it (a raise of x only
-    grows its top sums, and the inflated y target only its largest
-    component).  The chain raises x / lowers y to equalize totals (weak
-    mode), sorts y decreasing by swaps, then walks transfer chains on y and
-    on x; opposite sortedness keeps every coupled move legal.  In floats a
-    transfer chain may be refused, or the chain may fail
+    Builds toward ``p2``'s exactly sorted representative and refuses a target
+    that :func:`is_opposite_ordered` rejects, the construction's only
+    tolerance.  Assumes ``p1`` passes :func:`check_necessary` against ``p2``,
+    which :func:`decide_wrc` runs one step earlier, and does not run it
+    again: strict mode needs full majorization on both vectors, weak mode the
+    weak variants.  Every pair that fails it still raises
+    :class:`ChainConstructionError`, because the transfer chains' own
+    majorization checks fail on it (a raise of x only grows its top sums, and
+    the inflated y target only its largest component).  The chain raises x /
+    lowers y to equalize totals (weak mode), sorts y decreasing exactly by
+    swaps, then walks transfer chains on y and on x, each on exactly sorted
+    vectors; opposite sortedness keeps every coupled move legal.  In floats a
+    transfer chain may be refused or not converge, or the chain may fail
     :func:`verify_rc_chain` or end off the target, all under rounding; each
-    raises :class:`ChainConstructionError` too, so a returned chain is
-    always a verified witness from ``p1`` to ``p2``.
+    raises :class:`ChainConstructionError` too, so a returned chain is always
+    a verified witness from ``p1``.  It ends on the representative, within
+    :func:`check_pair_equal_a`'s tolerance of ``p2`` (with no transfer, on a
+    pair that is).
     """
     if p1.n != p2.n:
         raise ChainConstructionError("length mismatch")
-    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
-
-    x2s = sort_components(p2.x, "inc")
-    y2s = _opposite_y(p2)
-    if not is_sorted(y2s, "dec", tol):
+    if not is_opposite_ordered(p2):
         raise ChainConstructionError("target pair is not opposite ordered")
+    rep2 = _opposite_representative(p2)
+    x2s, y2s = rep2.x, rep2.y
 
     rep1 = canonical_form(p1)
     x1, y1 = rep1.x, rep1.y
@@ -308,12 +305,12 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
         # so majorization over y1 holds whenever it can
         y_top = (y2s[0] + dy,) + y2s[1:]
 
-    # Sort y decreasing with inversion-creating swaps; x increasing makes the
-    # reverse-pair product nonpositive at every step.
+    # Sort y decreasing exactly with inversion-creating swaps; x increasing
+    # makes the reverse-pair product nonpositive at every step.
     y_cur = list(pairs[-1].y)
     for pos in range(n):
         top = max(range(pos, n), key=lambda k: y_cur[k])
-        if top != pos and y_cur[top] > y_cur[pos] + tol:
+        if y_cur[top] > y_cur[pos]:
             y_cur[pos], y_cur[top] = y_cur[top], y_cur[pos]
             push(
                 ElementaryMove(MoveKind.MAJORIZE_Y, pos, top),
@@ -345,7 +342,7 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     if not verify_rc_chain(chain):
         raise ChainConstructionError("chain rejected under rounding")
     # a transfer chain snaps its end onto its target, so the chain mostly ends
-    # on (x2s, y2s) exactly, p2's own coordinate pairs; one with no transfer
+    # on (x2s, y2s) exactly, p2's sorted representative; one with no transfer
     # ends where the lift and the swaps left it
     end = pairs[-1]
     if (end.x, end.y) != (x2s, y2s) and not check_pair_equal_a(end, p2):
@@ -625,10 +622,9 @@ def decide_wrc(
     decision procedure, so exhausted budgets yield Unknown.  ``detail["route"]``
     names the step that decided (``necessary``, ``equal``, ``opposite``,
     ``arrangement`` or ``search``); the search adds the nodes it ``expanded``
-    and its ``budget``.
+    and its ``budget``.  An ``opposite`` chain ends on ``p2``'s exactly sorted
+    representative, within :func:`check_pair_equal_a`'s tolerance of ``p2``.
     """
-    if p1.n != p2.n:
-        raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
     ok, viol = check_necessary(p1, p2, mode)
     if not ok:
         return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})
@@ -639,13 +635,12 @@ def decide_wrc(
             detail={"route": "equal"},
         )
 
-    if is_opposite_ordered(p2):
-        try:
-            chain = construct_chain_opposite(p1, p2, mode)
-        except ChainConstructionError:
-            pass  # every refusal falls through to the later routes
-        else:
-            return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
+    try:
+        chain = construct_chain_opposite(p1, p2, mode)
+    except ChainConstructionError:
+        pass  # a target not opposite ordered, and every refusal, falls through
+    else:
+        return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
 
     tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
     if _multisets_match(p1.x, p2.x, tol) and _multisets_match(p1.y, p2.y, tol):
@@ -855,14 +850,14 @@ def chain_to_json(chain: RcChain) -> str:
 
 
 def chain_from_json(text: str) -> RcChain:
-    """The chain :func:`chain_to_json` wrote; a vector :func:`as_vector`
+    """The chain :func:`chain_to_json` wrote; a vector :func:`json_vector`
     refuses, or a position neither an integer nor null, raises ``ValueError``."""
     data = json.loads(text)
     mode = RcMode(data["mode"])
     pairs = []
     moves = []
     for idx, rec in enumerate(data["chain"]):
-        pairs.append(PairClass(as_vector(rec["pair"]["x"]), as_vector(rec["pair"]["y"])))
+        pairs.append(PairClass(json_vector(rec["pair"]["x"]), json_vector(rec["pair"]["y"])))
         if idx > 0:
             m = rec["move"]
             for v in (m["i"], m["j"]):

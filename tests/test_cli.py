@@ -57,7 +57,7 @@ class TestCheckOrder:
 
     def test_near_tied_rates_hold(self, tmp_path, capsys):
         """Two rates 5e-12 apart under shapes ten times larger: the
-        construction's transfer chain refuses them, and the search decides."""
+        construction sorts them exactly and decides."""
         near_tie = {
             "config1": {"family": "gamma", "shapes": [10, 10], "scales": [1, 1.000000000005]},
             "config2": {"family": "gamma", "shapes": [9, 12], "scales": [1.5, 0.4]},
@@ -311,6 +311,21 @@ class TestErrorHandling:
         path.write_text(json.dumps(bad))
         assert main(["check-order", str(path)]) == EX_DATAERR
 
+    @pytest.mark.parametrize(
+        "shapes, scales",
+        [("[true, 0.5]", "[2, 3]"), ('["1", 0.5]', "[2, 3]"), ('"12"', "[2, 3]"),
+         ("[1, 0.5]", '["2", 3]')],
+        ids=["boolean", "string-shape", "string-array", "string-scale"],
+    )
+    def test_spec_numbers_must_be_json_numbers(self, shapes, scales, tmp_path, capsys):
+        # each would read as a valid spec if its strings and booleans were numbers
+        path = tmp_path / "pair.json"
+        config1 = f'{{"family": "gamma", "shapes": {shapes}, "scales": {scales}}}'
+        config2 = '{"family": "gamma", "shapes": [1, 0.5], "scales": [2, 3]}'
+        path.write_text(f'{{"config1": {config1}, "config2": {config2}}}')
+        assert main(["check-order", str(path)]) == EX_DATAERR
+        assert capsys.readouterr().err.startswith("input error: malformed spec config1: ")
+
     def test_missing_witness_file(self, pair_file):
         argv = ["check-order", pair_file, "--verify-witness", "/nonexistent/w.json"]
         assert main(argv) == EX_DATAERR
@@ -336,6 +351,8 @@ class TestErrorHandling:
             chain % (first % "[null, 0.6, 0.5]", "0"),
             chain % (first % "[0.4, 0.6, 0.5]", "0.5"),
             chain % (first % "[NaN, 0.6, 0.5]", "0"),
+            chain % (first % "[true, 0.6, 0.5]", "0"),
+            chain % (first % '["0.4", 0.6, 0.5]', "0"),
             chain % ('{"x": [], "y": []}', "0"),
         ):
             witness.write_text(text)

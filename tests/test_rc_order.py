@@ -16,6 +16,7 @@ from stochord.majorization import (
     check_majorization,
     component_tolerance,
     sort_components,
+    t_transform_chain,
 )
 from stochord.rc_order import (
     ChainConstructionError,
@@ -220,16 +221,17 @@ class TestDecideWrc:
         assert decide_wrc(p1, p2, STRICT).status is Status.REFUTED
 
     def test_near_tied_y_under_larger_x_holds(self):
-        """y's components differ by 5e-12: within the tolerance of all four
-        vectors, so the construction's swap loop leaves them in place, but
-        past that of the two y vectors, so the transfer chain on y refuses
-        them.  The refusal falls through to the search, which decides."""
+        """y's components differ by 5e-12, past the y vectors' own tolerance
+        but within that of all four.  The construction's swap loop sorts them
+        exactly, so its transfer chain on y receives sorted vectors and the
+        construction decides: a raise of x, a swap and a transfer on y, a
+        transfer on x, and a lowering of y."""
         p1 = pair((10.0, 10.0), (1.0, 1.000000000005))
         p2 = pair((9.0, 12.0), (1.5, 0.4))
         v = decide_wrc(p1, p2, WEAK)
         assert v.status is Status.HOLDS
-        assert v.detail == {"route": "search", "expanded": 4, "budget": 4000}
-        assert len(v.witness.moves) == 4
+        assert v.detail == {"route": "opposite"}
+        assert len(v.witness.moves) == 5
         assert verify_rc_chain(v.witness)
         assert check_pair_equal_a(v.witness.pairs[0], p1)
         assert check_pair_equal_a(v.witness.pairs[-1], p2)
@@ -759,6 +761,30 @@ class TestOppositeOrderedConstruction:
         assert is_opposite_ordered(pair((1, 2, 3), (9, 5, 2)))
         assert is_opposite_ordered(pair((2, 1, 3), (5, 9, 2)))  # permuted copy
         assert not is_opposite_ordered(pair((1, 2, 3), (5, 9, 2)))
+        # the tolerance here is 9e-12: a y out of order within it, and past it
+        assert is_opposite_ordered(pair((1, 2, 3), (9, 5, 5 + 2e-12)))
+        assert not is_opposite_ordered(pair((1, 2, 3), (9, 5, 5 + 2e-11)))
+        # neighbours within the tolerance, but the sorted representative is
+        # 8e-12 from the pair, past its tolerance of 5e-12
+        assert not is_opposite_ordered(pair((1, 2, 3), (5, 5 + 4e-12, 5 + 8e-12)))
+
+    @given(_opposite_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_transfer_chains_receive_exactly_sorted_vectors(self, instance):
+        """The construction sorts exactly, so every transfer chain it asks
+        for starts and ends on increasing-sorted vectors, near-ties included."""
+        mode, p1, p2 = instance
+
+        def spy(x, y):
+            assert list(x) == sorted(x) and list(y) == sorted(y)
+            return t_transform_chain(x, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rc_order, "t_transform_chain", spy)
+            try:
+                construct_chain_opposite(p1, p2, mode)
+            except ChainConstructionError:
+                pass
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
