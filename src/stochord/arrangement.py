@@ -47,9 +47,13 @@ def pair(x, y) -> PairClass:
 
 
 def canonical_form(p: PairClass) -> PairClass:
-    """Representative with coordinate pairs sorted lexicographically by (x, y)."""
-    order = sorted(range(p.n), key=lambda i: (p.x[i], p.y[i]))
-    return PairClass(tuple(p.x[i] for i in order), tuple(p.y[i] for i in order))
+    """Representative with coordinate pairs sorted lexicographically by (x, y).
+
+    Sorts the pairs themselves, which makes the comparisons of an index sort
+    keyed by them; both sorts are stable, so pairs that compare equal (such
+    as ``(0.0, 1.0)`` and ``(-0.0, 1.0)``) keep their order either way."""
+    x, y = tuple(zip(*sorted(zip(p.x, p.y)))) or ((), ())
+    return PairClass(x, y)
 
 
 def check_pair_equal_a(p1: PairClass, p2: PairClass) -> bool:
@@ -95,6 +99,11 @@ class _ArrangementSpace:
         self.x_ids = _value_ids(self.x, self.tol)
         self.y_ids = _value_ids(self.start + self.target, self.tol)
 
+    def flat_key(self, y: Vector) -> tuple:
+        """y's cluster ids in place: :meth:`key` when no two x values tie,
+        since every block then holds one coordinate."""
+        return tuple(map(self.y_ids.__getitem__, y))
+
     def key(self, y: Vector) -> tuple:
         blocks: list[list[int]] = []
         prev = None
@@ -107,11 +116,12 @@ class _ArrangementSpace:
         return tuple(tuple(sorted(b)) for b in blocks)
 
     def legal_swaps(self, y: Vector):
+        """The positions ``(i, j)`` of every legal swap, ``i < j``."""
         n = len(y)
         for i in range(n):
             for j in range(i + 1, n):
                 if y[i] > y[j] + self.tol:
-                    yield SwapMove(i, j)
+                    yield i, j
 
 
 def check_arrangement_leq(
@@ -130,33 +140,46 @@ def check_arrangement_leq(
         raise ValueError("pairs are comparable only with matching component multisets")
 
     space = _ArrangementSpace(p1, p2)
-    goal = space.key(space.target)
+    x_ids = space.x_ids
+    key = space.flat_key if len({x_ids[v] for v in space.x}) == p1.n else space.key
+    goal = key(space.target)
     start = space.start
-    if space.key(start) == goal:
+    if key(start) == goal:
         return OrderVerdict(Status.HOLDS, witness=[])
 
-    seen = {space.key(start)}
-    queue = deque([(start, [])])
+    # a state's link is (i, j, parent's link), None at the start: the swaps
+    # become SwapMoves only for the witness
+    seen = {key(start)}
+    queue = deque([(start, None)])
     expanded = 0
     while queue:
-        y, moves = queue.popleft()
+        y, link = queue.popleft()
         expanded += 1
         if expanded > budget:
             return OrderVerdict(Status.UNKNOWN, detail={"reason": "node budget exhausted"})
-        for mv in space.legal_swaps(y):
+        for i, j in space.legal_swaps(y):
             ny = list(y)
-            ny[mv.i], ny[mv.j] = ny[mv.j], ny[mv.i]
+            ny[i], ny[j] = ny[j], ny[i]
             ny = tuple(ny)
-            k = space.key(ny)
+            k = key(ny)
             if k in seen:
                 continue
-            nmoves = moves + [mv]
             if k == goal:
-                return OrderVerdict(Status.HOLDS, witness=nmoves)
+                return OrderVerdict(Status.HOLDS, witness=_swaps((i, j, link)))
             seen.add(k)
-            queue.append((ny, nmoves))
+            queue.append((ny, (i, j, link)))
     return OrderVerdict(
         Status.REFUTED,
         violation={"reason": "target arrangement unreachable by legal swaps"},
     )
 
+
+
+def _swaps(link) -> list[SwapMove]:
+    """The swaps from the start to the state whose link is ``link``."""
+    moves = []
+    while link is not None:
+        i, j, link = link
+        moves.append(SwapMove(i, j))
+    moves.reverse()
+    return moves

@@ -452,9 +452,17 @@ def numeric_st_check(
         raise ValueError("family mismatch")
     if s1.family == "negbin":
         return survival_dominance_check(_law(s1, tail_cap), _law(s2, tail_cap), tol)
-    # the grid is the same array for (s1, s2) and (s2, s1): np.unique sorts
-    grid = default_gamma_grid([s1, s2]).tobytes()
+    grid = _grid(frozenset((s1, s2)))
     return survival_dominance_check(_law(s1, tail_cap, grid), _law(s2, tail_cap, grid), tol)
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(specs: frozenset) -> bytes:
+    """The float64 bytes of :func:`default_gamma_grid` over ``specs``, the
+    last four pairs asked for: a pair checked in both directions builds its
+    grid once.  The grid does not depend on the order of the specs
+    (``np.unique`` sorts), so the key is the unordered pair."""
+    return default_gamma_grid(list(specs)).tobytes()
 
 
 def verify_theorem_instance(

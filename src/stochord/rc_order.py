@@ -274,9 +274,9 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     """
     if p1.n != p2.n:
         raise ChainConstructionError("length mismatch")
-    if not is_opposite_ordered(p2):
-        raise ChainConstructionError("target pair is not opposite ordered")
     rep2 = _opposite_representative(p2)
+    if not check_pair_equal_a(rep2, p2):  # is_opposite_ordered(p2), rep2 built once
+        raise ChainConstructionError("target pair is not opposite ordered")
     x2s, y2s = rep2.x, rep2.y
 
     rep1 = canonical_form(p1)
@@ -481,48 +481,52 @@ def _coupled_successors(p: PairClass, target: _Target):
     or a transfer that contracts its two coordinates, is not yielded:
     :func:`verify_rc_move` would reject it, with the same comparison and
     tolerance as computed here."""
-    n = p.n
+    return _coupled_at(p, target, itertools.combinations(range(p.n), 2))
+
+
+def _coupled_at(p: PairClass, target: _Target, positions):
+    """The candidates of :func:`_coupled_successors` at the position pairs
+    ``positions`` only, ``(i, j)`` with ``i < j``, in the order given."""
     px, py = p.x, p.y
     # every tolerance is BASE_TOL times the largest magnitude involved, or 1
     p_scale = max(1.0, max(map(abs, px + py)))
     tol = BASE_TOL * max(p_scale, target.scale)
     # a swap permutes p's components, so its check has p's tolerance
     swap_tol = BASE_TOL * p_scale
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx, dy = px[j] - px[i], py[j] - py[i]
-            # swaps (majorization between permuted coordinate pairs); swapping
-            # either vector negates the product of the differences
-            if _reverse_pair_ok(-dx, dy, swap_tol):
-                for moves_x, kind, src in (
-                    (True, MoveKind.MAJORIZE_X, px),
-                    (False, MoveKind.MAJORIZE_Y, py),
-                ):
-                    if abs(src[i] - src[j]) <= tol:
-                        continue
-                    new = list(src)
-                    new[i], new[j] = new[j], new[i]
-                    yield moves_x, True, tuple(new), kind, i, j
-            # sum-preserving transfers aligned with target component values;
-            # the product takes the other vector's difference unchanged
-            for moves_x, kind, src, values, other in (
-                (True, MoveKind.MAJORIZE_X, px, target.values_x, dy),
-                (False, MoveKind.MAJORIZE_Y, py, target.values_y, dx),
+    for i, j in positions:
+        dx, dy = px[j] - px[i], py[j] - py[i]
+        # swaps (majorization between permuted coordinate pairs); swapping
+        # either vector negates the product of the differences
+        if _reverse_pair_ok(-dx, dy, swap_tol):
+            for moves_x, kind, src in (
+                (True, MoveKind.MAJORIZE_X, px),
+                (False, MoveKind.MAJORIZE_Y, py),
             ):
-                a, b = src[i], src[j]
-                top, ab_scale = max(a, b), max(1.0, abs(a), abs(b))
-                for ci, cj in _two_coord_targets(a, b, values, tol):
-                    c_scale = max(abs(ci), abs(cj))
-                    # a transfer that pulls a and b together fails the first
-                    # prefix comparison of check_majorization((a, b), (ci, cj),
-                    # FULL), with its tolerance: no majorization move makes it
-                    if top > max(ci, cj) + BASE_TOL * max(ab_scale, c_scale) * 2:
-                        continue
-                    if not _reverse_pair_ok(cj - ci, other, BASE_TOL * max(p_scale, c_scale)):
-                        continue
-                    new = list(src)
-                    new[i], new[j] = ci, cj
-                    yield moves_x, False, tuple(new), kind, i, j
+                if abs(src[i] - src[j]) <= tol:
+                    continue
+                new = list(src)
+                new[i], new[j] = new[j], new[i]
+                yield moves_x, True, tuple(new), kind, i, j
+        # sum-preserving transfers aligned with target component values;
+        # the product takes the other vector's difference unchanged
+        for moves_x, kind, src, values, other in (
+            (True, MoveKind.MAJORIZE_X, px, target.values_x, dy),
+            (False, MoveKind.MAJORIZE_Y, py, target.values_y, dx),
+        ):
+            a, b = src[i], src[j]
+            top, ab_scale = max(a, b), max(1.0, abs(a), abs(b))
+            for ci, cj in _two_coord_targets(a, b, values, tol):
+                c_scale = max(abs(ci), abs(cj))
+                # a transfer that pulls a and b together fails the first
+                # prefix comparison of check_majorization((a, b), (ci, cj),
+                # FULL), with its tolerance: no majorization move makes it
+                if top > max(ci, cj) + BASE_TOL * max(ab_scale, c_scale) * 2:
+                    continue
+                if not _reverse_pair_ok(cj - ci, other, BASE_TOL * max(p_scale, c_scale)):
+                    continue
+                new = list(src)
+                new[i], new[j] = ci, cj
+                yield moves_x, False, tuple(new), kind, i, j
 
 
 def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
@@ -714,15 +718,29 @@ def _within(v: Vector, target: Vector, tol: float) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(v, target))
 
 
-def _pairs_near(p: PairClass, target: _Target) -> int:
-    """How many of ``p``'s coordinate pairs lie within ``target.near`` of
-    some pair of the target's.  Where the start has the target's multisets,
-    the sum gate opens at every node, and this gate alone closes the pass."""
+def _far(p: PairClass, target: _Target) -> list[int]:
+    """The positions of ``p``'s coordinate pairs that lie more than
+    ``target.near`` from every pair of the target's, up to the third."""
     near, goal = target.near, target.pair
-    return sum(
-        any(abs(u - a) <= near and abs(v - b) <= near for a, b in zip(goal.x, goal.y))
-        for u, v in zip(p.x, p.y)
-    )
+    far = []
+    for k, (u, v) in enumerate(zip(p.x, p.y)):
+        if not any(abs(u - a) <= near and abs(v - b) <= near for a, b in zip(goal.x, goal.y)):
+            far.append(k)
+            if len(far) > 2:
+                break
+    return far
+
+
+def _positions_with(far: list[int], n: int):
+    """The position pairs ``(i, j)``, ``i < j``, that hold every position of
+    ``far`` (at most two), in the order :func:`_coupled_successors` meets
+    them."""
+    if not far:
+        return itertools.combinations(range(n), 2)
+    if len(far) == 2:
+        return (tuple(far),)
+    [k] = far
+    return [(i, k) for i in range(k)] + [(k, j) for j in range(k + 1, n)]
 
 
 def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: RcMode):
@@ -740,18 +758,24 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     coupled move keeps the moved vector's sum (a swap its multiset, a
     transfer its sum up to the rounding of ``a + b - g``), so it can reach
     the goal only if that sum lies within ``n`` such tolerances of the
-    target's, with room for the rounding; and it keeps all but two of
-    ``cur``'s coordinate pairs, so only if at least ``n - 2`` of them lie
-    within ``near`` of some pair of the target's.  A candidate past these
-    per-node gates meets a pre-test of the same kind (its moved vector,
-    sorted, against the target's within ``near``), then :func:`_is_goal`,
-    then the necessary check, and :func:`verify_rc_chain`, whose replay runs
-    :func:`verify_rc_move` on the candidate's move.  The gates and the
-    pre-test skip no goal, so the pass returns the first goal in yield
-    order.  It generates the coupled candidates only if a coupled move can
-    reach the goal, and then lazily, stopping at the first goal; the tree
-    pass reuses the list of those generated, all of them when no goal is
-    found.  The componentwise candidates are generated the same way.  The
+    target's, with room for the rounding.  It also keeps every coordinate
+    pair but the two it moves, and each pair of a goal lies within the goal
+    test's tolerance of a pair of the target's.  So a coordinate whose pair
+    lies more than ``near`` from every pair of the target's (a *far* one, see
+    :func:`_far`) must be one of the two moved: the pass generates coupled
+    candidates only at the position pairs that hold every far coordinate
+    (one pair for two far coordinates, ``n - 1`` for one, all for none, and
+    none for three or more).  A candidate past these gates meets a pre-test
+    of the same kind (its moved vector, sorted, against the target's within
+    ``near``), then :func:`_is_goal`, then the necessary check, and
+    :func:`verify_rc_chain`, whose replay runs :func:`verify_rc_move` on the
+    candidate's move.  The gates and the pre-test skip no goal, and the
+    position pairs come in the order of :func:`_coupled_successors`, so the
+    pass returns the first goal in yield order.  It generates candidates
+    lazily, stopping at the first goal.  When it finds none, the tree pass
+    reuses the coupled candidates it generated if they are all of them (no
+    far coordinate), and otherwise generates the whole list itself.  The
+    componentwise candidates are generated and reused the same way.  The
     gates and the laziness are for speed: most goals are componentwise moves
     met in the first expansion, which the pass then reaches without
     generating any coupled candidate.
@@ -786,16 +810,23 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
                 return chain
         return None
 
-    sum_tol = cur.n * (near + BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale))
+    n = cur.n
+    sum_tol = n * (near + BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale))
     coupled_x = x_open and abs(math.fsum(px) - target.sum_x) <= sum_tol
     coupled_y = y_open and abs(math.fsum(py) - target.sum_y) <= sum_tol
-    coupled = _coupled_successors(cur, target)
-    if (coupled_x or coupled_y) and _pairs_near(cur, target) >= cur.n - 2:
-        listed = []
-        chain = first_goal(coupled, coupled_x, coupled_y, listed)
-        if chain is not None:
-            return chain, ()
-        coupled = listed
+    coupled = None
+    if coupled_x or coupled_y:
+        far = _far(cur, target)
+        if len(far) <= 2:
+            listed = []
+            positions = _positions_with(far, n)
+            chain = first_goal(_coupled_at(cur, target, positions), coupled_x, coupled_y, listed)
+            if chain is not None:
+                return chain, ()
+            if not far:  # every position pair: the whole list, in order
+                coupled = listed
+    if coupled is None:
+        coupled = _coupled_successors(cur, target)
     componentwise = []
     chain = first_goal(_componentwise_successors(cur, target, mode), x_open, y_open, componentwise)
     return chain, itertools.chain(coupled, componentwise)

@@ -1,4 +1,7 @@
+import collections
 import itertools
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from stochord.arrangement import (
     PairClass,
     SwapMove,
+    _ArrangementSpace,
     canonical_form,
     check_arrangement_leq,
     check_pair_equal_a,
     pair,
 )
 from stochord.majorization import component_tolerance
-from stochord.verdicts import Status
+from stochord.verdicts import OrderVerdict, Status
 
 
 def verify_arrangement_chain(p1, p2, moves) -> bool:
@@ -33,6 +37,45 @@ def verify_arrangement_chain(p1, p2, moves) -> bool:
     return check_pair_equal_a(PairClass(c1.x, tuple(y)), p2)
 
 
+def index_sorted_canonical_form(p):
+    """Oracle: the canonical form by an index sort keyed by the pairs."""
+    order = sorted(range(p.n), key=lambda i: (p.x[i], p.y[i]))
+    return PairClass(tuple(p.x[i] for i in order), tuple(p.y[i] for i in order))
+
+
+def block_key_arrangement_leq(p1, p2, budget=100_000):
+    """Oracle: ``check_arrangement_leq``'s breadth-first search keyed by the
+    tie blocks of x whether or not x ties, carrying each state's swap list."""
+    space = _ArrangementSpace(p1, p2)
+    goal = space.key(space.target)
+    start = space.start
+    if space.key(start) == goal:
+        return OrderVerdict(Status.HOLDS, witness=[])
+    seen = {space.key(start)}
+    queue = deque([(start, [])])
+    expanded = 0
+    while queue:
+        y, moves = queue.popleft()
+        expanded += 1
+        if expanded > budget:
+            return OrderVerdict(Status.UNKNOWN, detail={"reason": "node budget exhausted"})
+        for i, j in space.legal_swaps(y):
+            ny = list(y)
+            ny[i], ny[j] = ny[j], ny[i]
+            ny = tuple(ny)
+            k = space.key(ny)
+            if k in seen:
+                continue
+            nmoves = moves + [SwapMove(i, j)]
+            if k == goal:
+                return OrderVerdict(Status.HOLDS, witness=nmoves)
+            seen.add(k)
+            queue.append((ny, nmoves))
+    return OrderVerdict(
+        Status.REFUTED, violation={"reason": "target arrangement unreachable by legal swaps"}
+    )
+
+
 class TestPairBasics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -49,6 +92,27 @@ class TestPairBasics:
         c = canonical_form(p)
         assert c.x == (1.0, 1.0, 2.0)
         assert c.y == (6.0, 7.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ((3.0,), (-0.0,)),  # n = 1
+            ((2.0, 1.0, 2.0, 1.0), (5.0, 7.0, 5.0, 6.0)),  # tied pairs
+            ((0.0, -0.0, 0.0, -0.0), (1.0, 1.0, -0.0, 0.0)),  # signed zeros in both
+            ((1.0, 1.0, 1.0), (0.0, -0.0, 0.0)),
+        ],
+    )
+    def test_canonical_form_is_the_index_sort(self, x, y):
+        """Equal pairs keep their order, so every sign of zero stays where an
+        index sort keyed by the pairs puts it (``repr`` shows the sign)."""
+        p = PairClass(x, y)
+        assert repr(canonical_form(p)) == repr(index_sorted_canonical_form(p))
+
+    @given(st.lists(st.tuples(*[st.sampled_from((0.0, -0.0, 1.0, 2.5))] * 2), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_form_is_the_index_sort_on_random_ties(self, items):
+        p = PairClass(tuple(a for a, _ in items), tuple(b for _, b in items))
+        assert repr(canonical_form(p)) == repr(index_sorted_canonical_form(p))
 
     @given(
         st.lists(st.integers(0, 5), min_size=2, max_size=4),
@@ -129,3 +193,28 @@ class TestArrangementOrder:
         p2 = pair((1, 2), (7, 3))
         # swapping an already-increasing y pair is not a legal move
         assert not verify_arrangement_chain(p1, p2, [SwapMove(0, 1)])
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct-x", "tied-x"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_flat_keys_search_like_block_keys(self, n, ties):
+        """Same verdict and swap list as the search keyed by tie blocks, on
+        every direction of random arrangements with tied y values."""
+        rng = random.Random(1000 * n + ties)
+        outcomes = collections.Counter()
+        for _ in range(30):
+            if ties:
+                x = tuple(sorted(float(rng.randint(0, n // 2)) for _ in range(n)))
+            else:
+                x = tuple(float(k) for k in range(1, n + 1))
+            ys = [float(rng.randint(0, n)) for _ in range(n)]
+            p1 = pair(x, rng.sample(ys, n))
+            p2 = pair(x, rng.sample(ys, n))
+            for a, b in ((p1, p2), (p2, p1)):
+                got, want = check_arrangement_leq(a, b), block_key_arrangement_leq(a, b)
+                assert (got.status, got.witness, got.violation) == (
+                    want.status,
+                    want.witness,
+                    want.violation,
+                )
+                outcomes[got.status, bool(got.witness)] += 1
+        assert outcomes[Status.HOLDS, True] and outcomes[Status.REFUTED, False]

@@ -258,6 +258,32 @@ class TestNumericChecks:
             numeric_conv_check(s1, s2)
             assert built == [s1, s2]
 
+    def test_reversed_gamma_st_check_builds_no_grid(self, monkeypatch):
+        built = []
+        real = harness.default_gamma_grid
+
+        def spy(specs):
+            built.append(list(specs))
+            return real(specs)
+
+        monkeypatch.setattr(harness, "default_gamma_grid", spy)
+        s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, "gamma", 4, 5))
+        harness._grid.cache_clear()
+        assert numeric_st_check(s1, s2).holds and numeric_st_check(s2, s1).refuted
+        assert len(built) == 1
+
+    def test_grid_memo_gives_the_grid_of_either_order(self):
+        """The memo, keyed by the unordered pair, gives the bytes the grid of
+        each order has, and those of one spec for a spec paired with itself."""
+        for seed in range(5):
+            s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, "gamma", 3, seed))
+            want = default_gamma_grid([s1, s2]).tobytes()
+            assert default_gamma_grid([s2, s1]).tobytes() == want
+            for key in ((s1, s2), (s2, s1)):
+                harness._grid.cache_clear()
+                assert harness._grid(frozenset(key)) == want
+            assert harness._grid(frozenset((s1, s1))) == default_gamma_grid([s1, s1]).tobytes()
+
     def test_memo_holds_four_read_only_laws(self):
         harness._law.cache_clear()
         for seed in range(3):

@@ -6,10 +6,16 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from stochord import rc_order
-from stochord.arrangement import PairClass, check_arrangement_leq, check_pair_equal_a, pair
+from stochord.arrangement import (
+    PairClass,
+    canonical_form,
+    check_arrangement_leq,
+    check_pair_equal_a,
+    pair,
+)
 from stochord.harness import MATRIX, Scenario, _param_pairs, generate_instance
 from stochord.majorization import (
     MajorizationMode,
@@ -393,8 +399,9 @@ class TestSearch:
     def test_goal_pass_gates_bound_the_goal_tests(self, monkeypatch):
         """The reversed ConvAI and AITail pairs run the search out of its
         budget, and their multisets are equal, so the sum gate passes on
-        every node: ``_pairs_near`` alone keeps the goal pass from testing
-        each coupled candidate (27,798 goal tests without it)."""
+        every node: the far-coordinate gate alone keeps the goal pass from
+        testing coupled candidates (27,798 goal tests without it, 984 when
+        it only counted the near coordinate pairs)."""
         calls = 0
         real = rc_order._is_goal
 
@@ -413,7 +420,7 @@ class TestSearch:
                 q1, q2 = _param_pairs(s1, s2, row.order)
                 statuses[decide_wrc(q2, q1, WEAK, 200).status] += 1
         assert statuses == {Status.UNKNOWN: 30}
-        assert calls == 984
+        assert calls == 0
 
     def test_goal_is_verified_without_the_candidates_before_it(self, monkeypatch):
         """Ten of the start's candidates pass the necessary check and the
@@ -440,22 +447,22 @@ class TestSearch:
         the coupled candidates: the goal pass generates those up to it and
         no more, and the witness is the one pinned when it listed them all."""
         generated = []
-        real = rc_order._coupled_successors
+        real = rc_order._coupled_at
 
-        def counting(p, target):
+        def counting(p, target, positions):
             generated.append([p, target, 0])
-            for candidate in real(p, target):
+            for candidate in real(p, target, positions):
                 generated[-1][2] += 1
                 yield candidate
 
-        monkeypatch.setattr(rc_order, "_coupled_successors", counting)
+        monkeypatch.setattr(rc_order, "_coupled_at", counting)
         p1 = pair((1.0, 2.0, 3.0, 4.0), (3.0, 1.0, 2.0, 4.0))
         p2 = pair((0.5, 2.5, 3.0, 4.0), p1.y)
         v = decide_wrc(p1, p2, WEAK)
         assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
         assert v.witness.moves == (ElementaryMove(MoveKind.MAJORIZE_X, 0, 1),)
         [(start, target, count)] = generated
-        assert count < len(list(real(start, target)))
+        assert count < len(list(real(start, target, itertools.combinations(range(4), 2))))
         assert hashlib.sha256(chain_to_json(v.witness).encode()).hexdigest() == (
             "af763ae6d1719728e87f3fa5edccf2d0d1b3167913fce891902eda36fa06486b"
         )
@@ -632,6 +639,50 @@ class TestSuccessors:
                 break
         chain, _ = rc_order._goal_pass(p, [p], [], t, mode)
         got = chain and (chain.pairs[-1], chain.moves[-1])
+        assert got == want
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_gated_goal_pass_matches_the_scan_of_every_candidate(self, data):
+        """The far-coordinate gate skips no goal: the goal pass returns the
+        chain of the first candidate of ``_successors``, in yield order, that
+        ``_is_goal``, the necessary check and ``verify_rc_chain`` accept, or
+        none if no candidate passes, on targets one or two legal moves from
+        the node (with 0, 1, 2 or more far coordinates)."""
+        n = data.draw(st.integers(2, 6))
+        mode = data.draw(st.sampled_from((STRICT, WEAK)))
+        vec = st.tuples(*[_component] * n)
+        # coordinate pairs drawn from a few, so that a moved pair often has a
+        # copy that stays put, which makes it near the target's
+        pool = data.draw(st.lists(st.tuples(_component, _component), min_size=1, max_size=n))
+        coords = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        p = pair([u for u, _ in coords], [v for _, v in coords])
+
+        def step(a):  # a legal move from ``a`` toward a random pair, or None
+            toward = pair(data.draw(vec), data.draw(vec))
+            legal = [b for b, m in _candidates(a, toward, mode) if verify_rc_move(a, b, m, mode)]
+            return data.draw(st.sampled_from(legal)) if legal else None
+
+        target = step(p)
+        if target is not None and data.draw(st.booleans()):
+            target = step(target) or target
+        if target is None or check_pair_equal_a(p, target) or not check_necessary(p, target, mode)[0]:
+            return  # pairs the search never sees
+        t = rc_order._target(target, mode)
+        event(f"far coordinates: {min(len(rc_order._far(p, t)), 3)}")
+        want = None
+        for moves_x, swap, new, kind, i, j in rc_order._successors(p, t, mode):
+            x, y = (new, p.y) if moves_x else (p.x, new)
+            nxt = PairClass(x, y)
+            c = canonical_form(nxt)
+            if not rc_order._is_goal(c.x + c.y, t):
+                continue
+            chain = RcChain((p, nxt), (ElementaryMove(kind, i, j),), mode)
+            if check_necessary(nxt, target, mode)[0] and verify_rc_chain(chain):
+                want = chain
+                break
+        event(f"goal: {want is not None}")
+        got, _ = rc_order._goal_pass(p, [p], [], t, mode)
         assert got == want
 
     def test_transfer_tolerance_covers_the_new_components(self):
