@@ -174,8 +174,9 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 class _Target(NamedTuple):
     """A search's target pair with its target-only work done once: the pair
     itself for the componentwise moves of :func:`_componentwise_successors`;
-    its distinct component values, in ``set`` iteration order, for the
-    transfers and its largest magnitude (at least 1) for their tolerance; its
+    its distinct component values, sorted increasing, for the transfers (so
+    their order, and the witness, does not depend on how a ``set`` lays the
+    values out) and its largest magnitude (at least 1) for their tolerance; its
     components sorted increasing for :func:`_gap` and the goal pass of
     :func:`_search`, with their exact-rounded sums; its vectors as the bounds
     of the necessary check on a moved vector; and its canonical form's
@@ -204,8 +205,8 @@ def _target(p2: PairClass, mode: RcMode) -> _Target:
     goal_tol = component_tolerance(p2.x, p2.y)
     return _Target(
         p2,
-        tuple(set(p2.x)),
-        tuple(set(p2.y)),
+        tuple(sorted(set(p2.x))),
+        tuple(sorted(set(p2.y))),
         max(1.0, max(map(abs, p2.x + p2.y))),
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),

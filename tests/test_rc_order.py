@@ -337,18 +337,18 @@ class TestDecideWrc:
 SEARCH_DIGESTS = {
     ("RaiseAlpha", "negbin"): "3ac50165eeeb0b667f108a09be2cbc62b10fc5334bbd61a7a80f2d7e1c05606b",
     ("LowerBeta", "negbin"): "b3bb623e24c9b573a87b4c050c884c9aa078c9cef214a68330a008acc843b7f2",
-    ("MajorizeBeta", "negbin"): "da3133df35e75bbfbe39d1084d35965561880bd904097ea23a94152e6644d68c",
+    ("MajorizeBeta", "negbin"): "18b0fbcca2bf9d5ebc1d4aaf7bca46a490d02618f7a4d1a6be67e66abf5e7095",
     ("DiffAlphaMajorizeBeta", "negbin"): "fd0a95b24dea759502082dd5f0139d6da75f3bb8220017cecb800f5d50640895",
     ("MajorizeAlpha", "negbin"): "257f7d08849cb3b70d6eaf78d7324e877ab4babf94ef27f59cec2d8814b4d6f9",
     ("ConvAI", "negbin"): "2e89bda351267c7b7caec612799b95553827f1a9c277eda1f6336e583b0bb9cd",
-    ("RcGeneral", "negbin"): "bf1ac35b6c2be25edd8d02be9852d19f7d1d6fec6e3529894e04b1d6a28a8c7d",
-    ("GammaConv", "gamma"): "e515c7c4f79092b266310a14266a63e25dd4f0db4765a9f3f65abef49dbbc934",
-    ("OppositeOrderedWeak", "negbin"): "0da7fcfad864eda281ee1978d9a897f44d8f835126a4abc23d793b5779b5fe15",
-    ("LogMajorizeBetaSt", "negbin"): "7e40db0020b886105fd1a03acd71a09db5720a1e6bfc458d5cc696ccbe35e8d9",
-    ("StGeneral", "negbin"): "4eff6ba377fd7d1115ea237f81b910699e54430a80a870c299e77b390a39f022",
-    ("StGeneral", "gamma"): "0c69dba8ceb5fec38552495a1437b646ac8aba7bfb5710c4e3db598e69c5afa4",
+    ("RcGeneral", "negbin"): "95e87b8de34187f96a845b09c645a31f42b1ae157e9a5c299e16c6e70969e76b",
+    ("GammaConv", "gamma"): "d6bd0305e4bf565e0dd04eb65c3eebb813116f497b6c891285f018d4b94d1b27",
+    ("OppositeOrderedWeak", "negbin"): "c4b09e59ffbf29a6f806e2172c173bf3ff3fe73112424c5661908c19920076bd",
+    ("LogMajorizeBetaSt", "negbin"): "6748938a36527168f7ccf9310b3fbe21896ef7ff03846fb43b0df2661d4933e7",
+    ("StGeneral", "negbin"): "05dc10166cd107ef634d35b2f80c6906097447b2a7acd5dbcee77551b47d7614",
+    ("StGeneral", "gamma"): "57bf2fca36585e4a1389d4396b5f9f3cdd3bbea0f027e5a73e4f10e96adb269d",
     ("AITail", "gamma"): "7c7291f876897defb70180a2ff4aaa7a8d2bd1f0b590bc6ab4081e90282df0f0",
-    ("CoupledGammaPair", "gamma"): "b4b3876233a04ee727191ebe9752c9fda5f761dc85c39195d42454c76eeda39e",
+    ("CoupledGammaPair", "gamma"): "2c973415dfc5e2a4a31945c7299649e5a040157f65b7dff7d78afb3b2b994431",
     ("MixtureLemmaSt", "negbin"): "09dab0a5773c1ee084f30a515616544ea777fa42781bc8ed771aa8cfcc990402",
 }
 
@@ -358,7 +358,8 @@ class TestSearch:
         """The search's outputs on the scenario matrix, byte for byte, against
         digests of the plain loop that ran every check on every candidate
         (three rows re-pinned when the x lift began to keep majorization,
-        which changed the raise-to-total candidate); budget 200 lets the
+        which changed the raise-to-total candidate, and eight when the goal
+        values began to be offered sorted); budget 200 lets the
         reversed ConvAI/AITail pairs run out of it quickly."""
         searched = {Status.HOLDS: 0, Status.UNKNOWN: 0}
         digests = {}
@@ -382,7 +383,8 @@ class TestSearch:
     def test_off_matrix_pairs_match_the_pinned_digest(self):
         """The search's outputs on random pairs outside the matrix, byte for
         byte, against a digest pinned before the candidates became tuples
-        and re-pinned when the x lift began to keep majorization."""
+        and re-pinned when the x lift began to keep majorization and when
+        the goal values began to be offered sorted."""
         h = hashlib.sha256()
         searched = {Status.HOLDS: 0, Status.UNKNOWN: 0}
         for a, b in _random_pairs(25):
@@ -467,10 +469,34 @@ class TestSearch:
             "af763ae6d1719728e87f3fa5edccf2d0d1b3167913fce891902eda36fa06486b"
         )
 
+    def test_witness_does_not_depend_on_the_targets_set_order(self):
+        """1.0 and 9.0 share a slot of a small set, so a set of the two
+        iterates in the order they were added.  Targets built from such sets
+        filled either way are one pair up to common permutation (their x
+        ties where y differs), and either y transfer onto it is a goal; the
+        search offers the goal values sorted, so both give the same witness
+        bytes (with the values in set order they ended on (1, 9) and (9, 1))."""
+        p1 = pair((5.0, 5.0, 1.0), (4.0, 6.0, 2.0))
+        texts = []
+        for order in ((1.0, 9.0), (9.0, 1.0)):
+            filled = set()
+            for v in order:
+                filled.add(v)
+            assert tuple(filled) == order
+            target = pair((5.0, 5.0, 1.0), (*filled, 2.0))
+            assert rc_order._target(target, WEAK).values_y == (1.0, 2.0, 9.0)
+            v = decide_wrc(p1, target, WEAK)
+            assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
+            texts.append(chain_to_json(v.witness))
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["chain"][-1]["pair"]["y"] == [2.0, 1.0, 9.0]
+
     def test_one_move_pairs_match_the_pinned_digest(self):
         """The first goal in yield order, byte for byte: the search's outputs
         on pairs one move apart, against a digest pinned before the goal got
-        its own pass over an expansion's candidates."""
+        its own pass over an expansion's candidates and re-pinned when the
+        goal values began to be offered sorted (the pairs are drawn from
+        ``_successors``, so that drew other targets too)."""
         h = hashlib.sha256()
         expanded = []
         for a, b, mode in _one_move_pairs(40):
@@ -500,7 +526,7 @@ def _random_pairs(per_n):
 
 # sha256 of the search's status, detail and witness JSON at budget 200 over
 # the ``_random_pairs(25)`` that pass the necessary conditions
-OFF_MATRIX_DIGEST = "3828680254b99752970c35c9becb8d0715cb4be055a2b70ae3f5b96104b1d2c4"
+OFF_MATRIX_DIGEST = "7447de35fa547cc4c53c490d982322b7c791c88390de657e6849367738c2f300"
 
 
 def _one_move_pairs(per_n):
@@ -535,7 +561,7 @@ def _one_move_pairs(per_n):
 # sha256 of the search's status, detail and witness JSON at budget 200 over
 # ``_one_move_pairs(40)``: 200 pairs, each a ``holds`` found in the first
 # expansion
-ONE_MOVE_DIGEST = "2da69b85936db7b2fb2c6e196333cc25fd6bd956650abd34efa3eb9cbc992afb"
+ONE_MOVE_DIGEST = "173037d18d22978c96217986bf14400c42ed78af4f0df2d565defd360291a3d3"
 
 
 def _unpruned_coupled(p, target):
@@ -556,7 +582,7 @@ def _unpruned_coupled(p, target):
             for kind, vec in ((MoveKind.MAJORIZE_X, "x"), (MoveKind.MAJORIZE_Y, "y")):
                 src = getattr(p, vec)
                 for ci, cj in rc_order._two_coord_targets(
-                    src[i], src[j], tuple(set(getattr(target, vec))), tol
+                    src[i], src[j], tuple(sorted(set(getattr(target, vec)))), tol
                 ):
                     new = list(src)
                     new[i], new[j] = ci, cj
