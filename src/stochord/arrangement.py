@@ -140,8 +140,8 @@ def check_arrangement_leq(
         raise ValueError("pairs are comparable only with matching component multisets")
 
     space = _ArrangementSpace(p1, p2)
-    x_ids = space.x_ids
-    key = space.flat_key if len({x_ids[v] for v in space.x}) == p1.n else space.key
+    ties = len({space.x_ids[v] for v in space.x}) < p1.n
+    key = space.key if ties else space.flat_key
     goal = key(space.target)
     start = space.start
     if key(start) == goal:
@@ -172,7 +172,6 @@ def check_arrangement_leq(
         Status.REFUTED,
         violation={"reason": "target arrangement unreachable by legal swaps"},
     )
-
 
 
 def _swaps(link) -> list[SwapMove]:

@@ -721,7 +721,8 @@ def _within(v: Vector, target: Vector, tol: float) -> bool:
 
 def _far(p: PairClass, target: _Target) -> list[int]:
     """The positions of ``p``'s coordinate pairs that lie more than
-    ``target.near`` from every pair of the target's, up to the third."""
+    ``target.near`` from every pair of the target's, up to the third: with
+    three, no coupled move reaches the goal."""
     near, goal = target.near, target.pair
     far = []
     for k, (u, v) in enumerate(zip(p.x, p.y)):
