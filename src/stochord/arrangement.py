@@ -96,24 +96,15 @@ class _ArrangementSpace:
         self.x = c1.x
         self.start = c1.y
         self.target = c2.y
-        self.x_ids = _value_ids(self.x, self.tol)
+        self.x_id_at = tuple(map(_value_ids(self.x, self.tol).__getitem__, self.x))
         self.y_ids = _value_ids(self.start + self.target, self.tol)
 
-    def flat_key(self, y: Vector) -> tuple:
-        """y's cluster ids in place: :meth:`key` when no two x values tie,
-        since every block then holds one coordinate."""
-        return tuple(map(self.y_ids.__getitem__, y))
-
     def key(self, y: Vector) -> tuple:
-        blocks: list[list[int]] = []
-        prev = None
-        for xi, yi in zip(self.x, y):
-            xid = self.x_ids[xi]
-            if xid != prev:
-                blocks.append([])
-                prev = xid
-            blocks[-1].append(self.y_ids[yi])
-        return tuple(tuple(sorted(b)) for b in blocks)
+        """The sorted (x id, y id) pairs of ``y`` against the sorted x.
+
+        Two keys are equal exactly when the arrangements agree up to
+        reordering inside tie blocks of x."""
+        return tuple(sorted(zip(self.x_id_at, map(self.y_ids.__getitem__, y))))
 
     def legal_swaps(self, y: Vector):
         """The positions ``(i, j)`` of every legal swap, ``i < j``."""
@@ -140,8 +131,7 @@ def check_arrangement_leq(
         raise ValueError("pairs are comparable only with matching component multisets")
 
     space = _ArrangementSpace(p1, p2)
-    ties = len({space.x_ids[v] for v in space.x}) < p1.n
-    key = space.key if ties else space.flat_key
+    key = space.key
     goal = key(space.target)
     start = space.start
     if key(start) == goal:
