@@ -2,18 +2,17 @@
 
 A pair ``(x, y)`` is considered up to simultaneous permutation of both
 vectors.  The arrangement order compares pairs with identical component
-multisets: a pair decreases when a larger ``y`` component placed before a
+multisets: a pair rises when a larger ``y`` component placed before a
 smaller one is swapped into order while ``x`` stays put.
 """
 from __future__ import annotations
 
-from collections import deque
+import collections
+import itertools
 from dataclasses import dataclass
 
 from stochord.majorization import Vector, as_vector, component_tolerance
 from stochord.verdicts import OrderVerdict, Status
-
-DEFAULT_NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -83,46 +82,36 @@ def _multisets_match(a: Vector, b: Vector, tol: float) -> bool:
     return all(abs(u - v) <= tol for u, v in zip(sorted(a), sorted(b)))
 
 
-class _ArrangementSpace:
-    """BFS helper over y-arrangements with x held sorted increasing.
-
-    Arrangements of y inside a tie block of x are identified, matching the
-    diagonal permutation action.
-    """
-
-    def __init__(self, p1: PairClass, p2: PairClass):
-        self.tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
-        c1, c2 = canonical_form(p1), canonical_form(p2)
-        self.x = c1.x
-        self.start = c1.y
-        self.target = c2.y
-        self.x_id_at = tuple(map(_value_ids(self.x, self.tol).__getitem__, self.x))
-        self.y_ids = _value_ids(self.start + self.target, self.tol)
-
-    def key(self, y: Vector) -> tuple:
-        """The sorted (x id, y id) pairs of ``y`` against the sorted x.
-
-        Two keys are equal exactly when the arrangements agree up to
-        reordering inside tie blocks of x."""
-        return tuple(sorted(zip(self.x_id_at, map(self.y_ids.__getitem__, y))))
-
-    def legal_swaps(self, y: Vector):
-        """The positions ``(i, j)`` of every legal swap, ``i < j``."""
-        n = len(y)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if y[i] > y[j] + self.tol:
-                    yield i, j
+def _rank_count_violation(y: list, target: list, blocks: tuple, m: int):
+    """The first ``(k, t)``, or None, at which ``target`` has more ids
+    ``>= t`` than ``y`` at positions ``0..k``: ``k`` ends a tie block of the
+    x ids ``blocks``, and ``t`` is the largest failing id (below ``m``)."""
+    diff = [0] * m  # over the prefix: y's count of each id less target's
+    for k, (b, u, v) in enumerate(zip(blocks, y, target)):
+        diff[u] += 1
+        diff[v] -= 1
+        if k + 1 < len(y) and blocks[k + 1] == b:
+            continue
+        above = 0
+        for t in range(m - 1, -1, -1):
+            above += diff[t]
+            if above < 0:
+                return k, t
+    return None
 
 
-def check_arrangement_leq(
-    p1: PairClass, p2: PairClass, budget: int = DEFAULT_NODE_BUDGET
-) -> OrderVerdict:
-    """Decide ``p1 <=_a p2`` by breadth-first search over y-arrangements.
-
-    On success the witness is the list of swaps carrying the canonical
-    representative of ``p1`` to an arrangement equal (up to common
-    permutation) to ``p2``.
+def check_arrangement_leq(p1: PairClass, p2: PairClass) -> OrderVerdict:
+    """Decide ``p1 <=_a p2`` exactly: with x sorted increasing and y values
+    within tolerance given one id (:func:`_value_ids`), it holds iff
+    ``#{i <= k : y2_i >= t} <= #{i <= k : y1_i >= t}`` at every ``k`` ending
+    a tie block of x and every y id ``t``; a legal swap moves a larger y
+    later, never raising such a count (the tableau criterion for Bruhat order;
+    Björner & Brenti, *Combinatorics of Coxeter Groups*, 2005, ch. 2).  A
+    refutation names the first failing ``k`` and, as ``t``, the failing id's
+    smallest y value.  The witness swaps ``p1``'s canonical form onto ``p2``,
+    each step taking the legal swap across tie blocks that keeps the
+    criterion and leaves the most (x id, y id) pairs in common with ``p2``,
+    the first ``(i, j)`` on ties; it is legal, not always a shortest one.
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
@@ -130,45 +119,48 @@ def check_arrangement_leq(
     if not _multisets_match(p1.x, p2.x, tol) or not _multisets_match(p1.y, p2.y, tol):
         raise ValueError("pairs are comparable only with matching component multisets")
 
-    space = _ArrangementSpace(p1, p2)
-    key = space.key
-    goal = key(space.target)
-    start = space.start
-    if key(start) == goal:
-        return OrderVerdict(Status.HOLDS, witness=[])
+    c1, c2 = canonical_form(p1), canonical_form(p2)
+    blocks = tuple(map(_value_ids(c1.x, tol).__getitem__, c1.x))
+    y_ids = _value_ids(c1.y + c2.y, tol)
+    m = max(y_ids.values()) + 1
+    y = list(map(y_ids.__getitem__, c1.y))
+    target = list(map(y_ids.__getitem__, c2.y))
+    found = _rank_count_violation(y, target, blocks, m)
+    if found is not None:
+        k, t = found
+        t = min(v for v, i in y_ids.items() if i == t)
+        violation = {"reason": "rank count fails", "k": k, "t": t}
+        return OrderVerdict(Status.REFUTED, violation=violation)
 
-    # a state's link is (i, j, parent's link), None at the start: the swaps
-    # become SwapMoves only for the witness
-    seen = {key(start)}
-    queue = deque([(start, None)])
-    expanded = 0
-    while queue:
-        y, link = queue.popleft()
-        expanded += 1
-        if expanded > budget:
-            return OrderVerdict(Status.UNKNOWN, detail={"reason": "node budget exhausted"})
-        for i, j in space.legal_swaps(y):
-            ny = list(y)
-            ny[i], ny[j] = ny[j], ny[i]
-            ny = tuple(ny)
-            k = key(ny)
-            if k in seen:
-                continue
-            if k == goal:
-                return OrderVerdict(Status.HOLDS, witness=_swaps((i, j, link)))
-            seen.add(k)
-            queue.append((ny, (i, j, link)))
-    return OrderVerdict(
-        Status.REFUTED,
-        violation={"reason": "target arrangement unreachable by legal swaps"},
-    )
+    # surplus[b, t]: how many more (x id b, y id t) pairs y holds than target
+    surplus = collections.defaultdict(int)
+    for b, u, v in zip(blocks, y, target):
+        surplus[b, u] += 1
+        surplus[b, v] -= 1
 
+    # the surplus a swap adds: it trades (bi, yi) and (bj, yj) for (bi, yj)
+    # and (bj, yi), four distinct pairs, as bi != bj and yi != yj
+    def added(i, j):
+        bi, bj, yi, yj = blocks[i], blocks[j], y[i], y[j]
+        gained = (surplus[bi, yj] >= 0) + (surplus[bj, yi] >= 0)
+        return gained - (surplus[bi, yi] > 0) - (surplus[bj, yj] > 0)
 
-def _swaps(link) -> list[SwapMove]:
-    """The swaps from the start to the state whose link is ``link``."""
-    moves = []
-    while link is not None:
-        i, j, link = link
-        moves.append(SwapMove(i, j))
-    moves.reverse()
-    return moves
+    witness = []
+    while any(s > 0 for s in surplus.values()):
+        legal = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(y)), 2)
+            if y[i] > y[j] and blocks[i] != blocks[j]
+        ]
+        for _, i, j in sorted((added(i, j), i, j) for i, j in legal):
+            y[i], y[j] = y[j], y[i]
+            if _rank_count_violation(y, target, blocks, m) is None:
+                break
+            y[i], y[j] = y[j], y[i]
+        else:
+            raise AssertionError("no legal swap keeps the rank-count criterion")
+        for b, gone, come in ((blocks[i], y[j], y[i]), (blocks[j], y[i], y[j])):
+            surplus[b, gone] -= 1
+            surplus[b, come] += 1
+        witness.append(SwapMove(i, j))
+    return OrderVerdict(Status.HOLDS, witness=witness)

@@ -396,29 +396,18 @@ def _raise_to_majorized(x: Vector, y: Vector) -> Vector:
 # Bounded decision procedure
 
 
-def _swap_chain_from_arrangement(
-    p1: PairClass, p2: PairClass, mode: RcMode, budget: int
-) -> Optional[RcChain]:
-    """Route through the arrangement order when only the arrangement differs.
-
-    ``p1 >=_a p2`` embeds into the order: replay the arrangement witness
-    backwards as y-swap moves on a common x-sorted representative.
-    """
-    verdict = check_arrangement_leq(p2, p1, budget=budget)
-    if not verdict.holds:
-        return None
+def _swap_chain_from_arrangement(p2: PairClass, witness: list, mode: RcMode) -> RcChain:
+    """The chain of ``p1 >=_a p2``, which embeds into the order: the
+    arrangement ``witness`` from ``p2`` to ``p1``, replayed backwards as
+    y-swap moves on a common x-sorted representative."""
     c2 = canonical_form(p2)
-    states = [list(c2.y)]
-    for mv in verdict.witness:
-        y = list(states[-1])
+    y = list(c2.y)
+    pairs = [c2]
+    for mv in witness:
         y[mv.i], y[mv.j] = y[mv.j], y[mv.i]
-        states.append(y)
-    pairs = [PairClass(c2.x, tuple(y)) for y in reversed(states)]
-    moves = [
-        ElementaryMove(MoveKind.MAJORIZE_Y, mv.i, mv.j)
-        for mv in reversed(verdict.witness)
-    ]
-    return RcChain(tuple(pairs), tuple(moves), mode)
+        pairs.append(PairClass(c2.x, tuple(y)))
+    moves = [ElementaryMove(MoveKind.MAJORIZE_Y, mv.i, mv.j) for mv in reversed(witness)]
+    return RcChain(tuple(reversed(pairs)), tuple(moves), mode)
 
 
 def _two_coord_targets(a: float, b: float, values: Vector, tol: float):
@@ -629,6 +618,18 @@ def decide_wrc(
     ``arrangement`` or ``search``); the search adds the nodes it ``expanded``
     and its ``budget``.  An ``opposite`` chain ends on ``p2``'s exactly sorted
     representative, within :func:`check_pair_equal_a`'s tolerance of ``p2``.
+
+    When only the pairing differs (the multisets match within tolerance),
+    the ``arrangement`` route decides ``p2 <=_a p1`` by
+    :func:`check_arrangement_leq`, whose swaps give the chain.  A refutation
+    there is final on exactly equal multisets.  In exact arithmetic no move
+    :func:`verify_rc_move` accepts lowers the sum of x or raises that of y,
+    so on such a chain both sums stay fixed: raises and lowers are the
+    identity and weak transfers full ones.  A transfer that does not permute
+    its two coordinates spreads them, moving its vector strictly up in
+    majorization where nothing moves it back, so the chain holds only swaps,
+    each a legal arrangement swap run backwards.  Multisets equal only
+    within tolerance fall through to the search.
     """
     ok, viol = check_necessary(p1, p2, mode)
     if not ok:
@@ -649,9 +650,14 @@ def decide_wrc(
 
     tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
     if _multisets_match(p1.x, p2.x, tol) and _multisets_match(p1.y, p2.y, tol):
-        chain = _swap_chain_from_arrangement(p1, p2, mode, budget)
-        if chain is not None and verify_rc_chain(chain):
-            return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "arrangement"})
+        arranged = check_arrangement_leq(p2, p1)
+        if arranged.holds:
+            chain = _swap_chain_from_arrangement(p2, arranged.witness, mode)
+            if verify_rc_chain(chain):
+                return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "arrangement"})
+        elif sorted(p1.x) == sorted(p2.x) and sorted(p1.y) == sorted(p2.y):
+            detail = {"route": "arrangement"}
+            return OrderVerdict(Status.REFUTED, violation=arranged.violation, detail=detail)
 
     return _search(p1, p2, mode, budget)
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from stochord.arrangement import (
     PairClass,
     SwapMove,
-    _ArrangementSpace,
     _value_ids,
     canonical_form,
     check_arrangement_leq,
@@ -44,31 +43,32 @@ def index_sorted_canonical_form(p):
     return PairClass(tuple(p.x[i] for i in order), tuple(p.y[i] for i in order))
 
 
-def block_key_arrangement_leq(p1, p2, budget=100_000):
-    """Oracle: ``check_arrangement_leq``'s breadth-first search keyed by the
-    sorted y ids inside each tie block of x, carrying each state's swap list."""
-    space = _ArrangementSpace(p1, p2)
-    x_ids = _value_ids(space.x, space.tol)
+def block_key_arrangement_leq(p1, p2):
+    """Oracle: breadth-first search over y-arrangements with x held sorted
+    increasing, keyed by the sorted y ids inside each tie block of x and
+    carrying each state's swap list, so its witness is a shortest one."""
+    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
+    c1, c2 = canonical_form(p1), canonical_form(p2)
+    x_ids = _value_ids(c1.x, tol)
+    y_ids = _value_ids(c1.y + c2.y, tol)
 
     def key(y):
         blocks = {}
-        for xi, yi in zip(space.x, y):
-            blocks.setdefault(x_ids[xi], []).append(space.y_ids[yi])
+        for xi, yi in zip(c1.x, y):
+            blocks.setdefault(x_ids[xi], []).append(y_ids[yi])
         return tuple(tuple(sorted(b)) for b in blocks.values())
 
-    goal = key(space.target)
-    start = space.start
+    goal = key(c2.y)
+    start = c1.y
     if key(start) == goal:
         return OrderVerdict(Status.HOLDS, witness=[])
     seen = {key(start)}
     queue = deque([(start, [])])
-    expanded = 0
     while queue:
         y, moves = queue.popleft()
-        expanded += 1
-        if expanded > budget:
-            return OrderVerdict(Status.UNKNOWN, detail={"reason": "node budget exhausted"})
-        for i, j in space.legal_swaps(y):
+        for i, j in itertools.combinations(range(len(y)), 2):
+            if not y[i] > y[j] + tol:
+                continue
             ny = list(y)
             ny[i], ny[j] = ny[j], ny[i]
             ny = tuple(ny)
@@ -80,9 +80,17 @@ def block_key_arrangement_leq(p1, p2, budget=100_000):
                 return OrderVerdict(Status.HOLDS, witness=nmoves)
             seen.add(k)
             queue.append((ny, nmoves))
-    return OrderVerdict(
-        Status.REFUTED, violation={"reason": "target arrangement unreachable by legal swaps"}
-    )
+    return OrderVerdict(Status.REFUTED)
+
+
+def one_swap_apart(n):
+    """A pair with x = 1..n and y decreasing, and the pair that the one legal
+    swap of its middle two y components reaches."""
+    x = tuple(float(k) for k in range(1, n + 1))
+    y = [float(v) for v in range(n, 0, -1)]
+    lo = pair(x, y)
+    y[n // 2 - 1], y[n // 2] = y[n // 2], y[n // 2 - 1]
+    return lo, pair(x, y)
 
 
 class TestPairBasics:
@@ -178,11 +186,33 @@ class TestArrangementOrder:
         assert check_pair_equal_a(p, q)
         assert check_arrangement_leq(p, q).status is Status.HOLDS
 
-    def test_budget_exhaustion_yields_unknown(self):
-        p1 = pair((1, 2, 3, 4), (40, 30, 20, 10))
-        p2 = pair((1, 2, 3, 4), (10, 20, 30, 40))
-        v = check_arrangement_leq(p1, p2, budget=1)
-        assert v.status is Status.UNKNOWN
+    def test_refutation_names_the_failing_prefix_and_value(self):
+        """Back from (10, 30, 20) to (30, 10, 20): among positions 0..0 the
+        target has a y value >= 30 and the start none."""
+        lo, hi = pair((1, 2, 3), (30, 10, 20)), pair((1, 2, 3), (10, 30, 20))
+        assert check_arrangement_leq(lo, hi).holds
+        v = check_arrangement_leq(hi, lo)
+        assert v.status is Status.REFUTED and v.witness is None
+        assert v.violation == {"reason": "rank count fails", "k": 0, "t": 30.0}
+
+    def test_refutes_a_target_one_swap_away_at_n9(self):
+        """The criterion refutes a target one swap below the start without
+        walking the arrangements the start reaches, nearly all 9! = 362,880."""
+        lo, hi = one_swap_apart(9)
+        up = check_arrangement_leq(lo, hi)
+        assert up.holds and up.witness == [SwapMove(3, 4)]
+        down = check_arrangement_leq(hi, lo)
+        assert down.status is Status.REFUTED
+        assert down.violation == {"reason": "rank count fails", "k": 3, "t": 6.0}
+
+    def test_greedy_witness_is_not_always_shortest(self):
+        """Of two swaps that place the same value, the greedy witness takes
+        the first, which here costs one swap more than the shortest chain."""
+        p1 = pair((5, 1, 0, 3, 2, 4), (2, 5, 6, 0, 4, 5))
+        p2 = pair((1, 0, 2, 4, 3, 5), (0, 5, 5, 2, 4, 6))
+        v = check_arrangement_leq(p1, p2)
+        assert v.holds and verify_arrangement_chain(p1, p2, v.witness)
+        assert (len(v.witness), len(block_key_arrangement_leq(p1, p2).witness)) == (5, 4)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -204,10 +234,11 @@ class TestArrangementOrder:
         assert not verify_arrangement_chain(p1, p2, [SwapMove(0, 1)])
 
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct-x", "tied-x"])
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_pair_keys_search_like_block_keys(self, n, ties):
-        """Same verdict and swap list as the search keyed by tie blocks, on
-        every direction of random arrangements with tied y values."""
+        """The same verdict and witness length as the breadth-first search
+        keyed by tie blocks, with a witness that replays, on every direction
+        of random arrangements with tied y values."""
         rng = random.Random(1000 * n + ties)
         outcomes = collections.Counter()
         for _ in range(30):
@@ -220,10 +251,10 @@ class TestArrangementOrder:
             p2 = pair(x, rng.sample(ys, n))
             for a, b in ((p1, p2), (p2, p1)):
                 got, want = check_arrangement_leq(a, b), block_key_arrangement_leq(a, b)
-                assert (got.status, got.witness, got.violation) == (
-                    want.status,
-                    want.witness,
-                    want.violation,
-                )
+                assert got.status is want.status
+                if got.holds:
+                    assert len(got.witness) == len(want.witness)
+                    assert verify_arrangement_chain(a, b, got.witness)
                 outcomes[got.status, bool(got.witness)] += 1
-        assert outcomes[Status.HOLDS, True] and outcomes[Status.REFUTED, False]
+        assert outcomes[Status.HOLDS, True] or n == 1
+        assert outcomes[Status.REFUTED, False] or n == 1

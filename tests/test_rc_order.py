@@ -268,14 +268,30 @@ class TestDecideWrc:
              100, Status.UNKNOWN, {"route": "search", "expanded": 100, "budget": 100,
                                    "reason": "search budget exhausted"}),
             (((1.0, 2.0, 3.0), (20.0, 30.0, 10.0)), ((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)),
-             STRICT, 4000, Status.UNKNOWN, {"route": "search", "expanded": 2, "budget": 4000,
-                                            "reason": "search space exhausted"}),
+             STRICT, 4000, Status.REFUTED, {"route": "arrangement"}),
+            (((1.04, 1.08), (0.74, 2.73)), ((0.96, 1.48), (0.43, 2.63)), WEAK, 4000,
+             Status.UNKNOWN, {"route": "search", "expanded": 19, "budget": 4000,
+                              "reason": "search space exhausted"}),
         ],
-        ids=["necessary", "equal", "opposite", "arrangement", "search", "budget", "space"],
+        ids=["necessary", "equal", "opposite", "arrangement", "search", "budget",
+             "arrangement-refuted", "space"],
     )
     def test_detail_names_the_route(self, p1, p2, mode, budget, status, detail):
         v = decide_wrc(pair(*p1), pair(*p2), mode, budget)
         assert v.status is status and v.detail == detail
+
+    def test_arrangement_refutation_is_final_on_equal_multisets(self):
+        """Only the pairing differs and no swap chain leads back: with
+        exactly equal multisets the refutation names the failing (k, t); with
+        multisets equal only within tolerance it falls through to the
+        search."""
+        p1 = pair((1.0, 2.0, 3.0), (20.0, 30.0, 10.0))
+        v = decide_wrc(p1, pair((3.0, 1.0, 2.0), (30.0, 10.0, 20.0)), STRICT)
+        assert v.status is Status.REFUTED and v.detail == {"route": "arrangement"}
+        assert v.violation == {"reason": "rank count fails", "k": 0, "t": 20.0}
+        near = pair((1.0, 2.0, 3.0), (10.0, 20.0, 30.0 + 1e-12))
+        for mode in (STRICT, WEAK):
+            assert decide_wrc(p1, near, mode).detail["route"] == "search"
 
     @pytest.mark.parametrize(
         "p2, kind",
@@ -399,9 +415,10 @@ class TestSearch:
         assert searched == {Status.HOLDS: 17, Status.UNKNOWN: 14}
 
     def test_goal_pass_gates_bound_the_goal_tests(self, monkeypatch):
-        """The reversed ConvAI and AITail pairs run the search out of its
-        budget, and their multisets are equal, so the sum gate passes on
-        every node: the far-coordinate gate alone keeps the goal pass from
+        """The reversed ConvAI and AITail pairs, which ``decide_wrc`` refutes
+        by the arrangement criterion before any search, run the search out
+        of its budget, and their multisets are equal, so the sum gate passes
+        on every node: the far-coordinate gate alone keeps the goal pass from
         testing coupled candidates (27,798 goal tests without it, 984 when
         it only counted the near coordinate pairs)."""
         calls = 0
@@ -420,7 +437,7 @@ class TestSearch:
             for n, seed in itertools.product(range(2, 7), range(3)):
                 s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
                 q1, q2 = _param_pairs(s1, s2, row.order)
-                statuses[decide_wrc(q2, q1, WEAK, 200).status] += 1
+                statuses[rc_order._search(q2, q1, WEAK, 200).status] += 1
         assert statuses == {Status.UNKNOWN: 30}
         assert calls == 0
 
@@ -915,6 +932,68 @@ class TestOppositeOrderedConstruction:
         p2 = pair((1.0, 2.0), (3.0, 4.0))  # similarly ordered
         with pytest.raises(ChainConstructionError):
             construct_chain_opposite(p1, p2, WEAK)
+
+
+def _majorized(u, v, tol):
+    """``u`` majorized by ``v`` with every prefix sum of the largest
+    components, and the totals, compared within ``tol``."""
+    su = itertools.accumulate(sorted(u, reverse=True))
+    sv = list(itertools.accumulate(sorted(v, reverse=True)))
+    return all(a <= b + tol for a, b in zip(su, sv)) and abs(math.fsum(u) - math.fsum(v)) <= tol
+
+
+def _move_invariant(a, b, move):
+    """Check the invariant behind the final arrangement refutation of
+    ``decide_wrc`` on one accepted move, and name the kind of step it was.
+
+    The sum of x does not fall and the sum of y does not rise.  A move that
+    keeps its vector's sum is, up to tolerance, the identity (a raise or a
+    lower), a permutation of its vector (a swap), or a transfer that moves
+    its vector strictly up in majorization.  Slack: ``n`` tolerances of the
+    four vectors, what ``verify_rc_move`` grants a move's sum."""
+    n = a.n
+    slack = n * component_tolerance(a.x, a.y, b.x, b.y)
+    assert math.fsum(b.x) >= math.fsum(a.x) - slack
+    assert math.fsum(b.y) <= math.fsum(a.y) + slack
+    u, v = (a.x, b.x) if move.kind in rc_order._MOVES_X else (a.y, b.y)
+    if abs(math.fsum(v) - math.fsum(u)) > slack:
+        return "sum moved"
+    if move.i is None:
+        assert all(abs(p - q) <= 2 * slack for p, q in zip(u, v))
+        return "identity"
+    if all(abs(p - q) <= 4 * slack for p, q in zip(sorted(u), sorted(v))):
+        return "swap"
+    assert _majorized(u, v, 2 * slack) and not _majorized(v, u, 2 * slack)
+    return "transfer"
+
+
+class TestMoveInvariant:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_accepted_candidate_keeps_the_invariant(self, data):
+        """On the search's candidates, and on the unpruned ones, which hold
+        the contracting transfers ``_successors`` drops before the check."""
+        n = data.draw(st.integers(2, 6))
+        mode = data.draw(st.sampled_from((STRICT, WEAK)))
+        vec = st.tuples(*[_component] * n)
+        p = pair(data.draw(vec), data.draw(vec))
+        target = pair(data.draw(vec), data.draw(vec))
+        for b, move in itertools.chain(
+            _candidates(p, target, mode), _unpruned_coupled(p, target)
+        ):
+            if verify_rc_move(p, b, move, mode):
+                event(_move_invariant(p, b, move))
+
+    @given(_opposite_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_every_constructed_move_keeps_the_invariant(self, instance):
+        mode, p1, p2 = instance
+        try:
+            chain = construct_chain_opposite(p1, p2, mode)
+        except ChainConstructionError:
+            return
+        for a, b, move in zip(chain.pairs, chain.pairs[1:], chain.moves):
+            event(_move_invariant(a, b, move))
 
 
 class TestSerialization:
