@@ -22,6 +22,7 @@ import numpy as np
 from stochord.arrangement import check_pair_equal_a
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
+    MAX_LATTICE,
     ConvolutionSpec,
     LatticeLimitError,
     NegBinParams,
@@ -40,7 +41,6 @@ from stochord.harness import (
     Scenario,
     ScenarioName,
     _param_pairs,
-    explore_counterexamples,
     run_scenario,
     verify_theorem_instance,
     write_reports,
@@ -90,8 +90,8 @@ def _write_output(path, write, *args) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_text(path, text: str, mode: str = "w") -> None:
-    with open(path, mode) as fh:
+def _write_text(path, text: str) -> None:
+    with open(path, "w") as fh:
         fh.write(text)
 
 
@@ -99,14 +99,12 @@ def _write_text(path, text: str, mode: str = "w") -> None:
 # name the range.  ``main`` checks the flags a subcommand has and the caller
 # set, in one pass before the subcommand runs.
 _PROBABILITY = (lambda v: 0 < v < 1, "in (0,1)")
-_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 _SCALE = (lambda v: SCALE_LO <= v <= SCALE_HI, f"in [{SCALE_LO:g}, {SCALE_HI:g}]")
 _RANGES = {
     "tail_cap": _PROBABILITY,
     "tol": (lambda v: 0 <= v < np.inf, "nonnegative and finite"),
-    "budget": _AT_LEAST_ONE,
-    "grid_size": _AT_LEAST_ONE,
-    "seed": (lambda v: v >= 0, "nonnegative"),
+    "budget": (lambda v: v >= 1, "at least 1"),
+    "grid_size": (lambda v: 1 <= v <= MAX_LATTICE, f"in [1, {MAX_LATTICE}]"),
     "alpha": (lambda v: 0 < v < np.inf, "positive and finite"),
     "p1": _PROBABILITY,
     "p2": _PROBABILITY,
@@ -348,18 +346,6 @@ def _cmd_harness(args) -> int:
     return _STATUS_EXIT[Status.UNKNOWN] if unknowns else 0
 
 
-def _cmd_explore(args) -> int:
-    found = explore_counterexamples(args.budget, args.seed)
-    for c in found:
-        print(json.dumps(c, sort_keys=True))
-    if args.output:
-        lines = "".join(json.dumps(c, sort_keys=True) + "\n" for c in found)
-        _write_output(args.output, _write_text, lines, "a")
-    if not found:
-        print(json.dumps({"v": 1, "result": "inconclusive", "budget": args.budget}))
-    return 0
-
-
 def _cmd_export_survival(args) -> int:
     data = _load_json(args.spec_file)
     s = _load_spec(data, args.spec_file)
@@ -460,12 +446,6 @@ def _build_parser() -> _Parser:
     ha.add_argument("--output", metavar="REPORT_JSONL")
     common(ha)
     ha.set_defaults(func=_cmd_harness)
-
-    ex = sub.add_parser("explore", help="search for convolution-order counterexamples")
-    ex.add_argument("--budget", type=int, required=True)
-    ex.add_argument("--seed", type=int, default=0)
-    ex.add_argument("--output", metavar="JSONL")
-    ex.set_defaults(func=_cmd_explore)
 
     es = sub.add_parser("export-survival", help="write a survival curve CSV")
     es.add_argument("spec_file")

@@ -32,8 +32,8 @@ _TINY = float(np.finfo(float).tiny)
 
 class LatticeLimitError(Exception):
     """An input asks for a lattice, or lattice work, past the limits that
-    ``_nb_rows``, ``convolve`` and ``deconvolve`` enforce: the input is at
-    fault, not the program."""
+    ``_nb_rows``, ``convolve`` and ``deconvolve`` enforce, or a gamma grid
+    past the largest float: the input is at fault, not the program."""
 
 
 @dataclass(frozen=True)
@@ -670,13 +670,22 @@ def gamma_convolution_cdf(
 
 
 def default_gamma_grid(specs, m: int = 256) -> np.ndarray:
-    """Grid spanning [~0, far tail] of the larger-mean spec, mean points included."""
+    """Grid spanning [~0, far tail] of the larger-mean spec, mean points
+    included; a tail past the largest float raises LatticeLimitError."""
     means, uppers = [], []
     for s in specs:
         mean = sum(a / b for a, b in zip(s.shapes, s.scales))
-        var = sum(a / b**2 for a, b in zip(s.shapes, s.scales))
+        try:
+            sd = math.sqrt(sum(a / b**2 for a, b in zip(s.shapes, s.scales)))
+        except (OverflowError, ZeroDivisionError):
+            sd = math.inf
+        if sd == math.inf:
+            # a rate whose square leaves the floats: scale each term, not square it
+            sd = math.hypot(*(math.sqrt(a) / b for a, b in zip(s.shapes, s.scales)))
         means.append(mean)
-        uppers.append(mean + 12.0 * math.sqrt(var) + 1.0)
+        uppers.append(mean + 12.0 * sd + 1.0)
+    if not math.isfinite(max(uppers)):
+        raise LatticeLimitError(f"gamma grid would end past the floats, at {max(uppers)}")
     return np.unique(
         np.concatenate([np.linspace(1e-9, max(uppers), m), np.asarray(means)])
     )

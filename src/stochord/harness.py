@@ -508,7 +508,7 @@ def verify_theorem_instance(
 
 
 # ---------------------------------------------------------------------------
-# Scenario runner and counterexample explorer
+# Scenario runner
 
 
 def run_scenario(
@@ -535,34 +535,4 @@ def write_reports(path, reports: list[Report]) -> None:
     with open(path, "a") as fh:
         for r in sorted(reports, key=lambda r: (r.scenario or "", r.seed or 0)):
             fh.write(r.to_json_line() + "\n")
-
-
-def explore_counterexamples(budget: int, seed: int) -> list[dict]:
-    """Search for gamma configurations where the weak order on (shapes, log
-    rates) holds constructively yet the latent negative binomial reduction for
-    the convolution order refutes.  Emitted items are evidence, not
-    certificates: the reduction is a sufficient check only."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(budget):
-        n = int(rng.integers(2, 4))
-        scen = Scenario(ScenarioName.ST_GENERAL, "gamma", n, int(rng.integers(0, 2**31)))
-        s1, s2 = generate_instance(scen)
-        q1, q2 = _param_pairs(s1, s2, "st")
-        log_order = decide_wrc(q1, q2, RcMode.WEAK, 500)
-        if not log_order.holds:
-            continue
-        verdict = numeric_conv_check(s1, s2)
-        if verdict.refuted:
-            found.append(
-                {
-                    "spec1": s1.to_dict(),
-                    "spec2": s2.to_dict(),
-                    "violation": verdict.violation,
-                    "label": "evidence",
-                }
-            )
-    return found
 

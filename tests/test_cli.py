@@ -22,6 +22,8 @@ WORKED_PAIR = {
 OVERSIZE_GAMMA = {"family": "gamma", "shapes": [1, 2], "scales": [1e-6, 1]}
 OVERSIZE_NEGBIN = {"family": "negbin", "shapes": [1], "scales": [1e-6]}
 UNDERFLOWING_NEGBIN = {"family": "negbin", "shapes": [5e5], "scales": [0.3]}
+# A gamma rate of 5e-324 puts the mean, and so the grid's end, past the floats.
+SUBNORMAL_RATE_GAMMA = {"family": "gamma", "shapes": [1], "scales": [5e-324]}
 
 
 @pytest.fixture
@@ -242,14 +244,6 @@ class TestHarnessCommand:
         assert out["numeric_status"] == "holds"
 
 
-class TestExplore:
-    def test_inconclusive_message(self, capsys):
-        assert main(["explore", "--budget", "1", "--seed", "0"]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        last = json.loads(lines[-1])
-        assert last.get("result") == "inconclusive" or "spec1" in last
-
-
 class TestExportSurvival:
     def test_tail_cap_above_check_tolerance(self, tmp_path, capsys):
         # the geometric tail bound may exceed the missing mass by up to the cap
@@ -375,6 +369,8 @@ class TestErrorHandling:
             ["identity", "--prop", "gamma-single", "--beta", "0"],
             ["identity", "--prop", "gamma-single", "--common-beta", "1.0"],
             ["identity", "--prop", "gamma-single", "--grid-size", "-5"],
+            ["identity", "--prop", "gamma-single", "--grid-size", "2000001"],
+            ["export-survival", "{spec}", "--output", "{spec}.csv", "--grid-size", "2000001"],
             ["identity", "--prop", "nb-pair", "--c0", "inf"],
             ["identity", "--prop", "gamma-pair", "--lam2", "0"],
             ["identity", "--prop", "gamma-single", "--beta", "1e-300"],
@@ -402,7 +398,9 @@ class TestErrorHandling:
     def test_invalid_argument_is_input_error(self, argv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main([a.format(bad=bad) for a in argv]) == EX_DATAERR
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(WORKED_PAIR["config1"]))
+        assert main([a.format(bad=bad, spec=spec) for a in argv]) == EX_DATAERR
         out, err = capsys.readouterr()
         assert out == ""  # rejected before any computation
         assert err.startswith("input error: ") and err.count("\n") == 1
@@ -420,8 +418,9 @@ class TestErrorHandling:
             (["verify", "--order", "conv"], UNDERFLOWING_NEGBIN),
             (["export-survival", "--output", "{out}"], OVERSIZE_NEGBIN),
             (["export-survival", "--output", "{out}"], UNDERFLOWING_NEGBIN),
+            (["export-survival", "--output", "{out}"], SUBNORMAL_RATE_GAMMA),
         ],
-        ids=["verify-size", "verify-underflow", "export-size", "export-underflow"],
+        ids=["verify-size", "verify-underflow", "export-size", "export-underflow", "export-grid"],
     )
     def test_lattice_limit_on_any_subcommand(self, command, spec, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -437,15 +436,29 @@ class TestErrorHandling:
         assert stdout == ""
         assert stderr.startswith("input error: ") and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("rate", [1e200, 1e-200])
+    @pytest.mark.parametrize(
+        "command",
+        [["export-survival", "--output", "{out}"], ["verify", "--order", "st"]],
+        ids=["export-survival", "verify-st"],
+    )
+    def test_rate_squared_past_the_floats_gets_a_grid(self, command, rate, tmp_path, capsys):
+        """A rate whose square overflows or underflows still spans a finite
+        grid: its spread is then found without squaring the rate."""
+        g = {"family": "gamma", "shapes": [1], "scales": [rate]}
+        out = tmp_path / "curve.csv"
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"config1": g, "config2": g} if command[0] == "verify" else g))
+        assert main([command[0], str(path), *(a.format(out=out) for a in command[1:])]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["check-order", "{pair}", "--budget", "0"],
             ["verify", "{pair}", "--order", "conv", "--budget", "-3"],
-            ["explore", "--budget", "0"],
-            ["explore", "--budget", "1", "--seed", "-1"],
         ],
-        ids=["check-order-budget", "verify-budget", "explore-budget", "explore-seed"],
+        ids=["check-order-budget", "verify-budget"],
     )
     def test_budget_and_seed_are_input_errors(self, argv, pair_file, capsys):
         argv = [a.format(pair=pair_file) for a in argv]
@@ -461,9 +474,8 @@ class TestErrorHandling:
             ["verify", "{pair}", "--order", "conv", "--emit-witness", "{out}"],
             ["check-order", "{pair}", "--emit-witness", "{out}"],
             ["harness", "--scenario", "RaiseAlpha", "--seeds", "0..0", "--output", "{out}"],
-            ["explore", "--budget", "1", "--output", "{out}"],
         ],
-        ids=["export-survival", "verify", "verify-witness", "check-order", "harness", "explore"],
+        ids=["export-survival", "verify", "verify-witness", "check-order", "harness"],
     )
     def test_unwritable_output_path(self, argv, pair_file, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -490,6 +502,7 @@ class TestErrorHandling:
         assert main(["verify"]) == EX_USAGE  # missing required --order and file
         # a value that does not parse is a usage error, not a range error
         assert main(["identity", "--prop", "nb-mixture", "--tol", "abc"]) == EX_USAGE
+        assert main(["explore", "--budget", "1"]) == EX_USAGE  # removed subcommand
 
     def test_parser_reused_across_calls(self, capsys):
         # one parser per process: no call's arguments or errors reach the next

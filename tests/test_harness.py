@@ -9,7 +9,6 @@ from stochord import harness
 from stochord.arrangement import pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
-    ConvolutionSpec,
     NegBinParams,
     default_gamma_grid,
     shape_mixture_pmf,
@@ -21,7 +20,6 @@ from stochord.harness import (
     MATRIX,
     Scenario,
     ScenarioName,
-    explore_counterexamples,
     generate_instance,
     numeric_conv_check,
     numeric_st_check,
@@ -35,7 +33,6 @@ from stochord.rc_order import (
     MoveKind,
     RcChain,
     RcMode,
-    decide_wrc,
     verify_rc_chain,
 )
 from stochord.verdicts import Status
@@ -54,18 +51,6 @@ def worked_example_chain() -> RcChain:
         ElementaryMove(MoveKind.MAJORIZE_Y, 0, 1),
     )
     return RcChain((p0, p1, p2, p3), moves, RcMode.STRICT)
-
-
-def reverify_candidate(candidate: dict) -> bool:
-    """Oracle: an explorer candidate read back from its dict still has a
-    verified weak chain on (shapes, log rates) and a refuting reduction."""
-    s1 = ConvolutionSpec.from_dict(candidate["spec1"])
-    s2 = ConvolutionSpec.from_dict(candidate["spec2"])
-    q1, q2 = harness._param_pairs(s1, s2, "st")
-    log_order = decide_wrc(q1, q2, RcMode.WEAK, 500)
-    if not log_order.holds or not verify_rc_chain(log_order.witness):
-        return False
-    return numeric_conv_check(s1, s2).refuted
 
 
 class TestGenerateInstance:
@@ -374,17 +359,3 @@ class TestMixtureLemma:
             )
             assert survival_dominance_check(y1, y2).status is Status.HOLDS, seed
 
-
-class TestExplorer:
-    def test_deterministic(self):
-        assert explore_counterexamples(3, 5) == explore_counterexamples(3, 5)
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            explore_counterexamples(0, 0)
-
-    def test_candidates_labeled_evidence_and_reverify(self):
-        found = explore_counterexamples(5, 0)
-        for c in found:
-            assert c["label"] == "evidence"
-            assert reverify_candidate(c)
