@@ -89,10 +89,6 @@ class ConvolutionSpec:
     def n(self) -> int:
         return len(self.shapes)
 
-    @property
-    def total_shape(self) -> float:
-        return float(sum(self.shapes))
-
     def to_dict(self) -> dict:
         return {"family": self.family, "shapes": list(self.shapes), "scales": list(self.scales)}
 
@@ -406,8 +402,8 @@ def deconvolve(
     """
     if f1.probs[0] <= 0:
         raise ValueError("deconvolution requires f1.probs[0] > 0")
-    if f2.offset < f1.offset - 1e-9:
-        raise ValueError("deconvolution requires f2.offset >= f1.offset")
+    if f1.offset > f2.offset + tol:
+        raise ValueError("deconvolution requires f2.offset >= f1.offset - tol")
     _check_work(f2.probs.size * (f1.probs.size - 1), "deconvolution")
     z, s = _solve(f1.probs, f2.probs)
     result = Deconvolution(f2.offset - f1.offset, z, f1, f2.probs, s)
@@ -643,9 +639,8 @@ def gamma_latent(
     if not max(s.scales) <= beta < math.inf:
         raise ValueError("common rate must be finite and at least every component rate")
     mixed = [(a, b / beta) for a, b in zip(s.shapes, s.scales) if b != beta]
-    for _, p in mixed:
-        if not 0 < p < 1:
-            raise ValueError(f"success probability must be in (0,1), got {p}")
+    # rate / beta lies in [0, 1): a ratio that underflows to 0 starts its
+    # lattice below the normal floats, which _nb_rows reports
     rows = iter(_nb_rows([a for a, _ in mixed], [p for _, p in mixed], tail_cap))
     # the point masses keep their places in the order of the convolutions
     pieces = [

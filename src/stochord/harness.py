@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -24,6 +24,7 @@ from stochord.distributions import (
     deconvolve,
     default_gamma_grid,
     gamma_convolution_cdf,
+    gamma_latent,
     nb_convolution,
     spec,
     survival_dominance_check,
@@ -389,21 +390,34 @@ def _param_pairs(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str):
     )
 
 
-@functools.lru_cache(maxsize=4)
-def _law(s: ConvolutionSpec, tail_cap: float, grid: Optional[bytes] = None):
-    """The lattice PMF of a negbin spec, or the CDF of a gamma spec on the
-    grid whose float64 bytes are ``grid``: the last four the numeric checks
-    built, so a pair checked in both directions builds each law once.  Their
-    arrays are read-only, since every caller of an equal key shares them."""
-    if grid is None:
-        law = nb_convolution(s, tail_cap)
-        arrays = (law.probs,)
+@functools.lru_cache(maxsize=2)
+def _laws(specs: frozenset, order: Optional[str], tail_cap: float) -> dict:
+    """Each spec's law for the numeric check of ``order``, for the last two
+    unordered pairs, so a pair checked both ways builds each law once: for a
+    gamma pair, its latents at the pair's largest rate (``"conv"``) or its
+    CDFs on the pair's :func:`default_gamma_grid`, which sorts its points
+    (``"st"``); for a negbin pair, its lattices, which both orders share
+    (``None``).  The arrays are read-only: every equal key shares them."""
+    if order == "conv":
+        beta = max(max(s.scales) for s in specs)
+        laws = {s: gamma_latent(s, tail_cap, beta)[0] for s in specs}
+    elif order == "st":
+        grid = default_gamma_grid(list(specs))
+        laws = {s: gamma_convolution_cdf(s, grid, tail_cap) for s in specs}
     else:
-        law = gamma_convolution_cdf(s, np.frombuffer(grid), tail_cap)
-        arrays = (law.points, law.values, law.errors)
-    for a in arrays:
-        a.flags.writeable = False
-    return law
+        laws = {s: nb_convolution(s, tail_cap) for s in specs}
+    for law in laws.values():
+        arrays = (law.points, law.values, law.errors) if order == "st" else (law.probs,)
+        for a in arrays:
+            a.flags.writeable = False
+    return laws
+
+
+def _pair_laws(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str, tail_cap: float):
+    if s1.family != s2.family:
+        raise ValueError("family mismatch")
+    laws = _laws(frozenset((s1, s2)), order if s1.family == "gamma" else None, tail_cap)
+    return laws[s1], laws[s2]
 
 
 def numeric_conv_check(
@@ -412,33 +426,27 @@ def numeric_conv_check(
     tail_cap: float = DEFAULT_TAIL_CAP,
     tol: float = 1e-9,
 ) -> OrderVerdict:
-    """Convolution-order certificate.
+    """Convolution-order certificate by exact deconvolution of lattices.
 
-    Negative binomial pairs are checked by exact deconvolution.  Gamma pairs
-    use the latent negative binomial reduction with a shared rate plus the
-    total-shape comparison; that check is sufficient only, so a failed
-    reduction refutes the reduction, not the gamma order itself.
-    """
-    if s1.family != s2.family:
-        raise ValueError("family mismatch")
-    if s1.family == "negbin":
-        f1, f2 = _law(s1, tail_cap), _law(s2, tail_cap)
-        _, verdict = deconvolve(f2, f1, tol)
-        return verdict
-    beta = 2.0 * max(max(s1.scales), max(s2.scales))
-    n1 = ConvolutionSpec("negbin", s1.shapes, tuple(b / beta for b in s1.scales))
-    n2 = ConvolutionSpec("negbin", s2.shapes, tuple(b / beta for b in s2.scales))
-    _, verdict = deconvolve(nb_convolution(n2, tail_cap), nb_convolution(n1, tail_cap), tol)
-    r1, r2 = s1.total_shape, s2.total_shape
-    if verdict.holds and r1 > r2 + tol:
-        return OrderVerdict(
-            Status.UNKNOWN,
-            detail={"reason": "total shape exceeds target, reduction inapplicable"},
-        )
-    detail = dict(verdict.detail)
-    detail["sufficient_only"] = True
-    detail["total_shapes"] = [r1, r2]
-    return OrderVerdict(verdict.status, verdict.witness, verdict.violation, detail)
+    A gamma convolution is a gamma of rate ``beta``, the pair's largest rate,
+    whose shape is drawn from its latent (:func:`gamma_latent`): latents with
+    ``H_Y = H_X + W``, ``W >= 0``, give ``Y = X + Gamma(W, beta)``.  A larger
+    rate adds to each latent a negative binomial of its total shape, which
+    is infinitely divisible in that shape, so it decides no more.  A failed
+    deconvolution refutes this sufficient reduction, not the gamma order.
+    The latents' offsets are the total shapes, and ``r1 > r2 + tol`` refutes
+    exactly: the Laplace transform of a gamma convolution of total shape
+    ``r`` falls like ``s^-r``, so ``L_Y / L_X`` grows like ``s^(r1 - r2)``,
+    and that of a law on ``[0, inf)`` is at most 1."""
+    f1, f2 = _pair_laws(s1, s2, "conv", tail_cap)
+    r1, r2 = f1.offset, f2.offset  # 0 on negbin lattices
+    if r1 > r2 + tol:
+        return OrderVerdict(Status.REFUTED, violation={"total_shapes": [r1, r2]})
+    _, verdict = deconvolve(f2, f1, tol)
+    if s1.family == "gamma":
+        detail = {**verdict.detail, "sufficient_only": True, "total_shapes": [r1, r2]}
+        verdict = replace(verdict, detail=detail)
+    return verdict
 
 
 def numeric_st_check(
@@ -448,21 +456,7 @@ def numeric_st_check(
     tol: float = 1e-9,
 ) -> OrderVerdict:
     """Usual-stochastic-order certificate via survival dominance."""
-    if s1.family != s2.family:
-        raise ValueError("family mismatch")
-    if s1.family == "negbin":
-        return survival_dominance_check(_law(s1, tail_cap), _law(s2, tail_cap), tol)
-    grid = _grid(frozenset((s1, s2)))
-    return survival_dominance_check(_law(s1, tail_cap, grid), _law(s2, tail_cap, grid), tol)
-
-
-@functools.lru_cache(maxsize=4)
-def _grid(specs: frozenset) -> bytes:
-    """The float64 bytes of :func:`default_gamma_grid` over ``specs``, the
-    last four pairs asked for: a pair checked in both directions builds its
-    grid once.  The grid does not depend on the order of the specs
-    (``np.unique`` sorts), so the key is the unordered pair."""
-    return default_gamma_grid(list(specs)).tobytes()
+    return survival_dominance_check(*_pair_laws(s1, s2, "st", tail_cap), tol)
 
 
 def verify_theorem_instance(

@@ -171,6 +171,14 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
     return MajorizationMode.BELOW, MajorizationMode.ABOVE
 
 
+def _fsum(values: Vector) -> float:
+    """``math.fsum``, or an infinity of the sum's sign past the largest float."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.copysign(math.inf, sum(values))
+
+
 class _Target(NamedTuple):
     """A search's target pair with its target-only work done once: the pair
     itself for the componentwise moves of :func:`_componentwise_successors`;
@@ -210,8 +218,8 @@ def _target(p2: PairClass, mode: RcMode) -> _Target:
         max(1.0, max(map(abs, p2.x + p2.y))),
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),
-        math.fsum(p2.x),
-        math.fsum(p2.y),
+        _fsum(p2.x),
+        _fsum(p2.y),
         majorization_bound(p2.x, x_mode),
         majorization_bound(p2.y, y_mode),
         c2.x + c2.y,
@@ -820,8 +828,8 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
 
     n = cur.n
     sum_tol = n * (near + BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale))
-    coupled_x = x_open and abs(math.fsum(px) - target.sum_x) <= sum_tol
-    coupled_y = y_open and abs(math.fsum(py) - target.sum_y) <= sum_tol
+    coupled_x = x_open and abs(_fsum(px) - target.sum_x) <= sum_tol
+    coupled_y = y_open and abs(_fsum(py) - target.sum_y) <= sum_tol
     coupled = None
     if coupled_x or coupled_y:
         far = _far(cur, target)

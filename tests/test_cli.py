@@ -24,6 +24,9 @@ OVERSIZE_NEGBIN = {"family": "negbin", "shapes": [1], "scales": [1e-6]}
 UNDERFLOWING_NEGBIN = {"family": "negbin", "shapes": [5e5], "scales": [0.3]}
 # A gamma rate of 5e-324 puts the mean, and so the grid's end, past the floats.
 SUBNORMAL_RATE_GAMMA = {"family": "gamma", "shapes": [1], "scales": [5e-324]}
+# Rates 1e-20 and 1e308: the latent's success probability 1e-20 / 1e308
+# underflows to 0.
+UNDERFLOWING_RATIO_GAMMA = {"family": "gamma", "shapes": [1, 1], "scales": [1e-20, 1e308]}
 
 
 @pytest.fixture
@@ -70,6 +73,21 @@ class TestCheckOrder:
         assert json.loads(capsys.readouterr().out)["status"] == "holds"
 
 
+    @pytest.mark.parametrize("order", ["conv", "st"])
+    def test_sum_past_the_floats(self, order, tmp_path, capsys):
+        """The start's rates sum past the largest float: one lowering of a
+        rate reaches the target."""
+        pair = {
+            "config1": {"family": "gamma", "shapes": [1, 2], "scales": [1e308, 1e308]},
+            "config2": {"family": "gamma", "shapes": [1, 2], "scales": [9e307, 1e308]},
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        assert main(["check-order", str(path), "--order", order]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "holds" and out["moves"] == 1
+
+
 class TestVerify:
     def test_equal_specs_exit_zero(self, tmp_path, capsys):
         s = {"family": "negbin", "shapes": [1.0, 2.0], "scales": [0.5, 0.6]}
@@ -86,6 +104,29 @@ class TestVerify:
         report = tmp_path / "out.jsonl"
         assert main(["verify", pair_file, "--order", "st", "--output", str(report)]) == 0
         assert json.loads(report.read_text())["v"] == 1
+
+
+    def test_largest_rate_past_half_the_floats(self, tmp_path, capsys):
+        """The latents are taken at the pair's largest rate itself, so a
+        rate of 1e308 needs no larger one."""
+        g = {"family": "gamma", "shapes": [1], "scales": [1e308]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"config1": g, "config2": g}))
+        assert main(["verify", str(path), "--order", "conv"]) == 0
+        assert json.loads(capsys.readouterr().out)["numeric_status"] == "holds"
+
+    def test_total_shapes_within_tol_reach_the_deconvolution(self, tmp_path, capsys):
+        """Totals 5e-7 apart under ``--tol 1e-6``: the total-shape test lets
+        the pair through, and so does the deconvolution's offset check."""
+        pair = {
+            "config1": {"family": "gamma", "shapes": [1.0000005, 1], "scales": [2, 1]},
+            "config2": {"family": "gamma", "shapes": [1, 1], "scales": [2, 1]},
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        assert main(["verify", str(path), "--order", "conv", "--tol", "1e-6"]) != EX_SOFTWARE
+        detail = json.loads(capsys.readouterr().out)["numeric_detail"]
+        assert detail["total_shapes"] == [2.0000005, 2.0]
 
 
 class TestIdentity:
@@ -419,8 +460,20 @@ class TestErrorHandling:
             (["export-survival", "--output", "{out}"], OVERSIZE_NEGBIN),
             (["export-survival", "--output", "{out}"], UNDERFLOWING_NEGBIN),
             (["export-survival", "--output", "{out}"], SUBNORMAL_RATE_GAMMA),
+            (["verify", "--order", "st"], UNDERFLOWING_RATIO_GAMMA),
+            (["verify", "--order", "conv"], UNDERFLOWING_RATIO_GAMMA),
+            (["export-survival", "--output", "{out}"], UNDERFLOWING_RATIO_GAMMA),
         ],
-        ids=["verify-size", "verify-underflow", "export-size", "export-underflow", "export-grid"],
+        ids=[
+            "verify-size",
+            "verify-underflow",
+            "export-size",
+            "export-underflow",
+            "export-grid",
+            "verify-st-ratio",
+            "verify-conv-ratio",
+            "export-ratio",
+        ],
     )
     def test_lattice_limit_on_any_subcommand(self, command, spec, tmp_path, capsys):
         out = tmp_path / "curve.csv"

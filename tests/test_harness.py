@@ -180,7 +180,7 @@ CHECK_DIGESTS = {
     ("MajorizeAlpha", "negbin"): "3c19f0084ae55650afba318297fedefe6d033f9df37e9216a84c5a1b439a2fa6",
     ("ConvAI", "negbin"): "e2618c1735c0e9a51a48f80e5425d54084f53d5e697086ebc8cb2debd112bdf8",
     ("RcGeneral", "negbin"): "8027cfbaa76b7dc44fc06df9b9dc62d81aa3236ff16d7ceb9976442de55d263b",
-    ("GammaConv", "gamma"): "c8de30a5b027f2a087a9878519d30c6b2655555eb85b0cc1ac44202dc42667db",
+    ("GammaConv", "gamma"): "6e1e428b1a18e13370eac8839542416811340146a41c2a3d54ffdec1a5dd51c1",
     ("OppositeOrderedWeak", "negbin"): "0c9c2e39fc1289163bf33312f092288f3e29eb6cddfa678b2eaa21e3a3e6d934",
     ("LogMajorizeBetaSt", "negbin"): "a4907714f2663b8215f1cf0fccda871dc3c4197adcdb6c659b035b5c907c4b85",
     ("StGeneral", "negbin"): "1fc573365dcf2fee12184ca37625ab078bbd7c376b7721cbad11347311296ad1",
@@ -211,37 +211,35 @@ class TestNumericChecks:
         assert _check_digests() == CHECK_DIGESTS
 
     def test_details_match_with_the_memo_cleared_before_every_law(self, monkeypatch):
-        law = harness._law
+        laws = harness._laws
 
         def cleared(*key):
-            law.cache_clear()
-            return law(*key)
+            laws.cache_clear()
+            return laws(*key)
 
-        monkeypatch.setattr(harness, "_law", cleared)
+        monkeypatch.setattr(harness, "_laws", cleared)
         assert _check_digests() == CHECK_DIGESTS
 
     @pytest.mark.parametrize("family", ["negbin", "gamma"])
     def test_reversed_st_check_builds_no_law(self, family, monkeypatch):
-        built = []
-
-        def spy(build):
-            def counted(s, *args):
-                built.append(s)
-                return build(s, *args)
-
-            return counted
-
-        for name in ("nb_convolution", "gamma_convolution_cdf"):
-            monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+        built = spy_builders(monkeypatch)
         s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, family, 4, 5))
-        harness._law.cache_clear()
+        harness._laws.cache_clear()
         assert numeric_st_check(s1, s2).holds
-        assert built == [s1, s2]
+        assert set(built) == {s1, s2}
         assert numeric_st_check(s2, s1).refuted
-        assert built == [s1, s2]
+        assert len(built) == 2
         if family == "negbin":  # a conv check of the pair reads the same lattices
             numeric_conv_check(s1, s2)
-            assert built == [s1, s2]
+            assert len(built) == 2
+
+    def test_reversed_gamma_conv_check_builds_no_latent(self, monkeypatch):
+        built = spy_builders(monkeypatch)
+        s1, s2 = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", 4, 5))
+        harness._laws.cache_clear()
+        assert numeric_conv_check(s1, s2).holds
+        assert numeric_conv_check(s2, s1).refuted
+        assert len(built) == 2 and set(built) == {s1, s2}
 
     def test_reversed_gamma_st_check_builds_no_grid(self, monkeypatch):
         built = []
@@ -253,24 +251,27 @@ class TestNumericChecks:
 
         monkeypatch.setattr(harness, "default_gamma_grid", spy)
         s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, "gamma", 4, 5))
-        harness._grid.cache_clear()
+        harness._laws.cache_clear()
         assert numeric_st_check(s1, s2).holds and numeric_st_check(s2, s1).refuted
         assert len(built) == 1
 
     def test_grid_memo_gives_the_grid_of_either_order(self):
-        """The memo, keyed by the unordered pair, gives the bytes the grid of
-        each order has, and those of one spec for a spec paired with itself."""
+        """The memo, keyed by the unordered pair, gives the CDFs on the grid
+        of each order, and on that of one spec for a spec paired with
+        itself."""
         for seed in range(5):
             s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, "gamma", 3, seed))
-            want = default_gamma_grid([s1, s2]).tobytes()
-            assert default_gamma_grid([s2, s1]).tobytes() == want
-            for key in ((s1, s2), (s2, s1)):
-                harness._grid.cache_clear()
-                assert harness._grid(frozenset(key)) == want
-            assert harness._grid(frozenset((s1, s1))) == default_gamma_grid([s1, s1]).tobytes()
+            want = default_gamma_grid([s1, s2])
+            assert np.array_equal(default_gamma_grid([s2, s1]), want)
+            for a, b in ((s1, s2), (s2, s1)):
+                harness._laws.cache_clear()
+                laws = harness._pair_laws(a, b, "st", DEFAULT_TAIL_CAP)
+                assert all(np.array_equal(law.points, want) for law in laws)
+            (law, _) = harness._pair_laws(s1, s1, "st", DEFAULT_TAIL_CAP)
+            assert np.array_equal(law.points, default_gamma_grid([s1, s1]))
 
     def test_memo_holds_four_read_only_laws(self):
-        harness._law.cache_clear()
+        harness._laws.cache_clear()
         for seed in range(3):
             pairs = [
                 generate_instance(Scenario(ScenarioName.ST_GENERAL, family, 3, seed))
@@ -278,15 +279,49 @@ class TestNumericChecks:
             ]
             for s1, s2 in pairs:
                 numeric_st_check(s1, s2)
-        info = harness._law.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (4, 4, 12)
-        (nb1, _), (g1, g2) = pairs
-        lattice = harness._law(nb1, DEFAULT_TAIL_CAP)
-        cdf = harness._law(g1, DEFAULT_TAIL_CAP, default_gamma_grid([g1, g2]).tobytes())
-        assert harness._law.cache_info().hits == 2
-        for array in (lattice.probs, cdf.points, cdf.values, cdf.errors):
+        info = harness._laws.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (2, 2, 6)
+        (nb1, nb2), (g1, g2) = pairs
+        lattice, _ = harness._pair_laws(nb1, nb2, "conv", DEFAULT_TAIL_CAP)
+        cdf, _ = harness._pair_laws(g1, g2, "st", DEFAULT_TAIL_CAP)
+        assert harness._laws.cache_info().hits == 2
+        harness._laws.cache_clear()
+        latent, _ = harness._pair_laws(g1, g2, "conv", DEFAULT_TAIL_CAP)
+        for array in (lattice.probs, cdf.points, cdf.values, cdf.errors, latent.probs):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
+
+    def test_every_gamma_conv_matrix_pair_holds(self):
+        for n, seed in itertools.product(range(2, 7), range(30)):
+            s1, s2 = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", n, seed))
+            v = numeric_conv_check(s1, s2)
+            assert v.holds and v.detail["sufficient_only"], (n, seed)
+
+    def test_larger_total_shape_is_refuted_exactly(self):
+        s1 = spec("gamma", (1.0, 0.5), (2.0, 3.0))
+        s2 = spec("gamma", (1.2, 0.1), (1.0, 3.0))
+        v = numeric_conv_check(s1, s2)
+        assert v.refuted and v.violation == {"total_shapes": [1.5, 1.3]}
+        assert "sufficient_only" not in v.detail
+        # within tol, the latents go on to the deconvolution
+        v = numeric_conv_check(s1, s2, tol=0.25)
+        assert "total_shapes" in v.detail and v.detail["sufficient_only"]
+
+
+def spy_builders(monkeypatch) -> list:
+    """The specs that the memo's law builders are called with."""
+    built = []
+
+    def spy(build):
+        def counted(s, *args):
+            built.append(s)
+            return build(s, *args)
+
+        return counted
+
+    for name in ("nb_convolution", "gamma_convolution_cdf", "gamma_latent"):
+        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+    return built
 
 
 class TestReports:
