@@ -400,7 +400,8 @@ def _laws(specs: frozenset, order: Optional[str], tail_cap: float) -> dict:
     (``None``).  The arrays are read-only: every equal key shares them."""
     if order == "conv":
         beta = max(max(s.scales) for s in specs)
-        laws = {s: gamma_latent(s, tail_cap, beta)[0] for s in specs}
+        latents = {s: gamma_latent(s, tail_cap, beta)[0] for s in specs}
+        laws = {s: replace(f, offset=math.fsum(s.shapes)) for s, f in latents.items()}
     elif order == "st":
         grid = default_gamma_grid(list(specs))
         laws = {s: gamma_convolution_cdf(s, grid, tail_cap) for s in specs}
@@ -434,10 +435,10 @@ def numeric_conv_check(
     rate adds to each latent a negative binomial of its total shape, which
     is infinitely divisible in that shape, so it decides no more.  A failed
     deconvolution refutes this sufficient reduction, not the gamma order.
-    The latents' offsets are the total shapes, and ``r1 > r2 + tol`` refutes
-    exactly: the Laplace transform of a gamma convolution of total shape
-    ``r`` falls like ``s^-r``, so ``L_Y / L_X`` grows like ``s^(r1 - r2)``,
-    and that of a law on ``[0, inf)`` is at most 1."""
+    The latents' offsets are the total shapes, each rounded once, so in the
+    exact totals' order, and ``r1 > r2 + tol`` refutes exactly: a gamma
+    convolution's Laplace transform falls like ``s^-r``, so ``L_Y / L_X``
+    grows like ``s^(r1 - r2)``, and that of a law on ``[0, inf)`` is at most 1."""
     f1, f2 = _pair_laws(s1, s2, "conv", tail_cap)
     r1, r2 = f1.offset, f2.offset  # 0 on negbin lattices
     if r1 > r2 + tol:

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
@@ -172,11 +173,15 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 
 
 def _fsum(values: Vector) -> float:
-    """``math.fsum``, or an infinity of the sum's sign past the largest float."""
+    """The correctly rounded sum, exact where a partial sum overflows
+    ``math.fsum``, or an infinity of its sign past the largest float."""
     try:
         return math.fsum(values)
     except OverflowError:
-        return math.copysign(math.inf, sum(values))
+        total = sum(map(Fraction, values))
+        if abs(total) < 2**1024 - 2**970:  # the reals that round to a finite float
+            return float(total)
+        return math.inf if total > 0 else -math.inf
 
 
 class _Target(NamedTuple):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ CHECK_DIGESTS = {
     ("MajorizeAlpha", "negbin"): "3c19f0084ae55650afba318297fedefe6d033f9df37e9216a84c5a1b439a2fa6",
     ("ConvAI", "negbin"): "e2618c1735c0e9a51a48f80e5425d54084f53d5e697086ebc8cb2debd112bdf8",
     ("RcGeneral", "negbin"): "8027cfbaa76b7dc44fc06df9b9dc62d81aa3236ff16d7ceb9976442de55d263b",
-    ("GammaConv", "gamma"): "6e1e428b1a18e13370eac8839542416811340146a41c2a3d54ffdec1a5dd51c1",
+    ("GammaConv", "gamma"): "a37c01c66941fe0791f8ac4037325a3aef847816c7f5b177ebb71a031df64052",
     ("OppositeOrderedWeak", "negbin"): "0c9c2e39fc1289163bf33312f092288f3e29eb6cddfa678b2eaa21e3a3e6d934",
     ("LogMajorizeBetaSt", "negbin"): "a4907714f2663b8215f1cf0fccda871dc3c4197adcdb6c659b035b5c907c4b85",
     ("StGeneral", "negbin"): "1fc573365dcf2fee12184ca37625ab078bbd7c376b7721cbad11347311296ad1",
@@ -306,6 +307,25 @@ class TestNumericChecks:
         # within tol, the latents go on to the deconvolution
         v = numeric_conv_check(s1, s2, tol=0.25)
         assert "total_shapes" in v.detail and v.detail["sufficient_only"]
+
+    @pytest.mark.parametrize(
+        "shapes, rates, order, tol",
+        [
+            ((0.35, 0.35, 1e8), (1.0, 2.0, 3.0), (2, 0, 1), 1e-9),
+            ((0.1, 0.2, 0.3), (1.0, 2.0, 3.0), (2, 1, 0), 0.0),
+        ],
+    )
+    def test_a_permuted_spec_is_not_refuted(self, shapes, rates, order, tol):
+        """Summed left to right, the permuted totals differ in the last bit
+        (by 1.5e-8 at the shape 1e8, past the default tol); rounded once,
+        they are equal."""
+        s1 = spec("gamma", shapes, rates)
+        s2 = spec("gamma", [shapes[i] for i in order], [rates[i] for i in order])
+        assert sum(s1.shapes) != sum(s2.shapes)
+        for a, b in ((s1, s2), (s2, s1)):
+            v = numeric_conv_check(a, b, tol=tol)
+            assert v.holds and v.detail["sufficient_only"]
+            assert v.detail["total_shapes"] == [math.fsum(shapes)] * 2
 
 
 def spy_builders(monkeypatch) -> list:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -367,6 +368,17 @@ SEARCH_DIGESTS = {
     ("CoupledGammaPair", "gamma"): "2c973415dfc5e2a4a31945c7299649e5a040157f65b7dff7d78afb3b2b994431",
     ("MixtureLemmaSt", "negbin"): "09dab0a5773c1ee084f30a515616544ea777fa42781bc8ed771aa8cfcc990402",
 }
+
+
+def test_sums_stay_finite_past_an_overflowing_partial_sum():
+    """``math.fsum`` overflows once a partial sum does; the exact sum need
+    not, and an infinite sum keeps its sign."""
+    big = sys.float_info.max
+    assert rc_order._fsum((1e308, 1e308, -1e308)) == 1e308
+    assert rc_order._fsum((big, 2.0**969, 2.0**969, -big)) == 2.0**970
+    assert rc_order._fsum((1e308, 1e308)) == math.inf
+    assert rc_order._fsum((-1e308, -1e308, 1.0)) == -math.inf
+    assert rc_order._fsum((0.1, 0.2, 0.3)) == math.fsum((0.1, 0.2, 0.3))
 
 
 class TestSearch:
