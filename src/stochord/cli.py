@@ -25,7 +25,6 @@ from stochord.distributions import (
     MAX_LATTICE,
     ConvolutionSpec,
     LatticeLimitError,
-    NegBinParams,
     coupled_gamma_pair_cdf,
     coupled_pair_mixture_pmf,
     default_gamma_grid,
@@ -33,7 +32,6 @@ from stochord.distributions import (
     gamma_convolution_cdf,
     nb_convolution,
     shape_mixture_pmf,
-    shifted_nb_pmf,
     spec,
 )
 from stochord.harness import (
@@ -219,10 +217,10 @@ def _check_coupled_pair(args) -> float:
 
 
 def _nb_mixture(args) -> float:
-    cap = args.tail_cap
-    latent = shifted_nb_pmf(NegBinParams(args.alpha, args.p1), cap)
+    alpha, cap = args.alpha, args.tail_cap
+    latent = nb_convolution(spec("negbin", (alpha,), (args.p1,)), cap, shifted=True)
     lhs = shape_mixture_pmf(latent, args.p2, cap)
-    rhs = shifted_nb_pmf(NegBinParams(args.alpha, args.p1 * args.p2), cap)
+    rhs = nb_convolution(spec("negbin", (alpha,), (args.p1 * args.p2,)), cap, shifted=True)
     return _pmf_residual(lhs, rhs)
 
 
@@ -352,7 +350,7 @@ def _cmd_export_survival(args) -> int:
     if s.family == "negbin":
         pmf = nb_convolution(s, args.tail_cap)
         points = pmf.support
-        values = pmf.survival[:-1]
+        values = pmf.survival
         errors = np.full(points.size, pmf.tail_bound)
     else:
         grid = default_gamma_grid([s], args.grid_size)

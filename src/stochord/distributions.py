@@ -33,23 +33,8 @@ _TINY = float(np.finfo(float).tiny)
 class LatticeLimitError(Exception):
     """An input asks for a lattice, or lattice work, past the limits that
     ``_nb_rows``, ``convolve`` and ``deconvolve`` enforce, or a gamma grid
-    past the largest float: the input is at fault, not the program."""
-
-
-@dataclass(frozen=True)
-class NegBinParams:
-    alpha: float
-    p: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"shape must be positive, got {self.alpha}")
-        if not 0 < self.p < 1:
-            raise ValueError(f"success probability must be in (0,1), got {self.p}")
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
+    or total shape past the largest float: the input is at fault, not the
+    program."""
 
 
 @dataclass(frozen=True)
@@ -75,15 +60,14 @@ class ConvolutionSpec:
             raise ValueError("shapes and scales must have equal length")
         if not self.shapes:
             raise ValueError("a spec needs at least one component")
-        if self.family == "negbin":
-            for a, p in zip(self.shapes, self.scales):
-                NegBinParams(a, p)
-        else:
-            for a, b in zip(self.shapes, self.scales):
-                if not (a > 0 and math.isfinite(a)):
-                    raise ValueError(f"shape must be positive, got {a}")
-                if not (b > 0 and math.isfinite(b)):
-                    raise ValueError(f"rate must be positive, got {b}")
+        for a, b in zip(self.shapes, self.scales):
+            if not (a > 0 and math.isfinite(a)):
+                raise ValueError(f"shape must be positive, got {a}")
+            if self.family == "negbin":
+                if not 0 < b < 1:
+                    raise ValueError(f"success probability must be in (0,1), got {b}")
+            elif not (b > 0 and math.isfinite(b)):
+                raise ValueError(f"rate must be positive, got {b}")
 
     @property
     def n(self) -> int:
@@ -133,9 +117,9 @@ class TruncatedPMF:
 
     @property
     def survival(self) -> np.ndarray:
-        """Listed mass at or above ``offset + k`` for ``k = 0..K+1``: the
-        suffix sums of ``probs``, then 0."""
-        return np.concatenate([np.cumsum(self.probs[::-1])[::-1], [0.0]])
+        """Listed mass at or above ``offset + k`` for ``k = 0..K``: the
+        suffix sums of ``probs``."""
+        return np.cumsum(self.probs[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -268,23 +252,6 @@ def _nb_rows(
     return out
 
 
-def nb_pmf(params: NegBinParams, tail_cap: float = DEFAULT_TAIL_CAP) -> TruncatedPMF:
-    ((probs, tail),) = _nb_rows((params.alpha,), params.p, tail_cap)
-    return TruncatedPMF(0.0, probs, tail)
-
-
-def shifted_nb_pmf(
-    params: NegBinParams, tail_cap: float = DEFAULT_TAIL_CAP
-) -> TruncatedPMF:
-    """PMF of the variable shifted by its shape, on ``alpha + {0,1,...}``."""
-    base = nb_pmf(params, tail_cap)
-    return TruncatedPMF(params.alpha, base.probs, base.tail_bound)
-
-
-def point_mass(offset: float = 0.0) -> TruncatedPMF:
-    return TruncatedPMF(offset, np.array([1.0]), 0.0)
-
-
 def _check_work(work: int, what: str) -> None:
     if work > MAX_WORK:
         raise LatticeLimitError(f"{what} takes {work:.3g} multiply-adds, past {MAX_WORK:.0e}")
@@ -400,8 +367,12 @@ def deconvolve(
     coefficients within the tracked error bound yield Unknown rather than a
     false refutation.
     """
-    if f1.probs[0] <= 0:
-        raise ValueError("deconvolution requires f1.probs[0] > 0")
+    if f1.probs[0] < _TINY:
+        # a lattice whose head underflowed in the convolution of its rows
+        raise LatticeLimitError(
+            f"deconvolution divides by a first probability {f1.probs[0]:g} "
+            "below the normal floats"
+        )
     if f1.offset > f2.offset + tol:
         raise ValueError("deconvolution requires f2.offset >= f1.offset - tol")
     _check_work(f2.probs.size * (f1.probs.size - 1), "deconvolution")
@@ -488,9 +459,9 @@ def _coupled_pair_latent(
     probability of 1 makes its variable a point mass at the shape.  Its
     callers check ``s_hi`` and ``s_lo``."""
     if p == 1.0:
-        latent = point_mass(alpha)
+        latent = TruncatedPMF(alpha, np.ones(1), 0.0)
     else:
-        latent = shifted_nb_pmf(NegBinParams(alpha, p), tail_cap)
+        latent = nb_convolution(spec("negbin", (alpha,), (p,)), tail_cap, shifted=True)
 
     def pairs(shapes):
         # the rows' convolutions take about as many points again, so half of
@@ -576,7 +547,7 @@ def _gamma_mixture_cdf(
     prefactor, plus ``_ULPS`` absolute where ``gammainc`` forms P as 1 - Q;
     ``T + 2`` relative roundings of ``C_j`` and ``W`` from the running sum
     and as many from summing the terms, one for ``exp`` and one for the last
-    addition.
+    addition; capped at 1.
     """
     from scipy import special  # scipy loads on the first gamma CDF only
 
@@ -611,12 +582,16 @@ def _gamma_mixture_cdf(
     whole = cum[-1]
     values[pos] = whole * p_top + total
     steps = shapes.size + 1  # roundings in a running sum over the lattice
-    rounding[pos] = _EPS * (
-        whole * (_ULPS * (1.0 + m_top * p_top) + steps * p_top)
-        + _ULPS * (np.abs(log_x) * total_a + x * total + total_mags)
-        + (2.0 * steps + 1.0) * total
-        + values[pos]
-    )
+    # a bound of 1 or more is vacuous for a CDF clipped to [0, 1], so it is
+    # capped at 1; at a rate near the largest float its magnitudes overflow
+    with np.errstate(over="ignore"):
+        bound = _EPS * (
+            whole * (_ULPS * (1.0 + m_top * p_top) + steps * p_top)
+            + _ULPS * (np.abs(log_x) * total_a + x * total + total_mags)
+            + (2.0 * steps + 1.0) * total
+            + values[pos]
+        )
+    rounding[pos] = np.minimum(bound, 1.0)
     return values, rounding
 
 
@@ -647,7 +622,14 @@ def gamma_latent(
         (a, np.ones(1), 0.0) if b == beta else (a, *next(rows))
         for a, b in zip(s.shapes, s.scales)
     ]
-    return _convolve_rows(pieces), beta
+    latent = _convolve_rows(pieces)
+    # the offset sums the shapes left to right; a total rounded once
+    # (``math.fsum``) lies within ``n`` roundings of it
+    if latent.offset * (1.0 + s.n * _EPS) == math.inf:
+        raise LatticeLimitError(
+            f"a gamma spec's total shape {latent.offset:g} is at or past the largest float"
+        )
+    return latent, beta
 
 
 def gamma_convolution_cdf(
@@ -691,16 +673,15 @@ def default_gamma_grid(specs, m: int = 256) -> np.ndarray:
 
 
 def survival_dominance_check(d1, d2, tol: float = 1e-9) -> OrderVerdict:
-    """Usual stochastic order oracle: P(X1 >= t) <= P(X2 >= t) everywhere."""
+    """Usual stochastic order oracle: P(X1 >= t) <= P(X2 >= t) everywhere,
+    on two lattices at one offset or two grids on one set of points."""
     if isinstance(d1, TruncatedPMF) and isinstance(d2, TruncatedPMF):
-        points = np.unique(np.concatenate([d1.support, d2.support]))
-
-        def survivals(d: TruncatedPMF) -> np.ndarray:
-            idx = np.ceil(points - d.offset - 1e-12).astype(int)
-            idx = np.clip(idx, 0, d.probs.size)
-            return d.survival[idx]
-
-        s1, s2 = survivals(d1), survivals(d2)
+        if d1.offset != d2.offset:
+            raise ValueError("lattices must share their offset")
+        size = max(d1.probs.size, d2.probs.size)
+        points = d1.offset + np.arange(size)
+        # past its last point a lattice lists no mass
+        s1, s2 = (np.pad(d.survival, (0, size - d.probs.size)) for d in (d1, d2))
         err = d1.tail_bound + d2.tail_bound
     elif isinstance(d1, CdfGrid) and isinstance(d2, CdfGrid):
         if d1.points.size != d2.points.size or np.any(

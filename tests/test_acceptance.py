@@ -9,7 +9,6 @@ from scipy import special
 
 from stochord.arrangement import check_arrangement_leq, pair
 from stochord.distributions import (
-    NegBinParams,
     convolve,
     coupled_gamma_pair_cdf,
     coupled_pair_mixture_pmf,
@@ -17,9 +16,7 @@ from stochord.distributions import (
     default_gamma_grid,
     gamma_convolution_cdf,
     nb_convolution,
-    nb_pmf,
     shape_mixture_pmf,
-    shifted_nb_pmf,
     spec,
 )
 from stochord.harness import (
@@ -44,7 +41,7 @@ from stochord.rc_order import (
     verify_rc_chain,
 )
 from stochord.verdicts import Status
-from test_distributions import empirical_cdf, mc_sampler
+from test_distributions import empirical_cdf, mc_sampler, nb
 from test_harness import worked_example_chain
 from test_majorization import verify_t_step
 
@@ -67,17 +64,17 @@ def test_criterion_1_mixture_identity_suite():
         a = float(rng.uniform(0.3, 2.5))
         p1 = float(rng.uniform(0.3, 0.9))
         p2 = float(rng.uniform(0.3, 0.9))
-        mix = shape_mixture_pmf(shifted_nb_pmf(NegBinParams(a, p1), cap), p2, cap)
-        direct = shifted_nb_pmf(NegBinParams(a, p1 * p2), cap)
+        mix = shape_mixture_pmf(nb(a, p1, cap, shifted=True), p2, cap)
+        direct = nb(a, p1 * p2, cap, shifted=True)
         n = min(mix.probs.size, direct.probs.size)
         worst = max(worst, float(np.max(np.abs(mix.probs[:n] - direct.probs[:n]))))
 
     for _ in range(50):  # iterated mixing composes multiplicatively
         a = float(rng.uniform(0.3, 2.0))
         p1, p2, p3 = (float(rng.uniform(0.4, 0.9)) for _ in range(3))
-        inner = shape_mixture_pmf(shifted_nb_pmf(NegBinParams(a, p1), cap), p2, cap)
+        inner = shape_mixture_pmf(nb(a, p1, cap, shifted=True), p2, cap)
         twice = shape_mixture_pmf(inner, p3, cap)
-        direct = shifted_nb_pmf(NegBinParams(a, p1 * p2 * p3), cap)
+        direct = nb(a, p1 * p2 * p3, cap, shifted=True)
         n = min(twice.probs.size, direct.probs.size)
         worst = max(worst, float(np.max(np.abs(twice.probs[:n] - direct.probs[:n]))))
 
@@ -129,9 +126,9 @@ def test_criterion_2_infinite_divisibility_and_deconvolution():
         a1 = float(rng.uniform(0.3, 2.0))
         a2 = float(rng.uniform(0.3, 2.0))
         p = float(rng.uniform(0.3, 0.9))
-        f1 = nb_pmf(NegBinParams(a1, p), 1e-13)
-        f2 = nb_pmf(NegBinParams(a2, p), 1e-13)
-        combined = nb_pmf(NegBinParams(a1 + a2, p), 1e-13)
+        f1 = nb(a1, p, 1e-13)
+        f2 = nb(a2, p, 1e-13)
+        combined = nb(a1 + a2, p, 1e-13)
         direct = convolve(f1, f2)
         n = min(direct.probs.size, combined.probs.size)
         worst_conv = max(

@@ -27,6 +27,11 @@ SUBNORMAL_RATE_GAMMA = {"family": "gamma", "shapes": [1], "scales": [5e-324]}
 # Rates 1e-20 and 1e308: the latent's success probability 1e-20 / 1e308
 # underflows to 0.
 UNDERFLOWING_RATIO_GAMMA = {"family": "gamma", "shapes": [1, 1], "scales": [1e-20, 1e308]}
+# Each row's head 0.01**100 is a normal float, their convolution's head
+# 1e-400 is not: the deconvolution's divisor underflows.
+UNDERFLOWING_HEAD_NEGBIN = {"family": "negbin", "shapes": [100, 100], "scales": [0.01, 0.01]}
+# Shapes whose total passes the largest float.
+OVERSIZE_TOTAL_GAMMA = {"family": "gamma", "shapes": [1e308, 1e308], "scales": [1, 1]}
 
 
 @pytest.fixture
@@ -463,6 +468,8 @@ class TestErrorHandling:
             (["verify", "--order", "st"], UNDERFLOWING_RATIO_GAMMA),
             (["verify", "--order", "conv"], UNDERFLOWING_RATIO_GAMMA),
             (["export-survival", "--output", "{out}"], UNDERFLOWING_RATIO_GAMMA),
+            (["verify", "--order", "conv"], UNDERFLOWING_HEAD_NEGBIN),
+            (["verify", "--order", "conv"], OVERSIZE_TOTAL_GAMMA),
         ],
         ids=[
             "verify-size",
@@ -473,6 +480,8 @@ class TestErrorHandling:
             "verify-st-ratio",
             "verify-conv-ratio",
             "export-ratio",
+            "verify-conv-head",
+            "verify-conv-total-shape",
         ],
     )
     def test_lattice_limit_on_any_subcommand(self, command, spec, tmp_path, capsys):
@@ -489,7 +498,7 @@ class TestErrorHandling:
         assert stdout == ""
         assert stderr.startswith("input error: ") and stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("rate", [1e200, 1e-200])
+    @pytest.mark.parametrize("rate", [1e200, 1e-200, 1e308])
     @pytest.mark.parametrize(
         "command",
         [["export-survival", "--output", "{out}"], ["verify", "--order", "st"]],
@@ -497,13 +506,25 @@ class TestErrorHandling:
     )
     def test_rate_squared_past_the_floats_gets_a_grid(self, command, rate, tmp_path, capsys):
         """A rate whose square overflows or underflows still spans a finite
-        grid: its spread is then found without squaring the rate."""
+        grid: its spread is then found without squaring the rate.  The
+        rounding bound, which grows with rate times grid point, is capped at
+        1, so a report stays strict JSON."""
         g = {"family": "gamma", "shapes": [1], "scales": [rate]}
         out = tmp_path / "curve.csv"
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"config1": g, "config2": g} if command[0] == "verify" else g))
-        assert main([command[0], str(path), *(a.format(out=out) for a in command[1:])]) == 0
-        assert capsys.readouterr().err == ""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command[0], str(path), *(a.format(out=out) for a in command[1:])]) == 0
+        assert caught == []
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        if command[0] == "verify":
+
+            def reject(constant):
+                raise ValueError(f"not JSON: {constant}")
+
+            json.loads(stdout, parse_constant=reject)
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,7 +15,6 @@ from stochord.distributions import (
     CdfGrid,
     ConvolutionSpec,
     LatticeLimitError,
-    NegBinParams,
     TruncatedPMF,
     _gamma_mixture_cdf,
     convolve,
@@ -27,10 +26,7 @@ from stochord.distributions import (
     gamma_convolution_cdf,
     gamma_latent,
     nb_convolution,
-    nb_pmf,
-    point_mass,
     shape_mixture_pmf,
-    shifted_nb_pmf,
     spec,
     survival_dominance_check,
 )
@@ -59,13 +55,18 @@ def empirical_cdf(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.searchsorted(samples, points, side="right") / samples.size
 
 
+def nb(alpha: float, p: float, cap: float = DEFAULT_TAIL_CAP, shifted: bool = False):
+    """One negative binomial's lattice, through a one-component spec."""
+    return nb_convolution(spec("negbin", (alpha,), (p,)), cap, shifted=shifted)
+
+
 probs_st = st.floats(0.15, 0.9)
 shapes_st = st.floats(0.2, 3.0)
 
 
 class TestNegBinPmf:
     def test_geometric_closed_form(self):
-        pmf = nb_pmf(NegBinParams(1.0, 0.5))
+        pmf = nb(1.0, 0.5)
         for k in range(10):
             assert pmf.probs[k] == pytest.approx(0.5 ** (k + 1), rel=1e-14)
 
@@ -98,14 +99,14 @@ class TestNegBinPmf:
             ],
         }
         for (a, p), expected in cases.items():
-            pmf = nb_pmf(NegBinParams(a, p))
+            pmf = nb(a, p)
             assert pmf.probs[:6] == pytest.approx(expected, rel=1e-13)
 
     @given(shapes_st, probs_st, st.sampled_from([1e-8, 1e-10, 1e-12]))
     @settings(max_examples=60, deadline=None)
     def test_mass_plus_tail_is_one(self, alpha, p, cap):
         # the tail bound promises at least the missing mass, at most the cap
-        pmf = nb_pmf(NegBinParams(alpha, p), cap)
+        pmf = nb(alpha, p, cap)
         mass = pmf.probs.sum()
         assert pmf.tail_bound <= cap
         assert mass <= 1 + 1e-9
@@ -114,7 +115,7 @@ class TestNegBinPmf:
     @given(shapes_st, probs_st, st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
     @settings(max_examples=60, deadline=None)
     def test_tail_bound_covers_true_tail(self, alpha, p, cap):
-        pmf = nb_pmf(NegBinParams(alpha, p), cap)
+        pmf = nb(alpha, p, cap)
         true_tail = stats.nbinom.sf(pmf.probs.size - 1, alpha, p)
         # relative slack for the rounding of the recurrence and of scipy's
         # betainc: the bound is exact for the geometric case alpha = 1
@@ -155,7 +156,7 @@ class TestNegBinPmf:
     def test_convolution_past_max_lattice_is_a_lattice_limit(self, monkeypatch):
         monkeypatch.setattr(distributions, "MAX_LATTICE", 1000)
         a = TruncatedPMF(0.0, np.full(600, 1 / 600), 0.0)
-        assert convolve(a, point_mass()).probs.size == 600
+        assert convolve(a, TruncatedPMF(0.0, np.ones(1), 0.0)).probs.size == 600
         with pytest.raises(LatticeLimitError, match="1199 points passes 1000"):
             convolve(a, a)
 
@@ -163,7 +164,7 @@ class TestNegBinPmf:
         # the 124 latent shapes keep 12,361 points at success 0.65 and 8,729
         # at 0.75: each within the limit alone, past half of it together
         monkeypatch.setattr(distributions, "MIXTURE_POINTS", 25 * 1000)
-        latent = shifted_nb_pmf(NegBinParams(1.0, 0.2), 1e-12)
+        latent = nb(1.0, 0.2, 1e-12, shifted=True)
         for s in (0.65, 0.75):
             shape_mixture_pmf(latent, s, 1e-12)
         with pytest.raises(LatticeLimitError, match="0.75 keep over 25000 points"):
@@ -213,18 +214,18 @@ class TestNegBinPmf:
         assert successes == [0.5 - 0.49]
 
     def test_shifted_variant_only_moves_offset(self):
-        base = nb_pmf(NegBinParams(1.7, 0.6))
-        shifted = shifted_nb_pmf(NegBinParams(1.7, 0.6))
+        base = nb(1.7, 0.6)
+        shifted = nb(1.7, 0.6, shifted=True)
         assert shifted.offset == 1.7
         assert np.array_equal(base.probs, shifted.probs)
 
     def test_invalid_parameters_rejected(self):
+        with pytest.raises(ValueError, match="shape must be positive, got 0.0"):
+            spec("negbin", (0.0,), (0.5,))
+        with pytest.raises(ValueError, match=r"success probability must be in \(0,1\), got 1.0"):
+            spec("negbin", (1.0,), (1.0,))
         with pytest.raises(ValueError):
-            NegBinParams(0.0, 0.5)
-        with pytest.raises(ValueError):
-            NegBinParams(1.0, 1.0)
-        with pytest.raises(ValueError):
-            nb_pmf(NegBinParams(1.0, 0.5), tail_cap=0.0)
+            nb(1.0, 0.5, 0.0)
 
     def test_pgf_matches_series(self):
         alpha, p = 0.8, 0.4
@@ -233,7 +234,7 @@ class TestNegBinPmf:
             return (p / (1.0 / t - (1.0 - p))) ** alpha
 
         assert pgf(0.5) == pytest.approx(0.3670671877495541, rel=1e-14)
-        pmf = shifted_nb_pmf(NegBinParams(alpha, p), 1e-14)
+        pmf = nb(alpha, p, 1e-14, shifted=True)
         for t in (0.5, 0.7):
             series = t**alpha * float(np.dot(pmf.probs, t ** np.arange(pmf.probs.size)))
             assert series == pytest.approx(pgf(t), abs=1e-12)
@@ -243,23 +244,23 @@ class TestConvolution:
     def test_infinite_divisibility(self):
         a1, a2, p = 1.1, 0.6, 0.45
         left = convolve(
-            nb_pmf(NegBinParams(a1, p), 1e-13), nb_pmf(NegBinParams(a2, p), 1e-13)
+            nb(a1, p, 1e-13), nb(a2, p, 1e-13)
         )
-        right = nb_pmf(NegBinParams(a1 + a2, p), 1e-13)
+        right = nb(a1 + a2, p, 1e-13)
         n = min(left.probs.size, right.probs.size)
         assert np.max(np.abs(left.probs[:n] - right.probs[:n])) < 1e-12
 
     def test_point_mass_is_identity(self):
-        pmf = nb_pmf(NegBinParams(1.3, 0.5))
-        out = convolve(pmf, point_mass(2.5))
+        pmf = nb(1.3, 0.5)
+        out = convolve(pmf, TruncatedPMF(2.5, np.ones(1), 0.0))
         assert out.offset == 2.5
         assert np.allclose(out.probs, pmf.probs)
 
     @given(shapes_st, shapes_st, probs_st)
     @settings(max_examples=30, deadline=None)
     def test_offsets_and_tails_add(self, a1, a2, p):
-        f1 = shifted_nb_pmf(NegBinParams(a1, p))
-        f2 = shifted_nb_pmf(NegBinParams(a2, p))
+        f1 = nb(a1, p, shifted=True)
+        f2 = nb(a2, p, shifted=True)
         out = convolve(f1, f2)
         assert out.offset == pytest.approx(a1 + a2)
         assert out.tail_bound == pytest.approx(f1.tail_bound + f2.tail_bound)
@@ -336,16 +337,16 @@ class TestDeconvolve:
         assert verdict.detail["min_coeff"] == pytest.approx(-9.66e-10, rel=1e-3)
 
     def test_bound_computed_only_when_read(self):
-        f1 = nb_pmf(NegBinParams(1.2, 0.45))
-        f2 = convolve(f1, nb_pmf(NegBinParams(0.8, 0.45)))
+        f1 = nb(1.2, 0.45)
+        f2 = convolve(f1, nb(0.8, 0.45))
         result, verdict = deconvolve(f2, f1)
         assert verdict.status is Status.HOLDS
         assert "error_bounds" not in vars(result)
         assert _deconvolution_digest((result, verdict)) == DECONVOLVE_DIGESTS["bound_when_read"]
 
     def test_refuted_reads_bound(self):
-        small = nb_pmf(NegBinParams(1.0, 0.7), 1e-13)
-        large = nb_pmf(NegBinParams(1.0, 0.4), 1e-13)
+        small = nb(1.0, 0.7, 1e-13)
+        large = nb(1.0, 0.4, 1e-13)
         result, verdict = deconvolve(small, large)
         assert _deconvolution_digest((result, verdict)) == DECONVOLVE_DIGESTS["refuted"]
         assert verdict.status is Status.REFUTED
@@ -354,7 +355,7 @@ class TestDeconvolve:
     def test_sum_outside_certified_range_reads_bound(self):
         # a point-mass divisor returns f2 itself, whose mass exceeds 1 by far
         # more than the rounding bound
-        f1 = point_mass()
+        f1 = TruncatedPMF(0.0, np.ones(1), 0.0)
         f2 = TruncatedPMF(0.0, np.array([0.5, 0.5 + 5e-10]), 0.0)
         result, verdict = deconvolve(f2, f1, tol=0.0)
         assert _deconvolution_digest((result, verdict)) == DECONVOLVE_DIGESTS["sum_outside"]
@@ -373,8 +374,8 @@ class TestDeconvolve:
 
     def test_recovers_known_factor(self):
         p = 0.45
-        f1 = nb_pmf(NegBinParams(1.2, p), 1e-13)
-        f2 = nb_pmf(NegBinParams(2.0, p), 1e-13)
+        f1 = nb(1.2, p, 1e-13)
+        f2 = nb(2.0, p, 1e-13)
         combined = convolve(f1, f2)
         result, verdict = deconvolve(combined, f1)
         assert verdict.status is Status.HOLDS
@@ -382,7 +383,7 @@ class TestDeconvolve:
         assert np.max(np.abs(result.coeffs[:n] - f2.probs[:n])) < 1e-10
 
     def test_self_deconvolution_is_point_mass(self):
-        f = nb_pmf(NegBinParams(1.5, 0.5), 1e-13)
+        f = nb(1.5, 0.5, 1e-13)
         result, verdict = deconvolve(f, f)
         assert verdict.status is Status.HOLDS
         assert result.coeffs[0] == pytest.approx(1.0, abs=1e-9)
@@ -390,8 +391,8 @@ class TestDeconvolve:
     def test_reversed_order_refuted(self):
         # the larger-success variable is the smaller one; dividing the other
         # way produces certifiably negative coefficients
-        small = nb_pmf(NegBinParams(1.0, 0.7), 1e-13)
-        large = nb_pmf(NegBinParams(1.0, 0.4), 1e-13)
+        small = nb(1.0, 0.7, 1e-13)
+        large = nb(1.0, 0.4, 1e-13)
         _, verdict = deconvolve(small, large)
         assert verdict.status is Status.REFUTED
         assert verdict.violation["coeff"] < 0
@@ -409,8 +410,8 @@ class TestDeconvolve:
         assert record["coeff"] + record["error_bound"] >= 0
 
     def test_offset_ordering_enforced(self):
-        f1 = shifted_nb_pmf(NegBinParams(2.0, 0.5))
-        f2 = shifted_nb_pmf(NegBinParams(1.0, 0.5))
+        f1 = nb(2.0, 0.5, shifted=True)
+        f2 = nb(1.0, 0.5, shifted=True)
         with pytest.raises(ValueError):
             deconvolve(f2, f1)
 
@@ -451,7 +452,7 @@ def _mixture_digest(cases) -> str:
     h = hashlib.sha256()
     grid = np.linspace(1e-9, 30.0, 32)
     for alpha, p1, p2, c0, lam1, lam2, cap in cases:
-        latent = shifted_nb_pmf(NegBinParams(alpha, p1), cap)
+        latent = nb(alpha, p1, cap, shifted=True)
         p = (c0**2 - lam1**2) / (c0**2 - lam2**2)
         _feed(
             h,
@@ -506,7 +507,7 @@ class TestBatchedKernelMatchesPerAtomLoop:
     def test_one_row_bitwise(self):
         h = hashlib.sha256()
         for alpha, p, cap in _one_row_cases():
-            _feed(h, nb_pmf(NegBinParams(alpha, p), cap))
+            _feed(h, nb(alpha, p, cap))
         assert h.hexdigest() == ONE_ROW_DIGEST
 
     @pytest.mark.parametrize("max_lattice", [MAX_LATTICE, 1000])
@@ -608,9 +609,9 @@ class TestPinnedKernelOutputs:
 class TestMixtures:
     def test_shape_mixture_collapses_to_product_success(self):
         alpha, p1, p2 = 1.0, 0.5, 0.4
-        latent = shifted_nb_pmf(NegBinParams(alpha, p1), 1e-13)
+        latent = nb(alpha, p1, 1e-13, shifted=True)
         mix = shape_mixture_pmf(latent, p2, 1e-13)
-        direct = shifted_nb_pmf(NegBinParams(alpha, p1 * p2), 1e-13)
+        direct = nb(alpha, p1 * p2, 1e-13, shifted=True)
         n = min(mix.probs.size, direct.probs.size)
         assert np.max(np.abs(mix.probs[:n] - direct.probs[:n])) < 1e-10
 
@@ -746,12 +747,12 @@ class TestGammaMixtureKernel:
 
 class TestOrderOracles:
     def test_survival_dominance_identical_holds(self):
-        f = nb_pmf(NegBinParams(1.5, 0.5))
+        f = nb(1.5, 0.5)
         assert survival_dominance_check(f, f).status is Status.HOLDS
 
     def test_survival_dominance_refutes_reversal(self):
-        small = nb_pmf(NegBinParams(1.0, 0.7))
-        large = nb_pmf(NegBinParams(1.0, 0.4))
+        small = nb(1.0, 0.7)
+        large = nb(1.0, 0.4)
         assert survival_dominance_check(small, large).status is Status.HOLDS
         v = survival_dominance_check(large, small)
         assert v.status is Status.REFUTED
@@ -771,6 +772,26 @@ class TestOrderOracles:
         b = CdfGrid(np.array([1.0, 3.0]), np.array([0.3, 0.6]), np.zeros(2))
         with pytest.raises(ValueError):
             survival_dominance_check(a, b)
+
+    def test_mismatched_offsets_rejected(self):
+        a = TruncatedPMF(0.0, np.array([0.5, 0.5]), 0.0)
+        with pytest.raises(ValueError, match="lattices must share their offset"):
+            survival_dominance_check(a, TruncatedPMF(1.0, a.probs, 0.0))
+
+    @pytest.mark.parametrize("offset", [0.0, 1.1])
+    def test_last_point_compared_at_any_offset(self, offset):
+        # 1e-6 of mass moved from the next-to-last point to the last: the
+        # survival at the last point, offset + 65,535, exceeds the original's
+        base = np.full(65536, 1 / 65536)
+        moved = base.copy()
+        moved[-2] -= 1e-6
+        moved[-1] += 1e-6
+        v = survival_dominance_check(
+            TruncatedPMF(offset, moved, 0.0), TruncatedPMF(offset, base, 0.0)
+        )
+        assert v.status is Status.REFUTED
+        assert v.violation["t"] == offset + 65535
+        assert v.violation["excess"] == pytest.approx(1e-6, rel=1e-9)
 
 
 class TestMonteCarlo:

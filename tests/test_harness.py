@@ -10,10 +10,9 @@ from stochord import harness
 from stochord.arrangement import pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
-    NegBinParams,
     default_gamma_grid,
+    nb_convolution,
     shape_mixture_pmf,
-    shifted_nb_pmf,
     spec,
     survival_dominance_check,
 )
@@ -409,7 +408,9 @@ class TestMixtureLemma:
             p2 = float(rng.uniform(0.3, 0.8))
             p1 = p2 + float(rng.uniform(0.02, 0.95 - p2 - 0.02))
             y1, y2 = (
-                shape_mixture_pmf(shifted_nb_pmf(NegBinParams(alpha, p)), p_mix)
+                shape_mixture_pmf(
+                    nb_convolution(spec("negbin", (alpha,), (p,)), shifted=True), p_mix
+                )
                 for p in (p1, p2)
             )
             assert survival_dominance_check(y1, y2).status is Status.HOLDS, seed
