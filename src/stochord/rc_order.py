@@ -269,13 +269,13 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
 
     Builds toward ``p2``'s exactly sorted representative and refuses a target
     that :func:`is_opposite_ordered` rejects, the construction's only
-    tolerance.  Assumes ``p1`` passes :func:`check_necessary` against ``p2``,
-    which :func:`decide_wrc` runs one step earlier, and does not run it
-    again: strict mode needs full majorization on both vectors, weak mode the
-    weak variants.  Every pair that fails it still raises
-    :class:`ChainConstructionError`, because the transfer chains' own
-    majorization checks fail on it (a raise of x only grows its top sums, and
-    the inflated y target only its largest component).  The chain raises x /
+    tolerance.  Refuses a ``p1`` that fails :func:`check_necessary` against
+    ``p2``: strict mode needs full majorization on both vectors, weak mode
+    the weak variants.  The transfer chains' own majorization checks refuse
+    such a pair in exact arithmetic, but not at the edge of their
+    tolerances: a weak y whose total falls short of the target's within
+    tolerance passes their full check and can fail a prefix of the weak one
+    by the two slacks added.  The chain raises x /
     lowers y to equalize totals (weak mode), sorts y decreasing exactly by
     swaps, then walks transfer chains on y and on x, each on exactly sorted
     vectors; opposite sortedness keeps every coupled move legal.  In floats a
@@ -291,6 +291,8 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     rep2 = _opposite_representative(p2)
     if not check_pair_equal_a(rep2, p2):  # is_opposite_ordered(p2), rep2 built once
         raise ChainConstructionError("target pair is not opposite ordered")
+    if not check_necessary(p1, p2, mode)[0]:
+        raise ChainConstructionError("start fails the necessary check")
     x2s, y2s = rep2.x, rep2.y
 
     rep1 = canonical_form(p1)
