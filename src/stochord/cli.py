@@ -15,25 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
-import numpy as np
-
 from stochord.arrangement import check_pair_equal_a
-from stochord.distributions import (
-    DEFAULT_TAIL_CAP,
-    MAX_LATTICE,
-    ConvolutionSpec,
-    LatticeLimitError,
-    coupled_gamma_pair_cdf,
-    coupled_pair_mixture_pmf,
-    default_gamma_grid,
-    export_curve_csv,
-    gamma_convolution_cdf,
-    nb_convolution,
-    shape_mixture_pmf,
-    spec,
-)
 from stochord.harness import (
     MATRIX,
     Scenario,
@@ -50,6 +35,13 @@ from stochord.rc_order import (
     chain_to_json,
     decide_wrc,
     verify_rc_chain,
+)
+from stochord.specs import (
+    DEFAULT_TAIL_CAP,
+    MAX_LATTICE,
+    ConvolutionSpec,
+    LatticeLimitError,
+    spec,
 )
 from stochord.verdicts import Status
 
@@ -100,10 +92,10 @@ _PROBABILITY = (lambda v: 0 < v < 1, "in (0,1)")
 _SCALE = (lambda v: SCALE_LO <= v <= SCALE_HI, f"in [{SCALE_LO:g}, {SCALE_HI:g}]")
 _RANGES = {
     "tail_cap": _PROBABILITY,
-    "tol": (lambda v: 0 <= v < np.inf, "nonnegative and finite"),
+    "tol": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
     "budget": (lambda v: v >= 1, "at least 1"),
     "grid_size": (lambda v: 1 <= v <= MAX_LATTICE, f"in [1, {MAX_LATTICE}]"),
-    "alpha": (lambda v: 0 < v < np.inf, "positive and finite"),
+    "alpha": (lambda v: 0 < v < math.inf, "positive and finite"),
     "p1": _PROBABILITY,
     "p2": _PROBABILITY,
     "c0": _SCALE,
@@ -129,6 +121,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_spec(data, label) -> ConvolutionSpec:
@@ -217,6 +211,9 @@ def _check_coupled_pair(args) -> float:
 
 
 def _nb_mixture(args) -> float:
+    # the numeric layer, and numpy with it, loads where a lattice is built
+    from stochord.distributions import nb_convolution, shape_mixture_pmf
+
     alpha, cap = args.alpha, args.tail_cap
     latent = nb_convolution(spec("negbin", (alpha,), (args.p1,)), cap, shifted=True)
     lhs = shape_mixture_pmf(latent, args.p2, cap)
@@ -225,6 +222,8 @@ def _nb_mixture(args) -> float:
 
 
 def _nb_pair(args) -> float:
+    from stochord.distributions import coupled_pair_mixture_pmf, nb_convolution
+
     p = _check_coupled_pair(args)
     c0, lam1, lam2, cap = args.c0, args.lam1, args.lam2, args.tail_cap
     if not c0 + lam1 < 1:
@@ -236,7 +235,10 @@ def _nb_pair(args) -> float:
 
 
 def _gamma_single(args) -> float:
+    import numpy as np
     from scipy import special  # loaded on first use, as in the gamma kernel
+
+    from stochord.distributions import default_gamma_grid, gamma_convolution_cdf
 
     beta_big = 2.0 * args.beta
     if args.common_beta is not None:
@@ -251,6 +253,14 @@ def _gamma_single(args) -> float:
 
 
 def _gamma_pair(args) -> float:
+    import numpy as np
+
+    from stochord.distributions import (
+        coupled_gamma_pair_cdf,
+        default_gamma_grid,
+        gamma_convolution_cdf,
+    )
+
     p = _check_coupled_pair(args)
     c0, lam1, lam2, cap = args.c0, args.lam1, args.lam2, args.tail_cap
     direct = spec("gamma", (args.alpha, args.alpha), (c0 + lam1, c0 - lam1))
@@ -269,6 +279,8 @@ _IDENTITIES = {
 
 
 def _pmf_residual(a, b) -> float:
+    import numpy as np
+
     if abs(a.offset - b.offset) > 1e-9:
         raise RuntimeError("identity operands ended up on different lattices")
     n = max(a.probs.size, b.probs.size)
@@ -345,6 +357,15 @@ def _cmd_harness(args) -> int:
 
 
 def _cmd_export_survival(args) -> int:
+    import numpy as np
+
+    from stochord.distributions import (
+        default_gamma_grid,
+        export_curve_csv,
+        gamma_convolution_cdf,
+        nb_convolution,
+    )
+
     data = _load_json(args.spec_file)
     s = _load_spec(data, args.spec_file)
     if s.family == "negbin":

@@ -15,20 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from stochord.arrangement import pair
-from stochord.distributions import (
-    DEFAULT_TAIL_CAP,
-    ConvolutionSpec,
-    deconvolve,
-    default_gamma_grid,
-    gamma_convolution_cdf,
-    gamma_latent,
-    nb_convolution,
-    spec,
-    survival_dominance_check,
-)
 from stochord.rc_order import (
     DEFAULT_SEARCH_BUDGET,
     RcMode,
@@ -36,6 +23,7 @@ from stochord.rc_order import (
     decide_wrc,
     verify_rc_chain,
 )
+from stochord.specs import DEFAULT_TAIL_CAP, ConvolutionSpec, spec
 from stochord.verdicts import OrderVerdict, Status
 
 
@@ -120,7 +108,9 @@ class Scenario:
             raise ValueError(f"{self.name.value} needs n in {lo}..6, got {self.n}")
 
 
-def _rng(s: Scenario) -> np.random.Generator:
+def _rng(s: Scenario):
+    import numpy as np  # loaded where a scenario is built, not at import
+
     return np.random.default_rng([s.seed, _NAME_INDEX[s.name]])
 
 
@@ -134,6 +124,8 @@ def _shapes(rng, n):
 
 
 def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
+    import numpy as np
+
     rng = _rng(s)
     name, fam, n = s.name, s.family, s.n
 
@@ -274,6 +266,8 @@ def generate_instance(s: Scenario) -> tuple[ConvolutionSpec, ConvolutionSpec]:
 def _rc_built_instance(rng, fam, n) -> tuple[ConvolutionSpec, ConvolutionSpec]:
     """Random pair built by applying elementary moves forward from spec1, so
     the order holds by construction."""
+    import numpy as np
+
     shapes = np.sort(_shapes(rng, n))
     sc = np.sort(_scales(rng, n, fam))[::-1].copy()  # opposite ordered start
     s1 = spec(fam, shapes, sc)
@@ -301,6 +295,8 @@ def _rc_built_instance(rng, fam, n) -> tuple[ConvolutionSpec, ConvolutionSpec]:
 def _opposite_weak_instance(rng, fam, n, log_scale):
     """spec2 with shapes increasing and scales decreasing; spec1 weakly
     majorized below on shapes and above on (log) scales."""
+    import numpy as np
+
     a2 = np.sort(_shapes(rng, n))
     sc2 = np.sort(_scales(rng, n, fam))[::-1].copy()
     # shapes: Robin Hood transfers toward equality, then shrink a little
@@ -398,6 +394,13 @@ def _laws(specs: frozenset, order: Optional[str], tail_cap: float) -> dict:
     CDFs on the pair's :func:`default_gamma_grid`, which sorts its points
     (``"st"``); for a negbin pair, its lattices, which both orders share
     (``None``).  The arrays are read-only: every equal key shares them."""
+    from stochord.distributions import (
+        default_gamma_grid,
+        gamma_convolution_cdf,
+        gamma_latent,
+        nb_convolution,
+    )
+
     if order == "conv":
         beta = max(max(s.scales) for s in specs)
         latents = {s: gamma_latent(s, tail_cap, beta)[0] for s in specs}
@@ -439,6 +442,8 @@ def numeric_conv_check(
     exact totals' order, and ``r1 > r2 + tol`` refutes exactly: a gamma
     convolution's Laplace transform falls like ``s^-r``, so ``L_Y / L_X``
     grows like ``s^(r1 - r2)``, and that of a law on ``[0, inf)`` is at most 1."""
+    from stochord.distributions import deconvolve
+
     f1, f2 = _pair_laws(s1, s2, "conv", tail_cap)
     r1, r2 = f1.offset, f2.offset  # 0 on negbin lattices
     if r1 > r2 + tol:
@@ -457,6 +462,8 @@ def numeric_st_check(
     tol: float = 1e-9,
 ) -> OrderVerdict:
     """Usual-stochastic-order certificate via survival dominance."""
+    from stochord.distributions import survival_dominance_check
+
     return survival_dominance_check(*_pair_laws(s1, s2, "st", tail_cap), tol)
 
 

@@ -53,10 +53,14 @@ def as_vector(components) -> Vector:
 def json_vector(components) -> Vector:
     """:func:`as_vector` of a vector read from a JSON file, which must be an
     array of numbers: a string or a boolean in place of a number, or in place
-    of the array, is a malformed file."""
+    of the array, is a malformed file, and so is an integer past the largest
+    float."""
     if type(components) is not list or any(type(c) not in (int, float) for c in components):
         raise ValueError(f"vector must be a JSON array of numbers, got {components!r}")
-    return as_vector(components)
+    try:
+        return as_vector(components)
+    except OverflowError as exc:  # an integer past the largest float
+        raise ValueError(f"vector components must be finite: {exc}") from exc
 
 
 def sort_components(v: Vector, direction: str = "inc") -> Vector:

@@ -288,11 +288,17 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     """
     if p1.n != p2.n:
         raise ChainConstructionError("length mismatch")
+    if not check_necessary(p1, p2, mode)[0]:
+        raise ChainConstructionError("start fails the necessary check")
+    return _construct_opposite(p1, p2, mode)
+
+
+def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
+    """:func:`construct_chain_opposite` for a ``p1`` that has passed
+    :func:`check_necessary` against ``p2``, as in :func:`decide_wrc`."""
     rep2 = _opposite_representative(p2)
     if not check_pair_equal_a(rep2, p2):  # is_opposite_ordered(p2), rep2 built once
         raise ChainConstructionError("target pair is not opposite ordered")
-    if not check_necessary(p1, p2, mode)[0]:
-        raise ChainConstructionError("start fails the necessary check")
     x2s, y2s = rep2.x, rep2.y
 
     rep1 = canonical_form(p1)
@@ -657,7 +663,7 @@ def decide_wrc(
         )
 
     try:
-        chain = construct_chain_opposite(p1, p2, mode)
+        chain = _construct_opposite(p1, p2, mode)  # p1 passed the necessary check
     except ChainConstructionError:
         pass  # a target not opposite ordered, and every refusal, falls through
     else:

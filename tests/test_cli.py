@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochord import cli
+from stochord import cli, distributions
 from stochord.cli import EX_CANTCREAT, EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from stochord.harness import MATRIX
 
@@ -32,6 +32,8 @@ UNDERFLOWING_RATIO_GAMMA = {"family": "gamma", "shapes": [1, 1], "scales": [1e-2
 UNDERFLOWING_HEAD_NEGBIN = {"family": "negbin", "shapes": [100, 100], "scales": [0.01, 0.01]}
 # Shapes whose total passes the largest float.
 OVERSIZE_TOTAL_GAMMA = {"family": "gamma", "shapes": [1e308, 1e308], "scales": [1, 1]}
+# A JSON integer past the largest float, which no float can hold.
+PAST_FLOATS = "1" + "0" * 400
 
 
 @pytest.fixture
@@ -354,8 +356,10 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "shapes, scales",
         [("[true, 0.5]", "[2, 3]"), ('["1", 0.5]', "[2, 3]"), ('"12"', "[2, 3]"),
-         ("[1, 0.5]", '["2", 3]')],
-        ids=["boolean", "string-shape", "string-array", "string-scale"],
+         ("[1, 0.5]", '["2", 3]'), (f"[{PAST_FLOATS}, 0.5]", "[2, 3]"),
+         ("[1, 0.5]", f"[2, {PAST_FLOATS}]")],
+        ids=["boolean", "string-shape", "string-array", "string-scale",
+             "integer-shape-past-floats", "integer-scale-past-floats"],
     )
     def test_spec_numbers_must_be_json_numbers(self, shapes, scales, tmp_path, capsys):
         # each would read as a valid spec if its strings and booleans were numbers
@@ -365,6 +369,32 @@ class TestErrorHandling:
         path.write_text(f'{{"config1": {config1}, "config2": {config2}}}')
         assert main(["check-order", str(path)]) == EX_DATAERR
         assert capsys.readouterr().err.startswith("input error: malformed spec config1: ")
+
+    @pytest.mark.parametrize(
+        "command, number",
+        [
+            (["verify", "--order", "conv"], PAST_FLOATS),
+            (["verify", "--order", "st"], PAST_FLOATS),
+            (["export-survival", "--output", "{out}"], PAST_FLOATS),
+            (["check-order"], "1" * 5000),
+        ],
+        ids=["verify-conv", "verify-st", "export-survival", "check-order-digit-limit"],
+    )
+    def test_integer_past_the_floats_is_malformed(self, command, number, tmp_path, capsys):
+        """A spec number no float holds is the file's fault on every
+        subcommand that reads a spec: past the largest float, or past the
+        digits Python converts to an integer at all."""
+        out = tmp_path / "curve.csv"
+        path = tmp_path / "input.json"
+        config = f'{{"family": "gamma", "shapes": [{number}], "scales": [2]}}'
+        if command[0] != "export-survival":
+            config = f'{{"config1": {config}, "config2": {config}}}'
+        path.write_text(config)
+        argv = [command[0], str(path), *(a.format(out=out) for a in command[1:])]
+        assert main(argv) == EX_DATAERR
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert stderr.startswith("input error: ") and stderr.count("\n") == 1
 
     def test_missing_witness_file(self, pair_file):
         argv = ["check-order", pair_file, "--verify-witness", "/nonexistent/w.json"]
@@ -394,6 +424,7 @@ class TestErrorHandling:
             chain % (first % "[true, 0.6, 0.5]", "0"),
             chain % (first % '["0.4", 0.6, 0.5]', "0"),
             chain % ('{"x": [], "y": []}', "0"),
+            chain % (first % f"[{PAST_FLOATS}, 0.6, 0.5]", "0"),
         ):
             witness.write_text(text)
             assert main(argv) == EX_DATAERR, text
@@ -567,7 +598,7 @@ class TestErrorHandling:
 
         monkeypatch.setattr(cli, "run_scenario", fault)
         assert main(["harness", "--seeds", "0..0", "--scenario", "RaiseAlpha"]) == EX_SOFTWARE
-        monkeypatch.setattr(cli, "shape_mixture_pmf", fault)
+        monkeypatch.setattr(distributions, "shape_mixture_pmf", fault)
         assert main(["identity", "--prop", "nb-mixture"]) == EX_SOFTWARE
         assert "internal error" in capsys.readouterr().err
 
@@ -639,3 +670,67 @@ print(json.dumps(result))
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert json.loads(out) == [[0, False], [0, False], [0, False], [0, True]]
+
+
+def _numpy_after(runs) -> list:
+    """In one fresh interpreter: whether numpy is loaded after importing the
+    harness and the CLI, then the exit code of each of ``runs`` in turn with
+    whether numpy is loaded after it."""
+    code = f"""
+import contextlib, io, json, sys
+import stochord.harness, stochord.cli
+result = ["numpy" in sys.modules]
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        result.append([stochord.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(result))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(out)
+
+
+class TestNumpyImport:
+    """numpy loads where a lattice, a grid or a scenario is built, so the
+    parameter order is decided without it."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        nb_pair = {
+            "config1": {"family": "negbin", "shapes": [0.5, 1.2, 1.2], "scales": [0.7, 0.6, 0.5]},
+            "config2": {"family": "negbin", "shapes": [0.6, 1.0, 1.5], "scales": [0.8, 0.6, 0.3]},
+        }
+        gamma, nb, nb_spec = tmp_path / "gamma.json", tmp_path / "nb.json", tmp_path / "s.json"
+        gamma.write_text(json.dumps(WORKED_PAIR))
+        nb.write_text(json.dumps(nb_pair))
+        nb_spec.write_text(json.dumps(nb_pair["config1"]))
+        return str(gamma), str(nb), str(nb_spec), str(tmp_path / "curve.csv")
+
+    def test_parameter_commands_do_not_load_numpy(self, paths):
+        gamma, nb, _, _ = paths
+        runs = [
+            ["check-order", gamma],
+            ["check-order", nb],
+            ["check-order", gamma, "--budget", "0"],
+            ["--help"],
+        ]
+        assert _numpy_after(runs) == [False, [0, False], [0, False], [EX_DATAERR, False], [0, False]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{gamma}", "--order", "conv"],
+            ["verify", "{nb}", "--order", "st"],
+            ["identity", "--prop", "nb-mixture"],
+            ["export-survival", "{spec}", "--output", "{out}"],
+        ],
+        ids=["verify-conv", "verify-st", "identity", "export-survival"],
+    )
+    def test_numeric_commands_load_numpy(self, argv, paths):
+        gamma, nb, spec, out = paths
+        argv = [a.format(gamma=gamma, nb=nb, spec=spec, out=out) for a in argv]
+        assert _numpy_after([argv]) == [False, [0, True]]

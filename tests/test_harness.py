@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stochord import harness
+from stochord import distributions, harness
 from stochord.arrangement import pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
@@ -243,13 +243,13 @@ class TestNumericChecks:
 
     def test_reversed_gamma_st_check_builds_no_grid(self, monkeypatch):
         built = []
-        real = harness.default_gamma_grid
+        real = distributions.default_gamma_grid
 
         def spy(specs):
             built.append(list(specs))
             return real(specs)
 
-        monkeypatch.setattr(harness, "default_gamma_grid", spy)
+        monkeypatch.setattr(distributions, "default_gamma_grid", spy)
         s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, "gamma", 4, 5))
         harness._laws.cache_clear()
         assert numeric_st_check(s1, s2).holds and numeric_st_check(s2, s1).refuted
@@ -328,18 +328,25 @@ class TestNumericChecks:
 
 
 def spy_builders(monkeypatch) -> list:
-    """The specs that the memo's law builders are called with."""
+    """The specs that the memo's law builders are called with; a builder
+    called inside another (a gamma CDF's latent) is not counted."""
     built = []
+    depth = [0]
 
     def spy(build):
         def counted(s, *args):
-            built.append(s)
-            return build(s, *args)
+            if not depth[0]:
+                built.append(s)
+            depth[0] += 1
+            try:
+                return build(s, *args)
+            finally:
+                depth[0] -= 1
 
         return counted
 
     for name in ("nb_convolution", "gamma_convolution_cdf", "gamma_latent"):
-        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+        monkeypatch.setattr(distributions, name, spy(getattr(distributions, name)))
     return built
 
 
