@@ -16,6 +16,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from stochord.arrangement import pair
+from stochord.exact import levy_terms
 from stochord.rc_order import (
     DEFAULT_SEARCH_BUDGET,
     RcMode,
@@ -430,7 +431,12 @@ def numeric_conv_check(
     tail_cap: float = DEFAULT_TAIL_CAP,
     tol: float = 1e-9,
 ) -> OrderVerdict:
-    """Convolution-order certificate by exact deconvolution of lattices.
+    """Convolution-order certificate: from the Lévy measure, or by exact
+    deconvolution of lattices.
+
+    A negative binomial pair that :func:`levy_terms` certifies is ``holds``
+    with ``{"certified": "levy", "terms": K}`` and builds no lattice; every
+    other pair, gamma pairs included, is deconvolved as below.
 
     A gamma convolution is a gamma of rate ``beta``, the pair's largest rate,
     whose shape is drawn from its latent (:func:`gamma_latent`): latents with
@@ -442,6 +448,10 @@ def numeric_conv_check(
     exact totals' order, and ``r1 > r2 + tol`` refutes exactly: a gamma
     convolution's Laplace transform falls like ``s^-r``, so ``L_Y / L_X``
     grows like ``s^(r1 - r2)``, and that of a law on ``[0, inf)`` is at most 1."""
+    if s1.family == s2.family == "negbin":
+        terms = levy_terms(s1, s2)
+        if terms is not None:
+            return OrderVerdict(Status.HOLDS, detail={"certified": "levy", "terms": terms})
     from stochord.distributions import deconvolve
 
     f1, f2 = _pair_laws(s1, s2, "conv", tail_cap)

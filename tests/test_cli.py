@@ -36,6 +36,14 @@ OVERSIZE_TOTAL_GAMMA = {"family": "gamma", "shapes": [1e308, 1e308], "scales": [
 PAST_FLOATS = "1" + "0" * 400
 
 
+def raised_pair(spec: dict) -> dict:
+    """``spec`` against itself with its first success probability raised:
+    the pair's top net atom is ``spec``'s, and negative, so the convolution
+    check builds the lattices instead of certifying the pair."""
+    raised = {**spec, "scales": [spec["scales"][0] + 0.01, *spec["scales"][1:]]}
+    return {"config1": spec, "config2": raised}
+
+
 @pytest.fixture
 def pair_file(tmp_path):
     path = tmp_path / "pair.json"
@@ -245,12 +253,12 @@ class TestHarnessCommand:
         assert captured.err.count("agreed 1/1, unknown 0") == len(MATRIX)
 
     def test_numeric_unknown_is_not_a_disagreement(self, capsys):
-        argv = ["harness", "--scenario", "RaiseAlpha", "--seeds", "0..4", "--tail-cap", "1e-6"]
+        argv = ["harness", "--scenario", "GammaConv", "--seeds", "0..4", "--tail-cap", "1e-6"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         statuses = {json.loads(line)["numeric_status"] for line in captured.out.splitlines()}
         assert statuses == {"unknown"}
-        assert captured.err == "RaiseAlpha negbin n=3 order=conv: agreed 5/5, unknown 5\n"
+        assert captured.err == "GammaConv gamma n=3 order=conv: agreed 5/5, unknown 5\n"
 
     def test_scenario_takes_its_matrix_order(self, capsys):
         argv = ["harness", "--scenario", "LogMajorizeBetaSt", "--seeds", "0..0"]
@@ -492,14 +500,14 @@ class TestErrorHandling:
         "command, spec",
         [
             (["verify", "--order", "st"], OVERSIZE_GAMMA),
-            (["verify", "--order", "conv"], UNDERFLOWING_NEGBIN),
+            (["verify", "--order", "conv"], raised_pair(UNDERFLOWING_NEGBIN)),
             (["export-survival", "--output", "{out}"], OVERSIZE_NEGBIN),
             (["export-survival", "--output", "{out}"], UNDERFLOWING_NEGBIN),
             (["export-survival", "--output", "{out}"], SUBNORMAL_RATE_GAMMA),
             (["verify", "--order", "st"], UNDERFLOWING_RATIO_GAMMA),
             (["verify", "--order", "conv"], UNDERFLOWING_RATIO_GAMMA),
             (["export-survival", "--output", "{out}"], UNDERFLOWING_RATIO_GAMMA),
-            (["verify", "--order", "conv"], UNDERFLOWING_HEAD_NEGBIN),
+            (["verify", "--order", "conv"], raised_pair(UNDERFLOWING_HEAD_NEGBIN)),
             (["verify", "--order", "conv"], OVERSIZE_TOTAL_GAMMA),
         ],
         ids=[
@@ -518,8 +526,9 @@ class TestErrorHandling:
     def test_lattice_limit_on_any_subcommand(self, command, spec, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         path = tmp_path / "input.json"
-        data = {"config1": spec, "config2": spec} if command[0] == "verify" else spec
-        path.write_text(json.dumps(data))
+        if command[0] == "verify" and "config1" not in spec:
+            spec = {"config1": spec, "config2": spec}
+        path.write_text(json.dumps(spec))
         argv = [command[0], str(path), *(a.format(out=out) for a in command[1:])]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -719,6 +728,12 @@ class TestNumpyImport:
             ["--help"],
         ]
         assert _numpy_after(runs) == [False, [0, False], [0, False], [EX_DATAERR, False], [0, False]]
+
+    def test_certified_negbin_conv_order_loads_no_numpy(self, paths):
+        """The Lévy certificate decides this pair (its top net atom dominates
+        from the first term), so no lattice is built."""
+        _, nb, _, _ = paths
+        assert _numpy_after([["verify", nb, "--order", "conv"]]) == [False, [0, False]]
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochord import distributions, harness
 from stochord.arrangement import pair
@@ -16,6 +19,7 @@ from stochord.distributions import (
     spec,
     survival_dominance_check,
 )
+from stochord.exact import levy_terms
 from stochord.harness import (
     MATRIX,
     Scenario,
@@ -325,6 +329,167 @@ class TestNumericChecks:
             v = numeric_conv_check(a, b, tol=tol)
             assert v.holds and v.detail["sufficient_only"]
             assert v.detail["total_shapes"] == [math.fsum(shapes)] * 2
+
+
+# conv-sweep's MajorizeBeta n = 6 pair at seed 7: a k = 1 tie (S_1 = 0
+# exactly) whose lattice deconvolution leaves it unknown
+TIE_SHAPES = (2.251887981974863,) * 6
+TIE_PADDING = (0.28443082756008337, 0.29372752963317, 0.38208353923975524, 0.26269509006847536)
+TIE_PAIR = (
+    spec("negbin", TIE_SHAPES, (0.5327530812913973, 0.4262196727844332) + TIE_PADDING),
+    spec("negbin", TIE_SHAPES, (0.5433086776247692, 0.4156640764510613) + TIE_PADDING),
+)
+# the CLI's opposite-ordered lift pair; its top atom dominates from k = 1
+LIFT_PAIR = (
+    spec("negbin", (0.5, 1.2, 1.2), (0.7, 0.6, 0.5)),
+    spec("negbin", (0.6, 1.0, 1.5), (0.8, 0.6, 0.3)),
+)
+
+
+def lattice_conv_check(s1, s2):
+    """``numeric_conv_check`` with the Lévy certificate switched off."""
+    with mock.patch.object(harness, "levy_terms", lambda *specs: None):
+        return numeric_conv_check(s1, s2)
+
+
+def exact_levy_sums(s1, s2, k_max: int) -> list:
+    """Oracle: ``S_k = Σ_Y a q^k − Σ_X a q^k``, ``q = 1 − p`` read exactly,
+    for ``k = 1..k_max``, component by component, each scaled by a positive
+    power of two to an integer of the same sign; and ``T_{k_max}``, the same
+    sum over the top net atom and the negative ones alone."""
+    comps = [(-Fraction(a), 1 - Fraction(p)) for a, p in zip(s1.shapes, s1.scales)]
+    comps += [(Fraction(a), 1 - Fraction(p)) for a, p in zip(s2.shapes, s2.scales)]
+    # every denominator is a power of two
+    f = max(w.denominator for w, _ in comps)
+    d = max(q.denominator for _, q in comps)
+    weights = [w.numerator * (f // w.denominator) for w, _ in comps]
+    qs = [q.numerator * (d // q.denominator) for _, q in comps]
+    sums, terms = [], list(weights)
+    for _ in range(k_max):
+        terms = [t * q for t, q in zip(terms, qs)]
+        sums.append(sum(terms))
+    net = {}
+    for w, q in zip(weights, qs):
+        net[q] = net.get(q, 0) + w
+    atoms = sorted(((q, w) for q, w in net.items() if w), reverse=True)
+    top = atoms[:1] if atoms and atoms[0][1] > 0 else []
+    dominance = sum(w * q**k_max for q, w in top + [(q, w) for q, w in atoms if w < 0])
+    return sums, dominance
+
+
+class TestLevyCertificate:
+    def test_pinned_tie_is_certified_where_the_lattice_is_unknown(self, monkeypatch):
+        assert exact_levy_sums(*TIE_PAIR, 1)[0] == [0]  # the rounding bound cannot decide
+        built = spy_builders(monkeypatch)
+        harness._laws.cache_clear()
+        v = numeric_conv_check(*TIE_PAIR)
+        assert v.holds and v.detail == {"certified": "levy", "terms": 39}
+        assert built == []
+        v = lattice_conv_check(*TIE_PAIR)
+        assert v.unknown and v.detail["index"] == 36 and v.detail["error_bound"] == 1e30
+        assert v.detail["coeff"] == pytest.approx(-1.44e-9, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "pair, terms",
+        [
+            (TIE_PAIR, 39),
+            (LIFT_PAIR, 1),
+            (generate_instance(Scenario(ScenarioName.RC_GENERAL, "negbin", 3, 23)), 934),
+            (generate_instance(Scenario(ScenarioName.RAISE_ALPHA, "negbin", 4, 0)), 1),
+        ],
+        ids=["majorize-beta-tie", "lift", "rc-general-934", "raise-alpha"],
+    )
+    def test_every_sum_before_the_dominance_is_exactly_nonnegative(self, pair, terms):
+        assert levy_terms(*pair) == terms
+        sums, dominance = exact_levy_sums(*pair, terms)
+        assert all(s >= 0 for s in sums) and dominance >= 0
+        # past the dominance, every later sum is nonnegative too
+        later, _ = exact_levy_sums(*pair, 2 * terms + 5)
+        assert all(s >= 0 for s in later)
+
+    def test_a_tie_below_zero_falls_through_to_the_lattice(self):
+        """A MajorizeBeta pair whose exact S_1 is below zero by an ulp: not
+        conv ordered as read, but the lattice says holds within tol, as it
+        did before the certificate."""
+        s1, s2 = generate_instance(Scenario(ScenarioName.MAJORIZE_BETA, "negbin", 2, 5))
+        sums, _ = exact_levy_sums(s1, s2, 1)
+        assert sums[0] < 0
+        assert levy_terms(s1, s2) is None
+        v, lattice = numeric_conv_check(s1, s2), lattice_conv_check(s1, s2)
+        assert (v.status, v.detail) == (lattice.status, lattice.detail)
+        assert v.holds and v.detail == {"min_coeff": -7.469292239286902e-13, "sum": 1.0000000000001077}
+
+    @pytest.mark.parametrize(
+        "p1, shape, p2, terms",
+        [(0.37, 0.75, 0.16, None), (0.39, 0.8840579710144928, 0.31, 1)],
+        ids=["below-zero", "above-zero"],
+    )
+    def test_a_sum_that_rounds_to_zero_is_decided_exactly(self, p1, shape, p2, terms):
+        """``shape (1 − p2)`` and ``1 − p1`` round to one float, but their
+        exact difference ``S_1`` is of the other sign than ``terms`` shows."""
+        s1, s2 = spec("negbin", (1.0,), (p1,)), spec("negbin", (shape,), (p2,))
+        assert math.fsum([shape * (1.0 - p2), -(1.0 - p1)]) == 0.0
+        (s_1,), _ = exact_levy_sums(s1, s2, 1)
+        assert (s_1 > 0) is (terms is not None) and s_1 != 0
+        assert levy_terms(s1, s2) == terms
+
+    def test_a_negative_top_atom_falls_through(self):
+        s1, s2 = LIFT_PAIR
+        assert levy_terms(s2, s1) is None
+        v, lattice = numeric_conv_check(s2, s1), lattice_conv_check(s2, s1)
+        assert v.refuted and v.violation == lattice.violation
+
+    def test_equal_laws_need_no_lattice(self):
+        s = spec("negbin", (1.0, 2.0), (0.5, 0.6))
+        merged = spec("negbin", (0.5, 2.0, 0.5), (0.5, 0.6, 0.5))
+        assert levy_terms(s, s) == levy_terms(s, merged) == 1
+
+    def test_gamma_pairs_are_not_read(self):
+        s1, s2 = worked_example_specs()
+        assert "certified" not in numeric_conv_check(s1, s2).detail
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_certificate_on_random_pairs(self, data):
+        s1, s2 = data.draw(random_negbin_pairs())
+        if data.draw(st.booleans()):
+            s1, s2 = s2, s1
+        terms = levy_terms(s1, s2)
+        if terms is not None:
+            sums, dominance = exact_levy_sums(s1, s2, terms)
+            assert all(s >= 0 for s in sums) and dominance >= 0
+            assert not lattice_conv_check(s1, s2).refuted
+        # the verdict reads the net atoms only: not the order of the
+        # components, nor how a shape is split between components of one p
+        order = data.draw(st.permutations(range(s1.n)))
+        permuted = spec("negbin", [s1.shapes[i] for i in order], [s1.scales[i] for i in order])
+        assert levy_terms(permuted, s2) == terms
+        i = data.draw(st.integers(0, s2.n - 1))
+        part = s2.shapes[i] * data.draw(st.floats(0.5, 0.9))  # the rest is exact
+        shapes = list(s2.shapes)
+        shapes[i] = part
+        split = spec("negbin", shapes + [s2.shapes[i] - part], s2.scales + (s2.scales[i],))
+        assert levy_terms(s1, split) == terms
+
+
+@st.composite
+def random_negbin_pairs(draw):
+    """Random pairs not shaped by any scenario: targets with shapes in
+    [0.3, 2.5] and success probabilities in [0.25, 0.9]; starts with shapes
+    lowered by −0.3 to 0.6 (at least 0.01) and probabilities raised by −0.1
+    to 0.2 (at most 0.95), permuted; every value of two decimals."""
+    n = draw(st.integers(2, 4))
+    shapes = draw(st.lists(st.integers(30, 250), min_size=n, max_size=n))
+    probs = draw(st.lists(st.integers(25, 90), min_size=n, max_size=n))
+    lower = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n))
+    raise_ = draw(st.lists(st.integers(-10, 20), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    start_shapes = [max(shapes[i] - lower[i], 1) / 100 for i in order]
+    start_probs = [min(probs[i] + raise_[i], 95) / 100 for i in order]
+    return (
+        spec("negbin", start_shapes, start_probs),
+        spec("negbin", [a / 100 for a in shapes], [p / 100 for p in probs]),
+    )
 
 
 def spy_builders(monkeypatch) -> list:
