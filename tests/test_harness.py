@@ -177,15 +177,15 @@ class TestVerifyTheoremInstance:
 # sha256 per scenario-matrix row of the row's numeric check, status and
 # record, on both directions of every instance at n = 2..6, seeds 0..2
 CHECK_DIGESTS = {
-    ("RaiseAlpha", "negbin"): "0219a568e2f08dee2a70166a15fd910a597ec907b56d407731a9e1eb3d47ae74",
-    ("LowerBeta", "negbin"): "71c3e11370aca6f5054fd566737b531839744bc2d8ca4a29cb150da077c10d8f",
-    ("MajorizeBeta", "negbin"): "8680ef03c401d27cbabcf9f304753c6d7effb5aba006b68e75ac627647a9d900",
-    ("DiffAlphaMajorizeBeta", "negbin"): "4f65eb5679ead4b7d9c3f9b661a9a4f966fd0725c22276862c2631a530c6a9dc",
-    ("MajorizeAlpha", "negbin"): "3c19f0084ae55650afba318297fedefe6d033f9df37e9216a84c5a1b439a2fa6",
-    ("ConvAI", "negbin"): "e2618c1735c0e9a51a48f80e5425d54084f53d5e697086ebc8cb2debd112bdf8",
-    ("RcGeneral", "negbin"): "8027cfbaa76b7dc44fc06df9b9dc62d81aa3236ff16d7ceb9976442de55d263b",
+    ("RaiseAlpha", "negbin"): "04d1ceccb6f7fe38c16dbcd4086901ac05244f2b9ac4e92484e4a80f3dc7d7f8",
+    ("LowerBeta", "negbin"): "824d551998a75619d94b75465cfa0ab1a5a8e1f50a2128644f0a37be7a2452be",
+    ("MajorizeBeta", "negbin"): "71eec5831bbc0f606c042f28f40c16ac9f61ded3b783c5a4883556789ea620be",
+    ("DiffAlphaMajorizeBeta", "negbin"): "6b74e0bd2e45c5204c9b9ae6e47b6317f28e8577d2688637455e4220ef398cf9",
+    ("MajorizeAlpha", "negbin"): "2ae41f81e6cccca6f53625571403cc0a7bbd660cc8f7ac258c0629da8f407913",
+    ("ConvAI", "negbin"): "47b17f37b04e65f74c9493fc2bff41eb77ff8a9e3010edec0f9891a9544ce5cb",
+    ("RcGeneral", "negbin"): "2abc50415fbd3ab101be6953261c61f46bc8ca1e6815edb460fd1773c26d1f11",
     ("GammaConv", "gamma"): "a37c01c66941fe0791f8ac4037325a3aef847816c7f5b177ebb71a031df64052",
-    ("OppositeOrderedWeak", "negbin"): "0c9c2e39fc1289163bf33312f092288f3e29eb6cddfa678b2eaa21e3a3e6d934",
+    ("OppositeOrderedWeak", "negbin"): "c57ec9f879e62f2c36e9b4cd730c55a53647e578d8e7b52e98d4d941a836c827",
     ("LogMajorizeBetaSt", "negbin"): "a4907714f2663b8215f1cf0fccda871dc3c4197adcdb6c659b035b5c907c4b85",
     ("StGeneral", "negbin"): "1fc573365dcf2fee12184ca37625ab078bbd7c376b7721cbad11347311296ad1",
     ("StGeneral", "gamma"): "aab33de033e24c14ad1d5b84a54c96b11862dcd10ae6f1aea305c1e496323198",
