@@ -1,16 +1,19 @@
-"""Exact certificate of the negative binomial convolution order, read from the
-canonical (Lévy) measure of the two convolutions; no lattice is built.
+"""The exact stage of the numeric layer: decide the convolution order or the
+usual stochastic order of two convolutions from their parameters alone,
+before any lattice or grid is built.  A decision is a certificate of the
+convolution order, which implies the stochastic order, or one of three
+exact refutations of either order.  This module imports no numpy.
 
-A negative binomial of shape ``α`` and success probability ``p`` has the
-probability generating function ``(p / (1 − q s))^α``, ``q = 1 − p``, so
-``log G(s) = α Σ_{k≥1} q^k (s^k − 1) / k``.  For convolutions ``X`` and
-``Y``, let the net atom ``w_q`` be ``Y``'s shape weight at ``q`` minus
-``X``'s.  Then ``log G_Y / G_X = Σ_k c_k (s^k − 1)`` with ``c_k = S_k / k``
-and ``S_k = Σ_q w_q q^k``.  If every ``c_k ≥ 0`` (and ``Σ c_k`` is finite,
-as every ``q < 1`` makes it), ``G_Y / G_X`` is the generating function of a
-compound Poisson law ``Z``, and ``Y = X + Z`` with ``Z`` independent of
-``X``: ``X ≤_conv Y`` (Steutel & van Harn, *Infinite Divisibility of
-Probability Distributions on the Real Line*, 2004, ch. II).
+**Negative binomial certificate.**  A negative binomial of shape ``α`` and
+success probability ``p`` has the probability generating function ``(p / (1 −
+q s))^α``, ``q = 1 − p``, so ``log G(s) = α Σ_{k≥1} q^k (s^k − 1) / k``.  For
+convolutions ``X`` and ``Y``, let the net atom ``w_q`` be ``Y``'s shape
+weight at ``q`` minus ``X``'s.  Then ``log G_Y / G_X = Σ_k c_k (s^k − 1)``
+with ``c_k = S_k / k`` and ``S_k = Σ_q w_q q^k``.  If every ``c_k ≥ 0`` (and
+``Σ c_k`` is finite, as every ``q < 1`` makes it), ``G_Y / G_X`` is the
+generating function of a compound Poisson law ``Z``, and ``Y = X + Z`` with
+``Z`` independent of ``X``: ``X ≤_conv Y`` (Steutel & van Harn, *Infinite
+Divisibility of Probability Distributions on the Real Line*, 2004, ch. II).
 
 Only finitely many ``S_k`` need a look.  Let the top atom be the one at the
 largest ``q``.  If its weight is positive and ``T_K = w_top q_top^K + Σ_{w_q
@@ -22,7 +25,42 @@ given, and components merge by exact ``p``.  Each net weight is rounded once
 (``math.fsum``, so its sign is exact).  Each ``S_k`` and ``T_K``, divided by
 ``q_top^k`` so that the top term cannot underflow, is summed in floats under
 a proven rounding bound, and a sum that the bound leaves undecided is summed
-again exactly.  This module imports no numpy.
+again exactly.
+
+**Gamma certificate.**  A gamma of shape ``a`` and rate ``b`` has ``log L(s)
+= −a ∫_0^∞ (1 − e^{−su}) e^{−bu} du / u``.  With the net weight ``w_b`` (Y's
+shape at rate ``b`` minus X's, components merged by exact rate) and ``h(u) =
+Σ_b w_b e^{−bu}``, ``log L_Y / L_X = −∫_0^∞ (1 − e^{−su}) h(u) du / u``.  If
+``h ≥ 0`` on ``u > 0``, that is the Laplace exponent of a generalized gamma
+convolution ``Z`` with Lévy density ``h(u) / u``, so ``Y = X + Z``
+(Bondesson, *Generalized Gamma Convolutions and Related Classes of
+Distributions and Densities*, 1992).  Two exact sufficient tests decide ``h
+≥ 0``, with the atoms sorted by increasing rate:
+
+1. every prefix sum ``M1(b_k) = Σ_{b_i ≤ b_k} w_i`` is ``≥ 0``: by Abel
+   summation ``h(u) = u ∫_0^∞ M1(b) e^{−bu} db``;
+2. ``Σ w ≥ 0`` and ``M2(b_k) = Σ_{b_i ≤ b_k} w_i (b_k − b_i) ≥ 0`` at every
+   atom: integrating once more, ``h(u) = u² ∫_0^∞ M2(b) e^{−bu} db``, and
+   ``M2`` is linear between atoms, with slope ``Σ w`` past the last.
+
+Test 1 implies test 2, and each is decided in integers: every float is an
+integer over a power of two.
+
+**Refutations.**  Each is a necessary condition of ``X ≤_st Y``, so of ``X
+≤_conv Y`` too, read from the parameters exactly:
+
+- right tail: a gamma survival falls like ``t^{A−1} e^{−b t}``, ``b`` the
+  smallest rate and ``A`` the total shape at it, so ``b1 < b2``, or ``b1 =
+  b2`` with ``A1 > A2``, refutes; a negative binomial's falls like ``k^{A−1}
+  q^k`` at its largest ``q``, the same test on the smallest ``p``;
+- left tail (gamma, stochastic order only): ``F(t) ~ t^r Π b^a / Γ(r + 1)``
+  near 0, ``r`` the total shape, so ``r1 > r2`` refutes.  ``r1`` and ``r2``
+  are compared rounded once (``math.fsum``): rounding is monotone, so a
+  strict inequality of the rounded totals is one of the exact totals, and a
+  tie, however the exact totals compare, decides nothing;
+- mean: ``E X > E Y`` (``Σ a / b``, or ``Σ α q / p``), in ``Fraction``s.
+
+Ties of these quantities decide nothing; no tolerance is used anywhere.
 """
 from __future__ import annotations
 
@@ -35,6 +73,112 @@ from fractions import Fraction
 TERM_LIMIT = 1024
 _U = 2.0**-53  # unit roundoff
 _UNDERFLOW = 2.0**-1072  # four times the smallest subnormal float
+
+
+def decide(s1, s2, order: str) -> tuple[bool, dict] | None:
+    """``s1 ≤ s2`` in ``order`` (``"conv"`` or ``"st"``) for two specs of one
+    family, from the parameters alone: ``(True, detail)`` when
+    :func:`certificate` certifies the convolution order, ``(False,
+    violation)`` when :func:`refutation` refutes, and ``None`` when neither
+    decides.  The right tail is read first: unless ``s2`` holds the smallest
+    rate (or ``p``), no certificate can exist, and the floats refute at
+    once.  A quantity past the largest float decides nothing."""
+    try:
+        if _right_tail(s1, s2) is None:
+            detail = certificate(s1, s2)
+            if detail is not None:
+                return True, detail
+        violation = refutation(s1, s2, order)
+    except OverflowError:
+        return None
+    return None if violation is None else (False, violation)
+
+
+def certificate(s1, s2) -> dict | None:
+    """The record of ``s1 ≤_conv s2`` read from the Lévy measure:
+    ``{"certified": "levy", "terms": K}`` for negative binomial specs
+    (:func:`levy_terms`), ``{"certified": "levy", "order": 1 | 2}`` for gamma
+    specs (:func:`gamma_levy_order`), or ``None``, which refutes nothing."""
+    if s1.family == "gamma":
+        key, found = "order", gamma_levy_order(s1, s2)
+    else:
+        key, found = "terms", levy_terms(s1, s2)
+    return None if found is None else {"certified": "levy", key: found}
+
+
+def refutation(s1, s2, order: str) -> dict | None:
+    """The first exact test that refutes ``s1 ≤ s2`` in ``order``, as its
+    record, or ``None``: the right tail, ``{"tail": "right", "min_rates":
+    [b1, b2]}`` (``"min_probs"`` for negative binomial specs) or, at equal
+    smallest values, ``{"tail": "right", "min_rate": b, "shapes": [A1,
+    A2]}``; the left tail of gamma specs in the stochastic order, ``{"tail":
+    "left", "total_shapes": [r1, r2]}``; the mean, ``{"means": [m1, m2]}``.
+    Shapes and means are the exact ones rounded once.  May raise
+    ``OverflowError``."""
+    violation = _right_tail(s1, s2)
+    if violation is None and order == "st" and s1.family == "gamma":
+        r1, r2 = math.fsum(s1.shapes), math.fsum(s2.shapes)
+        if r1 > r2:
+            violation = {"tail": "left", "total_shapes": [r1, r2]}
+    if violation is None:
+        m1, m2 = _mean(s1), _mean(s2)
+        if m1 > m2:
+            violation = {"means": [float(m1), float(m2)]}
+    return violation
+
+
+def _right_tail(s1, s2) -> dict | None:
+    b1, b2 = min(s1.scales), min(s2.scales)
+    scale = "rate" if s1.family == "gamma" else "prob"
+    if b1 < b2:
+        return {"tail": "right", f"min_{scale}s": [b1, b2]}
+    if b1 == b2:
+        a1, a2 = ([a for a, b in zip(s.shapes, s.scales) if b == b1] for s in (s1, s2))
+        if sum(map(Fraction, a1)) > sum(map(Fraction, a2)):
+            return {"tail": "right", f"min_{scale}": b1, "shapes": [math.fsum(a1), math.fsum(a2)]}
+    return None
+
+
+def _mean(s) -> Fraction:
+    if s.family == "gamma":
+        return sum(Fraction(a) / Fraction(b) for a, b in zip(s.shapes, s.scales))
+    return sum(Fraction(a) * (1 / Fraction(p) - 1) for a, p in zip(s.shapes, s.scales))
+
+
+def gamma_levy_order(s1, s2) -> int | None:
+    """The order (1 or 2) of the first test that shows ``h ≥ 0`` for two
+    gamma specs, which certifies ``s1 ≤_conv s2``, or ``None`` when neither
+    does; ``None`` refutes nothing.  Equal laws pass test 1."""
+    n1 = len(s1.shapes)
+    net = {}
+    for i, (a, b) in enumerate(zip(_integers(s1.shapes + s2.shapes), s1.scales + s2.scales)):
+        net[b] = net.get(b, 0) + (a if i >= n1 else -a)
+    atoms = [(b, w) for b, w in sorted(net.items()) if w]
+    prefix = 0
+    for _, w in atoms:
+        prefix += w
+        if prefix < 0:
+            break
+    else:
+        return 1
+    if sum(w for _, w in atoms) < 0:
+        return None
+    # M2(b_k) = b_k P − Q over the atoms below b_k, P = Σ w_i, Q = Σ w_i b_i
+    total = moment = 0
+    for r, (_, w) in zip(_integers([b for b, _ in atoms]), atoms):
+        if r * total < moment:
+            return None
+        total += w
+        moment += w * r
+    return 2
+
+
+def _integers(values) -> list[int]:
+    """The floats ``values`` times one power of two, each then an integer, so
+    that sums and products of them keep their exact signs."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios]
 
 
 def levy_terms(s1, s2) -> int | None:

@@ -7,7 +7,6 @@ convolution specs provably satisfying the scenario hypothesis (asserted via
 the order engine before use)."""
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -15,8 +14,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from stochord import exact
 from stochord.arrangement import pair
-from stochord.exact import levy_terms
 from stochord.rc_order import (
     DEFAULT_SEARCH_BUDGET,
     RcMode,
@@ -387,14 +386,25 @@ def _param_pairs(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str):
     )
 
 
-@functools.lru_cache(maxsize=2)
-def _laws(specs: frozenset, order: Optional[str], tail_cap: float) -> dict:
-    """Each spec's law for the numeric check of ``order``, for the last two
-    unordered pairs, so a pair checked both ways builds each law once: for a
-    gamma pair, its latents at the pair's largest rate (``"conv"``) or its
-    CDFs on the pair's :func:`default_gamma_grid`, which sorts its points
-    (``"st"``); for a negbin pair, its lattices, which both orders share
-    (``None``).  The arrays are read-only: every equal key shares them."""
+def _exact_verdict(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str):
+    """The exact stage's verdict on the pair (:func:`exact.decide`), or
+    ``None`` when the laws must decide."""
+    if s1.family != s2.family:
+        raise ValueError("family mismatch")
+    decided = exact.decide(s1, s2, order)
+    if decided is None:
+        return None
+    holds, record = decided
+    if holds:
+        return OrderVerdict(Status.HOLDS, detail=record)
+    return OrderVerdict(Status.REFUTED, violation=record)
+
+
+def _pair_laws(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str, tail_cap: float):
+    """Both specs' laws for the numeric check of ``order``: for a negbin pair,
+    its lattices; for a gamma pair, its latents at the pair's largest rate,
+    offset by the total shapes each rounded once (``"conv"``), or its CDFs
+    on the pair's :func:`default_gamma_grid` (``"st"``)."""
     from stochord.distributions import (
         default_gamma_grid,
         gamma_convolution_cdf,
@@ -402,27 +412,17 @@ def _laws(specs: frozenset, order: Optional[str], tail_cap: float) -> dict:
         nb_convolution,
     )
 
+    specs = (s1, s2)
+    if s1.family == "negbin":
+        return tuple(nb_convolution(s, tail_cap) for s in specs)
     if order == "conv":
         beta = max(max(s.scales) for s in specs)
-        latents = {s: gamma_latent(s, tail_cap, beta)[0] for s in specs}
-        laws = {s: replace(f, offset=math.fsum(s.shapes)) for s, f in latents.items()}
-    elif order == "st":
-        grid = default_gamma_grid(list(specs))
-        laws = {s: gamma_convolution_cdf(s, grid, tail_cap) for s in specs}
-    else:
-        laws = {s: nb_convolution(s, tail_cap) for s in specs}
-    for law in laws.values():
-        arrays = (law.points, law.values, law.errors) if order == "st" else (law.probs,)
-        for a in arrays:
-            a.flags.writeable = False
-    return laws
-
-
-def _pair_laws(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str, tail_cap: float):
-    if s1.family != s2.family:
-        raise ValueError("family mismatch")
-    laws = _laws(frozenset((s1, s2)), order if s1.family == "gamma" else None, tail_cap)
-    return laws[s1], laws[s2]
+        return tuple(
+            replace(gamma_latent(s, tail_cap, beta)[0], offset=math.fsum(s.shapes))
+            for s in specs
+        )
+    grid = default_gamma_grid(specs)
+    return tuple(gamma_convolution_cdf(s, grid, tail_cap) for s in specs)
 
 
 def numeric_conv_check(
@@ -431,12 +431,14 @@ def numeric_conv_check(
     tail_cap: float = DEFAULT_TAIL_CAP,
     tol: float = 1e-9,
 ) -> OrderVerdict:
-    """Convolution-order certificate: from the Lévy measure, or by exact
+    """Convolution-order certificate: from the exact stage, or by
     deconvolution of lattices.
 
-    A negative binomial pair that :func:`levy_terms` certifies is ``holds``
-    with ``{"certified": "levy", "terms": K}`` and builds no lattice; every
-    other pair, gamma pairs included, is deconvolved as below.
+    The exact stage (:func:`exact.decide`) runs first and builds no
+    lattice: a pair whose Lévy measure it certifies is ``holds`` with
+    ``{"certified": "levy", ...}``, and a pair that its right-tail or mean
+    test refutes is ``refuted`` with that test's record.  Every other pair
+    is deconvolved as below.
 
     A gamma convolution is a gamma of rate ``beta``, the pair's largest rate,
     whose shape is drawn from its latent (:func:`gamma_latent`): latents with
@@ -448,10 +450,9 @@ def numeric_conv_check(
     exact totals' order, and ``r1 > r2 + tol`` refutes exactly: a gamma
     convolution's Laplace transform falls like ``s^-r``, so ``L_Y / L_X``
     grows like ``s^(r1 - r2)``, and that of a law on ``[0, inf)`` is at most 1."""
-    if s1.family == s2.family == "negbin":
-        terms = levy_terms(s1, s2)
-        if terms is not None:
-            return OrderVerdict(Status.HOLDS, detail={"certified": "levy", "terms": terms})
+    verdict = _exact_verdict(s1, s2, "conv")
+    if verdict is not None:
+        return verdict
     from stochord.distributions import deconvolve
 
     f1, f2 = _pair_laws(s1, s2, "conv", tail_cap)
@@ -471,7 +472,16 @@ def numeric_st_check(
     tail_cap: float = DEFAULT_TAIL_CAP,
     tol: float = 1e-9,
 ) -> OrderVerdict:
-    """Usual-stochastic-order certificate via survival dominance."""
+    """Usual-stochastic-order certificate: from the exact stage, or via
+    survival dominance.
+
+    The exact stage (:func:`exact.decide`) runs first and builds no grid or
+    lattice: a certified convolution order implies the stochastic order,
+    and its right-tail, left-tail (gamma) or mean test refutes it.  Every
+    other pair compares its survivals on the grid or lattice."""
+    verdict = _exact_verdict(s1, s2, "st")
+    if verdict is not None:
+        return verdict
     from stochord.distributions import survival_dominance_check
 
     return survival_dominance_check(*_pair_laws(s1, s2, "st", tail_cap), tol)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochord import cli, distributions
+from stochord import cli, distributions, exact
 from stochord.cli import EX_CANTCREAT, EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from stochord.harness import MATRIX
 
@@ -32,16 +32,32 @@ UNDERFLOWING_RATIO_GAMMA = {"family": "gamma", "shapes": [1, 1], "scales": [1e-2
 UNDERFLOWING_HEAD_NEGBIN = {"family": "negbin", "shapes": [100, 100], "scales": [0.01, 0.01]}
 # Shapes whose total passes the largest float.
 OVERSIZE_TOTAL_GAMMA = {"family": "gamma", "shapes": [1e308, 1e308], "scales": [1, 1]}
+# Each of these pairs is one of the above against a spec with less shape at
+# a smaller rate (success probability) and more at larger ones: neither
+# Lévy certificate holds (h(u), or S_1, turns negative), and neither tail nor
+# mean refutes, so the exact stage leaves the pair to the laws.
+UNDERFLOWING_NEGBIN_PAIR = {
+    "config1": UNDERFLOWING_NEGBIN,
+    "config2": {"family": "negbin", "shapes": [2.5e5], "scales": [0.15]},
+}
+UNDERFLOWING_HEAD_NEGBIN_PAIR = {
+    "config1": UNDERFLOWING_HEAD_NEGBIN,
+    "config2": {"family": "negbin", "shapes": [100, 100], "scales": [0.005, 0.5]},
+}
+OVERSIZE_GAMMA_PAIR = {
+    "config1": OVERSIZE_GAMMA,
+    "config2": {"family": "gamma", "shapes": [0.75, 2.25], "scales": [5e-7, 2]},
+}
+UNDERFLOWING_RATIO_GAMMA_PAIR = {
+    "config1": UNDERFLOWING_RATIO_GAMMA,
+    "config2": {"family": "gamma", "shapes": [0.75, 1.25], "scales": [5e-21, 1.5e308]},
+}
+OVERSIZE_TOTAL_GAMMA_PAIR = {
+    "config1": OVERSIZE_TOTAL_GAMMA,
+    "config2": {"family": "gamma", "shapes": [7.5e307, 1.25e308], "scales": [0.5, 2]},
+}
 # A JSON integer past the largest float, which no float can hold.
 PAST_FLOATS = "1" + "0" * 400
-
-
-def raised_pair(spec: dict) -> dict:
-    """``spec`` against itself with its first success probability raised:
-    the pair's top net atom is ``spec``'s, and negative, so the convolution
-    check builds the lattices instead of certifying the pair."""
-    raised = {**spec, "scales": [spec["scales"][0] + 0.01, *spec["scales"][1:]]}
-    return {"config1": spec, "config2": raised}
 
 
 @pytest.fixture
@@ -121,21 +137,29 @@ class TestVerify:
         assert json.loads(report.read_text())["v"] == 1
 
 
-    def test_largest_rate_past_half_the_floats(self, tmp_path, capsys):
+    def test_largest_rate_past_half_the_floats(self, tmp_path, capsys, monkeypatch):
         """The latents are taken at the pair's largest rate itself, so a
-        rate of 1e308 needs no larger one."""
+        rate of 1e308 needs no larger one.  The exact stage certifies a spec
+        against itself; with the stage switched off, the latents decide."""
         g = {"family": "gamma", "shapes": [1], "scales": [1e308]}
         path = tmp_path / "pair.json"
         path.write_text(json.dumps({"config1": g, "config2": g}))
         assert main(["verify", str(path), "--order", "conv"]) == 0
-        assert json.loads(capsys.readouterr().out)["numeric_status"] == "holds"
+        detail = json.loads(capsys.readouterr().out)["numeric_detail"]
+        assert detail == {"certified": "levy", "order": 1}
+        monkeypatch.setattr(exact, "decide", lambda *args: None)
+        assert main(["verify", str(path), "--order", "conv"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["numeric_status"] == "holds" and out["numeric_detail"]["sufficient_only"]
 
     def test_total_shapes_within_tol_reach_the_deconvolution(self, tmp_path, capsys):
         """Totals 5e-7 apart under ``--tol 1e-6``: the total-shape test lets
-        the pair through, and so does the deconvolution's offset check."""
+        the pair through, and so does the deconvolution's offset check.
+        ``config2``'s smaller rate 0.999 raises its mean past ``config1``'s,
+        so the exact stage's mean test does not refute first."""
         pair = {
             "config1": {"family": "gamma", "shapes": [1.0000005, 1], "scales": [2, 1]},
-            "config2": {"family": "gamma", "shapes": [1, 1], "scales": [2, 1]},
+            "config2": {"family": "gamma", "shapes": [1, 1], "scales": [2, 0.999]},
         }
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(pair))
@@ -253,12 +277,12 @@ class TestHarnessCommand:
         assert captured.err.count("agreed 1/1, unknown 0") == len(MATRIX)
 
     def test_numeric_unknown_is_not_a_disagreement(self, capsys):
-        argv = ["harness", "--scenario", "GammaConv", "--seeds", "0..4", "--tail-cap", "1e-6"]
+        argv = ["harness", "--scenario", "LogMajorizeBetaSt", "--seeds", "3..6", "--tail-cap", "1e-6"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         statuses = {json.loads(line)["numeric_status"] for line in captured.out.splitlines()}
         assert statuses == {"unknown"}
-        assert captured.err == "GammaConv gamma n=3 order=conv: agreed 5/5, unknown 5\n"
+        assert captured.err == "LogMajorizeBetaSt negbin n=3 order=st: agreed 4/4, unknown 4\n"
 
     def test_scenario_takes_its_matrix_order(self, capsys):
         argv = ["harness", "--scenario", "LogMajorizeBetaSt", "--seeds", "0..0"]
@@ -499,16 +523,16 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "command, spec",
         [
-            (["verify", "--order", "st"], OVERSIZE_GAMMA),
-            (["verify", "--order", "conv"], raised_pair(UNDERFLOWING_NEGBIN)),
+            (["verify", "--order", "st"], OVERSIZE_GAMMA_PAIR),
+            (["verify", "--order", "conv"], UNDERFLOWING_NEGBIN_PAIR),
             (["export-survival", "--output", "{out}"], OVERSIZE_NEGBIN),
             (["export-survival", "--output", "{out}"], UNDERFLOWING_NEGBIN),
             (["export-survival", "--output", "{out}"], SUBNORMAL_RATE_GAMMA),
-            (["verify", "--order", "st"], UNDERFLOWING_RATIO_GAMMA),
-            (["verify", "--order", "conv"], UNDERFLOWING_RATIO_GAMMA),
+            (["verify", "--order", "st"], UNDERFLOWING_RATIO_GAMMA_PAIR),
+            (["verify", "--order", "conv"], UNDERFLOWING_RATIO_GAMMA_PAIR),
             (["export-survival", "--output", "{out}"], UNDERFLOWING_RATIO_GAMMA),
-            (["verify", "--order", "conv"], raised_pair(UNDERFLOWING_HEAD_NEGBIN)),
-            (["verify", "--order", "conv"], OVERSIZE_TOTAL_GAMMA),
+            (["verify", "--order", "conv"], UNDERFLOWING_HEAD_NEGBIN_PAIR),
+            (["verify", "--order", "conv"], OVERSIZE_TOTAL_GAMMA_PAIR),
         ],
         ids=[
             "verify-size",
@@ -544,27 +568,38 @@ class TestErrorHandling:
         [["export-survival", "--output", "{out}"], ["verify", "--order", "st"]],
         ids=["export-survival", "verify-st"],
     )
-    def test_rate_squared_past_the_floats_gets_a_grid(self, command, rate, tmp_path, capsys):
+    def test_rate_squared_past_the_floats_gets_a_grid(
+        self, command, rate, tmp_path, capsys, monkeypatch
+    ):
         """A rate whose square overflows or underflows still spans a finite
         grid: its spread is then found without squaring the rate.  The
         rounding bound, which grows with rate times grid point, is capped at
-        1, so a report stays strict JSON."""
+        1, so a report stays strict JSON.  The exact stage certifies a spec
+        against itself, so ``verify`` runs again with the stage switched off,
+        and its grid decides."""
         g = {"family": "gamma", "shapes": [1], "scales": [rate]}
         out = tmp_path / "curve.csv"
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"config1": g, "config2": g} if command[0] == "verify" else g))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main([command[0], str(path), *(a.format(out=out) for a in command[1:])]) == 0
-        assert caught == []
-        stdout, stderr = capsys.readouterr()
-        assert stderr == ""
-        if command[0] == "verify":
+        details = []
+        for stage in (True, False) if command[0] == "verify" else (True,):
+            if not stage:
+                monkeypatch.setattr(exact, "decide", lambda *args: None)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([command[0], str(path), *(a.format(out=out) for a in command[1:])]) == 0
+            assert caught == []
+            stdout, stderr = capsys.readouterr()
+            assert stderr == ""
+            if command[0] == "verify":
 
-            def reject(constant):
-                raise ValueError(f"not JSON: {constant}")
+                def reject(constant):
+                    raise ValueError(f"not JSON: {constant}")
 
-            json.loads(stdout, parse_constant=reject)
+                details.append(json.loads(stdout, parse_constant=reject)["numeric_detail"])
+        if details:
+            assert details[0] == {"certified": "levy", "order": 1}
+            assert set(details[1]) == {"t", "excess", "error_bound"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -717,10 +752,20 @@ class TestNumpyImport:
         gamma.write_text(json.dumps(WORKED_PAIR))
         nb.write_text(json.dumps(nb_pair))
         nb_spec.write_text(json.dumps(nb_pair["config1"]))
-        return str(gamma), str(nb), str(nb_spec), str(tmp_path / "curve.csv")
+        # LogMajorizeBetaSt, n = 2, seed 0: st ordered, and no exact test
+        # decides it
+        log_majorized = tmp_path / "log_majorized.json"
+        shapes = [1.5476023843438604] * 2
+        log_majorized.write_text(json.dumps({
+            "config1": {"family": "negbin", "shapes": shapes,
+                        "scales": [0.6814218626948966, 0.5767643551940617]},
+            "config2": {"family": "negbin", "shapes": shapes,
+                        "scales": [0.8910406623814009, 0.44107958014168636]},
+        }))
+        return str(gamma), str(nb), str(nb_spec), str(tmp_path / "curve.csv"), str(log_majorized)
 
     def test_parameter_commands_do_not_load_numpy(self, paths):
-        gamma, nb, _, _ = paths
+        gamma, nb, *_ = paths
         runs = [
             ["check-order", gamma],
             ["check-order", nb],
@@ -732,20 +777,32 @@ class TestNumpyImport:
     def test_certified_negbin_conv_order_loads_no_numpy(self, paths):
         """The Lévy certificate decides this pair (its top net atom dominates
         from the first term), so no lattice is built."""
-        _, nb, _, _ = paths
+        _, nb, *_ = paths
         assert _numpy_after([["verify", nb, "--order", "conv"]]) == [False, [0, False]]
+
+    def test_st_order_decided_by_the_exact_stage_loads_no_numpy(self, paths, tmp_path):
+        """The negbin pair is certified (conv implies st), and the worked
+        example reversed is refuted by its right tail (smallest rates 1 and
+        2, exit 1): neither builds a lattice or a grid."""
+        _, nb, *_ = paths
+        reversed_ = tmp_path / "reversed.json"
+        reversed_.write_text(json.dumps(
+            {"config1": WORKED_PAIR["config2"], "config2": WORKED_PAIR["config1"]}
+        ))
+        runs = [["verify", nb, "--order", "st"], ["verify", str(reversed_), "--order", "st"]]
+        assert _numpy_after(runs) == [False, [0, False], [1, False]]
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "{gamma}", "--order", "conv"],
-            ["verify", "{nb}", "--order", "st"],
+            ["verify", "{log_majorized}", "--order", "st"],
             ["identity", "--prop", "nb-mixture"],
             ["export-survival", "{spec}", "--output", "{out}"],
         ],
         ids=["verify-conv", "verify-st", "identity", "export-survival"],
     )
     def test_numeric_commands_load_numpy(self, argv, paths):
-        gamma, nb, spec, out = paths
-        argv = [a.format(gamma=gamma, nb=nb, spec=spec, out=out) for a in argv]
+        gamma, _, spec, out, log_majorized = paths
+        argv = [a.format(gamma=gamma, spec=spec, out=out, log_majorized=log_majorized) for a in argv]
         assert _numpy_after([argv]) == [False, [0, True]]

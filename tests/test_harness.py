@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochord import distributions, harness
+from stochord import distributions, exact, harness
 from stochord.arrangement import pair
 from stochord.distributions import (
     DEFAULT_TAIL_CAP,
@@ -177,21 +177,21 @@ class TestVerifyTheoremInstance:
 # sha256 per scenario-matrix row of the row's numeric check, status and
 # record, on both directions of every instance at n = 2..6, seeds 0..2
 CHECK_DIGESTS = {
-    ("RaiseAlpha", "negbin"): "04d1ceccb6f7fe38c16dbcd4086901ac05244f2b9ac4e92484e4a80f3dc7d7f8",
-    ("LowerBeta", "negbin"): "824d551998a75619d94b75465cfa0ab1a5a8e1f50a2128644f0a37be7a2452be",
-    ("MajorizeBeta", "negbin"): "71eec5831bbc0f606c042f28f40c16ac9f61ded3b783c5a4883556789ea620be",
-    ("DiffAlphaMajorizeBeta", "negbin"): "6b74e0bd2e45c5204c9b9ae6e47b6317f28e8577d2688637455e4220ef398cf9",
-    ("MajorizeAlpha", "negbin"): "2ae41f81e6cccca6f53625571403cc0a7bbd660cc8f7ac258c0629da8f407913",
-    ("ConvAI", "negbin"): "47b17f37b04e65f74c9493fc2bff41eb77ff8a9e3010edec0f9891a9544ce5cb",
-    ("RcGeneral", "negbin"): "2abc50415fbd3ab101be6953261c61f46bc8ca1e6815edb460fd1773c26d1f11",
-    ("GammaConv", "gamma"): "a37c01c66941fe0791f8ac4037325a3aef847816c7f5b177ebb71a031df64052",
-    ("OppositeOrderedWeak", "negbin"): "c57ec9f879e62f2c36e9b4cd730c55a53647e578d8e7b52e98d4d941a836c827",
-    ("LogMajorizeBetaSt", "negbin"): "a4907714f2663b8215f1cf0fccda871dc3c4197adcdb6c659b035b5c907c4b85",
-    ("StGeneral", "negbin"): "1fc573365dcf2fee12184ca37625ab078bbd7c376b7721cbad11347311296ad1",
-    ("StGeneral", "gamma"): "aab33de033e24c14ad1d5b84a54c96b11862dcd10ae6f1aea305c1e496323198",
-    ("AITail", "gamma"): "d46e8781260a79f4fda86d280d9ea959927106c7754820ff249630090aa206e0",
-    ("CoupledGammaPair", "gamma"): "3eabeffe6fd588db515bbc800eda97e068c2871858f814e082b23d8eaffa37fd",
-    ("MixtureLemmaSt", "negbin"): "5c2f941464aa9e669b31301a8a4aa7f51383f2f9abc171dccd97f97044c81fe2",
+    ("RaiseAlpha", "negbin"): "3fe1020fc182aad3e776413a749505f3611443a1df24abd0ce6a26732104c2d9",
+    ("LowerBeta", "negbin"): "519c66cd9fab9917ecdeb16c49ffc572b8be815086f209fcfab52e0586089a2f",
+    ("MajorizeBeta", "negbin"): "54a59b0a7120bebe43456377fb0df048e002f4a50ec168768875b20acd5ec745",
+    ("DiffAlphaMajorizeBeta", "negbin"): "fdaa153c8f29796e9742cdf2f8bfde1fd7ed6bf74ec3ae91d25a8edbd08c9384",
+    ("MajorizeAlpha", "negbin"): "b6ff939597aee03063a9b5f81c3dae0b7d7d2f4967be0cdbe5b5ef40ddee0f50",
+    ("ConvAI", "negbin"): "5467f5e50eeca3ea56547ec186d14c66a2d8b3a59e72618da604fd0f9fe33957",
+    ("RcGeneral", "negbin"): "997119a6a9ba692a652d9b9406fc66e00110f1791df4db99b8b71ec83d4b0ed9",
+    ("GammaConv", "gamma"): "a0d65d43c371cd67406277ae4383d5f22135130022a210243c4c4d65a4b66d81",
+    ("OppositeOrderedWeak", "negbin"): "e11c3c3a571b9fae22bcd2c20338dce1c6a3a04e3e2038d969c54faf991323d0",
+    ("LogMajorizeBetaSt", "negbin"): "e3e3ed2d777b6e232295ec1591a2949049136762bbe40aff87b75f55fee926c3",
+    ("StGeneral", "negbin"): "8f20c3cd45976d0b87deac377cab20bb86340ceabf92253224d2365e8ef1a6bd",
+    ("StGeneral", "gamma"): "2f373edb9cc84a399030b8390230e435dea61a74a604deef5e6abef66c9ea144",
+    ("AITail", "gamma"): "8de8ca0d1f6886048a58b7b3cf71463fb81d1d81a12559b1aa270f5c3ace7c83",
+    ("CoupledGammaPair", "gamma"): "fa00fc3f0723016690b023474d45fe7b6644b5921bacc2c1deb5b051ca105874",
+    ("MixtureLemmaSt", "negbin"): "5abe42a35c1e41285caf04a3bedcdce1d0ba20279e9bfa456de5a5cfca5cef2d",
 }
 
 
@@ -214,38 +214,29 @@ class TestNumericChecks:
     def test_details_match_pinned_digests(self):
         assert _check_digests() == CHECK_DIGESTS
 
-    def test_details_match_with_the_memo_cleared_before_every_law(self, monkeypatch):
-        laws = harness._laws
-
-        def cleared(*key):
-            laws.cache_clear()
-            return laws(*key)
-
-        monkeypatch.setattr(harness, "_laws", cleared)
-        assert _check_digests() == CHECK_DIGESTS
-
     @pytest.mark.parametrize("family", ["negbin", "gamma"])
     def test_reversed_st_check_builds_no_law(self, family, monkeypatch):
+        """The exact stage decides the pair both ways: certified forward,
+        refuted by its right tail reversed, and no law is built."""
         built = spy_builders(monkeypatch)
         s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, family, 4, 5))
-        harness._laws.cache_clear()
-        assert numeric_st_check(s1, s2).holds
-        assert set(built) == {s1, s2}
-        assert numeric_st_check(s2, s1).refuted
-        assert len(built) == 2
-        if family == "negbin":  # a conv check of the pair reads the same lattices
-            numeric_conv_check(s1, s2)
-            assert len(built) == 2
+        forward, reverse = numeric_st_check(s1, s2), numeric_st_check(s2, s1)
+        assert forward.holds and forward.detail["certified"] == "levy"
+        assert reverse.refuted and reverse.violation["tail"] == "right"
+        assert built == []
 
     def test_reversed_gamma_conv_check_builds_no_latent(self, monkeypatch):
         built = spy_builders(monkeypatch)
-        s1, s2 = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", 4, 5))
-        harness._laws.cache_clear()
-        assert numeric_conv_check(s1, s2).holds
-        assert numeric_conv_check(s2, s1).refuted
-        assert len(built) == 2 and set(built) == {s1, s2}
+        s1, s2 = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", 4, 1))
+        forward, reverse = numeric_conv_check(s1, s2), numeric_conv_check(s2, s1)
+        assert forward.holds and forward.detail == {"certified": "levy", "order": 2}
+        assert reverse.refuted and reverse.violation["tail"] == "right"
+        assert built == []
 
     def test_reversed_gamma_st_check_builds_no_grid(self, monkeypatch):
+        """The worked example is left to the grid forward (its exact total
+        shapes differ by 2^-54, under X's), and refuted by its smallest
+        rates reversed: one grid in all."""
         built = []
         real = distributions.default_gamma_grid
 
@@ -254,52 +245,38 @@ class TestNumericChecks:
             return real(specs)
 
         monkeypatch.setattr(distributions, "default_gamma_grid", spy)
-        s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, "gamma", 4, 5))
-        harness._laws.cache_clear()
-        assert numeric_st_check(s1, s2).holds and numeric_st_check(s2, s1).refuted
-        assert len(built) == 1
+        s1, s2 = worked_example_specs()
+        assert numeric_st_check(s1, s2).holds
+        reverse = numeric_st_check(s2, s1)
+        assert reverse.refuted and reverse.violation == {"tail": "right", "min_rates": [1.0, 2.0]}
+        assert built == [[s1, s2]]
 
-    def test_grid_memo_gives_the_grid_of_either_order(self):
-        """The memo, keyed by the unordered pair, gives the CDFs on the grid
-        of each order, and on that of one spec for a spec paired with
-        itself."""
+    def test_grid_is_the_same_in_either_order(self):
+        """The pair's laws are on the grid of either order, and on that of
+        one spec for a spec paired with itself."""
         for seed in range(5):
             s1, s2 = generate_instance(Scenario(ScenarioName.ST_GENERAL, "gamma", 3, seed))
             want = default_gamma_grid([s1, s2])
             assert np.array_equal(default_gamma_grid([s2, s1]), want)
             for a, b in ((s1, s2), (s2, s1)):
-                harness._laws.cache_clear()
                 laws = harness._pair_laws(a, b, "st", DEFAULT_TAIL_CAP)
                 assert all(np.array_equal(law.points, want) for law in laws)
             (law, _) = harness._pair_laws(s1, s1, "st", DEFAULT_TAIL_CAP)
-            assert np.array_equal(law.points, default_gamma_grid([s1, s1]))
-
-    def test_memo_holds_four_read_only_laws(self):
-        harness._laws.cache_clear()
-        for seed in range(3):
-            pairs = [
-                generate_instance(Scenario(ScenarioName.ST_GENERAL, family, 3, seed))
-                for family in ("negbin", "gamma")
-            ]
-            for s1, s2 in pairs:
-                numeric_st_check(s1, s2)
-        info = harness._laws.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (2, 2, 6)
-        (nb1, nb2), (g1, g2) = pairs
-        lattice, _ = harness._pair_laws(nb1, nb2, "conv", DEFAULT_TAIL_CAP)
-        cdf, _ = harness._pair_laws(g1, g2, "st", DEFAULT_TAIL_CAP)
-        assert harness._laws.cache_info().hits == 2
-        harness._laws.cache_clear()
-        latent, _ = harness._pair_laws(g1, g2, "conv", DEFAULT_TAIL_CAP)
-        for array in (lattice.probs, cdf.points, cdf.values, cdf.errors, latent.probs):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.5
+            assert np.array_equal(law.points, default_gamma_grid([s1]))
 
     def test_every_gamma_conv_matrix_pair_holds(self):
+        """Certified from the Lévy measure, or, for the 25 pairs whose exact
+        total shapes differ by an ulp under X's, by the latents."""
+        certified = 0
         for n, seed in itertools.product(range(2, 7), range(30)):
             s1, s2 = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", n, seed))
             v = numeric_conv_check(s1, s2)
-            assert v.holds and v.detail["sufficient_only"], (n, seed)
+            assert v.holds, (n, seed)
+            if v.detail.get("certified") == "levy":
+                certified += 1
+            else:
+                assert v.detail["sufficient_only"] and "certified" not in v.detail, (n, seed)
+        assert certified == 125
 
     def test_larger_total_shape_is_refuted_exactly(self):
         s1 = spec("gamma", (1.0, 0.5), (2.0, 3.0))
@@ -326,7 +303,9 @@ class TestNumericChecks:
         s2 = spec("gamma", [shapes[i] for i in order], [rates[i] for i in order])
         assert sum(s1.shapes) != sum(s2.shapes)
         for a, b in ((s1, s2), (s2, s1)):
-            v = numeric_conv_check(a, b, tol=tol)
+            # equal laws: the exact stage certifies them, and so do the latents
+            assert numeric_conv_check(a, b, tol=tol).detail == {"certified": "levy", "order": 1}
+            v = laws_conv_check(a, b, tol=tol)
             assert v.holds and v.detail["sufficient_only"]
             assert v.detail["total_shapes"] == [math.fsum(shapes)] * 2
 
@@ -346,10 +325,16 @@ LIFT_PAIR = (
 )
 
 
-def lattice_conv_check(s1, s2):
-    """``numeric_conv_check`` with the Lévy certificate switched off."""
-    with mock.patch.object(harness, "levy_terms", lambda *specs: None):
-        return numeric_conv_check(s1, s2)
+def laws_conv_check(s1, s2, **kwargs):
+    """``numeric_conv_check`` with the exact stage switched off."""
+    with mock.patch.object(exact, "decide", lambda *args: None):
+        return numeric_conv_check(s1, s2, **kwargs)
+
+
+def laws_st_check(s1, s2):
+    """``numeric_st_check`` with the exact stage switched off."""
+    with mock.patch.object(exact, "decide", lambda *args: None):
+        return numeric_st_check(s1, s2)
 
 
 def exact_levy_sums(s1, s2, k_max: int) -> list:
@@ -381,11 +366,10 @@ class TestLevyCertificate:
     def test_pinned_tie_is_certified_where_the_lattice_is_unknown(self, monkeypatch):
         assert exact_levy_sums(*TIE_PAIR, 1)[0] == [0]  # the rounding bound cannot decide
         built = spy_builders(monkeypatch)
-        harness._laws.cache_clear()
         v = numeric_conv_check(*TIE_PAIR)
         assert v.holds and v.detail == {"certified": "levy", "terms": 39}
         assert built == []
-        v = lattice_conv_check(*TIE_PAIR)
+        v = laws_conv_check(*TIE_PAIR)
         assert v.unknown and v.detail["index"] == 36 and v.detail["error_bound"] == 1e30
         assert v.detail["coeff"] == pytest.approx(-1.44e-9, rel=0.01)
 
@@ -415,7 +399,7 @@ class TestLevyCertificate:
         sums, _ = exact_levy_sums(s1, s2, 1)
         assert sums[0] < 0
         assert levy_terms(s1, s2) is None
-        v, lattice = numeric_conv_check(s1, s2), lattice_conv_check(s1, s2)
+        v, lattice = numeric_conv_check(s1, s2), laws_conv_check(s1, s2)
         assert (v.status, v.detail) == (lattice.status, lattice.detail)
         assert v.holds and v.detail == {"min_coeff": -7.469292239286902e-13, "sum": 1.0000000000001077}
 
@@ -434,10 +418,13 @@ class TestLevyCertificate:
         assert levy_terms(s1, s2) == terms
 
     def test_a_negative_top_atom_falls_through(self):
+        """The certificate passes the pair on; the right-tail test refutes it
+        exactly, as the lattice does."""
         s1, s2 = LIFT_PAIR
         assert levy_terms(s2, s1) is None
-        v, lattice = numeric_conv_check(s2, s1), lattice_conv_check(s2, s1)
-        assert v.refuted and v.violation == lattice.violation
+        v, lattice = numeric_conv_check(s2, s1), laws_conv_check(s2, s1)
+        assert v.refuted and v.violation == {"tail": "right", "min_probs": [0.3, 0.5]}
+        assert lattice.refuted
 
     def test_equal_laws_need_no_lattice(self):
         s = spec("negbin", (1.0, 2.0), (0.5, 0.6))
@@ -445,8 +432,15 @@ class TestLevyCertificate:
         assert levy_terms(s, s) == levy_terms(s, merged) == 1
 
     def test_gamma_pairs_are_not_read(self):
+        """``levy_terms`` is the negative binomial certificate; a gamma pair
+        is read by ``gamma_levy_order``, which leaves the worked example (its
+        exact total shapes differ by 2^-54, under X's) to the latents."""
         s1, s2 = worked_example_specs()
+        assert exact.certificate(s1, s2) is None
         assert "certified" not in numeric_conv_check(s1, s2).detail
+        for seed in range(10):
+            pair = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", 3, seed))
+            assert "terms" not in (exact.certificate(*pair) or {})
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -458,7 +452,7 @@ class TestLevyCertificate:
         if terms is not None:
             sums, dominance = exact_levy_sums(s1, s2, terms)
             assert all(s >= 0 for s in sums) and dominance >= 0
-            assert not lattice_conv_check(s1, s2).refuted
+            assert not laws_conv_check(s1, s2).refuted
         # the verdict reads the net atoms only: not the order of the
         # components, nor how a shape is split between components of one p
         order = data.draw(st.permutations(range(s1.n)))
@@ -493,8 +487,8 @@ def random_negbin_pairs(draw):
 
 
 def spy_builders(monkeypatch) -> list:
-    """The specs that the memo's law builders are called with; a builder
-    called inside another (a gamma CDF's latent) is not counted."""
+    """The specs that the law builders are called with; a builder called
+    inside another (a gamma CDF's latent) is not counted."""
     built = []
     depth = [0]
 
@@ -513,6 +507,199 @@ def spy_builders(monkeypatch) -> list:
     for name in ("nb_convolution", "gamma_convolution_cdf", "gamma_latent"):
         monkeypatch.setattr(distributions, name, spy(getattr(distributions, name)))
     return built
+
+
+# Two random gamma pairs on which the grid says st holds (excess 0 at
+# t = 1e-9), but whose survivals cross past the grid's end (the first) or
+# below its first point (the second)
+RIGHT_TAIL_PAIR = (
+    spec("gamma", (0.05, 0.74, 1.31, 1.12), (0.72, 2.74, 1.95, 1.55)),
+    spec("gamma", (1.57, 0.48, 1.13, 1.57), (1.14, 1.01, 2.53, 1.84)),
+)
+LEFT_TAIL_PAIR = (
+    spec("gamma", (0.55, 2.63, 0.49, 1.61), (0.81, 2.28, 0.59, 1.7)),
+    spec("gamma", (0.81, 1.43, 2.47, 0.44), (0.88, 1.47, 2.13, 0.58)),
+)
+
+
+def mp_gamma_cdf(s, t, mp, left_out=1e-30):
+    """Oracle: bounds ``(lo, hi)`` on the CDF at ``t`` of the gamma
+    convolution ``s``, and ``(lo, hi)`` on its survival, at the caller's
+    mpmath precision.  Moschopoulos' series (1985) is built in mpmath from
+    the parameters, independent of the package: the law is a mixture over
+    ``k`` of gammas of shape ``ρ + k`` and the largest rate ``β``, with
+    weights ``C δ_k``, ``C = Π (b/β)^a``, ``δ_0 = 1``, ``δ_k = (1/k) Σ_{i≤k}
+    i γ_i δ_{k−i}`` and ``γ_i = Σ a (1 − b/β)^i / i``; the weights left out
+    sum to at most ``left_out``."""
+    shapes = [mp.mpf(a) for a in s.shapes]
+    rates = [mp.mpf(b) for b in s.scales]
+    beta, rho = max(rates), mp.fsum(shapes)
+    x = beta * mp.mpf(t)
+    qs = [1 - b / beta for b in rates]
+    weight = mp.fprod((b / beta) ** a for a, b in zip(shapes, rates))
+    gammas, deltas = [], [mp.mpf(1)]
+    cdf = weight * mp.gammainc(rho, 0, x, regularized=True)
+    survival = weight * mp.gammainc(rho, x, mp.inf, regularized=True)
+    left = 1 - weight
+    while left > left_out:
+        k = len(deltas)
+        gammas.append(mp.fsum(a * q**k for a, q in zip(shapes, qs)) / k)
+        deltas.append(mp.fsum(i * gammas[i - 1] * deltas[k - i] for i in range(1, k + 1)) / k)
+        w = mp.fprod((b / beta) ** a for a, b in zip(shapes, rates)) * deltas[k]
+        cdf += w * mp.gammainc(rho + k, 0, x, regularized=True)
+        survival += w * mp.gammainc(rho + k, x, mp.inf, regularized=True)
+        left -= w
+    return (cdf, cdf + left), (survival, survival + left)
+
+
+def mp_h(s1, s2, u, mp) -> tuple:
+    """Oracle: ``h(u) = Σ_Y a e^{−bu} − Σ_X a e^{−bu}`` at the caller's
+    mpmath precision, component by component, and the sum of the terms'
+    magnitudes."""
+    terms = [-mp.mpf(a) * mp.exp(-mp.mpf(b) * u) for a, b in zip(s1.shapes, s1.scales)]
+    terms += [mp.mpf(a) * mp.exp(-mp.mpf(b) * u) for a, b in zip(s2.shapes, s2.scales)]
+    return mp.fsum(terms), mp.fsum(map(abs, terms))
+
+
+class TestExactStage:
+    def test_right_tail_crossing_past_the_grid(self):
+        mp = pytest.importorskip("mpmath")
+        s1, s2 = RIGHT_TAIL_PAIR
+        v = numeric_st_check(s1, s2)
+        assert v.refuted and v.violation == {"tail": "right", "min_rates": [0.72, 1.01]}
+        grid = laws_st_check(s1, s2)
+        assert grid.holds and grid.detail["excess"] == 0.0
+        with mp.workdps(40):
+            for t, x_lo, y_hi in ((30, 5.59e-12, 1.71e-12), (40, 3.13e-15, 5.6e-17)):
+                (_, (sx, _)), (_, (_, sy)) = mp_gamma_cdf(s1, t, mp), mp_gamma_cdf(s2, t, mp)
+                assert sx > x_lo and sy < y_hi  # S_X(t) > S_Y(t)
+
+    def test_left_tail_crossing_below_the_grid(self):
+        mp = pytest.importorskip("mpmath")
+        s1, s2 = LEFT_TAIL_PAIR
+        v = numeric_st_check(s1, s2)
+        assert v.refuted and v.violation == {"tail": "left", "total_shapes": [5.28, 5.15]}
+        assert laws_st_check(s1, s2).holds
+        with mp.workdps(40):
+            ((_, fx), _), ((fy, _), _) = mp_gamma_cdf(s1, 0.05, mp), mp_gamma_cdf(s2, 0.05, mp)
+        assert fx < 9.08e-9 and fy > 9.55e-9  # F_X(0.05) < F_Y(0.05)
+
+    def test_negative_top_atom_refuted_where_the_lattice_holds(self, monkeypatch):
+        """The top net atom, at p = 0.29, is X's: the lattices, cut at the
+        tail cap before the heavier tail shows, said holds within tol."""
+        s1 = spec("negbin", (0.42, 0.49), (0.29, 0.79))
+        s2 = spec("negbin", (0.47, 0.77), (0.68, 0.3))
+        built = spy_builders(monkeypatch)
+        v = numeric_conv_check(s1, s2)
+        assert v.refuted and v.violation == {"tail": "right", "min_probs": [0.29, 0.3]}
+        assert built == []
+        lattice = laws_conv_check(s1, s2)
+        assert lattice.holds and lattice.detail["min_coeff"] == pytest.approx(-9.8e-12, rel=0.01)
+
+    def test_equal_smallest_rates_compare_their_shapes_exactly(self):
+        """0.1 + 0.2 exceeds 0.3 as exact rationals, and the tie of equal
+        totals decides nothing."""
+        s1 = spec("gamma", (0.1, 0.2, 1.0), (1.0, 1.0, 3.0))
+        s2 = spec("gamma", (0.3, 1.0, 1.0), (1.0, 2.0, 3.0))
+        assert exact.refutation(s1, s2, "conv") == {
+            "tail": "right", "min_rate": 1.0, "shapes": [0.30000000000000004, 0.3]
+        }
+        tie = spec("gamma", (0.25, 0.5), (1.0, 2.0)), spec("gamma", (0.25, 0.5), (1.0, 4.0))
+        assert exact.refutation(*tie, "st") == {"means": [0.5, 0.375]}
+        assert exact.decide(tie[1], tie[0], "st") == (True, {"certified": "levy", "order": 1})
+
+    def test_second_order_test_certifies_what_the_prefix_sums_miss(self):
+        """Net atoms +1 at rate 1, −1.5 at 2, +1 at 4: the prefix sum −0.5
+        fails test 1, but ``M2`` is 1 at rate 2 and 1.5 at rate 4."""
+        mp = pytest.importorskip("mpmath")
+        s1 = spec("gamma", (0.75, 0.75), (2.0, 2.0))
+        s2 = spec("gamma", (1.0, 1.0), (1.0, 4.0))
+        assert exact.decide(s1, s2, "st") == (True, {"certified": "levy", "order": 2})
+        with mp.workdps(50):
+            assert all(mp_h(s1, s2, mp.mpf(2) ** e, mp)[0] > 0 for e in range(-10, 10))
+        # more weight at rate 2 turns h negative (at e^{-u} = 0.7): the
+        # stage leaves the pair to the grid
+        s1 = spec("gamma", (1.0, 1.0), (2.0, 2.0))
+        assert exact.certificate(s1, s2) is None and exact.decide(s1, s2, "st") is None
+        with mp.workdps(50):
+            assert mp_h(s1, s2, -mp.log(mp.mpf("0.7")), mp)[0] < 0
+
+    def test_a_quantity_past_the_floats_decides_nothing(self):
+        s1 = spec("gamma", (1.0,), (5e-324,))
+        s2 = spec("gamma", (0.5,), (5e-324,))
+        assert exact.decide(s1, s2, "st") == (False, {
+            "tail": "right", "min_rate": 5e-324, "shapes": [1.0, 0.5]
+        })
+        # X's total shape passes the largest float, so the left-tail test
+        # cannot round it: h(u) < 0 at e^{-u} = 0.75, and the mean does not
+        # refute, so no test decides the pair
+        s1 = spec("gamma", (1e308, 1e308), (1.0, 1.0))
+        s2 = spec("gamma", (7.5e307, 1.25e308), (0.5, 2.0))
+        assert exact.certificate(s1, s2) is None
+        with pytest.raises(OverflowError):
+            exact.refutation(s1, s2, "st")
+        assert exact.decide(s1, s2, "st") is None
+        assert exact.decide(s1, s2, "conv") is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gamma_certificate_on_random_pairs(self, data):
+        """A certified pair has ``h ≥ 0`` at sampled points (50 digits), and
+        the grid does not refute it."""
+        mp = pytest.importorskip("mpmath")
+        s1, s2 = data.draw(random_gamma_pairs())
+        if data.draw(st.booleans()):
+            s1, s2 = s2, s1
+        if exact.gamma_levy_order(s1, s2) is None:
+            return
+        exponents = data.draw(st.lists(st.floats(-4, 3), min_size=8, max_size=8))
+        with mp.workdps(50):
+            for e in exponents:
+                h, size = mp_h(s1, s2, mp.mpf(10) ** e, mp)
+                assert h >= -mp.mpf(10) ** -45 * size, e
+        assert not laws_st_check(s1, s2).refuted
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exact_holds_never_meets_a_laws_refutation(self, data):
+        family = data.draw(st.sampled_from(["negbin", "gamma"]))
+        s1, s2 = data.draw(random_negbin_pairs() if family == "negbin" else random_gamma_pairs())
+        if data.draw(st.booleans()):
+            s1, s2 = s2, s1
+        decided = exact.decide(s1, s2, "st")
+        if decided is not None and decided[0]:
+            assert not laws_st_check(s1, s2).refuted
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_no_certificate_on_a_refuted_pair(self, data):
+        family = data.draw(st.sampled_from(["negbin", "gamma"]))
+        s1, s2 = data.draw(random_negbin_pairs() if family == "negbin" else random_gamma_pairs())
+        if data.draw(st.booleans()):
+            s1, s2 = s2, s1
+        for order in ("conv", "st"):
+            if exact.refutation(s1, s2, order) is not None:
+                assert exact.certificate(s1, s2) is None
+                assert not exact.decide(s1, s2, order)[0]
+
+
+@st.composite
+def random_gamma_pairs(draw):
+    """Random pairs not shaped by any scenario: targets with shapes in
+    [0.3, 2.5] and rates in [0.5, 4]; starts with shapes lowered by −0.3 to
+    0.6 and rates raised by −0.3 to 0.6 (each at least 0.01), permuted;
+    every value of two decimals."""
+    n = draw(st.integers(2, 4))
+    shapes = draw(st.lists(st.integers(30, 250), min_size=n, max_size=n))
+    rates = draw(st.lists(st.integers(50, 400), min_size=n, max_size=n))
+    lower = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n))
+    raise_ = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return (
+        spec("gamma", [max(shapes[i] - lower[i], 1) / 100 for i in order],
+             [max(rates[i] + raise_[i], 1) / 100 for i in order]),
+        spec("gamma", [a / 100 for a in shapes], [b / 100 for b in rates]),
+    )
 
 
 class TestReports:
