@@ -67,6 +67,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from stochord.verdicts import OrderVerdict, Status
+
 # Past this many terms the certificate decides nothing; this also bounds the
 # work of an exact sum (about 7 ms for 12 atoms at k = 1024, on one core of
 # a 2-vCPU Xeon).
@@ -75,23 +77,26 @@ _U = 2.0**-53  # unit roundoff
 _UNDERFLOW = 2.0**-1072  # four times the smallest subnormal float
 
 
-def decide(s1, s2, order: str) -> tuple[bool, dict] | None:
-    """``s1 ≤ s2`` in ``order`` (``"conv"`` or ``"st"``) for two specs of one
-    family, from the parameters alone: ``(True, detail)`` when
-    :func:`certificate` certifies the convolution order, ``(False,
-    violation)`` when :func:`refutation` refutes, and ``None`` when neither
-    decides.  The right tail is read first: unless ``s2`` holds the smallest
-    rate (or ``p``), no certificate can exist, and the floats refute at
-    once.  A quantity past the largest float decides nothing."""
+def decide(s1, s2, order: str) -> OrderVerdict | None:
+    """The verdict on ``s1 ≤ s2`` in ``order`` (``"conv"`` or ``"st"``) from
+    the parameters alone: ``holds`` with :func:`certificate`'s record as its
+    detail, ``refuted`` with :func:`refutation`'s record as its violation, or
+    ``None`` when neither decides.  The right tail is read first, once:
+    unless ``s2`` holds the smallest rate (or ``p``), no certificate can
+    exist, and the floats refute at once.  A quantity past the largest float
+    decides nothing.  Raises ``ValueError`` on specs of two families."""
+    if s1.family != s2.family:
+        raise ValueError("family mismatch")
     try:
-        if _right_tail(s1, s2) is None:
+        violation = _right_tail(s1, s2)
+        if violation is None:
             detail = certificate(s1, s2)
             if detail is not None:
-                return True, detail
-        violation = refutation(s1, s2, order)
+                return OrderVerdict(Status.HOLDS, detail=detail)
+            violation = _after_right_tail(s1, s2, order)
     except OverflowError:
         return None
-    return None if violation is None else (False, violation)
+    return None if violation is None else OrderVerdict(Status.REFUTED, violation=violation)
 
 
 def certificate(s1, s2) -> dict | None:
@@ -115,16 +120,18 @@ def refutation(s1, s2, order: str) -> dict | None:
     "left", "total_shapes": [r1, r2]}``; the mean, ``{"means": [m1, m2]}``.
     Shapes and means are the exact ones rounded once.  May raise
     ``OverflowError``."""
-    violation = _right_tail(s1, s2)
-    if violation is None and order == "st" and s1.family == "gamma":
+    return _right_tail(s1, s2) or _after_right_tail(s1, s2, order)
+
+
+def _after_right_tail(s1, s2, order: str) -> dict | None:
+    if order == "st" and s1.family == "gamma":
         r1, r2 = math.fsum(s1.shapes), math.fsum(s2.shapes)
         if r1 > r2:
-            violation = {"tail": "left", "total_shapes": [r1, r2]}
-    if violation is None:
-        m1, m2 = _mean(s1), _mean(s2)
-        if m1 > m2:
-            violation = {"means": [float(m1), float(m2)]}
-    return violation
+            return {"tail": "left", "total_shapes": [r1, r2]}
+    m1, m2 = _mean(s1), _mean(s2)
+    if m1 > m2:
+        return {"means": [float(m1), float(m2)]}
+    return None
 
 
 def _right_tail(s1, s2) -> dict | None:

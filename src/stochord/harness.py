@@ -21,7 +21,6 @@ from stochord.rc_order import (
     RcMode,
     chain_to_json,
     decide_wrc,
-    verify_rc_chain,
 )
 from stochord.specs import DEFAULT_TAIL_CAP, ConvolutionSpec, spec
 from stochord.verdicts import OrderVerdict, Status
@@ -386,20 +385,6 @@ def _param_pairs(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str):
     )
 
 
-def _exact_verdict(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str):
-    """The exact stage's verdict on the pair (:func:`exact.decide`), or
-    ``None`` when the laws must decide."""
-    if s1.family != s2.family:
-        raise ValueError("family mismatch")
-    decided = exact.decide(s1, s2, order)
-    if decided is None:
-        return None
-    holds, record = decided
-    if holds:
-        return OrderVerdict(Status.HOLDS, detail=record)
-    return OrderVerdict(Status.REFUTED, violation=record)
-
-
 def _pair_laws(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str, tail_cap: float):
     """Both specs' laws for the numeric check of ``order``: for a negbin pair,
     its lattices; for a gamma pair, its latents at the pair's largest rate,
@@ -450,7 +435,7 @@ def numeric_conv_check(
     exact totals' order, and ``r1 > r2 + tol`` refutes exactly: a gamma
     convolution's Laplace transform falls like ``s^-r``, so ``L_Y / L_X``
     grows like ``s^(r1 - r2)``, and that of a law on ``[0, inf)`` is at most 1."""
-    verdict = _exact_verdict(s1, s2, "conv")
+    verdict = exact.decide(s1, s2, "conv")
     if verdict is not None:
         return verdict
     from stochord.distributions import deconvolve
@@ -479,7 +464,7 @@ def numeric_st_check(
     lattice: a certified convolution order implies the stochastic order,
     and its right-tail, left-tail (gamma) or mean test refutes it.  Every
     other pair compares its survivals on the grid or lattice."""
-    verdict = _exact_verdict(s1, s2, "st")
+    verdict = exact.decide(s1, s2, "st")
     if verdict is not None:
         return verdict
     from stochord.distributions import survival_dominance_check
@@ -505,8 +490,6 @@ def verify_theorem_instance(
     start = time.perf_counter()
     q1, q2 = _param_pairs(s1, s2, order)
     param = decide_wrc(q1, q2, RcMode.WEAK, budget)
-    if param.holds:
-        assert verify_rc_chain(param.witness)
     if order == "conv":
         numeric = numeric_conv_check(s1, s2, tail_cap, tol)
     else:

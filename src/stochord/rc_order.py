@@ -688,7 +688,7 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
 
     Each expansion makes two passes over the node's candidates.  The goal
     pass (:func:`_goal_pass`) returns the first candidate in yield order that
-    is the goal and whose chain :func:`verify_rc_chain` accepts.  It runs
+    is the goal and whose move :func:`verify_rc_move` accepts.  It runs
     before the dedupe, so a goal is found even if its key equals that of a
     node already seen.  The tree pass admits the other candidates.
     Candidates stay plain tuples until they pass its cheap filters, which
@@ -774,8 +774,11 @@ def _positions_with(far: list[int], n: int):
 
 def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: RcMode):
     """The chain to the first of ``cur``'s candidates, in yield order, that
-    is the goal and passes :func:`verify_rc_chain` (or None), and the
-    candidates for the tree pass, those this pass generated included.
+    is the goal and whose move passes :func:`verify_rc_move` (or None), and
+    the candidates for the tree pass, those this pass generated included.
+    Every earlier move of the chain was accepted by :func:`verify_rc_move`
+    when its node entered the tree, so the chain passes
+    :func:`verify_rc_chain`.
 
     A move changes x only or y only, so a child can be the goal only if
     ``cur``'s other vector already matches the target's.  The goal test
@@ -797,8 +800,8 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     none for three or more).  A candidate past these gates meets a pre-test
     of the same kind (its moved vector, sorted, against the target's within
     ``near``), then :func:`_is_goal`, then the necessary check, and
-    :func:`verify_rc_chain`, whose replay runs :func:`verify_rc_move` on the
-    candidate's move.  The gates and the pre-test skip no goal, and the
+    :func:`verify_rc_move` on the candidate's move.  The gates and the
+    pre-test skip no goal, and the
     position pairs come in the order of :func:`_coupled_successors`, so the
     pass returns the first goal in yield order.  It generates candidates
     lazily, stopping at the first goal.  When it finds none, the tree pass
@@ -832,11 +835,9 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
                 ok, _ = check_majorized_by(new, target.x_bound if moves_x else target.y_bound)
                 if not ok:
                     continue
-            chain = RcChain(
-                (*pairs, PairClass(x, y)), (*moves, ElementaryMove(kind, i, j)), mode
-            )
-            if verify_rc_chain(chain):
-                return chain
+            nxt, move = PairClass(x, y), ElementaryMove(kind, i, j)
+            if verify_rc_move(cur, nxt, move, mode):
+                return RcChain((*pairs, nxt), (*moves, move), mode)
         return None
 
     n = cur.n

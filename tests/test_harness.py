@@ -39,7 +39,7 @@ from stochord.rc_order import (
     RcMode,
     verify_rc_chain,
 )
-from stochord.verdicts import Status
+from stochord.verdicts import OrderVerdict, Status
 
 
 def worked_example_chain() -> RcChain:
@@ -606,7 +606,9 @@ class TestExactStage:
         }
         tie = spec("gamma", (0.25, 0.5), (1.0, 2.0)), spec("gamma", (0.25, 0.5), (1.0, 4.0))
         assert exact.refutation(*tie, "st") == {"means": [0.5, 0.375]}
-        assert exact.decide(tie[1], tie[0], "st") == (True, {"certified": "levy", "order": 1})
+        assert exact.decide(tie[1], tie[0], "st") == OrderVerdict(
+            Status.HOLDS, detail={"certified": "levy", "order": 1}
+        )
 
     def test_second_order_test_certifies_what_the_prefix_sums_miss(self):
         """Net atoms +1 at rate 1, −1.5 at 2, +1 at 4: the prefix sum −0.5
@@ -614,7 +616,9 @@ class TestExactStage:
         mp = pytest.importorskip("mpmath")
         s1 = spec("gamma", (0.75, 0.75), (2.0, 2.0))
         s2 = spec("gamma", (1.0, 1.0), (1.0, 4.0))
-        assert exact.decide(s1, s2, "st") == (True, {"certified": "levy", "order": 2})
+        assert exact.decide(s1, s2, "st") == OrderVerdict(
+            Status.HOLDS, detail={"certified": "levy", "order": 2}
+        )
         with mp.workdps(50):
             assert all(mp_h(s1, s2, mp.mpf(2) ** e, mp)[0] > 0 for e in range(-10, 10))
         # more weight at rate 2 turns h negative (at e^{-u} = 0.7): the
@@ -627,9 +631,9 @@ class TestExactStage:
     def test_a_quantity_past_the_floats_decides_nothing(self):
         s1 = spec("gamma", (1.0,), (5e-324,))
         s2 = spec("gamma", (0.5,), (5e-324,))
-        assert exact.decide(s1, s2, "st") == (False, {
-            "tail": "right", "min_rate": 5e-324, "shapes": [1.0, 0.5]
-        })
+        assert exact.decide(s1, s2, "st") == OrderVerdict(
+            Status.REFUTED, violation={"tail": "right", "min_rate": 5e-324, "shapes": [1.0, 0.5]}
+        )
         # X's total shape passes the largest float, so the left-tail test
         # cannot round it: h(u) < 0 at e^{-u} = 0.75, and the mean does not
         # refute, so no test decides the pair
@@ -667,7 +671,7 @@ class TestExactStage:
         if data.draw(st.booleans()):
             s1, s2 = s2, s1
         decided = exact.decide(s1, s2, "st")
-        if decided is not None and decided[0]:
+        if decided is not None and decided.holds:
             assert not laws_st_check(s1, s2).refuted
 
     @settings(max_examples=400, deadline=None)
@@ -680,7 +684,7 @@ class TestExactStage:
         for order in ("conv", "st"):
             if exact.refutation(s1, s2, order) is not None:
                 assert exact.certificate(s1, s2) is None
-                assert not exact.decide(s1, s2, order)[0]
+                assert exact.decide(s1, s2, order).refuted
 
 
 @st.composite
