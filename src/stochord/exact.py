@@ -1,8 +1,8 @@
 """The exact stage of the numeric layer: decide the convolution order or the
 usual stochastic order of two convolutions from their parameters alone,
 before any lattice or grid is built.  A decision is a certificate of the
-convolution order, which implies the stochastic order, or one of three
-exact refutations of either order.  This module imports no numpy.
+convolution order, which implies the stochastic order, or one of four exact
+refutations.  This module imports no numpy.
 
 **Negative binomial certificate.**  A negative binomial of shape ``α`` and
 success probability ``p`` has the probability generating function ``(p / (1 −
@@ -46,8 +46,8 @@ Distributions and Densities*, 1992).  Two exact sufficient tests decide ``h
 Test 1 implies test 2, and each is decided in integers: every float is an
 integer over a power of two.
 
-**Refutations.**  Each is a necessary condition of ``X ≤_st Y``, so of ``X
-≤_conv Y`` too, read from the parameters exactly:
+**Refutations.**  Each of the first three is a necessary condition of ``X
+≤_st Y``, so of ``X ≤_conv Y`` too, read from the parameters exactly:
 
 - right tail: a gamma survival falls like ``t^{A−1} e^{−b t}``, ``b`` the
   smallest rate and ``A`` the total shape at it, so ``b1 < b2``, or ``b1 =
@@ -59,6 +59,18 @@ integer over a power of two.
   strict inequality of the rounded totals is one of the exact totals, and a
   tie, however the exact totals compare, decides nothing;
 - mean: ``E X > E Y`` (``Σ a / b``, or ``Σ α q / p``), in ``Fraction``s.
+
+The fourth refutes the convolution order only.  Take the top net atom: the
+net atom at the smallest rate (or ``p``) whose net weight is not zero.  If
+its weight ``w_top`` is negative, ``L_Y / L_X = Π_b (b / (b + s))^{w_b}`` is
+analytic on ``s > −b_top`` and tends to 0 as ``s → −b_top``.  Were ``Y = X +
+Z`` with ``Z ≥ 0``, ``L_Z`` would equal it there, and the Laplace transform
+of a law on ``[0, ∞)`` is singular at its abscissa of convergence (Widder,
+*The Laplace Transform*, 1941, ch. II), so it would converge on ``s >
+−b_top``, where it is at least 1 for ``s < 0``, not near 0.  The same holds
+for ``G_Y / G_X`` as ``s → 1 / q_top`` (Pringsheim's theorem).  The net weight is
+rounded once (``math.fsum``), so its sign is exact.  For the stochastic
+order the tail constants then decide, so this test is not run there.
 
 Ties of these quantities decide nothing; no tolerance is used anywhere.
 """
@@ -117,9 +129,10 @@ def refutation(s1, s2, order: str) -> dict | None:
     [b1, b2]}`` (``"min_probs"`` for negative binomial specs) or, at equal
     smallest values, ``{"tail": "right", "min_rate": b, "shapes": [A1,
     A2]}``; the left tail of gamma specs in the stochastic order, ``{"tail":
-    "left", "total_shapes": [r1, r2]}``; the mean, ``{"means": [m1, m2]}``.
-    Shapes and means are the exact ones rounded once.  May raise
-    ``OverflowError``."""
+    "left", "total_shapes": [r1, r2]}``; the mean, ``{"means": [m1, m2]}``;
+    in the convolution order, the top net atom, ``{"net_atom": "top",
+    "rate": b, "weight": w}`` (``"prob"``).  Shapes, means and
+    weights are the exact ones rounded once.  May raise ``OverflowError``."""
     return _right_tail(s1, s2) or _after_right_tail(s1, s2, order)
 
 
@@ -131,18 +144,37 @@ def _after_right_tail(s1, s2, order: str) -> dict | None:
     m1, m2 = _mean(s1), _mean(s2)
     if m1 > m2:
         return {"means": [float(m1), float(m2)]}
+    if order == "conv":
+        weights = ((b, math.fsum(v)) for b, v in sorted(_signed(s1, s2).items()))
+        b, w = next(((b, w) for b, w in weights if w), (None, 0.0))
+        if w < 0:
+            return {"net_atom": "top", _scale(s1): b, "weight": w}
     return None
+
+
+def _scale(s) -> str:
+    return "rate" if s.family == "gamma" else "prob"
+
+
+def _signed(s1, s2) -> dict:
+    """Each rate (or ``p``) of the pair mapped to its shapes, ``s1``'s
+    negated."""
+    signed = {}
+    for sign, s in ((-1.0, s1), (1.0, s2)):
+        for a, b in zip(s.shapes, s.scales):
+            signed.setdefault(b, []).append(sign * a)
+    return signed
 
 
 def _right_tail(s1, s2) -> dict | None:
     b1, b2 = min(s1.scales), min(s2.scales)
-    scale = "rate" if s1.family == "gamma" else "prob"
+    scale = f"min_{_scale(s1)}"
     if b1 < b2:
-        return {"tail": "right", f"min_{scale}s": [b1, b2]}
+        return {"tail": "right", f"{scale}s": [b1, b2]}
     if b1 == b2:
         a1, a2 = ([a for a, b in zip(s.shapes, s.scales) if b == b1] for s in (s1, s2))
         if sum(map(Fraction, a1)) > sum(map(Fraction, a2)):
-            return {"tail": "right", f"min_{scale}": b1, "shapes": [math.fsum(a1), math.fsum(a2)]}
+            return {"tail": "right", scale: b1, "shapes": [math.fsum(a1), math.fsum(a2)]}
     return None
 
 
@@ -195,12 +227,8 @@ def levy_terms(s1, s2) -> int | None:
     ``K`` (exact ties included), or a ``K`` past ``TERM_LIMIT``.  ``None``
     refutes nothing.  With no negative atom, equal laws included, ``K`` is 1:
     no ``S_k`` is checked one by one."""
-    signed = {}
-    for sign, s in ((-1.0, s1), (1.0, s2)):
-        for a, p in zip(s.shapes, s.scales):
-            signed.setdefault(p, []).append(sign * a)
     try:
-        return _dominance_start(signed)
+        return _dominance_start(_signed(s1, s2))
     except OverflowError:  # a net weight, or a sum of terms, past the floats
         return None
 

@@ -421,16 +421,17 @@ def numeric_conv_check(
 
     The exact stage (:func:`exact.decide`) runs first and builds no
     lattice: a pair whose Lévy measure it certifies is ``holds`` with
-    ``{"certified": "levy", ...}``, and a pair that its right-tail or mean
-    test refutes is ``refuted`` with that test's record.  Every other pair
-    is deconvolved as below.
+    ``{"certified": "levy", ...}``, and a pair that its right-tail, mean or
+    top-net-atom test refutes is ``refuted`` with that test's record.  Every
+    other pair is deconvolved as below.
 
     A gamma convolution is a gamma of rate ``beta``, the pair's largest rate,
     whose shape is drawn from its latent (:func:`gamma_latent`): latents with
     ``H_Y = H_X + W``, ``W >= 0``, give ``Y = X + Gamma(W, beta)``.  A larger
     rate adds to each latent a negative binomial of its total shape, which
     is infinitely divisible in that shape, so it decides no more.  A failed
-    deconvolution refutes this sufficient reduction, not the gamma order.
+    deconvolution refutes this sufficient reduction, not the gamma order, so
+    it is ``unknown`` with ``{"reason": "latent reduction refuted", ...}``.
     The latents' offsets are the total shapes, each rounded once, so in the
     exact totals' order, and ``r1 > r2 + tol`` refutes exactly: a gamma
     convolution's Laplace transform falls like ``s^-r``, so ``L_Y / L_X``
@@ -445,10 +446,12 @@ def numeric_conv_check(
     if r1 > r2 + tol:
         return OrderVerdict(Status.REFUTED, violation={"total_shapes": [r1, r2]})
     _, verdict = deconvolve(f2, f1, tol)
-    if s1.family == "gamma":
-        detail = {**verdict.detail, "sufficient_only": True, "total_shapes": [r1, r2]}
-        verdict = replace(verdict, detail=detail)
-    return verdict
+    if s1.family == "negbin":
+        return verdict
+    if verdict.refuted:
+        detail = {"reason": "latent reduction refuted", **verdict.violation}
+        verdict = OrderVerdict(Status.UNKNOWN, detail=detail)
+    return replace(verdict, detail={**verdict.detail, "total_shapes": [r1, r2]})
 
 
 def numeric_st_check(

@@ -801,12 +801,12 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     of the same kind (its moved vector, sorted, against the target's within
     ``near``), then :func:`_is_goal`, then the necessary check, and
     :func:`verify_rc_move` on the candidate's move.  The gates and the
-    pre-test skip no goal, and the
-    position pairs come in the order of :func:`_coupled_successors`, so the
-    pass returns the first goal in yield order.  It generates candidates
-    lazily, stopping at the first goal.  When it finds none, the tree pass
-    reuses the coupled candidates it generated if they are all of them (no
-    far coordinate), and otherwise generates the whole list itself.  The
+    pre-test skip no goal, and the position pairs come in the order of
+    :func:`_coupled_successors`, so the pass returns the first goal in yield
+    order.  It generates candidates lazily, stopping at the first goal.
+    When it finds none, the tree pass reuses the coupled candidates it
+    generated if they are all of them (no far coordinate), and otherwise
+    generates the whole list itself.  The
     componentwise candidates are generated and reused the same way.  The
     gates and the laziness are for speed: most goals are componentwise moves
     met in the first expansion, which the pass then reaches without

@@ -150,7 +150,7 @@ class TestVerify:
         monkeypatch.setattr(exact, "decide", lambda *args: None)
         assert main(["verify", str(path), "--order", "conv"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["numeric_status"] == "holds" and out["numeric_detail"]["sufficient_only"]
+        assert out["numeric_status"] == "holds" and out["numeric_detail"]["total_shapes"] == [1, 1]
 
     def test_total_shapes_within_tol_reach_the_deconvolution(self, tmp_path, capsys):
         """Totals 5e-7 apart under ``--tol 1e-6``: the total-shape test lets

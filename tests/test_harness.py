@@ -151,11 +151,11 @@ class TestVerifyTheoremInstance:
         assert numeric_conv_check(s1, s2).status is Status.HOLDS
         assert numeric_st_check(s1, s2).status is Status.HOLDS
 
-    def test_gamma_conv_check_is_flagged_sufficient_only(self):
+    def test_gamma_conv_check_records_the_latent_total_shapes(self):
         s1, s2 = worked_example_specs()
         v = numeric_conv_check(s1, s2)
         assert v.status is Status.HOLDS
-        assert v.detail["sufficient_only"] is True
+        assert v.detail["total_shapes"] == [1.5, 1.5] and "certified" not in v.detail
 
     def test_scenario_batches_agree(self):
         for name, fam, n, order in MATRIX:
@@ -184,7 +184,7 @@ CHECK_DIGESTS = {
     ("MajorizeAlpha", "negbin"): "b6ff939597aee03063a9b5f81c3dae0b7d7d2f4967be0cdbe5b5ef40ddee0f50",
     ("ConvAI", "negbin"): "5467f5e50eeca3ea56547ec186d14c66a2d8b3a59e72618da604fd0f9fe33957",
     ("RcGeneral", "negbin"): "997119a6a9ba692a652d9b9406fc66e00110f1791df4db99b8b71ec83d4b0ed9",
-    ("GammaConv", "gamma"): "a0d65d43c371cd67406277ae4383d5f22135130022a210243c4c4d65a4b66d81",
+    ("GammaConv", "gamma"): "1cca091c317d3e238a1bed683a3ce8e2708818fee2f34fa6ac645faa13600e45",
     ("OppositeOrderedWeak", "negbin"): "e11c3c3a571b9fae22bcd2c20338dce1c6a3a04e3e2038d969c54faf991323d0",
     ("LogMajorizeBetaSt", "negbin"): "e3e3ed2d777b6e232295ec1591a2949049136762bbe40aff87b75f55fee926c3",
     ("StGeneral", "negbin"): "8f20c3cd45976d0b87deac377cab20bb86340ceabf92253224d2365e8ef1a6bd",
@@ -275,18 +275,36 @@ class TestNumericChecks:
             if v.detail.get("certified") == "levy":
                 certified += 1
             else:
-                assert v.detail["sufficient_only"] and "certified" not in v.detail, (n, seed)
+                assert "total_shapes" in v.detail and "certified" not in v.detail, (n, seed)
         assert certified == 125
 
     def test_larger_total_shape_is_refuted_exactly(self):
         s1 = spec("gamma", (1.0, 0.5), (2.0, 3.0))
         s2 = spec("gamma", (1.2, 0.1), (1.0, 3.0))
         v = numeric_conv_check(s1, s2)
-        assert v.refuted and v.violation == {"total_shapes": [1.5, 1.3]}
-        assert "sufficient_only" not in v.detail
+        assert v.refuted and v.violation == {"total_shapes": [1.5, 1.3]} and v.detail == {}
         # within tol, the latents go on to the deconvolution
         v = numeric_conv_check(s1, s2, tol=0.25)
-        assert "total_shapes" in v.detail and v.detail["sufficient_only"]
+        assert v.holds and v.detail["total_shapes"] == [1.5, 1.3]
+
+    def test_a_latent_refutation_is_unknown(self):
+        """Net atoms +1.75 at rate 0.25, −1.75 at 1, −2.25 at 2.25 and +4.25
+        at 3.5: neither exact test certifies ``h ≥ 0`` (a prefix sum is
+        −2.25, ``M2`` is −1.5 at rate 3.5), yet ``h > 0`` on ``u > 0``
+        (50 digits), so ``X ≤_conv Y``.  The latents' deconvolution has a
+        negative coefficient far past its bound: it refutes the reduction,
+        not the order, and the verdict is ``unknown``."""
+        mp = pytest.importorskip("mpmath")
+        s1 = spec("gamma", (1.75, 2.25), (1.0, 2.25))
+        s2 = spec("gamma", (4.25, 1.75), (3.5, 0.25))
+        assert exact.decide(s1, s2, "conv") is None
+        v = numeric_conv_check(s1, s2)
+        assert v.unknown and v.violation is None
+        assert v.detail["reason"] == "latent reduction refuted"
+        assert v.detail["coeff"] < -0.1 and v.detail["error_bound"] < 1e-10
+        assert v.detail["total_shapes"] == [4.0, 6.0]
+        with mp.workdps(50):
+            assert all(mp_h(s1, s2, mp.mpf(2) ** (e / 4), mp)[0] > 0 for e in range(-40, 40))
 
     @pytest.mark.parametrize(
         "shapes, rates, order, tol",
@@ -306,8 +324,7 @@ class TestNumericChecks:
             # equal laws: the exact stage certifies them, and so do the latents
             assert numeric_conv_check(a, b, tol=tol).detail == {"certified": "levy", "order": 1}
             v = laws_conv_check(a, b, tol=tol)
-            assert v.holds and v.detail["sufficient_only"]
-            assert v.detail["total_shapes"] == [math.fsum(shapes)] * 2
+            assert v.holds and v.detail["total_shapes"] == [math.fsum(shapes)] * 2
 
 
 # conv-sweep's MajorizeBeta n = 6 pair at seed 7: a k = 1 tie (S_1 = 0
@@ -595,6 +612,38 @@ class TestExactStage:
         assert built == []
         lattice = laws_conv_check(s1, s2)
         assert lattice.holds and lattice.detail["min_coeff"] == pytest.approx(-9.8e-12, rel=0.01)
+
+    def test_negative_top_net_atom_behind_a_tie_refutes_conv(self, monkeypatch):
+        """Equal shapes at the smallest p = 0.34 hide the top net atom, X's
+        −1.02 at p = 0.38, from the right-tail test; ``G_Y / G_X`` tends to
+        0 at ``1 / 0.62``.  The lattices leave the pair unknown, and the
+        stochastic order, which the net atom does not decide, is unchanged."""
+        s1 = spec("negbin", (0.5, 1.47, 1.02), (0.68, 0.34, 0.38))
+        s2 = spec("negbin", (1.47, 1.94, 0.5), (0.34, 0.41, 0.73))
+        built = spy_builders(monkeypatch)
+        v = numeric_conv_check(s1, s2)
+        assert v.refuted and v.violation == {"net_atom": "top", "prob": 0.38, "weight": -1.02}
+        assert built == []
+        assert exact.refutation(s1, s2, "st") is None and exact.decide(s1, s2, "st") is None
+        st_check = numeric_st_check(s1, s2)
+        assert st_check.holds and st_check.detail["t"] == 133.0
+        lattice = laws_conv_check(s1, s2)
+        assert lattice.unknown and lattice.detail["coeff"] == pytest.approx(-1.15e-6, rel=0.01)
+
+    def test_negative_top_net_atom_of_gamma_specs(self):
+        """X's unit shape at rate 2 is the top net atom: ``L_Y / L_X = (1 +
+        s / 2) (3 / (3 + s))^2`` vanishes at ``s = −2``.  The mean and the
+        total shapes do not refute."""
+        s1 = spec("gamma", (1.0, 1.0), (1.0, 2.0))
+        s2 = spec("gamma", (1.0, 2.0), (1.0, 3.0))
+        assert exact.decide(s1, s2, "conv") == OrderVerdict(
+            Status.REFUTED, violation={"net_atom": "top", "rate": 2.0, "weight": -1.0}
+        )
+        assert exact.decide(s1, s2, "st") is None
+
+    def test_specs_of_two_families_are_refused(self):
+        with pytest.raises(ValueError, match="family mismatch"):
+            exact.decide(spec("gamma", (1.0,), (1.0,)), spec("negbin", (1.0,), (0.5,)), "conv")
 
     def test_equal_smallest_rates_compare_their_shapes_exactly(self):
         """0.1 + 0.2 exceeds 0.3 as exact rationals, and the tie of equal

@@ -426,6 +426,44 @@ class TestSearch:
         assert h.hexdigest() == OFF_MATRIX_DIGEST
         assert searched == {Status.HOLDS: 17, Status.UNKNOWN: 14}
 
+    def test_every_holds_carries_a_verified_chain_between_the_queried_pairs(self):
+        """``verify_theorem_instance`` does not replay ``decide_wrc``'s
+        witness: each ``holds`` route checks its own chain.  On every
+        matrix pair at n = 2..6, seeds 0..2, both directions, the off-matrix
+        batch and each of its targets against itself, every ``holds``
+        chain passes ``verify_rc_chain`` in weak mode and starts and ends
+        on the queried pairs (budget 200, as above; the counts are the same
+        at the default budget)."""
+
+        def queries():
+            for row in MATRIX:
+                for n, seed in itertools.product(range(2, 7), range(3)):
+                    s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+                    q1, q2 = _param_pairs(s1, s2, row.order)
+                    yield "matrix", q1, q2
+                    yield "matrix", q2, q1
+            for a, b in _random_pairs(25):
+                yield "off-matrix", a, b
+                yield "off-matrix", b, b
+
+        routes = collections.Counter()
+        for batch, a, b in queries():
+            v = decide_wrc(a, b, WEAK, 200)
+            if v.holds:
+                chain = v.witness
+                assert chain.mode is WEAK and verify_rc_chain(chain)
+                assert check_pair_equal_a(chain.pairs[0], a)
+                assert check_pair_equal_a(chain.pairs[-1], b)
+                routes[batch, v.detail["route"]] += 1
+        assert routes == {
+            ("matrix", "arrangement"): 24,
+            ("matrix", "opposite"): 155,
+            ("matrix", "search"): 46,
+            ("off-matrix", "equal"): 100,
+            ("off-matrix", "opposite"): 6,
+            ("off-matrix", "search"): 11,
+        }
+
     def test_goal_pass_gates_bound_the_goal_tests(self, monkeypatch):
         """The reversed ConvAI and AITail pairs, which ``decide_wrc`` refutes
         by the arrangement criterion before any search, run the search out
