@@ -370,6 +370,72 @@ SEARCH_DIGESTS = {
 }
 
 
+# sha256 of ``decide_wrc``'s outputs per matrix row, over every parameter
+# pair at n = 2..6, seeds 0..2, both directions, weak and strict mode (budget
+# 200): each case's status, detail, violation and witness JSON, so the bytes
+# of every route's witness are pinned, ``opposite`` and ``equal`` included
+DECIDE_DIGESTS = {
+    ("RaiseAlpha", "negbin"): "4cb05d5954ba1a3c015012715734810e97e0574a71552fed474642d00dba5b2d",
+    ("LowerBeta", "negbin"): "631525f4d08bb2e38963efc1eaf6f2be223fab23abb6962b6c3aa6a248a87dee",
+    ("MajorizeBeta", "negbin"): "2589de076363f7017341d2d846b0f86f0ae9a52bb04bf04b6834bc242f2b6de3",
+    ("DiffAlphaMajorizeBeta", "negbin"): "91d6e343afdda5d9217e773150ae438d9714209227ed0c7415b5949cc7a4ea18",
+    ("MajorizeAlpha", "negbin"): "dbd33171fa7e1352eaa5de2beb708a2694faf1474874d3f97cd37d0dcf6f8163",
+    ("ConvAI", "negbin"): "dc25f617e5543e3f1995fcc16c1731252e9b6ad8cb4d76240b6b2e571178a399",
+    ("RcGeneral", "negbin"): "38ccc0c164a512375de5a192a0722af24dcc55a023524c9386551f6fb8bcba91",
+    ("GammaConv", "gamma"): "dde1793edeb3d21cf16e1c87c29710e661883ebf76e71d67710846e214508ac1",
+    ("OppositeOrderedWeak", "negbin"): "d579c4fd3e2d1c8afe2ac1748141dd962151b8acd6c0eccb1f680ac52b769828",
+    ("LogMajorizeBetaSt", "negbin"): "5518898aacae24e8ec9e94fdc767b379a493036a8e5bb1d08ab407deb93b1bce",
+    ("StGeneral", "negbin"): "21629b3b6b60e5882627c7709185452254c050186612f4b617802adad43dbb03",
+    ("StGeneral", "gamma"): "4ca968a46da9dc7a95987f717872292b18f0371af5b2aba0826a6d5dedea2a0e",
+    ("AITail", "gamma"): "8dc95f07f8500f75a651a1b6954135a118bf8cb6206307b6c2f76462e723b2b8",
+    ("CoupledGammaPair", "gamma"): "5ead8e30ebec21c294109a9eeedb4914e0959075386032edc8df2b15882d4572",
+    ("MixtureLemmaSt", "negbin"): "84d2d0f80899fac3007fa7caebbcbf52e6d5d2180b385180b8a0a8729fafc487",
+}
+# the same over the off-matrix batch of the test below
+DECIDE_OFF_MATRIX_DIGEST = "eb13449e724730caadef8da159e8218e5165cb81074cc5e5a0cb5f4b3bd6f116"
+
+
+def _update_with_verdict(h, v):
+    h.update(v.status.value.encode())
+    h.update(json.dumps(v.detail, sort_keys=True).encode())
+    h.update(json.dumps(v.violation, sort_keys=True).encode())
+    h.update(b"null" if v.witness is None else chain_to_json(v.witness).encode())
+
+
+class TestDecideDigests:
+    def test_matrix_decisions_match_the_pinned_digests(self):
+        digests = {}
+        routes = collections.Counter()
+        for row in MATRIX:
+            h = hashlib.sha256()
+            for n, seed in itertools.product(range(2, 7), range(3)):
+                s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+                q1, q2 = _param_pairs(s1, s2, row.order)
+                for a, b in ((q1, q2), (q2, q1)):
+                    for mode in (WEAK, STRICT):
+                        v = decide_wrc(a, b, mode, 200)
+                        _update_with_verdict(h, v)
+                        routes[mode.value, v.status.value, v.detail["route"]] += 1
+            digests[row.name.value, row.family] = h.hexdigest()
+        assert digests == DECIDE_DIGESTS
+        assert routes["weak", "holds", "opposite"] == 155
+        assert routes["strict", "holds", "opposite"] == 69
+
+    def test_off_matrix_decisions_match_the_pinned_digest(self):
+        """``_random_pairs(25)`` both ways, and each target against its own
+        coordinates reversed (the ``equal`` route), in both modes."""
+        h = hashlib.sha256()
+        routes = collections.Counter()
+        for a, b in _random_pairs(25):
+            for p, q in ((a, b), (b, a), (b, PairClass(b.x[::-1], b.y[::-1]))):
+                for mode in (WEAK, STRICT):
+                    v = decide_wrc(p, q, mode, 200)
+                    _update_with_verdict(h, v)
+                    routes[v.detail["route"]] += 1
+        assert h.hexdigest() == DECIDE_OFF_MATRIX_DIGEST
+        assert routes["equal"] == 200 and routes["opposite"] == 6
+
+
 def test_sums_stay_finite_past_an_overflowing_partial_sum():
     """``math.fsum`` overflows once a partial sum does; the exact sum need
     not, and an infinite sum keeps its sign."""
