@@ -11,7 +11,7 @@ import collections
 import itertools
 from dataclasses import dataclass
 
-from stochord.majorization import Vector, as_vector, component_tolerance
+from stochord.majorization import Vector, as_vector, component_tolerance, within
 from stochord.verdicts import OrderVerdict, Status
 
 
@@ -51,18 +51,30 @@ def canonical_form(p: PairClass) -> PairClass:
     Sorts the pairs themselves, which makes the comparisons of an index sort
     keyed by them; both sorts are stable, so pairs that compare equal (such
     as ``(0.0, 1.0)`` and ``(-0.0, 1.0)``) keep their order either way."""
-    x, y = tuple(zip(*sorted(zip(p.x, p.y)))) or ((), ())
-    return PairClass(x, y)
+    return PairClass(*_unzip(sorted(zip(p.x, p.y))))
+
+
+def _unzip(pairs) -> tuple[Vector, Vector]:
+    """The x and y vectors of a list of coordinate pairs."""
+    return tuple(zip(*pairs)) or ((), ())
+
+
+def _pairs_within(c1, c2, tol: float) -> bool:
+    """Whether each coordinate pair of ``c1`` lies within ``tol`` of the one
+    of ``c2`` at its position, in both components."""
+    for (a, b), (u, v) in zip(c1, c2):
+        if not (abs(a - u) <= tol and abs(b - v) <= tol):
+            return False
+    return True
 
 
 def check_pair_equal_a(p1: PairClass, p2: PairClass) -> bool:
+    """Whether the canonical forms of ``p1`` and ``p2`` agree component by
+    component within :func:`component_tolerance` of all four vectors."""
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
     tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
-    c1, c2 = canonical_form(p1), canonical_form(p2)
-    return all(
-        abs(a - b) <= tol for a, b in zip(c1.x + c1.y, c2.x + c2.y)
-    )
+    return _pairs_within(sorted(zip(p1.x, p1.y)), sorted(zip(p2.x, p2.y)), tol)
 
 
 def _value_ids(values: Vector, tol: float) -> dict[float, int]:
@@ -79,7 +91,7 @@ def _value_ids(values: Vector, tol: float) -> dict[float, int]:
 
 
 def _multisets_match(a: Vector, b: Vector, tol: float) -> bool:
-    return all(abs(u - v) <= tol for u, v in zip(sorted(a), sorted(b)))
+    return within(sorted(a), sorted(b), tol)
 
 
 def _rank_count_violation(y: list, target: list, blocks: tuple, m: int):

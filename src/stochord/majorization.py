@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 Vector = tuple[float, ...]
@@ -78,6 +80,15 @@ def is_sorted(v: Vector, direction: str = "inc", tol: float | None = None) -> bo
     return all(b <= a + tol for a, b in pairs)
 
 
+def within(v: Vector, w: Vector, tol: float) -> bool:
+    """Whether each component of ``v`` lies within ``tol`` of the one of
+    ``w`` at its position."""
+    for a, b in zip(v, w):
+        if not abs(a - b) <= tol:
+            return False
+    return True
+
+
 def _require_same_length(x: Vector, y: Vector) -> None:
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -85,20 +96,21 @@ def _require_same_length(x: Vector, y: Vector) -> None:
 
 class MajorizationBound(NamedTuple):
     """The majorizing vector of a check in ``mode``, prepared once for a
-    caller that checks many vectors against it: the prefix sums of its
-    components in the order the check reads them (the largest first, or the
-    smallest first for ABOVE) and its largest magnitude."""
+    caller that checks many vectors against it: its components in the order
+    the check reads them (the largest first, or the smallest first for
+    ABOVE), their prefix sums and its largest magnitude."""
 
     mode: MajorizationMode
+    values: Vector
     sums: tuple[float, ...]
     scale: float
 
 
 def majorization_bound(y: Vector, mode: MajorizationMode) -> MajorizationBound:
-    ys = sorted(y, reverse=mode is not MajorizationMode.ABOVE)
+    ys = tuple(sorted(y, reverse=mode is not MajorizationMode.ABOVE))
     # sorted, so the largest magnitude sits at one end
     scale = max(abs(ys[0]), abs(ys[-1])) if ys else 0.0
-    return MajorizationBound(mode, tuple(itertools.accumulate(ys)), scale)
+    return MajorizationBound(mode, ys, tuple(itertools.accumulate(ys)), scale)
 
 
 def check_majorization(
@@ -109,28 +121,38 @@ def check_majorization(
     Returns ``(True, None)`` on success, otherwise ``(False, k)`` where ``k``
     is the first violated prefix length (1-based); ``k = 0`` flags a total-sum
     mismatch in FULL mode.  Sums are compared within ``BASE_TOL`` times the
-    largest magnitude in ``x`` and ``y`` (at least 1) times the length.
+    largest magnitude in ``x`` and ``y`` (at least 1) times the length.  A
+    prefix sum past the largest float would compare as an infinity, so when
+    one is not finite every prefix sum is compared exactly instead.
     """
     return check_majorized_by(x, majorization_bound(y, mode))
 
 
 def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int | None]:
     """:func:`check_majorization` against a prepared ``y``."""
+    n = len(x)
     _require_same_length(x, bound.sums)
-    scale = max(max(x), -min(x), bound.scale) if x else bound.scale
-    tol = BASE_TOL * max(1.0, scale) * len(x)
-    if bound.mode is MajorizationMode.ABOVE:
-        for k, (cx, cy) in enumerate(zip(itertools.accumulate(sorted(x)), bound.sums), start=1):
-            if cx < cy - tol:
-                return False, k
+    if not n:
         return True, None
-    cx = cy = 0.0
-    for k, (cx, cy) in enumerate(
-        zip(itertools.accumulate(sorted(x, reverse=True)), bound.sums), start=1
-    ):
-        if cx > cy + tol:
-            return False, k
-    if bound.mode is MajorizationMode.FULL and abs(cx - cy) > tol:
+    above = bound.mode is MajorizationMode.ABOVE
+    xs = sorted(x, reverse=not above)
+    # sorted, so x's largest magnitude sits at one end
+    tol = BASE_TOL * max(1.0, abs(xs[0]), abs(xs[-1]), bound.scale) * n
+    sums_x, sums_y = list(itertools.accumulate(xs)), bound.sums
+    # a prefix sum of finite floats, once infinite, stays so: the totals tell
+    if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])):
+        sums_x = list(itertools.accumulate(map(Fraction, xs)))
+        sums_y = list(itertools.accumulate(map(Fraction, bound.values)))
+        tol = Fraction(tol)
+    if above:
+        for k in range(n):
+            if sums_x[k] < sums_y[k] - tol:
+                return False, k + 1
+        return True, None
+    for k in range(n):
+        if sums_x[k] > sums_y[k] + tol:
+            return False, k + 1
+    if bound.mode is MajorizationMode.FULL and abs(sums_x[-1] - sums_y[-1]) > tol:
         return False, 0
     return True, None
 
@@ -146,9 +168,11 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     ``y`` within tolerance.
     """
     _require_same_length(x, y)
-    tol = component_tolerance(x, y)
-    if not is_sorted(x, "inc", tol) or not is_sorted(y, "inc", tol):
-        raise ValueError("t_transform_chain requires increasing-sorted inputs")
+    n = len(x)
+    tol = BASE_TOL * max(1.0, max(map(abs, (*x, *y)), default=0.0))  # component_tolerance(x, y)
+    for k in range(1, n):  # is_sorted(x, "inc", tol) and is_sorted(y, "inc", tol)
+        if not (x[k] >= x[k - 1] - tol and y[k] >= y[k - 1] - tol):
+            raise ValueError("t_transform_chain requires increasing-sorted inputs")
     ok, k = check_majorization(x, y, MajorizationMode.FULL)
     if not ok:
         raise ValueError(f"x is not majorized by y (violated prefix {k})")
@@ -156,15 +180,18 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     current = list(x)
     vectors = [tuple(current)]
     steps: list[tuple[int, int, float]] = []
-    n = len(x)
     for _ in range(n):
         # The first surplus donates to the end of the first deficit run after
         # it (Marshall, Olkin & Arnold, Lemma 2.B.1): every partial sum stays
         # at least the target's and both neighbours stay ordered, so each
         # vector is sorted and majorized by y; each transfer pins a coordinate.
-        i = next((m for m in range(n) if current[m] > y[m] + tol), n)
-        j = next((m for m in range(i + 1, n) if current[m] < y[m] - tol), n)
-        if j == n:
+        i = 0
+        while i < n and not current[i] > y[i] + tol:
+            i += 1
+        j = i + 1
+        while j < n and not current[j] < y[j] - tol:
+            j += 1
+        if j >= n:
             break
         while j + 1 < n and current[j + 1] < y[j + 1] - tol:
             j += 1
@@ -173,7 +200,7 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
         current[j] += eps
         vectors.append(tuple(current))
         steps.append((i, j, eps))
-    residual = max(abs(c - t) for c, t in zip(current, y))
+    residual = max(map(abs, map(operator.sub, current, y)))
     if residual > tol * len(x):
         raise RuntimeError(f"transfer chain did not converge, residual {residual}")
     if steps:  # snap the endpoint so tolerance slack does not leak into callers

@@ -27,6 +27,8 @@ from stochord.arrangement import (
     check_arrangement_leq,
     check_pair_equal_a,
     _multisets_match,
+    _pairs_within,
+    _unzip,
 )
 from stochord.majorization import (
     BASE_TOL,
@@ -35,11 +37,11 @@ from stochord.majorization import (
     Vector,
     check_majorization,
     check_majorized_by,
-    component_tolerance,
     json_vector,
     majorization_bound,
     sort_components,
     t_transform_chain,
+    within,
 )
 from stochord.verdicts import OrderVerdict, Status
 
@@ -112,26 +114,29 @@ def _reverse_pair_ok(dx: float, dy: float, tol: float) -> bool:
 
 
 def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) -> bool:
-    n = a.n
-    if b.n != n:
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    n = len(ax)
+    if len(bx) != n:
         return False
     kind = m.kind
     if mode is RcMode.STRICT and kind in _WEAK_ONLY:
         return False
     if not n:  # empty pairs: the componentwise moves hold, coupled ones have no room
         return kind in (MoveKind.RAISE_X, MoveKind.LOWER_Y)
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
     # component_tolerance(ax, ay, bx, by), the one tolerance of every check
-    # below but the last: a vector's largest magnitude is the larger of its
-    # maximum and its negated minimum
-    tol = BASE_TOL * max(
-        1.0, max(ax), -min(ax), max(ay), -min(ay), max(bx), -min(bx), max(by), -min(by)
-    )
+    # below but the last
+    tol = BASE_TOL * max(1.0, max(map(abs, ax + ay + bx + by)))
 
     if kind is MoveKind.RAISE_X:
-        return all(abs(ay[k] - by[k]) <= tol and ax[k] <= bx[k] + tol for k in range(n))
+        for u, v, s, t in zip(ax, ay, bx, by):
+            if not (abs(v - t) <= tol and u <= s + tol):
+                return False
+        return True
     if kind is MoveKind.LOWER_Y:
-        return all(abs(ax[k] - bx[k]) <= tol and ay[k] >= by[k] - tol for k in range(n))
+        for u, v, s, t in zip(ax, ay, bx, by):
+            if not (abs(u - s) <= tol and v >= t - tol):
+                return False
+        return True
 
     i, j = m.i, m.j
     if j >= n or not _reverse_pair_ok(bx[j] - bx[i], by[j] - by[i], tol):
@@ -141,29 +146,35 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
     else:
         moved_a, moved_b, fixed_a, fixed_b = ay, by, ax, bx
     # the other vector stays put, and so does every coordinate but i and j
-    if not all(
-        abs(fixed_a[k] - fixed_b[k]) <= tol
-        and (k == i or k == j or abs(moved_a[k] - moved_b[k]) <= tol)
-        for k in range(n)
-    ):
-        return False
+    for k in range(n):
+        if not abs(fixed_a[k] - fixed_b[k]) <= tol:
+            return False
+        if k != i and k != j and not abs(moved_a[k] - moved_b[k]) <= tol:
+            return False
     # check_majorization((u, v), (s, t), mode) written out for two coordinates,
     # with its tolerance: the four values' largest magnitude, times 2
     u, v, s, t = moved_a[i], moved_a[j], moved_b[i], moved_b[j]
     pair_tol = BASE_TOL * max(1.0, abs(u), abs(v), abs(s), abs(t)) * 2
+    uv, st = u + v, s + t
+    if not (math.isfinite(uv) and math.isfinite(st)):
+        # a sum past the largest float would pass both sum tests below as
+        # an infinity: compare exactly
+        u, v, s, t, pair_tol = map(Fraction, (u, v, s, t, pair_tol))
+        uv, st = u + v, s + t
     if kind is MoveKind.WEAK_MAJORIZE_Y:  # ABOVE: the smaller component first
-        return not (min(u, v) < min(s, t) - pair_tol or u + v < s + t - pair_tol)
-    if max(u, v) > max(s, t) + pair_tol or u + v > s + t + pair_tol:
+        return not (min(u, v) < min(s, t) - pair_tol or uv < st - pair_tol)
+    if max(u, v) > max(s, t) + pair_tol or uv > st + pair_tol:
         return False
     # BELOW for a weak x move; FULL also compares the totals
-    return kind is MoveKind.WEAK_MAJORIZE_X or not abs(u + v - (s + t)) > pair_tol
+    return kind is MoveKind.WEAK_MAJORIZE_X or not abs(uv - st) > pair_tol
 
 
 def verify_rc_chain(chain: RcChain) -> bool:
-    return all(
-        verify_rc_move(chain.pairs[s], chain.pairs[s + 1], chain.moves[s], chain.mode)
-        for s in range(len(chain.moves))
-    )
+    pairs, mode = chain.pairs, chain.mode
+    for s, move in enumerate(chain.moves):
+        if not verify_rc_move(pairs[s], pairs[s + 1], move, mode):
+            return False
+    return True
 
 
 def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
@@ -182,6 +193,24 @@ def _fsum(values: Vector) -> float:
         if abs(total) < 2**1024 - 2**970:  # the reals that round to a finite float
             return float(total)
         return math.inf if total > 0 else -math.inf
+
+
+class _Sorted(NamedTuple):
+    """A queried pair with the work that one decision does on it once: its
+    coordinate pairs sorted by (x, y), the order of its canonical form, and
+    its largest magnitude (0 for an empty pair)."""
+
+    pair: PairClass
+    pairs: list
+    scale: float
+
+    def canonical(self) -> PairClass:
+        """:func:`canonical_form` of the pair."""
+        return PairClass(*_unzip(self.pairs))
+
+
+def _sorted(p: PairClass) -> _Sorted:
+    return _Sorted(p, sorted(zip(p.x, p.y)), max(map(abs, p.x + p.y), default=0.0))
 
 
 class _Target(NamedTuple):
@@ -212,22 +241,24 @@ class _Target(NamedTuple):
     near: float
 
 
-def _target(p2: PairClass, mode: RcMode) -> _Target:
+def _target(q2: _Sorted, mode: RcMode) -> _Target:
     x_mode, y_mode = _necessary_modes(mode)
-    c2 = canonical_form(p2)
-    goal_tol = component_tolerance(p2.x, p2.y)
+    p2 = q2.pair
+    c2x, c2y = _unzip(q2.pairs)
+    scale = max(1.0, q2.scale)
+    goal_tol = BASE_TOL * scale  # component_tolerance(p2.x, p2.y)
     return _Target(
         p2,
         tuple(sorted(set(p2.x))),
         tuple(sorted(set(p2.y))),
-        max(1.0, max(map(abs, p2.x + p2.y))),
+        scale,
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),
         _fsum(p2.x),
         _fsum(p2.y),
         majorization_bound(p2.x, x_mode),
         majorization_bound(p2.y, y_mode),
-        c2.x + c2.y,
+        c2x + c2y,
         goal_tol,
         2 * goal_tol,
     )
@@ -253,15 +284,11 @@ def check_necessary(
     return True, None
 
 
-def _opposite_representative(p: PairClass) -> PairClass:
-    """``p``'s x sorted increasing beside its y sorted decreasing."""
-    return PairClass(sort_components(p.x, "inc"), sort_components(p.y, "dec"))
-
-
 def is_opposite_ordered(p: PairClass) -> bool:
     """True iff ``p`` equals its exactly sorted representative, x increasing
     beside y decreasing, within :func:`check_pair_equal_a`'s tolerance."""
-    return check_pair_equal_a(_opposite_representative(p), p)
+    representative = PairClass(sort_components(p.x, "inc"), sort_components(p.y, "dec"))
+    return check_pair_equal_a(representative, p)
 
 
 def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
@@ -290,20 +317,21 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
         raise ChainConstructionError("length mismatch")
     if not check_necessary(p1, p2, mode)[0]:
         raise ChainConstructionError("start fails the necessary check")
-    return _construct_opposite(p1, p2, mode)
+    return _construct_opposite(_sorted(p1), _sorted(p2), mode)
 
 
-def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
-    """:func:`construct_chain_opposite` for a ``p1`` that has passed
-    :func:`check_necessary` against ``p2``, as in :func:`decide_wrc`."""
-    rep2 = _opposite_representative(p2)
-    if not check_pair_equal_a(rep2, p2):  # is_opposite_ordered(p2), rep2 built once
+def _construct_opposite(q1: _Sorted, q2: _Sorted, mode: RcMode) -> RcChain:
+    """:func:`construct_chain_opposite` for a start that has passed
+    :func:`check_necessary` against the target, as in :func:`decide_wrc`."""
+    p2 = q2.pair
+    x2s, y2s = sort_components(p2.x, "inc"), sort_components(p2.y, "dec")
+    # is_opposite_ordered(p2): the tolerance of all four vectors is p2's own
+    if not _pairs_within(sorted(zip(x2s, y2s)), q2.pairs, BASE_TOL * max(1.0, q2.scale)):
         raise ChainConstructionError("target pair is not opposite ordered")
-    x2s, y2s = rep2.x, rep2.y
 
-    rep1 = canonical_form(p1)
+    rep1 = q1.canonical()
     x1, y1 = rep1.x, rep1.y
-    n = p1.n
+    n = len(x1)
 
     pairs: list[PairClass] = [rep1]
     moves: list[ElementaryMove] = []
@@ -331,8 +359,11 @@ def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
     # makes the reverse-pair product nonpositive at every step.
     y_cur = list(pairs[-1].y)
     for pos in range(n):
-        top = max(range(pos, n), key=lambda k: y_cur[k])
-        if y_cur[top] > y_cur[pos]:
+        top = pos  # the first largest component from pos on
+        for k in range(pos + 1, n):
+            if y_cur[k] > y_cur[top]:
+                top = k
+        if top != pos:
             y_cur[pos], y_cur[top] = y_cur[top], y_cur[pos]
             push(
                 ElementaryMove(MoveKind.MAJORIZE_Y, pos, top),
@@ -342,16 +373,12 @@ def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
     # Transfer chains on y (run on the reversed, increasing copies) and on x;
     # their checks are the only majorization checks after the lift.
     try:
-        y_chain = t_transform_chain(tuple(reversed(y_cur)), tuple(reversed(y_top)))
+        y_chain = t_transform_chain(tuple(y_cur[::-1]), y_top[::-1])
         x_chain = t_transform_chain(x_cur, x2s)
     except (ValueError, RuntimeError) as exc:
         raise ChainConstructionError(f"transfer chain refused: {exc}") from exc
     for (i, j, _eps), nxt in zip(y_chain.steps, y_chain.vectors[1:]):
-        target_y = tuple(reversed(nxt))
-        push(
-            ElementaryMove(MoveKind.MAJORIZE_Y, n - 1 - j, n - 1 - i),
-            PairClass(x_cur, target_y),
-        )
+        push(ElementaryMove(MoveKind.MAJORIZE_Y, n - 1 - j, n - 1 - i), PairClass(x_cur, nxt[::-1]))
 
     # the x moves run against the decreasing y
     for (i, j, _eps), nxt in zip(x_chain.steps, x_chain.vectors[1:]):
@@ -464,7 +491,7 @@ def _is_goal(flat: Vector, target: _Target) -> bool:
     both pairs; rounding is monotone, so the larger of the two pairs' own
     tolerances is that same value."""
     tol = max(BASE_TOL * max(1.0, max(flat), -min(flat)), target.goal_tol)
-    return all(abs(a - b) <= tol for a, b in zip(flat, target.goal))
+    return within(flat, target.goal, tol)
 
 
 def _gap(v: Vector, target: Vector) -> float:
@@ -655,21 +682,23 @@ def decide_wrc(
     ok, viol = check_necessary(p1, p2, mode)
     if not ok:
         return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})
-    if check_pair_equal_a(p1, p2):
+    # each pair is sorted and scanned once, for every route below
+    q1, q2 = _sorted(p1), _sorted(p2)
+    tol = BASE_TOL * max(1.0, q1.scale, q2.scale)  # component_tolerance of all four
+    if _pairs_within(q1.pairs, q2.pairs, tol):  # check_pair_equal_a(p1, p2)
         return OrderVerdict(
             Status.HOLDS,
-            witness=RcChain((canonical_form(p1),), (), mode),
+            witness=RcChain((q1.canonical(),), (), mode),
             detail={"route": "equal"},
         )
 
     try:
-        chain = _construct_opposite(p1, p2, mode)  # p1 passed the necessary check
+        chain = _construct_opposite(q1, q2, mode)  # p1 passed the necessary check
     except ChainConstructionError:
         pass  # a target not opposite ordered, and every refusal, falls through
     else:
         return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
 
-    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
     if _multisets_match(p1.x, p2.x, tol) and _multisets_match(p1.y, p2.y, tol):
         arranged = check_arrangement_leq(p2, p1)
         if arranged.holds:
@@ -680,11 +709,12 @@ def decide_wrc(
             detail = {"route": "arrangement"}
             return OrderVerdict(Status.REFUTED, violation=arranged.violation, detail=detail)
 
-    return _search(p1, p2, mode, budget)
+    return _search(q1, q2, mode, budget)
 
 
-def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVerdict:
-    """Best-first search from ``p1``, which has passed :func:`check_necessary`.
+def _search(q1: _Sorted, q2: _Sorted, mode: RcMode, budget: int) -> OrderVerdict:
+    """Best-first search from ``q1``'s pair, which has passed
+    :func:`check_necessary` against ``q2``'s.
 
     Each expansion makes two passes over the node's candidates.  The goal
     pass (:func:`_goal_pass`) returns the first candidate in yield order that
@@ -701,8 +731,8 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     the tree is checked.  A node carries the two halves of its distance, and
     a child recomputes only the half of the vector its move changed.
     """
-    start = canonical_form(p1)
-    target = _target(p2, mode)
+    start = q1.canonical()
+    target = _target(q2, mode)
     rounded = _Rounded().__getitem__
     seen = {tuple(map(rounded, start.x + start.y))}
     # a canonical form's x is sorted increasing
@@ -740,10 +770,6 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     # the discretized moves reach no chain either way, so both are unknown
     detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
     return OrderVerdict(Status.UNKNOWN, detail=detail)
-
-
-def _within(v: Vector, target: Vector, tol: float) -> bool:
-    return all(abs(a - b) <= tol for a, b in zip(v, target))
 
 
 def _far(p: PairClass, target: _Target) -> list[int]:
@@ -814,8 +840,8 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     """
     px, py = cur.x, cur.y
     near = target.near
-    x_open = _within(sorted(py), target.ys, near)  # an x move may reach the goal
-    y_open = _within(sorted(px), target.xs, near)
+    x_open = within(sorted(py), target.ys, near)  # an x move may reach the goal
+    y_open = within(sorted(px), target.xs, near)
     if not (x_open or y_open):
         return None, _successors(cur, target, mode)
 
@@ -825,7 +851,7 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
             moves_x, swap, new, kind, i, j = candidate
             if not (x_ok if moves_x else y_ok):
                 continue
-            if not _within(sorted(new), target.xs if moves_x else target.ys, near):
+            if not within(sorted(new), target.xs if moves_x else target.ys, near):
                 continue
             x, y = (new, py) if moves_x else (px, new)
             xs, ys = zip(*sorted(zip(x, y)))

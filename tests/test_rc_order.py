@@ -45,6 +45,17 @@ from stochord.verdicts import Status
 STRICT, WEAK = RcMode.STRICT, RcMode.WEAK
 
 
+def _search(p1, p2, mode, budget):
+    """The best-first search from ``p1`` toward ``p2``, as ``decide_wrc``
+    runs it past its other routes."""
+    return rc_order._search(rc_order._sorted(p1), rc_order._sorted(p2), mode, budget)
+
+
+def _target(p2, mode):
+    """The search's target record of the pair ``p2``."""
+    return rc_order._target(rc_order._sorted(p2), mode)
+
+
 class TestVerifyRcMove:
     def test_majorize_x_needs_reverse_paired_target(self):
         # moving up the chain spreads coordinates; target has x increasing
@@ -465,7 +476,7 @@ class TestSearch:
                 for a, b in ((q1, q2), (q2, q1)):
                     if not check_necessary(a, b, WEAK)[0]:
                         continue
-                    v = rc_order._search(a, b, WEAK, 200)
+                    v = _search(a, b, WEAK, 200)
                     h.update(v.status.value.encode())
                     h.update(json.dumps(v.detail, sort_keys=True).encode())
                     h.update(b"null" if v.witness is None else chain_to_json(v.witness).encode())
@@ -484,7 +495,7 @@ class TestSearch:
         for a, b in _random_pairs(25):
             if not check_necessary(a, b, WEAK)[0]:
                 continue
-            v = rc_order._search(a, b, WEAK, 200)
+            v = _search(a, b, WEAK, 200)
             h.update(v.status.value.encode())
             h.update(json.dumps(v.detail, sort_keys=True).encode())
             h.update(b"null" if v.witness is None else chain_to_json(v.witness).encode())
@@ -553,7 +564,7 @@ class TestSearch:
             for n, seed in itertools.product(range(2, 7), range(3)):
                 s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
                 q1, q2 = _param_pairs(s1, s2, row.order)
-                statuses[rc_order._search(q2, q1, WEAK, 200).status] += 1
+                statuses[_search(q2, q1, WEAK, 200).status] += 1
         assert statuses == {Status.UNKNOWN: 30}
         assert calls == 0
 
@@ -572,7 +583,7 @@ class TestSearch:
         monkeypatch.setattr(rc_order, "verify_rc_move", spy)
         p1 = pair((1.0, 2.0, 3.0, 4.0, 6.0, 5.0), (3.0, 1.0, 4.0, 1.0, 5.0, 9.0))
         p2 = pair(p1.x, (3.0, 1.0, 4.0, 1.0, 4.0, 10.0))
-        v = rc_order._search(p1, p2, WEAK, 200)
+        v = _search(p1, p2, WEAK, 200)
         move = ElementaryMove(MoveKind.MAJORIZE_Y, 4, 5)
         assert v.holds and v.detail["expanded"] == 1 and v.witness.moves == (move,)
         assert calls == [move]
@@ -620,7 +631,7 @@ class TestSearch:
         texts = []
         for order in ((1.0, 9.0), (9.0, 1.0)):
             target = pair((5.0, 5.0, 1.0), (*order, 2.0))
-            assert rc_order._target(target, WEAK).values_y == (1.0, 2.0, 9.0)
+            assert _target(target, WEAK).values_y == (1.0, 2.0, 9.0)
             v = decide_wrc(p1, target, WEAK)
             assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
             texts.append(chain_to_json(v.witness))
@@ -634,7 +645,7 @@ class TestSearch:
         h = hashlib.sha256()
         expanded = []
         for a, b, mode in _one_move_pairs(40):
-            v = rc_order._search(a, b, mode, 200)
+            v = _search(a, b, mode, 200)
             h.update(v.status.value.encode())
             h.update(json.dumps(v.detail, sort_keys=True).encode())
             h.update(b"null" if v.witness is None else chain_to_json(v.witness).encode())
@@ -730,7 +741,7 @@ def _candidates(p, target, mode):
     """``_successors`` from ``p`` toward the pair ``target``, each candidate
     as the pair and the move it proposes; checks what its tuple says of it."""
     for moves_x, swap, new, kind, i, j in rc_order._successors(
-        p, rc_order._target(target, mode), mode
+        p, _target(target, mode), mode
     ):
         assert moves_x is (kind in rc_order._MOVES_X)
         src = p.x if moves_x else p.y
@@ -788,7 +799,7 @@ class TestSuccessors:
         target = pair(flat[:n], flat[n:])
         if not check_necessary(p, target, mode)[0]:
             return  # the search's precondition, which every node meets
-        t = rc_order._target(target, mode)
+        t = _target(target, mode)
         x_mode, y_mode = rc_order._necessary_modes(mode)
         want = None
         for nxt, move in _candidates(p, target, mode):
@@ -831,7 +842,7 @@ class TestSuccessors:
             target = step(target) or target
         if target is None or check_pair_equal_a(p, target) or not check_necessary(p, target, mode)[0]:
             return  # pairs the search never sees
-        t = rc_order._target(target, mode)
+        t = _target(target, mode)
         event(f"far coordinates: {min(len(rc_order._far(p, t)), 3)}")
         want = None
         for moves_x, swap, new, kind, i, j in rc_order._successors(p, t, mode):
