@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from stochord.arrangement import (
     PairClass,
@@ -17,6 +17,16 @@ from stochord.arrangement import (
 )
 from stochord.majorization import component_tolerance
 from stochord.verdicts import OrderVerdict, Status
+
+
+def _reference_check_pair_equal_a(p1, p2):
+    """``check_pair_equal_a`` as it was before it compared sorted pairs
+    without building canonical forms: the oracle of the rewritten one."""
+    if p1.n != p2.n:
+        raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
+    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
+    c1, c2 = canonical_form(p1), canonical_form(p2)
+    return all(abs(a - b) <= tol for a, b in zip(c1.x + c1.y, c2.x + c2.y))
 
 
 def verify_arrangement_chain(p1, p2, moves) -> bool:
@@ -147,6 +157,44 @@ class TestPairBasics:
 
     def test_different_couplings_not_equal(self):
         assert not check_pair_equal_a(pair((1, 2), (3, 4)), pair((1, 2), (4, 3)))
+
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equality_agrees_with_the_reference(self, data):
+        """The rewritten equality test (one sort per pair, no canonical
+        forms built) gives the reference's answer: pairs of n = 0..6 from a
+        pool with ties and ``-0.0``, the second a common permutation of the
+        first with components nudged by 0.5 to 2 times the tolerance, or a
+        fresh draw, or of another length."""
+        n = data.draw(st.integers(0, 6))
+        scale = data.draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
+        comp = st.one_of(
+            st.sampled_from((0.0, -0.0, 1.0, 2.0, 1e4)), st.floats(-3.0, 3.0, allow_nan=False)
+        )
+        x, y = ([data.draw(comp) * scale for _ in range(n)] for _ in range(2))
+        how = data.draw(st.sampled_from(("permuted", "permuted", "fresh", "longer")))
+        if how == "longer":
+            u, v = x + [1.0], y + [1.0]
+        elif how == "fresh":
+            u, v = ([data.draw(comp) * scale for _ in range(n)] for _ in range(2))
+        else:
+            perm = data.draw(st.permutations(range(n)))
+            u, v = [x[k] for k in perm], [y[k] for k in perm]
+            tol = component_tolerance(x, y)
+            for vec in (u, v):
+                for k in range(n):
+                    if data.draw(st.integers(0, 3)) == 0:
+                        vec[k] += data.draw(st.sampled_from((0.5, 1, 1.5, 2, -0.5, -1, -1.5, -2))) * tol
+        p, q = PairClass(tuple(x), tuple(y)), PairClass(tuple(u), tuple(v))
+        try:
+            want = _reference_check_pair_equal_a(p, q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                check_pair_equal_a(p, q)
+            return
+        event(f"{how}: {want}")
+        assert check_pair_equal_a(p, q) is want
 
 
 class TestArrangementOrder:

@@ -119,6 +119,37 @@ class TestCheckOrder:
         assert out["status"] == "holds" and out["moves"] == 1
 
 
+    @pytest.mark.parametrize("exponent", [1000, 1021])
+    def test_a_move_that_breaks_the_sum_is_rejected_past_the_floats(
+        self, exponent, tmp_path, capsys
+    ):
+        """Rates r·(1, 5, 4) against r·(1, 6, 3.5) under shapes (0.4, 0.5,
+        0.6): the y totals differ by r/2, so the pair is refuted and one
+        majorize_y move at (1, 2) is no witness.  At r = 2^1021 both y
+        totals pass the largest float, where both sums used to compare as
+        infinities: the move was accepted and the refutation missed."""
+        r = 2.0**exponent
+        shapes = [0.4, 0.5, 0.6]
+        y1, y2 = [r, 5 * r, 4 * r], [r, 6 * r, 3.5 * r]
+        pair = {
+            "config1": {"family": "gamma", "shapes": shapes, "scales": y1},
+            "config2": {"family": "gamma", "shapes": shapes, "scales": y2},
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"mode": "weak", "chain": [
+            {"pair": {"x": shapes, "y": y1}, "move": None},
+            {"pair": {"x": shapes, "y": y2}, "move": {"kind": "majorize_y", "i": 1, "j": 2}},
+        ]}))
+        assert main(["check-order", str(path), "--verify-witness", str(witness)]) == 1
+        assert capsys.readouterr().out == "witness rejected (1 moves)\n"
+        assert main(["check-order", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "refuted"
+        assert out["violation"] == {"vector": "y", "prefix": 3, "mode": "above"}
+
+
 class TestVerify:
     def test_equal_specs_exit_zero(self, tmp_path, capsys):
         s = {"family": "negbin", "shapes": [1.0, 2.0], "scales": [0.5, 0.6]}

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from stochord.majorization import (
+    BASE_TOL,
+    TChain,
     MajorizationMode,
     check_majorization,
     check_majorized_by,
@@ -36,11 +39,134 @@ def verify_t_step(a, b) -> bool:
     return eps_i > 0 and abs(eps_i - eps_j) <= tol
 
 
+def _reference_check_majorization(x, y, mode):
+    """``check_majorization`` as it was before its sums were listed once
+    and compared exactly past the largest float: the oracle of the rewritten
+    one wherever every prefix sum is finite."""
+    ys = sorted(y, reverse=mode is not ABOVE)
+    bound_scale = max(abs(ys[0]), abs(ys[-1])) if ys else 0.0
+    sums = tuple(itertools.accumulate(ys))
+    if len(x) != len(sums):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(sums)}")
+    scale = max(max(x), -min(x), bound_scale) if x else bound_scale
+    tol = BASE_TOL * max(1.0, scale) * len(x)
+    if mode is ABOVE:
+        for k, (cx, cy) in enumerate(zip(itertools.accumulate(sorted(x)), sums), start=1):
+            if cx < cy - tol:
+                return False, k
+        return True, None
+    cx = cy = 0.0
+    for k, (cx, cy) in enumerate(zip(itertools.accumulate(sorted(x, reverse=True)), sums), start=1):
+        if cx > cy + tol:
+            return False, k
+    if mode is FULL and abs(cx - cy) > tol:
+        return False, 0
+    return True, None
+
+
+def _reference_t_transform_chain(x, y):
+    """``t_transform_chain`` as it was before its scans became plain loops:
+    the oracle of the rewritten one."""
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    tol = component_tolerance(x, y)
+    if not is_sorted(x, "inc", tol) or not is_sorted(y, "inc", tol):
+        raise ValueError("t_transform_chain requires increasing-sorted inputs")
+    ok, k = _reference_check_majorization(x, y, FULL)
+    if not ok:
+        raise ValueError(f"x is not majorized by y (violated prefix {k})")
+    current = list(x)
+    vectors = [tuple(current)]
+    steps = []
+    n = len(x)
+    for _ in range(n):
+        i = next((m for m in range(n) if current[m] > y[m] + tol), n)
+        j = next((m for m in range(i + 1, n) if current[m] < y[m] - tol), n)
+        if j == n:
+            break
+        while j + 1 < n and current[j + 1] < y[j + 1] - tol:
+            j += 1
+        eps = min(current[i] - y[i], y[j] - current[j])
+        current[i] -= eps
+        current[j] += eps
+        vectors.append(tuple(current))
+        steps.append((i, j, eps))
+    residual = max(abs(c - t) for c, t in zip(current, y))
+    if residual > tol * len(x):
+        raise RuntimeError(f"transfer chain did not converge, residual {residual}")
+    if steps:
+        vectors[-1] = y
+    return TChain(vectors=tuple(vectors), steps=tuple(steps))
+
+
+# multiples of BASE_TOL times the largest magnitude, on both sides of 1, 2 and 3
+_EDGE_STEPS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, -0.5, -1.0, -1.5, -2.0, -2.5, -3.0)
+
+
+@st.composite
+def _majorization_pairs(draw, chains=False):
+    """``(x, y)`` of one length in 0..6, or of two lengths: y from a pool
+    with ties, ``-0.0`` and a far value, sorted increasing or not; x a
+    permutation of y with Robin Hood transfers (the sorted ones kept
+    sorted) or a fresh draw.  Then up to two edge moves: a component of
+    either vector moved by 0.5 to 3 times ``BASE_TOL`` times the largest
+    magnitude, alone or as a transfer to another, around the tolerance
+    edges.  With ``chains``, mostly sorted pairs with transfers, the inputs
+    of a transfer chain.  Every prefix sum stays finite."""
+    n = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
+    comp = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, 0.5, 1e4)), st.floats(-3.0, 3.0, allow_nan=False)
+    )
+    y = [draw(comp) * scale for _ in range(n)]
+    if draw(st.integers(0, 7)) < (7 if chains else 4):
+        y.sort()
+    how = draw(st.sampled_from(("transfers",) * (6 if chains else 2) + ("fresh", "longer")))
+    if how == "fresh":
+        x = [draw(comp) * scale for _ in range(n)]
+    elif how == "longer":
+        x = y + [1.0]
+    else:
+        x = list(y)
+        for _ in range(draw(st.integers(0, n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            lo, hi = (i, j) if x[i] <= x[j] else (j, i)
+            eps = draw(st.floats(0.0, 0.5, allow_nan=False)) * (x[hi] - x[lo])
+            x[lo], x[hi] = x[lo] + eps, x[hi] - eps
+        if y == sorted(y):
+            x.sort()
+    if n:
+        big = max(1.0, *map(abs, x + y))
+        for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+            vec = draw(st.sampled_from((x, y)))
+            step = draw(st.sampled_from(_EDGE_STEPS)) * BASE_TOL * big
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            vec[i] += step
+            if draw(st.booleans()):
+                vec[j] -= step
+    for vec in (x, y):
+        for order in (sorted(vec), sorted(vec, reverse=True)):
+            assume(all(map(math.isfinite, itertools.accumulate(order))))
+    return tuple(x), tuple(y)
+
+
 class TestCheckMajorization:
     def test_identical_vectors_majorize_in_all_modes(self):
         v = (1.5, 0.25, 3.0)
         for mode in MajorizationMode:
             assert check_majorization(v, v, mode) == (True, None)
+
+    def test_prefix_sums_past_the_floats_compare_exactly(self):
+        """A prefix sum past the largest float compares exactly, not as an
+        infinity: two totals both past it differ by r/2 here, and an
+        infinity compared with another, or subtracted from it, hid that."""
+        r = 2.0**1021
+        for mode in (FULL, BELOW):
+            assert check_majorization((5 * r, 4.5 * r), (6 * r, 3 * r), mode) == (False, 2)
+            assert check_majorization((5 * r, 4 * r), (6 * r, 3 * r), mode) == (True, None)
+        assert check_majorization((-5 * r, -4.5 * r), (-6 * r, -3 * r), ABOVE) == (False, 2)
+        assert check_majorization((r, 5 * r, 4 * r), (r, 6 * r, 3.5 * r), ABOVE) == (False, 3)
+        assert check_majorization((5 * r, 4.5 * r), (5.5 * r, 4 * r), FULL) == (True, None)
 
     def test_classic_full_example(self):
         assert check_majorization((1, 2, 3), (0, 2, 4), FULL) == (True, None)
@@ -123,6 +249,22 @@ class TestCheckMajorization:
         assert check_majorization(v, sort_components(v, "dec"), FULL)[0]
         assert is_sorted(sort_components(v, "inc"), "inc")
         assert is_sorted(sort_components(v, "dec"), "dec")
+
+
+    @given(_majorization_pairs(), st.sampled_from(MajorizationMode))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_reference(self, xy, mode):
+        """With every prefix sum finite, the rewritten check gives the
+        reference's answer, violated prefix included."""
+        x, y = xy
+        try:
+            want = _reference_check_majorization(x, y, mode)
+        except ValueError:
+            with pytest.raises(ValueError):
+                check_majorization(x, y, mode)
+            return
+        event(f"{mode.value}: {want[0]}")
+        assert check_majorization(x, y, mode) == want
 
 
 class TestVerifyTStep:
@@ -237,6 +379,23 @@ class TestTTransformChain:
             assert verify_t_step(u, v)
             assert is_sorted(v, "inc")
             assert check_majorization(v, target, FULL)[0]
+
+
+    @given(_majorization_pairs(chains=True))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_reference(self, xy):
+        """The rewritten chain has the reference's vectors and steps, float
+        for float, or raises the same exception type."""
+        x, y = xy
+        try:
+            want = _reference_t_transform_chain(x, y)
+        except (ValueError, RuntimeError) as exc:
+            event(f"raises {type(exc).__name__}")
+            with pytest.raises(type(exc)):
+                t_transform_chain(x, y)
+            return
+        event(f"{len(want.steps)} steps")
+        assert repr(t_transform_chain(x, y)) == repr(want)
 
 
 class TestTolerance:

@@ -19,6 +19,7 @@ from stochord.arrangement import (
 )
 from stochord.harness import MATRIX, Scenario, _param_pairs, generate_instance
 from stochord.majorization import (
+    BASE_TOL,
     MajorizationMode,
     check_majorization,
     component_tolerance,
@@ -54,6 +55,168 @@ def _search(p1, p2, mode, budget):
 def _target(p2, mode):
     """The search's target record of the pair ``p2``."""
     return rc_order._target(rc_order._sorted(p2), mode)
+
+
+def _reference_verify_rc_move(a, b, m, mode):
+    """``verify_rc_move`` as it was before its tolerance became one scan and
+    its coordinate checks plain loops: the oracle of the rewritten one."""
+    n = a.n
+    if b.n != n:
+        return False
+    kind = m.kind
+    if mode is RcMode.STRICT and kind in rc_order._WEAK_ONLY:
+        return False
+    if not n:
+        return kind in (MoveKind.RAISE_X, MoveKind.LOWER_Y)
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    tol = 1e-12 * max(
+        1.0, max(ax), -min(ax), max(ay), -min(ay), max(bx), -min(bx), max(by), -min(by)
+    )
+    if kind is MoveKind.RAISE_X:
+        return all(abs(ay[k] - by[k]) <= tol and ax[k] <= bx[k] + tol for k in range(n))
+    if kind is MoveKind.LOWER_Y:
+        return all(abs(ax[k] - bx[k]) <= tol and ay[k] >= by[k] - tol for k in range(n))
+    i, j = m.i, m.j
+    if j >= n or not (by[j] - by[i]) * (bx[j] - bx[i]) <= tol:
+        return False
+    if kind in rc_order._MOVES_X:
+        moved_a, moved_b, fixed_a, fixed_b = ax, bx, ay, by
+    else:
+        moved_a, moved_b, fixed_a, fixed_b = ay, by, ax, bx
+    if not all(
+        abs(fixed_a[k] - fixed_b[k]) <= tol
+        and (k == i or k == j or abs(moved_a[k] - moved_b[k]) <= tol)
+        for k in range(n)
+    ):
+        return False
+    u, v, s, t = moved_a[i], moved_a[j], moved_b[i], moved_b[j]
+    pair_tol = 1e-12 * max(1.0, abs(u), abs(v), abs(s), abs(t)) * 2
+    if kind is MoveKind.WEAK_MAJORIZE_Y:
+        return not (min(u, v) < min(s, t) - pair_tol or u + v < s + t - pair_tol)
+    if max(u, v) > max(s, t) + pair_tol or u + v > s + t + pair_tol:
+        return False
+    return kind is MoveKind.WEAK_MAJORIZE_X or not abs(u + v - (s + t)) > pair_tol
+
+
+# multiples of a tolerance, on both sides of 1, 2 and 3
+_EDGE_STEPS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, -0.5, -1.0, -1.5, -2.0, -2.5, -3.0)
+
+
+@st.composite
+def _move_cases(draw):
+    """A pair ``a``, a pair ``b`` one move of a drawn kind from it (a swap, a
+    transfer or a fresh draw at two positions, or a componentwise raise or
+    lower), a move whose ``j`` may lie past the end, and a mode.  Components
+    come from a pool with ties, ``-0.0`` and a far value.  Then up to two
+    edge moves, on a vector of b or on one of both pairs alike: a component
+    moved by 0.5 to 3 times a tolerance, alone or as a transfer to another
+    (mostly at i and j), around the edges of each check.  Every
+    two-coordinate sum stays finite."""
+    n = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
+    comp = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, 0.5, -1.0, 1e4)),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    ax, ay = ([draw(comp) * scale for _ in range(n)] for _ in range(2))
+    kind = draw(st.sampled_from(MoveKind))
+    bx, by = list(ax), list(ay)
+    i = j = None
+    if kind in rc_order._COUPLED:
+        i = draw(st.integers(0, max(n - 2, 0)))
+        past = n < 2 or draw(st.integers(0, 7)) == 0
+        j = draw(st.integers(max(n, i + 1), n + 1) if past else st.integers(i + 1, n - 1))
+        moved = bx if kind in rc_order._MOVES_X else by
+        if j < n:
+            u, w = moved[i], moved[j]
+            how = draw(st.sampled_from(("swap", "spread", "spread", "pull", "fresh")))
+            if how == "swap":
+                moved[i], moved[j] = w, u
+            elif how == "fresh":
+                moved[i], moved[j] = draw(comp) * scale, draw(comp) * scale
+            else:
+                lo, hi = (i, j) if u <= w else (j, i)
+                if how == "spread":  # or swap them back, at eps 0
+                    eps = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) * scale
+                else:  # pull the two together, at most to their mean
+                    eps = -draw(st.floats(0.0, 0.5, allow_nan=False)) * (moved[hi] - moved[lo])
+                moved[lo], moved[hi] = moved[lo] - eps, moved[hi] + eps
+            if draw(st.booleans()):  # order the other vector oppositely at i, j
+                other_a, other_b = (ay, by) if moved is bx else (ax, bx)
+                up = (moved[j] - moved[i]) >= 0
+                lo, hi = sorted((other_a[i], other_a[j]))
+                other_a[i], other_a[j] = (hi, lo) if up else (lo, hi)
+                other_b[i], other_b[j] = other_a[i], other_a[j]
+    elif n:
+        raised = bx if kind is MoveKind.RAISE_X else by
+        sign = 1.0 if kind is MoveKind.RAISE_X else -1.0
+        for k in range(n):
+            if draw(st.booleans()):
+                raised[k] += sign * draw(st.floats(0.0, 2.0, allow_nan=False)) * scale
+    if n:
+        # each check's tolerance is BASE_TOL times big, but the pair one's is
+        # twice the moved values' largest magnitude at i and j
+        tols = [BASE_TOL * max(1.0, *map(abs, ax + ay + bx + by))]
+        spots = tuple(range(n))
+        if kind in rc_order._COUPLED and j < n:
+            spots = (i, j)
+            pair_big = max(1.0, *(abs(c) for v in (ax, ay, bx, by) for c in (v[i], v[j])))
+            tols.append(2 * BASE_TOL * pair_big)
+        for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+            # one of b's vectors, or one vector of both pairs alike
+            vecs = draw(st.sampled_from(((bx,), (by,), (ax, bx), (ay, by))))
+            where = spots if draw(st.booleans()) else tuple(range(n))
+            k, k2 = draw(st.sampled_from(where)), draw(st.sampled_from(where))
+            step = draw(st.sampled_from(_EDGE_STEPS)) * draw(st.sampled_from(tols))
+            transfer = draw(st.booleans())  # which keeps the sum
+            for vec in vecs:
+                vec[k] += step
+                if transfer:
+                    vec[k2] -= step
+    for u, w in itertools.combinations(ax + ay + bx + by, 2):
+        assume(math.isfinite(u + w))
+    mode = draw(st.sampled_from((STRICT, WEAK, WEAK)))
+    return PairClass(tuple(ax), tuple(ay)), PairClass(tuple(bx), tuple(by)), ElementaryMove(kind, i, j), mode
+
+
+@st.composite
+def _coupled_edge_cases(draw):
+    """A coupled move at the edge of its pair tolerance: at positions
+    ``i < j``, b's moved vector is a's swapped or spread there, or neither,
+    then moved by 0.5 to 3 times the pair tolerance at i alone or as a
+    transfer to j; the other vector is a's, ordered oppositely or tied at
+    i and j so that the coupling holds."""
+    n = draw(st.integers(2, 6))
+    scale = draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
+    comp = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, 0.5, -1.0)), st.floats(-3.0, 3.0, allow_nan=False)
+    )
+    moved_a, other = ([draw(comp) * scale for _ in range(n)] for _ in range(2))
+    kind = draw(st.sampled_from(rc_order._COUPLED))
+    i, j = sorted(draw(st.permutations(range(n)))[:2])
+    moved_b = list(moved_a)
+    if draw(st.booleans()):
+        moved_b[i], moved_b[j] = moved_b[j], moved_b[i]
+    lo, hi = (i, j) if moved_b[i] <= moved_b[j] else (j, i)
+    eps = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) * scale
+    moved_b[lo], moved_b[hi] = moved_b[lo] - eps, moved_b[hi] + eps
+    pair_big = max(1.0, *map(abs, (moved_a[i], moved_a[j], moved_b[i], moved_b[j])))
+    step = draw(st.sampled_from(_EDGE_STEPS)) * 2 * BASE_TOL * pair_big
+    moved_b[i] += step
+    if draw(st.booleans()):
+        moved_b[j] -= step
+    if draw(st.booleans()):
+        other[j] = other[i]
+    elif (other[j] - other[i]) * (moved_b[j] - moved_b[i]) > 0:
+        other[i], other[j] = other[j], other[i]
+    for u, w in itertools.combinations(moved_a + moved_b, 2):
+        assume(math.isfinite(u + w))
+    moved_a, moved_b, other = tuple(moved_a), tuple(moved_b), tuple(other)
+    if kind in rc_order._MOVES_X:
+        a, b = PairClass(moved_a, other), PairClass(moved_b, other)
+    else:
+        a, b = PairClass(other, moved_a), PairClass(other, moved_b)
+    return a, b, ElementaryMove(kind, i, j), WEAK
 
 
 class TestVerifyRcMove:
@@ -166,6 +329,43 @@ class TestVerifyRcMove:
                 a, b = pair(same, (u, v)), pair(same, (s, t))
             want, _ = check_majorization((u, v), (s, t), mode)
             assert verify_rc_move(a, b, ElementaryMove(kind, 0, 1), WEAK) is want, kind
+
+    @given(_move_cases())
+    @settings(max_examples=1000, deadline=None)
+    def test_agrees_with_the_reference(self, case):
+        """The rewritten move check gives the reference's answer on every
+        kind, both modes, empty pairs, ``j`` past the end, ties, ``-0.0``
+        and components nudged around each tolerance edge."""
+        a, b, m, mode = case
+        want = _reference_verify_rc_move(a, b, m, mode)
+        event(f"{m.kind.value}: {want}")
+        assert verify_rc_move(a, b, m, mode) is want
+
+    @given(_coupled_edge_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_pair_tolerance_edges_agree_with_the_reference(self, case):
+        """The same at the pair tolerance's edges, where the general draw
+        rarely lands: each side of the max and sum comparisons."""
+        a, b, m, mode = case
+        want = _reference_verify_rc_move(a, b, m, mode)
+        event(f"{m.kind.value}: {want}")
+        assert verify_rc_move(a, b, m, mode) is want
+
+    @pytest.mark.parametrize("exponent", [1000, 1021])
+    def test_sums_past_the_floats_compare_exactly(self, exponent):
+        """At r = 2^1021 both y sums of the moved coordinates pass the
+        largest float; they compare exactly, so a move that breaks the sum
+        is rejected and one that keeps it accepted, as at r = 2^1000."""
+        r = 2.0**exponent
+        x = (0.4, 0.5, 0.6)
+        a = pair(x, (r, 5 * r, 4 * r))
+        m = ElementaryMove(MoveKind.MAJORIZE_Y, 1, 2)
+        for mode in (STRICT, WEAK):
+            assert not verify_rc_move(a, pair(x, (r, 6 * r, 3.5 * r)), m, mode)
+            assert verify_rc_move(a, pair(x, (r, 6 * r, 3 * r)), m, mode)
+        weak = ElementaryMove(MoveKind.WEAK_MAJORIZE_Y, 1, 2)
+        assert verify_rc_move(a, pair(x, (r, 6 * r, 2.5 * r)), weak, WEAK)
+        assert not verify_rc_move(a, pair(x, (r, 6 * r, 3.5 * r)), weak, WEAK)
 
     def test_coupled_move_requires_positions(self):
         with pytest.raises(ValueError):
