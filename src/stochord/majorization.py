@@ -98,19 +98,16 @@ class MajorizationBound(NamedTuple):
     """The majorizing vector of a check in ``mode``, prepared once for a
     caller that checks many vectors against it: its components in the order
     the check reads them (the largest first, or the smallest first for
-    ABOVE), their prefix sums and its largest magnitude."""
+    ABOVE) and their prefix sums."""
 
     mode: MajorizationMode
     values: Vector
     sums: tuple[float, ...]
-    scale: float
 
 
 def majorization_bound(y: Vector, mode: MajorizationMode) -> MajorizationBound:
     ys = tuple(sorted(y, reverse=mode is not MajorizationMode.ABOVE))
-    # sorted, so the largest magnitude sits at one end
-    scale = max(abs(ys[0]), abs(ys[-1])) if ys else 0.0
-    return MajorizationBound(mode, ys, tuple(itertools.accumulate(ys)), scale)
+    return MajorizationBound(mode, ys, tuple(itertools.accumulate(ys)))
 
 
 def check_majorization(
@@ -125,26 +122,35 @@ def check_majorization(
     prefix sum past the largest float would compare as an infinity, so when
     one is not finite every prefix sum is compared exactly instead.
     """
-    return check_majorized_by(x, majorization_bound(y, mode))
+    _require_same_length(x, y)
+    reverse = mode is not MajorizationMode.ABOVE
+    ys = sorted(y, reverse=reverse)
+    return _check_sorted(sorted(x, reverse=reverse), ys, list(itertools.accumulate(ys)), mode)
 
 
 def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int | None]:
     """:func:`check_majorization` against a prepared ``y``."""
-    n = len(x)
-    _require_same_length(x, bound.sums)
+    _require_same_length(x, bound.values)
+    mode = bound.mode
+    xs = sorted(x, reverse=mode is not MajorizationMode.ABOVE)
+    return _check_sorted(xs, bound.values, bound.sums, mode)
+
+
+def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, int | None]:
+    """:func:`check_majorization` of ``xs`` and ``ys``, sorted in the order
+    the check reads them, given the prefix sums of ``ys``."""
+    n = len(xs)
     if not n:
         return True, None
-    above = bound.mode is MajorizationMode.ABOVE
-    xs = sorted(x, reverse=not above)
-    # sorted, so x's largest magnitude sits at one end
-    tol = BASE_TOL * max(1.0, abs(xs[0]), abs(xs[-1]), bound.scale) * n
-    sums_x, sums_y = list(itertools.accumulate(xs)), bound.sums
+    # sorted, so each vector's largest magnitude sits at one end
+    tol = BASE_TOL * max(1.0, abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) * n
+    sums_x = list(itertools.accumulate(xs))
     # a prefix sum of finite floats, once infinite, stays so: the totals tell
     if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])):
         sums_x = list(itertools.accumulate(map(Fraction, xs)))
-        sums_y = list(itertools.accumulate(map(Fraction, bound.values)))
+        sums_y = list(itertools.accumulate(map(Fraction, ys)))
         tol = Fraction(tol)
-    if above:
+    if mode is MajorizationMode.ABOVE:
         for k in range(n):
             if sums_x[k] < sums_y[k] - tol:
                 return False, k + 1
@@ -152,7 +158,7 @@ def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int |
     for k in range(n):
         if sums_x[k] > sums_y[k] + tol:
             return False, k + 1
-    if bound.mode is MajorizationMode.FULL and abs(sums_x[-1] - sums_y[-1]) > tol:
+    if mode is MajorizationMode.FULL and abs(sums_x[-1] - sums_y[-1]) > tol:
         return False, 0
     return True, None
 
