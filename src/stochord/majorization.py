@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -175,7 +174,7 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     """
     _require_same_length(x, y)
     n = len(x)
-    tol = BASE_TOL * max(1.0, max(map(abs, (*x, *y)), default=0.0))  # component_tolerance(x, y)
+    tol = component_tolerance(x, y)
     for k in range(1, n):  # is_sorted(x, "inc", tol) and is_sorted(y, "inc", tol)
         if not (x[k] >= x[k - 1] - tol and y[k] >= y[k - 1] - tol):
             raise ValueError("t_transform_chain requires increasing-sorted inputs")
@@ -206,7 +205,7 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
         current[j] += eps
         vectors.append(tuple(current))
         steps.append((i, j, eps))
-    residual = max(map(abs, map(operator.sub, current, y)))
+    residual = max(abs(c - t) for c, t in zip(current, y))
     if residual > tol * len(x):
         raise RuntimeError(f"transfer chain did not converge, residual {residual}")
     if steps:  # snap the endpoint so tolerance slack does not leak into callers
