@@ -195,7 +195,7 @@ def _fsum(values: Vector) -> float:
         return math.inf if total > 0 else -math.inf
 
 
-class _Sorted(NamedTuple):
+class _SortedPair(NamedTuple):
     """A queried pair with the work that one decision does on it once: its
     coordinate pairs sorted by (x, y), the order of its canonical form, and
     its largest magnitude (0 for an empty pair)."""
@@ -209,8 +209,8 @@ class _Sorted(NamedTuple):
         return PairClass(*_unzip(self.pairs))
 
 
-def _sorted(p: PairClass) -> _Sorted:
-    return _Sorted(p, sorted(zip(p.x, p.y)), max(map(abs, p.x + p.y), default=0.0))
+def _sort_pair(p: PairClass) -> _SortedPair:
+    return _SortedPair(p, sorted(zip(p.x, p.y)), max(map(abs, p.x + p.y), default=0.0))
 
 
 class _Target(NamedTuple):
@@ -241,7 +241,7 @@ class _Target(NamedTuple):
     near: float
 
 
-def _target(q2: _Sorted, mode: RcMode) -> _Target:
+def _target(q2: _SortedPair, mode: RcMode) -> _Target:
     x_mode, y_mode = _necessary_modes(mode)
     p2 = q2.pair
     c2x, c2y = _unzip(q2.pairs)
@@ -317,10 +317,10 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
         raise ChainConstructionError("length mismatch")
     if not check_necessary(p1, p2, mode)[0]:
         raise ChainConstructionError("start fails the necessary check")
-    return _construct_opposite(_sorted(p1), _sorted(p2), mode)
+    return _construct_opposite(_sort_pair(p1), _sort_pair(p2), mode)
 
 
-def _construct_opposite(q1: _Sorted, q2: _Sorted, mode: RcMode) -> RcChain:
+def _construct_opposite(q1: _SortedPair, q2: _SortedPair, mode: RcMode) -> RcChain:
     """:func:`construct_chain_opposite` for a start that has passed
     :func:`check_necessary` against the target, as in :func:`decide_wrc`."""
     p2 = q2.pair
@@ -683,7 +683,7 @@ def decide_wrc(
     if not ok:
         return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})
     # each pair is sorted and scanned once, for every route below
-    q1, q2 = _sorted(p1), _sorted(p2)
+    q1, q2 = _sort_pair(p1), _sort_pair(p2)
     tol = BASE_TOL * max(1.0, q1.scale, q2.scale)  # component_tolerance of all four
     if _pairs_within(q1.pairs, q2.pairs, tol):  # check_pair_equal_a(p1, p2)
         return OrderVerdict(
@@ -712,7 +712,7 @@ def decide_wrc(
     return _search(q1, q2, mode, budget)
 
 
-def _search(q1: _Sorted, q2: _Sorted, mode: RcMode, budget: int) -> OrderVerdict:
+def _search(q1: _SortedPair, q2: _SortedPair, mode: RcMode, budget: int) -> OrderVerdict:
     """Best-first search from ``q1``'s pair, which has passed
     :func:`check_necessary` against ``q2``'s.
 

@@ -49,12 +49,12 @@ STRICT, WEAK = RcMode.STRICT, RcMode.WEAK
 def _search(p1, p2, mode, budget):
     """The best-first search from ``p1`` toward ``p2``, as ``decide_wrc``
     runs it past its other routes."""
-    return rc_order._search(rc_order._sorted(p1), rc_order._sorted(p2), mode, budget)
+    return rc_order._search(rc_order._sort_pair(p1), rc_order._sort_pair(p2), mode, budget)
 
 
 def _target(p2, mode):
     """The search's target record of the pair ``p2``."""
-    return rc_order._target(rc_order._sorted(p2), mode)
+    return rc_order._target(rc_order._sort_pair(p2), mode)
 
 
 def _reference_verify_rc_move(a, b, m, mode):
