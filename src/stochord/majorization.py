@@ -119,7 +119,8 @@ def check_majorization(
     mismatch in FULL mode.  Sums are compared within ``BASE_TOL`` times the
     largest magnitude in ``x`` and ``y`` (at least 1) times the length.  A
     prefix sum past the largest float would compare as an infinity, so when
-    one is not finite every prefix sum is compared exactly instead.
+    one is not finite but every component is, every prefix sum is compared
+    exactly instead.
     """
     _require_same_length(x, y)
     reverse = mode is not MajorizationMode.ABOVE
@@ -145,7 +146,10 @@ def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, i
     tol = BASE_TOL * max(1.0, abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) * n
     sums_x = list(itertools.accumulate(xs))
     # a prefix sum of finite floats, once infinite, stays so: the totals tell
-    if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])):
+    # (an infinite component keeps the float comparisons, which it decides)
+    if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])) and all(
+        map(math.isfinite, itertools.chain(xs, ys))
+    ):
         sums_x = list(itertools.accumulate(map(Fraction, xs)))
         sums_y = list(itertools.accumulate(map(Fraction, ys)))
         tol = Fraction(tol)

@@ -126,6 +126,8 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
     # component_tolerance(ax, ay, bx, by), the one tolerance of every check
     # below but the last
     tol = BASE_TOL * max(1.0, max(map(abs, ax + ay + bx + by)))
+    if tol == math.inf:  # pairs hold finite components: no move reaches an infinity
+        return False
 
     if kind is MoveKind.RAISE_X:
         for u, v, s, t in zip(ax, ay, bx, by):

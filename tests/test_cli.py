@@ -150,6 +150,27 @@ class TestCheckOrder:
         assert out["violation"] == {"vector": "y", "prefix": 3, "mode": "above"}
 
 
+    def test_rates_near_the_largest_float_do_not_crash(self, tmp_path, capsys):
+        """Rates r·(1.42, 2.76, 2.5) against r·(1.25, 2.58, 2.65) at
+        r = 2^1022: the search's transfers make candidates with an infinite
+        component, which verify_rc_move let into the tree, and a sum over
+        such a node raised OverflowError (exit 70).  The verdict is the one
+        at r = 1, or unknown."""
+        codes = []
+        for r in (1.0, 2.0**1022):
+            pair = {
+                "config1": {"family": "gamma", "shapes": [1.4, 1.34, 1.56],
+                            "scales": [r * c for c in (1.42, 2.76, 2.5)]},
+                "config2": {"family": "gamma", "shapes": [1.72, 1.92, 2.12],
+                            "scales": [r * c for c in (1.25, 2.58, 2.65)]},
+            }
+            path = tmp_path / "pair.json"
+            path.write_text(json.dumps(pair))
+            codes.append(main(["check-order", str(path)]))
+            assert json.loads(capsys.readouterr().out)["v"] == 1
+        assert codes[1] in (codes[0], 2)
+
+
 class TestVerify:
     def test_equal_specs_exit_zero(self, tmp_path, capsys):
         s = {"family": "negbin", "shapes": [1.0, 2.0], "scales": [0.5, 0.6]}

@@ -112,7 +112,8 @@ def _majorization_pairs(draw, chains=False):
     either vector moved by 0.5 to 3 times ``BASE_TOL`` times the largest
     magnitude, alone or as a transfer to another, around the tolerance
     edges.  With ``chains``, mostly sorted pairs with transfers, the inputs
-    of a transfer chain.  Every prefix sum stays finite."""
+    of a transfer chain.  Every prefix sum of finite components stays
+    finite; now and then one component is infinite."""
     n = draw(st.integers(0, 6))
     scale = draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
     comp = st.one_of(
@@ -147,6 +148,9 @@ def _majorization_pairs(draw, chains=False):
     for vec in (x, y):
         for order in (sorted(vec), sorted(vec, reverse=True)):
             assume(all(map(math.isfinite, itertools.accumulate(order))))
+    if n and draw(st.integers(0, 9)) == 0:  # an infinite component, as a search candidate may hold
+        vec = draw(st.sampled_from((x, y)))
+        vec[draw(st.integers(0, n - 1))] = draw(st.sampled_from((math.inf, -math.inf)))
     return tuple(x), tuple(y)
 
 
@@ -167,6 +171,18 @@ class TestCheckMajorization:
         assert check_majorization((-5 * r, -4.5 * r), (-6 * r, -3 * r), ABOVE) == (False, 2)
         assert check_majorization((r, 5 * r, 4 * r), (r, 6 * r, 3.5 * r), ABOVE) == (False, 3)
         assert check_majorization((5 * r, 4.5 * r), (5.5 * r, 4 * r), FULL) == (True, None)
+
+    def test_infinite_components_keep_the_float_comparisons(self):
+        """An infinite component makes its sums infinite without overflow;
+        the check compares floats, as before, instead of raising."""
+        inf, r = math.inf, 2.0**1021
+        for x, y in (
+            ((inf, 5 * r), (6 * r, 3 * r)),
+            ((5 * r, 4.5 * r), (inf, -inf)),
+            ((-inf, 1.0), (0.0, 1.0)),
+        ):
+            for mode in MajorizationMode:
+                assert check_majorization(x, y, mode) == _reference_check_majorization(x, y, mode)
 
     def test_classic_full_example(self):
         assert check_majorization((1, 2, 3), (0, 2, 4), FULL) == (True, None)

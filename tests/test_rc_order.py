@@ -111,7 +111,8 @@ def _move_cases(draw):
     edge moves, on a vector of b or on one of both pairs alike: a component
     moved by 0.5 to 3 times a tolerance, alone or as a transfer to another
     (mostly at i and j), around the edges of each check.  Every
-    two-coordinate sum stays finite."""
+    two-coordinate sum of finite components stays finite; now and then one
+    component is infinite."""
     n = draw(st.integers(0, 6))
     scale = draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
     comp = st.one_of(
@@ -175,6 +176,9 @@ def _move_cases(draw):
                     vec[k2] -= step
     for u, w in itertools.combinations(ax + ay + bx + by, 2):
         assume(math.isfinite(u + w))
+    if n and draw(st.integers(0, 9)) == 0:  # an infinite component, as a search candidate may hold
+        vec = draw(st.sampled_from((ax, ay, bx, by)))
+        vec[draw(st.integers(0, n - 1))] = draw(st.sampled_from((math.inf, -math.inf)))
     mode = draw(st.sampled_from((STRICT, WEAK, WEAK)))
     return PairClass(tuple(ax), tuple(ay)), PairClass(tuple(bx), tuple(by)), ElementaryMove(kind, i, j), mode
 
@@ -335,10 +339,13 @@ class TestVerifyRcMove:
     def test_agrees_with_the_reference(self, case):
         """The rewritten move check gives the reference's answer on every
         kind, both modes, empty pairs, ``j`` past the end, ties, ``-0.0``
-        and components nudged around each tolerance edge."""
+        and components nudged around each tolerance edge, and rejects every
+        move between pairs with an infinite component."""
         a, b, m, mode = case
-        want = _reference_verify_rc_move(a, b, m, mode)
-        event(f"{m.kind.value}: {want}")
+        # the reference also let a move reach an infinite component
+        finite = all(map(math.isfinite, a.x + a.y + b.x + b.y))
+        want = _reference_verify_rc_move(a, b, m, mode) and finite
+        event(f"{m.kind.value}: {want}" + ("" if finite else " (infinite)"))
         assert verify_rc_move(a, b, m, mode) is want
 
     @given(_coupled_edge_cases())
@@ -366,6 +373,22 @@ class TestVerifyRcMove:
         weak = ElementaryMove(MoveKind.WEAK_MAJORIZE_Y, 1, 2)
         assert verify_rc_move(a, pair(x, (r, 6 * r, 2.5 * r)), weak, WEAK)
         assert not verify_rc_move(a, pair(x, (r, 6 * r, 3.5 * r)), weak, WEAK)
+
+    def test_a_move_onto_an_infinity_is_rejected(self):
+        """A search candidate can hold an infinity (a transfer onto
+        ``a + b - g`` past the largest float).  Its tolerance, scaled by the
+        largest magnitude, was infinite too, so every check passed and such
+        a pair entered the search tree; the move is rejected now."""
+        big = 2.0**1021
+        a = pair((0.4, 0.5, 0.6), (big, 5 * big, 4 * big))
+        m = ElementaryMove(MoveKind.MAJORIZE_Y, 1, 2)
+        b = PairClass(a.x, (big, math.inf, -math.inf))
+        assert _reference_verify_rc_move(a, b, m, WEAK)
+        for mode in (STRICT, WEAK):
+            assert not verify_rc_move(a, b, m, mode)
+            assert not verify_rc_move(b, a, m, mode)
+            assert not verify_rc_move(a, PairClass(a.x, (big, math.inf, 4 * big)), m, mode)
+        assert not verify_rc_move(PairClass(a.x, (math.inf,) * 3), b, ElementaryMove(MoveKind.LOWER_Y), WEAK)
 
     def test_coupled_move_requires_positions(self):
         with pytest.raises(ValueError):
@@ -396,6 +419,22 @@ class TestDecideWrc:
         q = pair((2.0, 1.0), (4.0, 3.0))  # common permutation
         v = decide_wrc(p, q, STRICT)
         assert v.status is Status.HOLDS and len(v.witness.moves) == 0
+
+    @pytest.mark.parametrize("mode", [STRICT, WEAK])
+    def test_worked_example_near_the_largest_float(self, mode):
+        """The worked example with its rates times 2^1021, both ways: the
+        search meets candidates whose components pass the largest float,
+        and no check raises on them.  Scaling by a power of two keeps the
+        order, so each verdict is the one at scale 1, or unknown where the
+        search runs out (CHANGES.md); a holds chain verifies."""
+        x1, y1 = (0.4, 0.6, 0.5), (2.0, 3.0, 4.0)
+        x2, y2 = (0.7, 0.3, 0.5), (1.0, 3.0, 5.0)
+        r = 2.0**1021
+        for (a, b), (c, d) in (((x1, y1), (x2, y2)), ((x2, y2), (x1, y1))):
+            unit = decide_wrc(pair(a, b), pair(c, d), mode)
+            v = decide_wrc(pair(a, [r * t for t in b]), pair(c, [r * t for t in d]), mode)
+            assert v.status in (unit.status, Status.UNKNOWN)
+            assert not v.holds or verify_rc_chain(v.witness)
 
     def test_necessary_violation_refutes(self):
         p1 = pair((0.0, 4.0), (3.0, 3.0))
