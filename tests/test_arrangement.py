@@ -185,7 +185,8 @@ class TestPairBasics:
             for vec in (u, v):
                 for k in range(n):
                     if data.draw(st.integers(0, 3)) == 0:
-                        vec[k] += data.draw(st.sampled_from((0.5, 1, 1.5, 2, -0.5, -1, -1.5, -2))) * tol
+                        step = data.draw(st.sampled_from((0.5, 1, 1.5, 2, -0.5, -1, -1.5, -2)))
+                        vec[k] += step * tol
         p, q = PairClass(tuple(x), tuple(y)), PairClass(tuple(u), tuple(v))
         try:
             want = _reference_check_pair_equal_a(p, q)

@@ -180,7 +180,8 @@ def _move_cases(draw):
         vec = draw(st.sampled_from((ax, ay, bx, by)))
         vec[draw(st.integers(0, n - 1))] = draw(st.sampled_from((math.inf, -math.inf)))
     mode = draw(st.sampled_from((STRICT, WEAK, WEAK)))
-    return PairClass(tuple(ax), tuple(ay)), PairClass(tuple(bx), tuple(by)), ElementaryMove(kind, i, j), mode
+    a, b = PairClass(tuple(ax), tuple(ay)), PairClass(tuple(bx), tuple(by))
+    return a, b, ElementaryMove(kind, i, j), mode
 
 
 @st.composite
@@ -189,7 +190,8 @@ def _coupled_edge_cases(draw):
     ``i < j``, b's moved vector is a's swapped or spread there, or neither,
     then moved by 0.5 to 3 times the pair tolerance at i alone or as a
     transfer to j; the other vector is a's, ordered oppositely or tied at
-    i and j so that the coupling holds."""
+    i and j so that the coupling holds, or set so that the coupling's
+    product lies at the edge of its tolerance."""
     n = draw(st.integers(2, 6))
     scale = draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
     comp = st.one_of(
@@ -209,11 +211,17 @@ def _coupled_edge_cases(draw):
     moved_b[i] += step
     if draw(st.booleans()):
         moved_b[j] -= step
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(("tied", "opposite", "product")))
+    d = moved_b[j] - moved_b[i]
+    if how == "tied":
         other[j] = other[i]
-    elif (other[j] - other[i]) * (moved_b[j] - moved_b[i]) > 0:
+    elif how == "product" and d:
+        # the coupling's product of differences 0.5 to 3 tolerances from 0
+        big = max(1.0, *map(abs, moved_a + moved_b + other))
+        other[j] = other[i] + draw(st.sampled_from(_EDGE_STEPS)) * BASE_TOL * big / d
+    elif (other[j] - other[i]) * d > 0:
         other[i], other[j] = other[j], other[i]
-    for u, w in itertools.combinations(moved_a + moved_b, 2):
+    for u, w in itertools.combinations(moved_a + moved_b + other, 2):
         assume(math.isfinite(u + w))
     moved_a, moved_b, other = tuple(moved_a), tuple(moved_b), tuple(other)
     if kind in rc_order._MOVES_X:
@@ -221,6 +229,30 @@ def _coupled_edge_cases(draw):
     else:
         a, b = PairClass(other, moved_a), PairClass(other, moved_b)
     return a, b, ElementaryMove(kind, i, j), WEAK
+
+
+@st.composite
+def _componentwise_edge_cases(draw):
+    """A raise of x or a lower of y at the edge of the move's tolerance:
+    b's moved vector raised (lowered) at some positions, then one component
+    of b, in either vector, moved by 0.5 to 3 times the tolerance."""
+    n = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from((1.0, 1e-3, 1e4, 2.0**1000)))
+    comp = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, 0.5, -1.0)), st.floats(-3.0, 3.0, allow_nan=False)
+    )
+    ax, ay = ([draw(comp) * scale for _ in range(n)] for _ in range(2))
+    kind = draw(st.sampled_from((MoveKind.RAISE_X, MoveKind.LOWER_Y)))
+    bx, by = list(ax), list(ay)
+    moved, sign = (bx, 1.0) if kind is MoveKind.RAISE_X else (by, -1.0)
+    for k in range(n):
+        if draw(st.booleans()):
+            moved[k] += sign * draw(st.floats(0.0, 2.0, allow_nan=False)) * scale
+    big = max(1.0, *map(abs, ax + ay + bx + by))
+    vec = draw(st.sampled_from((bx, by)))
+    vec[draw(st.integers(0, n - 1))] += draw(st.sampled_from(_EDGE_STEPS)) * BASE_TOL * big
+    a, b = PairClass(tuple(ax), tuple(ay)), PairClass(tuple(bx), tuple(by))
+    return a, b, ElementaryMove(kind), WEAK
 
 
 class TestVerifyRcMove:
@@ -348,11 +380,12 @@ class TestVerifyRcMove:
         event(f"{m.kind.value}: {want}" + ("" if finite else " (infinite)"))
         assert verify_rc_move(a, b, m, mode) is want
 
-    @given(_coupled_edge_cases())
-    @settings(max_examples=400, deadline=None)
-    def test_pair_tolerance_edges_agree_with_the_reference(self, case):
-        """The same at the pair tolerance's edges, where the general draw
-        rarely lands: each side of the max and sum comparisons."""
+    @given(st.one_of(_coupled_edge_cases(), _componentwise_edge_cases()))
+    @settings(max_examples=2000, deadline=None)
+    def test_tolerance_edges_agree_with_the_reference(self, case):
+        """The same at the tolerance edges where the general draw rarely
+        lands: each side of the pair tolerance's max and sum comparisons, of
+        the coupling's product and of the componentwise comparisons."""
         a, b, m, mode = case
         want = _reference_verify_rc_move(a, b, m, mode)
         event(f"{m.kind.value}: {want}")
@@ -388,7 +421,8 @@ class TestVerifyRcMove:
             assert not verify_rc_move(a, b, m, mode)
             assert not verify_rc_move(b, a, m, mode)
             assert not verify_rc_move(a, PairClass(a.x, (big, math.inf, 4 * big)), m, mode)
-        assert not verify_rc_move(PairClass(a.x, (math.inf,) * 3), b, ElementaryMove(MoveKind.LOWER_Y), WEAK)
+        lower = ElementaryMove(MoveKind.LOWER_Y)
+        assert not verify_rc_move(PairClass(a.x, (math.inf,) * 3), b, lower, WEAK)
 
     def test_coupled_move_requires_positions(self):
         with pytest.raises(ValueError):
