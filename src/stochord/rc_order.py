@@ -109,8 +109,10 @@ class ChainConstructionError(ValueError):
 def _reverse_pair_ok(dx: float, dy: float, tol: float) -> bool:
     """The coupling condition on the target pair's coordinate differences
     ``dx = x[j] - x[i]`` and ``dy = y[j] - y[i]``, as the generating relation
-    is stated."""
-    return dy * dx <= tol
+    is stated.  A zero difference passes: where the other difference
+    overflows, the product is ``inf * 0 = nan``, which fails every
+    comparison, so the test is written as a negated ``>``."""
+    return not dy * dx > tol
 
 
 def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) -> bool:
@@ -185,18 +187,6 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
     return MajorizationMode.BELOW, MajorizationMode.ABOVE
 
 
-def _fsum(values: Vector) -> float:
-    """The correctly rounded sum, exact where a partial sum overflows
-    ``math.fsum``, or an infinity of its sign past the largest float."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        total = sum(map(Fraction, values))
-        if abs(total) < 2**1024 - 2**970:  # the reals that round to a finite float
-            return float(total)
-        return math.inf if total > 0 else -math.inf
-
-
 class _SortedPair(NamedTuple):
     """A queried pair with the work that one decision does on it once: its
     coordinate pairs sorted by (x, y), the order of its canonical form, and
@@ -222,11 +212,11 @@ class _Target(NamedTuple):
     their order, and the witness, does not depend on how a ``set`` lays the
     values out) and its largest magnitude (at least 1) for their tolerance; its
     components sorted increasing for :func:`_gap` and the goal pass of
-    :func:`_search`, with their exact-rounded sums; its vectors as the bounds
-    of the necessary check on a moved vector; and its canonical form's
-    components with their tolerance for the goal test of :func:`_is_goal`,
-    and twice that tolerance, ``near``, which bounds the goal test's own
-    from above (see :func:`_goal_pass`)."""
+    :func:`_search`; its vectors as the bounds of the necessary check on a
+    moved vector; and its canonical form's components with their tolerance
+    for the goal test of :func:`_is_goal`, and twice that tolerance,
+    ``near``, which bounds the goal test's own from above (see
+    :func:`_goal_pass`)."""
 
     pair: PairClass
     values_x: Vector
@@ -234,8 +224,6 @@ class _Target(NamedTuple):
     scale: float
     xs: Vector
     ys: Vector
-    sum_x: float
-    sum_y: float
     x_bound: MajorizationBound
     y_bound: MajorizationBound
     goal: Vector
@@ -256,8 +244,6 @@ def _target(q2: _SortedPair, mode: RcMode) -> _Target:
         scale,
         sort_components(p2.x, "inc"),
         sort_components(p2.y, "inc"),
-        _fsum(p2.x),
-        _fsum(p2.y),
         majorization_bound(p2.x, x_mode),
         majorization_bound(p2.y, y_mode),
         c2x + c2y,
@@ -777,11 +763,17 @@ def _search(q1: _SortedPair, q2: _SortedPair, mode: RcMode, budget: int) -> Orde
 def _far(p: PairClass, target: _Target) -> list[int]:
     """The positions of ``p``'s coordinate pairs that lie more than
     ``target.near`` from every pair of the target's, up to the third: with
-    three, no coupled move reaches the goal."""
-    near, goal = target.near, target.pair
+    three, no coupled move reaches the goal.  It runs on every node whose
+    goal pass is open (see :func:`_goal_pass`), so it scans in plain loops
+    rather than a generator per coordinate."""
+    near = target.near
+    goal = list(zip(target.pair.x, target.pair.y))
     far = []
     for k, (u, v) in enumerate(zip(p.x, p.y)):
-        if not any(abs(u - a) <= near and abs(v - b) <= near for a, b in zip(goal.x, goal.y)):
+        for a, b in goal:
+            if abs(u - a) <= near and abs(v - b) <= near:
+                break
+        else:
             far.append(k)
             if len(far) > 2:
                 break
@@ -815,26 +807,22 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     lie within the goal test's tolerance of the target's.  That tolerance is
     at most ``target.near``: a goal's components lie within it of the
     target's, so its scale exceeds the target's by a negligible amount.  A
-    coupled move keeps the moved vector's sum (a swap its multiset, a
-    transfer its sum up to the rounding of ``a + b - g``), so it can reach
-    the goal only if that sum lies within ``n`` such tolerances of the
-    target's, with room for the rounding.  It also keeps every coordinate
-    pair but the two it moves, and each pair of a goal lies within the goal
-    test's tolerance of a pair of the target's.  So a coordinate whose pair
-    lies more than ``near`` from every pair of the target's (a *far* one, see
-    :func:`_far`) must be one of the two moved: the pass generates coupled
-    candidates only at the position pairs that hold every far coordinate
-    (one pair for two far coordinates, ``n - 1`` for one, all for none, and
-    none for three or more).  A candidate past these gates meets a pre-test
-    of the same kind (its moved vector, sorted, against the target's within
-    ``near``), then :func:`_is_goal`, then the necessary check, and
-    :func:`verify_rc_move` on the candidate's move.  The gates and the
-    pre-test skip no goal, and the position pairs come in the order of
-    :func:`_coupled_successors`, so the pass returns the first goal in yield
-    order.  It generates candidates lazily, stopping at the first goal.
-    When it finds none, the tree pass reuses the coupled candidates it
-    generated if they are all of them (no far coordinate), and otherwise
-    generates the whole list itself.  The
+    coupled move keeps every coordinate pair but the two it moves, and each
+    pair of a goal lies within the goal test's tolerance of a pair of the
+    target's.  So a coordinate whose pair lies more than ``near`` from every
+    pair of the target's (a *far* one, see :func:`_far`) must be one of the
+    two moved: the pass generates coupled candidates only at the position
+    pairs that hold every far coordinate (one pair for two far coordinates,
+    ``n - 1`` for one, all for none, and none for three or more).  A
+    candidate past these gates meets a pre-test of the same kind (its moved
+    vector, sorted, against the target's within ``near``), then
+    :func:`_is_goal`, then the necessary check, and :func:`verify_rc_move` on
+    the candidate's move.  The gates and the pre-test skip no goal, and the
+    position pairs come in the order of :func:`_coupled_successors`, so the
+    pass returns the first goal in yield order.  It generates candidates
+    lazily, stopping at the first goal.  When it finds none, the tree pass
+    reuses the coupled candidates it generated if they are all of them (no
+    far coordinate), and otherwise generates the whole list itself.  The
     componentwise candidates are generated and reused the same way.  The
     gates and the laziness are for speed: most goals are componentwise moves
     met in the first expansion, which the pass then reaches without
@@ -847,11 +835,11 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     if not (x_open or y_open):
         return None, _successors(cur, target, mode)
 
-    def first_goal(candidates, x_ok, y_ok, listed):
+    def first_goal(candidates, listed):
         for candidate in candidates:
             listed.append(candidate)
             moves_x, swap, new, kind, i, j = candidate
-            if not (x_ok if moves_x else y_ok):
+            if not (x_open if moves_x else y_open):
                 continue
             if not within(sorted(new), target.xs if moves_x else target.ys, near):
                 continue
@@ -868,25 +856,16 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
                 return RcChain((*pairs, nxt), (*moves, move), mode)
         return None
 
-    n = cur.n
-    sum_tol = n * (near + BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale))
-    coupled_x = x_open and abs(_fsum(px) - target.sum_x) <= sum_tol
-    coupled_y = y_open and abs(_fsum(py) - target.sum_y) <= sum_tol
-    coupled = None
-    if coupled_x or coupled_y:
-        far = _far(cur, target)
-        if len(far) <= 2:
-            listed = []
-            positions = _positions_with(far, n)
-            chain = first_goal(_coupled_at(cur, target, positions), coupled_x, coupled_y, listed)
-            if chain is not None:
-                return chain, ()
-            if not far:  # every position pair: the whole list, in order
-                coupled = listed
-    if coupled is None:
-        coupled = _coupled_successors(cur, target)
+    far = _far(cur, target)
+    listed = []
+    if len(far) <= 2:
+        chain = first_goal(_coupled_at(cur, target, _positions_with(far, cur.n)), listed)
+        if chain is not None:
+            return chain, ()
+    # with no far coordinate the pass listed every coupled candidate, in order
+    coupled = listed if not far else _coupled_successors(cur, target)
     componentwise = []
-    chain = first_goal(_componentwise_successors(cur, target, mode), x_open, y_open, componentwise)
+    chain = first_goal(_componentwise_successors(cur, target, mode), componentwise)
     return chain, itertools.chain(coupled, componentwise)
 
 

@@ -104,6 +104,27 @@ class TestCheckOrder:
         assert json.loads(capsys.readouterr().out)["status"] == "holds"
 
 
+    def test_worked_example_with_rates_summing_past_the_floats(self, tmp_path, capsys):
+        """The worked example with its rates times 2^1021, whose totals pass
+        the largest float: it holds in two moves, the emitted witness
+        verifies, and ``verify --order conv`` holds too."""
+        r = 2.0**1021
+        top = {
+            "config1": {**WORKED_PAIR["config1"], "scales": [r * c for c in (2, 3, 4)]},
+            "config2": {**WORKED_PAIR["config2"], "scales": [r * c for c in (1, 3, 5)]},
+        }
+        assert top["config1"]["scales"] == [
+            4.49423283715579e307, 6.741349255733685e307, 8.98846567431158e307
+        ]
+        path, witness = tmp_path / "top.json", str(tmp_path / "w.json")
+        path.write_text(json.dumps(top))
+        assert main(["check-order", str(path), "--emit-witness", witness]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "holds" and out["moves"] == 2
+        assert main(["check-order", str(path), "--verify-witness", witness]) == 0
+        assert capsys.readouterr().out == "witness accepted (2 moves)\n"
+        assert main(["verify", str(path), "--order", "conv"]) == 0
+
     @pytest.mark.parametrize("order", ["conv", "st"])
     def test_sum_past_the_floats(self, order, tmp_path, capsys):
         """The start's rates sum past the largest float: one lowering of a

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -291,6 +290,19 @@ class TestVerifyRcMove:
         assert verify_rc_move(a, b, m, WEAK)
         assert not verify_rc_move(a, b, m, STRICT)
 
+    def test_a_zero_difference_passes_beside_an_overflowing_one(self):
+        """A spread of x = (-1e308, 1e308) to (-1.5e308, 1.5e308) beside
+        y = (1, 1): x's difference passes the largest float and y's is 0, so
+        the coupling product is ``inf * 0 = nan``, yet the move is legal, as
+        at 1e307; so is the same spread of y beside x = (1, 1)."""
+        for big in (1e307, 1e308):
+            ones, start, spread = (1.0, 1.0), (-big, big), (-1.5 * big, 1.5 * big)
+            for mode in (STRICT, WEAK):
+                m = ElementaryMove(MoveKind.MAJORIZE_X, 0, 1)
+                assert verify_rc_move(pair(start, ones), pair(spread, ones), m, mode)
+                m = ElementaryMove(MoveKind.MAJORIZE_Y, 0, 1)
+                assert verify_rc_move(pair(ones, start), pair(ones, spread), m, mode)
+
     def test_lower_y_componentwise(self):
         a = pair((1.0, 2.0), (3.0, 4.0))
         b = pair((1.0, 2.0), (2.5, 4.0))
@@ -459,16 +471,34 @@ class TestDecideWrc:
         """The worked example with its rates times 2^1021, both ways: the
         search meets candidates whose components pass the largest float,
         and no check raises on them.  Scaling by a power of two keeps the
-        order, so each verdict is the one at scale 1, or unknown where the
-        search runs out (CHANGES.md); a holds chain verifies."""
+        order, so each verdict is the one at scale 1; a holds chain
+        verifies."""
         x1, y1 = (0.4, 0.6, 0.5), (2.0, 3.0, 4.0)
         x2, y2 = (0.7, 0.3, 0.5), (1.0, 3.0, 5.0)
         r = 2.0**1021
         for (a, b), (c, d) in (((x1, y1), (x2, y2)), ((x2, y2), (x1, y1))):
             unit = decide_wrc(pair(a, b), pair(c, d), mode)
             v = decide_wrc(pair(a, [r * t for t in b]), pair(c, [r * t for t in d]), mode)
-            assert v.status in (unit.status, Status.UNKNOWN)
+            assert v.status is unit.status
             assert not v.holds or verify_rc_chain(v.witness)
+
+    @pytest.mark.parametrize("exponent", [1019, 1020, 1021])
+    def test_worked_example_in_units_near_the_largest_float(self, exponent):
+        """The worked example with its rates times 2^1019, 2^1020 and 2^1021
+        takes the same five search nodes and the same two moves, though at
+        2^1021 the rates sum past the largest float, where a test on the
+        moved vector's sum would compare ``inf - inf``."""
+        r = 2.0**exponent
+        p1 = pair((0.4, 0.6, 0.5), (2 * r, 3 * r, 4 * r))
+        p2 = pair((0.7, 0.3, 0.5), (r, 3 * r, 5 * r))
+        v = decide_wrc(p1, p2)
+        assert v.status is Status.HOLDS
+        assert v.detail == {"route": "search", "expanded": 5, "budget": 4000}
+        assert [(m.kind, m.i, m.j) for m in v.witness.moves] == [
+            (MoveKind.MAJORIZE_Y, 0, 2),
+            (MoveKind.MAJORIZE_Y, 1, 2),
+        ]
+        assert verify_rc_chain(v.witness) and check_pair_equal_a(v.witness.pairs[-1], p2)
 
     def test_necessary_violation_refutes(self):
         p1 = pair((0.0, 4.0), (3.0, 3.0))
@@ -679,11 +709,18 @@ DECIDE_DIGESTS = {
 DECIDE_OFF_MATRIX_DIGEST = "eb13449e724730caadef8da159e8218e5165cb81074cc5e5a0cb5f4b3bd6f116"
 
 
+def _verdict_bytes(v):
+    """A verdict's status, detail, violation and witness JSON."""
+    return b"".join((
+        v.status.value.encode(),
+        json.dumps(v.detail, sort_keys=True).encode(),
+        json.dumps(v.violation, sort_keys=True).encode(),
+        b"null" if v.witness is None else chain_to_json(v.witness).encode(),
+    ))
+
+
 def _update_with_verdict(h, v):
-    h.update(v.status.value.encode())
-    h.update(json.dumps(v.detail, sort_keys=True).encode())
-    h.update(json.dumps(v.violation, sort_keys=True).encode())
-    h.update(b"null" if v.witness is None else chain_to_json(v.witness).encode())
+    h.update(_verdict_bytes(v))
 
 
 class TestDecideDigests:
@@ -719,16 +756,31 @@ class TestDecideDigests:
         assert h.hexdigest() == DECIDE_OFF_MATRIX_DIGEST
         assert routes["equal"] == 200 and routes["opposite"] == 6
 
+    def test_decisions_do_not_depend_on_the_listing_order(self):
+        """A common permutation of either queried pair's coordinate pairs
+        leaves the status, detail, violation and witness JSON unchanged byte
+        for byte, in both modes: over the matrix pairs at n = 2..6, seeds
+        0..2, both directions, and over ``_random_pairs(25)``."""
+        rng = random.Random(30)
 
-def test_sums_stay_finite_past_an_overflowing_partial_sum():
-    """``math.fsum`` overflows once a partial sum does; the exact sum need
-    not, and an infinite sum keeps its sign."""
-    big = sys.float_info.max
-    assert rc_order._fsum((1e308, 1e308, -1e308)) == 1e308
-    assert rc_order._fsum((big, 2.0**969, 2.0**969, -big)) == 2.0**970
-    assert rc_order._fsum((1e308, 1e308)) == math.inf
-    assert rc_order._fsum((-1e308, -1e308, 1.0)) == -math.inf
-    assert rc_order._fsum((0.1, 0.2, 0.3)) == math.fsum((0.1, 0.2, 0.3))
+        def permuted(p):
+            perm = rng.sample(range(p.n), p.n)
+            if perm == sorted(perm):
+                perm.reverse()
+            return PairClass(tuple(p.x[k] for k in perm), tuple(p.y[k] for k in perm))
+
+        cases = list(_random_pairs(25))
+        for row in MATRIX:
+            for n, seed in itertools.product(range(2, 7), range(3)):
+                s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+                q1, q2 = _param_pairs(s1, s2, row.order)
+                cases += [(q1, q2), (q2, q1)]
+        assert len(cases) == 550
+        for a, b in cases:
+            for mode in (WEAK, STRICT):
+                want = _verdict_bytes(decide_wrc(a, b, mode, 200))
+                assert _verdict_bytes(decide_wrc(permuted(a), b, mode, 200)) == want
+                assert _verdict_bytes(decide_wrc(a, permuted(b), mode, 200)) == want
 
 
 class TestSearch:
@@ -817,10 +869,11 @@ class TestSearch:
     def test_goal_pass_gates_bound_the_goal_tests(self, monkeypatch):
         """The reversed ConvAI and AITail pairs, which ``decide_wrc`` refutes
         by the arrangement criterion before any search, run the search out
-        of its budget, and their multisets are equal, so the sum gate passes
-        on every node: the far-coordinate gate alone keeps the goal pass from
-        testing coupled candidates (27,798 goal tests without it, 984 when
-        it only counted the near coordinate pairs)."""
+        of its budget.  The far-coordinate gate and the ``near`` pre-test
+        together keep the goal pass from testing any candidate: without the
+        gate it makes 27,798 goal tests (984 when the gate only counted the
+        near coordinate pairs), without the pre-test 88, all of coupled
+        candidates."""
         calls = 0
         real = rc_order._is_goal
 
