@@ -2,7 +2,9 @@
 usual stochastic order of two convolutions from their parameters alone,
 before any lattice or grid is built.  A decision is a certificate of the
 convolution order, which implies the stochastic order, or one of four exact
-refutations.  This module imports no numpy.
+refutations.  This module imports neither numpy nor ``fractions``: every
+float is an integer over a power of two, so every exact quantity here is an
+integer or a ratio of integers.
 
 **Negative binomial certificate.**  A negative binomial of shape ``α`` and
 success probability ``p`` has the probability generating function ``(p / (1 −
@@ -22,10 +24,12 @@ largest ``q``.  If its weight is positive and ``T_K = w_top q_top^K + Σ_{w_q
 
 The inputs are read as exact rationals: a component's ``p`` is the float
 given, and components merge by exact ``p``.  Each net weight is rounded once
-(``math.fsum``, so its sign is exact).  Each ``S_k`` and ``T_K``, divided by
+(``math.fsum``, so its sign is exact).  The net atoms are merged and
+weighted once per decision; the certificate and the top-net-atom test below
+read the same table.  Each ``S_k`` and ``T_K``, divided by
 ``q_top^k`` so that the top term cannot underflow, is summed in floats under
 a proven rounding bound, and a sum that the bound leaves undecided is summed
-again exactly.
+again exactly, in integers.
 
 **Gamma certificate.**  A gamma of shape ``a`` and rate ``b`` has ``log L(s)
 = −a ∫_0^∞ (1 − e^{−su}) e^{−bu} du / u``.  With the net weight ``w_b`` (Y's
@@ -51,14 +55,18 @@ integer over a power of two.
 
 - right tail: a gamma survival falls like ``t^{A−1} e^{−b t}``, ``b`` the
   smallest rate and ``A`` the total shape at it, so ``b1 < b2``, or ``b1 =
-  b2`` with ``A1 > A2``, refutes; a negative binomial's falls like ``k^{A−1}
-  q^k`` at its largest ``q``, the same test on the smallest ``p``;
+  b2`` with ``A1 > A2`` (compared in integers), refutes; a negative
+  binomial's falls like ``k^{A−1} q^k`` at its largest ``q``, the same test
+  on the smallest ``p``;
 - left tail (gamma, stochastic order only): ``F(t) ~ t^r Π b^a / Γ(r + 1)``
   near 0, ``r`` the total shape, so ``r1 > r2`` refutes.  ``r1`` and ``r2``
   are compared rounded once (``math.fsum``): rounding is monotone, so a
   strict inequality of the rounded totals is one of the exact totals, and a
   tie, however the exact totals compare, decides nothing;
-- mean: ``E X > E Y`` (``Σ a / b``, or ``Σ α q / p``), in ``Fraction``s.
+- mean: ``E X > E Y`` (``Σ a / b``, or ``Σ α q / p``).  Each mean is an
+  unreduced ratio of integers, and the two are compared by
+  cross-multiplying.  The record divides each ratio in floats, which is
+  correctly rounded, and raises ``OverflowError`` past the largest float.
 
 The fourth refutes the convolution order only.  Take the top net atom: the
 net atom at the smallest rate (or ``p``) whose net weight is not zero.  If
@@ -77,13 +85,12 @@ Ties of these quantities decide nothing; no tolerance is used anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from stochord.verdicts import OrderVerdict, Status
 
 # Past this many terms the certificate decides nothing; this also bounds the
-# work of an exact sum (about 7 ms for 12 atoms at k = 1024, on one core of
-# a 2-vCPU Xeon).
+# work of an exact sum (about 6 ms in integers for 12 atoms at k = 1024, on
+# one core of a 2-vCPU Xeon).
 TERM_LIMIT = 1024
 _U = 2.0**-53  # unit roundoff
 _UNDERFLOW = 2.0**-1072  # four times the smallest subnormal float
@@ -95,17 +102,20 @@ def decide(s1, s2, order: str) -> OrderVerdict | None:
     detail, ``refuted`` with :func:`refutation`'s record as its violation, or
     ``None`` when neither decides.  The right tail is read first, once:
     unless ``s2`` holds the smallest rate (or ``p``), no certificate can
-    exist, and the floats refute at once.  A quantity past the largest float
-    decides nothing.  Raises ``ValueError`` on specs of two families."""
+    exist, and the floats refute at once.  The net atoms are then built once,
+    where the negative binomial certificate or the top-net-atom test reads
+    them.  A quantity past the largest float decides nothing.  Raises
+    ``ValueError`` on specs of two families."""
     if s1.family != s2.family:
         raise ValueError("family mismatch")
     try:
         violation = _right_tail(s1, s2)
         if violation is None:
-            detail = certificate(s1, s2)
+            net = _net_atoms(s1, s2) if s1.family == "negbin" or order == "conv" else None
+            detail = _certificate(s1, s2, net)
             if detail is not None:
                 return OrderVerdict(Status.HOLDS, detail=detail)
-            violation = _after_right_tail(s1, s2, order)
+            violation = _after_right_tail(s1, s2, order, net)
     except OverflowError:
         return None
     return None if violation is None else OrderVerdict(Status.REFUTED, violation=violation)
@@ -116,10 +126,14 @@ def certificate(s1, s2) -> dict | None:
     ``{"certified": "levy", "terms": K}`` for negative binomial specs
     (:func:`levy_terms`), ``{"certified": "levy", "order": 1 | 2}`` for gamma
     specs (:func:`gamma_levy_order`), or ``None``, which refutes nothing."""
+    return _certificate(s1, s2, _net_atoms(s1, s2) if s1.family == "negbin" else None)
+
+
+def _certificate(s1, s2, net) -> dict | None:
     if s1.family == "gamma":
         key, found = "order", gamma_levy_order(s1, s2)
     else:
-        key, found = "terms", levy_terms(s1, s2)
+        key, found = "terms", _levy_terms(net)
     return None if found is None else {"certified": "levy", key: found}
 
 
@@ -133,22 +147,25 @@ def refutation(s1, s2, order: str) -> dict | None:
     in the convolution order, the top net atom, ``{"net_atom": "top",
     "rate": b, "weight": w}`` (``"prob"``).  Shapes, means and
     weights are the exact ones rounded once.  May raise ``OverflowError``."""
-    return _right_tail(s1, s2) or _after_right_tail(s1, s2, order)
+    return _right_tail(s1, s2) or _after_right_tail(
+        s1, s2, order, _net_atoms(s1, s2) if order == "conv" else None
+    )
 
 
-def _after_right_tail(s1, s2, order: str) -> dict | None:
+def _after_right_tail(s1, s2, order: str, net) -> dict | None:
     if order == "st" and s1.family == "gamma":
         r1, r2 = math.fsum(s1.shapes), math.fsum(s2.shapes)
         if r1 > r2:
             return {"tail": "left", "total_shapes": [r1, r2]}
-    m1, m2 = _mean(s1), _mean(s2)
-    if m1 > m2:
-        return {"means": [float(m1), float(m2)]}
+    (n1, d1), (n2, d2) = _mean(s1), _mean(s2)
+    if n1 * d2 > n2 * d1:
+        return {"means": [n1 / d1, n2 / d2]}  # correctly rounded, or OverflowError
     if order == "conv":
-        weights = ((b, math.fsum(v)) for b, v in sorted(_signed(s1, s2).items()))
-        b, w = next(((b, w) for b, w in weights if w), (None, 0.0))
-        if w < 0:
-            return {"net_atom": "top", _scale(s1): b, "weight": w}
+        atoms, whole = net
+        if not atoms and not whole:  # past the floats before a nonzero weight
+            raise OverflowError("net weight past the largest float")
+        if atoms and atoms[0][1] < 0:
+            return {"net_atom": "top", _scale(s1): atoms[0][0], "weight": atoms[0][1]}
     return None
 
 
@@ -156,14 +173,25 @@ def _scale(s) -> str:
     return "rate" if s.family == "gamma" else "prob"
 
 
-def _signed(s1, s2) -> dict:
-    """Each rate (or ``p``) of the pair mapped to its shapes, ``s1``'s
-    negated."""
+def _net_atoms(s1, s2) -> tuple[list, bool]:
+    """The pair's net atoms by increasing rate (or ``p``), components merged
+    by exact value: ``(b, w, shapes)``, ``shapes`` the signed shapes at
+    ``b`` (``s1``'s negated) and ``w`` their sum rounded once, kept where it
+    is not zero; and whether every weight was read.  A weight past the
+    largest float ends the list there."""
     signed = {}
     for sign, s in ((-1.0, s1), (1.0, s2)):
         for a, b in zip(s.shapes, s.scales):
             signed.setdefault(b, []).append(sign * a)
-    return signed
+    atoms = []
+    try:
+        for b, shapes in sorted(signed.items()):
+            w = math.fsum(shapes)
+            if w:
+                atoms.append((b, w, shapes))
+    except OverflowError:
+        return atoms, False
+    return atoms, True
 
 
 def _right_tail(s1, s2) -> dict | None:
@@ -173,15 +201,25 @@ def _right_tail(s1, s2) -> dict | None:
         return {"tail": "right", f"{scale}s": [b1, b2]}
     if b1 == b2:
         a1, a2 = ([a for a, b in zip(s.shapes, s.scales) if b == b1] for s in (s1, s2))
-        if sum(map(Fraction, a1)) > sum(map(Fraction, a2)):
+        ints = _integers(a1 + a2)
+        if sum(ints[: len(a1)]) > sum(ints[len(a1) :]):
             return {"tail": "right", scale: b1, "shapes": [math.fsum(a1), math.fsum(a2)]}
     return None
 
 
-def _mean(s) -> Fraction:
-    if s.family == "gamma":
-        return sum(Fraction(a) / Fraction(b) for a, b in zip(s.shapes, s.scales))
-    return sum(Fraction(a) * (1 / Fraction(p) - 1) for a, p in zip(s.shapes, s.scales))
+def _mean(s) -> tuple[int, int]:
+    """The mean of ``s`` as an unreduced ratio of integers, its denominator
+    positive: ``Σ a / b``, or ``Σ a (1 − p) / p``, each float read as an
+    integer over a power of two."""
+    gamma = s.family == "gamma"
+    num, den = 0, 1
+    for a, b in zip(s.shapes, s.scales):
+        n_a, d_a = a.as_integer_ratio()
+        n_b, d_b = b.as_integer_ratio()
+        # a / b = n_a d_b / (d_a n_b); a (1 − p) / p = n_a (d_p − n_p) / (d_a n_p)
+        n, d = n_a * (d_b if gamma else d_b - n_b), d_a * n_b
+        num, den = num * d + n * den, den * d
+    return num, den
 
 
 def gamma_levy_order(s1, s2) -> int | None:
@@ -227,18 +265,24 @@ def levy_terms(s1, s2) -> int | None:
     ``K`` (exact ties included), or a ``K`` past ``TERM_LIMIT``.  ``None``
     refutes nothing.  With no negative atom, equal laws included, ``K`` is 1:
     no ``S_k`` is checked one by one."""
+    return _levy_terms(_net_atoms(s1, s2))
+
+
+def _levy_terms(net) -> int | None:
+    atoms, whole = net
+    if not whole:  # a net weight past the floats
+        return None
     try:
-        return _dominance_start(_signed(s1, s2))
-    except OverflowError:  # a net weight, or a sum of terms, past the floats
+        return _dominance_start(atoms)
+    except OverflowError:  # a sum of terms past the floats
         return None
 
 
-def _dominance_start(signed: dict) -> int | None:
-    atoms = [(p, w) for p, w in sorted((p, math.fsum(v)) for p, v in signed.items()) if w]
-    negative = [i for i, (_, w) in enumerate(atoms) if w < 0]
+def _dominance_start(atoms: list) -> int | None:
+    negative = [i for i, (_, w, _) in enumerate(atoms) if w < 0]
     if not negative:
         return 1
-    (p_top, w_top), p_neg = atoms[0], atoms[negative[0]][0]
+    (p_top, w_top, _), p_neg = atoms[0], atoms[negative[0]][0]
     if w_top < 0:
         return None
     # the smallest K with w_top q_top^K ≥ (Σ |w_neg|) q_neg^K, q_neg the
@@ -250,19 +294,19 @@ def _dominance_start(signed: dict) -> int | None:
         return None
     start = math.ceil(max(estimate, 1.0))
     q_top = 1.0 - p_top
-    ratios = [(1.0 - p) / q_top for p, _ in atoms]
-    powers = [w for _, w in atoms]
+    ratios = [(1.0 - p) / q_top for p, _, _ in atoms]
+    powers = [w for _, w, _ in atoms]
     every, dominant = range(len(atoms)), [0] + negative
     for k in range(1, start + 2):
         powers = [x * r for x, r in zip(powers, ratios)]
-        if k >= start and _nonnegative(signed, atoms, powers, k, dominant):
+        if k >= start and _nonnegative(atoms, powers, k, dominant):
             return k
-        if not _nonnegative(signed, atoms, powers, k, every):
+        if not _nonnegative(atoms, powers, k, every):
             return None
     return None
 
 
-def _nonnegative(signed: dict, atoms: list, powers: list, k: int, which) -> bool:
+def _nonnegative(atoms: list, powers: list, k: int, which) -> bool:
     """Whether ``Σ_i w_i q_i^k ≥ 0`` over the atoms ``which``, from the
     floats ``powers[i]``, which are ``fl(w_i)`` times ``r_i = fl(fl(1 − p_i)
     / fl(1 − p_top))`` ``k`` times over, or, where their rounding bound does
@@ -285,13 +329,13 @@ def _nonnegative(signed: dict, atoms: list, powers: list, k: int, which) -> bool
         return True
     if total < -bound:
         return False
-    # every weight and every 1 − p is a dyadic rational: over a common power
-    # of two each is an integer, and the sum keeps its sign
-    weights = [sum(map(Fraction, signed[atoms[i][0]])) for i in which]
-    qs = [1 - Fraction(atoms[i][0]) for i in which]
-    f = max(w.denominator for w in weights)
-    d = max(q.denominator for q in qs)
-    return sum(
-        w.numerator * (f // w.denominator) * (q.numerator * (d // q.denominator)) ** k
-        for w, q in zip(weights, qs)
-    ) >= 0
+    # every shape and every p is an integer over a power of two: over one
+    # power of two for the shapes and one for the p's, each weight and each
+    # 1 − p is an integer, and the sum keeps its sign
+    shapes = [atoms[i][2] for i in which]
+    flat = iter(_integers([a for group in shapes for a in group]))
+    weights = [sum(next(flat) for _ in group) for group in shapes]
+    ratios = [atoms[i][0].as_integer_ratio() for i in which]
+    d = max(den for _, den in ratios)
+    qs = [(den - num) * (d // den) for num, den in ratios]
+    return sum(w * q**k for w, q in zip(weights, qs)) >= 0

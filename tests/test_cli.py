@@ -780,13 +780,19 @@ for argv in runs:
         result.append((stochord.cli.main(argv), "scipy" in sys.modules))
 print(json.dumps(result))
 """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert json.loads(out) == [[0, False], [0, False], [0, False], [0, True]]
+        assert _fresh(code) == [[0, False], [0, False], [0, False], [0, True]]
+
+
+def _fresh(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter on this
+    checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(out)
 
 
 def _numpy_after(runs) -> list:
@@ -802,13 +808,7 @@ for argv in {runs!r}:
         result.append([stochord.cli.main(argv), "numpy" in sys.modules])
 print(json.dumps(result))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    return json.loads(out)
+    return _fresh(code)
 
 
 class TestNumpyImport:
@@ -864,6 +864,30 @@ class TestNumpyImport:
         ))
         runs = [["verify", nb, "--order", "st"], ["verify", str(reversed_), "--order", "st"]]
         assert _numpy_after(runs) == [False, [0, False], [1, False]]
+
+    def test_st_order_refuted_by_the_means_loads_no_numpy(self, tmp_path, capsys):
+        """Equal shapes at the smallest p and X's extra half shape at p =
+        0.5: neither tail nor certificate decides, and the means refute
+        (exit 1), summed as integers."""
+        means = tmp_path / "means.json"
+        means.write_text(json.dumps({
+            "config1": {"family": "negbin", "shapes": [1, 1], "scales": [0.3, 0.5]},
+            "config2": {"family": "negbin", "shapes": [1, 0.5], "scales": [0.3, 0.5]},
+        }))
+        assert _numpy_after([["verify", str(means), "--order", "st"]]) == [False, [1, False]]
+        assert main(["verify", str(means), "--order", "st"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["numeric_detail"] == {"means": [3.3333333333333335, 2.8333333333333335]}
+
+    def test_exact_stage_loads_neither_numpy_nor_fractions(self):
+        """The exact stage reads every float as an integer over a power of
+        two, so it needs neither numpy nor ``Fraction``."""
+        code = """
+import json, sys
+import stochord.exact
+print(json.dumps(["numpy" in sys.modules, "fractions" in sys.modules]))
+"""
+        assert _fresh(code) == [False, False]
 
     @pytest.mark.parametrize(
         "argv",

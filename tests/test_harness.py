@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stochord import distributions, exact, harness
 from stochord.arrangement import pair
@@ -37,6 +37,7 @@ from stochord.rc_order import (
     MoveKind,
     RcChain,
     RcMode,
+    decide_wrc,
     verify_rc_chain,
 )
 from stochord.verdicts import OrderVerdict, Status
@@ -443,6 +444,15 @@ class TestLevyCertificate:
         assert v.refuted and v.violation == {"tail": "right", "min_probs": [0.3, 0.5]}
         assert lattice.refuted
 
+    def test_a_net_weight_past_the_floats_certifies_nothing(self):
+        """The shapes at p = 0.6 pass the largest float in ``fsum``, behind
+        Y's positive top atom at p = 0.5: the certificate reads no partial
+        list of net atoms, and the stage leaves the pair undecided."""
+        s1 = spec("negbin", (1e308, 1e308), (0.6, 0.6))
+        s2 = spec("negbin", (1.0, 1e308, 1e308), (0.5, 0.6, 0.6))
+        assert levy_terms(s1, s2) is None and exact.certificate(s1, s2) is None
+        assert exact.decide(s1, s2, "conv") is None and exact.decide(s1, s2, "st") is None
+
     def test_equal_laws_need_no_lattice(self):
         s = spec("negbin", (1.0, 2.0), (0.5, 0.6))
         merged = spec("negbin", (0.5, 2.0, 0.5), (0.5, 0.6, 0.5))
@@ -578,6 +588,140 @@ def mp_h(s1, s2, u, mp) -> tuple:
     return mp.fsum(terms), mp.fsum(map(abs, terms))
 
 
+@st.composite
+def random_gamma_pairs(draw):
+    """Random pairs not shaped by any scenario: targets with shapes in
+    [0.3, 2.5] and rates in [0.5, 4]; starts with shapes lowered by −0.3 to
+    0.6 and rates raised by −0.3 to 0.6 (each at least 0.01), permuted;
+    every value of two decimals."""
+    n = draw(st.integers(2, 4))
+    shapes = draw(st.lists(st.integers(30, 250), min_size=n, max_size=n))
+    rates = draw(st.lists(st.integers(50, 400), min_size=n, max_size=n))
+    lower = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n))
+    raise_ = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return (
+        spec("gamma", [max(shapes[i] - lower[i], 1) / 100 for i in order],
+             [max(rates[i] + raise_[i], 1) / 100 for i in order]),
+        spec("gamma", [a / 100 for a in shapes], [b / 100 for b in rates]),
+    )
+
+
+def fraction_mean(s) -> Fraction:
+    """Oracle: the mean of ``s``, ``Σ a / b`` or ``Σ a (1/p − 1)``, summed
+    in ``Fraction``s."""
+    if s.family == "gamma":
+        return sum(Fraction(a) / Fraction(b) for a, b in zip(s.shapes, s.scales))
+    return sum(Fraction(a) * (1 / Fraction(p) - 1) for a, p in zip(s.shapes, s.scales))
+
+
+def fraction_refutation(s1, s2, order: str) -> dict | None:
+    """Oracle: :func:`exact.refutation` with its exact sums in
+    ``Fraction``s: the shapes at equal smallest values and the means, each
+    record rounded by ``float``; the top net atom read from a fresh merge of
+    the components, each weight rounded once, up to the first nonzero one.
+    Raises ``OverflowError`` where a record passes the largest float."""
+    scale = "rate" if s1.family == "gamma" else "prob"
+    b1, b2 = min(s1.scales), min(s2.scales)
+    if b1 < b2:
+        return {"tail": "right", f"min_{scale}s": [b1, b2]}
+    if b1 == b2:
+        a1, a2 = ([a for a, b in zip(s.shapes, s.scales) if b == b1] for s in (s1, s2))
+        if sum(map(Fraction, a1)) > sum(map(Fraction, a2)):
+            return {"tail": "right", f"min_{scale}": b1, "shapes": [math.fsum(a1), math.fsum(a2)]}
+    if order == "st" and s1.family == "gamma":
+        r1, r2 = math.fsum(s1.shapes), math.fsum(s2.shapes)
+        if r1 > r2:
+            return {"tail": "left", "total_shapes": [r1, r2]}
+    m1, m2 = fraction_mean(s1), fraction_mean(s2)
+    if m1 > m2:
+        return {"means": [float(m1), float(m2)]}
+    if order == "conv":
+        signed = {}
+        for sign, s in ((-1.0, s1), (1.0, s2)):
+            for a, b in zip(s.shapes, s.scales):
+                signed.setdefault(b, []).append(sign * a)
+        weights = ((b, math.fsum(v)) for b, v in sorted(signed.items()))
+        b, w = next(((b, w) for b, w in weights if w), (None, 0.0))
+        if w < 0:
+            return {"net_atom": "top", scale: b, "weight": w}
+    return None
+
+
+def fraction_nonnegative(atoms: list, k: int, which) -> bool:
+    """Oracle: whether ``Σ_i w_i q_i^k ≥ 0`` over the net atoms ``which``
+    (``(p, w, shapes)``, as :func:`exact._net_atoms` lists them), each
+    weight the ``Fraction`` sum of its shapes and each ``q = 1 − p`` a
+    ``Fraction``, all scaled by powers of two to integers."""
+    weights = [sum(map(Fraction, atoms[i][2])) for i in which]
+    qs = [1 - Fraction(atoms[i][0]) for i in which]
+    f = max(w.denominator for w in weights)
+    d = max(q.denominator for q in qs)
+    return sum(
+        w.numerator * (f // w.denominator) * (q.numerator * (d // q.denominator)) ** k
+        for w, q in zip(weights, qs)
+    ) >= 0
+
+
+def outcome(f, *args):
+    """``f(*args)``, or ``"OverflowError"`` where it raises one."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return "OverflowError"
+
+
+# Values at the edges of the floats: subnormal, tiny and huge shapes and
+# rates, and success probabilities near 0 and 1.
+EDGE_SHAPES = (5e-324, 1e-300, 0.1, 0.3, 1.0, 7.5e307, 1e308, 1.7976931348623157e308)
+EDGE_RATES = (5e-324, 1e-300, 0.1, 0.3, 1.0, 2.0, 1e308)
+EDGE_PROBS = (5e-324, 1e-300, 0.1, 0.3, 0.5, 1 - 2.0**-30, 1 - 2.0**-53)
+
+
+@st.composite
+def edge_pairs(draw, families=("negbin", "gamma")):
+    """Pairs of one of ``families`` that mix values of two decimals with
+    ``EDGE_SHAPES`` and ``EDGE_RATES`` (``EDGE_PROBS``); the second spec
+    takes some of its scales from the first, so their smallest values tie
+    often."""
+    family = draw(st.sampled_from(families))
+    shapes = st.one_of(st.integers(1, 400).map(lambda i: i / 100), st.sampled_from(EDGE_SHAPES))
+    if family == "negbin":
+        scales = st.one_of(st.integers(1, 99).map(lambda i: i / 100), st.sampled_from(EDGE_PROBS))
+    else:
+        scales = st.one_of(st.integers(1, 400).map(lambda i: i / 100), st.sampled_from(EDGE_RATES))
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scales1 = draw(st.lists(scales, min_size=n1, max_size=n1))
+    scales2 = draw(st.lists(st.one_of(scales, st.sampled_from(scales1)), min_size=n2, max_size=n2))
+    return (
+        spec(family, draw(st.lists(shapes, min_size=n1, max_size=n1)), scales1),
+        spec(family, draw(st.lists(shapes, min_size=n2, max_size=n2)), scales2),
+    )
+
+
+@st.composite
+def equal_mean_pairs(draw):
+    """Pairs with exactly equal means, most of them of two laws, from one
+    list of quarters ``c``: gamma components ``(c 2^j, b 2^j)`` of mean ``c
+    / b``, ``b`` of two decimals and ``j`` drawn for each spec; negative
+    binomial ones ``(3c, 1/2)``, ``(c, 1/4)`` or ``(9c, 3/4)``, each of mean
+    ``3c``."""
+    family = draw(st.sampled_from(["negbin", "gamma"]))
+    means = draw(st.lists(st.integers(1, 400).map(lambda i: i / 4), min_size=1, max_size=4))
+    rates = [draw(st.integers(1, 400)) / 100 for _ in means]
+    specs = []
+    for _ in range(2):
+        if family == "gamma":
+            scaled = [(c * 2.0**j, b * 2.0**j) for c, b, j in zip(
+                means, rates, draw(st.lists(st.integers(-3, 3), min_size=len(means), max_size=len(means)))
+            )]
+            specs.append(spec("gamma", [a for a, _ in scaled], [b for _, b in scaled]))
+        else:
+            forms = [draw(st.sampled_from([(3, 0.5), (1, 0.25), (9, 0.75)])) for _ in means]
+            specs.append(spec("negbin", [m * c for c, (m, _) in zip(means, forms)], [p for _, p in forms]))
+    return tuple(specs)
+
+
 class TestExactStage:
     def test_right_tail_crossing_past_the_grid(self):
         mp = pytest.importorskip("mpmath")
@@ -641,6 +785,19 @@ class TestExactStage:
         )
         assert exact.decide(s1, s2, "st") is None
 
+    def test_slowest_reversed_st_check_is_refuted_by_its_means(self, monkeypatch):
+        """LogMajorizeBetaSt/negbin at n = 6, scenario seed 7000080,
+        reversed: the slowest reversed st check of the st-sweep benchmark at
+        seed 7 when the means were summed in ``Fraction``s.  Neither tail nor
+        certificate decides it, its means refute it, and no law is built."""
+        s1, s2 = generate_instance(Scenario(ScenarioName.LOG_MAJORIZE_BETA_ST, "negbin", 6, 7000080))
+        built = spy_builders(monkeypatch)
+        v = numeric_st_check(s2, s1)
+        assert v.refuted and v.violation == {"means": [10.900591580102194, 10.799842410921043]}
+        assert built == []
+        assert exact.certificate(s2, s1) is None
+        assert fraction_refutation(s2, s1, "st") == v.violation
+
     def test_specs_of_two_families_are_refused(self):
         with pytest.raises(ValueError, match="family mismatch"):
             exact.decide(spec("gamma", (1.0,), (1.0,)), spec("negbin", (1.0,), (0.5,)), "conv")
@@ -694,6 +851,65 @@ class TestExactStage:
         assert exact.decide(s1, s2, "st") is None
         assert exact.decide(s1, s2, "conv") is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(pair=st.one_of(edge_pairs(), random_negbin_pairs(), random_gamma_pairs()))
+    # a subnormal rate: means near 2e23, 1/2 apart, refute conv, and their
+    # records round to one float
+    @example(pair=(spec("gamma", (1e-300, 1.0), (5e-324, 2.0)), spec("gamma", (1e-300, 0.5), (5e-324, 2.0))))
+    # a subnormal rate: the refuting mean passes the floats in conv
+    @example(pair=(spec("gamma", (1.0, 1.0), (5e-324, 1.0)), spec("gamma", (1.0, 0.5), (5e-324, 1.0))))
+    # shapes near 1e308: the refuting mean passes the floats
+    @example(pair=(spec("gamma", (1e308, 1.0), (0.25, 1.0)), spec("gamma", (1e308,), (0.25,))))
+    # shapes near 1e308: the first net weight passes the floats in fsum
+    @example(pair=(spec("gamma", (1e308, 1e308), (1.0, 1.0)), spec("gamma", (1e308, 1e308, 1.0), (1.0, 1.0, 2.0))))
+    # the same past the top net atom, X's at p = 0.5, which refutes conv
+    @example(pair=(
+        spec("negbin", (1.0, 1.0, 1e308, 1e308), (0.3, 0.5, 0.6, 0.6)),
+        spec("negbin", (1.0, 0.5, 1e308, 1e308, 5.0), (0.3, 0.5, 0.6, 0.6, 0.7)),
+    ))
+    # p near 1: 2^60 q / p is 128 and an ulp
+    @example(pair=(spec("negbin", (2.0**60,), (1 - 2.0**-53,)), spec("negbin", (1.0,), (0.5,))))
+    def test_integer_tests_match_the_fraction_oracles(self, pair):
+        """The mean, an unreduced ratio of integers, is the ``Fraction``
+        mean, and every refutation and its record, or its ``OverflowError``,
+        is the ``Fraction`` oracle's, in either order."""
+        for s in pair:
+            num, den = exact._mean(s)
+            assert den > 0 and Fraction(num, den) == fraction_mean(s)
+        for order in ("conv", "st"):
+            expected = outcome(fraction_refutation, *pair, order)
+            assert outcome(exact.refutation, *pair, order) == expected
+            verdict = exact.decide(*pair, order)
+            if verdict is not None and verdict.refuted:
+                assert verdict.violation == expected
+            else:
+                assert expected in (None, "OverflowError")
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=equal_mean_pairs())
+    def test_exactly_equal_means_do_not_refute(self, pair):
+        (n1, d1), (n2, d2) = map(exact._mean, pair)
+        assert n1 * d2 == n2 * d1
+        for order in ("conv", "st"):
+            found = exact.refutation(*pair, order)
+            assert "means" not in (found or {})
+            assert found == fraction_refutation(*pair, order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pair=st.one_of(edge_pairs(families=("negbin",)), random_negbin_pairs()),
+        k=st.integers(1, 64),
+        data=st.data(),
+    )
+    def test_exact_sum_matches_the_fraction_oracle(self, pair, k, data):
+        """Float terms of 0 leave every sign to the exact sum in integers."""
+        atoms, _ = exact._net_atoms(*pair)
+        if not atoms:
+            return
+        which = data.draw(st.lists(st.sampled_from(range(len(atoms))), min_size=1, unique=True))
+        zeros = [0.0] * len(atoms)
+        assert exact._nonnegative(atoms, zeros, k, which) is fraction_nonnegative(atoms, k, which)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_gamma_certificate_on_random_pairs(self, data):
@@ -736,23 +952,23 @@ class TestExactStage:
                 assert exact.decide(s1, s2, order).refuted
 
 
-@st.composite
-def random_gamma_pairs(draw):
-    """Random pairs not shaped by any scenario: targets with shapes in
-    [0.3, 2.5] and rates in [0.5, 4]; starts with shapes lowered by −0.3 to
-    0.6 and rates raised by −0.3 to 0.6 (each at least 0.01), permuted;
-    every value of two decimals."""
-    n = draw(st.integers(2, 4))
-    shapes = draw(st.lists(st.integers(30, 250), min_size=n, max_size=n))
-    rates = draw(st.lists(st.integers(50, 400), min_size=n, max_size=n))
-    lower = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n))
-    raise_ = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n))
-    order = draw(st.permutations(range(n)))
-    return (
-        spec("gamma", [max(shapes[i] - lower[i], 1) / 100 for i in order],
-             [max(rates[i] + raise_[i], 1) / 100 for i in order]),
-        spec("gamma", [a / 100 for a in shapes], [b / 100 for b in rates]),
-    )
+class TestTheoremOnRandomPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_parameter_holds_is_never_refuted_exactly(self, data):
+        """The paper's theorem on pairs that no scenario shaped: where the
+        weak reverse-coupled order holds on (shapes, scales), or on (shapes,
+        log scales), the exact stage does not refute the convolution order,
+        or the stochastic order."""
+        family = data.draw(st.sampled_from(["negbin", "gamma"]))
+        s1, s2 = data.draw(random_negbin_pairs() if family == "negbin" else random_gamma_pairs())
+        if data.draw(st.booleans()):
+            s1, s2 = s2, s1
+        for order in ("conv", "st"):
+            q1, q2 = harness._param_pairs(s1, s2, order)
+            if decide_wrc(q1, q2, RcMode.WEAK, 50).holds:
+                verdict = exact.decide(s1, s2, order)
+                assert verdict is None or not verdict.refuted
 
 
 class TestReports:
