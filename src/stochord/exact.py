@@ -24,9 +24,7 @@ largest ``q``.  If its weight is positive and ``T_K = w_top q_top^K + Σ_{w_q
 
 The inputs are read as exact rationals: a component's ``p`` is the float
 given, and components merge by exact ``p``.  Each net weight is rounded once
-(``math.fsum``, so its sign is exact).  The net atoms are merged and
-weighted once per decision; the certificate and the top-net-atom test below
-read the same table.  Each ``S_k`` and ``T_K``, divided by
+(``math.fsum``, so its sign is exact).  Each ``S_k`` and ``T_K``, divided by
 ``q_top^k`` so that the top term cannot underflow, is summed in floats under
 a proven rounding bound, and a sum that the bound leaves undecided is summed
 again exactly, in integers.
@@ -102,20 +100,17 @@ def decide(s1, s2, order: str) -> OrderVerdict | None:
     detail, ``refuted`` with :func:`refutation`'s record as its violation, or
     ``None`` when neither decides.  The right tail is read first, once:
     unless ``s2`` holds the smallest rate (or ``p``), no certificate can
-    exist, and the floats refute at once.  The net atoms are then built once,
-    where the negative binomial certificate or the top-net-atom test reads
-    them.  A quantity past the largest float decides nothing.  Raises
-    ``ValueError`` on specs of two families."""
+    exist, and the floats refute at once.  A quantity past the largest float
+    decides nothing.  Raises ``ValueError`` on specs of two families."""
     if s1.family != s2.family:
         raise ValueError("family mismatch")
     try:
         violation = _right_tail(s1, s2)
         if violation is None:
-            net = _net_atoms(s1, s2) if s1.family == "negbin" or order == "conv" else None
-            detail = _certificate(s1, s2, net)
+            detail = certificate(s1, s2)
             if detail is not None:
                 return OrderVerdict(Status.HOLDS, detail=detail)
-            violation = _after_right_tail(s1, s2, order, net)
+            violation = _after_right_tail(s1, s2, order)
     except OverflowError:
         return None
     return None if violation is None else OrderVerdict(Status.REFUTED, violation=violation)
@@ -126,14 +121,10 @@ def certificate(s1, s2) -> dict | None:
     ``{"certified": "levy", "terms": K}`` for negative binomial specs
     (:func:`levy_terms`), ``{"certified": "levy", "order": 1 | 2}`` for gamma
     specs (:func:`gamma_levy_order`), or ``None``, which refutes nothing."""
-    return _certificate(s1, s2, _net_atoms(s1, s2) if s1.family == "negbin" else None)
-
-
-def _certificate(s1, s2, net) -> dict | None:
     if s1.family == "gamma":
         key, found = "order", gamma_levy_order(s1, s2)
     else:
-        key, found = "terms", _levy_terms(net)
+        key, found = "terms", levy_terms(s1, s2)
     return None if found is None else {"certified": "levy", key: found}
 
 
@@ -147,12 +138,10 @@ def refutation(s1, s2, order: str) -> dict | None:
     in the convolution order, the top net atom, ``{"net_atom": "top",
     "rate": b, "weight": w}`` (``"prob"``).  Shapes, means and
     weights are the exact ones rounded once.  May raise ``OverflowError``."""
-    return _right_tail(s1, s2) or _after_right_tail(
-        s1, s2, order, _net_atoms(s1, s2) if order == "conv" else None
-    )
+    return _right_tail(s1, s2) or _after_right_tail(s1, s2, order)
 
 
-def _after_right_tail(s1, s2, order: str, net) -> dict | None:
+def _after_right_tail(s1, s2, order: str) -> dict | None:
     if order == "st" and s1.family == "gamma":
         r1, r2 = math.fsum(s1.shapes), math.fsum(s2.shapes)
         if r1 > r2:
@@ -161,11 +150,10 @@ def _after_right_tail(s1, s2, order: str, net) -> dict | None:
     if n1 * d2 > n2 * d1:
         return {"means": [n1 / d1, n2 / d2]}  # correctly rounded, or OverflowError
     if order == "conv":
-        atoms, whole = net
-        if not atoms and not whole:  # past the floats before a nonzero weight
-            raise OverflowError("net weight past the largest float")
-        if atoms and atoms[0][1] < 0:
-            return {"net_atom": "top", _scale(s1): atoms[0][0], "weight": atoms[0][1]}
+        weights = ((b, math.fsum(v)) for b, v in sorted(_signed(s1, s2).items()))
+        b, w = next(((b, w) for b, w in weights if w), (None, 0.0))
+        if w < 0:
+            return {"net_atom": "top", _scale(s1): b, "weight": w}
     return None
 
 
@@ -173,25 +161,14 @@ def _scale(s) -> str:
     return "rate" if s.family == "gamma" else "prob"
 
 
-def _net_atoms(s1, s2) -> tuple[list, bool]:
-    """The pair's net atoms by increasing rate (or ``p``), components merged
-    by exact value: ``(b, w, shapes)``, ``shapes`` the signed shapes at
-    ``b`` (``s1``'s negated) and ``w`` their sum rounded once, kept where it
-    is not zero; and whether every weight was read.  A weight past the
-    largest float ends the list there."""
+def _signed(s1, s2) -> dict:
+    """Each rate (or ``p``) of the pair mapped to its shapes, ``s1``'s
+    negated."""
     signed = {}
     for sign, s in ((-1.0, s1), (1.0, s2)):
         for a, b in zip(s.shapes, s.scales):
             signed.setdefault(b, []).append(sign * a)
-    atoms = []
-    try:
-        for b, shapes in sorted(signed.items()):
-            w = math.fsum(shapes)
-            if w:
-                atoms.append((b, w, shapes))
-    except OverflowError:
-        return atoms, False
-    return atoms, True
+    return signed
 
 
 def _right_tail(s1, s2) -> dict | None:
@@ -265,24 +242,18 @@ def levy_terms(s1, s2) -> int | None:
     ``K`` (exact ties included), or a ``K`` past ``TERM_LIMIT``.  ``None``
     refutes nothing.  With no negative atom, equal laws included, ``K`` is 1:
     no ``S_k`` is checked one by one."""
-    return _levy_terms(_net_atoms(s1, s2))
-
-
-def _levy_terms(net) -> int | None:
-    atoms, whole = net
-    if not whole:  # a net weight past the floats
-        return None
     try:
-        return _dominance_start(atoms)
-    except OverflowError:  # a sum of terms past the floats
+        return _dominance_start(_signed(s1, s2))
+    except OverflowError:  # a net weight, or a sum of terms, past the floats
         return None
 
 
-def _dominance_start(atoms: list) -> int | None:
-    negative = [i for i, (_, w, _) in enumerate(atoms) if w < 0]
+def _dominance_start(signed: dict) -> int | None:
+    atoms = [(p, w) for p, w in sorted((p, math.fsum(v)) for p, v in signed.items()) if w]
+    negative = [i for i, (_, w) in enumerate(atoms) if w < 0]
     if not negative:
         return 1
-    (p_top, w_top, _), p_neg = atoms[0], atoms[negative[0]][0]
+    (p_top, w_top), p_neg = atoms[0], atoms[negative[0]][0]
     if w_top < 0:
         return None
     # the smallest K with w_top q_top^K ≥ (Σ |w_neg|) q_neg^K, q_neg the
@@ -294,19 +265,19 @@ def _dominance_start(atoms: list) -> int | None:
         return None
     start = math.ceil(max(estimate, 1.0))
     q_top = 1.0 - p_top
-    ratios = [(1.0 - p) / q_top for p, _, _ in atoms]
-    powers = [w for _, w, _ in atoms]
+    ratios = [(1.0 - p) / q_top for p, _ in atoms]
+    powers = [w for _, w in atoms]
     every, dominant = range(len(atoms)), [0] + negative
     for k in range(1, start + 2):
         powers = [x * r for x, r in zip(powers, ratios)]
-        if k >= start and _nonnegative(atoms, powers, k, dominant):
+        if k >= start and _nonnegative(signed, atoms, powers, k, dominant):
             return k
-        if not _nonnegative(atoms, powers, k, every):
+        if not _nonnegative(signed, atoms, powers, k, every):
             return None
     return None
 
 
-def _nonnegative(atoms: list, powers: list, k: int, which) -> bool:
+def _nonnegative(signed: dict, atoms: list, powers: list, k: int, which) -> bool:
     """Whether ``Σ_i w_i q_i^k ≥ 0`` over the atoms ``which``, from the
     floats ``powers[i]``, which are ``fl(w_i)`` times ``r_i = fl(fl(1 − p_i)
     / fl(1 − p_top))`` ``k`` times over, or, where their rounding bound does
@@ -332,7 +303,7 @@ def _nonnegative(atoms: list, powers: list, k: int, which) -> bool:
     # every shape and every p is an integer over a power of two: over one
     # power of two for the shapes and one for the p's, each weight and each
     # 1 − p is an integer, and the sum keeps its sign
-    shapes = [atoms[i][2] for i in which]
+    shapes = [signed[atoms[i][0]] for i in which]
     flat = iter(_integers([a for group in shapes for a in group]))
     weights = [sum(next(flat) for _ in group) for group in shapes]
     ratios = [atoms[i][0].as_integer_ratio() for i in which]

@@ -648,12 +648,13 @@ def fraction_refutation(s1, s2, order: str) -> dict | None:
     return None
 
 
-def fraction_nonnegative(atoms: list, k: int, which) -> bool:
+def fraction_nonnegative(signed: dict, atoms: list, k: int, which) -> bool:
     """Oracle: whether ``Σ_i w_i q_i^k ≥ 0`` over the net atoms ``which``
-    (``(p, w, shapes)``, as :func:`exact._net_atoms` lists them), each
-    weight the ``Fraction`` sum of its shapes and each ``q = 1 − p`` a
-    ``Fraction``, all scaled by powers of two to integers."""
-    weights = [sum(map(Fraction, atoms[i][2])) for i in which]
+    (``(p, w)``, ``signed`` mapping each ``p`` to its shapes as
+    :func:`exact._signed` does), each weight the ``Fraction`` sum of its
+    shapes and each ``q = 1 − p`` a ``Fraction``, all scaled by powers of
+    two to integers."""
+    weights = [sum(map(Fraction, signed[atoms[i][0]])) for i in which]
     qs = [1 - Fraction(atoms[i][0]) for i in which]
     f = max(w.denominator for w in weights)
     d = max(q.denominator for q in qs)
@@ -902,13 +903,18 @@ class TestExactStage:
         data=st.data(),
     )
     def test_exact_sum_matches_the_fraction_oracle(self, pair, k, data):
-        """Float terms of 0 leave every sign to the exact sum in integers."""
-        atoms, _ = exact._net_atoms(*pair)
+        """Float terms of 0 leave every sign to the exact sum in integers.
+        The exact sum reads only each atom's ``p``, so the atoms are those
+        whose exact net weight is not zero, whether or not it is a float."""
+        signed = exact._signed(*pair)
+        atoms = [(p, 0.0) for p in sorted(signed) if sum(map(Fraction, signed[p]))]
         if not atoms:
             return
         which = data.draw(st.lists(st.sampled_from(range(len(atoms))), min_size=1, unique=True))
         zeros = [0.0] * len(atoms)
-        assert exact._nonnegative(atoms, zeros, k, which) is fraction_nonnegative(atoms, k, which)
+        assert exact._nonnegative(signed, atoms, zeros, k, which) is fraction_nonnegative(
+            signed, atoms, k, which
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
