@@ -87,8 +87,8 @@ import math
 from stochord.verdicts import OrderVerdict, Status
 
 # Past this many terms the certificate decides nothing; this also bounds the
-# work of an exact sum (about 6 ms in integers for 12 atoms at k = 1024, on
-# one core of a 2-vCPU Xeon).
+# work of an exact sum (about 3.3 ms in integers for 12 atoms at k = 1024,
+# on one core of an otherwise idle 2-vCPU Xeon).
 TERM_LIMIT = 1024
 _U = 2.0**-53  # unit roundoff
 _UNDERFLOW = 2.0**-1072  # four times the smallest subnormal float
