@@ -11,7 +11,7 @@ import collections
 import itertools
 from dataclasses import dataclass
 
-from stochord.majorization import Vector, as_vector, component_tolerance, within
+from stochord.majorization import BASE_TOL, Vector, as_vector, component_tolerance, within
 from stochord.verdicts import OrderVerdict, Status
 
 
@@ -45,13 +45,47 @@ def pair(x, y) -> PairClass:
     return PairClass(as_vector(x), as_vector(y))
 
 
-def canonical_form(p: PairClass) -> PairClass:
-    """Representative with coordinate pairs sorted lexicographically by (x, y).
+class PairView:
+    """A pair with the sorting that the steps of one decision read, each
+    sort done once: ``xs`` and ``ys``, its vectors sorted increasing; and,
+    on first use, ``pairs``, its coordinate pairs sorted by (x, y), the
+    order of its canonical form, and ``scale``, its largest magnitude (0 for
+    an empty pair), which sits at an end of a sorted vector.
 
-    Sorts the pairs themselves, which makes the comparisons of an index sort
-    keyed by them; both sorts are stable, so pairs that compare equal (such
-    as ``(0.0, 1.0)`` and ``(-0.0, 1.0)``) keep their order either way."""
-    return PairClass(*_unzip(sorted(zip(p.x, p.y))))
+    Sorting the pairs makes the comparisons of an index sort keyed by them;
+    both sorts are stable, so pairs that compare equal (such as
+    ``(0.0, 1.0)`` and ``(-0.0, 1.0)``) keep their order either way."""
+
+    __slots__ = ("pair", "xs", "ys", "_pairs", "_scale")
+
+    def __init__(self, p: PairClass):
+        self.pair = p
+        self.xs = sorted(p.x)
+        self.ys = sorted(p.y)
+        self._pairs = self._scale = None
+
+    @property
+    def pairs(self) -> list:
+        if self._pairs is None:
+            self._pairs = sorted(zip(self.pair.x, self.pair.y))
+        return self._pairs
+
+    @property
+    def scale(self) -> float:
+        if self._scale is None:
+            xs, ys = self.xs, self.ys
+            self._scale = max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) if xs else 0.0
+        return self._scale
+
+    def canonical(self) -> PairClass:
+        """:func:`canonical_form` of the pair."""
+        return PairClass(*_unzip(self.pairs))
+
+
+def canonical_form(p: PairClass) -> PairClass:
+    """Representative with coordinate pairs sorted lexicographically by (x, y)
+    (see :class:`PairView`)."""
+    return PairView(p).canonical()
 
 
 def _unzip(pairs) -> tuple[Vector, Vector]:
@@ -94,6 +128,11 @@ def _multisets_match(a: Vector, b: Vector, tol: float) -> bool:
     return within(sorted(a), sorted(b), tol)
 
 
+def _views_tolerance(v1: PairView, v2: PairView) -> float:
+    """:func:`component_tolerance` of the four vectors of two views."""
+    return BASE_TOL * max(1.0, v1.scale, v2.scale)
+
+
 def _rank_count_violation(y: list, target: list, blocks: tuple, m: int):
     """The first ``(k, t)``, or None, at which ``target`` has more ids
     ``>= t`` than ``y`` at positions ``0..k``: ``k`` ends a tie block of the
@@ -127,16 +166,23 @@ def check_arrangement_leq(p1: PairClass, p2: PairClass) -> OrderVerdict:
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
-    if not _multisets_match(p1.x, p2.x, tol) or not _multisets_match(p1.y, p2.y, tol):
+    return _arrangement_leq(PairView(p1), PairView(p2))
+
+
+def _arrangement_leq(v1: PairView, v2: PairView) -> OrderVerdict:
+    """:func:`check_arrangement_leq` of the pairs of two views of one
+    length."""
+    tol = _views_tolerance(v1, v2)
+    if not (within(v1.xs, v2.xs, tol) and within(v1.ys, v2.ys, tol)):
         raise ValueError("pairs are comparable only with matching component multisets")
 
-    c1, c2 = canonical_form(p1), canonical_form(p2)
-    blocks = tuple(map(_value_ids(c1.x, tol).__getitem__, c1.x))
-    y_ids = _value_ids(c1.y + c2.y, tol)
+    c1x, c1y = _unzip(v1.pairs)
+    c2y = _unzip(v2.pairs)[1]
+    blocks = tuple(map(_value_ids(c1x, tol).__getitem__, c1x))
+    y_ids = _value_ids(c1y + c2y, tol)
     m = max(y_ids.values()) + 1
-    y = list(map(y_ids.__getitem__, c1.y))
-    target = list(map(y_ids.__getitem__, c2.y))
+    y = list(map(y_ids.__getitem__, c1y))
+    target = list(map(y_ids.__getitem__, c2y))
     found = _rank_count_violation(y, target, blocks, m)
     if found is not None:
         k, t = found

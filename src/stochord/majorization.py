@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 Vector = tuple[float, ...]
@@ -22,6 +22,11 @@ class MajorizationMode(Enum):
     BELOW = "below"  # prefix sums of the k largest: sum_k x <= sum_k y
     ABOVE = "above"  # prefix sums of the k smallest: sum_k x >= sum_k y
     FULL = "full"    # BELOW and ABOVE, equivalently BELOW plus equal totals
+
+
+# Reading a member off its Enum class is a metaclass lookup, several times a
+# global's: the checks below, run on every decision, read these instead.
+_ABOVE, _FULL = MajorizationMode.ABOVE, MajorizationMode.FULL
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,17 @@ class MajorizationBound(NamedTuple):
 
 
 def majorization_bound(y: Vector, mode: MajorizationMode) -> MajorizationBound:
-    ys = tuple(sorted(y, reverse=mode is not MajorizationMode.ABOVE))
+    return sorted_bound(sorted(y), mode)
+
+
+def sorted_bound(ys: list, mode: MajorizationMode) -> MajorizationBound:
+    """:func:`majorization_bound` of a vector already sorted increasing,
+    read backwards unless ``mode`` is ABOVE, with no sort.  Reversing a
+    stable sort may order equal components otherwise than sorting
+    decreasing; only ``0.0`` and ``-0.0`` are equal and distinct, and no
+    comparison of a check tells them apart."""
+    if mode is not _ABOVE:
+        ys = ys[::-1]
     return MajorizationBound(mode, ys, tuple(itertools.accumulate(ys)))
 
 
@@ -123,9 +138,7 @@ def check_majorization(
     exactly instead.
     """
     _require_same_length(x, y)
-    reverse = mode is not MajorizationMode.ABOVE
-    ys = sorted(y, reverse=reverse)
-    return _check_sorted(sorted(x, reverse=reverse), ys, list(itertools.accumulate(ys)), mode)
+    return check_sorted_majorization(sorted(x), sorted(y), mode)
 
 
 def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int | None]:
@@ -134,6 +147,16 @@ def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int |
     mode = bound.mode
     xs = sorted(x, reverse=mode is not MajorizationMode.ABOVE)
     return _check_sorted(xs, bound.values, bound.sums, mode)
+
+
+def check_sorted_majorization(
+    xs: list, ys: list, mode: MajorizationMode
+) -> tuple[bool, int | None]:
+    """:func:`check_majorization` of vectors of one length already sorted
+    increasing, read as :func:`sorted_bound` reads them."""
+    if mode is not _ABOVE:
+        xs, ys = xs[::-1], ys[::-1]
+    return _check_sorted(xs, ys, list(itertools.accumulate(ys)), mode)
 
 
 def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, int | None]:
@@ -150,10 +173,12 @@ def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, i
     if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])) and all(
         map(math.isfinite, itertools.chain(xs, ys))
     ):
+        from fractions import Fraction  # only here: most commands never load it
+
         sums_x = list(itertools.accumulate(map(Fraction, xs)))
         sums_y = list(itertools.accumulate(map(Fraction, ys)))
         tol = Fraction(tol)
-    if mode is MajorizationMode.ABOVE:
+    if mode is _ABOVE:
         for k in range(n):
             if sums_x[k] < sums_y[k] - tol:
                 return False, k + 1
@@ -161,7 +186,7 @@ def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, i
     for k in range(n):
         if sums_x[k] > sums_y[k] + tol:
             return False, k + 1
-    if mode is MajorizationMode.FULL and abs(sums_x[-1] - sums_y[-1]) > tol:
+    if mode is _FULL and abs(sums_x[-1] - sums_y[-1]) > tol:
         return False, 0
     return True, None
 
@@ -185,7 +210,28 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     ok, k = check_majorization(x, y, MajorizationMode.FULL)
     if not ok:
         raise ValueError(f"x is not majorized by y (violated prefix {k})")
+    return _transfers(x, y, tol)
 
+
+def _sorted_transform_chain(x: Vector, y: Vector) -> TChain:
+    """:func:`t_transform_chain` of ``x`` and ``y`` of one length, each
+    sorted increasing exactly, as a caller that sorted them itself holds
+    them.  It checks neither length nor order, and takes the tolerance and
+    the FULL majorization check from the vectors' ends, which hold their
+    largest magnitudes, without sorting them again; the steps, the chain and
+    the errors are :func:`t_transform_chain`'s."""
+    tol = BASE_TOL * max(1.0, abs(x[0]), abs(x[-1]), abs(y[0]), abs(y[-1])) if x else BASE_TOL
+    ok, k = check_sorted_majorization(x, y, _FULL)
+    if not ok:
+        raise ValueError(f"x is not majorized by y (violated prefix {k})")
+    return _transfers(x, y, tol)
+
+
+def _transfers(x: Vector, y: Vector, tol: float) -> TChain:
+    """The transfer chain from sorted ``x`` to sorted ``y``, which majorizes
+    it, under the tolerance ``tol`` of both; its convergence check and the
+    snap of its endpoint."""
+    n = len(x)
     current = list(x)
     vectors = [tuple(current)]
     steps: list[tuple[int, int, float]] = []
@@ -209,7 +255,7 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
         current[j] += eps
         vectors.append(tuple(current))
         steps.append((i, j, eps))
-    residual = max(abs(c - t) for c, t in zip(current, y))
+    residual = max(map(abs, map(operator.sub, current, y)))
     if residual > tol * len(x):
         raise RuntimeError(f"transfer chain did not converge, residual {residual}")
     if steps:  # snap the endpoint so tolerance slack does not leak into callers

@@ -17,31 +17,30 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from stochord.arrangement import (
     PairClass,
-    canonical_form,
-    check_arrangement_leq,
+    PairView,
     check_pair_equal_a,
+    _arrangement_leq,
     _multisets_match,
     _pairs_within,
     _unzip,
+    _views_tolerance,
 )
 from stochord.majorization import (
     BASE_TOL,
     MajorizationBound,
     MajorizationMode,
     Vector,
-    check_majorization,
     check_majorized_by,
+    check_sorted_majorization,
     json_vector,
-    majorization_bound,
-    sort_components,
-    t_transform_chain,
+    sorted_bound,
     within,
+    _sorted_transform_chain,
 )
 from stochord.verdicts import OrderVerdict, Status
 
@@ -163,6 +162,8 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
     if not (math.isfinite(uv) and math.isfinite(st)):
         # a sum past the largest float would pass both sum tests below as
         # an infinity: compare exactly
+        from fractions import Fraction  # only here: most commands never load it
+
         u, v, s, t, pair_tol = map(Fraction, (u, v, s, t, pair_tol))
         uv, st = u + v, s + t
     if kind is MoveKind.WEAK_MAJORIZE_Y:  # ABOVE: the smaller component first
@@ -181,28 +182,15 @@ def verify_rc_chain(chain: RcChain) -> bool:
     return True
 
 
+# the modes of the necessary check on x and on y, bound once (reading an
+# Enum member off its class is a metaclass lookup)
+_STRICT = RcMode.STRICT
+_STRICT_MODES = (MajorizationMode.FULL, MajorizationMode.FULL)
+_WEAK_MODES = (MajorizationMode.BELOW, MajorizationMode.ABOVE)
+
+
 def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
-    if mode is RcMode.STRICT:
-        return MajorizationMode.FULL, MajorizationMode.FULL
-    return MajorizationMode.BELOW, MajorizationMode.ABOVE
-
-
-class _SortedPair(NamedTuple):
-    """A queried pair with the work that one decision does on it once: its
-    coordinate pairs sorted by (x, y), the order of its canonical form, and
-    its largest magnitude (0 for an empty pair)."""
-
-    pair: PairClass
-    pairs: list
-    scale: float
-
-    def canonical(self) -> PairClass:
-        """:func:`canonical_form` of the pair."""
-        return PairClass(*_unzip(self.pairs))
-
-
-def _sort_pair(p: PairClass) -> _SortedPair:
-    return _SortedPair(p, sorted(zip(p.x, p.y)), max(map(abs, p.x + p.y), default=0.0))
+    return _STRICT_MODES if mode is _STRICT else _WEAK_MODES
 
 
 class _Target(NamedTuple):
@@ -231,21 +219,24 @@ class _Target(NamedTuple):
     near: float
 
 
-def _target(q2: _SortedPair, mode: RcMode) -> _Target:
+def _target(v2: PairView, mode: RcMode) -> _Target:
+    """The target record of the view ``v2``, with no sort.  A dict keeps the
+    first of equal keys, as a set does, and a stable sort keeps equal values
+    in their order, so ``dict.fromkeys`` of a sorted vector holds the values
+    of ``sorted(set(...))``, ``0.0`` or ``-0.0`` alike."""
     x_mode, y_mode = _necessary_modes(mode)
-    p2 = q2.pair
-    c2x, c2y = _unzip(q2.pairs)
-    scale = max(1.0, q2.scale)
+    c2x, c2y = _unzip(v2.pairs)
+    scale = max(1.0, v2.scale)
     goal_tol = BASE_TOL * scale  # component_tolerance(p2.x, p2.y)
     return _Target(
-        p2,
-        tuple(sorted(set(p2.x))),
-        tuple(sorted(set(p2.y))),
+        v2.pair,
+        tuple(dict.fromkeys(v2.xs)),
+        tuple(dict.fromkeys(v2.ys)),
         scale,
-        sort_components(p2.x, "inc"),
-        sort_components(p2.y, "inc"),
-        majorization_bound(p2.x, x_mode),
-        majorization_bound(p2.y, y_mode),
+        tuple(v2.xs),
+        tuple(v2.ys),
+        sorted_bound(v2.xs, x_mode),
+        sorted_bound(v2.ys, y_mode),
         c2x + c2y,
         goal_tol,
         2 * goal_tol,
@@ -262,21 +253,50 @@ def check_necessary(
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
+    return _necessary(PairView(p1), PairView(p2), mode)
+
+
+def _necessary(v1: PairView, v2: PairView, mode: RcMode) -> tuple[bool, Optional[dict]]:
+    """:func:`check_necessary` of the pairs of two views of one length, from
+    their sorted vectors."""
     x_mode, y_mode = _necessary_modes(mode)
-    ok, k = check_majorization(p1.x, p2.x, x_mode)
+    ok, k = check_sorted_majorization(v1.xs, v2.xs, x_mode)
     if not ok:
         return False, {"vector": "x", "prefix": k, "mode": x_mode.value}
-    ok, k = check_majorization(p1.y, p2.y, y_mode)
+    ok, k = check_sorted_majorization(v1.ys, v2.ys, y_mode)
     if not ok:
         return False, {"vector": "y", "prefix": k, "mode": y_mode.value}
     return True, None
 
 
+def _decreasing(vs: list) -> Vector:
+    """``sorted(v, reverse=True)`` from ``vs = sorted(v)``.  Both sorts are
+    stable, so they keep equal values in their order in ``v``, and reversing
+    ``vs`` turns each run of equal values around; of distinct floats only
+    ``0.0`` and ``-0.0`` are equal, so only the run of zeros is turned back."""
+    out = vs[::-1]
+    if 0.0 in out:
+        i = out.index(0.0)
+        j = i + out.count(0.0)
+        out[i:j] = out[i:j][::-1]
+    return tuple(out)
+
+
+def _opposite_representative(v: PairView) -> Optional[tuple[Vector, Vector]]:
+    """The view's pair's exactly sorted representative, x increasing beside
+    y decreasing, if the pair is opposite ordered (else None): within
+    :func:`check_pair_equal_a`'s tolerance of it, which for the four
+    vectors is the pair's own."""
+    representative = tuple(v.xs), _decreasing(v.ys)
+    if _pairs_within(sorted(zip(*representative)), v.pairs, BASE_TOL * max(1.0, v.scale)):
+        return representative
+    return None
+
+
 def is_opposite_ordered(p: PairClass) -> bool:
     """True iff ``p`` equals its exactly sorted representative, x increasing
     beside y decreasing, within :func:`check_pair_equal_a`'s tolerance."""
-    representative = PairClass(sort_components(p.x, "inc"), sort_components(p.y, "dec"))
-    return check_pair_equal_a(representative, p)
+    return _opposite_representative(PairView(p)) is not None
 
 
 def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
@@ -303,21 +323,24 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     """
     if p1.n != p2.n:
         raise ChainConstructionError("length mismatch")
-    if not check_necessary(p1, p2, mode)[0]:
+    v1, v2 = PairView(p1), PairView(p2)
+    if not _necessary(v1, v2, mode)[0]:
         raise ChainConstructionError("start fails the necessary check")
-    return _construct_opposite(_sort_pair(p1), _sort_pair(p2), mode)
+    return _construct_opposite(v1, v2, mode)
 
 
-def _construct_opposite(q1: _SortedPair, q2: _SortedPair, mode: RcMode) -> RcChain:
+def _construct_opposite(v1: PairView, v2: PairView, mode: RcMode) -> RcChain:
     """:func:`construct_chain_opposite` for a start that has passed
-    :func:`check_necessary` against the target, as in :func:`decide_wrc`."""
-    p2 = q2.pair
-    x2s, y2s = sort_components(p2.x, "inc"), sort_components(p2.y, "dec")
-    # is_opposite_ordered(p2): the tolerance of all four vectors is p2's own
-    if not _pairs_within(sorted(zip(x2s, y2s)), q2.pairs, BASE_TOL * max(1.0, q2.scale)):
+    :func:`check_necessary` against the target, as in :func:`decide_wrc`.
+    Every vector it hands :func:`_sorted_transform_chain` is sorted exactly:
+    the views' sorts, the canonical x, the raise (sorted on return), and y
+    after the swaps."""
+    representative = _opposite_representative(v2)
+    if representative is None:
         raise ChainConstructionError("target pair is not opposite ordered")
+    x2s, y2s = representative
 
-    rep1 = q1.canonical()
+    rep1 = v1.canonical()
     x1, y1 = rep1.x, rep1.y
     n = len(x1)
 
@@ -331,14 +354,15 @@ def _construct_opposite(q1: _SortedPair, q2: _SortedPair, mode: RcMode) -> RcCha
     # Weak mode: raise x onto the target's total with one componentwise move
     # that keeps it majorized by the target's x, and plan a final
     # componentwise lowering of y from an inflated copy of the target.
+    weak = mode is RcMode.WEAK
     x_cur = x1
     dx = sum(x2s) - sum(x1)
-    if mode is RcMode.WEAK and dx > 0:
+    if weak and dx > 0:
         x_cur = _raise_to_majorized(x1, x2s)
         push(ElementaryMove(MoveKind.RAISE_X), PairClass(x_cur, y1))
     y_top = y2s
     dy = sum(y1) - sum(y2s)
-    if mode is RcMode.WEAK and dy > 0:
+    if weak and dy > 0:
         # inflating the largest component maximizes every top-k prefix sum,
         # so majorization over y1 holds whenever it can
         y_top = (y2s[0] + dy,) + y2s[1:]
@@ -361,8 +385,8 @@ def _construct_opposite(q1: _SortedPair, q2: _SortedPair, mode: RcMode) -> RcCha
     # Transfer chains on y (run on the reversed, increasing copies) and on x;
     # their checks are the only majorization checks after the lift.
     try:
-        y_chain = t_transform_chain(tuple(y_cur[::-1]), y_top[::-1])
-        x_chain = t_transform_chain(x_cur, x2s)
+        y_chain = _sorted_transform_chain(tuple(y_cur[::-1]), y_top[::-1])
+        x_chain = _sorted_transform_chain(x_cur, x2s)
     except (ValueError, RuntimeError) as exc:
         raise ChainConstructionError(f"transfer chain refused: {exc}") from exc
     for (i, j, _eps), nxt in zip(y_chain.steps, y_chain.vectors[1:]):
@@ -372,7 +396,7 @@ def _construct_opposite(q1: _SortedPair, q2: _SortedPair, mode: RcMode) -> RcCha
     for (i, j, _eps), nxt in zip(x_chain.steps, x_chain.vectors[1:]):
         push(ElementaryMove(MoveKind.MAJORIZE_X, i, j), PairClass(nxt, pairs[-1].y))
 
-    if mode is RcMode.WEAK and dy > 0:
+    if weak and dy > 0:
         push(ElementaryMove(MoveKind.LOWER_Y), PairClass(x2s, y2s))
 
     chain = RcChain(tuple(pairs), tuple(moves), mode)
@@ -382,7 +406,7 @@ def _construct_opposite(q1: _SortedPair, q2: _SortedPair, mode: RcMode) -> RcCha
     # on (x2s, y2s) exactly, p2's sorted representative; one with no transfer
     # ends where the lift and the swaps left it
     end = pairs[-1]
-    if (end.x, end.y) != (x2s, y2s) and not check_pair_equal_a(end, p2):
+    if (end.x, end.y) != (x2s, y2s) and not check_pair_equal_a(end, v2.pair):
         raise ChainConstructionError("chain ends off the target under rounding")
     return chain
 
@@ -432,11 +456,11 @@ def _raise_to_majorized(x: Vector, y: Vector) -> Vector:
 # Bounded decision procedure
 
 
-def _swap_chain_from_arrangement(p2: PairClass, witness: list, mode: RcMode) -> RcChain:
+def _swap_chain_from_arrangement(v2: PairView, witness: list, mode: RcMode) -> RcChain:
     """The chain of ``p1 >=_a p2``, which embeds into the order: the
-    arrangement ``witness`` from ``p2`` to ``p1``, replayed backwards as
-    y-swap moves on a common x-sorted representative."""
-    c2 = canonical_form(p2)
+    arrangement ``witness`` from ``v2``'s pair to ``p1``, replayed backwards
+    as y-swap moves on a common x-sorted representative."""
+    c2 = v2.canonical()
     y = list(c2.y)
     pairs = [c2]
     for mv in witness:
@@ -566,7 +590,7 @@ def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
     px, py = p.x, p.y
     tol = BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale)
     goal = target.pair
-    raised = _componentwise_move(px, goal.x, 1, tol)
+    raised = _componentwise_move(px, target.xs, 1, tol)
     if raised is not None:
         yield True, False, raised, MoveKind.RAISE_X, None, None
     aligned = _aligned_move(p, goal, "x", tol)
@@ -586,7 +610,7 @@ def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
             new[idx] = u[rank]
         if all(a <= b + tol for a, b in zip(px, new)):
             yield True, False, tuple(new), MoveKind.RAISE_X, None, None
-    lowered = _componentwise_move(py, goal.y, -1, tol)
+    lowered = _componentwise_move(py, target.ys, -1, tol)
     if lowered is not None:
         yield False, False, lowered, MoveKind.LOWER_Y, None, None
 
@@ -613,11 +637,11 @@ def _aligned_move(p: PairClass, target: PairClass, vec: str, tol: float) -> Opti
 
 
 def _componentwise_move(v: Vector, target: Vector, sign: int, tol: float) -> Optional[Vector]:
-    """Match sorted orders; if the target multiset sits componentwise above
-    (``sign = 1``) or below (``sign = -1``) ``v`` under that matching, return
-    the rearranged raised or lowered vector."""
+    """Match sorted orders; if the target multiset, sorted increasing, sits
+    componentwise above (``sign = 1``) or below (``sign = -1``) ``v`` under
+    that matching, return the rearranged raised or lowered vector."""
     order = sorted(range(len(v)), key=lambda k: v[k])
-    return _move_onto(v, zip(order, sort_components(target, "inc")), sign, tol)
+    return _move_onto(v, zip(order, target), sign, tol)
 
 
 def _move_onto(v: Vector, matches, sign: int, tol: float) -> Optional[Vector]:
@@ -667,42 +691,45 @@ def decide_wrc(
     each a legal arrangement swap run backwards.  Multisets equal only
     within tolerance fall through to the search.
     """
-    ok, viol = check_necessary(p1, p2, mode)
+    if p1.n != p2.n:
+        raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
+    # each pair is viewed once (see PairView), and every route reads the views
+    v1, v2 = PairView(p1), PairView(p2)
+    ok, viol = _necessary(v1, v2, mode)
     if not ok:
         return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})
-    # each pair is sorted and scanned once, for every route below
-    q1, q2 = _sort_pair(p1), _sort_pair(p2)
-    tol = BASE_TOL * max(1.0, q1.scale, q2.scale)  # component_tolerance of all four
-    if _pairs_within(q1.pairs, q2.pairs, tol):  # check_pair_equal_a(p1, p2)
+    tol = _views_tolerance(v1, v2)  # component_tolerance of all four
+    if _pairs_within(v1.pairs, v2.pairs, tol):  # check_pair_equal_a(p1, p2)
         return OrderVerdict(
             Status.HOLDS,
-            witness=RcChain((q1.canonical(),), (), mode),
+            witness=RcChain((v1.canonical(),), (), mode),
             detail={"route": "equal"},
         )
 
     try:
-        chain = _construct_opposite(q1, q2, mode)  # p1 passed the necessary check
+        chain = _construct_opposite(v1, v2, mode)  # p1 passed the necessary check
     except ChainConstructionError:
         pass  # a target not opposite ordered, and every refusal, falls through
     else:
         return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
 
-    if _multisets_match(p1.x, p2.x, tol) and _multisets_match(p1.y, p2.y, tol):
-        arranged = check_arrangement_leq(p2, p1)
+    # the multisets match within tolerance
+    if within(v1.xs, v2.xs, tol) and within(v1.ys, v2.ys, tol):
+        arranged = _arrangement_leq(v2, v1)
         if arranged.holds:
-            chain = _swap_chain_from_arrangement(p2, arranged.witness, mode)
+            chain = _swap_chain_from_arrangement(v2, arranged.witness, mode)
             if verify_rc_chain(chain):
                 return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "arrangement"})
-        elif sorted(p1.x) == sorted(p2.x) and sorted(p1.y) == sorted(p2.y):
+        elif v1.xs == v2.xs and v1.ys == v2.ys:
             detail = {"route": "arrangement"}
             return OrderVerdict(Status.REFUTED, violation=arranged.violation, detail=detail)
 
-    return _search(q1, q2, mode, budget)
+    return _search(v1, v2, mode, budget)
 
 
-def _search(q1: _SortedPair, q2: _SortedPair, mode: RcMode, budget: int) -> OrderVerdict:
-    """Best-first search from ``q1``'s pair, which has passed
-    :func:`check_necessary` against ``q2``'s.
+def _search(v1: PairView, v2: PairView, mode: RcMode, budget: int) -> OrderVerdict:
+    """Best-first search from ``v1``'s pair, which has passed
+    :func:`check_necessary` against ``v2``'s.
 
     Each expansion makes two passes over the node's candidates.  The goal
     pass (:func:`_goal_pass`) returns the first candidate in yield order that
@@ -719,8 +746,8 @@ def _search(q1: _SortedPair, q2: _SortedPair, mode: RcMode, budget: int) -> Orde
     the tree is checked.  A node carries the two halves of its distance, and
     a child recomputes only the half of the vector its move changed.
     """
-    start = q1.canonical()
-    target = _target(q2, mode)
+    start = v1.canonical()
+    target = _target(v2, mode)
     rounded = _Rounded().__getitem__
     seen = {tuple(map(rounded, start.x + start.y))}
     # a canonical form's x is sorted increasing

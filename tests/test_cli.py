@@ -889,6 +889,24 @@ print(json.dumps(["numpy" in sys.modules, "fractions" in sys.modules]))
 """
         assert _fresh(code) == [False, False]
 
+    def test_check_order_loads_no_fractions(self, paths):
+        """Only the exact fallbacks of sums past the largest float read
+        ``Fraction``, and they import it themselves: the harness, the CLI and
+        a ``check-order`` of the worked example load neither ``fractions``
+        nor the ``decimal`` and ``numbers`` it brings."""
+        gamma, *_ = paths
+        code = f"""
+import contextlib, io, json, sys
+import stochord.harness, stochord.cli
+loaded = lambda: [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
+result = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    result.append(stochord.cli.main(["check-order", {gamma!r}]))
+result.append(loaded())
+print(json.dumps(result))
+"""
+        assert _fresh(code) == [[], 0, []]
+
     @pytest.mark.parametrize(
         "argv",
         [

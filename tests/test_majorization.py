@@ -16,6 +16,7 @@ from stochord.majorization import (
     majorization_bound,
     sort_components,
     t_transform_chain,
+    _sorted_transform_chain,
 )
 
 FULL = MajorizationMode.FULL
@@ -416,6 +417,50 @@ class TestTTransformChain:
             return
         event(f"{len(want.steps)} steps")
         assert repr(t_transform_chain(x, y)) == repr(want)
+
+
+class TestTransformChainContract:
+    """``t_transform_chain`` keeps its checks, and past them runs what the
+    construction's runner runs, which takes its inputs as sorted."""
+
+    @pytest.mark.parametrize(
+        "x, y, exc",
+        [
+            ((3.0, 2.0, 1.0), (0.0, 2.0, 4.0), ValueError),  # unsorted
+            ((1.0, 2.0), (1.0, 2.0, 3.0), ValueError),  # lengths differ
+            ((0.0, 2.0, 4.0), (1.0, 2.0, 3.0), ValueError),  # not majorized
+            # majorized within the check's tolerance, 4e-12, but the first
+            # coordinate stays 4e-12 short, past the loop's 2e-12
+            ((0.999999999996, 2.0), (1.0, 2.0), RuntimeError),
+        ],
+    )
+    def test_errors(self, x, y, exc):
+        with pytest.raises(exc):
+            t_transform_chain(x, y)
+
+    def test_the_runner_raises_as_the_chain_does(self):
+        with pytest.raises(ValueError, match="not majorized"):
+            _sorted_transform_chain((0.0, 2.0, 4.0), (1.0, 2.0, 3.0))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _sorted_transform_chain((0.999999999996, 2.0), (1.0, 2.0))
+
+    @given(_majorization_pairs(chains=True))
+    @settings(max_examples=800, deadline=None)
+    def test_sorted_inputs_give_the_runners_chain(self, xy):
+        """On inputs of one length, each sorted increasing exactly, the
+        chain's vectors and steps are the runner's, float for float, or both
+        raise the same exception type."""
+        x, y = xy
+        assume(len(x) == len(y) and list(x) == sorted(x) and list(y) == sorted(y))
+        try:
+            want = t_transform_chain(x, y)
+        except (ValueError, RuntimeError) as exc:
+            event(f"raises {type(exc).__name__}")
+            with pytest.raises(type(exc)):
+                _sorted_transform_chain(x, y)
+            return
+        event(f"{len(want.steps)} steps")
+        assert repr(_sorted_transform_chain(x, y)) == repr(want)
 
 
 class TestTolerance:

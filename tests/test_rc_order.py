@@ -8,9 +8,13 @@ import random
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from stochord import rc_order
+from stochord import majorization, rc_order
 from stochord.arrangement import (
     PairClass,
+    PairView,
+    SwapMove,
+    _rank_count_violation,
+    _value_ids,
     canonical_form,
     check_arrangement_leq,
     check_pair_equal_a,
@@ -19,6 +23,7 @@ from stochord.arrangement import (
 from stochord.harness import MATRIX, Scenario, _param_pairs, generate_instance
 from stochord.majorization import (
     BASE_TOL,
+    MajorizationBound,
     MajorizationMode,
     check_majorization,
     component_tolerance,
@@ -40,7 +45,7 @@ from stochord.rc_order import (
     verify_rc_chain,
     verify_rc_move,
 )
-from stochord.verdicts import Status
+from stochord.verdicts import OrderVerdict, Status
 
 STRICT, WEAK = RcMode.STRICT, RcMode.WEAK
 
@@ -48,12 +53,12 @@ STRICT, WEAK = RcMode.STRICT, RcMode.WEAK
 def _search(p1, p2, mode, budget):
     """The best-first search from ``p1`` toward ``p2``, as ``decide_wrc``
     runs it past its other routes."""
-    return rc_order._search(rc_order._sort_pair(p1), rc_order._sort_pair(p2), mode, budget)
+    return rc_order._search(PairView(p1), PairView(p2), mode, budget)
 
 
 def _target(p2, mode):
     """The search's target record of the pair ``p2``."""
-    return rc_order._target(rc_order._sort_pair(p2), mode)
+    return rc_order._target(PairView(p2), mode)
 
 
 def _reference_verify_rc_move(a, b, m, mode):
@@ -783,6 +788,310 @@ class TestDecideDigests:
                 assert _verdict_bytes(decide_wrc(a, permuted(b), mode, 200)) == want
 
 
+# ---------------------------------------------------------------------------
+# The decision path before each queried vector was sorted once: the oracle of
+# the one that reads a PairView.  It sorts each vector again wherever a step
+# needs it sorted, as that path did, and runs the same search.
+
+
+def _reference_check_majorization(x, y, mode):
+    """``check_majorization`` sorting each vector in the order its mode
+    reads it."""
+    reverse = mode is not MajorizationMode.ABOVE
+    ys = sorted(y, reverse=reverse)
+    return majorization._check_sorted(
+        sorted(x, reverse=reverse), ys, list(itertools.accumulate(ys)), mode
+    )
+
+
+def _reference_check_necessary(p1, p2, mode):
+    x_mode, y_mode = rc_order._necessary_modes(mode)
+    ok, k = _reference_check_majorization(p1.x, p2.x, x_mode)
+    if not ok:
+        return False, {"vector": "x", "prefix": k, "mode": x_mode.value}
+    ok, k = _reference_check_majorization(p1.y, p2.y, y_mode)
+    if not ok:
+        return False, {"vector": "y", "prefix": k, "mode": y_mode.value}
+    return True, None
+
+
+def _reference_canonical(p):
+    return PairClass(*(tuple(zip(*sorted(zip(p.x, p.y)))) or ((), ())))
+
+
+def _reference_scale(p):
+    return max(map(abs, p.x + p.y), default=0.0)
+
+
+def _reference_construct_opposite(p1, p2, mode):
+    x2s, y2s = sort_components(p2.x, "inc"), sort_components(p2.y, "dec")
+    tol = BASE_TOL * max(1.0, _reference_scale(p2))
+    if not all(
+        abs(a - u) <= tol and abs(b - v) <= tol
+        for (a, b), (u, v) in zip(sorted(zip(x2s, y2s)), sorted(zip(p2.x, p2.y)))
+    ):
+        raise ChainConstructionError("target pair is not opposite ordered")
+    rep1 = _reference_canonical(p1)
+    x1, y1 = rep1.x, rep1.y
+    n = len(x1)
+    pairs, moves = [rep1], []
+
+    def push(move, target):
+        pairs.append(target)
+        moves.append(move)
+
+    x_cur = x1
+    dx = sum(x2s) - sum(x1)
+    if mode is WEAK and dx > 0:
+        x_cur = rc_order._raise_to_majorized(x1, x2s)
+        push(ElementaryMove(MoveKind.RAISE_X), PairClass(x_cur, y1))
+    y_top = y2s
+    dy = sum(y1) - sum(y2s)
+    if mode is WEAK and dy > 0:
+        y_top = (y2s[0] + dy,) + y2s[1:]
+    y_cur = list(pairs[-1].y)
+    for pos in range(n):
+        top = pos
+        for k in range(pos + 1, n):
+            if y_cur[k] > y_cur[top]:
+                top = k
+        if top != pos:
+            y_cur[pos], y_cur[top] = y_cur[top], y_cur[pos]
+            push(ElementaryMove(MoveKind.MAJORIZE_Y, pos, top), PairClass(x_cur, tuple(y_cur)))
+    try:
+        y_chain = t_transform_chain(tuple(y_cur[::-1]), y_top[::-1])
+        x_chain = t_transform_chain(x_cur, x2s)
+    except (ValueError, RuntimeError) as exc:
+        raise ChainConstructionError(f"transfer chain refused: {exc}") from exc
+    for (i, j, _eps), nxt in zip(y_chain.steps, y_chain.vectors[1:]):
+        push(ElementaryMove(MoveKind.MAJORIZE_Y, n - 1 - j, n - 1 - i), PairClass(x_cur, nxt[::-1]))
+    for (i, j, _eps), nxt in zip(x_chain.steps, x_chain.vectors[1:]):
+        push(ElementaryMove(MoveKind.MAJORIZE_X, i, j), PairClass(nxt, pairs[-1].y))
+    if mode is WEAK and dy > 0:
+        push(ElementaryMove(MoveKind.LOWER_Y), PairClass(x2s, y2s))
+    chain = RcChain(tuple(pairs), tuple(moves), mode)
+    if not verify_rc_chain(chain):
+        raise ChainConstructionError("chain rejected under rounding")
+    end = pairs[-1]
+    if (end.x, end.y) != (x2s, y2s) and not check_pair_equal_a(end, p2):
+        raise ChainConstructionError("chain ends off the target under rounding")
+    return chain
+
+
+def _reference_arrangement_leq(p1, p2):
+    """``check_arrangement_leq`` on pairs of one length with matching
+    multisets, its canonical forms and value ids each sorted afresh."""
+    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
+    c1, c2 = _reference_canonical(p1), _reference_canonical(p2)
+    blocks = tuple(map(_value_ids(c1.x, tol).__getitem__, c1.x))
+    y_ids = _value_ids(c1.y + c2.y, tol)
+    m = max(y_ids.values()) + 1
+    y = list(map(y_ids.__getitem__, c1.y))
+    target = list(map(y_ids.__getitem__, c2.y))
+    found = _rank_count_violation(y, target, blocks, m)
+    if found is not None:
+        k, t = found
+        t = min(v for v, i in y_ids.items() if i == t)
+        violation = {"reason": "rank count fails", "k": k, "t": t}
+        return OrderVerdict(Status.REFUTED, violation=violation)
+    surplus = collections.defaultdict(int)
+    for b, u, v in zip(blocks, y, target):
+        surplus[b, u] += 1
+        surplus[b, v] -= 1
+
+    def added(i, j):
+        bi, bj, yi, yj = blocks[i], blocks[j], y[i], y[j]
+        gained = (surplus[bi, yj] >= 0) + (surplus[bj, yi] >= 0)
+        return gained - (surplus[bi, yi] > 0) - (surplus[bj, yj] > 0)
+
+    witness = []
+    while any(s > 0 for s in surplus.values()):
+        legal = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(y)), 2)
+            if y[i] > y[j] and blocks[i] != blocks[j]
+        ]
+        for _, i, j in sorted((added(i, j), i, j) for i, j in legal):
+            y[i], y[j] = y[j], y[i]
+            if _rank_count_violation(y, target, blocks, m) is None:
+                break
+            y[i], y[j] = y[j], y[i]
+        else:
+            raise AssertionError("no legal swap keeps the rank-count criterion")
+        for b, gone, come in ((blocks[i], y[j], y[i]), (blocks[j], y[i], y[j])):
+            surplus[b, gone] -= 1
+            surplus[b, come] += 1
+        witness.append(SwapMove(i, j))
+    return OrderVerdict(Status.HOLDS, witness=witness)
+
+
+def _reference_target(p2, mode):
+    x_mode, y_mode = rc_order._necessary_modes(mode)
+    c2 = _reference_canonical(p2)
+    scale = max(1.0, _reference_scale(p2))
+    goal_tol = BASE_TOL * scale
+    return rc_order._Target(
+        p2,
+        tuple(sorted(set(p2.x))),
+        tuple(sorted(set(p2.y))),
+        scale,
+        sort_components(p2.x, "inc"),
+        sort_components(p2.y, "inc"),
+        *(
+            MajorizationBound(m, v, tuple(itertools.accumulate(v)))
+            for m, v in (
+                (x_mode, tuple(sorted(p2.x, reverse=x_mode is not MajorizationMode.ABOVE))),
+                (y_mode, tuple(sorted(p2.y, reverse=y_mode is not MajorizationMode.ABOVE))),
+            )
+        ),
+        c2.x + c2.y,
+        goal_tol,
+        2 * goal_tol,
+    )
+
+
+def _reference_decide_wrc(p1, p2, mode, budget):
+    ok, viol = _reference_check_necessary(p1, p2, mode)
+    if not ok:
+        return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})
+    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
+    if check_pair_equal_a(p1, p2):
+        return OrderVerdict(
+            Status.HOLDS,
+            witness=RcChain((_reference_canonical(p1),), (), mode),
+            detail={"route": "equal"},
+        )
+    try:
+        chain = _reference_construct_opposite(p1, p2, mode)
+    except ChainConstructionError:
+        pass
+    else:
+        return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
+
+    def multisets_match(a, b):
+        return all(abs(u - v) <= tol for u, v in zip(sorted(a), sorted(b)))
+
+    if multisets_match(p1.x, p2.x) and multisets_match(p1.y, p2.y):
+        arranged = _reference_arrangement_leq(p2, p1)
+        if arranged.holds:
+            c2 = _reference_canonical(p2)
+            y, pairs = list(c2.y), [c2]
+            for mv in arranged.witness:
+                y[mv.i], y[mv.j] = y[mv.j], y[mv.i]
+                pairs.append(PairClass(c2.x, tuple(y)))
+            moves = [ElementaryMove(MoveKind.MAJORIZE_Y, mv.i, mv.j) for mv in reversed(arranged.witness)]
+            chain = RcChain(tuple(reversed(pairs)), tuple(moves), mode)
+            if verify_rc_chain(chain):
+                return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "arrangement"})
+        elif sorted(p1.x) == sorted(p2.x) and sorted(p1.y) == sorted(p2.y):
+            detail = {"route": "arrangement"}
+            return OrderVerdict(Status.REFUTED, violation=arranged.violation, detail=detail)
+    return _search(p1, p2, mode, budget)
+
+
+# values near the top of the floats, whose sums pass the largest float
+_TOP = (1e308, -1e308, 1.5e308, 8.98846567431158e307, -1.7e308)
+
+
+@st.composite
+def _decision_cases(draw):
+    """A mode and two pairs of one length n = 1..6, asked either way round.
+    Components come from a pool with exact ties and both signs of zero,
+    scaled by 1 or 1e307, with now and then a value near +-1e308.  The
+    second pair is a fresh draw; the first with its y paired otherwise
+    (equal multisets); the first under a common permutation, or with
+    components nudged by 0.5 to 2 times the tolerance (near-ties); or an
+    opposite-ordered pair from which the first is made by averaging pairs of
+    components (then, in weak mode, lowering x and raising y), so that the
+    necessary check mostly passes."""
+    n = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from((WEAK, STRICT)))
+    scale = draw(st.sampled_from((1.0, 1.0, 1.0, 1e307)))
+    comp = st.one_of(
+        st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0)).map(lambda v: v * scale),
+        st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: v * scale),
+        st.sampled_from(_TOP),
+    ) if scale > 1 else st.one_of(
+        st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0)),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )
+
+    def vector():
+        return [draw(comp) for _ in range(n)]
+
+    def permuted(x, y):
+        perm = draw(st.permutations(range(n)))
+        return PairClass(tuple(x[k] for k in perm), tuple(y[k] for k in perm))
+
+    x1, y1 = vector(), vector()
+    how = draw(st.sampled_from(("fresh", "pairing", "permuted", "near", "opposite", "opposite")))
+    event(f"input: {how}")
+    if how == "fresh":
+        x2, y2 = vector(), vector()
+    elif how == "pairing":
+        x2, y2 = list(x1), [y1[k] for k in draw(st.permutations(range(n)))]
+    elif how in ("permuted", "near"):
+        x2, y2 = list(x1), list(y1)
+        if how == "near":
+            big = max(1.0, *map(abs, x1 + y1))
+            for _ in range(draw(st.integers(1, 3))):
+                vec = draw(st.sampled_from((x2, y2)))
+                k = draw(st.integers(0, n - 1))
+                vec[k] += draw(st.sampled_from((0.5, 1.0, 2.0, -0.5, -1.0, -2.0))) * BASE_TOL * big
+    else:
+        x2, y2 = sorted(vector()), sorted(vector(), reverse=True)
+        x1, y1 = list(x2), list(y2)
+        for which in draw(st.lists(st.sampled_from((0, 1)), max_size=4)):
+            v = (x1, y1)[which]
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)) if n > 1 else (0, 0)
+            lam = draw(st.sampled_from((0.25, 0.5, 0.75)))
+            v[i], v[j] = lam * v[i] + (1 - lam) * v[j], (1 - lam) * v[i] + lam * v[j]
+        if mode is WEAK:
+            x1 = [v - draw(st.sampled_from((0.0, 0.0, 0.5))) * scale for v in x1]
+            y1 = [v + draw(st.sampled_from((0.0, 0.0, 0.5))) * scale for v in y1]
+    p1, p2 = permuted(x1, y1), permuted(x2, y2)
+    for p in (p1, p2):
+        assume(all(map(math.isfinite, p.x + p.y)))
+    if draw(st.booleans()):
+        p1, p2 = p2, p1
+    return mode, p1, p2
+
+
+class TestViewReference:
+    """The decision that reads one PairView per queried pair against the
+    path that sorted each vector wherever a step needed it."""
+
+    @given(_decision_cases())
+    @example((WEAK, PairClass((0.0, -0.0), (1.0, 1.0)), PairClass((-0.0, 0.0), (1.0, 1.0))))
+    @example((STRICT, PairClass((1.0, 2.0), (0.0, -0.0)), PairClass((2.0, 1.0), (-0.0, 0.0))))
+    @example((WEAK, PairClass((1.0, 2.0, 3.0), (-0.0, 5.0, 0.0)), PairClass((1.0, 2.0, 3.0), (5.0, 0.0, -0.0))))
+    @settings(max_examples=500, deadline=None)
+    def test_decisions_match_the_reference_byte_for_byte(self, case):
+        """Status, violation, detail and witness JSON, in both modes."""
+        mode, p1, p2 = case
+        want = _verdict_bytes(_reference_decide_wrc(p1, p2, mode, 30))
+        got = decide_wrc(p1, p2, mode, 30)
+        event(f"route: {got.detail['route']}")
+        assert _verdict_bytes(got) == want
+
+    @given(_decision_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_search_target_matches_the_reference(self, case):
+        """The search's target record from the view: every field the
+        search reads as a value holds the reference's floats, signs of zero
+        included; the bounds, which it only compares, hold equal values and
+        prefix sums."""
+        mode, _, p2 = case
+        got, want = rc_order._target(PairView(p2), mode), _reference_target(p2, mode)
+        for field in got._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            if field.endswith("_bound"):
+                assert a.mode is b.mode
+                assert list(a.values) == list(b.values) and list(a.sums) == list(b.sums)
+            else:
+                assert repr(a) == repr(b), field
+
+
 class TestSearch:
     def test_matches_the_reference_bit_for_bit(self):
         """The search's outputs on the scenario matrix, byte for byte, against
@@ -1327,15 +1636,17 @@ class TestOppositeOrderedConstruction:
     @settings(max_examples=300, deadline=None)
     def test_transfer_chains_receive_exactly_sorted_vectors(self, instance):
         """The construction sorts exactly, so every transfer chain it asks
-        for starts and ends on increasing-sorted vectors, near-ties included."""
+        for starts and ends on increasing-sorted vectors, near-ties included:
+        the runner it calls, which checks no order, may take them as sorted."""
         mode, p1, p2 = instance
+        runner = rc_order._sorted_transform_chain
 
         def spy(x, y):
             assert list(x) == sorted(x) and list(y) == sorted(y)
-            return t_transform_chain(x, y)
+            return runner(x, y)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rc_order, "t_transform_chain", spy)
+            mp.setattr(rc_order, "_sorted_transform_chain", spy)
             try:
                 construct_chain_opposite(p1, p2, mode)
             except ChainConstructionError:
