@@ -119,9 +119,8 @@ def sorted_bound(ys: list, mode: MajorizationMode) -> MajorizationBound:
     stable sort may order equal components otherwise than sorting
     decreasing; only ``0.0`` and ``-0.0`` are equal and distinct, and no
     comparison of a check tells them apart."""
-    if mode is not _ABOVE:
-        ys = ys[::-1]
-    return MajorizationBound(mode, ys, tuple(itertools.accumulate(ys)))
+    values = tuple(ys[::-1] if mode is not _ABOVE else ys)
+    return MajorizationBound(mode, values, tuple(itertools.accumulate(values)))
 
 
 def check_majorization(
@@ -145,7 +144,7 @@ def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int |
     """:func:`check_majorization` against a prepared ``y``."""
     _require_same_length(x, bound.values)
     mode = bound.mode
-    xs = sorted(x, reverse=mode is not MajorizationMode.ABOVE)
+    xs = sorted(x, reverse=mode is not _ABOVE)
     return _check_sorted(xs, bound.values, bound.sums, mode)
 
 
