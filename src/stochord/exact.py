@@ -2,9 +2,10 @@
 usual stochastic order of two convolutions from their parameters alone,
 before any lattice or grid is built.  A decision is a certificate of the
 convolution order, which implies the stochastic order, or one of four exact
-refutations.  This module imports neither numpy nor ``fractions``: every
-float is an integer over a power of two, so every exact quantity here is an
-integer or a ratio of integers.
+refutations.  Every float is an integer over a power of two, so every exact
+quantity here is an integer or a ratio of integers, and no numpy is needed;
+floats that are summed together are read over one common power of two by
+``majorization._integers``, which the parameter layer's exact sums share.
 
 **Negative binomial certificate.**  A negative binomial of shape ``α`` and
 success probability ``p`` has the probability generating function ``(p / (1 −
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import math
 
+from stochord.majorization import _integers
 from stochord.verdicts import OrderVerdict, Status
 
 # Past this many terms the certificate decides nothing; this also bounds the
@@ -227,14 +229,6 @@ def gamma_levy_order(s1, s2) -> int | None:
     return 2
 
 
-def _integers(values) -> list[int]:
-    """The floats ``values`` times one power of two, each then an integer, so
-    that sums and products of them keep their exact signs."""
-    ratios = [v.as_integer_ratio() for v in values]
-    d = max(den for _, den in ratios)
-    return [num * (d // den) for num, den in ratios]
-
-
 def levy_terms(s1, s2) -> int | None:
     """The ``K`` from which the top atom's dominance certifies ``s1 ≤_conv
     s2`` for two negative binomial specs, or ``None`` when it certifies
@@ -301,12 +295,10 @@ def _nonnegative(signed: dict, atoms: list, powers: list, k: int, which) -> bool
     if total < -bound:
         return False
     # every shape and every p is an integer over a power of two: over one
-    # power of two for the shapes and one for the p's, each weight and each
-    # 1 − p is an integer, and the sum keeps its sign
+    # power of two for the shapes and one for 1 and the p's, each weight and
+    # each 1 − p is an integer, and the sum keeps its sign
     shapes = [signed[atoms[i][0]] for i in which]
     flat = iter(_integers([a for group in shapes for a in group]))
     weights = [sum(next(flat) for _ in group) for group in shapes]
-    ratios = [atoms[i][0].as_integer_ratio() for i in which]
-    d = max(den for _, den in ratios)
-    qs = [(den - num) * (d // den) for num, den in ratios]
-    return sum(w * q**k for w, q in zip(weights, qs)) >= 0
+    one, *ps = _integers([1.0, *(atoms[i][0] for i in which)])
+    return sum(w * (one - p) ** k for w, p in zip(weights, ps)) >= 0

@@ -2,9 +2,10 @@
 satisfying each hypothesis, decide the parameter order, then certify the
 implied distributional order numerically.
 
-Each scenario generator is deterministic in its seed and emits a pair of
-convolution specs provably satisfying the scenario hypothesis (asserted via
-the order engine before use)."""
+Each scenario generator is deterministic in its seed and builds a pair of
+convolution specs meant to satisfy its scenario's hypothesis; no generator
+calls the order engine.  ``stochord harness`` checks every generated pair
+with both layers (:func:`verify_theorem_instance`)."""
 from __future__ import annotations
 
 import json

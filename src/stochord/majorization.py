@@ -158,6 +158,15 @@ def check_sorted_majorization(
     return _check_sorted(xs, ys, list(itertools.accumulate(ys)), mode)
 
 
+def _integers(values) -> list[int]:
+    """The floats ``values`` times one power of two, each then an integer, so
+    that sums and products of them keep their exact signs.  Raises
+    ``OverflowError`` on an infinity and ``ValueError`` on a nan."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios]
+
+
 def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, int | None]:
     """:func:`check_majorization` of ``xs`` and ``ys``, sorted in the order
     the check reads them, given the prefix sums of ``ys``."""
@@ -172,11 +181,9 @@ def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, i
     if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])) and all(
         map(math.isfinite, itertools.chain(xs, ys))
     ):
-        from fractions import Fraction  # only here: most commands never load it
-
-        sums_x = list(itertools.accumulate(map(Fraction, xs)))
-        sums_y = list(itertools.accumulate(map(Fraction, ys)))
-        tol = Fraction(tol)
+        *ints, tol = _integers([*xs, *ys, tol])
+        sums_x = list(itertools.accumulate(ints[:n]))
+        sums_y = list(itertools.accumulate(ints[n:]))
     if mode is _ABOVE:
         for k in range(n):
             if sums_x[k] < sums_y[k] - tol:

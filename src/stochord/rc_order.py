@@ -40,6 +40,7 @@ from stochord.majorization import (
     json_vector,
     sorted_bound,
     within,
+    _integers,
     _sorted_transform_chain,
 )
 from stochord.verdicts import OrderVerdict, Status
@@ -76,6 +77,11 @@ _WEAK_ONLY = (
     MoveKind.RAISE_X,
     MoveKind.LOWER_Y,
 )
+# Reading a member off its Enum class is a metaclass lookup, several times a
+# global's: verify_rc_move, run on every candidate, reads these instead.
+_STRICT = RcMode.STRICT
+_RAISE_X, _LOWER_Y = MoveKind.RAISE_X, MoveKind.LOWER_Y
+_WEAK_MAJORIZE_X, _WEAK_MAJORIZE_Y = MoveKind.WEAK_MAJORIZE_X, MoveKind.WEAK_MAJORIZE_Y
 
 
 @dataclass(frozen=True)
@@ -120,22 +126,22 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
     if len(bx) != n:
         return False
     kind = m.kind
-    if mode is RcMode.STRICT and kind in _WEAK_ONLY:
+    if mode is _STRICT and kind in _WEAK_ONLY:
         return False
     if not n:  # empty pairs: the componentwise moves hold, coupled ones have no room
-        return kind in (MoveKind.RAISE_X, MoveKind.LOWER_Y)
+        return kind in (_RAISE_X, _LOWER_Y)
     # component_tolerance(ax, ay, bx, by), the one tolerance of every check
     # below but the last
     tol = BASE_TOL * max(1.0, max(map(abs, ax + ay + bx + by)))
     if tol == math.inf:  # pairs hold finite components: no move reaches an infinity
         return False
 
-    if kind is MoveKind.RAISE_X:
+    if kind is _RAISE_X:
         for u, v, s, t in zip(ax, ay, bx, by):
             if not (abs(v - t) <= tol and u <= s + tol):
                 return False
         return True
-    if kind is MoveKind.LOWER_Y:
+    if kind is _LOWER_Y:
         for u, v, s, t in zip(ax, ay, bx, by):
             if not (abs(u - s) <= tol and v >= t - tol):
                 return False
@@ -162,16 +168,14 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
     if not (math.isfinite(uv) and math.isfinite(st)):
         # a sum past the largest float would pass both sum tests below as
         # an infinity: compare exactly
-        from fractions import Fraction  # only here: most commands never load it
-
-        u, v, s, t, pair_tol = map(Fraction, (u, v, s, t, pair_tol))
+        u, v, s, t, pair_tol = _integers((u, v, s, t, pair_tol))
         uv, st = u + v, s + t
-    if kind is MoveKind.WEAK_MAJORIZE_Y:  # ABOVE: the smaller component first
+    if kind is _WEAK_MAJORIZE_Y:  # ABOVE: the smaller component first
         return not (min(u, v) < min(s, t) - pair_tol or uv < st - pair_tol)
     if max(u, v) > max(s, t) + pair_tol or uv > st + pair_tol:
         return False
     # BELOW for a weak x move; FULL also compares the totals
-    return kind is MoveKind.WEAK_MAJORIZE_X or not abs(uv - st) > pair_tol
+    return kind is _WEAK_MAJORIZE_X or not abs(uv - st) > pair_tol
 
 
 def verify_rc_chain(chain: RcChain) -> bool:
@@ -182,9 +186,7 @@ def verify_rc_chain(chain: RcChain) -> bool:
     return True
 
 
-# the modes of the necessary check on x and on y, bound once (reading an
-# Enum member off its class is a metaclass lookup)
-_STRICT = RcMode.STRICT
+# the modes of the necessary check on x and on y, bound once
 _STRICT_MODES = (MajorizationMode.FULL, MajorizationMode.FULL)
 _WEAK_MODES = (MajorizationMode.BELOW, MajorizationMode.ABOVE)
 

@@ -889,23 +889,49 @@ print(json.dumps(["numpy" in sys.modules, "fractions" in sys.modules]))
 """
         assert _fresh(code) == [False, False]
 
-    def test_check_order_loads_no_fractions(self, paths):
-        """Only the exact fallbacks of sums past the largest float read
-        ``Fraction``, and they import it themselves: the harness, the CLI and
-        a ``check-order`` of the worked example load neither ``fractions``
-        nor the ``decimal`` and ``numbers`` it brings."""
+    def test_check_order_loads_no_fractions(self, paths, tmp_path):
+        """Sums past the largest float compare as integers over one power of
+        two, so nothing reads ``Fraction``: the harness, the CLI and a
+        ``check-order`` of the worked example, of that example with its
+        rates times 2^1021 (which holds) and of a witness whose one move
+        breaks a sum past the largest float (rejected) load neither
+        ``fractions`` nor the ``decimal`` and ``numbers`` it brings."""
         gamma, *_ = paths
+        r = 2.0**1021
+        top = {
+            "config1": {**WORKED_PAIR["config1"], "scales": [r * c for c in (2, 3, 4)]},
+            "config2": {**WORKED_PAIR["config2"], "scales": [r * c for c in (1, 3, 5)]},
+        }
+        x, start, end = [0.4, 0.5, 0.6], [r, 5 * r, 4 * r], [r, 6 * r, 3.5 * r]
+        overflow = {
+            "config1": {"family": "gamma", "shapes": x, "scales": start},
+            "config2": {"family": "gamma", "shapes": x, "scales": end},
+        }
+        witness = {"mode": "weak", "chain": [
+            {"pair": {"x": x, "y": start}, "move": None},
+            {"pair": {"x": x, "y": end}, "move": {"kind": "majorize_y", "i": 1, "j": 2}},
+        ]}
+        files = {}
+        for name, content in (("top", top), ("overflow", overflow), ("witness", witness)):
+            files[name] = str(tmp_path / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(content))
+        runs = [
+            ["check-order", str(gamma)],
+            ["check-order", files["top"]],
+            ["check-order", files["overflow"], "--verify-witness", files["witness"]],
+        ]
         code = f"""
 import contextlib, io, json, sys
 import stochord.harness, stochord.cli
 loaded = lambda: [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
 result = [loaded()]
-with contextlib.redirect_stdout(io.StringIO()):
-    result.append(stochord.cli.main(["check-order", {gamma!r}]))
-result.append(loaded())
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        result.append(stochord.cli.main(argv))
+    result.append(loaded())
 print(json.dumps(result))
 """
-        assert _fresh(code) == [[], 0, []]
+        assert _fresh(code) == [[], 0, [], 0, [], 1, []]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -10,6 +11,7 @@ from stochord.majorization import (
     MajorizationMode,
     check_majorization,
     check_majorized_by,
+    check_sorted_majorization,
     component_tolerance,
     as_vector,
     is_sorted,
@@ -61,6 +63,37 @@ def _reference_check_majorization(x, y, mode):
         if cx > cy + tol:
             return False, k
     if mode is FULL and abs(cx - cy) > tol:
+        return False, 0
+    return True, None
+
+
+def _fraction_check_sorted_majorization(xs, ys, mode):
+    """``check_sorted_majorization`` as it was when a sum of finite
+    components past the largest float sent every prefix sum, and the
+    tolerance, to ``Fraction``s of the floats: the oracle of the integers
+    over one power of two that replaced them."""
+    if mode is not ABOVE:
+        xs, ys = xs[::-1], ys[::-1]
+    n = len(xs)
+    if not n:
+        return True, None
+    tol = BASE_TOL * max(1.0, abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) * n
+    sums_x, sums_y = list(itertools.accumulate(xs)), list(itertools.accumulate(ys))
+    if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])) and all(
+        map(math.isfinite, itertools.chain(xs, ys))
+    ):
+        sums_x = list(itertools.accumulate(map(Fraction, xs)))
+        sums_y = list(itertools.accumulate(map(Fraction, ys)))
+        tol = Fraction(tol)
+    if mode is ABOVE:
+        for k in range(n):
+            if sums_x[k] < sums_y[k] - tol:
+                return False, k + 1
+        return True, None
+    for k in range(n):
+        if sums_x[k] > sums_y[k] + tol:
+            return False, k + 1
+    if mode is FULL and abs(sums_x[-1] - sums_y[-1]) > tol:
         return False, 0
     return True, None
 
@@ -156,6 +189,46 @@ def _majorization_pairs(draw, chains=False):
         vec = draw(st.sampled_from((x, y)))
         vec[draw(st.integers(0, n - 1))] = draw(st.sampled_from((math.inf, -math.inf)))
     return tuple(x), tuple(y)
+
+
+@st.composite
+def _overflowing_pairs(draw):
+    """Increasing-sorted ``(xs, ys)`` of one length in 2..6 whose components
+    lie near 2^1021 to 2^1023, one in eight of the sign opposite the
+    others', so that a total passes +1.8e308 or -1.8e308: y drawn, x equal
+    to it, a permutation of it with transfers, or fresh, then up to two
+    edge moves of 0.5 to 3 times the check's tolerance, alone or as a
+    transfer, as in :func:`_majorization_pairs`."""
+    n = draw(st.integers(2, 6))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    mantissa, exponent = st.floats(1.0, 2.0, exclude_max=True), st.sampled_from((1021, 1022, 1023))
+
+    def comp():
+        c = draw(mantissa) * 2.0 ** draw(exponent)
+        return -sign * c if draw(st.integers(0, 7)) == 0 else sign * c
+
+    y = [comp() for _ in range(n)]
+    how = draw(st.sampled_from(("equal", "transfers", "transfers", "fresh")))
+    x = [comp() for _ in range(n)] if how == "fresh" else list(draw(st.permutations(y)))
+    if how == "transfers":
+        for _ in range(draw(st.integers(0, n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            lo, hi = (i, j) if x[i] <= x[j] else (j, i)
+            # halves first: two components of opposite signs may lie
+            # further apart than the largest float
+            eps = draw(st.floats(0.0, 1.0)) * (x[hi] / 2 - x[lo] / 2)
+            x[lo], x[hi] = x[lo] + eps, x[hi] - eps
+    tol = BASE_TOL * max(map(abs, x + y)) * n
+    for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+        vec = draw(st.sampled_from((x, y)))
+        step = draw(st.sampled_from(_EDGE_STEPS)) * tol
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        vec[i] += step
+        if draw(st.booleans()):
+            vec[j] -= step
+    assume(all(map(math.isfinite, x + y)))
+    assume(not (math.isfinite(sum(x)) and math.isfinite(sum(y))))
+    return sorted(x), sorted(y)
 
 
 class TestCheckMajorization:
@@ -286,6 +359,19 @@ class TestCheckMajorization:
             return
         event(f"{mode.value}: {want[0]}")
         assert check_majorization(x, y, mode) == want
+
+    @given(_overflowing_pairs())
+    @settings(max_examples=600, deadline=None)
+    def test_sums_past_the_floats_agree_with_the_fraction_reference(self, xy):
+        """Where a total passes the largest float, of either sign, the check
+        compares its sums exactly and gives the answer of the reference that
+        compares them as ``Fraction``s, violated prefix included, in every
+        mode and on each side of the tolerance."""
+        xs, ys = xy
+        for mode in MajorizationMode:
+            want = _fraction_check_sorted_majorization(xs, ys, mode)
+            event(f"{mode.value}: {want[0]}")
+            assert check_sorted_majorization(xs, ys, mode) == want
 
 
 class TestVerifyTStep:

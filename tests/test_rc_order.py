@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -61,9 +62,13 @@ def _target(p2, mode):
     return rc_order._target(PairView(p2), mode)
 
 
-def _reference_verify_rc_move(a, b, m, mode):
+def _reference_verify_rc_move(a, b, m, mode, number=float):
     """``verify_rc_move`` as it was before its tolerance became one scan and
-    its coordinate checks plain loops: the oracle of the rewritten one."""
+    its coordinate checks plain loops: the oracle of the rewritten one.  With
+    ``number=Fraction`` it compares the two moved coordinates exactly, as
+    ``Fraction``s of the floats, the fallback ``verify_rc_move`` took where
+    their sums pass the largest float before it summed integers over one
+    power of two."""
     n = a.n
     if b.n != n:
         return False
@@ -95,6 +100,7 @@ def _reference_verify_rc_move(a, b, m, mode):
         return False
     u, v, s, t = moved_a[i], moved_a[j], moved_b[i], moved_b[j]
     pair_tol = 1e-12 * max(1.0, abs(u), abs(v), abs(s), abs(t)) * 2
+    u, v, s, t, pair_tol = map(number, (u, v, s, t, pair_tol))
     if kind is MoveKind.WEAK_MAJORIZE_Y:
         return not (min(u, v) < min(s, t) - pair_tol or u + v < s + t - pair_tol)
     if max(u, v) > max(s, t) + pair_tol or u + v > s + t + pair_tol:
@@ -259,6 +265,58 @@ def _componentwise_edge_cases(draw):
     return a, b, ElementaryMove(kind), WEAK
 
 
+@st.composite
+def _overflowing_moves(draw):
+    """A coupled move whose moved coordinates sum past +1.8e308 or
+    -1.8e308, in either mode: a's moved vector holds components near 2^1021
+    to 2^1023 of one sign; at positions ``i < j``, b's is a's swapped,
+    spread, pulled together or drawn afresh there, then moved by 0.5 to 3
+    times the pair tolerance at i alone or as a transfer to j.  The other
+    vector, small or of the moved one's magnitudes and sign, is tied or
+    ordered oppositely at i and j, or left as drawn.  Every difference of
+    two components stays finite, so the coupling's product is never nan."""
+    n = draw(st.integers(2, 4))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    big = st.builds(
+        lambda m, e: sign * m * 2.0**e,
+        st.floats(1.0, 2.0, exclude_max=True),
+        st.sampled_from((1021, 1022, 1023, 1023)),
+    )
+    moved_a = [draw(big) for _ in range(n)]
+    other = [draw(st.one_of(big, st.floats(-3.0, 3.0))) for _ in range(n)]
+    kind = draw(st.sampled_from(rc_order._COUPLED))
+    i, j = sorted(draw(st.permutations(range(n)))[:2])
+    moved_b = list(moved_a)
+    how = draw(st.sampled_from(("swap", "spread", "pull", "fresh")))
+    if how == "swap":
+        moved_b[i], moved_b[j] = moved_b[j], moved_b[i]
+    elif how == "fresh":
+        moved_b[i], moved_b[j] = draw(big), draw(big)
+    else:
+        lo, hi = (i, j) if moved_b[i] <= moved_b[j] else (j, i)
+        eps = draw(st.floats(0.0, 1.0) if how == "spread" else st.floats(-0.5, 0.0))
+        eps *= moved_b[hi] - moved_b[lo]
+        moved_b[lo], moved_b[hi] = moved_b[lo] - eps, moved_b[hi] + eps
+    pair_big = max(map(abs, (moved_a[i], moved_a[j], moved_b[i], moved_b[j])))
+    step = draw(st.sampled_from(_EDGE_STEPS)) * 2 * BASE_TOL * pair_big
+    moved_b[i] += step
+    if draw(st.booleans()):
+        moved_b[j] -= step
+    how = draw(st.sampled_from(("tied", "opposite", "drawn")))
+    if how == "tied":
+        other[j] = other[i]
+    elif how == "opposite" and (other[j] - other[i]) * (moved_b[j] - moved_b[i]) > 0:
+        other[i], other[j] = other[j], other[i]
+    assume(all(map(math.isfinite, moved_b)))
+    assume(not (math.isfinite(moved_a[i] + moved_a[j]) and math.isfinite(moved_b[i] + moved_b[j])))
+    moved_a, moved_b, other = tuple(moved_a), tuple(moved_b), tuple(other)
+    if kind in rc_order._MOVES_X:
+        a, b = PairClass(moved_a, other), PairClass(moved_b, other)
+    else:
+        a, b = PairClass(other, moved_a), PairClass(other, moved_b)
+    return a, b, ElementaryMove(kind, i, j), draw(st.sampled_from((STRICT, WEAK)))
+
+
 class TestVerifyRcMove:
     def test_majorize_x_needs_reverse_paired_target(self):
         # moving up the chain spreads coordinates; target has x increasing
@@ -406,6 +464,18 @@ class TestVerifyRcMove:
         a, b, m, mode = case
         want = _reference_verify_rc_move(a, b, m, mode)
         event(f"{m.kind.value}: {want}")
+        assert verify_rc_move(a, b, m, mode) is want
+
+    @given(_overflowing_moves())
+    @settings(max_examples=600, deadline=None)
+    def test_sums_past_the_floats_agree_with_the_fraction_reference(self, case):
+        """Where the moved coordinates sum past the largest float, of either
+        sign, every coupled kind in either mode gives the answer of the
+        reference that compares them as ``Fraction``s, on each side of the
+        pair tolerance."""
+        a, b, m, mode = case
+        want = _reference_verify_rc_move(a, b, m, mode, Fraction)
+        event(f"{m.kind.value}, {mode.value}: {want}")
         assert verify_rc_move(a, b, m, mode) is want
 
     @pytest.mark.parametrize("exponent", [1000, 1021])
