@@ -9,16 +9,34 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
-from stochord.majorization import BASE_TOL, Vector, as_vector, component_tolerance, within
+from stochord.majorization import BASE_TOL, Vector, as_vector, within
 from stochord.verdicts import OrderVerdict, Status
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairClass:
+    """A pair of vectors of one length.  It keeps the sorts that the checks
+    on it read, made together on the first read of any and stored past the
+    frozen ``__setattr__``: ``xs`` and ``ys``, its vectors sorted
+    increasing, as tuples; and ``scale``, its largest magnitude (0 for an
+    empty pair), which sits at an end of a sorted vector.  ``==`` and
+    ``hash`` read ``x`` and ``y`` only.  Slots, not an instance dict, hold
+    them, so a pair that keeps its sorts stays small.
+
+    ``pairs``, its coordinate pairs sorted by (x, y), the order of its
+    canonical form, is sorted afresh on each read: kept, it would take
+    several times the pair's own memory for as long as the pair lives.
+    Both sorts are stable, so pairs that compare equal (such as
+    ``(0.0, 1.0)`` and ``(-0.0, 1.0)``) keep their order either way."""
+
     x: Vector
     y: Vector
+    _xs: Optional[Vector] = field(default=None, init=False, repr=False, compare=False)
+    _ys: Optional[Vector] = field(default=None, init=False, repr=False, compare=False)
+    _scale: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
@@ -29,6 +47,33 @@ class PairClass:
     @property
     def n(self) -> int:
         return len(self.x)
+
+    def _sort(self) -> tuple[Vector, Vector, float]:
+        xs, ys = tuple(sorted(self.x)), tuple(sorted(self.y))
+        scale = max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) if xs else 0.0
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_scale", scale)
+        return xs, ys, scale
+
+    @property
+    def xs(self) -> Vector:
+        xs = self._xs
+        return self._sort()[0] if xs is None else xs
+
+    @property
+    def ys(self) -> Vector:
+        ys = self._ys
+        return self._sort()[1] if ys is None else ys
+
+    @property
+    def scale(self) -> float:
+        scale = self._scale
+        return self._sort()[2] if scale is None else scale
+
+    @property
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        return tuple(sorted(zip(self.x, self.y)))
 
 
 @dataclass(frozen=True)
@@ -45,47 +90,10 @@ def pair(x, y) -> PairClass:
     return PairClass(as_vector(x), as_vector(y))
 
 
-class PairView:
-    """A pair with the sorting that the steps of one decision read, each
-    sort done once: ``xs`` and ``ys``, its vectors sorted increasing; and,
-    on first use, ``pairs``, its coordinate pairs sorted by (x, y), the
-    order of its canonical form, and ``scale``, its largest magnitude (0 for
-    an empty pair), which sits at an end of a sorted vector.
-
-    Sorting the pairs makes the comparisons of an index sort keyed by them;
-    both sorts are stable, so pairs that compare equal (such as
-    ``(0.0, 1.0)`` and ``(-0.0, 1.0)``) keep their order either way."""
-
-    __slots__ = ("pair", "xs", "ys", "_pairs", "_scale")
-
-    def __init__(self, p: PairClass):
-        self.pair = p
-        self.xs = sorted(p.x)
-        self.ys = sorted(p.y)
-        self._pairs = self._scale = None
-
-    @property
-    def pairs(self) -> list:
-        if self._pairs is None:
-            self._pairs = sorted(zip(self.pair.x, self.pair.y))
-        return self._pairs
-
-    @property
-    def scale(self) -> float:
-        if self._scale is None:
-            xs, ys = self.xs, self.ys
-            self._scale = max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) if xs else 0.0
-        return self._scale
-
-    def canonical(self) -> PairClass:
-        """:func:`canonical_form` of the pair."""
-        return PairClass(*_unzip(self.pairs))
-
-
 def canonical_form(p: PairClass) -> PairClass:
     """Representative with coordinate pairs sorted lexicographically by (x, y)
-    (see :class:`PairView`)."""
-    return PairView(p).canonical()
+    (see :class:`PairClass`)."""
+    return PairClass(*_unzip(p.pairs))
 
 
 def _unzip(pairs) -> tuple[Vector, Vector]:
@@ -104,11 +112,15 @@ def _pairs_within(c1, c2, tol: float) -> bool:
 
 def check_pair_equal_a(p1: PairClass, p2: PairClass) -> bool:
     """Whether the canonical forms of ``p1`` and ``p2`` agree component by
-    component within :func:`component_tolerance` of all four vectors."""
+    component within :func:`component_tolerance` of all four vectors.
+
+    Sorting is 1-Lipschitz in the sup norm, and rounding a difference is
+    monotone, so pairs that agree have sorted vectors that agree too: the
+    sorted vectors, which the pairs keep, are compared first."""
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    tol = component_tolerance(p1.x, p1.y, p2.x, p2.y)
-    return _pairs_within(sorted(zip(p1.x, p1.y)), sorted(zip(p2.x, p2.y)), tol)
+    tol = _tolerance(p1, p2)
+    return _multisets_within(p1, p2, tol) and _pairs_within(p1.pairs, p2.pairs, tol)
 
 
 def _value_ids(values: Vector, tol: float) -> dict[float, int]:
@@ -128,9 +140,15 @@ def _multisets_match(a: Vector, b: Vector, tol: float) -> bool:
     return within(sorted(a), sorted(b), tol)
 
 
-def _views_tolerance(v1: PairView, v2: PairView) -> float:
-    """:func:`component_tolerance` of the four vectors of two views."""
-    return BASE_TOL * max(1.0, v1.scale, v2.scale)
+def _tolerance(p1: PairClass, p2: PairClass) -> float:
+    """:func:`component_tolerance` of the four vectors of two pairs."""
+    return BASE_TOL * max(1.0, p1.scale, p2.scale)
+
+
+def _multisets_within(p1: PairClass, p2: PairClass, tol: float) -> bool:
+    """Whether the sorted x and the sorted y of two pairs agree within
+    ``tol``, component by component."""
+    return within(p1.xs, p2.xs, tol) and within(p1.ys, p2.ys, tol)
 
 
 def _rank_count_violation(y: list, target: list, blocks: tuple, m: int):
@@ -166,18 +184,12 @@ def check_arrangement_leq(p1: PairClass, p2: PairClass) -> OrderVerdict:
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    return _arrangement_leq(PairView(p1), PairView(p2))
-
-
-def _arrangement_leq(v1: PairView, v2: PairView) -> OrderVerdict:
-    """:func:`check_arrangement_leq` of the pairs of two views of one
-    length."""
-    tol = _views_tolerance(v1, v2)
-    if not (within(v1.xs, v2.xs, tol) and within(v1.ys, v2.ys, tol)):
+    tol = _tolerance(p1, p2)
+    if not _multisets_within(p1, p2, tol):
         raise ValueError("pairs are comparable only with matching component multisets")
 
-    c1x, c1y = _unzip(v1.pairs)
-    c2y = _unzip(v2.pairs)[1]
+    c1x, c1y = _unzip(p1.pairs)
+    c2y = _unzip(p2.pairs)[1]
     blocks = tuple(map(_value_ids(c1x, tol).__getitem__, c1x))
     y_ids = _value_ids(c1y + c2y, tol)
     m = max(y_ids.values()) + 1

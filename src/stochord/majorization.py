@@ -109,12 +109,8 @@ class MajorizationBound(NamedTuple):
     sums: tuple[float, ...]
 
 
-def majorization_bound(y: Vector, mode: MajorizationMode) -> MajorizationBound:
-    return sorted_bound(sorted(y), mode)
-
-
-def sorted_bound(ys: list, mode: MajorizationMode) -> MajorizationBound:
-    """:func:`majorization_bound` of a vector already sorted increasing,
+def sorted_bound(ys: Vector, mode: MajorizationMode) -> MajorizationBound:
+    """The bound of the vector ``ys``, sorted increasing, in ``mode``: ``ys``
     read backwards unless ``mode`` is ABOVE, with no sort.  Reversing a
     stable sort may order equal components otherwise than sorting
     decreasing; only ``0.0`` and ``-0.0`` are equal and distinct, and no
@@ -149,7 +145,7 @@ def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int |
 
 
 def check_sorted_majorization(
-    xs: list, ys: list, mode: MajorizationMode
+    xs: Vector, ys: Vector, mode: MajorizationMode
 ) -> tuple[bool, int | None]:
     """:func:`check_majorization` of vectors of one length already sorted
     increasing, read as :func:`sorted_bound` reads them."""

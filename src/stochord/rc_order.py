@@ -22,13 +22,14 @@ from typing import NamedTuple, Optional
 
 from stochord.arrangement import (
     PairClass,
-    PairView,
+    canonical_form,
+    check_arrangement_leq,
     check_pair_equal_a,
-    _arrangement_leq,
     _multisets_match,
+    _multisets_within,
     _pairs_within,
+    _tolerance,
     _unzip,
-    _views_tolerance,
 )
 from stochord.majorization import (
     BASE_TOL,
@@ -221,24 +222,24 @@ class _Target(NamedTuple):
     near: float
 
 
-def _target(v2: PairView, mode: RcMode) -> _Target:
-    """The target record of the view ``v2``, with no sort.  A dict keeps the
-    first of equal keys, as a set does, and a stable sort keeps equal values
-    in their order, so ``dict.fromkeys`` of a sorted vector holds the values
-    of ``sorted(set(...))``, ``0.0`` or ``-0.0`` alike."""
+def _target(p2: PairClass, mode: RcMode) -> _Target:
+    """The target record of ``p2``, from the sorts it keeps.  A dict keeps
+    the first of equal keys, as a set does, and a stable sort keeps equal
+    values in their order, so ``dict.fromkeys`` of a sorted vector holds the
+    values of ``sorted(set(...))``, ``0.0`` or ``-0.0`` alike."""
     x_mode, y_mode = _necessary_modes(mode)
-    c2x, c2y = _unzip(v2.pairs)
-    scale = max(1.0, v2.scale)
+    c2x, c2y = _unzip(p2.pairs)
+    scale = max(1.0, p2.scale)
     goal_tol = BASE_TOL * scale  # component_tolerance(p2.x, p2.y)
     return _Target(
-        v2.pair,
-        tuple(dict.fromkeys(v2.xs)),
-        tuple(dict.fromkeys(v2.ys)),
+        p2,
+        tuple(dict.fromkeys(p2.xs)),
+        tuple(dict.fromkeys(p2.ys)),
         scale,
-        tuple(v2.xs),
-        tuple(v2.ys),
-        sorted_bound(v2.xs, x_mode),
-        sorted_bound(v2.ys, y_mode),
+        p2.xs,
+        p2.ys,
+        sorted_bound(p2.xs, x_mode),
+        sorted_bound(p2.ys, y_mode),
         c2x + c2y,
         goal_tol,
         2 * goal_tol,
@@ -255,42 +256,23 @@ def check_necessary(
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    return _necessary(PairView(p1), PairView(p2), mode)
-
-
-def _necessary(v1: PairView, v2: PairView, mode: RcMode) -> tuple[bool, Optional[dict]]:
-    """:func:`check_necessary` of the pairs of two views of one length, from
-    their sorted vectors."""
     x_mode, y_mode = _necessary_modes(mode)
-    ok, k = check_sorted_majorization(v1.xs, v2.xs, x_mode)
+    ok, k = check_sorted_majorization(p1.xs, p2.xs, x_mode)
     if not ok:
         return False, {"vector": "x", "prefix": k, "mode": x_mode.value}
-    ok, k = check_sorted_majorization(v1.ys, v2.ys, y_mode)
+    ok, k = check_sorted_majorization(p1.ys, p2.ys, y_mode)
     if not ok:
         return False, {"vector": "y", "prefix": k, "mode": y_mode.value}
     return True, None
 
 
-def _decreasing(vs: list) -> Vector:
-    """``sorted(v, reverse=True)`` from ``vs = sorted(v)``.  Both sorts are
-    stable, so they keep equal values in their order in ``v``, and reversing
-    ``vs`` turns each run of equal values around; of distinct floats only
-    ``0.0`` and ``-0.0`` are equal, so only the run of zeros is turned back."""
-    out = vs[::-1]
-    if 0.0 in out:
-        i = out.index(0.0)
-        j = i + out.count(0.0)
-        out[i:j] = out[i:j][::-1]
-    return tuple(out)
-
-
-def _opposite_representative(v: PairView) -> Optional[tuple[Vector, Vector]]:
-    """The view's pair's exactly sorted representative, x increasing beside
-    y decreasing, if the pair is opposite ordered (else None): within
+def _opposite_representative(p: PairClass) -> Optional[tuple[Vector, Vector]]:
+    """The pair's exactly sorted representative, x increasing beside y
+    decreasing, if the pair is opposite ordered (else None): within
     :func:`check_pair_equal_a`'s tolerance of it, which for the four
     vectors is the pair's own."""
-    representative = tuple(v.xs), _decreasing(v.ys)
-    if _pairs_within(sorted(zip(*representative)), v.pairs, BASE_TOL * max(1.0, v.scale)):
+    representative = p.xs, tuple(sorted(p.y, reverse=True))
+    if _pairs_within(sorted(zip(*representative)), p.pairs, _tolerance(p, p)):
         return representative
     return None
 
@@ -298,7 +280,7 @@ def _opposite_representative(v: PairView) -> Optional[tuple[Vector, Vector]]:
 def is_opposite_ordered(p: PairClass) -> bool:
     """True iff ``p`` equals its exactly sorted representative, x increasing
     beside y decreasing, within :func:`check_pair_equal_a`'s tolerance."""
-    return _opposite_representative(PairView(p)) is not None
+    return _opposite_representative(p) is not None
 
 
 def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
@@ -325,24 +307,23 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
     """
     if p1.n != p2.n:
         raise ChainConstructionError("length mismatch")
-    v1, v2 = PairView(p1), PairView(p2)
-    if not _necessary(v1, v2, mode)[0]:
+    if not check_necessary(p1, p2, mode)[0]:
         raise ChainConstructionError("start fails the necessary check")
-    return _construct_opposite(v1, v2, mode)
+    return _construct_opposite(p1, p2, mode)
 
 
-def _construct_opposite(v1: PairView, v2: PairView, mode: RcMode) -> RcChain:
+def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
     """:func:`construct_chain_opposite` for a start that has passed
     :func:`check_necessary` against the target, as in :func:`decide_wrc`.
     Every vector it hands :func:`_sorted_transform_chain` is sorted exactly:
-    the views' sorts, the canonical x, the raise (sorted on return), and y
-    after the swaps."""
-    representative = _opposite_representative(v2)
+    the target's representative, the canonical x, the raise (sorted on
+    return), and y after the swaps."""
+    representative = _opposite_representative(p2)
     if representative is None:
         raise ChainConstructionError("target pair is not opposite ordered")
     x2s, y2s = representative
 
-    rep1 = v1.canonical()
+    rep1 = canonical_form(p1)
     x1, y1 = rep1.x, rep1.y
     n = len(x1)
 
@@ -408,7 +389,7 @@ def _construct_opposite(v1: PairView, v2: PairView, mode: RcMode) -> RcChain:
     # on (x2s, y2s) exactly, p2's sorted representative; one with no transfer
     # ends where the lift and the swaps left it
     end = pairs[-1]
-    if (end.x, end.y) != (x2s, y2s) and not check_pair_equal_a(end, v2.pair):
+    if (end.x, end.y) != (x2s, y2s) and not check_pair_equal_a(end, p2):
         raise ChainConstructionError("chain ends off the target under rounding")
     return chain
 
@@ -458,11 +439,11 @@ def _raise_to_majorized(x: Vector, y: Vector) -> Vector:
 # Bounded decision procedure
 
 
-def _swap_chain_from_arrangement(v2: PairView, witness: list, mode: RcMode) -> RcChain:
+def _swap_chain_from_arrangement(p2: PairClass, witness: list, mode: RcMode) -> RcChain:
     """The chain of ``p1 >=_a p2``, which embeds into the order: the
-    arrangement ``witness`` from ``v2``'s pair to ``p1``, replayed backwards
-    as y-swap moves on a common x-sorted representative."""
-    c2 = v2.canonical()
+    arrangement ``witness`` from ``p2`` to ``p1``, replayed backwards as
+    y-swap moves on a common x-sorted representative."""
+    c2 = canonical_form(p2)
     y = list(c2.y)
     pairs = [c2]
     for mv in witness:
@@ -695,43 +676,40 @@ def decide_wrc(
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    # each pair is viewed once (see PairView), and every route reads the views
-    v1, v2 = PairView(p1), PairView(p2)
-    ok, viol = _necessary(v1, v2, mode)
+    # each pair sorts its vectors once (see PairClass), and every route reads them
+    ok, viol = check_necessary(p1, p2, mode)
     if not ok:
         return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})
-    tol = _views_tolerance(v1, v2)  # component_tolerance of all four
-    if _pairs_within(v1.pairs, v2.pairs, tol):  # check_pair_equal_a(p1, p2)
+    if check_pair_equal_a(p1, p2):
         return OrderVerdict(
             Status.HOLDS,
-            witness=RcChain((v1.canonical(),), (), mode),
+            witness=RcChain((canonical_form(p1),), (), mode),
             detail={"route": "equal"},
         )
 
     try:
-        chain = _construct_opposite(v1, v2, mode)  # p1 passed the necessary check
+        chain = _construct_opposite(p1, p2, mode)  # p1 passed the necessary check
     except ChainConstructionError:
         pass  # a target not opposite ordered, and every refusal, falls through
     else:
         return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "opposite"})
 
-    # the multisets match within tolerance
-    if within(v1.xs, v2.xs, tol) and within(v1.ys, v2.ys, tol):
-        arranged = _arrangement_leq(v2, v1)
+    if _multisets_within(p1, p2, _tolerance(p1, p2)):
+        arranged = check_arrangement_leq(p2, p1)
         if arranged.holds:
-            chain = _swap_chain_from_arrangement(v2, arranged.witness, mode)
+            chain = _swap_chain_from_arrangement(p2, arranged.witness, mode)
             if verify_rc_chain(chain):
                 return OrderVerdict(Status.HOLDS, witness=chain, detail={"route": "arrangement"})
-        elif v1.xs == v2.xs and v1.ys == v2.ys:
+        elif p1.xs == p2.xs and p1.ys == p2.ys:
             detail = {"route": "arrangement"}
             return OrderVerdict(Status.REFUTED, violation=arranged.violation, detail=detail)
 
-    return _search(v1, v2, mode, budget)
+    return _search(p1, p2, mode, budget)
 
 
-def _search(v1: PairView, v2: PairView, mode: RcMode, budget: int) -> OrderVerdict:
-    """Best-first search from ``v1``'s pair, which has passed
-    :func:`check_necessary` against ``v2``'s.
+def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVerdict:
+    """Best-first search from ``p1``, which has passed
+    :func:`check_necessary` against ``p2``.
 
     Each expansion makes two passes over the node's candidates.  The goal
     pass (:func:`_goal_pass`) returns the first candidate in yield order that
@@ -748,8 +726,8 @@ def _search(v1: PairView, v2: PairView, mode: RcMode, budget: int) -> OrderVerdi
     the tree is checked.  A node carries the two halves of its distance, and
     a child recomputes only the half of the vector its move changed.
     """
-    start = v1.canonical()
-    target = _target(v2, mode)
+    start = canonical_form(p1)
+    target = _target(p2, mode)
     rounded = _Rounded().__getitem__
     seen = {tuple(map(rounded, start.x + start.y))}
     # a canonical form's x is sorted increasing

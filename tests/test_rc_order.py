@@ -1,9 +1,12 @@
 import collections
+import copy
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,6 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from stochord import majorization, rc_order
 from stochord.arrangement import (
     PairClass,
-    PairView,
     SwapMove,
     _rank_count_violation,
     _value_ids,
@@ -54,12 +56,12 @@ STRICT, WEAK = RcMode.STRICT, RcMode.WEAK
 def _search(p1, p2, mode, budget):
     """The best-first search from ``p1`` toward ``p2``, as ``decide_wrc``
     runs it past its other routes."""
-    return rc_order._search(PairView(p1), PairView(p2), mode, budget)
+    return rc_order._search(p1, p2, mode, budget)
 
 
 def _target(p2, mode):
     """The search's target record of the pair ``p2``."""
-    return rc_order._target(PairView(p2), mode)
+    return rc_order._target(p2, mode)
 
 
 def _reference_verify_rc_move(a, b, m, mode, number=float):
@@ -534,6 +536,54 @@ class TestCheckNecessary:
         assert not check_necessary(p2, p1, WEAK)[0]
 
 
+# one case per route of decide_wrc: (p1, p2), mode, budget, and the verdict's
+# status and detail
+_ROUTE_CASES = [
+    (((0.0, 4.0), (3.0, 3.0)), ((1.0, 3.0), (3.0, 3.0)), STRICT, 4000,
+     Status.REFUTED, {"route": "necessary"}),
+    (((1.0, 2.0), (3.0, 4.0)), ((2.0, 1.0), (4.0, 3.0)), STRICT, 4000,
+     Status.HOLDS, {"route": "equal"}),
+    (((1.0, 2.0), (0.9, 0.8)), ((1.5, 2.5), (0.7, 0.6)), WEAK, 4000,
+     Status.HOLDS, {"route": "opposite"}),
+    (((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)), ((1.0, 2.0, 3.0), (20.0, 10.0, 30.0)),
+     STRICT, 4000, Status.HOLDS, {"route": "arrangement"}),
+    (((1.0, 1.0, 1.0), (3.0, 3.0, 3.0)), ((3.5, 0.5, 2.0), (4.0, 1.0, 2.0)), WEAK,
+     4000, Status.HOLDS, {"route": "search", "expanded": 147, "budget": 4000}),
+    (((1.0, 1.0, 1.0), (3.0, 3.0, 3.0)), ((3.5, 0.5, 2.0), (4.0, 1.0, 2.0)), WEAK,
+     100, Status.UNKNOWN, {"route": "search", "expanded": 100, "budget": 100,
+                           "reason": "search budget exhausted"}),
+    (((1.0, 2.0, 3.0), (20.0, 30.0, 10.0)), ((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)),
+     STRICT, 4000, Status.REFUTED, {"route": "arrangement"}),
+    (((1.04, 1.08), (0.74, 2.73)), ((0.96, 1.48), (0.43, 2.63)), WEAK, 4000,
+     Status.UNKNOWN, {"route": "search", "expanded": 19, "budget": 4000,
+                      "reason": "search space exhausted"}),
+]
+_ROUTE_IDS = [
+    "necessary", "equal", "opposite", "arrangement", "search", "budget",
+    "arrangement-refuted", "space",
+]
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each function ``rc_order.<name>`` at every module attribute of
+    the package that binds it, as the benchmark's span tracer installs its
+    wrappers; returns the counter of the wrapped calls by name."""
+    calls = collections.Counter()
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "stochord"]
+    for name in names:
+        original = getattr(rc_order, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
 class TestDecideWrc:
     def test_equal_pairs_hold_with_empty_chain(self):
         p = pair((1.0, 2.0), (3.0, 4.0))
@@ -642,33 +692,26 @@ class TestDecideWrc:
         assert v.detail["reason"] == "search budget exhausted"
 
     @pytest.mark.parametrize(
-        "p1, p2, mode, budget, status, detail",
-        [
-            (((0.0, 4.0), (3.0, 3.0)), ((1.0, 3.0), (3.0, 3.0)), STRICT, 4000,
-             Status.REFUTED, {"route": "necessary"}),
-            (((1.0, 2.0), (3.0, 4.0)), ((2.0, 1.0), (4.0, 3.0)), STRICT, 4000,
-             Status.HOLDS, {"route": "equal"}),
-            (((1.0, 2.0), (0.9, 0.8)), ((1.5, 2.5), (0.7, 0.6)), WEAK, 4000,
-             Status.HOLDS, {"route": "opposite"}),
-            (((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)), ((1.0, 2.0, 3.0), (20.0, 10.0, 30.0)),
-             STRICT, 4000, Status.HOLDS, {"route": "arrangement"}),
-            (((1.0, 1.0, 1.0), (3.0, 3.0, 3.0)), ((3.5, 0.5, 2.0), (4.0, 1.0, 2.0)), WEAK,
-             4000, Status.HOLDS, {"route": "search", "expanded": 147, "budget": 4000}),
-            (((1.0, 1.0, 1.0), (3.0, 3.0, 3.0)), ((3.5, 0.5, 2.0), (4.0, 1.0, 2.0)), WEAK,
-             100, Status.UNKNOWN, {"route": "search", "expanded": 100, "budget": 100,
-                                   "reason": "search budget exhausted"}),
-            (((1.0, 2.0, 3.0), (20.0, 30.0, 10.0)), ((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)),
-             STRICT, 4000, Status.REFUTED, {"route": "arrangement"}),
-            (((1.04, 1.08), (0.74, 2.73)), ((0.96, 1.48), (0.43, 2.63)), WEAK, 4000,
-             Status.UNKNOWN, {"route": "search", "expanded": 19, "budget": 4000,
-                              "reason": "search space exhausted"}),
-        ],
-        ids=["necessary", "equal", "opposite", "arrangement", "search", "budget",
-             "arrangement-refuted", "space"],
+        "p1, p2, mode, budget, status, detail", _ROUTE_CASES, ids=_ROUTE_IDS
     )
     def test_detail_names_the_route(self, p1, p2, mode, budget, status, detail):
         v = decide_wrc(pair(*p1), pair(*p2), mode, budget)
         assert v.status is status and v.detail == detail
+
+    @pytest.mark.parametrize(
+        "p1, p2, mode, budget, status, detail", _ROUTE_CASES, ids=_ROUTE_IDS
+    )
+    def test_routes_call_the_public_checks(
+        self, monkeypatch, p1, p2, mode, budget, status, detail
+    ):
+        """Each decision runs ``check_necessary`` once, and the arrangement
+        route ``check_arrangement_leq`` once, through the module attributes
+        a tracer wraps, so their spans count the decisions' calls."""
+        calls = _count_calls(monkeypatch, ("check_necessary", "check_arrangement_leq"))
+        v = decide_wrc(pair(*p1), pair(*p2), mode, budget)
+        assert v.detail == detail
+        arranged = int(detail["route"] == "arrangement")
+        assert (calls["check_necessary"], calls["check_arrangement_leq"]) == (1, arranged)
 
     def test_arrangement_refutation_is_final_on_equal_multisets(self):
         """Only the pairing differs and no swap chain leads back: with
@@ -860,8 +903,9 @@ class TestDecideDigests:
 
 # ---------------------------------------------------------------------------
 # The decision path before each queried vector was sorted once: the oracle of
-# the one that reads a PairView.  It sorts each vector again wherever a step
-# needs it sorted, as that path did, and runs the same search.
+# the one that reads the sorts each PairClass keeps.  It sorts each vector
+# again wherever a step needs it sorted, as that path did, and runs the same
+# search.
 
 
 def _reference_check_majorization(x, y, mode):
@@ -1129,8 +1173,8 @@ def _decision_cases(draw):
 
 
 class TestViewReference:
-    """The decision that reads one PairView per queried pair against the
-    path that sorted each vector wherever a step needed it."""
+    """The decision that reads the sorts each queried pair keeps against
+    the path that sorted each vector wherever a step needed it."""
 
     @given(_decision_cases())
     @example((WEAK, PairClass((0.0, -0.0), (1.0, 1.0)), PairClass((-0.0, 0.0), (1.0, 1.0))))
@@ -1150,12 +1194,12 @@ class TestViewReference:
     @given(_decision_cases())
     @settings(max_examples=300, deadline=None)
     def test_search_target_matches_the_reference(self, case):
-        """The search's target record from the view: every field the
+        """The search's target record from the pair's sorts: every field the
         search reads as a value holds the reference's floats, signs of zero
         included; the bounds, which it only compares, hold equal values and
         prefix sums."""
         mode, _, p2 = case
-        got, want = rc_order._target(PairView(p2), mode), _reference_target(p2, mode)
+        got, want = rc_order._target(p2, mode), _reference_target(p2, mode)
         for field in got._fields:
             a, b = getattr(got, field), getattr(want, field)
             if field.endswith("_bound"):
@@ -1163,6 +1207,57 @@ class TestViewReference:
                 assert list(a.values) == list(b.values) and list(a.sums) == list(b.sums)
             else:
                 assert repr(a) == repr(b), field
+
+
+class TestKeptSorts:
+    """Each pair sorts its vectors once and keeps the sorts for every later
+    call that reads them."""
+
+    @given(_decision_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_reused_pairs_answer_as_fresh_copies(self, case):
+        """The same two pair objects, decided forward, reversed and forward
+        again in both modes, and handed to ``check_arrangement_leq`` and
+        ``construct_chain_opposite`` each time, answer as fresh copies do:
+        status, detail, violation and witness, the chains as JSON.
+        Afterwards each pair's kept sorts equal fresh sorts, signs of zero
+        included."""
+        _, p1, p2 = case
+
+        def answers(a, b):
+            out = []
+            for mode in (WEAK, STRICT):
+                out.append(_verdict_bytes(decide_wrc(a, b, mode, 30)))
+                try:
+                    out.append(chain_to_json(construct_chain_opposite(a, b, mode)))
+                except ChainConstructionError as exc:
+                    out.append(repr(exc))
+            try:
+                v = check_arrangement_leq(a, b)
+            except ValueError as exc:
+                out.append(repr(exc))
+            else:
+                out.append((v.status, v.detail, repr(v.violation), v.witness))
+            return out
+
+        for a, b in ((p1, p2), (p2, p1), (p1, p2)):
+            assert answers(a, b) == answers(PairClass(a.x, a.y), PairClass(b.x, b.y))
+        for p in (p1, p2):
+            assert repr(p.xs) == repr(tuple(sorted(p.x)))
+            assert repr(p.ys) == repr(tuple(sorted(p.y)))
+            assert repr(p.pairs) == repr(tuple(sorted(zip(p.x, p.y))))
+            assert p.scale == max(map(abs, p.x + p.y))
+
+    def test_copies_are_equal_pairs_with_equal_sorts(self):
+        """``copy`` and ``pickle`` give an equal pair with the same sorts,
+        before the sorts are made and after: the frozen slots are filled
+        past the class's ``__setattr__``."""
+        p = pair((2.0, 1.0), (3.0, -0.0))
+        for _ in range(2):  # before the sorts are made, then after
+            for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert q == p and hash(q) == hash(p)
+                assert repr((q.xs, q.ys, q.scale)) == "((1.0, 2.0), (-0.0, 3.0), 3.0)"
+            assert p.xs == (1.0, 2.0)
 
 
 class TestSearch:
