@@ -10,7 +10,6 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from stochord.majorization import BASE_TOL, Vector, as_vector, within
 from stochord.verdicts import OrderVerdict, Status
@@ -18,13 +17,15 @@ from stochord.verdicts import OrderVerdict, Status
 
 @dataclass(frozen=True, slots=True)
 class PairClass:
-    """A pair of vectors of one length.  It keeps the sorts that the checks
-    on it read, made together on the first read of any and stored past the
-    frozen ``__setattr__``: ``xs`` and ``ys``, its vectors sorted
-    increasing, as tuples; and ``scale``, its largest magnitude (0 for an
-    empty pair), which sits at an end of a sorted vector.  ``==`` and
-    ``hash`` read ``x`` and ``y`` only.  Slots, not an instance dict, hold
-    them, so a pair that keeps its sorts stays small.
+    """A pair of vectors of one length, with the sorts that the checks on
+    it read, made when the pair is made and set past the frozen
+    ``__setattr__``: ``xs`` and ``ys``, its vectors sorted increasing, as
+    tuples; ``scale``, its largest magnitude (0 for an empty pair), read
+    off the ends of the sorted vectors; and ``n``, its length.  Nearly
+    every pair the program builds has them read, by
+    :func:`~stochord.rc_order.verify_rc_move` or the search, so they are
+    made eagerly.  ``==``, ``hash`` and ``repr`` read ``x`` and ``y`` only.
+    Slots, not an instance dict, hold them, so a pair stays small.
 
     ``pairs``, its coordinate pairs sorted by (x, y), the order of its
     canonical form, is sorted afresh on each read: kept, it would take
@@ -34,42 +35,22 @@ class PairClass:
 
     x: Vector
     y: Vector
-    _xs: Optional[Vector] = field(default=None, init=False, repr=False, compare=False)
-    _ys: Optional[Vector] = field(default=None, init=False, repr=False, compare=False)
-    _scale: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    xs: Vector = field(init=False, repr=False, compare=False)
+    ys: Vector = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ValueError(
                 f"pair vectors must have equal length, got {len(self.x)} and {len(self.y)}"
             )
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    def _sort(self) -> tuple[Vector, Vector, float]:
         xs, ys = tuple(sorted(self.x)), tuple(sorted(self.y))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
         scale = max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) if xs else 0.0
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "_scale", scale)
-        return xs, ys, scale
-
-    @property
-    def xs(self) -> Vector:
-        xs = self._xs
-        return self._sort()[0] if xs is None else xs
-
-    @property
-    def ys(self) -> Vector:
-        ys = self._ys
-        return self._sort()[1] if ys is None else ys
-
-    @property
-    def scale(self) -> float:
-        scale = self._scale
-        return self._sort()[2] if scale is None else scale
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "n", len(xs))
 
     @property
     def pairs(self) -> tuple[tuple[float, float], ...]:
@@ -136,12 +117,9 @@ def _value_ids(values: Vector, tol: float) -> dict[float, int]:
     return ids
 
 
-def _multisets_match(a: Vector, b: Vector, tol: float) -> bool:
-    return within(sorted(a), sorted(b), tol)
-
-
 def _tolerance(p1: PairClass, p2: PairClass) -> float:
-    """:func:`component_tolerance` of the four vectors of two pairs."""
+    """:func:`component_tolerance` of the four vectors of two pairs, read
+    off their scales: the tolerance of every check that takes whole pairs."""
     return BASE_TOL * max(1.0, p1.scale, p2.scale)
 
 

@@ -25,7 +25,6 @@ from stochord.arrangement import (
     canonical_form,
     check_arrangement_leq,
     check_pair_equal_a,
-    _multisets_match,
     _multisets_within,
     _pairs_within,
     _tolerance,
@@ -131,9 +130,9 @@ def verify_rc_move(a: PairClass, b: PairClass, m: ElementaryMove, mode: RcMode) 
         return False
     if not n:  # empty pairs: the componentwise moves hold, coupled ones have no room
         return kind in (_RAISE_X, _LOWER_Y)
-    # component_tolerance(ax, ay, bx, by), the one tolerance of every check
-    # below but the last
-    tol = BASE_TOL * max(1.0, max(map(abs, ax + ay + bx + by)))
+    # the pairs' tolerance, component_tolerance(ax, ay, bx, by) read off
+    # their kept scales: the one tolerance of every check below but the last
+    tol = _tolerance(a, b)
     if tol == math.inf:  # pairs hold finite components: no move reaches an infinity
         return False
 
@@ -198,12 +197,12 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 
 class _Target(NamedTuple):
     """A search's target pair with its target-only work done once: the pair
-    itself for the componentwise moves of :func:`_componentwise_successors`;
-    its distinct component values, sorted increasing, for the transfers (so
+    itself, whose sorted vectors the search reads for :func:`_gap`, the
+    goal pass and the componentwise moves, and whose scale enters the
+    moves' tolerance; its
+    distinct component values, sorted increasing, for the transfers (so
     their order, and the witness, does not depend on how a ``set`` lays the
-    values out) and its largest magnitude (at least 1) for their tolerance; its
-    components sorted increasing for :func:`_gap` and the goal pass of
-    :func:`_search`; its vectors as the bounds of the necessary check on a
+    values out); its vectors as the bounds of the necessary check on a
     moved vector; and its canonical form's components with their tolerance
     for the goal test of :func:`_is_goal`, and twice that tolerance,
     ``near``, which bounds the goal test's own from above (see
@@ -212,9 +211,6 @@ class _Target(NamedTuple):
     pair: PairClass
     values_x: Vector
     values_y: Vector
-    scale: float
-    xs: Vector
-    ys: Vector
     x_bound: MajorizationBound
     y_bound: MajorizationBound
     goal: Vector
@@ -229,15 +225,11 @@ def _target(p2: PairClass, mode: RcMode) -> _Target:
     values of ``sorted(set(...))``, ``0.0`` or ``-0.0`` alike."""
     x_mode, y_mode = _necessary_modes(mode)
     c2x, c2y = _unzip(p2.pairs)
-    scale = max(1.0, p2.scale)
-    goal_tol = BASE_TOL * scale  # component_tolerance(p2.x, p2.y)
+    goal_tol = _tolerance(p2, p2)  # component_tolerance(p2.x, p2.y)
     return _Target(
         p2,
         tuple(dict.fromkeys(p2.xs)),
         tuple(dict.fromkeys(p2.ys)),
-        scale,
-        p2.xs,
-        p2.ys,
         sorted_bound(p2.xs, x_mode),
         sorted_bound(p2.ys, y_mode),
         c2x + c2y,
@@ -522,10 +514,10 @@ def _coupled_at(p: PairClass, target: _Target, positions):
     ``positions`` only, ``(i, j)`` with ``i < j``, in the order given."""
     px, py = p.x, p.y
     # every tolerance is BASE_TOL times the largest magnitude involved, or 1
-    p_scale = max(1.0, max(map(abs, px + py)))
-    tol = BASE_TOL * max(p_scale, target.scale)
+    p_scale = max(1.0, p.scale)
+    tol = _tolerance(p, target.pair)
     # a swap permutes p's components, so its check has p's tolerance
-    swap_tol = BASE_TOL * p_scale
+    swap_tol = _tolerance(p, p)
     for i, j in positions:
         dx, dy = px[j] - px[i], py[j] - py[i]
         # swaps (majorization between permuted coordinate pairs); swapping
@@ -571,9 +563,9 @@ def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
         return
     n = p.n
     px, py = p.x, p.y
-    tol = BASE_TOL * max(1.0, max(map(abs, px + py)), target.scale)
     goal = target.pair
-    raised = _componentwise_move(px, target.xs, 1, tol)
+    tol = _tolerance(p, goal)
+    raised = _componentwise_move(px, goal.xs, 1, tol)
     if raised is not None:
         yield True, False, raised, MoveKind.RAISE_X, None, None
     aligned = _aligned_move(p, goal, "x", tol)
@@ -587,13 +579,13 @@ def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
         # raise toward a vector with the target total that stays majorized
         # by the target's components, distributing ranks back in place
         order = sorted(range(n), key=lambda k: px[k])
-        u = _raise_to_majorized(tuple(px[k] for k in order), target.xs)
+        u = _raise_to_majorized(p.xs, goal.xs)
         new = list(px)
         for rank, idx in enumerate(order):
             new[idx] = u[rank]
         if all(a <= b + tol for a, b in zip(px, new)):
             yield True, False, tuple(new), MoveKind.RAISE_X, None, None
-    lowered = _componentwise_move(py, target.ys, -1, tol)
+    lowered = _componentwise_move(py, goal.ys, -1, tol)
     if lowered is not None:
         yield False, False, lowered, MoveKind.LOWER_Y, None, None
 
@@ -604,12 +596,13 @@ def _aligned_move(p: PairClass, target: PairClass, vec: str, tol: float) -> Opti
 
     Matches positions by sorting both pairs by (other, moved); within each
     block of equal other values this pairs moved components ascending, the
-    assignment most likely to keep the move componentwise.
+    assignment most likely to keep the move componentwise.  The other
+    vectors' sorts, which the pairs keep, must agree first.
     """
     other = "y" if vec == "x" else "x"
     po, to = getattr(p, other), getattr(target, other)
     pv, tv = getattr(p, vec), getattr(target, vec)
-    if not _multisets_match(po, to, tol):
+    if not within(getattr(p, other + "s"), getattr(target, other + "s"), tol):
         return None
     order_p = sorted(range(p.n), key=lambda k: (po[k], pv[k]))
     order_t = sorted(range(p.n), key=lambda k: (to[k], tv[k]))
@@ -730,8 +723,9 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     target = _target(p2, mode)
     rounded = _Rounded().__getitem__
     seen = {tuple(map(rounded, start.x + start.y))}
+    goal = target.pair
     # a canonical form's x is sorted increasing
-    gx, gy = _gap(start.x, target.xs), _gap(sorted(start.y), target.ys)
+    gx, gy = _gap(start.x, goal.xs), _gap(start.ys, goal.ys)
     heap = [(gx + gy, 0, start, gx, gy, [start], [])]
     counter = expanded = 0
     while heap and expanded < budget:
@@ -756,9 +750,9 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
                 continue
             seen.add(key)
             if moves_x:
-                cx, cy = _gap(xs, target.xs), gy
+                cx, cy = _gap(xs, goal.xs), gy
             else:
-                cx, cy = gx, _gap(sorted(y), target.ys)
+                cx, cy = gx, _gap(nxt.ys, goal.ys)
             counter += 1
             heapq.heappush(heap, (cx + cy, counter, nxt, cx, cy, pairs + [nxt], moves + [move]))
     detail = _search_detail(expanded, budget)
@@ -836,9 +830,9 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     generating any coupled candidate.
     """
     px, py = cur.x, cur.y
-    near = target.near
-    x_open = within(sorted(py), target.ys, near)  # an x move may reach the goal
-    y_open = within(sorted(px), target.xs, near)
+    near, goal = target.near, target.pair
+    x_open = within(cur.ys, goal.ys, near)  # an x move may reach the goal
+    y_open = within(cur.xs, goal.xs, near)
     if not (x_open or y_open):
         return None, _successors(cur, target, mode)
 
@@ -848,7 +842,7 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
             moves_x, swap, new, kind, i, j = candidate
             if not (x_open if moves_x else y_open):
                 continue
-            if not within(sorted(new), target.xs if moves_x else target.ys, near):
+            if not within(sorted(new), goal.xs if moves_x else goal.ys, near):
                 continue
             x, y = (new, py) if moves_x else (px, new)
             xs, ys = zip(*sorted(zip(x, y)))

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ from stochord.arrangement import (
     PairClass,
     SwapMove,
     _rank_count_violation,
+    _tolerance,
     _value_ids,
     canonical_form,
     check_arrangement_leq,
@@ -1048,9 +1050,6 @@ def _reference_target(p2, mode):
         p2,
         tuple(sorted(set(p2.x))),
         tuple(sorted(set(p2.y))),
-        scale,
-        sort_components(p2.x, "inc"),
-        sort_components(p2.y, "inc"),
         *(
             MajorizationBound(m, v, tuple(itertools.accumulate(v)))
             for m, v in (
@@ -1209,6 +1208,23 @@ class TestViewReference:
                 assert repr(a) == repr(b), field
 
 
+# 0, its signed twin, subnormals, magnitudes near the largest float, and
+# infinities, beside any other float but a NaN
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.79e308,
+     -1.79e308, sys.float_info.max, -sys.float_info.max, math.inf, -math.inf]
+) | st.floats(allow_nan=False)
+
+
+@st.composite
+def _edge_pairs(draw):
+    """A pair of up to four components per vector, built directly, so that
+    its components may be infinite."""
+    n = draw(st.integers(0, 4))
+    x, y = (tuple(draw(st.lists(_EDGE_FLOATS, min_size=n, max_size=n))) for _ in "xy")
+    return PairClass(x, y)
+
+
 class TestKeptSorts:
     """Each pair sorts its vectors once and keeps the sorts for every later
     call that reads them."""
@@ -1248,16 +1264,35 @@ class TestKeptSorts:
             assert repr(p.pairs) == repr(tuple(sorted(zip(p.x, p.y))))
             assert p.scale == max(map(abs, p.x + p.y))
 
-    def test_copies_are_equal_pairs_with_equal_sorts(self):
-        """``copy`` and ``pickle`` give an equal pair with the same sorts,
-        before the sorts are made and after: the frozen slots are filled
-        past the class's ``__setattr__``."""
-        p = pair((2.0, 1.0), (3.0, -0.0))
-        for _ in range(2):  # before the sorts are made, then after
-            for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-                assert q == p and hash(q) == hash(p)
-                assert repr((q.xs, q.ys, q.scale)) == "((1.0, 2.0), (-0.0, 3.0), 3.0)"
-            assert p.xs == (1.0, 2.0)
+    @given(_edge_pairs(), _edge_pairs())
+    @settings(max_examples=300, deadline=None)
+    @example(PairClass((2.0, 1.0), (3.0, -0.0)), PairClass((), ()))
+    def test_copies_are_equal_pairs_with_equal_sorts(self, p, other):
+        """A pair's kept sorts equal fresh ones, signs of zero included, in
+        the pair itself and in what ``copy``, ``deepcopy``, ``pickle`` and
+        ``dataclasses.replace`` give: the frozen slots are filled past the
+        class's ``__setattr__``, on construction and on unpickling.  Its
+        scale is its largest magnitude, infinities included, ``n`` is its
+        length, and the pair
+        tolerance read off two scales is ``component_tolerance`` of the four
+        vectors, which the checks that read it instead rest on.  The pairs
+        are built directly, so components may be infinite; none is a NaN,
+        which no path of the program puts in a pair."""
+        copies = (
+            p,
+            copy.copy(p),
+            copy.deepcopy(p),
+            pickle.loads(pickle.dumps(p)),
+            dataclasses.replace(p),
+        )
+        for q in copies:
+            assert q == p and hash(q) == hash(p)
+        for q in (*copies, dataclasses.replace(p, x=p.y, y=p.x)):
+            assert repr((q.xs, q.ys)) == repr((tuple(sorted(q.x)), tuple(sorted(q.y))))
+            assert q.scale == max(map(abs, q.x + q.y), default=0.0)
+            assert q.n == len(q.x)
+        for a, b in ((p, other), (other, p), (p, p)):
+            assert _tolerance(a, b) == component_tolerance(a.x, a.y, b.x, b.y)
 
 
 class TestSearch:
