@@ -669,7 +669,7 @@ def decide_wrc(
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    # each pair sorts its vectors once (see PairClass), and every route reads them
+    # each pair sorted its vectors when it was made (see PairClass); every route reads them
     ok, viol = check_necessary(p1, p2, mode)
     if not ok:
         return OrderVerdict(Status.REFUTED, violation=viol, detail={"route": "necessary"})

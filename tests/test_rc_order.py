@@ -1272,12 +1272,12 @@ class TestKeptSorts:
         the pair itself and in what ``copy``, ``deepcopy``, ``pickle`` and
         ``dataclasses.replace`` give: the frozen slots are filled past the
         class's ``__setattr__``, on construction and on unpickling.  Its
-        scale is its largest magnitude, infinities included, ``n`` is its
-        length, and the pair
-        tolerance read off two scales is ``component_tolerance`` of the four
-        vectors, which the checks that read it instead rest on.  The pairs
-        are built directly, so components may be infinite; none is a NaN,
-        which no path of the program puts in a pair."""
+        scale is its largest magnitude, infinities included, and ``n`` its
+        length.  The pair tolerance read off two scales is
+        ``component_tolerance`` of the four vectors, which the checks that
+        read it instead rest on.  The pairs are built directly, so
+        components may be infinite; none is a NaN, which no path of the
+        program puts in a pair."""
         copies = (
             p,
             copy.copy(p),
