@@ -2,7 +2,9 @@
 
 Vectors are plain tuples of finite floats.  All comparisons use an absolute
 tolerance of 1e-12 scaled by the largest absolute component involved, so
-user-scale parameters compare stably without accumulating sums.
+user-scale parameters compare stably without accumulating sums.  A check of
+prefix sums multiplies that tolerance by the vectors' length, and the
+two-coordinate check of :func:`~stochord.rc_order.verify_rc_move` by 2.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 Vector = tuple[float, ...]
 
@@ -98,27 +99,6 @@ def _require_same_length(x: Vector, y: Vector) -> None:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
-class MajorizationBound(NamedTuple):
-    """The majorizing vector of a check in ``mode``, prepared once for a
-    caller that checks many vectors against it: its components in the order
-    the check reads them (the largest first, or the smallest first for
-    ABOVE) and their prefix sums."""
-
-    mode: MajorizationMode
-    values: Vector
-    sums: tuple[float, ...]
-
-
-def sorted_bound(ys: Vector, mode: MajorizationMode) -> MajorizationBound:
-    """The bound of the vector ``ys``, sorted increasing, in ``mode``: ``ys``
-    read backwards unless ``mode`` is ABOVE, with no sort.  Reversing a
-    stable sort may order equal components otherwise than sorting
-    decreasing; only ``0.0`` and ``-0.0`` are equal and distinct, and no
-    comparison of a check tells them apart."""
-    values = tuple(ys[::-1] if mode is not _ABOVE else ys)
-    return MajorizationBound(mode, values, tuple(itertools.accumulate(values)))
-
-
 def check_majorization(
     x: Vector, y: Vector, mode: MajorizationMode
 ) -> tuple[bool, int | None]:
@@ -136,19 +116,15 @@ def check_majorization(
     return check_sorted_majorization(sorted(x), sorted(y), mode)
 
 
-def check_majorized_by(x: Vector, bound: MajorizationBound) -> tuple[bool, int | None]:
-    """:func:`check_majorization` against a prepared ``y``."""
-    _require_same_length(x, bound.values)
-    mode = bound.mode
-    xs = sorted(x, reverse=mode is not _ABOVE)
-    return _check_sorted(xs, bound.values, bound.sums, mode)
-
-
 def check_sorted_majorization(
     xs: Vector, ys: Vector, mode: MajorizationMode
 ) -> tuple[bool, int | None]:
     """:func:`check_majorization` of vectors of one length already sorted
-    increasing, read as :func:`sorted_bound` reads them."""
+    increasing.  Unless ``mode`` is ABOVE, both are read backwards, the
+    largest first, with no sort: reversing a stable sort may order equal
+    components otherwise than sorting decreasing, but only ``0.0`` and
+    ``-0.0`` are equal and distinct, and no comparison of the check tells
+    them apart."""
     if mode is not _ABOVE:
         xs, ys = xs[::-1], ys[::-1]
     return _check_sorted(xs, ys, list(itertools.accumulate(ys)), mode)

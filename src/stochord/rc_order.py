@@ -28,17 +28,13 @@ from stochord.arrangement import (
     _multisets_within,
     _pairs_within,
     _tolerance,
-    _unzip,
 )
 from stochord.majorization import (
     BASE_TOL,
-    MajorizationBound,
     MajorizationMode,
     Vector,
-    check_majorized_by,
     check_sorted_majorization,
     json_vector,
-    sorted_bound,
     within,
     _integers,
     _sorted_transform_chain,
@@ -197,45 +193,27 @@ def _necessary_modes(mode: RcMode) -> tuple[MajorizationMode, MajorizationMode]:
 
 class _Target(NamedTuple):
     """A search's target pair with its target-only work done once: the pair
-    itself, whose sorted vectors the search reads for :func:`_gap`, the
-    goal pass and the componentwise moves, and whose scale enters the
-    moves' tolerance; its
-    distinct component values, sorted increasing, for the transfers (so
-    their order, and the witness, does not depend on how a ``set`` lays the
-    values out); its vectors as the bounds of the necessary check on a
-    moved vector; and its canonical form's components with their tolerance
-    for the goal test of :func:`_is_goal`, and twice that tolerance,
-    ``near``, which bounds the goal test's own from above (see
-    :func:`_goal_pass`)."""
+    itself, whose kept sorts the search reads for :func:`_gap`, the
+    necessary check on a moved vector, the goal pass and the componentwise
+    moves, and whose scale enters the moves' tolerance; its distinct
+    component values, sorted increasing, for the transfers (so their order,
+    and the witness, does not depend on how a ``set`` lays the values out);
+    and ``near``, twice the pair's own tolerance, which bounds the goal
+    test's tolerance from above (see :func:`_goal_pass`)."""
 
     pair: PairClass
     values_x: Vector
     values_y: Vector
-    x_bound: MajorizationBound
-    y_bound: MajorizationBound
-    goal: Vector
-    goal_tol: float
     near: float
 
 
-def _target(p2: PairClass, mode: RcMode) -> _Target:
+def _target(p2: PairClass) -> _Target:
     """The target record of ``p2``, from the sorts it keeps.  A dict keeps
     the first of equal keys, as a set does, and a stable sort keeps equal
     values in their order, so ``dict.fromkeys`` of a sorted vector holds the
     values of ``sorted(set(...))``, ``0.0`` or ``-0.0`` alike."""
-    x_mode, y_mode = _necessary_modes(mode)
-    c2x, c2y = _unzip(p2.pairs)
-    goal_tol = _tolerance(p2, p2)  # component_tolerance(p2.x, p2.y)
-    return _Target(
-        p2,
-        tuple(dict.fromkeys(p2.xs)),
-        tuple(dict.fromkeys(p2.ys)),
-        sorted_bound(p2.xs, x_mode),
-        sorted_bound(p2.ys, y_mode),
-        c2x + c2y,
-        goal_tol,
-        2 * goal_tol,
-    )
+    values_x, values_y = tuple(dict.fromkeys(p2.xs)), tuple(dict.fromkeys(p2.ys))
+    return _Target(p2, values_x, values_y, 2 * _tolerance(p2, p2))
 
 
 def check_necessary(
@@ -472,15 +450,6 @@ class _Rounded(dict):
         return r
 
 
-def _is_goal(flat: Vector, target: _Target) -> bool:
-    """:func:`check_pair_equal_a` against the target, from a candidate's
-    canonical ``x + y``.  Its tolerance scales by the largest component of
-    both pairs; rounding is monotone, so the larger of the two pairs' own
-    tolerances is that same value."""
-    tol = max(BASE_TOL * max(1.0, max(flat), -min(flat)), target.goal_tol)
-    return within(flat, target.goal, tol)
-
-
 def _gap(v: Vector, target: Vector) -> float:
     """One vector's half of the search distance: the L1 distance between
     ``v`` and the target's vector, both sorted increasing."""
@@ -710,36 +679,33 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     before the dedupe, so a goal is found even if its key equals that of a
     node already seen.  The tree pass admits the other candidates.
     Candidates stay plain tuples until they pass its cheap filters, which
-    only skip a candidate and so run cheapest first: the necessary check on
-    the vector the move changed, the other being its parent's, which already
-    passed (a swap skips it: it permutes a vector that passed, and the check
-    reads only the multiset); ``seen``, on a key of its canonical form
-    rounded through a per-search memo of component values; and, on the pair
-    and move then built, :func:`verify_rc_move`, so every pair that enters
-    the tree is checked.  A node carries the two halves of its distance, and
-    a child recomputes only the half of the vector its move changed.
+    only skip a candidate and so run cheapest first: the necessary check
+    (:func:`check_sorted_majorization`) on the vector the move changed,
+    sorted, against the target's, the other being its parent's, which
+    already passed (a swap skips it: it permutes a vector that passed, and
+    the check reads only the multiset); ``seen``, on a key of its canonical
+    form rounded through a per-search memo of component values; and, on the
+    pair and move then built, :func:`verify_rc_move`, so every pair that
+    enters the tree is checked.  A node's priority is its distance to the
+    target, :func:`_gap` of its sorted x plus that of its sorted y.
     """
     start = canonical_form(p1)
-    target = _target(p2, mode)
+    target = _target(p2)
     rounded = _Rounded().__getitem__
     seen = {tuple(map(rounded, start.x + start.y))}
     goal = target.pair
-    # a canonical form's x is sorted increasing
-    gx, gy = _gap(start.x, goal.xs), _gap(start.ys, goal.ys)
-    heap = [(gx + gy, 0, start, gx, gy, [start], [])]
+    heap = [(_gap(start.xs, goal.xs) + _gap(start.ys, goal.ys), 0, start, [start], [])]
     counter = expanded = 0
     while heap and expanded < budget:
-        _, _, cur, gx, gy, pairs, moves = heapq.heappop(heap)
+        _, _, cur, pairs, moves = heapq.heappop(heap)
         expanded += 1
         chain, candidates = _goal_pass(cur, pairs, moves, target, mode)
         if chain is not None:
             detail = _search_detail(expanded, budget)
             return OrderVerdict(Status.HOLDS, witness=chain, detail=detail)
         for moves_x, swap, new, kind, i, j in candidates:
-            if not swap:
-                ok, _ = check_majorized_by(new, target.x_bound if moves_x else target.y_bound)
-                if not ok:
-                    continue
+            if not swap and not _moved_passes(sorted(new), moves_x, goal, mode):
+                continue
             x, y = (new, cur.y) if moves_x else (cur.x, new)
             xs, ys = zip(*sorted(zip(x, y)))
             key = tuple(map(rounded, xs + ys))
@@ -749,16 +715,23 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
             if not verify_rc_move(cur, nxt, move, mode):
                 continue
             seen.add(key)
-            if moves_x:
-                cx, cy = _gap(xs, goal.xs), gy
-            else:
-                cx, cy = gx, _gap(nxt.ys, goal.ys)
             counter += 1
-            heapq.heappush(heap, (cx + cy, counter, nxt, cx, cy, pairs + [nxt], moves + [move]))
+            gap = _gap(nxt.xs, goal.xs) + _gap(nxt.ys, goal.ys)
+            heapq.heappush(heap, (gap, counter, nxt, pairs + [nxt], moves + [move]))
     detail = _search_detail(expanded, budget)
     # the discretized moves reach no chain either way, so both are unknown
     detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
     return OrderVerdict(Status.UNKNOWN, detail=detail)
+
+
+def _moved_passes(moved: Vector, moves_x: bool, goal: PairClass, mode: RcMode) -> bool:
+    """Whether the vector a move changed, sorted increasing, passes
+    :func:`check_necessary`'s check against the goal's (the other vector
+    is its parent's, which passed)."""
+    x_mode, y_mode = _necessary_modes(mode)
+    if moves_x:
+        return check_sorted_majorization(moved, goal.xs, x_mode)[0]
+    return check_sorted_majorization(moved, goal.ys, y_mode)[0]
 
 
 def _far(p: PairClass, target: _Target) -> list[int]:
@@ -802,12 +775,13 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     :func:`verify_rc_chain`.
 
     A move changes x only or y only, so a child can be the goal only if
-    ``cur``'s other vector already matches the target's.  The goal test
-    compares canonical forms, which hold the coordinate pairs in some order,
-    and sorting is 1-Lipschitz in the sup norm, so a goal's sorted vectors
-    lie within the goal test's tolerance of the target's.  That tolerance is
-    at most ``target.near``: a goal's components lie within it of the
-    target's, so its scale exceeds the target's by a negligible amount.  A
+    ``cur``'s other vector already matches the target's.  The goal test is
+    :func:`check_pair_equal_a` against the target.  It compares canonical
+    forms, which hold the coordinate pairs in some order, and sorting is
+    1-Lipschitz in the sup norm, so a goal's sorted vectors lie within the
+    goal test's tolerance of the target's.  That tolerance is at most
+    ``target.near``: a goal's components lie within it of the target's, so
+    its scale exceeds the target's by a negligible amount.  A
     coupled move keeps every coordinate pair but the two it moves, and each
     pair of a goal lies within the goal test's tolerance of a pair of the
     target's.  So a coordinate whose pair lies more than ``near`` from every
@@ -816,11 +790,12 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     pairs that hold every far coordinate (one pair for two far coordinates,
     ``n - 1`` for one, all for none, and none for three or more).  A
     candidate past these gates meets a pre-test of the same kind (its moved
-    vector, sorted, against the target's within ``near``), then
-    :func:`_is_goal`, then the necessary check, and :func:`verify_rc_move` on
-    the candidate's move.  The gates and the pre-test skip no goal, and the
-    position pairs come in the order of :func:`_coupled_successors`, so the
-    pass returns the first goal in yield order.  It generates candidates
+    vector, sorted, against the target's within ``near``).  Only then is
+    its pair built, for the goal test, then the necessary check on the moved
+    vector, and :func:`verify_rc_move` on the candidate's move.  The gates
+    and the pre-test skip no goal, and the position pairs come in the order
+    of :func:`_coupled_successors`, so the pass returns the first goal in
+    yield order.  It generates candidates
     lazily, stopping at the first goal.  When it finds none, the tree pass
     reuses the coupled candidates it generated if they are all of them (no
     far coordinate), and otherwise generates the whole list itself.  The
@@ -844,15 +819,12 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
                 continue
             if not within(sorted(new), goal.xs if moves_x else goal.ys, near):
                 continue
-            x, y = (new, py) if moves_x else (px, new)
-            xs, ys = zip(*sorted(zip(x, y)))
-            if not _is_goal(xs + ys, target):
+            nxt = PairClass(new, py) if moves_x else PairClass(px, new)
+            if not check_pair_equal_a(nxt, goal):
                 continue
-            if not swap:
-                ok, _ = check_majorized_by(new, target.x_bound if moves_x else target.y_bound)
-                if not ok:
-                    continue
-            nxt, move = PairClass(x, y), ElementaryMove(kind, i, j)
+            if not swap and not _moved_passes(nxt.xs if moves_x else nxt.ys, moves_x, goal, mode):
+                continue
+            move = ElementaryMove(kind, i, j)
             if verify_rc_move(cur, nxt, move, mode):
                 return RcChain((*pairs, nxt), (*moves, move), mode)
         return None

@@ -28,7 +28,6 @@ from stochord.arrangement import (
 from stochord.harness import MATRIX, Scenario, _param_pairs, generate_instance
 from stochord.majorization import (
     BASE_TOL,
-    MajorizationBound,
     MajorizationMode,
     check_majorization,
     component_tolerance,
@@ -61,9 +60,9 @@ def _search(p1, p2, mode, budget):
     return rc_order._search(p1, p2, mode, budget)
 
 
-def _target(p2, mode):
+def _target(p2):
     """The search's target record of the pair ``p2``."""
-    return rc_order._target(p2, mode)
+    return rc_order._target(p2)
 
 
 def _reference_verify_rc_move(a, b, m, mode, number=float):
@@ -1041,26 +1040,20 @@ def _reference_arrangement_leq(p1, p2):
     return OrderVerdict(Status.HOLDS, witness=witness)
 
 
-def _reference_target(p2, mode):
-    x_mode, y_mode = rc_order._necessary_modes(mode)
+def _reference_target(p2):
+    goal_tol = BASE_TOL * max(1.0, _reference_scale(p2))
+    return rc_order._Target(p2, tuple(sorted(set(p2.x))), tuple(sorted(set(p2.y))), 2 * goal_tol)
+
+
+def _reference_is_goal(flat, p2):
+    """The search's goal test as it was before it called
+    ``check_pair_equal_a``: a candidate's canonical ``x + y`` against the
+    target's canonical components, within the larger of the two pairs' own
+    tolerances."""
     c2 = _reference_canonical(p2)
-    scale = max(1.0, _reference_scale(p2))
-    goal_tol = BASE_TOL * scale
-    return rc_order._Target(
-        p2,
-        tuple(sorted(set(p2.x))),
-        tuple(sorted(set(p2.y))),
-        *(
-            MajorizationBound(m, v, tuple(itertools.accumulate(v)))
-            for m, v in (
-                (x_mode, tuple(sorted(p2.x, reverse=x_mode is not MajorizationMode.ABOVE))),
-                (y_mode, tuple(sorted(p2.y, reverse=y_mode is not MajorizationMode.ABOVE))),
-            )
-        ),
-        c2.x + c2.y,
-        goal_tol,
-        2 * goal_tol,
-    )
+    goal_tol = BASE_TOL * max(1.0, _reference_scale(p2))
+    tol = max(BASE_TOL * max(1.0, max(flat), -min(flat)), goal_tol)
+    return all(abs(a - b) <= tol for a, b in zip(flat, c2.x + c2.y))
 
 
 def _reference_decide_wrc(p1, p2, mode, budget):
@@ -1193,19 +1186,56 @@ class TestViewReference:
     @given(_decision_cases())
     @settings(max_examples=300, deadline=None)
     def test_search_target_matches_the_reference(self, case):
-        """The search's target record from the pair's sorts: every field the
-        search reads as a value holds the reference's floats, signs of zero
-        included; the bounds, which it only compares, hold equal values and
-        prefix sums."""
-        mode, _, p2 = case
-        got, want = rc_order._target(p2, mode), _reference_target(p2, mode)
+        """The search's target record from the pair's sorts: every field
+        holds the reference's floats, signs of zero included."""
+        _, _, p2 = case
+        got, want = rc_order._target(p2), _reference_target(p2)
         for field in got._fields:
-            a, b = getattr(got, field), getattr(want, field)
-            if field.endswith("_bound"):
-                assert a.mode is b.mode
-                assert list(a.values) == list(b.values) and list(a.sums) == list(b.sums)
-            else:
-                assert repr(a) == repr(b), field
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_goal_test_matches_the_reference(self, data):
+        """The search's goal test, ``check_pair_equal_a`` on the candidate
+        pair, decides as the reference did on the candidate's canonical
+        ``x + y``: its tolerance over both pairs' scales is the larger of
+        their own tolerances, and its first comparison of the sorted
+        vectors refutes no pair whose canonical forms agree.  Targets are
+        the candidate's coordinate pairs permuted and nudged by a few times
+        the tolerance; or the candidate with its largest magnitude raised
+        by half the tolerance and one component moved by the target's own
+        tolerance, past the candidate's; or the candidate with its y
+        permuted; or any pair."""
+        n = data.draw(st.integers(1, 4))
+        finite = _EDGE_FLOATS.filter(math.isfinite)
+        x, y = (data.draw(st.lists(finite, min_size=n, max_size=n)) for _ in "xy")
+        candidate = PairClass(tuple(x), tuple(y))
+        step = BASE_TOL * max(1.0, candidate.scale)
+        shape = data.draw(st.sampled_from(("nudged", "edge", "paired", "any")))
+        if shape == "nudged":
+            coords = data.draw(st.permutations(list(zip(x, y))))
+            x2, y2 = (list(v) for v in zip(*coords))
+            for _ in range(data.draw(st.integers(0, 3))):
+                v = data.draw(st.sampled_from((x2, y2)))
+                k = data.draw(st.integers(0, n - 1))
+                v[k] += data.draw(st.sampled_from((0.5, 1.0, 1.5, 2.0, -0.5, -1.0, -2.0))) * step
+        elif shape == "edge":
+            flat = x + y
+            big = max(range(2 * n), key=lambda k: abs(flat[k]))
+            flat[big] += math.copysign(0.5 * step, flat[big])
+            k = data.draw(st.integers(0, 2 * n - 1))
+            flat[k] += data.draw(st.sampled_from((1.0, -1.0))) * BASE_TOL * max(1.0, *map(abs, flat))
+            x2, y2 = flat[:n], flat[n:]
+        elif shape == "paired":
+            x2, y2 = x, data.draw(st.permutations(y))
+        else:
+            x2, y2 = (data.draw(st.lists(finite, min_size=n, max_size=n)) for _ in "xy")
+        assume(all(map(math.isfinite, x2 + y2)))
+        target = PairClass(tuple(x2), tuple(y2))
+        c = _reference_canonical(candidate)
+        want = _reference_is_goal(c.x + c.y, target)
+        event(f"{shape}: {want}")
+        assert check_pair_equal_a(candidate, target) == want
 
 
 # 0, its signed twin, subnormals, magnitudes near the largest float, and
@@ -1387,14 +1417,14 @@ class TestSearch:
         near coordinate pairs), without the pre-test 88, all of coupled
         candidates."""
         calls = 0
-        real = rc_order._is_goal
+        real = rc_order.check_pair_equal_a
 
-        def spy(flat, target):
+        def spy(p1, p2):
             nonlocal calls
             calls += 1
-            return real(flat, target)
+            return real(p1, p2)
 
-        monkeypatch.setattr(rc_order, "_is_goal", spy)
+        monkeypatch.setattr(rc_order, "check_pair_equal_a", spy)
         statuses = collections.Counter()
         for row in MATRIX:
             if (row.name.value, row.family) not in (("ConvAI", "negbin"), ("AITail", "gamma")):
@@ -1469,7 +1499,7 @@ class TestSearch:
         texts = []
         for order in ((1.0, 9.0), (9.0, 1.0)):
             target = pair((5.0, 5.0, 1.0), (*order, 2.0))
-            assert _target(target, WEAK).values_y == (1.0, 2.0, 9.0)
+            assert _target(target).values_y == (1.0, 2.0, 9.0)
             v = decide_wrc(p1, target, WEAK)
             assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
             texts.append(chain_to_json(v.witness))
@@ -1579,7 +1609,7 @@ def _candidates(p, target, mode):
     """``_successors`` from ``p`` toward the pair ``target``, each candidate
     as the pair and the move it proposes; checks what its tuple says of it."""
     for moves_x, swap, new, kind, i, j in rc_order._successors(
-        p, _target(target, mode), mode
+        p, _target(target), mode
     ):
         assert moves_x is (kind in rc_order._MOVES_X)
         src = p.x if moves_x else p.y
@@ -1637,7 +1667,7 @@ class TestSuccessors:
         target = pair(flat[:n], flat[n:])
         if not check_necessary(p, target, mode)[0]:
             return  # the search's precondition, which every node meets
-        t = _target(target, mode)
+        t = _target(target)
         x_mode, y_mode = rc_order._necessary_modes(mode)
         want = None
         for nxt, move in _candidates(p, target, mode):
@@ -1658,9 +1688,9 @@ class TestSuccessors:
     def test_gated_goal_pass_matches_the_scan_of_every_candidate(self, data):
         """The far-coordinate gate skips no goal: the goal pass returns the
         chain of the first candidate of ``_successors``, in yield order, that
-        ``_is_goal``, the necessary check and ``verify_rc_chain`` accept, or
-        none if no candidate passes, on targets one or two legal moves from
-        the node (with 0, 1, 2 or more far coordinates)."""
+        ``_reference_is_goal``, the necessary check and ``verify_rc_chain``
+        accept, or none if no candidate passes, on targets one or two legal
+        moves from the node (with 0, 1, 2 or more far coordinates)."""
         n = data.draw(st.integers(2, 6))
         mode = data.draw(st.sampled_from((STRICT, WEAK)))
         vec = st.tuples(*[_component] * n)
@@ -1680,14 +1710,14 @@ class TestSuccessors:
             target = step(target) or target
         if target is None or check_pair_equal_a(p, target) or not check_necessary(p, target, mode)[0]:
             return  # pairs the search never sees
-        t = _target(target, mode)
+        t = _target(target)
         event(f"far coordinates: {min(len(rc_order._far(p, t)), 3)}")
         want = None
         for moves_x, swap, new, kind, i, j in rc_order._successors(p, t, mode):
             x, y = (new, p.y) if moves_x else (p.x, new)
             nxt = PairClass(x, y)
             c = canonical_form(nxt)
-            if not rc_order._is_goal(c.x + c.y, t):
+            if not _reference_is_goal(c.x + c.y, target):
                 continue
             chain = RcChain((p, nxt), (ElementaryMove(kind, i, j),), mode)
             if check_necessary(nxt, target, mode)[0] and verify_rc_chain(chain):
