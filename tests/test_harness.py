@@ -211,6 +211,41 @@ def _check_digests(rows=MATRIX) -> dict:
     return digests
 
 
+# sha256 per scenario-matrix row of the report line and the witness text of
+# verify_theorem_instance, on every instance at n = 2..6, seeds 0..2
+REPORT_DIGESTS = {
+    ("RaiseAlpha", "negbin"): "b03582b03146695f9288d1d5f91ad30471d80f1274ffeae3ffa67e05f62d0d68",
+    ("LowerBeta", "negbin"): "6d45f3fe3e388837dde50ca3ad923c94b59da4a2fea1f221d356a8715840181f",
+    ("MajorizeBeta", "negbin"): "1cfc6e3e43fcd240fee25e91ce1419885d203681a837cccc57461a18a81bbc15",
+    ("DiffAlphaMajorizeBeta", "negbin"): "229e2bdbbe75b73c6724c6c1599d4b033108567c1b63e2bef4ceb679e40fecab",
+    ("MajorizeAlpha", "negbin"): "7163f372d518ec434dda7cd530aebad9638cb83d39c5f212c49b9ab4d0024fba",
+    ("ConvAI", "negbin"): "a60420f67986d5522f2ff629aaaa23bf88c4a41ca6d216ebf58d06f1670be5a9",
+    ("RcGeneral", "negbin"): "12b3512bfd1d34a010d2a918a4075a03559fcb774bfff4c87ba7b7b9754b81f0",
+    ("GammaConv", "gamma"): "853bb8223a73a7587334dfa7dc42042683ac4101e27c64f75737f4fc46c21be6",
+    ("OppositeOrderedWeak", "negbin"): "eac6bd328bb68f7e4054ebf426cae2b104545fb51a0d0bafbfe4e9b463af3162",
+    ("LogMajorizeBetaSt", "negbin"): "051966b78acd8b2b6edc6f2fb9527d76ce35e28bb41aee40de80d45e78bc44b1",
+    ("StGeneral", "negbin"): "e26c33230dae55a57d63f42f464c70b50a04f10f061b9bb566aa7e0ad2042e8f",
+    ("StGeneral", "gamma"): "1b43a32cc5632465459ea6fe95d9327557af0971e8fc93d41d30e1299a7afba1",
+    ("AITail", "gamma"): "7a31223dac7e46b7df4ff4cfd58444dcf1b2c58723a90e6252cd312cf4fd09b8",
+    ("CoupledGammaPair", "gamma"): "18eaf60c1a4c65007b3dc43f76471002befcb06825f9f24d05e5afaf7dda6c8d",
+    ("MixtureLemmaSt", "negbin"): "b92fe425dc80dc5e36aeffa2797f8dd230502f1a0af7cb542e05fb61c1981518",
+}
+
+
+def _report_digests(rows=MATRIX) -> dict:
+    digests = {}
+    for row in rows:
+        h = hashlib.sha256()
+        for n, seed in itertools.product(range(2, 7), range(3)):
+            s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+            r = verify_theorem_instance(
+                s1, s2, row.order, scenario=row.name.value, seed=seed, emit_witness=True
+            )
+            h.update(f"{r.to_json_line()}\n{r.witness_json}\n".encode())
+        digests[row.name.value, row.family] = h.hexdigest()
+    return digests
+
+
 class TestNumericChecks:
     def test_details_match_pinned_digests(self):
         assert _check_digests() == CHECK_DIGESTS
@@ -978,6 +1013,9 @@ class TestTheoremOnRandomPairs:
 
 
 class TestReports:
+    def test_lines_and_witnesses_match_pinned_digests(self):
+        assert _report_digests() == REPORT_DIGESTS
+
     def test_json_line_schema(self):
         s = spec("negbin", (1.0,), (0.5,))
         r = verify_theorem_instance(s, s, "conv", scenario="X", seed=3)
