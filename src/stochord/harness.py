@@ -8,10 +8,9 @@ calls the order engine.  ``stochord harness`` checks every generated pair
 with both layers (:func:`verify_theorem_instance`)."""
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -20,9 +19,10 @@ from stochord.arrangement import pair
 from stochord.rc_order import (
     DEFAULT_SEARCH_BUDGET,
     RcMode,
-    chain_to_json,
+    _chain_json,
     decide_wrc,
 )
+from stochord.majorization import json_text
 from stochord.specs import DEFAULT_TAIL_CAP, ConvolutionSpec, spec
 from stochord.verdicts import OrderVerdict, Status
 
@@ -354,27 +354,41 @@ class Report:
     tolerances: dict
     runtime_s: float
     witness_json: Optional[str] = None
+    # the verdict's memo of number texts (see majorization.json_text), which
+    # its witness fills first and its line reads
+    _texts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def agreed(self) -> bool:
         return not (self.param_status == "holds" and self.numeric_status == "refuted")
 
     def to_json_line(self) -> str:
-        payload = {
-            "v": 1,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "order": self.order,
-            "spec1": self.spec1.to_dict(),
-            "spec2": self.spec2.to_dict(),
-            "param_status": self.param_status,
-            "param_moves": self.param_moves,
-            "param_violation": self.param_violation,
-            "numeric_status": self.numeric_status,
-            "numeric_detail": self.numeric_detail,
-            "tolerances": self.tolerances,
-        }
-        return json.dumps(payload, sort_keys=True)
+        """The report as ``json.dumps(payload, sort_keys=True)`` writes it,
+        byte for byte, where ``payload`` holds ``"v": 1``, the fields up to
+        ``tolerances`` and each spec's ``to_dict()``: its keys in sorted
+        order, each value written by :func:`~stochord.majorization.json_text`
+        (the free-form records by the encoder)."""
+        t = self._texts
+        return (
+            f'{{"numeric_detail": {json_text(self.numeric_detail, t)}, '
+            f'"numeric_status": {json_text(self.numeric_status, t)}, '
+            f'"order": {json_text(self.order, t)}, '
+            f'"param_moves": {json_text(self.param_moves, t)}, '
+            f'"param_status": {json_text(self.param_status, t)}, '
+            f'"param_violation": {json_text(self.param_violation, t)}, '
+            f'"scenario": {json_text(self.scenario, t)}, '
+            f'"seed": {json_text(self.seed, t)}, '
+            f'"spec1": {_spec_json(self.spec1, t)}, '
+            f'"spec2": {_spec_json(self.spec2, t)}, '
+            f'"tolerances": {json_text(self.tolerances, t)}, "v": 1}}'
+        )
+
+
+def _spec_json(s: ConvolutionSpec, texts: dict) -> str:
+    """``s.to_dict()`` as the encoder writes it, its keys sorted."""
+    scales = ", ".join([json_text(v, texts) for v in s.scales])
+    shapes = ", ".join([json_text(v, texts) for v in s.shapes])
+    return f'{{"family": {json_text(s.family, texts)}, "scales": [{scales}], "shapes": [{shapes}]}}'
 
 
 def _param_pairs(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str):
@@ -499,6 +513,7 @@ def verify_theorem_instance(
     else:
         numeric = numeric_st_check(s1, s2, tail_cap, tol)
     runtime = time.perf_counter() - start
+    texts = {}
     return Report(
         scenario=scenario,
         seed=seed,
@@ -512,7 +527,8 @@ def verify_theorem_instance(
         numeric_detail=numeric.violation or numeric.detail,
         tolerances={"tail_cap": tail_cap, "tol": tol},
         runtime_s=runtime,
-        witness_json=chain_to_json(param.witness) if emit_witness and param.holds else None,
+        witness_json=_chain_json(param.witness, texts) if emit_witness and param.holds else None,
+        _texts=texts,
     )
 
 

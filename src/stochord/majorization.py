@@ -9,10 +9,12 @@ two-coordinate check of :func:`~stochord.rc_order.verify_rc_move` by 2.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 Vector = tuple[float, ...]
 
@@ -68,6 +70,35 @@ def json_vector(components) -> Vector:
         return as_vector(components)
     except OverflowError as exc:  # an integer past the largest float
         raise ValueError(f"vector components must be finite: {exc}") from exc
+
+
+# the encoder json.dumps(..., sort_keys=True) makes, made once
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def json_text(v, texts: dict) -> str:
+    """The text ``json.dumps(v, sort_keys=True)`` writes for ``v``.
+
+    An exact float that is finite and nonzero is written once per memo
+    ``texts``, which keeps its text keyed by its value.  Nothing else enters
+    the memo: ``0.0`` and ``-0.0`` are equal keys with two texts, and an int
+    equals the float of its value (``1 == 1.0``).  None, an exact str and an
+    exact int are written as the encoder writes them, without calling it;
+    anything else (a bool, an infinity, a nan, a float subclass, a
+    container) by the encoder."""
+    cls = type(v)
+    if cls is float and v and v - v == 0.0:  # v - v is nan on inf and nan
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = repr(v)
+        return text
+    if v is None:
+        return "null"
+    if cls is str:
+        return encode_basestring_ascii(v)
+    if cls is int:
+        return repr(v)
+    return _ENCODE(v)
 
 
 def sort_components(v: Vector, direction: str = "inc") -> Vector:

@@ -34,6 +34,7 @@ from stochord.majorization import (
     MajorizationMode,
     Vector,
     check_sorted_majorization,
+    json_text,
     json_vector,
     within,
     _integers,
@@ -854,35 +855,36 @@ def chain_to_json(chain: RcChain) -> str:
     """The chain as ``json.dumps(..., indent=2)`` writes it, byte for byte.
 
     ``indent`` selects the pure-Python encoder, several times slower than
-    the C one, so the numbers of the chain (each record's components, then
-    its move's positions) are encoded by one call of the C encoder instead,
-    and laid out around its strings here.
-    Components are numbers and positions ints or None, as in every chain the
-    program builds."""
-    numbers = []
-    for idx, p in enumerate(chain.pairs):
-        numbers += p.x
-        numbers += p.y
-        if idx:
-            m = chain.moves[idx - 1]
-            numbers += (m.i, m.j)
-    # no number's text holds the separator
-    tokens = iter(json.dumps(numbers)[1:-1].split(", "))
+    the C one, so the text is laid out here instead (see
+    :func:`_chain_json`)."""
+    return _chain_json(chain, {})
 
-    def array(size: int) -> str:  # a vector, its items at depth 5
-        items = ",\n          ".join(itertools.islice(tokens, size))
-        return f"[\n          {items}\n        ]" if size else "[]"
+
+def _chain_json(chain: RcChain, texts: dict) -> str:
+    """:func:`chain_to_json`, each number written by
+    :func:`~stochord.majorization.json_text` through the memo ``texts``,
+    which the other texts of one verdict may share.  Each vector *object* of
+    the chain is laid out once: a move leaves the pair's other vector the
+    very tuple of the pair before."""
+    arrays = {}  # id of each vector object, which the chain keeps alive
+
+    def array(v: Vector) -> str:  # a vector, its items at depth 5
+        text = arrays.get(id(v))
+        if text is None:
+            items = ",\n          ".join([json_text(c, texts) for c in v])
+            text = arrays[id(v)] = f"[\n          {items}\n        ]" if v else "[]"
+        return text
 
     records = []
     for idx, p in enumerate(chain.pairs):
-        x, y = array(len(p.x)), array(len(p.y))
         move = "null"
         if idx:
-            kind = encode_basestring_ascii(chain.moves[idx - 1].kind.value)
-            i, j = next(tokens), next(tokens)
+            m = chain.moves[idx - 1]
+            kind = encode_basestring_ascii(m.kind.value)
+            i, j = json_text(m.i, texts), json_text(m.j, texts)
             move = f'{{\n        "kind": {kind},\n        "i": {i},\n        "j": {j}\n      }}'
         records.append(
-            f'{{\n      "pair": {{\n        "x": {x},\n        "y": {y}\n      }},'
+            f'{{\n      "pair": {{\n        "x": {array(p.x)},\n        "y": {array(p.y)}\n      }},'
             f'\n      "move": {move}\n    }}'
         )
     body = ",\n    ".join(records)  # a chain has at least one pair

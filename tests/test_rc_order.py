@@ -2013,20 +2013,32 @@ class TestSerialization:
         """The witness text equals ``json.dumps(..., indent=2)`` of the chain's
         records byte for byte, on values no search makes too.  Read back by
         ``chain_from_json``, a chain of nonempty finite vectors gives the text
-        of its components as floats, and any other chain is refused."""
-        number = st.one_of(
-            st.floats(),
-            st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300)),
-            st.integers(-(10**20), 10**20),
-        )
+        of its components as floats, and any other chain is refused.
 
-        def vectors(n):
-            return st.lists(number, min_size=n, max_size=n).map(tuple)
+        Each chain draws its numbers from a small pool of its own, so values
+        repeat across vectors as they do in a witness, and the pool holds
+        numbers that are equal but written apart (``0.0`` and ``-0.0``, ``1``
+        and ``1.0``); a pair may keep a vector object of the pair before, as
+        a move leaves it."""
+        pool = data.draw(st.lists(st.floats() | st.integers(-(10**20), 10**20), max_size=3))
+        pool += [0.0, -0.0, 1, 1.0, 2**53 + 1, 5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, math.inf, math.nan]
+        number = st.sampled_from(pool)
 
-        pairs = [
-            PairClass(data.draw(vectors(n)), data.draw(vectors(n)))
-            for n in data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
-        ]
+        def vector(n):
+            return data.draw(st.lists(number, min_size=n, max_size=n).map(tuple))
+
+        pairs = []
+        for n in data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)):
+            kept = data.draw(st.sampled_from(("x", "y", None))) if pairs else None
+            if kept == "x":
+                x = pairs[-1].x
+                pairs.append(PairClass(x, vector(len(x))))
+            elif kept == "y":
+                y = pairs[-1].y
+                pairs.append(PairClass(vector(len(y)), y))
+            else:
+                pairs.append(PairClass(vector(n), vector(n)))
         moves = []
         for _ in pairs[1:]:
             kind = data.draw(st.sampled_from(MoveKind))
