@@ -16,13 +16,13 @@ from typing import NamedTuple, Optional
 
 from stochord import exact
 from stochord.arrangement import pair
+from stochord.majorization import json_text
 from stochord.rc_order import (
     DEFAULT_SEARCH_BUDGET,
     RcMode,
     _chain_json,
     decide_wrc,
 )
-from stochord.majorization import json_text
 from stochord.specs import DEFAULT_TAIL_CAP, ConvolutionSpec, spec
 from stochord.verdicts import OrderVerdict, Status
 

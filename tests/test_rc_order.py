@@ -2022,7 +2022,7 @@ class TestSerialization:
         a move leaves it."""
         pool = data.draw(st.lists(st.floats() | st.integers(-(10**20), 10**20), max_size=3))
         pool += [0.0, -0.0, 1, 1.0, 2**53 + 1, 5e-324, 1.7976931348623157e308,
-                 -1.7976931348623157e308, math.inf, math.nan]
+                 -1.7976931348623157e308, math.inf, -math.inf, math.nan]
         number = st.sampled_from(pool)
 
         def vector(n):
