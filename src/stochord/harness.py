@@ -9,7 +9,6 @@ with both layers (:func:`verify_theorem_instance`)."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -352,7 +351,6 @@ class Report:
     numeric_status: str
     numeric_detail: dict
     tolerances: dict
-    runtime_s: float
     witness_json: Optional[str] = None
     # the verdict's memo of number texts (see majorization.json_text), which
     # its witness fills first and its line reads
@@ -425,6 +423,15 @@ def _pair_laws(s1: ConvolutionSpec, s2: ConvolutionSpec, order: str, tail_cap: f
     return tuple(gamma_convolution_cdf(s, grid, tail_cap) for s in specs)
 
 
+def _check_tolerances(tail_cap: float, tol: float) -> None:
+    """Refuse a ``tail_cap`` outside (0, 1) or a ``tol`` that is negative or
+    not finite, whatever the pair, before the exact stage decides it."""
+    if not 0 < tail_cap < 1:
+        raise ValueError(f"tail_cap must be in (0,1), got {tail_cap}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+
+
 def numeric_conv_check(
     s1: ConvolutionSpec,
     s2: ConvolutionSpec,
@@ -450,7 +457,10 @@ def numeric_conv_check(
     The latents' offsets are the total shapes, each rounded once, so in the
     exact totals' order, and ``r1 > r2 + tol`` refutes exactly: a gamma
     convolution's Laplace transform falls like ``s^-r``, so ``L_Y / L_X``
-    grows like ``s^(r1 - r2)``, and that of a law on ``[0, inf)`` is at most 1."""
+    grows like ``s^(r1 - r2)``, and that of a law on ``[0, inf)`` is at most 1.
+    A ``tail_cap`` outside (0, 1), or a ``tol`` that is negative or not
+    finite, raises ``ValueError`` whatever the pair."""
+    _check_tolerances(tail_cap, tol)
     verdict = exact.decide(s1, s2, "conv")
     if verdict is not None:
         return verdict
@@ -481,7 +491,10 @@ def numeric_st_check(
     The exact stage (:func:`exact.decide`) runs first and builds no grid or
     lattice: a certified convolution order implies the stochastic order,
     and its right-tail, left-tail (gamma) or mean test refutes it.  Every
-    other pair compares its survivals on the grid or lattice."""
+    other pair compares its survivals on the grid or lattice.  A ``tail_cap``
+    outside (0, 1), or a ``tol`` that is negative or not finite, raises
+    ``ValueError`` whatever the pair."""
+    _check_tolerances(tail_cap, tol)
     verdict = exact.decide(s1, s2, "st")
     if verdict is not None:
         return verdict
@@ -505,14 +518,12 @@ def verify_theorem_instance(
         raise ValueError(f"order must be 'conv' or 'st', got {order!r}")
     if s1.family != s2.family or s1.n != s2.n:
         raise ValueError("specs must share family and length")
-    start = time.perf_counter()
     q1, q2 = _param_pairs(s1, s2, order)
     param = decide_wrc(q1, q2, RcMode.WEAK, budget)
     if order == "conv":
         numeric = numeric_conv_check(s1, s2, tail_cap, tol)
     else:
         numeric = numeric_st_check(s1, s2, tail_cap, tol)
-    runtime = time.perf_counter() - start
     texts = {}
     return Report(
         scenario=scenario,
@@ -526,7 +537,6 @@ def verify_theorem_instance(
         numeric_status=numeric.status.value,
         numeric_detail=numeric.violation or numeric.detail,
         tolerances={"tail_cap": tail_cap, "tol": tol},
-        runtime_s=runtime,
         witness_json=_chain_json(param.witness, texts) if emit_witness and param.holds else None,
         _texts=texts,
     )

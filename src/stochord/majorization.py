@@ -101,12 +101,6 @@ def json_text(v, texts: dict) -> str:
     return _ENCODE(v)
 
 
-def sort_components(v: Vector, direction: str = "inc") -> Vector:
-    if direction not in ("inc", "dec"):
-        raise ValueError(f"direction must be 'inc' or 'dec', got {direction!r}")
-    return tuple(sorted(v, reverse=(direction == "dec")))
-
-
 def is_sorted(v: Vector, direction: str = "inc", tol: float | None = None) -> bool:
     if tol is None:
         tol = component_tolerance(v)
@@ -156,29 +150,15 @@ def check_sorted_majorization(
     components otherwise than sorting decreasing, but only ``0.0`` and
     ``-0.0`` are equal and distinct, and no comparison of the check tells
     them apart."""
-    if mode is not _ABOVE:
-        xs, ys = xs[::-1], ys[::-1]
-    return _check_sorted(xs, ys, list(itertools.accumulate(ys)), mode)
-
-
-def _integers(values) -> list[int]:
-    """The floats ``values`` times one power of two, each then an integer, so
-    that sums and products of them keep their exact signs.  Raises
-    ``OverflowError`` on an infinity and ``ValueError`` on a nan."""
-    ratios = [v.as_integer_ratio() for v in values]
-    d = max(den for _, den in ratios)
-    return [num * (d // den) for num, den in ratios]
-
-
-def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, int | None]:
-    """:func:`check_majorization` of ``xs`` and ``ys``, sorted in the order
-    the check reads them, given the prefix sums of ``ys``."""
     n = len(xs)
     if not n:
         return True, None
+    if mode is not _ABOVE:
+        xs, ys = xs[::-1], ys[::-1]
     # sorted, so each vector's largest magnitude sits at one end
     tol = BASE_TOL * max(1.0, abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) * n
     sums_x = list(itertools.accumulate(xs))
+    sums_y = list(itertools.accumulate(ys))
     # a prefix sum of finite floats, once infinite, stays so: the totals tell
     # (an infinite component keeps the float comparisons, which it decides)
     if not (math.isfinite(sums_x[-1]) and math.isfinite(sums_y[-1])) and all(
@@ -198,6 +178,15 @@ def _check_sorted(xs: list, ys, sums_y, mode: MajorizationMode) -> tuple[bool, i
     if mode is _FULL and abs(sums_x[-1] - sums_y[-1]) > tol:
         return False, 0
     return True, None
+
+
+def _integers(values) -> list[int]:
+    """The floats ``values`` times one power of two, each then an integer, so
+    that sums and products of them keep their exact signs.  Raises
+    ``OverflowError`` on an infinity and ``ValueError`` on a nan."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios]
 
 
 def t_transform_chain(x: Vector, y: Vector) -> TChain:

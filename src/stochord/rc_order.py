@@ -428,7 +428,7 @@ def _two_coord_targets(a: float, b: float, values: Vector, tol: float):
     """Candidate values of (a, b) preserving the sum, aligned so that one
     coordinate lands on one of the distinct goal component ``values``, in
     both orientations; some pull the pair together, which
-    :func:`_successors` skips."""
+    :func:`_coupled_at` skips."""
     out = []
     s = a + b
     for g in values:
@@ -457,31 +457,18 @@ def _gap(v: Vector, target: Vector) -> float:
     return sum(abs(u - t) for u, t in zip(v, target))
 
 
-def _successors(p: PairClass, target: _Target, mode: RcMode):
-    """Candidate moves from ``p`` toward the target, for :func:`verify_rc_move`
-    to accept or reject, in the order the search meets them: those of
-    :func:`_coupled_successors`, then those of
-    :func:`_componentwise_successors`."""
-    return itertools.chain(
-        _coupled_successors(p, target), _componentwise_successors(p, target, mode)
-    )
-
-
-def _coupled_successors(p: PairClass, target: _Target):
-    """The coupled candidates from ``p``, as plain tuples
+def _coupled_at(p: PairClass, target: _Target, positions):
+    """The coupled candidates from ``p`` toward the target at the position
+    pairs ``positions``, ``(i, j)`` with ``i < j``, in the order given, for
+    :func:`verify_rc_move` to accept or reject.  Each is a plain tuple
     ``(moves_x, swap, new, kind, i, j)``: ``new`` replaces x if ``moves_x``,
-    else y, at positions ``i < j``; ``swap`` marks a permutation of p's
+    else y, at positions ``i`` and ``j``; ``swap`` marks a permutation of p's
     vector, any other candidate a transfer that keeps the sum of p's two
     components.  A candidate whose own pair fails the reverse-pair condition,
     or a transfer that contracts its two coordinates, is not yielded:
     :func:`verify_rc_move` would reject it, with the same comparison and
-    tolerance as computed here."""
-    return _coupled_at(p, target, itertools.combinations(range(p.n), 2))
-
-
-def _coupled_at(p: PairClass, target: _Target, positions):
-    """The candidates of :func:`_coupled_successors` at the position pairs
-    ``positions`` only, ``(i, j)`` with ``i < j``, in the order given."""
+    tolerance as computed here.  The search meets the candidates at every
+    position pair, then those of :func:`_componentwise_successors`."""
     px, py = p.x, p.y
     # every tolerance is BASE_TOL times the largest magnitude involved, or 1
     p_scale = max(1.0, p.scale)
@@ -526,7 +513,7 @@ def _coupled_at(p: PairClass, target: _Target, positions):
 
 def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
     """The componentwise candidates from ``p`` in weak mode (none in strict
-    mode), as the tuples of :func:`_coupled_successors` with ``swap`` false
+    mode), as the tuples of :func:`_coupled_at` with ``swap`` false
     and ``i`` and ``j`` None: raises of x and lowers of y onto the target's
     components, and a raise of x to the target's total."""
     if mode is not RcMode.WEAK:
@@ -702,7 +689,7 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
         expanded += 1
         chain, candidates = _goal_pass(cur, pairs, moves, target, mode)
         if chain is not None:
-            detail = _search_detail(expanded, budget)
+            detail = {"route": "search", "expanded": expanded, "budget": budget}
             return OrderVerdict(Status.HOLDS, witness=chain, detail=detail)
         for moves_x, swap, new, kind, i, j in candidates:
             if not swap and not _moved_passes(sorted(new), moves_x, goal, mode):
@@ -719,7 +706,7 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
             counter += 1
             gap = _gap(nxt.xs, goal.xs) + _gap(nxt.ys, goal.ys)
             heapq.heappush(heap, (gap, counter, nxt, pairs + [nxt], moves + [move]))
-    detail = _search_detail(expanded, budget)
+    detail = {"route": "search", "expanded": expanded, "budget": budget}
     # the discretized moves reach no chain either way, so both are unknown
     detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
     return OrderVerdict(Status.UNKNOWN, detail=detail)
@@ -757,8 +744,8 @@ def _far(p: PairClass, target: _Target) -> list[int]:
 
 def _positions_with(far: list[int], n: int):
     """The position pairs ``(i, j)``, ``i < j``, that hold every position of
-    ``far`` (at most two), in the order :func:`_coupled_successors` meets
-    them."""
+    ``far`` (at most two; every pair if ``far`` is empty), in the order of
+    ``itertools.combinations``."""
     if not far:
         return itertools.combinations(range(n), 2)
     if len(far) == 2:
@@ -794,23 +781,23 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     vector, sorted, against the target's within ``near``).  Only then is
     its pair built, for the goal test, then the necessary check on the moved
     vector, and :func:`verify_rc_move` on the candidate's move.  The gates
-    and the pre-test skip no goal, and the position pairs come in the order
-    of :func:`_coupled_successors`, so the pass returns the first goal in
-    yield order.  It generates candidates
-    lazily, stopping at the first goal.  When it finds none, the tree pass
-    reuses the coupled candidates it generated if they are all of them (no
-    far coordinate), and otherwise generates the whole list itself.  The
-    componentwise candidates are generated and reused the same way.  The
-    gates and the laziness are for speed: most goals are componentwise moves
-    met in the first expansion, which the pass then reaches without
-    generating any coupled candidate.
+    and the pre-test skip no goal, and the position pairs keep the order of
+    the whole list, so the pass returns the first goal in yield order.  It
+    generates candidates lazily, stopping at the first goal.  When it finds
+    none, the tree pass reuses the coupled candidates it generated if they
+    are all of them (no far coordinate), and otherwise generates the whole
+    list itself.  The componentwise candidates are generated and reused the
+    same way.  The gates and the laziness are for speed: most goals are
+    componentwise moves met in the first expansion, which the pass then
+    reaches without generating any coupled candidate.
     """
     px, py = cur.x, cur.y
     near, goal = target.near, target.pair
     x_open = within(cur.ys, goal.ys, near)  # an x move may reach the goal
     y_open = within(cur.xs, goal.xs, near)
     if not (x_open or y_open):
-        return None, _successors(cur, target, mode)
+        coupled = _coupled_at(cur, target, _positions_with((), cur.n))
+        return None, itertools.chain(coupled, _componentwise_successors(cur, target, mode))
 
     def first_goal(candidates, listed):
         for candidate in candidates:
@@ -837,14 +824,10 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
         if chain is not None:
             return chain, ()
     # with no far coordinate the pass listed every coupled candidate, in order
-    coupled = listed if not far else _coupled_successors(cur, target)
+    coupled = listed if not far else _coupled_at(cur, target, _positions_with((), cur.n))
     componentwise = []
     chain = first_goal(_componentwise_successors(cur, target, mode), componentwise)
     return chain, itertools.chain(coupled, componentwise)
-
-
-def _search_detail(expanded: int, budget: int) -> dict:
-    return {"route": "search", "expanded": expanded, "budget": budget}
 
 
 # ---------------------------------------------------------------------------

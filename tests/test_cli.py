@@ -757,21 +757,45 @@ class TestErrorHandling:
 class TestScipyImport:
     def test_parameter_commands_do_not_load_scipy(self, tmp_path):
         # a fresh interpreter: scipy loads at the first gamma function, so
-        # commands that evaluate none never import it
+        # commands that evaluate none never import it, the negative
+        # binomial lattices included: the mixture identities, a survival
+        # curve, a deconvolution (conv, refuted: exit 1) and a lattice
+        # survival check (LogMajorizeBetaSt, n = 2, seed 0)
         nb_pair = {
             "config1": {"family": "negbin", "shapes": [0.5, 1.2, 1.2], "scales": [0.7, 0.6, 0.5]},
             "config2": {"family": "negbin", "shapes": [0.6, 1.0, 1.5], "scales": [0.8, 0.6, 0.3]},
         }
-        gamma_path, nb_path = tmp_path / "gamma.json", tmp_path / "nb.json"
-        gamma_path.write_text(json.dumps(WORKED_PAIR))
-        nb_path.write_text(json.dumps(nb_pair))
+        deconvolved = {
+            "config1": {"family": "negbin", "shapes": [2.3, 1.75], "scales": [0.65, 0.42]},
+            "config2": {"family": "negbin", "shapes": [1.78, 1.74], "scales": [0.26, 0.85]},
+        }
+        shapes = [1.5476023843438604] * 2
+        log_majorized = {
+            "config1": {"family": "negbin", "shapes": shapes,
+                        "scales": [0.6814218626948966, 0.5767643551940617]},
+            "config2": {"family": "negbin", "shapes": shapes,
+                        "scales": [0.8910406623814009, 0.44107958014168636]},
+        }
+        paths = {}
+        for name, data in (
+            ("gamma", WORKED_PAIR), ("nb", nb_pair), ("nb_spec", nb_pair["config1"]),
+            ("deconvolved", deconvolved), ("log_majorized", log_majorized),
+        ):
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(data))
+        curve = str(tmp_path / "curve.csv")
         code = f"""
 import contextlib, io, json, sys
 import stochord.harness, stochord.cli
 runs = (
-    ["check-order", {str(gamma_path)!r}],
-    ["verify", {str(gamma_path)!r}, "--order", "conv"],
-    ["verify", {str(nb_path)!r}, "--order", "st"],
+    ["check-order", {paths["gamma"]!r}],
+    ["verify", {paths["gamma"]!r}, "--order", "conv"],
+    ["verify", {paths["nb"]!r}, "--order", "st"],
+    ["identity", "--prop", "nb-mixture"],
+    ["identity", "--prop", "nb-pair"],
+    ["export-survival", {paths["nb_spec"]!r}, "--output", {curve!r}],
+    ["verify", {paths["deconvolved"]!r}, "--order", "conv"],
+    ["verify", {paths["log_majorized"]!r}, "--order", "st"],
     ["identity", "--prop", "gamma-single"],
 )
 result = []
@@ -780,7 +804,10 @@ for argv in runs:
         result.append((stochord.cli.main(argv), "scipy" in sys.modules))
 print(json.dumps(result))
 """
-        assert _fresh(code) == [[0, False], [0, False], [0, False], [0, True]]
+        assert _fresh(code) == [
+            [0, False], [0, False], [0, False], [0, False], [0, False], [0, False], [1, False],
+            [0, False], [0, True],
+        ]
 
 
 def _fresh(code: str):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stochord import distributions, exact, harness
 from stochord.arrangement import pair
@@ -314,6 +314,34 @@ class TestNumericChecks:
             else:
                 assert "total_shapes" in v.detail and "certified" not in v.detail, (n, seed)
         assert certified == 125
+
+    @pytest.mark.parametrize("family", ["negbin", "gamma"])
+    def test_bad_tolerances_are_refused_whatever_the_pair(self, family):
+        """A ``tail_cap`` outside (0, 1), or a ``tol`` that is negative or
+        not finite, raises in both numeric checks and through
+        ``verify_theorem_instance``, on a spec against itself, which the
+        exact stage decides, and on a pair that it leaves to the lattices or
+        the grid.  A ``tol`` of ``inf`` once made the negbin pair's refuted
+        conv order ``holds``."""
+        if family == "negbin":
+            s1 = spec("negbin", (2.3, 1.75), (0.65, 0.42))
+            s2 = spec("negbin", (1.78, 1.74), (0.26, 0.85))
+            assert numeric_conv_check(s1, s2).refuted
+        else:
+            s1, s2 = worked_example_specs()
+        bad = [(cap, 1e-9, r"tail_cap must be in \(0,1\)") for cap in (0.0, 1.0, math.inf, math.nan)]
+        bad += [
+            (DEFAULT_TAIL_CAP, tol, "tol must be nonnegative and finite")
+            for tol in (-1e-9, math.inf, math.nan)
+        ]
+        for order, check in (("conv", numeric_conv_check), ("st", numeric_st_check)):
+            assert exact.decide(s1, s1, order).holds and exact.decide(s1, s2, order) is None
+            for a, b in ((s1, s1), (s1, s2)):
+                for tail_cap, tol, words in bad:
+                    with pytest.raises(ValueError, match=words):
+                        check(a, b, tail_cap, tol)
+                    with pytest.raises(ValueError, match=words):
+                        verify_theorem_instance(a, b, order, tail_cap=tail_cap, tol=tol)
 
     def test_larger_total_shape_is_refuted_exactly(self):
         s1 = spec("gamma", (1.0, 0.5), (2.0, 3.0))
@@ -1023,7 +1051,7 @@ class TestReports:
         """The line equals ``json.dumps(payload, sort_keys=True)`` byte for
         byte, written after its witness or from a fresh memo, and the memo
         is outside ``==`` and ``repr``.  A gamma rate of 1.0 puts its log,
-        0.0, in an st witness, and the tolerances may be infinite."""
+        0.0, in an st witness."""
         family = data.draw(st.sampled_from(("negbin", "gamma")))
         n = data.draw(st.integers(1, 3))
 
@@ -1034,24 +1062,16 @@ class TestReports:
         specs = st.builds(spec, st.just(family), vector((0.5, 1.0, 1.5, 2.0)), vector(scales))
         s1 = data.draw(specs)
         s2 = data.draw(st.just(s1) | specs)
-        tail_cap = data.draw(st.sampled_from((DEFAULT_TAIL_CAP, 1e-6, math.inf)))
-        try:
-            r = verify_theorem_instance(
-                s1,
-                s2,
-                data.draw(st.sampled_from(("conv", "st"))),
-                scenario=data.draw(st.none() | st.sampled_from(("RaiseAlpha", "naïve \"x\""))),
-                seed=data.draw(st.none() | st.integers(-(2**70), 2**70)),
-                tail_cap=tail_cap,
-                tol=data.draw(st.sampled_from((1e-9, 0.0, math.inf))),
-                emit_witness=True,
-            )
-        except ValueError:
-            # a lattice or a grid refuses a tail cap outside (0, 1), which
-            # the exact stage, deciding most pairs, never reads
-            if tail_cap < 1:
-                raise
-            assume(False)
+        r = verify_theorem_instance(
+            s1,
+            s2,
+            data.draw(st.sampled_from(("conv", "st"))),
+            scenario=data.draw(st.none() | st.sampled_from(("RaiseAlpha", "naïve \"x\""))),
+            seed=data.draw(st.none() | st.integers(-(2**70), 2**70)),
+            tail_cap=data.draw(st.sampled_from((DEFAULT_TAIL_CAP, 1e-6))),
+            tol=data.draw(st.sampled_from((1e-9, 0.0))),
+            emit_witness=True,
+        )
         payload = {
             "v": 1,
             "scenario": r.scenario,

@@ -31,7 +31,6 @@ from stochord.majorization import (
     MajorizationMode,
     check_majorization,
     component_tolerance,
-    sort_components,
     t_transform_chain,
 )
 from stochord.rc_order import (
@@ -911,12 +910,12 @@ class TestDecideDigests:
 
 def _reference_check_majorization(x, y, mode):
     """``check_majorization`` sorting each vector in the order its mode
-    reads it."""
-    reverse = mode is not MajorizationMode.ABOVE
-    ys = sorted(y, reverse=reverse)
-    return majorization._check_sorted(
-        sorted(x, reverse=reverse), ys, list(itertools.accumulate(ys)), mode
-    )
+    reads it: ``check_sorted_majorization`` reads a vector backwards unless
+    the mode is ABOVE, so a decreasing sort goes in reversed."""
+    if mode is MajorizationMode.ABOVE:
+        return majorization.check_sorted_majorization(sorted(x), sorted(y), mode)
+    xs, ys = sorted(x, reverse=True), sorted(y, reverse=True)
+    return majorization.check_sorted_majorization(xs[::-1], ys[::-1], mode)
 
 
 def _reference_check_necessary(p1, p2, mode):
@@ -939,7 +938,7 @@ def _reference_scale(p):
 
 
 def _reference_construct_opposite(p1, p2, mode):
-    x2s, y2s = sort_components(p2.x, "inc"), sort_components(p2.y, "dec")
+    x2s, y2s = tuple(sorted(p2.x)), tuple(sorted(p2.y, reverse=True))
     tol = BASE_TOL * max(1.0, _reference_scale(p2))
     if not all(
         abs(a - u) <= tol and abs(b - v) <= tol
@@ -1461,7 +1460,8 @@ class TestSearch:
         are the two far coordinates, so the goal pass generates candidates
         at that position pair only, and there up to the goal and no more,
         which an eager pass would not; the witness is the one pinned when
-        the pass listed every candidate."""
+        the pass listed every candidate.  With three far coordinates it
+        generates no coupled candidate at all."""
         generated = []
         real = rc_order._coupled_at
 
@@ -1485,6 +1485,19 @@ class TestSearch:
         assert count == goal_at < len(gated)
         assert hashlib.sha256(chain_to_json(v.witness).encode()).hexdigest() == (
             "af763ae6d1719728e87f3fa5edccf2d0d1b3167913fce891902eda36fa06486b"
+        )
+        # all three coordinates far, and a componentwise goal: the pass
+        # generates no coupled candidate and returns the single raise of x
+        generated.clear()
+        p1 = pair((1.0, 2.0, 3.0), (2.0, 3.0, 1.0))
+        p2 = pair((1.5, 2.5, 3.5), p1.y)
+        assert len(rc_order._far(p1, _target(p2))) == 3
+        v = decide_wrc(p1, p2, WEAK)
+        assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
+        assert v.witness.moves == (ElementaryMove(MoveKind.RAISE_X, None, None),)
+        assert generated == []
+        assert hashlib.sha256(chain_to_json(v.witness).encode()).hexdigest() == (
+            "57e3d9ebaef146dbd649e5aa3b3a3ef52cc2cf34218f9f6304be44cbc9ca86be"
         )
 
     def test_witness_does_not_depend_on_the_targets_set_order(self):
@@ -1543,10 +1556,11 @@ OFF_MATRIX_DIGEST = "7447de35fa547cc4c53c490d982322b7c791c88390de657e6849367738c
 
 
 def _one_move_pairs(per_n):
-    """Pairs at n = 2..6 whose target is one move from the start: a move of
-    ``_successors`` toward a random pair that ``verify_rc_move`` accepts, in
-    a random mode, drawn from the sorted pairs those moves reach, so the
-    order in which ``_successors`` yields them does not change the batch.  Components come from a pool of four integers in 0..4 and
+    """Pairs at n = 2..6 whose target is one move from the start: one of the
+    search's candidates (``_candidates``) toward a random pair that
+    ``verify_rc_move`` accepts, in a random mode, drawn from the sorted pairs
+    those moves reach, so the order in which the search meets them does not
+    change the batch.  Components come from a pool of four integers in 0..4 and
     two values with two decimals, so ties are common.  Pairs the search never
     sees (equal up to common permutation, or failing the necessary
     conditions) are skipped."""
@@ -1582,7 +1596,7 @@ ONE_MOVE_DIGEST = "8428f5ff1210a7d57c49e33adbc3b532782ed2c87c20daa4126340c4d0317
 
 def _unpruned_coupled(p, target):
     """Every swap and aligned transfer the search considers from ``p``, legal
-    or not, in the search's order (the reference for ``_successors``)."""
+    or not, in the search's order (the reference for ``_coupled_at``)."""
     tol = component_tolerance(p.x, p.y, target.x, target.y)
 
     def moved(vec, new):
@@ -1606,10 +1620,14 @@ def _unpruned_coupled(p, target):
 
 
 def _candidates(p, target, mode):
-    """``_successors`` from ``p`` toward the pair ``target``, each candidate
-    as the pair and the move it proposes; checks what its tuple says of it."""
-    for moves_x, swap, new, kind, i, j in rc_order._successors(
-        p, _target(target), mode
+    """The search's candidates from ``p`` toward the pair ``target``, those
+    of ``_coupled_at`` at every position pair, then those of
+    ``_componentwise_successors``, each as the pair and the move it
+    proposes; checks what its tuple says of it."""
+    t = _target(target)
+    for moves_x, swap, new, kind, i, j in itertools.chain(
+        rc_order._coupled_at(p, t, itertools.combinations(range(p.n), 2)),
+        rc_order._componentwise_successors(p, t, mode),
     ):
         assert moves_x is (kind in rc_order._MOVES_X)
         src = p.x if moves_x else p.y
@@ -1687,7 +1705,7 @@ class TestSuccessors:
     @settings(max_examples=400, deadline=None)
     def test_gated_goal_pass_matches_the_scan_of_every_candidate(self, data):
         """The far-coordinate gate skips no goal: the goal pass returns the
-        chain of the first candidate of ``_successors``, in yield order, that
+        chain of the first of the search's candidates, in yield order, that
         ``_reference_is_goal``, the necessary check and ``verify_rc_chain``
         accept, or none if no candidate passes, on targets one or two legal
         moves from the node (with 0, 1, 2 or more far coordinates)."""
@@ -1713,7 +1731,10 @@ class TestSuccessors:
         t = _target(target)
         event(f"far coordinates: {min(len(rc_order._far(p, t)), 3)}")
         want = None
-        for moves_x, swap, new, kind, i, j in rc_order._successors(p, t, mode):
+        for moves_x, swap, new, kind, i, j in itertools.chain(
+            rc_order._coupled_at(p, t, itertools.combinations(range(p.n), 2)),
+            rc_order._componentwise_successors(p, t, mode),
+        ):
             x, y = (new, p.y) if moves_x else (p.x, new)
             nxt = PairClass(x, y)
             c = canonical_form(nxt)
@@ -1889,12 +1910,8 @@ class TestOppositeOrderedConstruction:
     @settings(max_examples=60, deadline=None)
     def test_construction_verifies_on_random_weak_instances(self, data):
         n = data.draw(st.integers(2, 5))
-        x2 = sort_components(
-            tuple(data.draw(st.floats(0.3, 3.0)) for _ in range(n)), "inc"
-        )
-        y2 = sort_components(
-            tuple(data.draw(st.floats(0.5, 4.0)) for _ in range(n)), "dec"
-        )
+        x2 = tuple(sorted(data.draw(st.floats(0.3, 3.0)) for _ in range(n)))
+        y2 = tuple(sorted((data.draw(st.floats(0.5, 4.0)) for _ in range(n)), reverse=True))
         p2 = pair(x2, y2)
         # x1 weakly submajorized by x2 with distinct components: Robin Hood
         # moves between pairs of x2's components, then distinct lowerings
@@ -1973,7 +1990,7 @@ class TestMoveInvariant:
     @settings(max_examples=300, deadline=None)
     def test_every_accepted_candidate_keeps_the_invariant(self, data):
         """On the search's candidates, and on the unpruned ones, which hold
-        the contracting transfers ``_successors`` drops before the check."""
+        the contracting transfers ``_coupled_at`` drops before the check."""
         n = data.draw(st.integers(2, 6))
         mode = data.draw(st.sampled_from((STRICT, WEAK)))
         vec = st.tuples(*[_component] * n)
