@@ -1731,16 +1731,11 @@ class TestSuccessors:
         t = _target(target)
         event(f"far coordinates: {min(len(rc_order._far(p, t)), 3)}")
         want = None
-        for moves_x, swap, new, kind, i, j in itertools.chain(
-            rc_order._coupled_at(p, t, itertools.combinations(range(p.n), 2)),
-            rc_order._componentwise_successors(p, t, mode),
-        ):
-            x, y = (new, p.y) if moves_x else (p.x, new)
-            nxt = PairClass(x, y)
+        for nxt, move in _candidates(p, target, mode):
             c = canonical_form(nxt)
             if not _reference_is_goal(c.x + c.y, target):
                 continue
-            chain = RcChain((p, nxt), (ElementaryMove(kind, i, j),), mode)
+            chain = RcChain((p, nxt), (move,), mode)
             if check_necessary(nxt, target, mode)[0] and verify_rc_chain(chain):
                 want = chain
                 break
