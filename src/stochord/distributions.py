@@ -628,7 +628,9 @@ def survival_dominance_check(d1, d2, tol: float = 1e-9) -> OrderVerdict:
         size = max(d1.probs.size, d2.probs.size)
         points = d1.offset + np.arange(size)
         # past its last point a lattice lists no mass
-        s1, s2 = (np.pad(d.survival, (0, size - d.probs.size)) for d in (d1, d2))
+        s1, s2 = np.zeros((2, size))
+        s1[: d1.probs.size] = d1.survival
+        s2[: d2.probs.size] = d2.survival
         err = d1.tail_bound + d2.tail_bound
     elif isinstance(d1, CdfGrid) and isinstance(d2, CdfGrid):
         if d1.points.size != d2.points.size or np.any(

@@ -101,15 +101,6 @@ def json_text(v, texts: dict) -> str:
     return _ENCODE(v)
 
 
-def is_sorted(v: Vector, direction: str = "inc", tol: float | None = None) -> bool:
-    if tol is None:
-        tol = component_tolerance(v)
-    pairs = zip(v, v[1:])
-    if direction == "inc":
-        return all(b >= a - tol for a, b in pairs)
-    return all(b <= a + tol for a, b in pairs)
-
-
 def within(v: Vector, w: Vector, tol: float) -> bool:
     """Whether each component of ``v`` lies within ``tol`` of the one of
     ``w`` at its position."""
@@ -202,22 +193,27 @@ def t_transform_chain(x: Vector, y: Vector) -> TChain:
     _require_same_length(x, y)
     n = len(x)
     tol = component_tolerance(x, y)
-    for k in range(1, n):  # is_sorted(x, "inc", tol) and is_sorted(y, "inc", tol)
+    for k in range(1, n):  # each vector sorted increasing within tol
         if not (x[k] >= x[k - 1] - tol and y[k] >= y[k - 1] - tol):
             raise ValueError("t_transform_chain requires increasing-sorted inputs")
     ok, k = check_majorization(x, y, MajorizationMode.FULL)
     if not ok:
         raise ValueError(f"x is not majorized by y (violated prefix {k})")
-    return _transfers(x, y, tol)
+    steps = _transfers(x, y, tol)
+    return TChain(
+        vectors=(tuple(x), *[v for *_, v in steps]),
+        steps=tuple((i, j, eps) for i, j, eps, _ in steps),
+    )
 
 
-def _sorted_transform_chain(x: Vector, y: Vector) -> TChain:
-    """:func:`t_transform_chain` of ``x`` and ``y`` of one length, each
-    sorted increasing exactly, as a caller that sorted them itself holds
-    them.  It checks neither length nor order, and takes the tolerance and
-    the FULL majorization check from the vectors' ends, which hold their
-    largest magnitudes, without sorting them again; the steps, the chain and
-    the errors are :func:`t_transform_chain`'s."""
+def _sorted_transfers(x: Vector, y: Vector) -> list[tuple[int, int, float, Vector]]:
+    """The steps of :func:`t_transform_chain` of ``x`` and ``y`` of one
+    length, each sorted increasing exactly, as a caller that sorted them
+    itself holds them, for the caller to build its own chain from.  It
+    checks neither length nor order, and takes the tolerance and the FULL
+    majorization check from the vectors' ends, which hold their largest
+    magnitudes, without sorting them again; the steps and the errors are
+    :func:`t_transform_chain`'s (see :func:`_transfers`)."""
     tol = BASE_TOL * max(1.0, abs(x[0]), abs(x[-1]), abs(y[0]), abs(y[-1])) if x else BASE_TOL
     ok, k = check_sorted_majorization(x, y, _FULL)
     if not ok:
@@ -225,14 +221,15 @@ def _sorted_transform_chain(x: Vector, y: Vector) -> TChain:
     return _transfers(x, y, tol)
 
 
-def _transfers(x: Vector, y: Vector, tol: float) -> TChain:
-    """The transfer chain from sorted ``x`` to sorted ``y``, which majorizes
-    it, under the tolerance ``tol`` of both; its convergence check and the
-    snap of its endpoint."""
+def _transfers(x: Vector, y: Vector, tol: float) -> list[tuple[int, int, float, Vector]]:
+    """The transfer steps from sorted ``x`` to sorted ``y``, which majorizes
+    it, under the tolerance ``tol`` of both: ``(i, j, eps, v)`` moves ``eps``
+    from coordinate ``i`` to coordinate ``j > i`` and leaves the vector
+    ``v``.  The last ``v`` is snapped onto ``y``; a chain that does not
+    converge raises ``RuntimeError``."""
     n = len(x)
     current = list(x)
-    vectors = [tuple(current)]
-    steps: list[tuple[int, int, float]] = []
+    steps: list[tuple[int, int, float, Vector]] = []
     for _ in range(n):
         # The first surplus donates to the end of the first deficit run after
         # it (Marshall, Olkin & Arnold, Lemma 2.B.1): every partial sum stays
@@ -251,11 +248,11 @@ def _transfers(x: Vector, y: Vector, tol: float) -> TChain:
         eps = min(current[i] - y[i], y[j] - current[j])
         current[i] -= eps
         current[j] += eps
-        vectors.append(tuple(current))
-        steps.append((i, j, eps))
+        steps.append((i, j, eps, tuple(current)))
     residual = max(map(abs, map(operator.sub, current, y)))
     if residual > tol * len(x):
         raise RuntimeError(f"transfer chain did not converge, residual {residual}")
     if steps:  # snap the endpoint so tolerance slack does not leak into callers
-        vectors[-1] = y
-    return TChain(vectors=tuple(vectors), steps=tuple(steps))
+        i, j, eps, _ = steps[-1]
+        steps[-1] = i, j, eps, y
+    return steps

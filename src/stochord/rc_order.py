@@ -11,6 +11,7 @@ to the queried pairs up to common permutation.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -38,7 +39,7 @@ from stochord.majorization import (
     json_vector,
     within,
     _integers,
-    _sorted_transform_chain,
+    _sorted_transfers,
 )
 from stochord.verdicts import OrderVerdict, Status
 
@@ -91,6 +92,12 @@ class ElementaryMove:
         if self.kind in _COUPLED:
             if self.i is None or self.j is None or not 0 <= self.i < self.j:
                 raise ValueError(f"coupled move needs positions 0 <= i < j, got {self}")
+
+
+# One move per (kind, i, j): the moves are frozen, so the chains and the
+# search share them instead of building a dataclass for each step.  Only
+# positions below a pair's length enter, so the cache stays small.
+_move = functools.cache(ElementaryMove)
 
 
 @dataclass(frozen=True)
@@ -286,9 +293,10 @@ def construct_chain_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcCh
 def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
     """:func:`construct_chain_opposite` for a start that has passed
     :func:`check_necessary` against the target, as in :func:`decide_wrc`.
-    Every vector it hands :func:`_sorted_transform_chain` is sorted exactly:
-    the target's representative, the canonical x, the raise (sorted on
-    return), and y after the swaps."""
+    Every vector it hands :func:`_sorted_transfers` is sorted exactly: the
+    target's representative, the canonical x, the raise (sorted on return),
+    and y after the swaps.  Each transfer step goes straight into the chain
+    as its move and pair; no intermediate chain of vectors is built."""
     representative = _opposite_representative(p2)
     if representative is None:
         raise ChainConstructionError("target pair is not opposite ordered")
@@ -313,7 +321,7 @@ def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
     dx = sum(x2s) - sum(x1)
     if weak and dx > 0:
         x_cur = _raise_to_majorized(x1, x2s)
-        push(ElementaryMove(MoveKind.RAISE_X), PairClass(x_cur, y1))
+        push(_move(MoveKind.RAISE_X), PairClass(x_cur, y1))
     y_top = y2s
     dy = sum(y1) - sum(y2s)
     if weak and dy > 0:
@@ -331,27 +339,25 @@ def _construct_opposite(p1: PairClass, p2: PairClass, mode: RcMode) -> RcChain:
                 top = k
         if top != pos:
             y_cur[pos], y_cur[top] = y_cur[top], y_cur[pos]
-            push(
-                ElementaryMove(MoveKind.MAJORIZE_Y, pos, top),
-                PairClass(x_cur, tuple(y_cur)),
-            )
+            push(_move(MoveKind.MAJORIZE_Y, pos, top), PairClass(x_cur, tuple(y_cur)))
 
     # Transfer chains on y (run on the reversed, increasing copies) and on x;
     # their checks are the only majorization checks after the lift.
     try:
-        y_chain = _sorted_transform_chain(tuple(y_cur[::-1]), y_top[::-1])
-        x_chain = _sorted_transform_chain(x_cur, x2s)
+        y_steps = _sorted_transfers(tuple(y_cur[::-1]), y_top[::-1])
+        x_steps = _sorted_transfers(x_cur, x2s)
     except (ValueError, RuntimeError) as exc:
         raise ChainConstructionError(f"transfer chain refused: {exc}") from exc
-    for (i, j, _eps), nxt in zip(y_chain.steps, y_chain.vectors[1:]):
-        push(ElementaryMove(MoveKind.MAJORIZE_Y, n - 1 - j, n - 1 - i), PairClass(x_cur, nxt[::-1]))
+    for i, j, _eps, nxt in y_steps:
+        push(_move(MoveKind.MAJORIZE_Y, n - 1 - j, n - 1 - i), PairClass(x_cur, nxt[::-1]))
 
-    # the x moves run against the decreasing y
-    for (i, j, _eps), nxt in zip(x_chain.steps, x_chain.vectors[1:]):
-        push(ElementaryMove(MoveKind.MAJORIZE_X, i, j), PairClass(nxt, pairs[-1].y))
+    # the x moves run against the decreasing y, one tuple for all of them
+    y_end = pairs[-1].y
+    for i, j, _eps, nxt in x_steps:
+        push(_move(MoveKind.MAJORIZE_X, i, j), PairClass(nxt, y_end))
 
     if weak and dy > 0:
-        push(ElementaryMove(MoveKind.LOWER_Y), PairClass(x2s, y2s))
+        push(_move(MoveKind.LOWER_Y), PairClass(x2s, y2s))
 
     chain = RcChain(tuple(pairs), tuple(moves), mode)
     if not verify_rc_chain(chain):
@@ -420,7 +426,7 @@ def _swap_chain_from_arrangement(p2: PairClass, witness: list, mode: RcMode) -> 
     for mv in witness:
         y[mv.i], y[mv.j] = y[mv.j], y[mv.i]
         pairs.append(PairClass(c2.x, tuple(y)))
-    moves = [ElementaryMove(MoveKind.MAJORIZE_Y, mv.i, mv.j) for mv in reversed(witness)]
+    moves = [_move(MoveKind.MAJORIZE_Y, mv.i, mv.j) for mv in reversed(witness)]
     return RcChain(tuple(reversed(pairs)), tuple(moves), mode)
 
 
@@ -457,10 +463,11 @@ def _gap(v: Vector, target: Vector) -> float:
     return sum(abs(u - t) for u, t in zip(v, target))
 
 
-def _coupled_at(p: PairClass, target: _Target, positions):
+def _coupled_at(p: PairClass, target: _Target, positions, x_moves=True, y_moves=True):
     """The coupled candidates from ``p`` toward the target at the position
     pairs ``positions``, ``(i, j)`` with ``i < j``, in the order given, for
-    :func:`verify_rc_move` to accept or reject.  Each is a plain tuple
+    :func:`verify_rc_move` to accept or reject; the moves of x only if
+    ``x_moves``, those of y only if ``y_moves``.  Each is a plain tuple
     ``(moves_x, swap, new, kind, i, j)``: ``new`` replaces x if ``moves_x``,
     else y, at positions ``i`` and ``j``; ``swap`` marks a permutation of p's
     vector, any other candidate a transfer that keeps the sum of p's two
@@ -475,15 +482,17 @@ def _coupled_at(p: PairClass, target: _Target, positions):
     tol = _tolerance(p, target.pair)
     # a swap permutes p's components, so its check has p's tolerance
     swap_tol = _tolerance(p, p)
+    moved = []
+    if x_moves:
+        moved.append((True, MoveKind.MAJORIZE_X, px, target.values_x))
+    if y_moves:
+        moved.append((False, MoveKind.MAJORIZE_Y, py, target.values_y))
     for i, j in positions:
         dx, dy = px[j] - px[i], py[j] - py[i]
         # swaps (majorization between permuted coordinate pairs); swapping
         # either vector negates the product of the differences
         if _reverse_pair_ok(-dx, dy, swap_tol):
-            for moves_x, kind, src in (
-                (True, MoveKind.MAJORIZE_X, px),
-                (False, MoveKind.MAJORIZE_Y, py),
-            ):
+            for moves_x, kind, src, _values in moved:
                 if abs(src[i] - src[j]) <= tol:
                     continue
                 new = list(src)
@@ -491,10 +500,8 @@ def _coupled_at(p: PairClass, target: _Target, positions):
                 yield moves_x, True, tuple(new), kind, i, j
         # sum-preserving transfers aligned with target component values;
         # the product takes the other vector's difference unchanged
-        for moves_x, kind, src, values, other in (
-            (True, MoveKind.MAJORIZE_X, px, target.values_x, dy),
-            (False, MoveKind.MAJORIZE_Y, py, target.values_y, dx),
-        ):
+        for moves_x, kind, src, values in moved:
+            other = dy if moves_x else dx
             a, b = src[i], src[j]
             top, ab_scale = max(a, b), max(1.0, abs(a), abs(b))
             for ci, cj in _two_coord_targets(a, b, values, tol):
@@ -511,28 +518,32 @@ def _coupled_at(p: PairClass, target: _Target, positions):
                 yield moves_x, False, tuple(new), kind, i, j
 
 
-def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
+def _componentwise_successors(
+    p: PairClass, target: _Target, mode: RcMode, x_moves=True, y_moves=True
+):
     """The componentwise candidates from ``p`` in weak mode (none in strict
     mode), as the tuples of :func:`_coupled_at` with ``swap`` false
-    and ``i`` and ``j`` None: raises of x and lowers of y onto the target's
-    components, and a raise of x to the target's total."""
+    and ``i`` and ``j`` None: raises of x (if ``x_moves``) and lowers of y
+    (if ``y_moves``) onto the target's components, and a raise of x to the
+    target's total."""
     if mode is not RcMode.WEAK:
         return
     n = p.n
     px, py = p.x, p.y
     goal = target.pair
     tol = _tolerance(p, goal)
-    raised = _componentwise_move(px, goal.xs, 1, tol)
-    if raised is not None:
-        yield True, False, raised, MoveKind.RAISE_X, None, None
-    aligned = _aligned_move(p, goal, "x", tol)
-    if aligned is not None:
-        yield True, False, aligned, MoveKind.RAISE_X, None, None
-    lowered_aligned = _aligned_move(p, goal, "y", tol)
-    if lowered_aligned is not None:
-        yield False, False, lowered_aligned, MoveKind.LOWER_Y, None, None
-    dx = sum(goal.x) - sum(px)
-    if dx > tol * n:
+    if x_moves:
+        raised = _componentwise_move(px, goal.xs, 1, tol)
+        if raised is not None:
+            yield True, False, raised, MoveKind.RAISE_X, None, None
+        aligned = _aligned_move(p, goal, "x", tol)
+        if aligned is not None:
+            yield True, False, aligned, MoveKind.RAISE_X, None, None
+    if y_moves:
+        lowered_aligned = _aligned_move(p, goal, "y", tol)
+        if lowered_aligned is not None:
+            yield False, False, lowered_aligned, MoveKind.LOWER_Y, None, None
+    if x_moves and sum(goal.x) - sum(px) > tol * n:
         # raise toward a vector with the target total that stays majorized
         # by the target's components, distributing ranks back in place
         order = sorted(range(n), key=lambda k: px[k])
@@ -542,9 +553,10 @@ def _componentwise_successors(p: PairClass, target: _Target, mode: RcMode):
             new[idx] = u[rank]
         if all(a <= b + tol for a, b in zip(px, new)):
             yield True, False, tuple(new), MoveKind.RAISE_X, None, None
-    lowered = _componentwise_move(py, goal.ys, -1, tol)
-    if lowered is not None:
-        yield False, False, lowered, MoveKind.LOWER_Y, None, None
+    if y_moves:
+        lowered = _componentwise_move(py, goal.ys, -1, tol)
+        if lowered is not None:
+            yield False, False, lowered, MoveKind.LOWER_Y, None, None
 
 
 def _aligned_move(p: PairClass, target: PairClass, vec: str, tol: float) -> Optional[Vector]:
@@ -665,7 +677,11 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     pass (:func:`_goal_pass`) returns the first candidate in yield order that
     is the goal and whose move :func:`verify_rc_move` accepts.  It runs
     before the dedupe, so a goal is found even if its key equals that of a
-    node already seen.  The tree pass admits the other candidates.
+    node already seen.  The start's goal pass runs before any of the tree
+    is built (the memo of rounded values, ``seen`` and the heap): most
+    searches end there.  The tree pass admits the other candidates, and
+    runs only while the budget leaves a node to expand, since a node it
+    admits past that is never read.
     Candidates stay plain tuples until they pass its cheap filters, which
     only skip a candidate and so run cheapest first: the necessary check
     (:func:`check_sorted_majorization`) on the vector the move changed,
@@ -679,18 +695,22 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
     """
     start = canonical_form(p1)
     target = _target(p2)
-    rounded = _Rounded().__getitem__
-    seen = {tuple(map(rounded, start.x + start.y))}
     goal = target.pair
-    heap = [(_gap(start.xs, goal.xs) + _gap(start.ys, goal.ys), 0, start, [start], [])]
+    cur, pairs, moves = start, [start], []
+    seen = None  # the tree, built once the start's goal pass finds no goal
+    heap = []
     counter = expanded = 0
-    while heap and expanded < budget:
-        _, _, cur, pairs, moves = heapq.heappop(heap)
+    while expanded < budget:
         expanded += 1
         chain, candidates = _goal_pass(cur, pairs, moves, target, mode)
         if chain is not None:
             detail = {"route": "search", "expanded": expanded, "budget": budget}
             return OrderVerdict(Status.HOLDS, witness=chain, detail=detail)
+        if expanded >= budget:
+            break
+        if seen is None:
+            rounded = _Rounded().__getitem__
+            seen = {tuple(map(rounded, start.x + start.y))}
         for moves_x, swap, new, kind, i, j in candidates:
             if not swap and not _moved_passes(sorted(new), moves_x, goal, mode):
                 continue
@@ -699,13 +719,16 @@ def _search(p1: PairClass, p2: PairClass, mode: RcMode, budget: int) -> OrderVer
             key = tuple(map(rounded, xs + ys))
             if key in seen:
                 continue
-            nxt, move = PairClass(x, y), ElementaryMove(kind, i, j)
+            nxt, move = PairClass(x, y), _move(kind, i, j)
             if not verify_rc_move(cur, nxt, move, mode):
                 continue
             seen.add(key)
             counter += 1
             gap = _gap(nxt.xs, goal.xs) + _gap(nxt.ys, goal.ys)
             heapq.heappush(heap, (gap, counter, nxt, pairs + [nxt], moves + [move]))
+        if not heap:
+            break
+        _, _, cur, pairs, moves = heapq.heappop(heap)
     detail = {"route": "search", "expanded": expanded, "budget": budget}
     # the discretized moves reach no chain either way, so both are unknown
     detail["reason"] = "search " + ("budget" if expanded >= budget else "space") + " exhausted"
@@ -756,14 +779,15 @@ def _positions_with(far: list[int], n: int):
 
 def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: RcMode):
     """The chain to the first of ``cur``'s candidates, in yield order, that
-    is the goal and whose move passes :func:`verify_rc_move` (or None), and
-    the candidates for the tree pass, those this pass generated included.
-    Every earlier move of the chain was accepted by :func:`verify_rc_move`
-    when its node entered the tree, so the chain passes
-    :func:`verify_rc_chain`.
+    is the goal and whose move passes :func:`verify_rc_move` (or None), and,
+    if there is none, the candidates for the tree pass, every one in yield
+    order, those this pass generated included.  Every earlier move of the
+    chain was accepted by :func:`verify_rc_move` when its node entered the
+    tree, so the chain passes :func:`verify_rc_chain`.
 
     A move changes x only or y only, so a child can be the goal only if
-    ``cur``'s other vector already matches the target's.  The goal test is
+    ``cur``'s other vector already matches the target's: the pass generates
+    only the moves of a vector that can reach the goal.  The goal test is
     :func:`check_pair_equal_a` against the target.  It compares canonical
     forms, which hold the coordinate pairs in some order, and sorting is
     1-Lipschitz in the sup norm, so a goal's sorted vectors lie within the
@@ -781,30 +805,25 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
     vector, sorted, against the target's within ``near``).  Only then is
     its pair built, for the goal test, then the necessary check on the moved
     vector, and :func:`verify_rc_move` on the candidate's move.  The gates
-    and the pre-test skip no goal, and the position pairs keep the order of
-    the whole list, so the pass returns the first goal in yield order.  It
-    generates candidates lazily, stopping at the first goal.  When it finds
-    none, the tree pass reuses the coupled candidates it generated if they
-    are all of them (no far coordinate), and otherwise generates the whole
-    list itself.  The componentwise candidates are generated and reused the
-    same way.  The gates and the laziness are for speed: most goals are
-    componentwise moves met in the first expansion, which the pass then
-    reaches without generating any coupled candidate.
+    and the pre-test skip no goal, and the position pairs and the vectors
+    keep the order of the whole list, so the pass returns the first goal in
+    yield order.  It generates candidates lazily, stopping at the first
+    goal.  When it finds none, the tree pass reuses the candidates it
+    generated if they are all of them (both vectors open, and for the
+    coupled ones no far coordinate), and otherwise generates the whole list
+    itself, in the same order.  The gates and the laziness are for speed:
+    most goals are componentwise moves met in the first expansion, which the
+    pass then reaches without generating any coupled candidate.
     """
     px, py = cur.x, cur.y
     near, goal = target.near, target.pair
     x_open = within(cur.ys, goal.ys, near)  # an x move may reach the goal
     y_open = within(cur.xs, goal.xs, near)
-    if not (x_open or y_open):
-        coupled = _coupled_at(cur, target, _positions_with((), cur.n))
-        return None, itertools.chain(coupled, _componentwise_successors(cur, target, mode))
 
     def first_goal(candidates, listed):
         for candidate in candidates:
             listed.append(candidate)
             moves_x, swap, new, kind, i, j = candidate
-            if not (x_open if moves_x else y_open):
-                continue
             if not within(sorted(new), goal.xs if moves_x else goal.ys, near):
                 continue
             nxt = PairClass(new, py) if moves_x else PairClass(px, new)
@@ -812,22 +831,30 @@ def _goal_pass(cur: PairClass, pairs: list, moves: list, target: _Target, mode: 
                 continue
             if not swap and not _moved_passes(nxt.xs if moves_x else nxt.ys, moves_x, goal, mode):
                 continue
-            move = ElementaryMove(kind, i, j)
+            move = _move(kind, i, j)
             if verify_rc_move(cur, nxt, move, mode):
                 return RcChain((*pairs, nxt), (*moves, move), mode)
         return None
 
-    far = _far(cur, target)
-    listed = []
-    if len(far) <= 2:
-        chain = first_goal(_coupled_at(cur, target, _positions_with(far, cur.n)), listed)
+    if x_open or y_open:
+        far = _far(cur, target)
+        listed = []
+        if len(far) <= 2:
+            positions = _positions_with(far, cur.n)
+            chain = first_goal(_coupled_at(cur, target, positions, x_open, y_open), listed)
+            if chain is not None:
+                return chain, ()
+        componentwise = []
+        successors = _componentwise_successors(cur, target, mode, x_open, y_open)
+        chain = first_goal(successors, componentwise)
         if chain is not None:
             return chain, ()
-    # with no far coordinate the pass listed every coupled candidate, in order
-    coupled = listed if not far else _coupled_at(cur, target, _positions_with((), cur.n))
-    componentwise = []
-    chain = first_goal(_componentwise_successors(cur, target, mode), componentwise)
-    return chain, itertools.chain(coupled, componentwise)
+        if x_open and y_open:
+            # with no far coordinate the pass listed every coupled candidate
+            coupled = listed if not far else _coupled_at(cur, target, _positions_with((), cur.n))
+            return None, itertools.chain(coupled, componentwise)
+    coupled = _coupled_at(cur, target, _positions_with((), cur.n))
+    return None, itertools.chain(coupled, _componentwise_successors(cur, target, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from stochord.harness import (
 from stochord.majorization import (
     MajorizationMode,
     check_majorization,
-    is_sorted,
     t_transform_chain,
 )
 from stochord.rc_order import (
@@ -43,7 +42,7 @@ from stochord.rc_order import (
 from stochord.verdicts import Status
 from test_distributions import empirical_cdf, mc_sampler, nb
 from test_harness import worked_example_chain
-from test_majorization import verify_t_step
+from test_majorization import is_sorted, verify_t_step
 
 
 def _report(criterion: str, passed: bool, detail: str = "") -> None:

@@ -13,14 +13,34 @@ from stochord.majorization import (
     check_sorted_majorization,
     component_tolerance,
     as_vector,
-    is_sorted,
     t_transform_chain,
-    _sorted_transform_chain,
+    _sorted_transfers,
 )
 
 FULL = MajorizationMode.FULL
 BELOW = MajorizationMode.BELOW
 ABOVE = MajorizationMode.ABOVE
+
+
+def is_sorted(v, direction="inc", tol=None) -> bool:
+    """Oracle: True iff ``v`` is sorted increasing (``"inc"``) or
+    decreasing, each neighbour within ``tol`` (by default
+    ``component_tolerance(v)``) of the order."""
+    if tol is None:
+        tol = component_tolerance(v)
+    pairs = zip(v, v[1:])
+    if direction == "inc":
+        return all(b >= a - tol for a, b in pairs)
+    return all(b <= a + tol for a, b in pairs)
+
+
+def _steps_chain(x, steps):
+    """The chain of ``_sorted_transfers``' ``steps`` from ``x``, as
+    ``t_transform_chain`` lays it out."""
+    return TChain(
+        vectors=(tuple(x), *[v for *_, v in steps]),
+        steps=tuple((i, j, eps) for i, j, eps, _ in steps),
+    )
 
 
 def verify_t_step(a, b) -> bool:
@@ -503,7 +523,8 @@ class TestTTransformChain:
 
 class TestTransformChainContract:
     """``t_transform_chain`` keeps its checks, and past them runs what the
-    construction's runner runs, which takes its inputs as sorted."""
+    construction's runner runs, which takes its inputs as sorted and hands
+    back the steps, each with the vector it leaves."""
 
     @pytest.mark.parametrize(
         "x, y, exc",
@@ -522,9 +543,9 @@ class TestTransformChainContract:
 
     def test_the_runner_raises_as_the_chain_does(self):
         with pytest.raises(ValueError, match="not majorized"):
-            _sorted_transform_chain((0.0, 2.0, 4.0), (1.0, 2.0, 3.0))
+            _sorted_transfers((0.0, 2.0, 4.0), (1.0, 2.0, 3.0))
         with pytest.raises(RuntimeError, match="did not converge"):
-            _sorted_transform_chain((0.999999999996, 2.0), (1.0, 2.0))
+            _sorted_transfers((0.999999999996, 2.0), (1.0, 2.0))
 
     @given(_majorization_pairs(chains=True))
     @settings(max_examples=800, deadline=None)
@@ -539,10 +560,30 @@ class TestTransformChainContract:
         except (ValueError, RuntimeError) as exc:
             event(f"raises {type(exc).__name__}")
             with pytest.raises(type(exc)):
-                _sorted_transform_chain(x, y)
+                _sorted_transfers(x, y)
             return
         event(f"{len(want.steps)} steps")
-        assert repr(_sorted_transform_chain(x, y)) == repr(want)
+        assert repr(_steps_chain(x, _sorted_transfers(x, y))) == repr(want)
+
+    @given(_majorization_pairs(chains=True))
+    @settings(max_examples=800, deadline=None)
+    def test_runner_steps_agree_with_the_reference(self, xy):
+        """On exactly sorted inputs of one length, the runner's steps and
+        the vectors they leave are the reference chain's, float for float,
+        or both raise the same exception type."""
+        x, y = xy
+        assume(len(x) == len(y) and list(x) == sorted(x) and list(y) == sorted(y))
+        try:
+            want = _reference_t_transform_chain(x, y)
+        except (ValueError, RuntimeError) as exc:
+            event(f"raises {type(exc).__name__}")
+            with pytest.raises(type(exc)):
+                _sorted_transfers(x, y)
+            return
+        event(f"{len(want.steps)} steps")
+        steps = _sorted_transfers(x, y)
+        assert repr([(i, j, eps) for i, j, eps, _ in steps]) == repr(list(want.steps))
+        assert repr([v for *_, v in steps]) == repr(list(want.vectors[1:]))
 
 
 class TestTolerance:

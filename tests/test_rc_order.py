@@ -1465,11 +1465,11 @@ class TestSearch:
         generated = []
         real = rc_order._coupled_at
 
-        def counting(p, target, positions):
+        def counting(p, target, positions, *vectors):
             positions = list(positions)
-            generated.append([p, target, positions, 0])
-            for candidate in real(p, target, positions):
-                generated[-1][3] += 1
+            generated.append([p, target, positions, vectors, 0])
+            for candidate in real(p, target, positions, *vectors):
+                generated[-1][4] += 1
                 yield candidate
 
         monkeypatch.setattr(rc_order, "_coupled_at", counting)
@@ -1478,9 +1478,12 @@ class TestSearch:
         v = decide_wrc(p1, p2, WEAK)
         assert v.detail == {"route": "search", "expanded": 1, "budget": 4000}
         assert v.witness.moves == (ElementaryMove(MoveKind.MAJORIZE_X, 0, 1),)
-        [(start, target, positions, count)] = generated
+        [(start, target, positions, vectors, count)] = generated
         assert positions == [(0, 1)]
-        gated = list(real(start, target, positions))
+        # only x can reach the goal (the start's x is not the target's), so
+        # only x moves are generated
+        assert vectors == (True, False)
+        gated = list(real(start, target, positions, *vectors))
         goal_at = next(k for k, c in enumerate(gated, 1) if c[2] == p2.x)
         assert count == goal_at < len(gated)
         assert hashlib.sha256(chain_to_json(v.witness).encode()).hexdigest() == (
@@ -1518,6 +1521,98 @@ class TestSearch:
             texts.append(chain_to_json(v.witness))
         assert texts[0] == texts[1]
         assert json.loads(texts[0])["chain"][-1]["pair"]["y"] == [2.0, 1.0, 9.0]
+
+    def test_smallest_budgets_build_no_tree(self, monkeypatch):
+        """A budget of 0 expands nothing; a budget of 1 runs the start's goal
+        pass and nothing more.  On the pair one x transfer from its target
+        that pass decides, with the parent search's detail and witness
+        bytes; on a pair it cannot decide, the verdict is the budget's.
+        Neither builds the memo of rounded values behind ``seen``, which a
+        budget of 2 does once."""
+        built = 0
+
+        class Counted(rc_order._Rounded):
+            def __init__(self):
+                nonlocal built
+                built += 1
+
+        monkeypatch.setattr(rc_order, "_Rounded", Counted)
+        p1 = pair((1.0, 2.0, 3.0, 4.0), (3.0, 1.0, 2.0, 4.0))
+        p2 = pair((0.5, 2.5, 3.0, 4.0), p1.y)
+        v = _search(p1, p2, WEAK, 0)
+        assert v.status is Status.UNKNOWN and v.witness is None
+        assert v.detail == {
+            "route": "search", "expanded": 0, "budget": 0, "reason": "search budget exhausted"
+        }
+        v = _search(p1, p2, WEAK, 1)
+        assert v.holds and v.detail == {"route": "search", "expanded": 1, "budget": 1}
+        assert hashlib.sha256(chain_to_json(v.witness).encode()).hexdigest() == (
+            "af763ae6d1719728e87f3fa5edccf2d0d1b3167913fce891902eda36fa06486b"
+        )
+        # the rounding merges the raise of x onto the target's (see ROADMAP):
+        # six expansions find no chain
+        a = pair((1.0, 2.0, 0.5), (3.0, 4.0, 1.0))
+        b = pair((1.0, 2.0, 0.5 + 3e-10), (3.0, 4.0, 1.0 - 2e-10))
+        v = _search(a, b, WEAK, 1)
+        assert v.status is Status.UNKNOWN
+        assert v.detail == {
+            "route": "search", "expanded": 1, "budget": 1, "reason": "search budget exhausted"
+        }
+        assert built == 0
+        assert _search(a, b, WEAK, 2).detail["expanded"] == 2
+        assert built == 1
+        assert _search(a, b, WEAK, 200).detail == {
+            "route": "search", "expanded": 6, "budget": 200, "reason": "search space exhausted"
+        }
+
+    def test_tree_pass_gets_every_candidate_where_one_vector_is_open(self, monkeypatch):
+        """Where only one vector of a node can reach the goal, the goal pass
+        generates that vector's moves alone; when it finds no goal, the tree
+        pass still receives every candidate, in the order of the whole list,
+        both vectors' coupled moves at every position pair and then the
+        componentwise ones.  Checked on each such node of the deep searches
+        of the off-matrix batch and the reversed ConvAI/AITail pairs, whose
+        nodes all have a far coordinate, and of starts with none, where the
+        goal pass lists every coupled candidate of its vector."""
+        real = rc_order._goal_pass
+        met = collections.Counter()
+
+        def spy(cur, pairs, moves, target, mode):
+            chain, candidates = real(cur, pairs, moves, target, mode)
+            goal, near = target.pair, target.near
+            x_open = majorization.within(cur.ys, goal.ys, near)
+            y_open = majorization.within(cur.xs, goal.xs, near)
+            if chain is not None or x_open == y_open:
+                return chain, candidates
+            got = list(candidates)
+            want = itertools.chain(
+                rc_order._coupled_at(cur, target, itertools.combinations(range(cur.n), 2)),
+                rc_order._componentwise_successors(cur, target, mode),
+            )
+            assert repr(got) == repr(list(want))
+            met["x open" if x_open else "y open"] += 1
+            met["no far coordinate"] += not rc_order._far(cur, target)
+            return chain, iter(got)
+
+        monkeypatch.setattr(rc_order, "_goal_pass", spy)
+        # every coordinate pair of the start is one of the target's
+        queries = [
+            (pair((1, 1, 3, 3), (1, 1, 2, 2)), pair((2, 3, 3, 1), (2, 2, 1, 1))),
+            (pair((2, 2, 2, 2), (2, 2, 3, 3)), pair((1, 2, 2, 3), (2, 3, 2, 3))),
+            (pair((1, 1, 2, 2), (2, 2, 2, 2)), pair((1, 1, 2, 2), (1, 2, 3, 2))),
+        ]
+        queries += _random_pairs(25)
+        for row in MATRIX:
+            if (row.name.value, row.family) in (("ConvAI", "negbin"), ("AITail", "gamma")):
+                for n, seed in itertools.product(range(2, 7), range(3)):
+                    s1, s2 = generate_instance(Scenario(row.name, row.family, n, seed))
+                    q1, q2 = _param_pairs(s1, s2, row.order)
+                    queries.append((q2, q1))
+        for a, b in queries:
+            for mode in (WEAK, STRICT):
+                if check_necessary(a, b, mode)[0]:
+                    _search(a, b, mode, 200)
+        assert met["x open"] and met["y open"] and met["no far coordinate"]
 
     def test_one_move_pairs_match_the_pinned_digest(self):
         """The first goal in yield order, byte for byte: the search's outputs
@@ -1888,14 +1983,14 @@ class TestOppositeOrderedConstruction:
         for starts and ends on increasing-sorted vectors, near-ties included:
         the runner it calls, which checks no order, may take them as sorted."""
         mode, p1, p2 = instance
-        runner = rc_order._sorted_transform_chain
+        runner = rc_order._sorted_transfers
 
         def spy(x, y):
             assert list(x) == sorted(x) and list(y) == sorted(y)
             return runner(x, y)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rc_order, "_sorted_transform_chain", spy)
+            mp.setattr(rc_order, "_sorted_transfers", spy)
             try:
                 construct_chain_opposite(p1, p2, mode)
             except ChainConstructionError:
