@@ -23,12 +23,30 @@ largest ``q``.  If its weight is positive and ``T_K = w_top q_top^K + Σ_{w_q
 < 0} w_q q^K ≥ 0``, then ``T_k / q_top^k`` grows with ``k``, since every
 ``(q / q_top)^k`` falls, and ``S_k ≥ T_k ≥ 0`` for every ``k ≥ K``.
 
+Most ``S_k`` before ``K`` need no look either.  Let ``ρ`` be the largest
+``q`` of a negative atom and ``D(k) = Σ_{w_q > 0} w_q (q − ρ) q^k``.  If
+``S_k ≥ 0`` and ``D(k) ≥ 0``, then ``S_j ≥ 0`` for every ``j ≥ k``: ``g(j) =
+S_j / ρ^j`` has ``g(j + 1) − g(j) = Σ_q w_q (q − ρ) q^j / ρ^{j+1} ≥ D(j) /
+ρ^{j+1}``, since a negative atom has ``q ≤ ρ`` and so a term ``≥ 0``; and
+``D(j) / ρ^j`` never falls, since an atom above ``ρ`` has a positive
+coefficient on the growing ``(q / ρ)^j`` and one below a negative
+coefficient on the falling one.  So ``g`` rises from ``k`` on.  The scan of
+``S_k`` stops at the first ``k`` where a float sum of ``D(k) / q_top^k``
+clears its rounding bound; one that does not only lets the scan go on.
+From there only the top atom and the negative ones are carried on to ``T_K``
+and ``T_{K+1}``: a scan of ``m`` full sums and ``K`` costs ``O(m n + K d)``
+products, ``n`` net atoms and ``d`` of them dominant, and at most ``2m + 2``
+float sums.
+
 The inputs are read as exact rationals: a component's ``p`` is the float
 given, and components merge by exact ``p``.  Each net weight is rounded once
 (``math.fsum``, so its sign is exact).  Each ``S_k`` and ``T_K``, divided by
 ``q_top^k`` so that the top term cannot underflow, is summed in floats under
 a proven rounding bound, and a sum that the bound leaves undecided is summed
-again exactly, in integers.
+again exactly, in integers.  Each term of ``D(k)`` is a term of ``S_k``
+times ``fl(p_neg − p)``, whose sign is exact (the difference of two distinct
+floats is not 0), and rounds twice more: its bound is that of ``S_k`` at
+``4k + 3`` roundings and ``k + 1`` underflows.  ``D(k)`` needs no exact sum.
 
 **Gamma certificate.**  A gamma of shape ``a`` and rate ``b`` has ``log L(s)
 = −a ∫_0^∞ (1 − e^{−su}) e^{−bu} du / u``.  With the net weight ``w_b`` (Y's
@@ -84,13 +102,17 @@ Ties of these quantities decide nothing; no tolerance is used anywhere.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from itertools import repeat
+from operator import mul
 
 from stochord.majorization import _integers
 from stochord.verdicts import OrderVerdict, Status
 
 # Past this many terms the certificate decides nothing; this also bounds the
-# work of an exact sum (about 3.3 ms in integers for 12 atoms at k = 1024,
-# on one core of an otherwise idle 2-vCPU Xeon).
+# products carried per dominant atom, the float sums of a scan that no
+# rising test stops, and the work of an exact sum (about 3.3 ms in integers
+# for 12 atoms at k = 1024, on one core of an otherwise idle 2-vCPU Xeon).
 TERM_LIMIT = 1024
 _U = 2.0**-53  # unit roundoff
 _UNDERFLOW = 2.0**-1072  # four times the smallest subnormal float
@@ -235,7 +257,9 @@ def levy_terms(s1, s2) -> int | None:
     nothing: a top atom whose weight is not positive, some ``S_k < 0`` before
     ``K`` (exact ties included), or a ``K`` past ``TERM_LIMIT``.  ``None``
     refutes nothing.  With no negative atom, equal laws included, ``K`` is 1:
-    no ``S_k`` is checked one by one."""
+    no ``S_k`` is checked one by one.  Otherwise the ``S_k`` are checked one
+    by one up to ``K`` or to the first rising test that proves all later
+    ones (:func:`_dominance_start`)."""
     try:
         return _dominance_start(_signed(s1, s2))
     except OverflowError:  # a net weight, or a sum of terms, past the floats
@@ -243,6 +267,14 @@ def levy_terms(s1, s2) -> int | None:
 
 
 def _dominance_start(signed: dict) -> int | None:
+    """:func:`levy_terms` on the shapes of each ``p``, ``X``'s negated.  ``K``
+    is the first of ``start``, ``start + 1`` with ``T_K ≥ 0``, ``start`` the
+    float estimate of the top atom's dominance, once every ``S_k``, ``k <
+    K``, is ``≥ 0``.  Each ``S_k`` is checked until :func:`_rising` proves
+    ``D(k) > 0`` at a ``k`` with ``S_k ≥ 0``; then every later ``S_k`` is
+    ``≥ 0``, and only the dominant atoms' powers are carried on, by the same
+    sequential products, so ``T_start`` and ``T_start+1`` are the floats of
+    a full scan.  May raise ``OverflowError``."""
     atoms = [(p, w) for p, w in sorted((p, math.fsum(v)) for p, v in signed.items()) if w]
     negative = [i for i, (_, w) in enumerate(atoms) if w < 0]
     if not negative:
@@ -268,7 +300,44 @@ def _dominance_start(signed: dict) -> int | None:
             return k
         if not _nonnegative(signed, atoms, powers, k, every):
             return None
-    return None
+        if k < start and _rising(atoms, powers, p_neg, k):
+            break
+    else:
+        return None
+    # every S_j, j ≥ k, is nonnegative: only T_start and T_start+1 are left,
+    # the dominant powers carried on by the same sequential products
+    for i in dominant:
+        powers[i] = reduce(mul, repeat(ratios[i], start - k), powers[i])
+    if _nonnegative(signed, atoms, powers, start, dominant):
+        return start
+    for i in dominant:
+        powers[i] *= ratios[i]
+    return start + 1 if _nonnegative(signed, atoms, powers, start + 1, dominant) else None
+
+
+def _rising(atoms: list, powers: list, p_neg: float, k: int) -> bool:
+    """Whether ``D(k) = Σ_{w_q > 0} w_q (q − ρ) q^k > 0`` is proven by floats
+    alone, ``ρ = 1 − p_neg`` the largest ``q`` of a negative atom, from
+    ``powers`` (as in :func:`_nonnegative`) times ``fl(p_neg − p)``, which
+    is not 0 and has the exact sign of ``q − ρ``.  Each term rounds
+    two more times than a term of :func:`_nonnegative` and may underflow once
+    more, so the sum is within :func:`_rounding_bound` at ``4k + 3``
+    roundings and ``k + 1`` underflows of ``D(k) / q_top^k``.  ``False``
+    decides nothing."""
+    terms = [x * (p_neg - p) for x, (p, w) in zip(powers, atoms) if w > 0]
+    total = math.fsum(terms)
+    return total > 0 and total > _rounding_bound(terms, 4 * k + 3, k + 1)
+
+
+def _rounding_bound(terms: list, rounds: int, underflows: int) -> float:
+    """A bound on ``|Σ exact − fsum(terms)|`` when each term is its exact
+    value rounded ``rounds`` times, relatively by at most ``u``, and
+    underflowed at most ``underflows`` times, each adding at most half the
+    smallest subnormal: ``(2 rounds + 2) u A + (n underflows + 1) 2^-1072``,
+    ``A = Σ |terms|``, for ``rounds · u ≤ 0.01`` (see :func:`_nonnegative`)."""
+    return (2 * rounds + 2) * _U * math.fsum(map(abs, terms)) + (
+        len(terms) * underflows + 1
+    ) * _UNDERFLOW
 
 
 def _nonnegative(signed: dict, atoms: list, powers: list, k: int, which) -> bool:
@@ -289,7 +358,7 @@ def _nonnegative(signed: dict, atoms: list, powers: list, k: int, which) -> bool
     floats, exceeds it, since ``(4k + 1) u ≤ 0.01`` below ``TERM_LIMIT``."""
     terms = [powers[i] for i in which]
     total = math.fsum(terms)
-    bound = (8 * k + 4) * _U * math.fsum(map(abs, terms)) + (len(terms) * k + 1) * _UNDERFLOW
+    bound = _rounding_bound(terms, 4 * k + 1, k)
     if total > bound:
         return True
     if total < -bound:

@@ -634,8 +634,11 @@ def decide_wrc(
     its two coordinates spreads them, moving its vector strictly up in
     majorization where nothing moves it back, so the chain holds only swaps,
     each a legal arrangement swap run backwards.  Multisets equal only
-    within tolerance fall through to the search.
+    within tolerance fall through to the search.  Raises ``TypeError`` on a
+    ``mode`` that is not an :class:`RcMode`.
     """
+    if not isinstance(mode, RcMode):
+        raise TypeError(f"mode must be an RcMode, got {mode!r}")
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
     # each pair sorted its vectors when it was made (see PairClass); every route reads them

@@ -444,6 +444,71 @@ def exact_levy_sums(s1, s2, k_max: int) -> list:
     return sums, dominance
 
 
+def levy_scan(s1, s2) -> int | None:
+    """Oracle: :func:`levy_terms` as a scan of every ``S_k``, ``k < K``, one
+    full sum at a time, with no rising test: the first ``k`` in ``start,
+    start + 1`` whose dominance ``T_k ≥ 0``, ``None`` at a ``S_k < 0`` on the
+    way or at a sum past the floats."""
+    signed = exact._signed(s1, s2)
+    try:
+        atoms = [(p, w) for p, w in sorted((p, math.fsum(v)) for p, v in signed.items()) if w]
+        negative = [i for i, (_, w) in enumerate(atoms) if w < 0]
+        if not negative:
+            return 1
+        (p_top, w_top), p_neg = atoms[0], atoms[negative[0]][0]
+        if w_top < 0:
+            return None
+        lead = math.log1p(-p_top) - math.log1p(-p_neg)
+        size = math.log(-math.fsum(atoms[i][1] for i in negative)) - math.log(w_top)
+        estimate = size / lead if lead > 0 else math.inf
+        if not estimate <= exact.TERM_LIMIT:
+            return None
+        start = math.ceil(max(estimate, 1.0))
+        ratios = [(1.0 - p) / (1.0 - p_top) for p, _ in atoms]
+        powers = [w for _, w in atoms]
+        every, dominant = range(len(atoms)), [0] + negative
+        for k in range(1, start + 2):
+            powers = [x * r for x, r in zip(powers, ratios)]
+            if k >= start and exact._nonnegative(signed, atoms, powers, k, dominant):
+                return k
+            if not exact._nonnegative(signed, atoms, powers, k, every):
+                return None
+        return None
+    except OverflowError:
+        return None
+
+
+def count_levy_sums(monkeypatch) -> dict:
+    """Counts of the certificate's float sums: ``"full"`` for each ``S_k``
+    over every net atom, ``"dominance"`` for each ``T_k`` and ``"rising"``
+    for each rising test; and ``"rose_at"``, each ``k`` at which a rising
+    test proved ``D(k) > 0``."""
+    counts = {"full": 0, "dominance": 0, "rising": 0, "rose_at": []}
+    nonnegative, rising = exact._nonnegative, exact._rising
+
+    def counted_nonnegative(signed, atoms, powers, k, which):
+        # a dominance sum holds the top atom and no other positive one
+        full = sum(atoms[i][1] > 0 for i in which) > 1
+        counts["full" if full else "dominance"] += 1
+        return nonnegative(signed, atoms, powers, k, which)
+
+    def counted_rising(atoms, powers, p_neg, k):
+        counts["rising"] += 1
+        rose = rising(atoms, powers, p_neg, k)
+        if rose:
+            counts["rose_at"].append(k)
+        return rose
+
+    monkeypatch.setattr(exact, "_nonnegative", counted_nonnegative)
+    monkeypatch.setattr(exact, "_rising", counted_rising)
+    return counts
+
+
+RC_GENERAL_934 = generate_instance(Scenario(ScenarioName.RC_GENERAL, "negbin", 3, 23))
+# net atoms +1 at q = 0.9, −1.3 at 0.85, +0.5 at 0.5 and −0.01 at 0.3
+DIP_PAIR = (spec("negbin", (1.3, 0.01), (0.15, 0.7)), spec("negbin", (1.0, 0.5), (0.1, 0.5)))
+
+
 class TestLevyCertificate:
     def test_pinned_tie_is_certified_where_the_lattice_is_unknown(self, monkeypatch):
         assert exact_levy_sums(*TIE_PAIR, 1)[0] == [0]  # the rounding bound cannot decide
@@ -460,7 +525,7 @@ class TestLevyCertificate:
         [
             (TIE_PAIR, 39),
             (LIFT_PAIR, 1),
-            (generate_instance(Scenario(ScenarioName.RC_GENERAL, "negbin", 3, 23)), 934),
+            (RC_GENERAL_934, 934),
             (generate_instance(Scenario(ScenarioName.RAISE_ALPHA, "negbin", 4, 0)), 1),
         ],
         ids=["majorize-beta-tie", "lift", "rc-general-934", "raise-alpha"],
@@ -533,6 +598,60 @@ class TestLevyCertificate:
             pair = generate_instance(Scenario(ScenarioName.GAMMA_CONV, "gamma", 3, seed))
             assert "terms" not in (exact.certificate(*pair) or {})
 
+    def test_a_long_dominance_start_takes_few_full_sums(self, monkeypatch):
+        """The rc-general-934 pair: its rising test proves every later
+        ``S_k ≥ 0`` early in the scan, and only the dominant atoms are
+        carried on to ``K``, where a scan of every ``S_k`` takes 933 full
+        sums."""
+        counts = count_levy_sums(monkeypatch)
+        assert levy_terms(*RC_GENERAL_934) == 934
+        assert counts["full"] <= 50 and counts["rising"] <= 50
+        assert counts["rose_at"] == [counts["rising"]] and counts["dominance"] == 1
+
+    def test_a_dip_after_a_rise_at_a_smaller_negative_q_is_kept(self):
+        """``S_1 > 0 > S_2``, ``S_3``, with a second negative atom far below
+        the first (q = 0.3 against 0.85): a rising sum about that atom's
+        ``q`` would be positive at ``k = 1`` and skip the dip to ``T_5 ≥ 0``;
+        about the largest negative ``q`` it is negative, and the scan meets
+        ``S_2 < 0``."""
+        sums, _ = exact_levy_sums(*DIP_PAIR, 3)
+        assert sums[0] > 0 > max(sums[1:])
+        assert levy_terms(*DIP_PAIR) is None
+
+    @settings(max_examples=300, deadline=None)
+    @example(pair=DIP_PAIR)
+    @given(
+        pair=st.deferred(
+            lambda: st.one_of(near_negbin_pairs(), dyadic_negbin_pairs(), random_negbin_pairs())
+        )
+    )
+    @example(pair=RC_GENERAL_934)
+    @example(pair=RC_GENERAL_934[::-1])
+    @example(pair=TIE_PAIR)
+    @example(pair=LIFT_PAIR)
+    # S_1 ties at 0, and every later S_k > 0: K = 2
+    @example(pair=(spec("negbin", (2.0,), (0.5,)), spec("negbin", (1.0, 1.0), (0.25, 0.75))))
+    def test_the_rising_test_keeps_every_dominance_start(self, pair):
+        """The certificate gives the per-term scan's ``K``, or ``None``, on
+        pairs with several sign changes, ``k = 1`` ties and ``K`` in the
+        hundreds."""
+        assert levy_terms(*pair) == levy_scan(*pair)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.deferred(lambda: st.one_of(near_negbin_pairs(), dyadic_negbin_pairs())))
+    @example(pair=RC_GENERAL_934)
+    @example(pair=TIE_PAIR)
+    def test_every_sum_after_a_rise_is_exactly_nonnegative(self, pair):
+        """Wherever the rising test ends the scan at ``k``, the exact ``S_j
+        ≥ 0`` for ``j = k .. max(2K, k + 50)``, ``K`` the certificate's
+        (0 where it certifies nothing)."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = count_levy_sums(monkeypatch)
+            terms = levy_terms(*pair)
+        for k in counts["rose_at"]:
+            sums, _ = exact_levy_sums(*pair, max(2 * (terms or 0), k + 50))
+            assert all(s >= 0 for s in sums[k - 1 :]), k
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_certificate_on_random_pairs(self, data):
@@ -555,6 +674,52 @@ class TestLevyCertificate:
         shapes[i] = part
         split = spec("negbin", shapes + [s2.shapes[i] - part], s2.scales + (s2.scales[i],))
         assert levy_terms(s1, split) == terms
+
+
+@st.composite
+def near_negbin_pairs(draw):
+    """Pairs whose success probabilities differ component by component by
+    0 or ±1e-5 to ±1e-2, from probabilities of two decimals, and whose
+    shapes differ by −20 % to 20 %: net atoms of either sign side by side,
+    so several sign changes and long dominance starts, as RcGeneral's."""
+    n = draw(st.integers(2, 4))
+    probs = draw(st.lists(st.integers(5, 95), min_size=n, max_size=n, unique=True))
+    shapes = draw(st.lists(st.integers(30, 300), min_size=n, max_size=n))
+    shifts = st.sampled_from([0.0] + [s * 10.0**-e for s in (1, -1) for e in range(2, 6)])
+    moves = draw(st.lists(shifts, min_size=n, max_size=n))
+    stretches = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    s1 = spec("negbin", [a / 100 for a in shapes], [p / 100 for p in probs])
+    s2 = spec(
+        "negbin",
+        [a / 100 * (1 + t / 100) for a, t in zip(shapes, stretches)],
+        [p / 100 + d for p, d in zip(probs, moves)],
+    )
+    return (s2, s1) if draw(st.booleans()) else (s1, s2)
+
+
+@st.composite
+def dyadic_negbin_pairs(draw):
+    """Pairs with shapes in eighths up to 3 and success probabilities in
+    sixteenths, so exact sums tie often.  In half of them the specs differ
+    only where two equal shapes at ``p > r`` move to ``p − d`` and ``r +
+    d``: ``Σ a q`` ties exactly, and ``S_1`` is 0."""
+    shapes = st.integers(1, 24).map(lambda i: i / 8)
+    probs = st.integers(1, 15).map(lambda i: i / 16)
+
+    def components(lo):
+        n = draw(st.integers(lo, 4))
+        return tuple(draw(st.lists(values, min_size=n, max_size=n)) for values in (shapes, probs))
+
+    if draw(st.booleans()):
+        return spec("negbin", *components(1)), spec("negbin", *components(1))
+    a, (rest_shapes, rest_probs) = draw(shapes), components(0)
+    p, r = draw(st.integers(2, 15)), draw(st.integers(1, 14))
+    d = draw(st.integers(1, min(p - 1, 15 - r)))
+    s1, s2 = (
+        spec("negbin", [a, a, *rest_shapes], [u / 16, v / 16, *rest_probs])
+        for u, v in ((p, r), (p - d, r + d))
+    )
+    return (s2, s1) if draw(st.booleans()) else (s1, s2)
 
 
 @st.composite

@@ -631,6 +631,17 @@ class TestDecideWrc:
         v = decide_wrc(p1, p2, STRICT)
         assert v.status is Status.REFUTED and v.violation["vector"] == "x"
 
+    @pytest.mark.parametrize("mode", ["weak", "strict", "nonsense", None, 1])
+    def test_a_mode_that_is_not_an_rc_mode_is_refused(self, mode):
+        """The worked example holds in either mode; a mode given by its
+        value, or by anything else, is refused before any route runs, where
+        it used to decide and to write a witness that ``chain_to_json``
+        could not serialize."""
+        p1, p2 = pair((0.4, 0.6, 0.5), (2.0, 3.0, 4.0)), pair((0.7, 0.3, 0.5), (1.0, 3.0, 5.0))
+        assert decide_wrc(p1, p2, WEAK).holds and decide_wrc(p1, p2, STRICT).holds
+        with pytest.raises(TypeError, match="RcMode"):
+            decide_wrc(p1, p2, mode)
+
     def test_arrangement_ordered_pairs_are_ordered_strictly(self):
         """Exhaustive embedding of the arrangement order, n = 3."""
         x = (1.0, 2.0, 3.0)
